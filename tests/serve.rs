@@ -342,3 +342,177 @@ fn adaptive_engine_serves_heterogeneous_workload_exactly() {
     // consuming observations.
     assert!(engine.resolve_depth_ewma() <= engine.forest_stats().max_depth() as f64);
 }
+
+/// The count metrics the benchmark reads, summed over a whole stream.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct StreamCounts {
+    visits: usize,
+    messages: usize,
+    batch_query_bytes: usize,
+    envelope_bytes: usize,
+    work: u64,
+    fragments_evaluated: usize,
+    eager_rounds: usize,
+    lazy_rounds: usize,
+}
+
+/// Drives a seeded stream of admission rounds (1–4 submissions each,
+/// some never seen, some repeats, some duplicates within the round) and
+/// leaf inserts through `engine`, oracle-checking every answer and
+/// summing the rounds' counts. `fresh(i)` is the text of the `i`-th
+/// never-seen query; `pool` are the recurring ones.
+fn drive_counted_stream(
+    engine: &mut Engine,
+    seed: u64,
+    pool: &[&str],
+    fresh: impl Fn(usize) -> String,
+) -> StreamCounts {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut counts = StreamCounts::default();
+    let mut minted = 0usize;
+    for step in 0..120 {
+        if rng.random_range(0..6u32) == 0 {
+            let frags: Vec<FragmentId> = engine.forest().fragment_ids().collect();
+            let frag = frags[rng.random_range(0..frags.len())];
+            let tree = &engine.forest().fragment(frag).tree;
+            let nodes: Vec<NodeId> = tree
+                .descendants(tree.root())
+                .filter(|&n| !tree.node(n).kind.is_virtual())
+                .collect();
+            let update = Update::InsNode {
+                frag,
+                parent: nodes[rng.random_range(0..nodes.len())],
+                label: if rng.random_bool(0.2) { "goal" } else { "pad" }.into(),
+                text: None,
+            };
+            engine.apply(update).unwrap();
+            continue;
+        }
+        let queries: Vec<Query> = (0..rng.random_range(1..5usize))
+            .map(|_| {
+                let text = match rng.random_range(0..10u32) {
+                    0..=5 => {
+                        minted += 1;
+                        fresh(minted)
+                    }
+                    6 if minted > 0 => fresh(rng.random_range(0..minted) + 1),
+                    _ => pool[rng.random_range(0..pool.len())].to_string(),
+                };
+                parbox::query::parse_query(&text).unwrap()
+            })
+            .collect();
+        let expected: Vec<bool> = queries.iter().map(|q| oracle(engine, q)).collect();
+        for q in &queries {
+            engine.submit(q);
+        }
+        let out = engine.flush().expect("queries pending");
+        for (i, &(_, answer)) in out.answers.iter().enumerate() {
+            assert_eq!(answer, expected[i], "step {step}: {}", queries[i]);
+        }
+        assert!(out.partial.is_empty(), "step {step}: no fault was injected");
+        counts.visits += out.report.total_visits();
+        counts.messages += out.report.total_messages();
+        counts.batch_query_bytes += out.report.bytes_of_kind(MessageKind::BatchQuery);
+        counts.envelope_bytes += out.report.bytes_of_kind(MessageKind::Envelope);
+        counts.work += out.report.total_work();
+        counts.fragments_evaluated += out.fragments_evaluated;
+        match out.report.planned.as_ref().map(|p| p.strategy.as_str()) {
+            Some("LazyParBoX") => counts.lazy_rounds += 1,
+            Some("ParBoX" | "BatchParBoX") => counts.eager_rounds += 1,
+            Some(other) => panic!("step {step}: unexpected round strategy {other}"),
+            None => assert_eq!(out.members_from_cache, out.members, "step {step}"),
+        }
+    }
+    counts
+}
+
+/// Pins what the serving round *counts* — visits, messages, wire bytes
+/// by kind, work units, fragments evaluated, and which rounds the
+/// planner ran as lazy wavefronts — on two fixed streams, so a change to
+/// the round pipeline is shown count-identical by `cargo test`. The
+/// chain's pool resolves at the root fragment (`mark0` is in it), which
+/// warms the depth statistic until both plans occur; the paper's Fig. 1
+/// forest is the flat case.
+#[test]
+fn serving_round_counts_are_pinned() {
+    let mut xml = String::new();
+    for i in 0..10 {
+        xml.push_str(&format!("<lvl{i}><mark{i}/><pad/>"));
+    }
+    xml.push_str("<bottom/>");
+    for i in (0..10).rev() {
+        xml.push_str(&format!("</lvl{i}>"));
+    }
+    let mut chain = parbox::frag::Forest::from_tree(parbox::xml::Tree::parse(&xml).unwrap());
+    parbox::frag::strategies::chain(&mut chain, 5).unwrap();
+    let placement = Placement::one_per_fragment(&chain);
+    let mut engine = Engine::new(chain, placement, EngineConfig::default()).unwrap();
+    let counts = drive_counted_stream(
+        &mut engine,
+        16,
+        &[
+            "[//bottom]",
+            "[//mark3 and //pad]",
+            "[//goal]",
+            "[not //mark7]",
+        ],
+        |i| match i % 4 {
+            0 => format!("[//bottom and not //nope{i}]"),
+            _ => format!("[//mark0 or //nope{i}]"),
+        },
+    );
+    assert!(
+        counts.lazy_rounds > 0 && counts.eager_rounds > 0,
+        "both plans must occur"
+    );
+    assert_eq!(
+        counts,
+        StreamCounts {
+            visits: 346,
+            messages: 536,
+            batch_query_bytes: 23376,
+            envelope_bytes: 33694,
+            work: 42179,
+            fragments_evaluated: 346,
+            eager_rounds: 43,
+            lazy_rounds: 35,
+        }
+    );
+
+    let tree = parbox::xml::Tree::parse("<r><x><z><A/><A/></z><pad/></x><y><B/></y></r>").unwrap();
+    let mut fig1 = parbox::frag::Forest::from_tree(tree);
+    let f0 = fig1.root_fragment();
+    let find = |forest: &parbox::frag::Forest, frag, label: &str| {
+        let t = &forest.fragment(frag).tree;
+        t.descendants(t.root())
+            .find(|&n| t.label_str(n) == label)
+            .unwrap()
+    };
+    let fx = fig1.split(f0, find(&fig1, f0, "x")).unwrap();
+    fig1.split(fx, find(&fig1, fx, "z")).unwrap();
+    fig1.split(f0, find(&fig1, f0, "y")).unwrap();
+    let placement = Placement::one_per_fragment(&fig1);
+    let mut engine = Engine::new(fig1, placement, EngineConfig::default()).unwrap();
+    let counts = drive_counted_stream(
+        &mut engine,
+        17,
+        &["[//A and //B]", "[//B and //pad]", "[//x[z/A]]", "[//goal]"],
+        |i| format!("[//A and not //n{i}]"),
+    );
+    assert_eq!(
+        counts,
+        StreamCounts {
+            visits: 336,
+            messages: 504,
+            batch_query_bytes: 19362,
+            envelope_bytes: 21850,
+            work: 24101,
+            fragments_evaluated: 336,
+            eager_rounds: 84,
+            lazy_rounds: 0,
+        }
+    );
+}
