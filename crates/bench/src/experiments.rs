@@ -27,18 +27,14 @@ fn compile_str(src: &str) -> CompiledQuery {
 }
 
 /// Runs one algorithm by name over a cluster. `"Auto"` consults the
-/// cost-based planner; `"HybridParBoX"` remains routed through the
-/// deprecated expA-era shim (now itself planner-backed).
+/// cost-based planner over all strategies; `"HybridParBoX"` is its
+/// two-way ParBoX / NaiveCentralized instance.
 pub fn run_algorithm(name: &str, cluster: &Cluster<'_>, q: &CompiledQuery) -> EvalOutcome {
     match name {
         "ParBoX" => parbox(cluster, q),
         "NaiveCentralized" => naive_centralized(cluster, q),
         "NaiveDistributed" => naive_distributed(cluster, q),
-        "HybridParBoX" => {
-            #[allow(deprecated)] // the expA-era shim, kept callable by name
-            let out = parbox_core::hybrid_parbox(cluster, q);
-            out
-        }
+        "HybridParBoX" => parbox_core::hybrid_parbox(cluster, q),
         "FullDistParBoX" => full_dist_parbox(cluster, q),
         "LazyParBoX" => lazy_parbox(cluster, q),
         "Auto" => plan_run(cluster, q),

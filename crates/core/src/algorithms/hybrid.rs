@@ -1,16 +1,14 @@
-//! The **HybridParBoX** shim (paper, Section 4), superseded by the
-//! cost-based planner ([`crate::plan`]).
+//! **HybridParBoX** (paper, Section 4) on the cost-based planner
+//! ([`crate::plan`]).
 //!
 //! The paper's hybrid compared `card(F)` against `|T| / |q|` by hand: in
 //! the pathological every-node-its-own-fragment decomposition, ParBoX's
 //! `O(|q| · card(F))` communication exceeds NaiveCentralized's
 //! `O(|T|)`, so the hybrid switched to shipping the document. The
 //! planner generalizes that tipping point to a full cost model (bytes,
-//! rounds, latency, parallel compute) over *all* strategies; these
-//! functions remain as thin deprecated wrappers over the two-way
-//! planner ([`Planner::hybrid`]) so expA-era callers and tests keep
-//! compiling. A regression test below pins that the planner agrees with
-//! the retired heuristic on its two documented cases.
+//! rounds, latency, parallel compute); [`hybrid_parbox`] is its two-way
+//! instance ([`Planner::hybrid`]). A regression test below pins that the
+//! planner agrees with the paper's rule on its two documented cases.
 
 use crate::algorithms::EvalOutcome;
 use crate::plan::{PlanContext, Planner};
@@ -18,24 +16,9 @@ use parbox_frag::ForestStats;
 use parbox_net::Cluster;
 use parbox_query::CompiledQuery;
 
-/// True when the decomposition favours ParBoX (the common case).
-#[deprecated(
-    since = "0.1.0",
-    note = "superseded by the cost-based planner: use plan::Planner::choose (or plan::plan_run)"
-)]
-pub fn hybrid_prefers_parbox(cluster: &Cluster<'_>, q: &CompiledQuery) -> bool {
-    let stats = ForestStats::compute(cluster.forest, cluster.placement);
-    let cx = PlanContext::new(cluster, q, &stats);
-    Planner::hybrid().choose(&cx).summary.strategy == "ParBoX"
-}
-
 /// Evaluates `q` with whichever of ParBoX / NaiveCentralized the two-way
-/// planner predicts cheaper — the planner-backed successor of the
-/// paper's `card(F) ≷ |T| / |q|` tipping point.
-#[deprecated(
-    since = "0.1.0",
-    note = "superseded by the cost-based planner: use plan::Planner::choose (or plan::plan_run)"
-)]
+/// planner predicts cheaper — the planner-backed form of the paper's
+/// `card(F) ≷ |T| / |q|` tipping point.
 pub fn hybrid_parbox(cluster: &Cluster<'_>, q: &CompiledQuery) -> EvalOutcome {
     let stats = ForestStats::compute(cluster.forest, cluster.placement);
     let cx = PlanContext::new(cluster, q, &stats);
@@ -51,7 +34,6 @@ pub fn hybrid_parbox(cluster: &Cluster<'_>, q: &CompiledQuery) -> EvalOutcome {
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // exercising the expA-era shim is the point
 mod tests {
     use super::*;
     use crate::algorithms::{naive_centralized, parbox};
@@ -103,6 +85,13 @@ mod tests {
         (forest, placement)
     }
 
+    /// Whether the two-way planner picks ParBoX.
+    fn prefers_parbox(cluster: &Cluster<'_>, q: &CompiledQuery) -> bool {
+        let stats = ForestStats::compute(cluster.forest, cluster.placement);
+        let cx = PlanContext::new(cluster, q, &stats);
+        Planner::hybrid().choose(&cx).summary.strategy == "ParBoX"
+    }
+
     const COARSE_QUERY: &str = "[//goal]";
     const PATHOLOGICAL_QUERY: &str = "[//goal and //b and //s0 and //s1 and //s2 and //s3]";
 
@@ -111,14 +100,14 @@ mod tests {
         let (forest, placement) = coarse_case();
         let cluster = Cluster::new(&forest, &placement, NetworkModel::lan());
         let q = compile(&parse_query(COARSE_QUERY).unwrap());
-        assert!(hybrid_prefers_parbox(&cluster, &q));
+        assert!(prefers_parbox(&cluster, &q));
         let out = hybrid_parbox(&cluster, &q);
         assert!(out.answer);
         assert_eq!(out.algorithm, "HybridParBoX\u{2192}ParBoX");
         assert_eq!(
             out.report.planned.as_ref().unwrap().strategy,
             "ParBoX",
-            "the shim records the planner's decision"
+            "the report records the planner's decision"
         );
     }
 
@@ -127,28 +116,27 @@ mod tests {
         let (forest, placement) = pathological_case();
         let cluster = Cluster::new(&forest, &placement, NetworkModel::lan());
         let q = compile(&parse_query(PATHOLOGICAL_QUERY).unwrap());
-        assert!(!hybrid_prefers_parbox(&cluster, &q));
+        assert!(!prefers_parbox(&cluster, &q));
         let out = hybrid_parbox(&cluster, &q);
         assert!(out.answer);
         assert_eq!(out.algorithm, "HybridParBoX\u{2192}NaiveCentralized");
     }
 
-    /// The satellite regression: the planner and the retired
-    /// `card(F) \u{2277} |T| / |q|` heuristic agree on the heuristic's two
-    /// documented cases.
+    /// The planner and the paper's `card(F) \u{2277} |T| / |q|` rule agree
+    /// on the rule's two documented cases.
     #[test]
-    fn planner_agrees_with_retired_tipping_point_on_documented_cases() {
+    fn planner_agrees_with_the_papers_tipping_point_on_documented_cases() {
         for (label, (forest, placement), src) in [
             ("coarse", coarse_case(), COARSE_QUERY),
             ("pathological", pathological_case(), PATHOLOGICAL_QUERY),
         ] {
             let cluster = Cluster::new(&forest, &placement, NetworkModel::lan());
             let q = compile(&parse_query(src).unwrap());
-            let retired_rule = cluster.forest.card() * q.len() < cluster.forest.total_nodes();
+            let paper_rule = cluster.forest.card() * q.len() < cluster.forest.total_nodes();
             assert_eq!(
-                hybrid_prefers_parbox(&cluster, &q),
-                retired_rule,
-                "planner vs retired heuristic on the {label} case"
+                prefers_parbox(&cluster, &q),
+                paper_rule,
+                "planner vs the paper's rule on the {label} case"
             );
         }
     }

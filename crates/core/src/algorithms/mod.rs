@@ -17,8 +17,7 @@ mod parbox_algo;
 
 pub use self::batch::{batch_query_wire_size, run_batch, BatchOutcome};
 pub use self::fulldist::full_dist_parbox;
-#[allow(deprecated)] // the expA-era shim stays re-exported for old callers
-pub use self::hybrid::{hybrid_parbox, hybrid_prefers_parbox};
+pub use self::hybrid::hybrid_parbox;
 pub use self::lazy::lazy_parbox;
 pub(crate) use self::lazy::partial_solve;
 pub use self::naive::{naive_centralized, naive_distributed};

@@ -75,11 +75,10 @@ pub mod views;
 pub use aggregate::{
     count_centralized, count_distributed, sum_centralized, sum_distributed, AggregateOutcome,
 };
-#[allow(deprecated)] // the expA-era hybrid shim stays exported for old callers
 pub use algorithms::{
-    batch_query_wire_size, full_dist_parbox, hybrid_parbox, hybrid_prefers_parbox, lazy_parbox,
-    naive_centralized, naive_distributed, parbox, query_wire_size, resolved_triplet_wire_size,
-    run_batch, BatchOutcome, EvalOutcome,
+    batch_query_wire_size, full_dist_parbox, hybrid_parbox, lazy_parbox, naive_centralized,
+    naive_distributed, parbox, query_wire_size, resolved_triplet_wire_size, run_batch,
+    BatchOutcome, EvalOutcome,
 };
 pub use eval::{
     bottom_up, bottom_up_formula_only, bottom_up_reference, centralized_eval,

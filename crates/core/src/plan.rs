@@ -51,10 +51,12 @@ use crate::algorithms::{
     full_dist_parbox, lazy_parbox, naive_centralized, naive_distributed, parbox, query_wire_size,
     resolved_triplet_wire_size, run_batch, EvalOutcome,
 };
-use parbox_frag::ForestStats;
+use parbox_frag::{ForestStats, SiteId};
 use parbox_net::{Cluster, NetworkModel, RunReport};
 pub use parbox_net::{CostEstimate, PlanSummary};
 use parbox_query::{merge_programs, CompiledQuery};
+use parbox_xml::FragmentId;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Calibrated cost of one work unit (one node × sub-query evaluation),
@@ -441,8 +443,7 @@ impl Executor for BatchExec {
         // One envelope per remote site: a small header plus its
         // fragments' triplets sharing one node table. One grouped pass
         // over the fragment table, not one scan per site.
-        let mut per_site: std::collections::BTreeMap<u32, usize> =
-            std::collections::BTreeMap::new();
+        let mut per_site: BTreeMap<u32, usize> = BTreeMap::new();
         for (_, s) in cx.stats.fragments() {
             if s.site != coord {
                 *per_site.entry(s.site.0).or_default() += estimated_triplet_bytes(d.m, s.fanout);
@@ -478,6 +479,127 @@ impl Executor for BatchExec {
             answer: out.answers[0],
             report: out.report,
             algorithm: "BatchParBoX",
+        }
+    }
+}
+
+/// A serving round's data-plane schedule, chosen by [`RoundDemand::plan`].
+pub(crate) struct RoundPlan {
+    /// The needed fragments, one group per dispatch; the engine attempts
+    /// the open members after each and stops once none is left. Eager is
+    /// the single wave `[need]`, depth-gated is one wave per depth.
+    pub waves: Vec<Vec<FragmentId>>,
+    /// Attempt from surviving cached triplets before the first dispatch:
+    /// the depth-gated plan bets on answers closing early and pays for
+    /// that zero-message pass, the eager plan ships everything anyway.
+    pub attempt_before_first_wave: bool,
+    /// The decision record stamped into [`RunReport::planned`].
+    pub summary: PlanSummary,
+}
+
+/// What one serving round asks of the data plane, and the live
+/// statistics to price it with.
+pub(crate) struct RoundDemand<'a> {
+    pub stats: &'a ForestStats,
+    pub model: &'a NetworkModel,
+    pub coordinator: SiteId,
+    /// Fragments some active member lacks a cached triplet for; the
+    /// plan's waves take them over.
+    pub need: Vec<FragmentId>,
+    /// Distinct member programs going to the data plane.
+    pub active_members: usize,
+    /// `|QList|` of their merged program.
+    pub merged_len: usize,
+    /// Wire size of the merged program: the per-site request.
+    pub request_bytes: usize,
+    /// Fragment-tree depth at which recent rounds' answers resolved.
+    pub depth_hint: usize,
+}
+
+impl RoundDemand<'_> {
+    /// Predicted cost of one wave in the units the round's report
+    /// measures: `frags` dispatched (a visit per owning site, a request
+    /// and an envelope per remote one), then every active member
+    /// attempted over the `gathered` fragments held by then.
+    fn wave_cost(&self, frags: &[FragmentId], gathered: usize) -> CostEstimate {
+        let m = self.merged_len.max(1);
+        // Per owning site: (nodes, predicted triplet bytes).
+        let mut sites: BTreeMap<SiteId, (usize, usize)> = BTreeMap::new();
+        for &f in frags {
+            let s = self.stats.fragment(f);
+            let site = sites.entry(s.site).or_default();
+            site.0 += s.nodes;
+            site.1 += estimated_triplet_bytes(m, s.fanout);
+        }
+        let remote = sites.keys().filter(|&&s| s != self.coordinator).count();
+        let envelopes: usize = sites
+            .iter()
+            .filter(|(&s, _)| s != self.coordinator)
+            .map(|(_, &(_, bytes))| estimated_envelope_bytes(bytes))
+            .sum();
+        let slowest_site = sites.values().map(|&(nodes, _)| nodes).max().unwrap_or(0);
+        let eval_work: u64 = sites.values().map(|&(nodes, _)| (nodes * m) as u64).sum();
+        let solve_work = (self.active_members * m * gathered) as u64;
+        let broadcast = match remote {
+            0 => 0.0,
+            _ => self.model.transfer_time(self.request_bytes),
+        };
+        CostEstimate {
+            visits: sites.len(),
+            messages: 2 * remote,
+            traffic_bytes: self.request_bytes * remote + envelopes,
+            rounds: if remote > 0 { 2 } else { 0 },
+            work_units: eval_work + solve_work,
+            modeled_s: broadcast
+                + Derived::compute_s(slowest_site, m)
+                + self.model.estimate_round(remote, envelopes)
+                + solve_work as f64 * SECONDS_PER_WORK_UNIT,
+        }
+    }
+
+    /// Prices the eager round (one wave, solved over every fragment)
+    /// against depth-gated waves that optimistically stop at the depth
+    /// hint, though never before the shallowest needed wave, and plans
+    /// the cheaper. An eager round of one member is plain ParBoX.
+    pub fn plan(self) -> RoundPlan {
+        let eager = self.wave_cost(&self.need, self.stats.card().max(1));
+        let mut by_depth: BTreeMap<usize, Vec<FragmentId>> = BTreeMap::new();
+        for &f in &self.need {
+            let depth = self.stats.fragment(f).depth;
+            by_depth.entry(depth).or_default().push(f);
+        }
+        let stop = self.depth_hint.min(self.stats.max_depth());
+        let mut lazy = CostEstimate::default();
+        let mut gathered = 0usize;
+        for (i, (&depth, frags)) in by_depth.iter().enumerate() {
+            if i > 0 && depth > stop {
+                break;
+            }
+            gathered += frags.len();
+            let wave = self.wave_cost(frags, gathered);
+            lazy.visits += wave.visits;
+            lazy.messages += wave.messages;
+            lazy.traffic_bytes += wave.traffic_bytes;
+            lazy.rounds += wave.rounds;
+            lazy.work_units += wave.work_units;
+            lazy.modeled_s += wave.modeled_s;
+        }
+        let lazy_wins = lazy.modeled_s < eager.modeled_s;
+        let (strategy, estimate, waves) = if lazy_wins {
+            ("LazyParBoX", lazy, by_depth.into_values().collect())
+        } else if self.active_members == 1 {
+            ("ParBoX", eager, vec![self.need])
+        } else {
+            ("BatchParBoX", eager, vec![self.need])
+        };
+        RoundPlan {
+            waves,
+            attempt_before_first_wave: lazy_wins,
+            summary: PlanSummary {
+                strategy: strategy.to_string(),
+                estimate,
+                candidates: 2,
+            },
         }
     }
 }
@@ -578,7 +700,7 @@ impl Planner {
         }
     }
 
-    /// The two-way planner replacing the deprecated `HybridParBoX`
+    /// The two-way planner behind `HybridParBoX`, replacing the paper's
     /// tipping-point heuristic: ParBoX versus NaiveCentralized.
     pub fn hybrid() -> Planner {
         Planner {

@@ -28,20 +28,40 @@
 //! the structural embedding ([`CompiledQuery::embedding_into`]) and cached
 //! under each member's own fingerprint — so a query repeated *across
 //! different batches* still hits.
+//!
+//! # The round pipeline
+//!
+//! Every admission round runs the same stages, each a small function
+//! with explicit inputs and outputs: `coalesce` (members by
+//! fingerprint) → `answer_from_cache` → `merge_active` and the wave
+//! plan (`RoundDemand::plan` in [`crate::plan`]) → per wave
+//! `dispatch_wave` → `absorb_replies` → `project_into_entries` →
+//! `attempt` → `degrade` → `evict` → `account`. The paper's ParBoX and
+//! LazyParBoX are two *plans* for that one loop, not two code paths:
+//! the eager plan is a single wave holding every needed fragment, the
+//! depth-gated plan is one wave per fragment-tree depth with an
+//! `attempt` before the first, and the loop stops at the first wave
+//! after which no member is open. `attempt` is the certain-answer test:
+//! true, or false, under every content of the fragments not yet
+//! gathered. `dispatch_wave` is the only path to the data plane and
+//! owns the visit, request, retry and reseed accounting;
+//! `absorb_replies` owns compute, work, site-cache hits and envelopes;
+//! the coordinator's solves are accounted where they run, in
+//! `answer_from_cache`, `attempt` and `degrade`.
 
 use crate::algorithms::batch_query_wire_size;
 use crate::algorithms::partial_solve;
 use crate::eval::{bottom_up, IncrementalBottomUp};
-use crate::plan::{estimated_envelope_bytes, estimated_triplet_bytes, SECONDS_PER_WORK_UNIT};
-use crate::views::{apply_update_tracked, Update, UpdateEffect, ViewError};
+use crate::plan::RoundDemand;
+use crate::views::{apply_update_tracked, FragmentDelta, Update, UpdateEffect, ViewError};
 use parbox_bool::{site_envelope_dag_wire_size, EquationSystem, Formula, Triplet, Var};
 use parbox_frag::{Forest, ForestStats, FragError, Placement, SiteId, SourceTree};
 use parbox_net::engine::{
     DeltaKernel, DeltaState, EvalReply, FragmentEval, PatchFn, RepairOutcome, RepairedEval,
     SiteCacheStats, SitePool,
 };
-use parbox_net::{BatchRound, MessageKind, NetworkModel, RepairEfficacy, RunReport};
-use parbox_net::{CostEstimate, FaultPlan, FaultSummary, PlanSummary, SupervisorConfig};
+use parbox_net::{FaultPlan, FaultSummary, MessageKind, NetworkModel, PlanSummary};
+use parbox_net::{RepairEfficacy, RunReport, SupervisorConfig};
 use parbox_query::{compile, merge_programs, CompiledQuery, Query, QueryFingerprint, SubId};
 use parbox_xml::{FragmentId, NodeId, Tree};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
@@ -68,13 +88,6 @@ pub struct EngineConfig {
     /// Coordinator-side solve cache capacity, in distinct query
     /// fingerprints (FIFO eviction; 0 disables coordinator caching).
     pub solve_cache_fingerprints: usize,
-    /// Consult the cost planner each admission round: the engine keeps
-    /// live [`ForestStats`] and an EWMA of the fragment-tree depth at
-    /// which recent answers resolved, and picks between the eager
-    /// one-visit batch round and depth-gated lazy wavefronts
-    /// accordingly. When false, every round runs the eager batch
-    /// protocol.
-    pub plan_rounds: bool,
     /// Deterministic fault injection threaded into the site workers.
     /// The default plan is inert: zero faults and zero overhead on the
     /// worker hot path.
@@ -100,7 +113,6 @@ impl Default for EngineConfig {
             batch_window: Duration::from_millis(1),
             site_cache_capacity: 4096,
             solve_cache_fingerprints: 512,
-            plan_rounds: true,
             fault_plan: FaultPlan::none(),
             supervisor: None,
             delta_maintenance: true,
@@ -705,129 +717,6 @@ impl Engine {
         out
     }
 
-    /// Chooses this round's data-plane strategy — the eager one-visit
-    /// batch round versus depth-gated lazy wavefronts — by estimating
-    /// both from the live [`ForestStats`] and the resolution-depth EWMA,
-    /// in the same units the round's [`RunReport`] will measure. Returns
-    /// `(lazy?, summary)`; with a single active member the eager round
-    /// degenerates to plain ParBoX and is labelled so.
-    fn plan_round_strategy(
-        &self,
-        need: &[FragmentId],
-        active_members: usize,
-        merged_len: usize,
-        request_bytes: usize,
-    ) -> (bool, PlanSummary) {
-        let model = &self.config.model;
-        let coord = self.coordinator;
-        let m = merged_len.max(1);
-        let card = self.forest_stats.card().max(1);
-        let solve_work = (active_members * m * card) as u64;
-
-        #[derive(Default)]
-        struct SiteAgg {
-            frags: usize,
-            nodes: usize,
-            env_bytes: usize,
-        }
-        let mut eager_sites: BTreeMap<u32, SiteAgg> = BTreeMap::new();
-        let mut eval_work = 0u64;
-        for &f in need {
-            let s = self.forest_stats.fragment(f);
-            let agg = eager_sites.entry(s.site.0).or_default();
-            agg.frags += 1;
-            agg.nodes += s.nodes;
-            agg.env_bytes += estimated_triplet_bytes(m, s.fanout);
-            eval_work += (s.nodes * m) as u64;
-        }
-        let remote_sites = eager_sites.keys().filter(|&&s| s != coord.0).count();
-        let remote_env: usize = eager_sites
-            .iter()
-            .filter(|(&s, _)| s != coord.0)
-            .map(|(_, a)| estimated_envelope_bytes(a.env_bytes))
-            .sum();
-        let max_site_nodes = eager_sites.values().map(|a| a.nodes).max().unwrap_or(0);
-        let eager = CostEstimate {
-            visits: eager_sites.len(),
-            messages: 2 * remote_sites,
-            traffic_bytes: request_bytes * remote_sites + remote_env,
-            rounds: if remote_sites > 0 { 2 } else { 0 },
-            work_units: eval_work + solve_work,
-            modeled_s: if remote_sites > 0 {
-                model.transfer_time(request_bytes)
-            } else {
-                0.0
-            } + (max_site_nodes * m) as f64 * SECONDS_PER_WORK_UNIT
-                + model.estimate_round(remote_sites, remote_env)
-                + solve_work as f64 * SECONDS_PER_WORK_UNIT,
-        };
-
-        // Lazy wavefronts, optimistically stopping at the observed
-        // resolution depth (always including at least the shallowest
-        // needed wave — the round must ship *something*).
-        let hint = (self.depth_ewma.round() as usize).min(self.forest_stats.max_depth());
-        let mut waves: BTreeMap<usize, BTreeMap<u32, SiteAgg>> = BTreeMap::new();
-        for &f in need {
-            let s = self.forest_stats.fragment(f);
-            let agg = waves
-                .entry(s.depth)
-                .or_default()
-                .entry(s.site.0)
-                .or_default();
-            agg.frags += 1;
-            agg.nodes += s.nodes;
-            agg.env_bytes += estimated_triplet_bytes(m, s.fanout);
-        }
-        let mut lazy_est = CostEstimate::default();
-        let mut gathered = 0usize;
-        let mut first = true;
-        for (&depth, sites) in &waves {
-            if depth > hint && !first {
-                break;
-            }
-            first = false;
-            let wave_remote = sites.keys().filter(|&&s| s != coord.0).count();
-            let wave_env: usize = sites
-                .iter()
-                .filter(|(&s, _)| s != coord.0)
-                .map(|(_, a)| estimated_envelope_bytes(a.env_bytes))
-                .sum();
-            let wave_nodes_max = sites.values().map(|a| a.nodes).max().unwrap_or(0);
-            gathered += sites.values().map(|a| a.frags).sum::<usize>();
-            let wave_solve = (active_members * m * gathered) as u64;
-            lazy_est.visits += sites.len();
-            lazy_est.messages += 2 * wave_remote;
-            lazy_est.traffic_bytes += request_bytes * wave_remote + wave_env;
-            lazy_est.rounds += if wave_remote > 0 { 2 } else { 0 };
-            lazy_est.work_units +=
-                sites.values().map(|a| (a.nodes * m) as u64).sum::<u64>() + wave_solve;
-            lazy_est.modeled_s += if wave_remote > 0 {
-                model.transfer_time(request_bytes)
-            } else {
-                0.0
-            } + (wave_nodes_max * m) as f64 * SECONDS_PER_WORK_UNIT
-                + model.estimate_round(wave_remote, wave_env)
-                + wave_solve as f64 * SECONDS_PER_WORK_UNIT;
-        }
-
-        let lazy_wins = lazy_est.modeled_s < eager.modeled_s;
-        let strategy = if lazy_wins {
-            "LazyParBoX"
-        } else if active_members == 1 {
-            "ParBoX"
-        } else {
-            "BatchParBoX"
-        };
-        (
-            lazy_wins,
-            PlanSummary {
-                strategy: strategy.to_string(),
-                estimate: if lazy_wins { lazy_est } else { eager },
-                candidates: 2,
-            },
-        )
-    }
-
     /// Ensures a coordinator cache entry exists for `fp`, registering it
     /// in the FIFO eviction order on first insertion.
     fn ensure_solve_entry(&mut self, fp: QueryFingerprint, root: SubId) {
@@ -885,589 +774,369 @@ impl Engine {
         lo
     }
 
+    /// One admission round: the stages of the module docs' *round
+    /// pipeline*, in order. The eager ParBoX round is the one-wave case
+    /// of the loop.
     fn run_round(&mut self, pending: Vec<(Ticket, CompiledQuery)>) -> RoundOutcome {
         let wall = Instant::now();
         let live: Vec<FragmentId> = self.forest.fragment_ids().collect();
-        let postorder = self.source_tree.postorder().to_vec();
-        let root_frag = self.forest.root_fragment();
-
-        // Coalesce duplicate programs: one member per distinct fingerprint.
-        struct Member {
-            fp: QueryFingerprint,
-            /// Index into `pending` of the first submission of this program.
-            idx: usize,
-            /// All `pending` indices answered by this member.
-            submissions: Vec<usize>,
-        }
-        let mut members: Vec<Member> = Vec::new();
-        let mut by_fp: HashMap<QueryFingerprint, usize> = HashMap::new();
-        for (i, (_, compiled)) in pending.iter().enumerate() {
-            let fp = compiled.fingerprint();
-            let mi = *by_fp.entry(fp).or_insert_with(|| {
-                members.push(Member {
-                    fp,
-                    idx: i,
-                    submissions: Vec::new(),
-                });
-                members.len() - 1
-            });
-            members[mi].submissions.push(i);
-        }
-
-        let mut round = BatchRound::new(self.coordinator);
-        let mut answers: Vec<Option<bool>> = vec![None; pending.len()];
-        let mut partial: Vec<(Ticket, Vec<SiteId>)> = Vec::new();
-        let mut fault_summary = FaultSummary::default();
-        let mut solve_total = 0.0f64;
-        let mut members_from_cache = 0usize;
-        let mut site_cache_hits = 0usize;
-        let mut fragments_evaluated = 0usize;
-
-        // Phase 1 — members the coordinator can answer without any
-        // data-plane message: a memoized (and never-invalidated-since)
-        // answer, or full cached triplet coverage to re-solve from.
-        let mut active: Vec<usize> = Vec::new();
-        for (mi, m) in members.iter().enumerate() {
-            let cached = self.solve_cache.get(&m.fp).is_some_and(|e| {
-                e.answer.is_some() || live.iter().all(|f| e.triplets.contains_key(f))
-            });
-            if !cached {
-                active.push(mi);
-                continue;
+        let mut ledger = Ledger::new(&pending, self.coordinator);
+        let members = coalesce(&pending);
+        let member_count = members.len();
+        let active = self.answer_from_cache(members, &live, &mut ledger);
+        let active_fps: Vec<QueryFingerprint> = active.iter().map(|m| m.fp).collect();
+        let mut planned = None;
+        if !active.is_empty() {
+            let (merged, mut open) = merge_active(active);
+            for am in &open {
+                self.ensure_solve_entry(am.member.fp, am.member.program.root());
             }
-            members_from_cache += 1;
-            let compiled = &pending[m.idx].1;
-            let entry = self.solve_cache.get_mut(&m.fp).expect("checked above");
+            let plan = RoundDemand {
+                stats: &self.forest_stats,
+                model: &self.config.model,
+                coordinator: self.coordinator,
+                need: self.still_missing(&live, &open),
+                active_members: open.len(),
+                merged_len: merged.program.len(),
+                request_bytes: merged.request_bytes,
+                depth_hint: self.depth_ewma.round() as usize,
+            }
+            .plan();
+            if plan.attempt_before_first_wave {
+                self.attempt(&mut open, &live, &mut ledger);
+            }
+            let waves = plan.waves.len();
+            // The waves partition `need`, which was filtered against
+            // `open` as it stood: a wave is re-filtered only once an
+            // attempt may have closed members.
+            let mut attempted = plan.attempt_before_first_wave;
+            for wave in plan.waves {
+                if open.is_empty() {
+                    break;
+                }
+                let wanted = if attempted {
+                    self.still_missing(&wave, &open)
+                } else {
+                    wave
+                };
+                attempted = true;
+                if !wanted.is_empty() {
+                    let replies = self.dispatch_wave(&merged, wanted, &mut ledger);
+                    let arrived = absorb_replies(replies, &self.config.model, &mut ledger);
+                    self.project_into_entries(&arrived, &mut open, merged.fp);
+                }
+                self.attempt(&mut open, &live, &mut ledger);
+            }
+            // One wave and no supervised retry is the batch protocol's
+            // healthy round: every site visited at most once.
+            debug_assert!(
+                waves > 1 || ledger.faults.retries > 0 || ledger.report.max_visits() <= 1
+            );
+            self.degrade(&open, &live, &mut ledger);
+            self.evict();
+            self.update_depth_ewma(&active_fps);
+            planned = Some(plan.summary);
+        }
+        self.account(ledger, member_count, active_fps.len(), planned, wall)
+    }
+
+    /// Answers the members that need no data-plane message — a memoized
+    /// (and never-invalidated-since) answer, or full cached triplet
+    /// coverage to re-solve from — and returns the rest.
+    fn answer_from_cache<'p>(
+        &mut self,
+        members: Vec<Member<'p>>,
+        live: &[FragmentId],
+        ledger: &mut Ledger,
+    ) -> Vec<Member<'p>> {
+        let postorder = self.source_tree.postorder();
+        let root_frag = self.forest.root_fragment();
+        let mut active = Vec::new();
+        for m in members {
+            let cached = self
+                .solve_cache
+                .get_mut(&m.fp)
+                .filter(|e| e.answer.is_some() || live.iter().all(|f| e.triplets.contains_key(f)));
+            let Some(entry) = cached else {
+                active.push(m);
+                continue;
+            };
+            ledger.members_from_cache += 1;
             let answer = match entry.answer {
                 Some(a) => a,
                 None => {
                     let start = Instant::now();
-                    let a = solve_entry(entry, &postorder, root_frag);
-                    solve_total += start.elapsed().as_secs_f64();
-                    round
-                        .report_mut()
-                        .record_compute(self.coordinator, start.elapsed());
-                    round
-                        .report_mut()
-                        .record_work(self.coordinator, (compiled.len() * live.len()) as u64);
+                    let a = solve_entry(entry, postorder, root_frag);
+                    let work = (m.program.len() * live.len()) as u64;
+                    ledger.record_solve(start.elapsed(), work);
                     entry.answer = Some(a);
                     a
                 }
             };
-            for &pi in &m.submissions {
-                answers[pi] = Some(answer);
-            }
+            ledger.answer(&m, answer);
+        }
+        active
+    }
+
+    /// The fragments among `frags` that some open member holds no
+    /// triplet for (after an update, that is just the touched ones).
+    fn still_missing(&self, frags: &[FragmentId], open: &[ActiveMember<'_>]) -> Vec<FragmentId> {
+        let lacks = |am: &ActiveMember<'_>, f: &FragmentId| {
+            !self
+                .solve_cache
+                .get(&am.member.fp)
+                .is_some_and(|e| e.triplets.contains_key(f))
+        };
+        frags
+            .iter()
+            .copied()
+            .filter(|f| open.iter().any(|am| lacks(am, f)))
+            .collect()
+    }
+
+    /// Sends one wave to the sites owning `wanted` — the only path from
+    /// a serving round to the data plane. Accounts a visit and a request
+    /// per site, and what supervision did to get the replies: each retry
+    /// is an extra visit plus a re-sent request (the sanctioned
+    /// exception to the one-visit discipline), each restart re-seeds the
+    /// site's fragments from the authoritative forest as data traffic.
+    fn dispatch_wave(
+        &mut self,
+        merged: &MergedBatch,
+        wanted: Vec<FragmentId>,
+        ledger: &mut Ledger,
+    ) -> Vec<EvalReply> {
+        ledger.fragments_evaluated += wanted.len();
+        let mut per_site: BTreeMap<SiteId, Vec<FragmentId>> = BTreeMap::new();
+        for f in wanted {
+            per_site
+                .entry(self.source_tree.site_of(f))
+                .or_default()
+                .push(f);
+        }
+        let mut any_remote = false;
+        for &site in per_site.keys() {
+            any_remote |= ledger.record_request(site, merged.request_bytes);
+        }
+        let model = &self.config.model;
+        if any_remote {
+            ledger.modeled_s += model.transfer_time(merged.request_bytes);
         }
 
-        // Phase 2 — the rest: a data-plane round over the resident
-        // workers, then per-member projection, caching and solving. The
-        // round *strategy* — eager one-visit batch vs depth-gated lazy
-        // wavefronts — is chosen by the per-round planner from the live
-        // [`ForestStats`] and the observed resolution-depth EWMA.
-        let mut broadcast = 0.0f64;
-        let mut collect = 0.0f64;
-        let mut max_compute = 0.0f64;
-        let mut planned: Option<PlanSummary> = None;
-        let mut lazy_model_time = 0.0f64;
-        if !active.is_empty() {
-            // Merge the members' already-compiled programs — submit()
-            // compiled each query once; no re-parse/re-compile per round.
-            let programs: Vec<CompiledQuery> = active
-                .iter()
-                .map(|&mi| pending[members[mi].idx].1.clone())
-                .collect();
-            let batch = merge_programs(&programs);
-            let merged = Arc::new(batch.merged().clone());
-            let program_fp = merged.program_fingerprint();
-            let projections: Vec<Arc<Vec<SubId>>> = programs
-                .iter()
-                .map(|p| {
-                    Arc::new(
-                        p.embedding_into(&merged)
-                            .expect("member embeds into merged batch program"),
-                    )
-                })
-                .collect();
-
-            // A fragment is evaluated iff some active member lacks its
-            // cached triplet (after an update, that is just the touched
-            // fragments).
-            let need: Vec<FragmentId> = live
-                .iter()
-                .copied()
-                .filter(|f| {
-                    active.iter().any(|&mi| {
-                        !self
-                            .solve_cache
-                            .get(&members[mi].fp)
-                            .is_some_and(|e| e.triplets.contains_key(f))
-                    })
-                })
-                .collect();
-            fragments_evaluated = need.len();
-            let request_bytes = batch_query_wire_size(&batch);
-
-            // Consult the per-round planner: eager batch vs lazy waves.
-            let lazy = if self.config.plan_rounds {
-                let (lazy, summary) =
-                    self.plan_round_strategy(&need, active.len(), merged.len(), request_bytes);
-                planned = Some(summary);
-                lazy
-            } else {
-                false
-            };
-
-            if !lazy {
-                // ---- Eager batch round: one visit per needed site ----
-                let mut per_site: BTreeMap<u32, Vec<FragmentId>> = BTreeMap::new();
-                for &f in &need {
-                    per_site
-                        .entry(self.source_tree.site_of(f).0)
-                        .or_default()
-                        .push(f);
-                }
-                let mut any_remote = false;
-                for &s in per_site.keys() {
-                    round
-                        .visit(SiteId(s), request_bytes)
-                        .expect("one visit per site per round");
-                    any_remote |= SiteId(s) != self.coordinator;
-                }
-                if any_remote {
-                    broadcast = self.config.model.transfer_time(request_bytes);
-                }
-
-                // The site caches key by *program* fingerprint: the merged
-                // program's root fingerprint is just its last member's, so
-                // two batches sharing a tail member would collide and serve
-                // triplets of the wrong width.
-                let replies = {
-                    let pool = &mut self.pool;
-                    let source_tree = &self.source_tree;
-                    let forest = &self.forest;
-                    let mut reseed_log: Vec<(SiteId, usize)> = Vec::new();
-                    let out = pool.eval_round_supervised(
-                        &merged,
-                        merged.program_fingerprint(),
-                        per_site
-                            .into_iter()
-                            .map(|(s, fs)| (SiteId(s), fs))
-                            .collect(),
-                        &self.supervisor,
-                        &mut |site| {
-                            let frags: Vec<(FragmentId, Arc<Tree>)> = source_tree
-                                .fragments_at(site)
-                                .into_iter()
-                                .map(|f| (f, forest.tree_handle(f)))
-                                .collect();
-                            reseed_log.push((
-                                site,
-                                frags
-                                    .iter()
-                                    .map(|(f, _)| forest.fragment(*f).byte_size())
-                                    .sum(),
-                            ));
-                            frags
-                        },
-                    );
-                    record_supervision(
-                        round.report_mut(),
-                        self.coordinator,
-                        &self.config.model,
-                        &out.stats,
-                        &out.retry_visits,
-                        &reseed_log,
-                        request_bytes,
-                        &mut fault_summary,
-                        &mut broadcast,
-                    );
-                    out.replies
-                };
-
-                let mut merged_triplets: HashMap<FragmentId, Arc<Triplet>> = HashMap::new();
-                let (mc, envelopes) = absorb_replies(
-                    round.report_mut(),
-                    replies,
-                    &mut merged_triplets,
-                    &mut site_cache_hits,
-                );
-                max_compute = mc;
-                let mut remote_envelopes: Vec<usize> = Vec::new();
-                for (site, bytes) in envelopes {
-                    round.reply(site, bytes).expect("site was visited");
-                    if site != self.coordinator {
-                        remote_envelopes.push(bytes);
-                    }
-                }
-                collect = self
-                    .config
-                    .model
-                    .shared_link_time(remote_envelopes.iter().copied());
-
-                // Identical merged triplets (the common case: many leaf
-                // fragments resolving a member to the same constants) project
-                // identically — memoize per member, keyed on the
-                // `FormulaId`-stable triplet content, so the renumbering
-                // substitution runs once and the cache entries share one Arc.
-                let mut projection_memo: HashMap<(usize, Triplet), Arc<Triplet>> = HashMap::new();
-                for (k, &mi) in active.iter().enumerate() {
-                    let m = &members[mi];
-                    let compiled = &pending[m.idx].1;
-                    let proj = &projections[k];
-                    let inv: HashMap<u32, u32> = proj
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &h)| (h, i as u32))
-                        .collect();
-                    self.ensure_solve_entry(m.fp, compiled.root());
-                    let entry = self.solve_cache.get_mut(&m.fp).expect("just inserted");
-                    for &f in &live {
-                        if entry.triplets.contains_key(&f) {
-                            continue;
-                        }
-                        // A fragment whose site stayed down past every
-                        // supervised attempt has no merged triplet; leave
-                        // the entry uncovered and degrade below.
-                        let Some(merged_t) = merged_triplets.get(&f) else {
-                            continue;
-                        };
-                        let t = Arc::clone(
-                            projection_memo
-                                .entry((k, (**merged_t).clone()))
-                                .or_insert_with(|| Arc::new(project_triplet(merged_t, proj, &inv))),
-                        );
-                        entry.triplets.insert(f, t);
-                        entry.sources.insert(f, (program_fp, Arc::clone(proj)));
-                    }
-                    let start = Instant::now();
-                    let covered = live.iter().all(|f| entry.triplets.contains_key(f));
-                    let answer = if covered {
-                        let a = solve_entry(entry, &postorder, root_frag);
-                        entry.answer = Some(a);
-                        a
-                    } else if let Some(a) =
-                        partial_solve(&self.source_tree, &entry.triplets, entry.root as usize)
-                    {
-                        // Certain despite the gaps: the answer holds under
-                        // *any* content of the missing fragments, so it is
-                        // exact and safe to memoize.
-                        entry.answer = Some(a);
-                        a
-                    } else {
-                        // Degraded: solve with the missing fragments
-                        // assumed empty. Never memoized — the next round
-                        // re-requests exactly the missing fragments.
-                        let missing = missing_sites(&self.source_tree, &live, &entry.triplets);
-                        for &pi in &m.submissions {
-                            partial.push((pending[pi].0, missing.clone()));
-                        }
-                        degraded_solve(entry, &postorder, &live, compiled.len(), root_frag)
-                    };
-                    solve_total += start.elapsed().as_secs_f64();
-                    round
-                        .report_mut()
-                        .record_compute(self.coordinator, start.elapsed());
-                    round
-                        .report_mut()
-                        .record_work(self.coordinator, (compiled.len() * live.len()) as u64);
-                    for &pi in &m.submissions {
-                        answers[pi] = Some(answer);
-                    }
-                }
-            } else {
-                // ---- Depth-gated lazy wavefronts --------------------
-                // `partial_solve` leaves unevaluated fragments' variables
-                // free, so an answer it determines holds under *any*
-                // content of the skipped fragments — shipping stops as
-                // soon as every member's answer is determined.
-                fragments_evaluated = 0;
-                let mut unanswered: Vec<usize> = Vec::new();
-                let mut invs: Vec<HashMap<u32, u32>> = Vec::new();
-                for (k, &mi) in active.iter().enumerate() {
-                    let m = &members[mi];
-                    let compiled = &pending[m.idx].1;
-                    invs.push(
-                        projections[k]
-                            .iter()
-                            .enumerate()
-                            .map(|(i, &h)| (h, i as u32))
-                            .collect(),
-                    );
-                    self.ensure_solve_entry(m.fp, compiled.root());
-                    unanswered.push(k);
-                }
-
-                let mut by_depth: BTreeMap<usize, Vec<FragmentId>> = BTreeMap::new();
-                for &f in &need {
-                    by_depth
-                        .entry(self.forest_stats.fragment(f).depth)
-                        .or_default()
-                        .push(f);
-                }
-                let mut waves = by_depth.into_iter();
-                let mut merged_triplets: HashMap<FragmentId, Arc<Triplet>> = HashMap::new();
-                let mut projection_memo: HashMap<(usize, Triplet), Arc<Triplet>> = HashMap::new();
-                loop {
-                    // Attempt resolution of every still-open member from
-                    // what it has (cached + projected so far). The first
-                    // pass costs zero messages: an answer determined by
-                    // surviving cache entries alone ships nothing.
-                    unanswered.retain(|&k| {
-                        let m = &members[active[k]];
-                        let compiled = &pending[m.idx].1;
-                        let entry = self.solve_cache.get_mut(&m.fp).expect("ensured above");
-                        for (&f, merged_t) in &merged_triplets {
-                            if entry.triplets.contains_key(&f) {
-                                continue;
-                            }
-                            let t = Arc::clone(
-                                projection_memo
-                                    .entry((k, (**merged_t).clone()))
-                                    .or_insert_with(|| {
-                                        Arc::new(project_triplet(
-                                            merged_t,
-                                            &projections[k],
-                                            &invs[k],
-                                        ))
-                                    }),
-                            );
-                            entry.triplets.insert(f, t);
-                            entry
-                                .sources
-                                .insert(f, (program_fp, Arc::clone(&projections[k])));
-                        }
-                        let start = Instant::now();
-                        let maybe =
-                            partial_solve(&self.source_tree, &entry.triplets, entry.root as usize);
-                        let took = start.elapsed();
-                        solve_total += took.as_secs_f64();
-                        round.report_mut().record_compute(self.coordinator, took);
-                        round.report_mut().record_work(
-                            self.coordinator,
-                            (compiled.len() * entry.triplets.len().max(1)) as u64,
-                        );
-                        match maybe {
-                            Some(a) => {
-                                entry.answer = Some(a);
-                                for &pi in &m.submissions {
-                                    answers[pi] = Some(a);
-                                }
-                                false
-                            }
-                            None => true,
-                        }
-                    });
-                    if unanswered.is_empty() {
-                        break;
-                    }
-                    let Some((_, frags)) = waves.next() else {
-                        // Waves exhausted with members still open: some
-                        // site stayed down past every supervised attempt
-                        // and its fragments never arrived. Degrade the
-                        // open members to pessimistic partial answers
-                        // (the certain cases were already closed by
-                        // `partial_solve` in the retain pass above).
-                        for &k in &unanswered {
-                            let m = &members[active[k]];
-                            let compiled = &pending[m.idx].1;
-                            let entry = self.solve_cache.get_mut(&m.fp).expect("ensured above");
-                            let answer =
-                                degraded_solve(entry, &postorder, &live, compiled.len(), root_frag);
-                            let missing = missing_sites(&self.source_tree, &live, &entry.triplets);
-                            for &pi in &m.submissions {
-                                answers[pi] = Some(answer);
-                                partial.push((pending[pi].0, missing.clone()));
-                            }
-                        }
-                        break;
-                    };
-                    // Only fragments some open member still misses.
-                    let wanted: Vec<FragmentId> = frags
-                        .into_iter()
-                        .filter(|f| {
-                            unanswered.iter().any(|&k| {
-                                !self
-                                    .solve_cache
-                                    .get(&members[active[k]].fp)
-                                    .is_some_and(|e| e.triplets.contains_key(f))
-                            })
-                        })
-                        .collect();
-                    if wanted.is_empty() {
-                        continue;
-                    }
-                    fragments_evaluated += wanted.len();
-                    let mut per_site: BTreeMap<u32, Vec<FragmentId>> = BTreeMap::new();
-                    for &f in &wanted {
-                        per_site
-                            .entry(self.source_tree.site_of(f).0)
-                            .or_default()
-                            .push(f);
-                    }
-                    let mut wave_remote = false;
-                    for &s in per_site.keys() {
-                        let site = SiteId(s);
-                        round.report_mut().record_visit(site);
-                        if site != self.coordinator {
-                            round.report_mut().record_message(
-                                self.coordinator,
-                                site,
-                                request_bytes,
-                                MessageKind::BatchQuery,
-                            );
-                            wave_remote = true;
-                        }
-                    }
-                    if wave_remote {
-                        lazy_model_time += self.config.model.transfer_time(request_bytes);
-                    }
-                    let replies = {
-                        let pool = &mut self.pool;
-                        let source_tree = &self.source_tree;
-                        let forest = &self.forest;
-                        let mut reseed_log: Vec<(SiteId, usize)> = Vec::new();
-                        let out = pool.eval_round_supervised(
-                            &merged,
-                            merged.program_fingerprint(),
-                            per_site
-                                .into_iter()
-                                .map(|(s, fs)| (SiteId(s), fs))
-                                .collect(),
-                            &self.supervisor,
-                            &mut |site| {
-                                let frags: Vec<(FragmentId, Arc<Tree>)> = source_tree
-                                    .fragments_at(site)
-                                    .into_iter()
-                                    .map(|f| (f, forest.tree_handle(f)))
-                                    .collect();
-                                reseed_log.push((
-                                    site,
-                                    frags
-                                        .iter()
-                                        .map(|(f, _)| forest.fragment(*f).byte_size())
-                                        .sum(),
-                                ));
-                                frags
-                            },
-                        );
-                        record_supervision(
-                            round.report_mut(),
-                            self.coordinator,
-                            &self.config.model,
-                            &out.stats,
-                            &out.retry_visits,
-                            &reseed_log,
-                            request_bytes,
-                            &mut fault_summary,
-                            &mut lazy_model_time,
-                        );
-                        out.replies
-                    };
-                    let (wave_compute, envelopes) = absorb_replies(
-                        round.report_mut(),
-                        replies,
-                        &mut merged_triplets,
-                        &mut site_cache_hits,
-                    );
-                    let mut wave_envelopes: Vec<usize> = Vec::new();
-                    for (site, bytes) in envelopes {
-                        if site != self.coordinator {
-                            round.report_mut().record_message(
-                                site,
-                                self.coordinator,
-                                bytes,
-                                MessageKind::Envelope,
-                            );
-                            wave_envelopes.push(bytes);
-                        }
-                    }
-                    lazy_model_time += wave_compute
-                        + self
-                            .config
-                            .model
-                            .shared_link_time(wave_envelopes.iter().copied());
-                }
+        let (source_tree, forest) = (&self.source_tree, &self.forest);
+        let mut reseeded: Vec<(SiteId, usize)> = Vec::new();
+        let out = self.pool.eval_round_supervised(
+            &merged.program,
+            merged.fp,
+            per_site.into_iter().collect(),
+            &self.supervisor,
+            &mut |site| {
+                let frags = source_tree.fragments_at(site);
+                let bytes = frags.iter().map(|&f| forest.fragment(f).byte_size()).sum();
+                reseeded.push((site, bytes));
+                frags
+                    .into_iter()
+                    .map(|f| (f, forest.tree_handle(f)))
+                    .collect()
+            },
+        );
+        for &site in &out.retry_visits {
+            if ledger.record_request(site, merged.request_bytes) {
+                ledger.modeled_s += model.transfer_time(merged.request_bytes);
             }
+        }
+        for (site, bytes) in reseeded {
+            if site != ledger.coordinator && bytes > 0 {
+                ledger
+                    .report
+                    .record_message(ledger.coordinator, site, bytes, MessageKind::Data);
+                ledger.modeled_s += model.transfer_time(bytes);
+            }
+        }
+        ledger.faults.absorb(&out.stats);
+        out.replies
+    }
 
-            // Bound the coordinator cache (FIFO over fingerprints).
-            // Standing queries pin their entries: a pinned fingerprint
-            // rotates to the back instead of evicting, and the rotation
-            // budget bounds the scan when everything left is pinned (the
-            // cache then runs oversized — pinning wins over the bound).
-            let pinned: HashSet<QueryFingerprint> =
-                self.subscriptions.values().map(|s| s.fp).collect();
-            let mut rotations = self.solve_order.len();
-            while self.solve_cache.len() > self.config.solve_cache_fingerprints {
-                let Some(fp) = self.solve_order.pop_front() else {
-                    break;
-                };
-                if pinned.contains(&fp) {
-                    self.solve_order.push_back(fp);
-                    if rotations == 0 {
-                        break;
-                    }
-                    rotations -= 1;
+    /// Projects the wave's merged triplets into every open member's
+    /// cache entry, recording the provenance delta repair re-projects
+    /// with. A fragment whose site stayed down never arrived; its slot
+    /// stays empty for `attempt` and `degrade` to work around.
+    fn project_into_entries(
+        &mut self,
+        arrived: &[(FragmentId, Arc<Triplet>)],
+        open: &mut [ActiveMember<'_>],
+        program_fp: QueryFingerprint,
+    ) {
+        for am in open {
+            let entry = self
+                .solve_cache
+                .get_mut(&am.member.fp)
+                .expect("entry ensured when the member went active");
+            for (f, merged_t) in arrived {
+                if entry.triplets.contains_key(f) {
                     continue;
                 }
-                self.solve_cache.remove(&fp);
+                let t = am.projected.entry((**merged_t).clone()).or_insert_with(|| {
+                    Arc::new(project_triplet(merged_t, &am.projection, &am.inverse))
+                });
+                entry.triplets.insert(*f, Arc::clone(t));
+                entry
+                    .sources
+                    .insert(*f, (program_fp, Arc::clone(&am.projection)));
             }
         }
+    }
 
-        let mut report = round.finish();
-        report.elapsed_model_s = broadcast + max_compute + collect + solve_total + lazy_model_time;
+    /// Tries to close every open member from the triplets it holds, and
+    /// keeps the ones it cannot. Full coverage solves the equation
+    /// system. Short of that, `partial_solve` leaves the missing
+    /// fragments' variables free, so an answer it determines holds
+    /// under *any* content of those fragments: it is exact, safe to
+    /// memoize, and the reason later waves need not be shipped.
+    fn attempt(
+        &mut self,
+        open: &mut Vec<ActiveMember<'_>>,
+        live: &[FragmentId],
+        ledger: &mut Ledger,
+    ) {
+        let postorder = self.source_tree.postorder();
+        let root_frag = self.forest.root_fragment();
+        open.retain(|am| {
+            let entry = self
+                .solve_cache
+                .get_mut(&am.member.fp)
+                .expect("entry ensured when the member went active");
+            let start = Instant::now();
+            let answer = if live.iter().all(|f| entry.triplets.contains_key(f)) {
+                Some(solve_entry(entry, postorder, root_frag))
+            } else {
+                partial_solve(&self.source_tree, &entry.triplets, entry.root as usize)
+            };
+            let work = (am.member.program.len() * entry.triplets.len().max(1)) as u64;
+            ledger.record_solve(start.elapsed(), work);
+            entry.answer = answer;
+            if let Some(a) = answer {
+                ledger.answer(&am.member, a);
+            }
+            answer.is_none()
+        });
+    }
+
+    /// Answers the members still open after the last wave: some site
+    /// stayed down past every supervised attempt and the fragments that
+    /// did arrive do not determine the answer. Solves with the missing
+    /// fragments assumed empty and marks the answer partial. Never
+    /// memoized — the next round re-requests exactly what is missing.
+    /// The stand-ins close the system over every live fragment, so the
+    /// solve is accounted as `|q| ×` live fragments, on top of the
+    /// attempt that failed to close the member.
+    fn degrade(&self, open: &[ActiveMember<'_>], live: &[FragmentId], ledger: &mut Ledger) {
+        let postorder = self.source_tree.postorder();
+        let root_frag = self.forest.root_fragment();
+        for am in open {
+            let entry = &self.solve_cache[&am.member.fp];
+            let width = am.member.program.len();
+            let start = Instant::now();
+            let answer = degraded_solve(entry, postorder, live, width, root_frag);
+            ledger.record_solve(start.elapsed(), (width * live.len()) as u64);
+            ledger.answer(&am.member, answer);
+            let missing = missing_sites(&self.source_tree, live, &entry.triplets);
+            for &pi in &am.member.submissions {
+                ledger.partial.push((ledger.answers[pi].0, missing.clone()));
+            }
+        }
+    }
+
+    /// Bounds the coordinator cache (FIFO over fingerprints). Standing
+    /// queries pin their entries: a pinned fingerprint rotates to the
+    /// back instead of evicting, and the rotation budget bounds the scan
+    /// when everything left is pinned (the cache then runs oversized —
+    /// pinning wins over the bound).
+    fn evict(&mut self) {
+        let pinned: HashSet<QueryFingerprint> = self.subscriptions.values().map(|s| s.fp).collect();
+        let mut rotations = self.solve_order.len();
+        while self.solve_cache.len() > self.config.solve_cache_fingerprints {
+            let Some(fp) = self.solve_order.pop_front() else {
+                break;
+            };
+            if pinned.contains(&fp) {
+                self.solve_order.push_back(fp);
+                if rotations == 0 {
+                    break;
+                }
+                rotations -= 1;
+                continue;
+            }
+            self.solve_cache.remove(&fp);
+        }
+    }
+
+    /// Feeds the round's observed resolution depth into the EWMA that
+    /// gates future depth-gated plans, measured post hoc from the solved
+    /// entries. The observation is the *deepest* depth any member
+    /// needed: a shallow member coalesced with a deep scan must not
+    /// teach the planner that rounds resolve shallow, and a round
+    /// answered from deep cached triplets does not masquerade as a
+    /// shallow observation either.
+    fn update_depth_ewma(&mut self, active: &[QueryFingerprint]) {
+        let max_depth = self.forest_stats.max_depth();
+        let observed = active
+            .iter()
+            .filter_map(|fp| self.solve_cache.get(fp))
+            .map(|e| self.observed_resolution_depth(e))
+            .max()
+            .unwrap_or(max_depth);
+        self.depth_ewma = (0.5 * self.depth_ewma + 0.5 * observed as f64).min(max_depth as f64);
+    }
+
+    /// Closes the round: stamps the ledger into the report and the
+    /// lifetime counters, and hands the answers out in submission order.
+    fn account(
+        &mut self,
+        ledger: Ledger,
+        members: usize,
+        active: usize,
+        planned: Option<PlanSummary>,
+        wall: Instant,
+    ) -> RoundOutcome {
+        let mut report = ledger.report;
+        report.elapsed_model_s = ledger.modeled_s;
         report.elapsed_wall_s = wall.elapsed().as_secs_f64();
         report.planned = planned;
         report.cache = Some(parbox_net::CacheEfficacy {
-            queries_from_cache: members_from_cache as u64,
-            queries_total: members.len() as u64,
-            site_cache_hits: site_cache_hits as u64,
-            fragments_evaluated: fragments_evaluated as u64,
+            queries_from_cache: ledger.members_from_cache as u64,
+            queries_total: members as u64,
+            site_cache_hits: ledger.site_cache_hits as u64,
+            fragments_evaluated: ledger.fragments_evaluated as u64,
         });
-        if fault_summary.any() {
-            report.faults = Some(fault_summary.clone());
+        if ledger.faults.any() {
+            report.faults = Some(ledger.faults.clone());
         }
-
-        // Feed the observed resolution depth back into the EWMA that
-        // gates future lazy rounds, measured post hoc from the solved
-        // entries. The round's observation is the *deepest* depth any of
-        // its members needed: a shallow member coalesced with a deep
-        // scan must not teach the planner that rounds resolve shallow,
-        // and a lazy round answered from deep cached triplets does not
-        // masquerade as a shallow observation either.
-        if self.config.plan_rounds && !active.is_empty() {
-            let obs = active
-                .iter()
-                .filter_map(|&mi| self.solve_cache.get(&members[mi].fp))
-                .map(|e| self.observed_resolution_depth(e))
-                .max()
-                .unwrap_or_else(|| self.forest_stats.max_depth());
-            let cap = self.forest_stats.max_depth() as f64;
-            self.depth_ewma = (0.5 * self.depth_ewma + 0.5 * obs as f64).min(cap);
-        }
+        let mut partial = ledger.partial;
+        partial.sort_by_key(|(t, _)| *t);
 
         self.stats.rounds += 1;
-        self.stats.queries += pending.len() as u64;
-        self.stats.members_evaluated += active.len() as u64;
-        self.stats.members_from_cache += members_from_cache as u64;
-        self.stats.fragments_evaluated += fragments_evaluated as u64;
-        self.stats.site_cache_hits += site_cache_hits as u64;
-        self.stats.timeouts += fault_summary.timeouts;
-        self.stats.retries += fault_summary.retries;
-        self.stats.restarts += fault_summary.restarts;
+        self.stats.queries += ledger.answers.len() as u64;
+        self.stats.members_evaluated += active as u64;
+        self.stats.members_from_cache += ledger.members_from_cache as u64;
+        self.stats.fragments_evaluated += ledger.fragments_evaluated as u64;
+        self.stats.site_cache_hits += ledger.site_cache_hits as u64;
+        self.stats.timeouts += ledger.faults.timeouts;
+        self.stats.retries += ledger.faults.retries;
+        self.stats.restarts += ledger.faults.restarts;
         self.stats.partial_answers += partial.len() as u64;
 
-        partial.sort_by_key(|(t, _)| *t);
         RoundOutcome {
-            answers: pending
-                .iter()
-                .zip(&answers)
-                .map(|((t, _), a)| (*t, a.expect("every member was answered")))
+            answers: ledger
+                .answers
+                .into_iter()
+                .map(|(t, a)| (t, a.expect("every member was answered")))
                 .collect(),
             report,
-            members: members.len(),
-            members_from_cache,
-            fragments_evaluated,
-            site_cache_hits,
+            members,
+            members_from_cache: ledger.members_from_cache,
+            fragments_evaluated: ledger.fragments_evaluated,
+            site_cache_hits: ledger.site_cache_hits,
             partial,
         }
     }
@@ -1505,70 +1174,18 @@ impl Engine {
             &mut self.forest_stats,
             update,
         )?;
-        let invalidated;
-        let mut repaired = 0usize;
-        let mut efficacy = RepairEfficacy::default();
         let mut faults = FaultSummary::default();
 
         let delta = effect
             .delta
             .filter(|_| self.config.delta_maintenance && !effect.restructured());
-        if let (Some(d), Some(patch)) = (delta, patch) {
-            // ---- Delta path: repair both cache levels in place ----
-            let site = self.placement.site_of(d.frag);
-            self.pool.ensure_site(site);
-            report.record_visit(site);
-            if site != self.coordinator {
-                report.record_message(
-                    self.coordinator,
-                    site,
-                    UPDATE_CONTROL_BYTES,
-                    MessageKind::Control,
-                );
-            }
-            match self
-                .pool
-                .repair(site, d.frag, patch, d.anchor, self.supervisor.deadline)
-            {
-                Some(reply) if reply.patched => {
-                    report.record_compute(site, reply.elapsed);
-                    report.record_work(site, reply.work_units);
-                    let delta_bytes: usize = reply.outcomes.iter().map(|o| o.delta_bytes).sum();
-                    if site != self.coordinator && delta_bytes > 0 {
-                        report.record_message(
-                            site,
-                            self.coordinator,
-                            delta_bytes,
-                            MessageKind::Envelope,
-                        );
-                    }
-                    let (kept, dropped) = self.repair_coordinator_entries(d.frag, &reply.outcomes);
-                    repaired = reply.outcomes.len() + kept;
-                    invalidated = reply.dropped as usize + dropped;
-                    efficacy = RepairEfficacy {
-                        repaired: repaired as u64,
-                        invalidated: invalidated as u64,
-                        nodes_recomputed: reply.nodes_recomputed,
-                        delta_bytes: delta_bytes as u64,
-                    };
-                }
-                _ => {
-                    // The actor died, wedged past the deadline, dropped
-                    // the reply mid-apply, or never owned the fragment
-                    // (`!patched`). A half-repaired cache must never
-                    // serve: restart the actor with the authoritative
-                    // post-update handles (wiping its caches) and
-                    // invalidate the coordinator's entries.
-                    self.reseed_site(site, &mut faults);
-                    invalidated = self.purge_fragment(d.frag);
-                    efficacy.invalidated = invalidated as u64;
-                }
-            }
-        } else {
-            // ---- Legacy path: invalidate-and-recompute ----
-            invalidated = self.invalidate_for(&effect, &mut report, &mut faults);
-            efficacy.invalidated = invalidated as u64;
-        }
+        let efficacy = match (delta, patch) {
+            (Some(d), Some(patch)) => self.repair_in_place(d, patch, &mut report, &mut faults),
+            _ => RepairEfficacy {
+                invalidated: self.invalidate_for(&effect, &mut report, &mut faults) as u64,
+                ..RepairEfficacy::default()
+            },
+        };
         report.repair = Some(efficacy);
         // A split that lands the new fragment on a different site ships
         // the subtree there — the one data-plane cost an update can have.
@@ -1599,8 +1216,8 @@ impl Engine {
             report.faults = Some(faults);
         }
         self.stats.updates += 1;
-        self.stats.entries_repaired += repaired as u64;
-        self.stats.entries_invalidated += invalidated as u64;
+        self.stats.entries_repaired += efficacy.repaired;
+        self.stats.entries_invalidated += efficacy.invalidated;
         self.stats.repair_nodes_recomputed += efficacy.nodes_recomputed;
         self.stats.repair_delta_bytes += efficacy.delta_bytes;
 
@@ -1611,10 +1228,71 @@ impl Engine {
             flushed,
             effect,
             report,
-            invalidated,
-            repaired,
+            invalidated: efficacy.invalidated as usize,
+            repaired: efficacy.repaired as usize,
             notifications,
         })
+    }
+
+    /// The delta path of [`Engine::apply`]: the owning site replays the
+    /// update on its own tree, repairs its cached triplets along the
+    /// root-to-change path and ships back the changed entries, which
+    /// the coordinator patches into its solve entries. Any failure
+    /// along the way falls back to reseed-and-purge: a half-repaired
+    /// cache must never serve.
+    fn repair_in_place(
+        &mut self,
+        d: FragmentDelta,
+        patch: PatchFn,
+        report: &mut RunReport,
+        faults: &mut FaultSummary,
+    ) -> RepairEfficacy {
+        let site = self.placement.site_of(d.frag);
+        self.pool.ensure_site(site);
+        report.record_visit(site);
+        if site != self.coordinator {
+            report.record_message(
+                self.coordinator,
+                site,
+                UPDATE_CONTROL_BYTES,
+                MessageKind::Control,
+            );
+        }
+        let deadline = self.supervisor.deadline;
+        match self.pool.repair(site, d.frag, patch, d.anchor, deadline) {
+            Some(reply) if reply.patched => {
+                report.record_compute(site, reply.elapsed);
+                report.record_work(site, reply.work_units);
+                let delta_bytes: usize = reply.outcomes.iter().map(|o| o.delta_bytes).sum();
+                if site != self.coordinator && delta_bytes > 0 {
+                    report.record_message(
+                        site,
+                        self.coordinator,
+                        delta_bytes,
+                        MessageKind::Envelope,
+                    );
+                }
+                let (kept, dropped) = self.repair_coordinator_entries(d.frag, &reply.outcomes);
+                RepairEfficacy {
+                    repaired: (reply.outcomes.len() + kept) as u64,
+                    invalidated: reply.dropped + dropped as u64,
+                    nodes_recomputed: reply.nodes_recomputed,
+                    delta_bytes: delta_bytes as u64,
+                }
+            }
+            _ => {
+                // The actor died, wedged past the deadline, dropped the
+                // reply mid-apply, or never owned the fragment
+                // (`!patched`): restart it with the authoritative
+                // post-update handles (wiping its caches) and invalidate
+                // the coordinator's entries.
+                self.reseed_site(site, faults);
+                RepairEfficacy {
+                    invalidated: self.purge_fragment(d.frag) as u64,
+                    ..RepairEfficacy::default()
+                }
+            }
+        }
     }
 
     /// The legacy maintenance path: reload touched fragments at their
@@ -1688,14 +1366,8 @@ impl Engine {
             match source {
                 Some((o, _)) if !o.changed => repaired += 1,
                 Some((o, proj)) => {
-                    let inv: HashMap<u32, u32> = proj
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &h)| (h, i as u32))
-                        .collect();
-                    entry
-                        .triplets
-                        .insert(frag, Arc::new(project_triplet(&o.triplet, &proj, &inv)));
+                    let projected = project_triplet(&o.triplet, &proj, &inverse_of(&proj));
+                    entry.triplets.insert(frag, Arc::new(projected));
                     entry.answer = None;
                     repaired += 1;
                 }
@@ -1742,67 +1414,184 @@ impl Engine {
     }
 }
 
-/// Absorbs one wave of site replies into a round report and the
-/// merged-triplet pool: records compute and work, counts site-cache
-/// hits, sizes each site's envelope in the DAG wire format, and hands
-/// back the slowest site's measured compute plus every replying site's
-/// envelope bytes. The caller records the envelope *messages* — the
-/// eager round through [`BatchRound::reply`]'s single-visit protocol
-/// enforcement, lazy waves directly (revisiting sites is their point).
-fn absorb_replies(
-    report: &mut RunReport,
-    replies: Vec<EvalReply>,
-    merged_triplets: &mut HashMap<FragmentId, Arc<Triplet>>,
-    site_cache_hits: &mut usize,
-) -> (f64, Vec<(SiteId, usize)>) {
-    let mut max_compute = 0.0f64;
-    let mut envelopes: Vec<(SiteId, usize)> = Vec::new();
-    for reply in replies {
-        report.record_compute(reply.site, reply.elapsed);
-        report.record_work(reply.site, reply.work_units);
-        max_compute = max_compute.max(reply.elapsed.as_secs_f64());
-        *site_cache_hits += reply.triplets.iter().filter(|(_, _, hit)| *hit).count();
-        let entries: Vec<(FragmentId, &Triplet)> =
-            reply.triplets.iter().map(|(f, t, _)| (*f, &**t)).collect();
-        envelopes.push((reply.site, site_envelope_dag_wire_size(&entries)));
-        for (f, t, _) in reply.triplets {
-            merged_triplets.insert(f, t);
-        }
-    }
-    (max_compute, envelopes)
+/// One distinct program of a round: duplicate submissions coalesce by
+/// fingerprint.
+struct Member<'p> {
+    fp: QueryFingerprint,
+    program: &'p CompiledQuery,
+    /// Indices into the round's submissions of every one this member
+    /// answers.
+    submissions: Vec<usize>,
 }
 
-/// Accounts one supervised round's recovery actions into the report:
-/// each retry is an extra visit plus a re-sent request (supervision is
-/// exactly the sanctioned exception to the one-visit discipline), each
-/// restart's re-seeded fragments are data-plane traffic, and the fault
-/// counters accumulate into the round's summary.
-#[allow(clippy::too_many_arguments)]
-fn record_supervision(
-    report: &mut RunReport,
-    coordinator: SiteId,
-    model: &NetworkModel,
-    stats: &FaultSummary,
-    retry_visits: &[SiteId],
-    reseeds: &[(SiteId, usize)],
+/// The active members' programs merged into the one the sites evaluate.
+struct MergedBatch {
+    program: Arc<CompiledQuery>,
+    /// The site caches' key: the merged *program* fingerprint. Its root
+    /// fingerprint is just its last member's, so two batches sharing a
+    /// tail member would collide and serve triplets of the wrong width.
+    fp: QueryFingerprint,
+    /// Wire size of the request every visited site receives.
     request_bytes: usize,
-    summary: &mut FaultSummary,
-    model_time: &mut f64,
-) {
-    for &site in retry_visits {
-        report.record_visit(site);
-        if site != coordinator {
-            report.record_message(coordinator, site, request_bytes, MessageKind::BatchQuery);
-            *model_time += model.transfer_time(request_bytes);
+}
+
+/// A member the data plane must help answer, with its way out of the
+/// round's merged program.
+struct ActiveMember<'p> {
+    member: Member<'p>,
+    /// Entry `i` is the merged-program id of the member's sub-query `i`.
+    projection: Arc<Vec<SubId>>,
+    inverse: HashMap<u32, u32>,
+    /// Identical merged triplets (the common case: many leaf fragments
+    /// resolving a member to the same constants) project identically.
+    /// Memoized on the `FormulaId`-stable triplet content, so the
+    /// renumbering substitution runs once and the cache entries share
+    /// one `Arc`.
+    projected: HashMap<Triplet, Arc<Triplet>>,
+}
+
+/// What a round accumulates across its stages, for `Engine::account` to
+/// close.
+struct Ledger {
+    coordinator: SiteId,
+    report: RunReport,
+    /// Per submission, in submission order.
+    answers: Vec<(Ticket, Option<bool>)>,
+    partial: Vec<(Ticket, Vec<SiteId>)>,
+    faults: FaultSummary,
+    /// Modeled seconds so far: per wave the request broadcast, the
+    /// slowest site and the envelope collection (plus any recovery
+    /// traffic), and every coordinator solve.
+    modeled_s: f64,
+    members_from_cache: usize,
+    site_cache_hits: usize,
+    fragments_evaluated: usize,
+}
+
+impl Ledger {
+    fn new(pending: &[(Ticket, CompiledQuery)], coordinator: SiteId) -> Ledger {
+        Ledger {
+            coordinator,
+            report: RunReport::new(),
+            answers: pending.iter().map(|(t, _)| (*t, None)).collect(),
+            partial: Vec::new(),
+            faults: FaultSummary::default(),
+            modeled_s: 0.0,
+            members_from_cache: 0,
+            site_cache_hits: 0,
+            fragments_evaluated: 0,
         }
     }
-    for &(site, bytes) in reseeds {
-        if site != coordinator && bytes > 0 {
-            report.record_message(coordinator, site, bytes, MessageKind::Data);
-            *model_time += model.transfer_time(bytes);
+
+    fn answer(&mut self, member: &Member<'_>, answer: bool) {
+        for &pi in &member.submissions {
+            self.answers[pi].1 = Some(answer);
         }
     }
-    summary.absorb(stats);
+
+    /// One solve at the coordinator.
+    fn record_solve(&mut self, took: Duration, work_units: u64) {
+        self.modeled_s += took.as_secs_f64();
+        self.report.record_compute(self.coordinator, took);
+        self.report.record_work(self.coordinator, work_units);
+    }
+
+    /// One request to `site`: a visit, and for a remote site the merged
+    /// program on the wire. Returns whether the site was remote.
+    fn record_request(&mut self, site: SiteId, bytes: usize) -> bool {
+        self.report.record_visit(site);
+        let remote = site != self.coordinator;
+        if remote {
+            self.report
+                .record_message(self.coordinator, site, bytes, MessageKind::BatchQuery);
+        }
+        remote
+    }
+}
+
+/// Coalesces the round's submissions into one member per distinct
+/// program.
+fn coalesce(pending: &[(Ticket, CompiledQuery)]) -> Vec<Member<'_>> {
+    let mut members: Vec<Member<'_>> = Vec::new();
+    let mut by_fp: HashMap<QueryFingerprint, usize> = HashMap::new();
+    for (i, (_, program)) in pending.iter().enumerate() {
+        let fp = program.fingerprint();
+        let mi = *by_fp.entry(fp).or_insert_with(|| {
+            members.push(Member {
+                fp,
+                program,
+                submissions: Vec::new(),
+            });
+            members.len() - 1
+        });
+        members[mi].submissions.push(i);
+    }
+    members
+}
+
+/// Merges the active members' already-compiled programs (`submit`
+/// compiled each query once; nothing is re-parsed or re-compiled per
+/// round) and gives each member its projection out of the result.
+fn merge_active(active: Vec<Member<'_>>) -> (MergedBatch, Vec<ActiveMember<'_>>) {
+    let programs: Vec<CompiledQuery> = active.iter().map(|m| m.program.clone()).collect();
+    let batch = merge_programs(&programs);
+    let program = Arc::new(batch.merged().clone());
+    let open = active
+        .into_iter()
+        .map(|member| {
+            let projection = member
+                .program
+                .embedding_into(&program)
+                .expect("member embeds into merged batch program");
+            ActiveMember {
+                member,
+                inverse: inverse_of(&projection),
+                projection: Arc::new(projection),
+                projected: HashMap::new(),
+            }
+        })
+        .collect();
+    let merged = MergedBatch {
+        fp: program.program_fingerprint(),
+        request_bytes: batch_query_wire_size(&batch),
+        program,
+    };
+    (merged, open)
+}
+
+/// Absorbs one wave of site replies: records each site's compute and
+/// work, counts site-cache hits, sizes its envelope in the DAG wire
+/// format and accounts it as a message when remote. Returns the merged
+/// triplets that arrived, in reply order.
+fn absorb_replies(
+    replies: Vec<EvalReply>,
+    model: &NetworkModel,
+    ledger: &mut Ledger,
+) -> Vec<(FragmentId, Arc<Triplet>)> {
+    let mut slowest_site = 0.0f64;
+    let mut remote_envelopes: Vec<usize> = Vec::new();
+    let mut arrived = Vec::new();
+    for reply in replies {
+        ledger.report.record_compute(reply.site, reply.elapsed);
+        ledger.report.record_work(reply.site, reply.work_units);
+        slowest_site = slowest_site.max(reply.elapsed.as_secs_f64());
+        ledger.site_cache_hits += reply.triplets.iter().filter(|(_, _, hit)| *hit).count();
+        let entries: Vec<(FragmentId, &Triplet)> =
+            reply.triplets.iter().map(|(f, t, _)| (*f, &**t)).collect();
+        let bytes = site_envelope_dag_wire_size(&entries);
+        if reply.site != ledger.coordinator {
+            ledger.report.record_message(
+                reply.site,
+                ledger.coordinator,
+                bytes,
+                MessageKind::Envelope,
+            );
+            remote_envelopes.push(bytes);
+        }
+        arrived.extend(reply.triplets.into_iter().map(|(f, t, _)| (f, t)));
+    }
+    ledger.modeled_s += slowest_site + model.shared_link_time(remote_envelopes);
+    arrived
 }
 
 /// The sites owning live fragments the entry has no triplet for —
@@ -1862,6 +1651,16 @@ fn solve_entry(entry: &SolveEntry, postorder: &[FragmentId], root_frag: Fragment
         .solve(postorder)
         .expect("cached triplets cover every live fragment");
     resolved[&root_frag].v[entry.root as usize]
+}
+
+/// Inverse of a member's projection: merged-program sub-query id to the
+/// member's own.
+fn inverse_of(projection: &[SubId]) -> HashMap<u32, u32> {
+    projection
+        .iter()
+        .enumerate()
+        .map(|(i, &h)| (h, i as u32))
+        .collect()
 }
 
 /// Projects a member's triplet out of a merged batch triplet: entry `i`
@@ -2502,6 +2301,28 @@ mod tests {
         assert!(out.answer);
         assert_eq!(out.completeness, Completeness::Complete);
         assert_eq!(out.answer, oracle(&e, &a));
+    }
+
+    #[test]
+    fn degraded_round_accounts_the_failed_attempt_and_the_degraded_solve() {
+        // Same wedge as above. Against the healthy round's one solve of
+        // |q| × live, the degraded member is attempted over the
+        // live − 1 triplets that arrived and then solved over all live
+        // fragments with a stand-in: |q| × (live − 1) more coordinator
+        // work, one request per site and one envelope fewer.
+        let q = parse_query("[//A and //B]").unwrap();
+        let healthy = engine().query(&q).report;
+        let plan = FaultPlan::scripted(vec![(3, 0, FaultKind::Wedge)], Duration::ZERO);
+        let mut e = chaos_engine(plan, chaos_cfg(1, u32::MAX));
+        let degraded = e.query(&q).report;
+        let live = e.forest().fragment_ids().count() as u64;
+        let coord = e.coordinator();
+        assert_eq!(
+            degraded.site(coord).work_units,
+            healthy.site(coord).work_units + compile(&q).len() as u64 * (live - 1)
+        );
+        assert_eq!(degraded.total_visits(), healthy.total_visits());
+        assert_eq!(degraded.total_messages(), healthy.total_messages() - 1);
     }
 
     #[test]

@@ -556,23 +556,14 @@ impl SitePool {
     /// trees and an empty triplet cache bounded to `cache_capacity`
     /// entries (FIFO eviction; 0 disables caching).
     pub fn spawn(sites: SiteDeployment, cache_capacity: usize, eval: EvalFn) -> SitePool {
-        SitePool::spawn_with_faults(sites, cache_capacity, eval, FaultPlan::none())
+        SitePool::spawn_full(sites, cache_capacity, eval, FaultPlan::none(), None)
     }
 
     /// [`SitePool::spawn`] with a fault-injection plan threaded into
-    /// every worker loop. The default [`FaultPlan::none`] is inert.
-    pub fn spawn_with_faults(
-        sites: SiteDeployment,
-        cache_capacity: usize,
-        eval: EvalFn,
-        plan: FaultPlan,
-    ) -> SitePool {
-        SitePool::spawn_full(sites, cache_capacity, eval, plan, None)
-    }
-
-    /// [`SitePool::spawn_with_faults`] plus an optional [`DeltaKernel`]:
-    /// with one installed, cache misses build repairable per-entry state
-    /// and [`SitePool::repair`] maintains cached triplets in place.
+    /// every worker loop (the default [`FaultPlan::none`] is inert) and
+    /// an optional [`DeltaKernel`]: with one installed, cache misses
+    /// build repairable per-entry state and [`SitePool::repair`]
+    /// maintains cached triplets in place.
     pub fn spawn_full(
         sites: SiteDeployment,
         cache_capacity: usize,
@@ -973,7 +964,7 @@ mod tests {
     }
 
     fn chaos_pool(n_sites: u32, plan: FaultPlan) -> SitePool {
-        SitePool::spawn_with_faults(deployment(n_sites), 16, toy_eval, plan)
+        SitePool::spawn_full(deployment(n_sites), 16, toy_eval, plan, None)
     }
 
     fn q() -> Arc<CompiledQuery> {

@@ -4,10 +4,6 @@
 //!
 //! Run with: `cargo run --example stock_portfolio`
 
-// This file is an expA-era caller the deprecated HybridParBoX shim
-// explicitly keeps compiling.
-#![allow(deprecated)]
-
 use parbox::core::{
     full_dist_parbox, hybrid_parbox, lazy_parbox, naive_centralized, naive_distributed, parbox,
     MaterializedView, Update,

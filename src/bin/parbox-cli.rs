@@ -256,12 +256,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
                 BatchExec.execute(&cluster, &q)
             }
             "auto" | "Auto" => parbox::core::plan_run(&cluster, &q),
-            "HybridParBoX" => {
-                // expA-era alias, kept working through the shim.
-                #[allow(deprecated)]
-                let out = parbox::core::hybrid_parbox(&cluster, &q);
-                out
-            }
+            "HybridParBoX" => parbox::core::hybrid_parbox(&cluster, &q),
             other => return Err(format!("unknown strategy {other:?}")),
         };
         let label = match &out.report.planned {

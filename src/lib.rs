@@ -72,13 +72,11 @@ pub use parbox_xml as xml;
 
 /// Convenience re-exports of the most frequently used items.
 pub mod prelude {
-    #[allow(deprecated)] // the expA-era hybrid shim stays in the prelude
-    pub use parbox_core::hybrid_parbox;
     pub use parbox_core::{
-        centralized_eval, count_distributed, full_dist_parbox, lazy_parbox, naive_centralized,
-        naive_distributed, parbox, plan_run, run_batch, select_distributed, sum_distributed,
-        BatchOutcome, Completeness, CostEstimate, Engine, EngineConfig, EvalOutcome,
-        MaterializedView, PlanContext, Planner, QueryOutcome, RoundOutcome, Update,
+        centralized_eval, count_distributed, full_dist_parbox, hybrid_parbox, lazy_parbox,
+        naive_centralized, naive_distributed, parbox, plan_run, run_batch, select_distributed,
+        sum_distributed, BatchOutcome, Completeness, CostEstimate, Engine, EngineConfig,
+        EvalOutcome, MaterializedView, PlanContext, Planner, QueryOutcome, RoundOutcome, Update,
     };
     pub use parbox_frag::{Forest, Placement, SourceTree};
     pub use parbox_net::{Cluster, NetworkModel, SiteId};

@@ -2,10 +2,6 @@
 //! fragmentations and random XBL queries, every distributed algorithm
 //! must return exactly the centralized evaluator's answer.
 
-// This file is an expA-era caller the deprecated HybridParBoX shim
-// explicitly keeps compiling.
-#![allow(deprecated)]
-
 use parbox::core::{
     centralized_eval, full_dist_parbox, hybrid_parbox, lazy_parbox, naive_centralized,
     naive_distributed, parbox,
