@@ -1472,16 +1472,16 @@ mod tests {
             .map(|r| r.bytes)
             .sum();
         assert!(nc_bytes > 10 * pb_bytes, "nc {nc_bytes} vs pb {pb_bytes}");
-        // ParBoX runtime at 4 machines beats NaiveCentralized at 4 (the
-        // shipping term is deterministic; allow generous compute noise).
+        // ParBoX runtime at 4 machines beats NaiveCentralized at 4, on
+        // the series with no measured compute in it.
         let at = |series: &str, x: f64| {
             rows.iter()
                 .find(|r| r.series == series && r.x == x)
                 .unwrap()
-                .runtime_s
+                .modeled_s(&NetworkModel::lan())
         };
         assert!(
-            at("ParBoX", 4.0) < at("NaiveCentralized", 4.0) + 0.002,
+            at("ParBoX", 4.0) < at("NaiveCentralized", 4.0),
             "parbox {} vs naive {}",
             at("ParBoX", 4.0),
             at("NaiveCentralized", 4.0)
@@ -1521,7 +1521,7 @@ mod tests {
             rows.iter()
                 .find(|r| r.series == s && r.x == 4.0)
                 .unwrap()
-                .runtime_s
+                .modeled_s(&NetworkModel::lan())
         };
         assert!(rt("LazyParBoX") >= rt("ParBoX"));
     }
@@ -1682,11 +1682,13 @@ mod tests {
     #[test]
     fn fig13_single_site_runtime_flat() {
         let rows = experiment4_fig13(tiny(), 5);
-        let rts: Vec<f64> = rows.iter().map(|r| r.runtime_s).collect();
+        let lan = NetworkModel::lan();
+        let rts: Vec<f64> = rows.iter().map(|r| r.modeled_s(&lan)).collect();
         let max = rts.iter().cloned().fold(0.0, f64::max);
         let min = rts.iter().cloned().fold(f64::INFINITY, f64::min);
-        // "Almost constant": generous 4x guard for debug-build noise.
-        assert!(max < min * 4.0 + 0.01, "not flat: {rts:?}");
+        // "Almost constant", on the series with no measured compute in
+        // it: splitting adds virtual nodes and solve work, not 4x.
+        assert!(max < min * 4.0, "not flat: {rts:?}");
     }
 
     #[test]
