@@ -20,8 +20,25 @@
 //!   messages**;
 //! * **update routing** — [`Engine::apply`] reuses the Section 5
 //!   maintenance logic ([`crate::views::apply_update_to_forest`]) and
-//!   invalidates only the touched fragment's cache entries, at both
-//!   levels, keeping every cached triplet consistent with the document.
+//!   repairs (or, for structural updates, invalidates) only the touched
+//!   fragment's cache entries, at both levels, keeping every cached
+//!   triplet consistent with the document.
+//!
+//! Reads and maintenance are priced apart. A site answers every miss
+//! with plain `bottomUp` and caches the triplet with its program; the
+//! per-node repair memo ([`IncrementalBottomUp`], ~2.9x a `bottomUp` to
+//! build and ~150 B per document node) is built **when the first update
+//! reaches the entry's fragment**, inside that [`Engine::apply`], and
+//! repaired in O(depth) by every later one. The rule has no flag and no
+//! counter, so ad-hoc queries and subscriptions stay one code path. Its
+//! cost model: a read-only stream builds nothing; total site work is
+//! never more than memo-on-every-miss plus one `bottomUp` per entry that
+//! lives to see an update; the first update to a fragment pays one full
+//! build per entry then cached on it, at most
+//! [`EngineConfig::site_cache_capacity`] of them, and that work is
+//! reported as repair cost ([`EngineStats::repair_nodes_recomputed`]).
+//! The site reports in after every build, so the supervision deadline
+//! bounds its silence and a long first update is not taken for a wedge.
 //!
 //! Batch evaluation merges the round's distinct member queries into one
 //! program; per-member triplets are recovered from the merged triplet via
@@ -72,6 +89,11 @@ use std::time::{Duration, Instant};
 /// opcode + fragment id + node id + a small payload descriptor.
 const UPDATE_CONTROL_BYTES: usize = 16;
 
+/// Most solve-cache entries [`Engine::new`] allocates room for ahead of
+/// time; a larger [`EngineConfig::solve_cache_fingerprints`] grows on
+/// demand.
+const SOLVE_CACHE_PRESIZE_MAX: usize = 1 << 16;
+
 /// Configuration of a resident [`Engine`].
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -83,7 +105,13 @@ pub struct EngineConfig {
     /// (checked by [`Engine::poll`]).
     pub batch_window: Duration,
     /// Per-site triplet cache capacity, in entries (FIFO eviction;
-    /// 0 disables site-side caching).
+    /// 0 disables site-side caching). An entry is a triplet and a handle
+    /// to its program until an update reaches its fragment; from then on
+    /// it also holds a repair memo of ~150 B per document node, so the
+    /// capacity bounds what a fragment's first update has to build. (The
+    /// 4.7 GB that 2 200 distinct queries on a 512 KiB document once cost
+    /// at this default were memos of a read-only stream, which no longer
+    /// exist.)
     pub site_cache_capacity: usize,
     /// Coordinator-side solve cache capacity, in distinct query
     /// fingerprints (FIFO eviction; 0 disables coordinator caching).
@@ -96,12 +124,14 @@ pub struct EngineConfig {
     /// rounds. `None` derives one from the network model via
     /// [`SupervisorConfig::from_model`].
     pub supervisor: Option<SupervisorConfig>,
-    /// Maintain cached triplets *in place* under pure data updates:
-    /// site workers keep a per-node memo behind each cached triplet and
-    /// repair only the root-to-change path (O(depth) per entry), while
+    /// Maintain cached triplets *in place* under pure data updates: the
+    /// first update to reach a fragment builds a per-node memo behind
+    /// each triplet the owning site caches for it, every later one
+    /// repairs only the root-to-change path (O(depth) per entry), and
     /// the coordinator re-projects the shipped triplet deltas instead
-    /// of invalidating. When false, every update falls back to
-    /// invalidate-and-recompute.
+    /// of invalidating. Reads never pay for it: a miss runs plain
+    /// `bottomUp` whatever this says. When false, every update falls
+    /// back to invalidate-and-recompute.
     pub delta_maintenance: bool,
 }
 
@@ -282,8 +312,9 @@ pub struct EngineStats {
     pub entries_repaired: u64,
     /// Cache entries invalidated by updates, lifetime total.
     pub entries_invalidated: u64,
-    /// Tree nodes re-interned across all delta repairs — the O(depth)
-    /// update cost actually paid.
+    /// Tree nodes re-interned across all delta repairs — the update
+    /// cost actually paid: O(depth) per repaired entry, plus the whole
+    /// fragment once per entry whose memo an update had to build.
     pub repair_nodes_recomputed: u64,
     /// Wire bytes of shipped triplet deltas, lifetime total.
     pub repair_delta_bytes: u64,
@@ -365,18 +396,20 @@ fn kernel(tree: &Tree, q: &CompiledQuery) -> FragmentEval {
     }
 }
 
-/// The delta build kernel: `bottomUp` evaluated through
+/// The delta build kernel — the first repair of a cached entry:
+/// `bottomUp` over the already patched fragment, evaluated through
 /// [`IncrementalBottomUp`], which keeps a per-node formula memo behind
 /// the triplet so later updates repair it along the root-to-change path
 /// only. Produces id-identical triplets and identical work accounting
-/// to [`kernel`].
-fn delta_build(tree: &Tree, q: &CompiledQuery) -> (FragmentEval, DeltaState) {
+/// to [`kernel`]; every live node counts as recomputed.
+fn delta_build(tree: &Tree, q: &CompiledQuery) -> (RepairedEval, DeltaState) {
     let (inc, work_units) = IncrementalBottomUp::build(tree, q);
-    let eval = FragmentEval {
+    let run = RepairedEval {
         triplet: inc.triplet().clone(),
+        nodes_recomputed: tree.len() as u64,
         work_units,
     };
-    (eval, Box::new(inc))
+    (run, Box::new(inc))
 }
 
 /// The delta repair kernel: re-interns the updated node's subtree
@@ -473,6 +506,12 @@ impl Engine {
             .unwrap_or_else(|| SupervisorConfig::from_model(&config.model));
         let forest_stats = ForestStats::compute(&forest, &placement);
         let depth_ewma = forest_stats.max_depth() as f64;
+        // Sized for the bound up front (a round inserts before it
+        // evicts, hence the + 1): FIFO churn at the bound fills the
+        // table with tombstones, and only one with twice the live
+        // entries' room rehashes them away in place instead of doubling
+        // while serving.
+        let bound = config.solve_cache_fingerprints.min(SOLVE_CACHE_PRESIZE_MAX) + 1;
         Ok(Engine {
             forest,
             placement,
@@ -483,8 +522,8 @@ impl Engine {
             pool,
             forest_stats,
             depth_ewma,
-            solve_cache: HashMap::new(),
-            solve_order: VecDeque::new(),
+            solve_cache: HashMap::with_capacity(2 * bound),
+            solve_order: VecDeque::with_capacity(bound),
             pending: Vec::new(),
             parked: Vec::new(),
             subscriptions: BTreeMap::new(),
@@ -1153,7 +1192,10 @@ impl Engine {
     /// O(|fragment|)) and ships back a varint-DAG triplet delta of the
     /// changed entries; the coordinator re-projects those through each
     /// solve entry's recorded provenance — keeping memoized answers
-    /// alive whenever the triplet did not actually change. Structural
+    /// alive whenever the triplet did not actually change. An entry no
+    /// update has reached before gets its repair memo first: one full
+    /// evaluation of the patched fragment, reported as a repair like
+    /// the O(depth) ones that follow. Structural
     /// updates, a disabled [`EngineConfig::delta_maintenance`], or any
     /// failure mid-repair (crash, wedge, dropped reply) fall back to the
     /// legacy invalidate-and-recompute path — a half-repaired cache is
@@ -1948,6 +1990,59 @@ mod tests {
             before,
             "no fragment went back to its site"
         );
+    }
+
+    #[test]
+    fn reads_build_no_memos_and_the_first_update_builds_its_fragments() {
+        let mut e = engine();
+        for i in 0..200 {
+            let q = parse_query(&format!("[//B and not //q{i}]")).unwrap();
+            assert!(e.query(&q).answer);
+        }
+        let before = e.site_cache_stats();
+        assert!(before.values().all(|s| s.entries > 0 && s.memos_built == 0));
+
+        let frag = FragmentId(3);
+        let site = e.placement().site_of(frag).0;
+        let parent = e.forest().fragment(frag).tree.root();
+        let up = e
+            .apply(Update::InsNode {
+                frag,
+                parent,
+                label: "noise".into(),
+                text: None,
+            })
+            .unwrap();
+        assert_eq!(up.invalidated, 0);
+        assert!(up.repaired > 0);
+        // One fragment per site: everything the owning site had cached
+        // got its memo, and no other site built anything.
+        for (s, after) in e.site_cache_stats() {
+            let built = if s == site { before[&s].entries } else { 0 };
+            assert_eq!(after.memos_built, built as u64, "site {s}");
+        }
+        let repair = up.report.repair.unwrap();
+        let live = e.forest().fragment(frag).tree.len();
+        assert_eq!(
+            repair.nodes_recomputed,
+            (before[&site].entries * live) as u64,
+            "first-touch builds are update cost, and reported as such"
+        );
+    }
+
+    #[test]
+    fn solve_cache_churn_never_resizes_the_table() {
+        let mut e = engine();
+        let (table, order) = (e.solve_cache.capacity(), e.solve_order.capacity());
+        for i in 0..4 * e.config.solve_cache_fingerprints {
+            e.query(&parse_query(&format!("[//q{i}]")).unwrap());
+        }
+        assert_eq!(e.solve_cache.len(), e.config.solve_cache_fingerprints);
+        // `capacity()` counts live entries plus free slots, so it dips
+        // while tombstones wait for the in-place rehash; growing the
+        // table would double it.
+        assert!(e.solve_cache.capacity() <= table);
+        assert_eq!(e.solve_order.capacity(), order);
     }
 
     #[test]

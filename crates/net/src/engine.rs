@@ -12,6 +12,13 @@
 //! deployment instead of once per query, and a fragment evaluated twice
 //! under the same program fingerprint skips `bottomUp` entirely.
 //!
+//! Reads always run the plain [`EvalFn`] and cache the triplet with its
+//! program, nothing more: **an entry gets its repair memo when the first
+//! update reaches its fragment** ([`SitePool::repair`] with a
+//! [`DeltaKernel`]), and later updates repair it in `O(depth)`. A
+//! read-only stream builds no memo; a fragment's first update pays one
+//! full build per entry then cached on it (at most the capacity).
+//!
 //! Residency brings failure with it: a long-lived actor can panic,
 //! wedge, or stall. [`SitePool::eval_round_supervised`] is the
 //! fault-tolerant visit path — per-request deadlines, bounded retries
@@ -64,15 +71,17 @@ pub type DeltaState = Box<dyn std::any::Any + Send>;
 pub struct RepairedEval {
     /// The fragment's triplet after the repair.
     pub triplet: Triplet,
-    /// Nodes recomputed (the root-to-change path, not the fragment).
+    /// Nodes recomputed: the root-to-change path, or the whole fragment
+    /// when the entry's memo was built by this repair.
     pub nodes_recomputed: u64,
     /// Work units spent (`nodes recomputed × |QList|`).
     pub work_units: u64,
 }
 
-/// Memo-building evaluation: like [`EvalFn`], but additionally returns
-/// the repairable state the worker keeps alongside the cached triplet.
-pub type BuildFn = fn(&Tree, &CompiledQuery) -> (FragmentEval, DeltaState);
+/// Memo-building evaluation of the *post-update* tree: the first repair
+/// of an entry. Reports every node as recomputed and returns the
+/// repairable state the worker keeps with the entry from then on.
+pub type BuildFn = fn(&Tree, &CompiledQuery) -> (RepairedEval, DeltaState);
 
 /// In-place repair of a previously built [`DeltaState`] after a data
 /// update whose deepest surviving changed node is the given anchor.
@@ -87,13 +96,14 @@ pub type RepairFn = fn(&mut DeltaState, &Tree, NodeId) -> RepairedEval;
 pub type PatchFn = Box<dyn FnOnce(&mut Tree) + Send>;
 
 /// The delta-maintenance kernel pair injected by the algorithm layer.
-/// When present, cache misses build repairable state and updates repair
-/// cached entries in place instead of dropping them.
+/// When present, updates repair cached entries in place instead of
+/// dropping them; cache misses run the plain [`EvalFn`] either way.
 #[derive(Debug, Clone, Copy)]
 pub struct DeltaKernel {
-    /// Memo-building evaluation used on cache misses.
+    /// Memo-building evaluation, run by the first [`SitePool::repair`]
+    /// to reach an entry.
     pub build: BuildFn,
-    /// O(depth) repair used on [`SitePool::repair`].
+    /// O(depth) repair, run by every later one.
     pub repair: RepairFn,
 }
 
@@ -138,11 +148,9 @@ pub struct SiteCacheStats {
     /// installed. A repaired entry keeps serving hits without a
     /// re-evaluation.
     pub repaired: u64,
-    /// Freshly computed triplets that matched an already-stored one and
-    /// were deduplicated into a shared allocation. Triplet contents are
-    /// arena `FormulaId`s, so the content comparison is `O(|QList|)` id
-    /// equality — cheap enough to run on every miss.
-    pub shared: u64,
+    /// Repair memos built, one per entry the first time an update
+    /// reached its fragment (each also counts as `repaired`).
+    pub memos_built: u64,
 }
 
 impl SiteCacheStats {
@@ -177,12 +185,20 @@ enum Request {
         frag: FragmentId,
         patch: PatchFn,
         anchor: NodeId,
-        reply: mpsc::Sender<RepairReply>,
+        reply: mpsc::Sender<RepairProgress>,
     },
     /// Remove a fragment (merged away or migrated) and its cache entries.
     Unload { frag: FragmentId },
     /// Report cache counters.
     Stats { reply: mpsc::Sender<SiteCacheStats> },
+}
+
+/// What a worker sends while serving a [`Request::Repair`]: a sign of
+/// life after every memo build, then the reply — the caller's deadline
+/// bounds the worker's silence, not the size of a first update's job.
+enum RepairProgress {
+    Building,
+    Done(RepairReply),
 }
 
 /// One repaired cache entry, as reported back to the coordinator.
@@ -223,12 +239,22 @@ pub struct RepairReply {
     pub elapsed: Duration,
 }
 
+/// One cached evaluation of a `(fragment, program)` pair.
+struct SiteEntry {
+    triplet: Arc<Triplet>,
+    /// The program the triplet was computed under — what the entry's
+    /// first repair builds its memo from.
+    program: Arc<CompiledQuery>,
+    /// Repairable state; `None` until an update reaches the fragment.
+    memo: Option<DeltaState>,
+}
+
 struct SiteWorker {
     site: SiteId,
     eval: EvalFn,
-    /// When present, cache misses run `delta.build` (memoizing state for
-    /// later repair) instead of `eval`, and [`Request::Repair`] repairs
-    /// entries in place.
+    /// When present, [`Request::Repair`] repairs entries in place
+    /// (building an entry's memo on its first repair) instead of
+    /// dropping them.
     delta: Option<DeltaKernel>,
     plan: FaultPlan,
     /// Set by an injected [`FaultKind::Wedge`]: the worker stays alive
@@ -241,20 +267,9 @@ struct SiteWorker {
     /// deadline instead of seeing an instant disconnect.
     dropped_replies: Vec<mpsc::Sender<EvalReply>>,
     fragments: HashMap<FragmentId, Arc<Tree>>,
-    cache: HashMap<(FragmentId, QueryFingerprint), Arc<Triplet>>,
-    /// Repairable evaluation state, one per cache entry built through the
-    /// delta kernel. Kept strictly in step with `cache`: eviction,
-    /// invalidation and unload drop the memo with the entry.
-    memos: HashMap<(FragmentId, QueryFingerprint), DeltaState>,
+    cache: HashMap<(FragmentId, QueryFingerprint), SiteEntry>,
     /// FIFO eviction order of cache keys.
     order: VecDeque<(FragmentId, QueryFingerprint)>,
-    /// Content-addressed dedup: triplets keyed by their own
-    /// `FormulaId`-stable value, so equal results computed under
-    /// different fingerprints (or for different fragments) share one
-    /// allocation. Keys equal values, so a hit can never return a stale
-    /// *wrong* triplet; the map is only ever a memory optimization and
-    /// is simply cleared when it outgrows the cache capacity.
-    content: HashMap<Triplet, Arc<Triplet>>,
     capacity: usize,
     stats: SiteCacheStats,
 }
@@ -303,9 +318,9 @@ impl SiteWorker {
                     let mut missing = Vec::new();
                     let mut triplets: Vec<(FragmentId, Arc<Triplet>, bool)> = Vec::new();
                     for f in frags {
-                        if let Some(t) = self.cache.get(&(f, fingerprint)) {
+                        if let Some(e) = self.cache.get(&(f, fingerprint)) {
                             self.stats.hits += 1;
-                            triplets.push((f, Arc::clone(t), true));
+                            triplets.push((f, Arc::clone(&e.triplet), true));
                             continue;
                         }
                         let Some(tree) = self.fragments.get(&f) else {
@@ -315,19 +330,15 @@ impl SiteWorker {
                             continue;
                         };
                         self.stats.misses += 1;
-                        // With a delta kernel, a miss builds repairable
-                        // state so later updates cost O(depth) here.
-                        let run = match self.delta {
-                            Some(k) if self.capacity > 0 => {
-                                let (run, state) = (k.build)(tree, &program);
-                                self.memos.insert((f, fingerprint), state);
-                                run
-                            }
-                            _ => (self.eval)(tree, &program),
-                        };
+                        let run = (self.eval)(tree, &program);
                         work_units += run.work_units;
-                        let t = self.share(run.triplet);
-                        self.insert(f, fingerprint, Arc::clone(&t));
+                        let t = Arc::new(run.triplet);
+                        let entry = SiteEntry {
+                            triplet: Arc::clone(&t),
+                            program: Arc::clone(&program),
+                            memo: None,
+                        };
+                        self.insert(f, fingerprint, entry);
                         triplets.push((f, t, false));
                     }
                     let envelope = EvalReply {
@@ -362,18 +373,18 @@ impl SiteWorker {
                     anchor,
                     reply,
                 } => {
-                    let envelope = self.repair_fragment(frag, patch, anchor);
+                    let envelope = self.repair_fragment(frag, patch, anchor, &reply);
                     match fault {
                         Some(FaultKind::DelayReply) => {
                             std::thread::sleep(self.plan.reply_delay());
-                            let _ = reply.send(envelope);
+                            let _ = reply.send(RepairProgress::Done(envelope));
                         }
                         // A dropped repair ack looks like a crash to the
                         // coordinator, which falls back to reseed +
                         // recompute — always sound, never stale.
                         Some(FaultKind::DropEnvelope) => {}
                         _ => {
-                            let _ = reply.send(envelope);
+                            let _ = reply.send(RepairProgress::Done(envelope));
                         }
                     }
                 }
@@ -391,103 +402,87 @@ impl SiteWorker {
     }
 
     /// Applies the update patch to the site's own copy of the fragment
-    /// tree and repairs every cached entry of `frag` in place through
-    /// the delta kernel. Entries without repairable state (kernel
-    /// absent, or built before the kernel was installed) are dropped —
-    /// invalidation for just those entries.
-    fn repair_fragment(&mut self, frag: FragmentId, patch: PatchFn, anchor: NodeId) -> RepairReply {
+    /// tree and brings the cached entries of `frag` back in step:
+    /// repaired in place through the delta kernel, dropped without one.
+    fn repair_fragment(
+        &mut self,
+        frag: FragmentId,
+        patch: PatchFn,
+        anchor: NodeId,
+        progress: &mpsc::Sender<RepairProgress>,
+    ) -> RepairReply {
         let start = Instant::now();
-        let Some(handle) = self.fragments.get_mut(&frag) else {
-            return RepairReply {
-                site: self.site,
-                patched: false,
-                outcomes: Vec::new(),
-                dropped: 0,
-                nodes_recomputed: 0,
-                work_units: 0,
-                elapsed: start.elapsed(),
-            };
+        let mut reply = RepairReply {
+            site: self.site,
+            patched: false,
+            outcomes: Vec::new(),
+            dropped: 0,
+            nodes_recomputed: 0,
+            work_units: 0,
+            elapsed: Duration::ZERO,
         };
-        // The handle is uniquely owned in steady state (the coordinator
-        // keeps its own copy), so this mutates in place; a shared handle
-        // (fresh seed) pays one clone and is unique thereafter.
-        patch(Arc::make_mut(handle));
-        let tree = Arc::clone(handle);
-        let keys: Vec<(FragmentId, QueryFingerprint)> = self
-            .cache
-            .keys()
-            .filter(|(f, _)| *f == frag)
-            .copied()
-            .collect();
-        let mut outcomes = Vec::new();
-        let mut dropped = 0u64;
-        let mut nodes_recomputed = 0u64;
-        let mut work_units = 0u64;
-        for key in keys {
-            let state = self.delta.and_then(|_| self.memos.get_mut(&key));
-            let Some(state) = state else {
-                self.cache.remove(&key);
-                self.memos.remove(&key);
-                self.stats.invalidated += 1;
-                dropped += 1;
-                continue;
+        if let Some(handle) = self.fragments.get_mut(&frag) {
+            // Uniquely owned in steady state (the coordinator keeps its
+            // own copy), so this mutates in place; a shared handle (fresh
+            // seed) pays one clone and is unique thereafter.
+            patch(Arc::make_mut(handle));
+            reply.patched = true;
+            match self.delta {
+                Some(kernel) => self.repair_entries(frag, kernel, anchor, &mut reply, progress),
+                None => reply.dropped = self.drop_entries_of(frag),
+            }
+        }
+        reply.elapsed = start.elapsed();
+        reply
+    }
+
+    /// Repairs every cached entry of the already patched `frag`; one no
+    /// update reached before gets its memo here, reported like a repair.
+    fn repair_entries(
+        &mut self,
+        frag: FragmentId,
+        kernel: DeltaKernel,
+        anchor: NodeId,
+        reply: &mut RepairReply,
+        progress: &mpsc::Sender<RepairProgress>,
+    ) {
+        let tree: &Tree = &self.fragments[&frag];
+        for (key, entry) in self.cache.iter_mut().filter(|((f, _), _)| *f == frag) {
+            let run = match &mut entry.memo {
+                Some(state) => (kernel.repair)(state, tree, anchor),
+                None => {
+                    let (run, state) = (kernel.build)(tree, &entry.program);
+                    entry.memo = Some(state);
+                    self.stats.memos_built += 1;
+                    let _ = progress.send(RepairProgress::Building);
+                    run
+                }
             };
-            let kernel = self.delta.expect("state implies kernel");
-            let run = (kernel.repair)(state, &tree, anchor);
-            nodes_recomputed += run.nodes_recomputed;
-            work_units += run.work_units;
-            let old = Arc::clone(self.cache.get(&key).expect("key from cache"));
-            let changed = *old != run.triplet;
-            let delta_bytes = if changed {
-                triplet_delta_dag_wire_size(&TripletDelta::diff(&old, &run.triplet))
-            } else {
-                1 // bare "unchanged" ack
-            };
-            let t = self.share(run.triplet);
-            // Replace in place: the key keeps its slot in the FIFO order.
-            self.cache.insert(key, Arc::clone(&t));
+            reply.nodes_recomputed += run.nodes_recomputed;
+            reply.work_units += run.work_units;
+            let changed = *entry.triplet != run.triplet;
+            let mut delta_bytes = 1; // bare "unchanged" ack
+            if changed {
+                delta_bytes =
+                    triplet_delta_dag_wire_size(&TripletDelta::diff(&entry.triplet, &run.triplet));
+                // Replaced in place: the key keeps its FIFO slot.
+                entry.triplet = Arc::new(run.triplet);
+            }
             self.stats.repaired += 1;
-            outcomes.push(RepairOutcome {
+            reply.outcomes.push(RepairOutcome {
                 fingerprint: key.1,
-                triplet: t,
+                triplet: Arc::clone(&entry.triplet),
                 changed,
                 delta_bytes,
             });
         }
-        RepairReply {
-            site: self.site,
-            patched: true,
-            outcomes,
-            dropped,
-            nodes_recomputed,
-            work_units,
-            elapsed: start.elapsed(),
-        }
     }
 
-    /// Returns a shared handle for `t`, reusing an existing allocation
-    /// when an identical triplet is already stored.
-    fn share(&mut self, t: Triplet) -> Arc<Triplet> {
-        if self.capacity == 0 {
-            return Arc::new(t);
-        }
-        if self.content.len() > self.capacity {
-            self.content.clear();
-        }
-        if let Some(existing) = self.content.get(&t) {
-            self.stats.shared += 1;
-            return Arc::clone(existing);
-        }
-        let arc = Arc::new(t);
-        self.content.insert((*arc).clone(), Arc::clone(&arc));
-        arc
-    }
-
-    fn insert(&mut self, frag: FragmentId, fp: QueryFingerprint, t: Arc<Triplet>) {
+    fn insert(&mut self, frag: FragmentId, fp: QueryFingerprint, entry: SiteEntry) {
         if self.capacity == 0 {
             return;
         }
-        if self.cache.insert((frag, fp), t).is_none() {
+        if self.cache.insert((frag, fp), entry).is_none() {
             self.order.push_back((frag, fp));
         }
         while self.cache.len() > self.capacity {
@@ -496,7 +491,6 @@ impl SiteWorker {
             match self.order.pop_front() {
                 Some(key) => {
                     if self.cache.remove(&key).is_some() {
-                        self.memos.remove(&key);
                         self.stats.evictions += 1;
                     }
                 }
@@ -505,11 +499,13 @@ impl SiteWorker {
         }
     }
 
-    fn drop_entries_of(&mut self, frag: FragmentId) {
+    /// Drops every entry of `frag`, memo included; returns how many.
+    fn drop_entries_of(&mut self, frag: FragmentId) -> u64 {
         let before = self.cache.len();
         self.cache.retain(|(f, _), _| *f != frag);
-        self.memos.retain(|(f, _), _| *f != frag);
-        self.stats.invalidated += (before - self.cache.len()) as u64;
+        let dropped = (before - self.cache.len()) as u64;
+        self.stats.invalidated += dropped;
+        dropped
     }
 }
 
@@ -561,9 +557,9 @@ impl SitePool {
 
     /// [`SitePool::spawn`] with a fault-injection plan threaded into
     /// every worker loop (the default [`FaultPlan::none`] is inert) and
-    /// an optional [`DeltaKernel`]: with one installed, cache misses
-    /// build repairable per-entry state and [`SitePool::repair`]
-    /// maintains cached triplets in place.
+    /// an optional [`DeltaKernel`]: with one installed,
+    /// [`SitePool::repair`] maintains cached triplets in place, building
+    /// each entry's repair state the first time an update reaches it.
     pub fn spawn_full(
         sites: SiteDeployment,
         cache_capacity: usize,
@@ -603,9 +599,7 @@ impl SitePool {
             dropped_replies: Vec::new(),
             fragments: frags.into_iter().collect(),
             cache: HashMap::new(),
-            memos: HashMap::new(),
             order: VecDeque::new(),
-            content: HashMap::new(),
             capacity: self.capacity,
             stats: SiteCacheStats::default(),
         };
@@ -846,10 +840,11 @@ impl SitePool {
         self.sender(site).send(Request::Load { frag, tree }).is_ok()
     }
 
-    /// Ships an in-place update to `site` and waits (bounded by
-    /// `deadline`) for its cached entries of `frag` to be repaired
-    /// through the delta kernel. Returns `None` when the actor is dead,
-    /// the reply channel disconnects (a crash mid-apply), or the
+    /// Ships an in-place update to `site` and waits for its cached
+    /// entries of `frag` to be repaired through the delta kernel.
+    /// `deadline` bounds the worker's *silence* (it reports in after
+    /// every memo build), not the job. Returns `None` when the actor is
+    /// dead, the reply channel disconnects (a crash mid-apply), or the
     /// deadline expires — the caller must then fall back to restart +
     /// invalidate, never trusting a possibly half-repaired cache.
     pub fn repair(
@@ -870,7 +865,11 @@ impl SitePool {
                 reply: tx,
             })
             .ok()?;
-        rx.recv_timeout(deadline).ok()
+        loop {
+            if let RepairProgress::Done(reply) = rx.recv_timeout(deadline).ok()? {
+                return Some(reply);
+            }
+        }
     }
 
     /// Removes a fragment (and its cache entries) from `site`. Returns
@@ -967,8 +966,12 @@ mod tests {
         SitePool::spawn_full(deployment(n_sites), 16, toy_eval, plan, None)
     }
 
+    fn program(src: &str) -> Arc<CompiledQuery> {
+        Arc::new(compile(&parse_query(src).unwrap()))
+    }
+
     fn q() -> Arc<CompiledQuery> {
-        Arc::new(compile(&parse_query("[//a]").unwrap()))
+        program("[//a]")
     }
 
     fn test_cfg() -> SupervisorConfig {
@@ -1036,11 +1039,22 @@ mod tests {
         assert_eq!(stats[&0].invalidated, 1);
     }
 
+    /// What one [`toy_build`] call adds to `nodes_recomputed`; a
+    /// [`toy_repair`] adds 1. A reply's total therefore *counts the
+    /// kernel calls* behind it — `builds × BUILD + repairs` — without
+    /// any state shared between tests.
+    const BUILD: u64 = 1000;
+
     /// Toy delta kernel over [`toy_eval`]: the "state" is just the
-    /// program width; repair recomputes the constant triplet from the
-    /// freshly installed tree and reports one node touched.
-    fn toy_build(tree: &Tree, q: &CompiledQuery) -> (FragmentEval, DeltaState) {
-        (toy_eval(tree, q), Box::new(q.len()))
+    /// program width; both halves recompute the constant triplet from
+    /// the patched tree.
+    fn toy_build(tree: &Tree, q: &CompiledQuery) -> (RepairedEval, DeltaState) {
+        let mut state: DeltaState = Box::new(q.len());
+        let run = RepairedEval {
+            nodes_recomputed: BUILD,
+            ..toy_repair(&mut state, tree, tree.root())
+        };
+        (run, state)
     }
 
     fn toy_repair(state: &mut DeltaState, tree: &Tree, _anchor: NodeId) -> RepairedEval {
@@ -1097,7 +1111,7 @@ mod tests {
         assert_eq!(reply.outcomes.len(), 1);
         assert!(reply.outcomes[0].changed);
         assert!(reply.outcomes[0].delta_bytes >= 1);
-        assert_eq!(reply.nodes_recomputed, 1);
+        assert_eq!(reply.nodes_recomputed, BUILD, "first touch builds the memo");
 
         // The repaired entry serves the next round as a *hit* with the
         // new triplet — no invalidation, no re-evaluation.
@@ -1181,6 +1195,169 @@ mod tests {
         assert_eq!(stats[&0].invalidated, 1);
     }
 
+    /// One site with the toy kernel, owning fragments 0 and 1, both
+    /// `<r><a/></r>` (2 nodes, so [`toy_eval`] answers `true`).
+    fn two_fragment_pool(capacity: usize) -> SitePool {
+        let tree = Arc::new(Tree::parse("<r><a/></r>").unwrap());
+        let frags = vec![(FragmentId(0), Arc::clone(&tree)), (FragmentId(1), tree)];
+        let sites = vec![(SiteId(0), frags)];
+        SitePool::spawn_full(
+            sites,
+            capacity,
+            toy_eval,
+            FaultPlan::none(),
+            Some(TOY_KERNEL),
+        )
+    }
+
+    /// Repairs `frag` at site 0 with a patch appending `n` children to
+    /// the root: the toy triplet flips iff `n` is odd.
+    fn grow(pool: &SitePool, frag: u32, n: usize) -> RepairReply {
+        let patch = Box::new(move |t: &mut Tree| {
+            let root = t.root();
+            for _ in 0..n {
+                t.add_child(root, "x");
+            }
+        });
+        let anchor = Tree::parse("<r/>").unwrap().root();
+        pool.repair(
+            SiteId(0),
+            FragmentId(frag),
+            patch,
+            anchor,
+            Duration::from_secs(2),
+        )
+        .expect("repair reply")
+    }
+
+    fn fingerprints(reply: &RepairReply) -> Vec<QueryFingerprint> {
+        let mut fps: Vec<_> = reply.outcomes.iter().map(|o| o.fingerprint).collect();
+        fps.sort();
+        fps
+    }
+
+    #[test]
+    fn reads_build_no_memos() {
+        let mut pool = two_fragment_pool(16);
+        let both = vec![(SiteId(0), vec![FragmentId(0), FragmentId(1)])];
+        for src in ["[//a]", "[//b]", "[//a]", "[//c]", "[//b]"] {
+            let p = program(src);
+            pool.eval_round(&p, p.fingerprint(), both.clone());
+        }
+        let stats = &pool.cache_stats()[&0];
+        assert_eq!((stats.entries, stats.hits, stats.misses), (6, 4, 6));
+        assert_eq!(stats.memos_built, 0, "no update, no memo");
+    }
+
+    #[test]
+    fn first_update_builds_the_touched_fragments_memos_and_later_ones_repair() {
+        let mut pool = two_fragment_pool(16);
+        let both = vec![(SiteId(0), vec![FragmentId(0), FragmentId(1)])];
+        let (a, b) = (program("[//a]"), program("[//b]"));
+        for p in [&a, &b] {
+            pool.eval_round(p, p.fingerprint(), both.clone());
+        }
+        let mut cached = vec![a.fingerprint(), b.fingerprint()];
+        cached.sort();
+
+        // The first update to reach fragment 0 builds a memo for each of
+        // its two entries, on the patched tree (3 nodes: the triplets
+        // flip), and reports them like any repair.
+        let first = grow(&pool, 0, 1);
+        assert!(first.patched);
+        assert_eq!(first.dropped, 0);
+        assert_eq!(first.nodes_recomputed, 2 * BUILD, "two builds, no repair");
+        assert_eq!(fingerprints(&first), cached);
+        for o in &first.outcomes {
+            assert!(o.changed && o.delta_bytes > 1);
+            assert_eq!(o.triplet.v[0], Formula::constant(false));
+        }
+        let stats = &pool.cache_stats()[&0];
+        assert_eq!((stats.memos_built, stats.repaired), (2, 2));
+        assert_eq!(stats.invalidated, 0);
+
+        // The second builds nothing: one repair call per entry. Two more
+        // nodes keep the parity, so nothing changed.
+        let second = grow(&pool, 0, 2);
+        assert_eq!(second.nodes_recomputed, 2, "two repairs, no build");
+        assert_eq!(fingerprints(&second), cached);
+        assert!(second
+            .outcomes
+            .iter()
+            .all(|o| !o.changed && o.delta_bytes == 1));
+        let stats = &pool.cache_stats()[&0];
+        assert_eq!((stats.memos_built, stats.repaired), (2, 4));
+
+        // Fragment 1 was left alone: its entries still serve the
+        // original triplet, and its own first update builds its memos.
+        let replies = pool.eval_round(&a, a.fingerprint(), both);
+        let served = &replies[0].triplets;
+        assert!(served.iter().all(|(_, _, hit)| *hit));
+        assert_eq!(served[0].1.v[0], Formula::constant(false));
+        assert_eq!(served[1].1.v[0], Formula::constant(true));
+        assert_eq!(grow(&pool, 1, 1).nodes_recomputed, 2 * BUILD);
+        assert_eq!(pool.cache_stats()[&0].memos_built, 4);
+    }
+
+    #[test]
+    fn evicted_entry_takes_its_program_and_memo_with_it() {
+        let mut pool = two_fragment_pool(2);
+        let one = vec![(SiteId(0), vec![FragmentId(0)])];
+        let (a, b, c) = (program("[//a]"), program("[//b]"), program("[//c]"));
+        for p in [&a, &b] {
+            pool.eval_round(p, p.fingerprint(), one.clone());
+        }
+        assert_eq!(grow(&pool, 0, 1).nodes_recomputed, 2 * BUILD);
+        // `c` pushes `a` — triplet, program and memo — out of the FIFO.
+        pool.eval_round(&c, c.fingerprint(), one);
+        let reply = grow(&pool, 0, 1);
+        let mut live = vec![b.fingerprint(), c.fingerprint()];
+        live.sort();
+        assert_eq!(fingerprints(&reply), live, "the evicted entry is gone");
+        assert_eq!(reply.nodes_recomputed, BUILD + 1, "repair b, build c");
+        assert_eq!(reply.dropped, 0);
+        let stats = &pool.cache_stats()[&0];
+        assert_eq!((stats.entries, stats.evictions), (2, 1));
+        assert_eq!(stats.memos_built, 3);
+    }
+
+    #[test]
+    fn repair_deadline_bounds_the_workers_silence_not_the_job() {
+        fn slow_build(tree: &Tree, q: &CompiledQuery) -> (RepairedEval, DeltaState) {
+            std::thread::sleep(Duration::from_millis(10));
+            toy_build(tree, q)
+        }
+        let kernel = DeltaKernel {
+            build: slow_build,
+            repair: toy_repair,
+        };
+        let mut pool =
+            SitePool::spawn_full(deployment(1), 16, toy_eval, FaultPlan::none(), Some(kernel));
+        let frags = vec![(SiteId(0), vec![FragmentId(0)])];
+        for label in 'a'..='l' {
+            let p = program(&format!("[//{label}]"));
+            pool.eval_round(&p, p.fingerprint(), frags.clone());
+        }
+        // Twelve builds of at least 10 ms each outlast the 100 ms
+        // deadline, yet never leave the worker silent for that long.
+        let (deadline, start) = (Duration::from_millis(100), Instant::now());
+        let anchor = Tree::parse("<r/>").unwrap().root();
+        let reply = pool
+            .repair(
+                SiteId(0),
+                FragmentId(0),
+                Box::new(|_t: &mut Tree| {}),
+                anchor,
+                deadline,
+            )
+            .expect("a site at work is not a dead site");
+        assert!(
+            start.elapsed() > deadline,
+            "the job must outlast the deadline"
+        );
+        assert_eq!(reply.nodes_recomputed, 12 * BUILD);
+    }
+
     #[test]
     fn capacity_bound_evicts_fifo() {
         let mut pool = pool_of(1, 1);
@@ -1195,27 +1372,6 @@ mod tests {
         let stats = pool.cache_stats();
         assert!(stats[&0].evictions >= 1);
         assert_eq!(stats[&0].entries, 1);
-    }
-
-    #[test]
-    fn identical_triplets_share_one_allocation() {
-        // toy_eval yields equal triplets for any two same-width programs,
-        // so the second program's miss dedups against the first's entry:
-        // same Arc, `shared` counter bumped.
-        let mut pool = pool_of(1, 16);
-        let a = Arc::new(compile(&parse_query("[//a]").unwrap()));
-        let b = Arc::new(compile(&parse_query("[//b]").unwrap()));
-        assert_eq!(a.len(), b.len());
-        let frags = vec![(SiteId(0), vec![FragmentId(0)])];
-        let r1 = pool.eval_round(&a, a.fingerprint(), frags.clone());
-        let r2 = pool.eval_round(&b, b.fingerprint(), frags);
-        assert!(!r2[0].triplets[0].2, "distinct fingerprint: a cache miss");
-        assert!(
-            Arc::ptr_eq(&r1[0].triplets[0].1, &r2[0].triplets[0].1),
-            "equal triplets must share one allocation"
-        );
-        let stats = pool.cache_stats();
-        assert_eq!(stats[&0].shared, 1);
     }
 
     #[test]

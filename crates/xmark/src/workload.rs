@@ -220,6 +220,9 @@ pub struct StreamReport {
     pub updates_applied: usize,
     /// Total simulated traffic: every flushed round plus update routing.
     pub bytes: usize,
+    /// Total work units (`RunReport::total_work`): every flushed round
+    /// plus every update's repair — a count that repeats exactly.
+    pub work_units: u64,
     /// Answers that went out degraded (`Completeness::Partial`) —
     /// always zero without fault injection.
     pub partial_answers: usize,
@@ -247,6 +250,7 @@ where
         if let Some(out) = out {
             report.answers.extend(out.answers.iter().map(|&(_, a)| a));
             report.bytes += out.report.total_bytes();
+            report.work_units += out.report.total_work();
             report.partial_answers += out.partial.len();
         }
     };
@@ -262,6 +266,7 @@ where
                     let up = engine.apply(update).expect("resolved update applies");
                     report.updates_applied += 1;
                     report.bytes += up.report.total_bytes();
+                    report.work_units += up.report.total_work();
                     absorb(&mut report, up.flushed);
                 }
             }

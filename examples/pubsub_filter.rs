@@ -1,8 +1,9 @@
 //! Publish–subscribe filtering: the paper's motivating use case for
 //! Boolean XPath (Section 1). Subscriptions are standing queries on the
 //! resident serving engine: each published update repairs the cached
-//! triplets in place (O(depth), not O(|fragment|)) and pushes a
-//! notification to every subscriber whose predicate flipped.
+//! triplets in place (O(depth), not O(|fragment|), once a fragment's
+//! first update has built the repair memos) and pushes a notification
+//! to every subscriber whose predicate flipped.
 //!
 //! Run with: `cargo run --example pubsub_filter`
 
@@ -122,6 +123,10 @@ fn main() {
     );
 
     let stats = engine.stats();
+    assert!(
+        stats.entries_repaired > 0 && stats.entries_invalidated == 0,
+        "both updates must be maintained by in-place repair"
+    );
     println!(
         "\nmaintenance: {} entries repaired in place, {} invalidated, \
          {} nodes re-interned, {} delta bytes shipped",
