@@ -35,16 +35,6 @@ impl Row {
             max_visits: out.report.max_visits(),
         }
     }
-
-    /// The row's runtime with nothing measured in it: one message of
-    /// all its bytes under `model`, plus its work units at
-    /// [`parbox_core::plan::SECONDS_PER_WORK_UNIT`]. `runtime_s` folds
-    /// in measured site compute, which at test scale is scheduler
-    /// noise; tests that guard a figure's *shape* compare this instead.
-    pub fn modeled_s(&self, model: &parbox_net::NetworkModel) -> f64 {
-        model.transfer_time(self.bytes)
-            + self.work as f64 * parbox_core::plan::SECONDS_PER_WORK_UNIT
-    }
 }
 
 /// Prints a series table in the style of the paper's figures: one line

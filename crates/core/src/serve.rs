@@ -89,11 +89,6 @@ use std::time::{Duration, Instant};
 /// opcode + fragment id + node id + a small payload descriptor.
 const UPDATE_CONTROL_BYTES: usize = 16;
 
-/// Most solve-cache entries [`Engine::new`] allocates room for ahead of
-/// time; a larger [`EngineConfig::solve_cache_fingerprints`] grows on
-/// demand.
-const SOLVE_CACHE_PRESIZE_MAX: usize = 1 << 16;
-
 /// Configuration of a resident [`Engine`].
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -115,6 +110,7 @@ pub struct EngineConfig {
     pub site_cache_capacity: usize,
     /// Coordinator-side solve cache capacity, in distinct query
     /// fingerprints (FIFO eviction; 0 disables coordinator caching).
+    /// [`Engine::new`] allocates the table for this many up front.
     pub solve_cache_fingerprints: usize,
     /// Deterministic fault injection threaded into the site workers.
     /// The default plan is inert: zero faults and zero overhead on the
@@ -511,7 +507,7 @@ impl Engine {
         // table with tombstones, and only one with twice the live
         // entries' room rehashes them away in place instead of doubling
         // while serving.
-        let bound = config.solve_cache_fingerprints.min(SOLVE_CACHE_PRESIZE_MAX) + 1;
+        let bound = config.solve_cache_fingerprints + 1;
         Ok(Engine {
             forest,
             placement,

@@ -1323,24 +1323,32 @@ mod tests {
 
     #[test]
     fn repair_deadline_bounds_the_workers_silence_not_the_job() {
+        const BUILDS: usize = 128;
         fn slow_build(tree: &Tree, q: &CompiledQuery) -> (RepairedEval, DeltaState) {
-            std::thread::sleep(Duration::from_millis(10));
+            std::thread::sleep(Duration::from_millis(4));
             toy_build(tree, q)
         }
         let kernel = DeltaKernel {
             build: slow_build,
             repair: toy_repair,
         };
-        let mut pool =
-            SitePool::spawn_full(deployment(1), 16, toy_eval, FaultPlan::none(), Some(kernel));
+        let mut pool = SitePool::spawn_full(
+            deployment(1),
+            BUILDS,
+            toy_eval,
+            FaultPlan::none(),
+            Some(kernel),
+        );
         let frags = vec![(SiteId(0), vec![FragmentId(0)])];
-        for label in 'a'..='l' {
-            let p = program(&format!("[//{label}]"));
+        for i in 0..BUILDS {
+            let p = program(&format!("[//l{i}]"));
             pool.eval_round(&p, p.fingerprint(), frags.clone());
         }
-        // Twelve builds of at least 10 ms each outlast the 100 ms
-        // deadline, yet never leave the worker silent for that long.
-        let (deadline, start) = (Duration::from_millis(100), Instant::now());
+        // 128 builds of at least 4 ms each outlast the 500 ms deadline
+        // (a sleep never returns early), yet the worker is never silent
+        // for more than one of them — 1 % of the deadline, so a loaded
+        // host has ~495 ms of scheduling slack per build.
+        let (deadline, start) = (Duration::from_millis(500), Instant::now());
         let anchor = Tree::parse("<r/>").unwrap().root();
         let reply = pool
             .repair(
@@ -1355,7 +1363,7 @@ mod tests {
             start.elapsed() > deadline,
             "the job must outlast the deadline"
         );
-        assert_eq!(reply.nodes_recomputed, 12 * BUILD);
+        assert_eq!(reply.nodes_recomputed, BUILDS as u64 * BUILD);
     }
 
     #[test]

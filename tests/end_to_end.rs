@@ -4,6 +4,7 @@
 //! functions produce sound series.
 
 use parbox::boolean::{decode_triplet, encode_triplet};
+use parbox::core::plan::SECONDS_PER_WORK_UNIT;
 use parbox::core::{
     centralized_eval, full_dist_parbox, hybrid_parbox, lazy_parbox, naive_centralized,
     naive_distributed, parbox,
@@ -159,11 +160,17 @@ fn experiment_series_are_internally_consistent() {
     // this scale is scheduler noise (see above), so the guard reads the
     // same model with the compute term priced from the row's work units.
     let rows = exp::experiment3_fig12(scale, 4);
+    let lan = NetworkModel::lan();
+    let modeled_s = |r: &parbox_bench::Row| {
+        r.bytes as f64 / lan.bandwidth_bytes_per_s
+            + lan.latency_s
+            + r.work as f64 * SECONDS_PER_WORK_UNIT
+    };
     for size in ["|QList|=2", "|QList|=23"] {
         let mut xs: Vec<(f64, f64)> = rows
             .iter()
             .filter(|r| r.series == size)
-            .map(|r| (r.x, r.modeled_s(&NetworkModel::lan())))
+            .map(|r| (r.x, modeled_s(r)))
             .collect();
         xs.sort_by(|a, b| a.0.total_cmp(&b.0));
         assert!(
