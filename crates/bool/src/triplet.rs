@@ -50,14 +50,19 @@ impl Triplet {
     /// sub-fragment `frag`: `x_i`, `cx_i`, `dx_i` for every sub-query.
     pub fn fresh_vars(frag: FragmentId, len: usize) -> Triplet {
         // One locked batch for all 3·len variables (Formula::var_many).
-        let mut all = Formula::var_many(
+        Triplet::split(Formula::var_many(
             VecKind::ALL
                 .iter()
                 .flat_map(|&vec| (0..len as u32).map(move |i| Var::new(frag, vec, i))),
-        );
-        let dv = all.split_off(2 * len);
-        let cv = all.split_off(len);
-        Triplet { v: all, cv, dv }
+        ))
+    }
+
+    /// `V`, `CV` and `DV` from one vector holding them back to back.
+    fn split(mut v: Vec<Formula>) -> Triplet {
+        let m = v.len() / 3;
+        let dv = v.split_off(2 * m);
+        let cv = v.split_off(m);
+        Triplet { v, cv, dv }
     }
 
     /// Width (must equal `|QList(q)|`).
@@ -111,7 +116,6 @@ impl Triplet {
     where
         F: Fn(Var) -> Option<Formula>,
     {
-        let m = self.len();
         let roots: Vec<Formula> = self
             .v
             .iter()
@@ -119,10 +123,38 @@ impl Triplet {
             .chain(&self.dv)
             .copied()
             .collect();
-        let mut out = Formula::substitute_all(&roots, lookup);
-        let dv = out.split_off(2 * m);
-        let cv = out.split_off(m);
-        Triplet { v: out, cv, dv }
+        Triplet::split(Formula::substitute_all(&roots, lookup))
+    }
+
+    /// Projects a member program's triplet out of this one, computed
+    /// under a merged program the member embeds into: entry `i` of the
+    /// result is entry `proj[i]` of `self`, with the variables' sub-query
+    /// ids renumbered back into the member's id space (the inverse of
+    /// `proj`). Rebuilt through the canonical constructors, so the
+    /// result is id-identical to evaluating the member program alone.
+    ///
+    /// # Panics
+    /// Panics if a selected entry mentions a sub-query outside `proj`:
+    /// an embedding covers the operand closure of everything it selects.
+    pub fn project(&self, proj: &[u32]) -> Triplet {
+        let roots: Vec<Formula> = [&self.v, &self.cv, &self.dv]
+            .into_iter()
+            .flat_map(|xs| proj.iter().map(move |&i| xs[i as usize]))
+            .collect();
+        // A closed selection (every leaf fragment's) has nothing to
+        // renumber.
+        if roots.iter().all(Formula::is_const) {
+            return Triplet::split(roots);
+        }
+        let mut inverse = vec![u32::MAX; self.len()];
+        for (i, &h) in proj.iter().enumerate() {
+            inverse[h as usize] = i as u32;
+        }
+        Triplet::split(Formula::substitute_all(&roots, &|var: Var| {
+            let sub = inverse[var.sub as usize];
+            assert_ne!(sub, u32::MAX, "variable outside the member's closure");
+            Some(Formula::var(Var::new(var.frag, var.vec, sub)))
+        }))
     }
 
     /// Converts to plain Booleans; `None` if any entry is still open.
@@ -362,6 +394,29 @@ mod tests {
                 dv: vec![false; 3]
             }
         );
+    }
+
+    #[test]
+    fn project_selects_entries_and_renumbers_their_variables() {
+        // A merged program of width 4 whose entries 3 and 1 are a
+        // member's sub-queries 0 and 1.
+        let var = |vec, sub| Formula::var(Var::new(fid(7), vec, sub));
+        let mut merged = Triplet::all_false(4);
+        merged.v[1] = Formula::or(var(VecKind::V, 3), var(VecKind::DV, 1));
+        merged.cv[3] = var(VecKind::V, 3);
+        merged.dv[3] = Formula::TRUE;
+        merged.v[0] = var(VecKind::V, 2); // outside the member: never read
+        let member = merged.project(&[3, 1]);
+        assert_eq!(member.len(), 2);
+        assert_eq!(
+            member.v[1],
+            Formula::or(var(VecKind::V, 0), var(VecKind::DV, 1))
+        );
+        assert_eq!(member.cv[0], var(VecKind::V, 0));
+        assert_eq!(member.dv, vec![Formula::TRUE, Formula::FALSE]);
+        assert_eq!(member.v[0], Formula::FALSE);
+        // The identity embedding changes nothing, id for id.
+        assert_eq!(merged.project(&[0, 1, 2, 3]), merged);
     }
 
     #[test]

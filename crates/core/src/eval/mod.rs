@@ -10,5 +10,5 @@ pub mod reference;
 pub use bitset::BitSet;
 pub use bottom_up::{bottom_up, bottom_up_formula_only, FragmentRun};
 pub use centralized::{centralized_eval, centralized_eval_counted, CentralizedRun};
-pub use incremental::{IncrementalBottomUp, RepairRun};
+pub use incremental::{IncrementalBottomUp, Propagation, RepairRun};
 pub use reference::{bottom_up_reference, RefFragmentRun};

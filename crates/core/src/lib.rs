@@ -83,7 +83,7 @@ pub use algorithms::{
 pub use eval::{
     bottom_up, bottom_up_formula_only, bottom_up_reference, centralized_eval,
     centralized_eval_counted, BitSet, CentralizedRun, FragmentRun, IncrementalBottomUp,
-    RefFragmentRun, RepairRun,
+    Propagation, RefFragmentRun, RepairRun,
 };
 pub use plan::{
     plan_run, Choice, CostEstimate, Executor, PlanContext, PlanExplain, PlanSummary, Planner,

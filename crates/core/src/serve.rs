@@ -27,18 +27,23 @@
 //! Reads and maintenance are priced apart. A site answers every miss
 //! with plain `bottomUp` and caches the triplet with its program; the
 //! per-node repair memo ([`IncrementalBottomUp`], ~2.9x a `bottomUp` to
-//! build and ~150 B per document node) is built **when the first update
-//! reaches the entry's fragment**, inside that [`Engine::apply`], and
-//! repaired in O(depth) by every later one. The rule has no flag and no
-//! counter, so ad-hoc queries and subscriptions stay one code path. Its
-//! cost model: a read-only stream builds nothing; total site work is
-//! never more than memo-on-every-miss plus one `bottomUp` per entry that
-//! lives to see an update; the first update to a fragment pays one full
-//! build per entry then cached on it, at most
-//! [`EngineConfig::site_cache_capacity`] of them, and that work is
-//! reported as repair cost ([`EngineStats::repair_nodes_recomputed`]).
-//! The site reports in after every build, so the supervision deadline
-//! bounds its silence and a long first update is not taken for a wedge.
+//! build and `8·|QList|` bytes per document node) is built **when the
+//! first update reaches the fragment**, inside that [`Engine::apply`]:
+//! *one* memo, under the merged program of all the entries then cached
+//! on the fragment, which every later update repairs once — by change
+//! propagation that stops at the first path node whose vectors come out
+//! as they were — whatever the number of entries reading it. Entries
+//! cached later are the next update's group. The rule has no flag, no
+//! counter and no rebuild threshold, so ad-hoc queries and
+//! subscriptions stay one code path. Its cost model: a read-only stream
+//! builds nothing; an update costs one repair per group of its
+//! fragment, sized by the change and not by the fragment or the number
+//! of watchers; the first update to a fragment pays one build of `live
+//! nodes × |merged QList|` — never more than a build per entry — and
+//! that work is reported as repair cost
+//! ([`EngineStats::repair_nodes_recomputed`]). The kernel reports in
+//! from inside the build, so the supervision deadline bounds the site's
+//! silence and a long first update is not taken for a wedge.
 //!
 //! Batch evaluation merges the round's distinct member queries into one
 //! program; per-member triplets are recovered from the merged triplet via
@@ -71,7 +76,7 @@ use crate::algorithms::partial_solve;
 use crate::eval::{bottom_up, IncrementalBottomUp};
 use crate::plan::RoundDemand;
 use crate::views::{apply_update_tracked, FragmentDelta, Update, UpdateEffect, ViewError};
-use parbox_bool::{site_envelope_dag_wire_size, EquationSystem, Formula, Triplet, Var};
+use parbox_bool::{site_envelope_dag_wire_size, EquationSystem, Formula, Triplet};
 use parbox_frag::{Forest, ForestStats, FragError, Placement, SiteId, SourceTree};
 use parbox_net::engine::{
     DeltaKernel, DeltaState, EvalReply, FragmentEval, PatchFn, RepairOutcome, RepairedEval,
@@ -101,12 +106,13 @@ pub struct EngineConfig {
     pub batch_window: Duration,
     /// Per-site triplet cache capacity, in entries (FIFO eviction;
     /// 0 disables site-side caching). An entry is a triplet and a handle
-    /// to its program until an update reaches its fragment; from then on
-    /// it also holds a repair memo of ~150 B per document node, so the
-    /// capacity bounds what a fragment's first update has to build. (The
-    /// 4.7 GB that 2 200 distinct queries on a 512 KiB document once cost
-    /// at this default were memos of a read-only stream, which no longer
-    /// exist.)
+    /// to its program; once an update reaches its fragment it also
+    /// shares, with the entries cached beside it then, one repair memo
+    /// of `8·|merged QList|` bytes per document node, so the capacity
+    /// bounds the program a fragment's first update has to build under.
+    /// (The 4.7 GB that 2 200 distinct queries on a 512 KiB document
+    /// once cost at this default were memos of a read-only stream, which
+    /// no longer exist.)
     pub site_cache_capacity: usize,
     /// Coordinator-side solve cache capacity, in distinct query
     /// fingerprints (FIFO eviction; 0 disables coordinator caching).
@@ -121,9 +127,9 @@ pub struct EngineConfig {
     /// [`SupervisorConfig::from_model`].
     pub supervisor: Option<SupervisorConfig>,
     /// Maintain cached triplets *in place* under pure data updates: the
-    /// first update to reach a fragment builds a per-node memo behind
-    /// each triplet the owning site caches for it, every later one
-    /// repairs only the root-to-change path (O(depth) per entry), and
+    /// first update to reach a fragment builds one per-node memo behind
+    /// the triplets the owning site caches for it, every later one
+    /// repairs it as far up from the change as the change reaches, and
     /// the coordinator re-projects the shipped triplet deltas instead
     /// of invalidating. Reads never pay for it: a miss runs plain
     /// `bottomUp` whatever this says. When false, every update falls
@@ -303,14 +309,18 @@ pub struct EngineStats {
     pub restarts: u64,
     /// Answers that went out degraded ([`Completeness::Partial`]).
     pub partial_answers: u64,
-    /// Cache entries repaired in place by delta maintenance (both
-    /// levels), lifetime total.
+    /// Cache entries brought up to date in place by delta maintenance,
+    /// lifetime total: per update every site entry of the touched
+    /// fragment (each one, although a group of them shares one repair)
+    /// plus every coordinator entry holding a triplet of it.
     pub entries_repaired: u64,
     /// Cache entries invalidated by updates, lifetime total.
     pub entries_invalidated: u64,
     /// Tree nodes re-interned across all delta repairs — the update
-    /// cost actually paid: O(depth) per repaired entry, plus the whole
-    /// fragment once per entry whose memo an update had to build.
+    /// cost actually paid: per group of entries, not per entry, the
+    /// inserted subtree and the path nodes up to the first unchanged
+    /// one, plus the whole fragment once per group whose memo an update
+    /// had to build.
     pub repair_nodes_recomputed: u64,
     /// Wire bytes of shipped triplet deltas, lifetime total.
     pub repair_delta_bytes: u64,
@@ -392,32 +402,38 @@ fn kernel(tree: &Tree, q: &CompiledQuery) -> FragmentEval {
     }
 }
 
-/// The delta build kernel — the first repair of a cached entry:
+/// The delta build kernel — what the first update to reach a fragment
+/// runs for the entries cached on it, under their merged program:
 /// `bottomUp` over the already patched fragment, evaluated through
 /// [`IncrementalBottomUp`], which keeps a per-node formula memo behind
-/// the triplet so later updates repair it along the root-to-change path
-/// only. Produces id-identical triplets and identical work accounting
-/// to [`kernel`]; every live node counts as recomputed.
-fn delta_build(tree: &Tree, q: &CompiledQuery) -> (RepairedEval, DeltaState) {
-    let (inc, work_units) = IncrementalBottomUp::build(tree, q);
+/// the triplet so later updates repair it by change propagation.
+/// Produces id-identical triplets and identical work accounting to
+/// [`kernel`]; every live node counts as recomputed.
+fn delta_build(
+    tree: &Tree,
+    q: &CompiledQuery,
+    tick: &mut dyn FnMut(),
+) -> (RepairedEval, DeltaState) {
+    let (inc, work_units) = IncrementalBottomUp::build_with_progress(tree, q, tick);
     let run = RepairedEval {
-        triplet: inc.triplet().clone(),
+        triplet: Some(inc.triplet().clone()),
         nodes_recomputed: tree.len() as u64,
         work_units,
     };
     (run, Box::new(inc))
 }
 
-/// The delta repair kernel: re-interns the updated node's subtree
-/// frontier and the path up to the fragment root — O(depth), not
-/// O(|fragment|).
+/// The delta repair kernel: re-interns the inserted subtree, the
+/// updated node and as many of its ancestors as the change reaches —
+/// not the path to the root, let alone the fragment — and hands the
+/// root triplet back only when it moved.
 fn delta_repair(state: &mut DeltaState, tree: &Tree, anchor: NodeId) -> RepairedEval {
     let inc = state
         .downcast_mut::<IncrementalBottomUp>()
         .expect("state was built by delta_build");
-    let run = inc.repair(tree, anchor);
+    let run = inc.propagate(tree, anchor);
     RepairedEval {
-        triplet: run.triplet,
+        triplet: run.root_changed.then(|| inc.triplet().clone()),
         nodes_recomputed: run.nodes_recomputed,
         work_units: run.work_units,
     }
@@ -571,6 +587,26 @@ impl Engine {
     /// Per-site triplet-cache counters (from the resident workers).
     pub fn site_cache_stats(&self) -> BTreeMap<u32, SiteCacheStats> {
         self.pool.cache_stats()
+    }
+
+    /// Diagnostic: asks every site for `program`'s triplet over each
+    /// fragment it owns, as a round would, and returns them with
+    /// whether the site served its cached entry (which updates since
+    /// have repaired in place) or ran `bottomUp` for it. Goes around the
+    /// coordinator's cache, plan and accounting; at the sites it is one
+    /// more read, so a miss caches (and may evict) like any other.
+    pub fn site_triplets(
+        &mut self,
+        program: &CompiledQuery,
+    ) -> Vec<(FragmentId, Arc<Triplet>, bool)> {
+        let per_site = (self.source_tree.sites().into_iter())
+            .map(|site| (site, self.source_tree.fragments_at(site)))
+            .collect();
+        let fp = program.program_fingerprint();
+        let replies = self
+            .pool
+            .eval_round(&Arc::new(program.clone()), fp, per_site);
+        replies.into_iter().flat_map(|r| r.triplets).collect()
     }
 
     /// Queries waiting in the admission queue.
@@ -733,13 +769,14 @@ impl Engine {
         let ids: Vec<u64> = self.subscriptions.keys().copied().collect();
         let mut out = Vec::new();
         for id in ids {
-            let (fp, compiled, last) = {
-                let s = &self.subscriptions[&id];
-                (s.fp, s.query.clone(), s.last)
-            };
+            let s = &self.subscriptions[&id];
+            let (fp, last) = (s.fp, s.last);
             let answer = match self.solve_cache.get(&fp).and_then(|e| e.answer) {
                 Some(a) => a,
-                None => self.answer_now(compiled),
+                None => {
+                    let compiled = self.subscriptions[&id].query.clone();
+                    self.answer_now(compiled)
+                }
             };
             if answer != last {
                 self.subscriptions.get_mut(&id).expect("iterated ids").last = answer;
@@ -1011,9 +1048,10 @@ impl Engine {
                 if entry.triplets.contains_key(f) {
                     continue;
                 }
-                let t = am.projected.entry((**merged_t).clone()).or_insert_with(|| {
-                    Arc::new(project_triplet(merged_t, &am.projection, &am.inverse))
-                });
+                let t = am
+                    .projected
+                    .entry((**merged_t).clone())
+                    .or_insert_with(|| Arc::new(merged_t.project(&am.projection)));
                 entry.triplets.insert(*f, Arc::clone(t));
                 entry
                     .sources
@@ -1183,15 +1221,16 @@ impl Engine {
     /// the cached state is then brought back in sync.
     ///
     /// For a pure data update under delta maintenance, sync is **repair
-    /// in place**: the owning site re-interns only the root-to-change
-    /// path of each cached triplet (O(depth) per entry, not
-    /// O(|fragment|)) and ships back a varint-DAG triplet delta of the
-    /// changed entries; the coordinator re-projects those through each
-    /// solve entry's recorded provenance — keeping memoized answers
-    /// alive whenever the triplet did not actually change. An entry no
-    /// update has reached before gets its repair memo first: one full
-    /// evaluation of the patched fragment, reported as a repair like
-    /// the O(depth) ones that follow. Structural
+    /// in place**: the owning site re-interns the changed stretch of the
+    /// anchor-to-root path, once for each group of cached triplets
+    /// (sized by the change, not by the fragment or the entries), and
+    /// ships back a varint-DAG triplet delta of the changed entries; the
+    /// coordinator re-projects those through each solve entry's
+    /// recorded provenance — keeping memoized answers alive whenever
+    /// the triplet did not actually change. Entries no update has
+    /// reached before get their shared repair memo first: one full
+    /// evaluation of the patched fragment under their merged program,
+    /// reported as a repair like the small ones that follow. Structural
     /// updates, a disabled [`EngineConfig::delta_maintenance`], or any
     /// failure mid-repair (crash, wedge, dropped reply) fall back to the
     /// legacy invalidate-and-recompute path — a half-repaired cache is
@@ -1273,8 +1312,8 @@ impl Engine {
     }
 
     /// The delta path of [`Engine::apply`]: the owning site replays the
-    /// update on its own tree, repairs its cached triplets along the
-    /// root-to-change path and ships back the changed entries, which
+    /// update on its own tree, repairs its cached triplets as far as
+    /// the change reaches and ships back the changed entries, which
     /// the coordinator patches into its solve entries. Any failure
     /// along the way falls back to reseed-and-purge: a half-repaired
     /// cache must never serve.
@@ -1404,7 +1443,7 @@ impl Engine {
             match source {
                 Some((o, _)) if !o.changed => repaired += 1,
                 Some((o, proj)) => {
-                    let projected = project_triplet(&o.triplet, &proj, &inverse_of(&proj));
+                    let projected = o.triplet.project(&proj);
                     entry.triplets.insert(frag, Arc::new(projected));
                     entry.answer = None;
                     repaired += 1;
@@ -1479,7 +1518,6 @@ struct ActiveMember<'p> {
     member: Member<'p>,
     /// Entry `i` is the merged-program id of the member's sub-query `i`.
     projection: Arc<Vec<SubId>>,
-    inverse: HashMap<u32, u32>,
     /// Identical merged triplets (the common case: many leaf fragments
     /// resolving a member to the same constants) project identically.
     /// Memoized on the `FormulaId`-stable triplet content, so the
@@ -1583,7 +1621,6 @@ fn merge_active(active: Vec<Member<'_>>) -> (MergedBatch, Vec<ActiveMember<'_>>)
                 .expect("member embeds into merged batch program");
             ActiveMember {
                 member,
-                inverse: inverse_of(&projection),
                 projection: Arc::new(projection),
                 projected: HashMap::new(),
             }
@@ -1689,36 +1726,6 @@ fn solve_entry(entry: &SolveEntry, postorder: &[FragmentId], root_frag: Fragment
         .solve(postorder)
         .expect("cached triplets cover every live fragment");
     resolved[&root_frag].v[entry.root as usize]
-}
-
-/// Inverse of a member's projection: merged-program sub-query id to the
-/// member's own.
-fn inverse_of(projection: &[SubId]) -> HashMap<u32, u32> {
-    projection
-        .iter()
-        .enumerate()
-        .map(|(i, &h)| (h, i as u32))
-        .collect()
-}
-
-/// Projects a member's triplet out of a merged batch triplet: entry `i`
-/// of the member is entry `proj[i]` of the merged program, with variable
-/// sub-query ids renumbered back into the member's id space (`inv`).
-fn project_triplet(merged: &Triplet, proj: &[SubId], inv: &HashMap<u32, u32>) -> Triplet {
-    let renumber = |f: &Formula| {
-        f.substitute(&|var: Var| {
-            let sub = *inv
-                .get(&var.sub)
-                .expect("variable stays within the member's sub-query closure");
-            Some(Formula::var(Var::new(var.frag, var.vec, sub)))
-        })
-    };
-    let row = |xs: &[Formula]| proj.iter().map(|&i| renumber(&xs[i as usize])).collect();
-    Triplet {
-        v: row(&merged.v),
-        cv: row(&merged.cv),
-        dv: row(&merged.dv),
-    }
 }
 
 #[cfg(test)]
@@ -2012,18 +2019,60 @@ mod tests {
         assert_eq!(up.invalidated, 0);
         assert!(up.repaired > 0);
         // One fragment per site: everything the owning site had cached
-        // got its memo, and no other site built anything.
+        // went into one group with one memo — where each of the 200
+        // entries used to get its own — and no other site built anything.
         for (s, after) in e.site_cache_stats() {
-            let built = if s == site { before[&s].entries } else { 0 };
-            assert_eq!(after.memos_built, built as u64, "site {s}");
+            assert_eq!(after.memos_built, u64::from(s == site), "site {s}");
+            assert_eq!(after.entries, before[&s].entries, "site {s}");
         }
         let repair = up.report.repair.unwrap();
+        assert_eq!(up.repaired as u64, repair.repaired);
+        assert!(repair.repaired >= before[&site].entries as u64);
+        // One pass over the patched fragment under the merged program,
+        // not one per entry.
         let live = e.forest().fragment(frag).tree.len();
         assert_eq!(
-            repair.nodes_recomputed,
-            (before[&site].entries * live) as u64,
-            "first-touch builds are update cost, and reported as such"
+            repair.nodes_recomputed, live as u64,
+            "the first-touch build is update cost, and reported as such"
         );
+    }
+
+    #[test]
+    fn repair_cost_does_not_grow_with_the_number_of_subscribers() {
+        // ROADMAP's subscriber sweep, as a count: the same leaf insert
+        // that no standing query can see costs the inserted node and its
+        // anchor, once, however many are watching.
+        for subscribers in [4usize, 64] {
+            let mut e = engine();
+            for i in 0..subscribers {
+                e.subscribe(&parse_query(&format!("[//A and not //q{i}]")).unwrap());
+            }
+            let frag = FragmentId(2);
+            let site = e.placement().site_of(frag).0;
+            let z = e.forest().fragment(frag).tree.root();
+            let insert = |e: &mut Engine| {
+                let up = e
+                    .apply(Update::InsNode {
+                        frag,
+                        parent: z,
+                        label: "noise".into(),
+                        text: None,
+                    })
+                    .unwrap();
+                assert!(up.notifications.is_empty());
+                assert_eq!(up.invalidated, 0);
+                up.report.repair.unwrap()
+            };
+            // The first insert builds the fragment's one memo.
+            insert(&mut e);
+            let stats = &e.site_cache_stats()[&site];
+            assert_eq!((stats.memos_built, stats.groups), (1, 1));
+            assert_eq!(stats.entries, subscribers);
+            let repair = insert(&mut e);
+            assert_eq!(repair.nodes_recomputed, 2, "{subscribers} subscribers");
+            assert!(repair.repaired >= subscribers as u64);
+            assert_eq!(e.site_cache_stats()[&site].memos_built, 1);
+        }
     }
 
     #[test]

@@ -103,8 +103,9 @@ impl std::error::Error for ViewError {}
 ///
 /// This is the unit the delta-repair maintenance path pushes through the
 /// cached `bottomUp` evaluation
-/// ([`IncrementalBottomUp::repair`](crate::eval::IncrementalBottomUp::repair)):
-/// everything off the root-to-`anchor` path keeps its memoized vectors.
+/// ([`IncrementalBottomUp::propagate`](crate::eval::IncrementalBottomUp::propagate)):
+/// everything off the root-to-`anchor` path keeps its memoized vectors,
+/// and so does the path above the first node the change does not reach.
 /// Only `insNode`/`delNode` produce a delta — `splitFragments` and
 /// `mergeFragments` restructure the fragment tree itself and take the
 /// legacy invalidate path.

@@ -13,11 +13,22 @@
 //! under the same program fingerprint skips `bottomUp` entirely.
 //!
 //! Reads always run the plain [`EvalFn`] and cache the triplet with its
-//! program, nothing more: **an entry gets its repair memo when the first
-//! update reaches its fragment** ([`SitePool::repair`] with a
-//! [`DeltaKernel`]), and later updates repair it in `O(depth)`. A
-//! read-only stream builds no memo; a fragment's first update pays one
-//! full build per entry then cached on it (at most the capacity).
+//! program, nothing more: **the entries cached on a fragment get a
+//! repair memo when the first update reaches it** ([`SitePool::repair`]
+//! with a [`DeltaKernel`]) — *one* memo for all of them. The update
+//! merges the programs of the fragment's entries that nothing maintains
+//! yet into one program (`merge_embedded`, the merge a round's members
+//! go through), builds its memo once on the patched tree, and keeps each
+//! entry's projection out of the merged triplet: a **group**. Every
+//! later update repairs each group of the fragment once, whatever the
+//! number of its members, and re-projects a member only when a merged
+//! entry it reads changed. A read-only stream builds no memo. Entries
+//! cached after a group was built are simply the next update's group —
+//! an existing group is never rebuilt, so there is no threshold to
+//! tune; an evicted entry leaves its group, and a group without members
+//! is dropped, as is every group of a fragment that is reloaded or
+//! unloaded. Groups change no count of entries: one [`RepairOutcome`]
+//! per cached entry goes back, as if each had a memo of its own.
 //!
 //! Residency brings failure with it: a long-lived actor can panic,
 //! wedge, or stall. [`SitePool::eval_round_supervised`] is the
@@ -39,7 +50,7 @@ use crate::fault::{
 use crate::metrics::FaultSummary;
 use crate::SiteId;
 use parbox_bool::{triplet_delta_dag_wire_size, Triplet, TripletDelta};
-use parbox_query::{CompiledQuery, QueryFingerprint};
+use parbox_query::{merge_embedded, CompiledQuery, QueryFingerprint, SubId};
 use parbox_xml::{FragmentId, NodeId, Tree};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::{mpsc, Arc};
@@ -66,22 +77,27 @@ pub type EvalFn = fn(&Tree, &CompiledQuery) -> FragmentEval;
 /// stores and routes it; the delta kernel's functions downcast it.
 pub type DeltaState = Box<dyn std::any::Any + Send>;
 
-/// Result of repairing one cached evaluation in place.
+/// Result of one delta-kernel call on a maintained evaluation.
 #[derive(Debug, Clone)]
 pub struct RepairedEval {
-    /// The fragment's triplet after the repair.
-    pub triplet: Triplet,
-    /// Nodes recomputed: the root-to-change path, or the whole fragment
-    /// when the entry's memo was built by this repair.
+    /// The fragment's triplet after the call, or `None` when a repair
+    /// certifies it unchanged (its propagation stopped below the root).
+    /// A build always reports it.
+    pub triplet: Option<Triplet>,
+    /// Nodes recomputed: the changed part of the anchor-to-root path, or
+    /// the whole fragment for a build.
     pub nodes_recomputed: u64,
     /// Work units spent (`nodes recomputed × |QList|`).
     pub work_units: u64,
 }
 
-/// Memo-building evaluation of the *post-update* tree: the first repair
-/// of an entry. Reports every node as recomputed and returns the
-/// repairable state the worker keeps with the entry from then on.
-pub type BuildFn = fn(&Tree, &CompiledQuery) -> (RepairedEval, DeltaState);
+/// Memo-building evaluation of the *post-update* tree under a group's
+/// merged program. Reports every node as recomputed and returns the
+/// repairable state the worker keeps for the group from then on. Calls
+/// the tick it is given at a steady pace of work done: one build is one
+/// kernel call however many entries it serves, and the caller's
+/// deadline bounds the worker's silence.
+pub type BuildFn = fn(&Tree, &CompiledQuery, &mut dyn FnMut()) -> (RepairedEval, DeltaState);
 
 /// In-place repair of a previously built [`DeltaState`] after a data
 /// update whose deepest surviving changed node is the given anchor.
@@ -97,13 +113,17 @@ pub type PatchFn = Box<dyn FnOnce(&mut Tree) + Send>;
 
 /// The delta-maintenance kernel pair injected by the algorithm layer.
 /// When present, updates repair cached entries in place instead of
-/// dropping them; cache misses run the plain [`EvalFn`] either way.
+/// dropping them; cache misses run the plain [`EvalFn`] either way. The
+/// kernel maintains *merged* programs: what it returns must commute
+/// with [`Triplet::project`], id for id, so that a member's projection
+/// is the triplet the [`EvalFn`] computes for the member alone.
 #[derive(Debug, Clone, Copy)]
 pub struct DeltaKernel {
-    /// Memo-building evaluation, run by the first [`SitePool::repair`]
-    /// to reach an entry.
+    /// Memo-building evaluation, run once per group: by the first
+    /// [`SitePool::repair`] to find entries of its fragment that no
+    /// group maintains.
     pub build: BuildFn,
-    /// O(depth) repair, run by every later one.
+    /// Change-sized repair, run once per group by every later one.
     pub repair: RepairFn,
 }
 
@@ -143,14 +163,19 @@ pub struct SiteCacheStats {
     pub evictions: u64,
     /// Entries dropped by explicit invalidation (updates).
     pub invalidated: u64,
-    /// Entries **repaired in place** by delta maintenance — the update
-    /// path that replaces invalidation when a [`DeltaKernel`] is
-    /// installed. A repaired entry keeps serving hits without a
+    /// Entries **brought up to date in place** by delta maintenance —
+    /// the update path that replaces invalidation when a [`DeltaKernel`]
+    /// is installed: one per cached entry of the touched fragment per
+    /// update, whether its group's repair moved it or certified it
+    /// unchanged. A repaired entry keeps serving hits without a
     /// re-evaluation.
     pub repaired: u64,
-    /// Repair memos built, one per entry the first time an update
-    /// reached its fragment (each also counts as `repaired`).
+    /// Repair memos built: one per *group*, that is one per update that
+    /// found entries of its fragment nothing maintained yet — not one
+    /// per entry (each member also counts as `repaired`).
     pub memos_built: u64,
+    /// Live groups: maintained merged programs, each with its memo.
+    pub groups: usize,
 }
 
 impl SiteCacheStats {
@@ -193,9 +218,10 @@ enum Request {
     Stats { reply: mpsc::Sender<SiteCacheStats> },
 }
 
-/// What a worker sends while serving a [`Request::Repair`]: a sign of
-/// life after every memo build, then the reply — the caller's deadline
-/// bounds the worker's silence, not the size of a first update's job.
+/// What a worker sends while serving a [`Request::Repair`]: signs of
+/// life from inside a memo build (the kernel's ticks, and one per
+/// member projected), then the reply — the caller's deadline bounds the
+/// worker's silence, not the size of a first update's job.
 enum RepairProgress {
     Building,
     Done(RepairReply),
@@ -242,11 +268,25 @@ pub struct RepairReply {
 /// One cached evaluation of a `(fragment, program)` pair.
 struct SiteEntry {
     triplet: Arc<Triplet>,
-    /// The program the triplet was computed under — what the entry's
-    /// first repair builds its memo from.
+    /// The program the triplet was computed under — what the next
+    /// update to reach the fragment merges into its group's.
     program: Arc<CompiledQuery>,
-    /// Repairable state; `None` until an update reaches the fragment.
-    memo: Option<DeltaState>,
+    /// The group that maintains the entry; `None` until an update
+    /// reaches the fragment.
+    group: Option<u64>,
+}
+
+/// One maintained evaluation: the entries of a fragment that nothing
+/// maintained when an update reached it, under their merged program.
+struct Group {
+    frag: FragmentId,
+    /// The kernel's memo of the merged program over the fragment.
+    state: DeltaState,
+    /// The merged triplet the memo last reported.
+    root: Triplet,
+    /// The members still cached: their entry's fingerprint and their
+    /// projection out of `root`.
+    members: Vec<(QueryFingerprint, Vec<SubId>)>,
 }
 
 struct SiteWorker {
@@ -271,6 +311,9 @@ struct SiteWorker {
     /// FIFO eviction order of cache keys.
     order: VecDeque<(FragmentId, QueryFingerprint)>,
     capacity: usize,
+    /// Maintained groups by id, in the order they were built.
+    groups: BTreeMap<u64, Group>,
+    next_group: u64,
     stats: SiteCacheStats,
 }
 
@@ -336,7 +379,7 @@ impl SiteWorker {
                         let entry = SiteEntry {
                             triplet: Arc::clone(&t),
                             program: Arc::clone(&program),
-                            memo: None,
+                            group: None,
                         };
                         self.insert(f, fingerprint, entry);
                         triplets.push((f, t, false));
@@ -395,6 +438,7 @@ impl SiteWorker {
                 Request::Stats { reply } => {
                     let mut s = self.stats.clone();
                     s.entries = self.cache.len();
+                    s.groups = self.groups.len();
                     let _ = reply.send(s);
                 }
             }
@@ -436,8 +480,9 @@ impl SiteWorker {
         reply
     }
 
-    /// Repairs every cached entry of the already patched `frag`; one no
-    /// update reached before gets its memo here, reported like a repair.
+    /// Brings every cached entry of the already patched `frag` up to
+    /// date: one repair call per group of the fragment, then one build
+    /// for the entries no group maintains yet, reported like repairs.
     fn repair_entries(
         &mut self,
         frag: FragmentId,
@@ -447,51 +492,94 @@ impl SiteWorker {
         progress: &mpsc::Sender<RepairProgress>,
     ) {
         let tree: &Tree = &self.fragments[&frag];
-        for (key, entry) in self.cache.iter_mut().filter(|((f, _), _)| *f == frag) {
-            let run = match &mut entry.memo {
-                Some(state) => (kernel.repair)(state, tree, anchor),
-                None => {
-                    let (run, state) = (kernel.build)(tree, &entry.program);
-                    entry.memo = Some(state);
-                    self.stats.memos_built += 1;
-                    let _ = progress.send(RepairProgress::Building);
-                    run
-                }
-            };
+        for group in self.groups.values_mut().filter(|g| g.frag == frag) {
+            let run = (kernel.repair)(&mut group.state, tree, anchor);
             reply.nodes_recomputed += run.nodes_recomputed;
             reply.work_units += run.work_units;
-            let changed = *entry.triplet != run.triplet;
-            let mut delta_bytes = 1; // bare "unchanged" ack
-            if changed {
-                delta_bytes =
-                    triplet_delta_dag_wire_size(&TripletDelta::diff(&entry.triplet, &run.triplet));
-                // Replaced in place: the key keeps its FIFO slot.
-                entry.triplet = Arc::new(run.triplet);
+            // Which merged entries moved; empty when the kernel says none.
+            let moved: Vec<bool> = match run.triplet {
+                Some(new) => {
+                    let old = std::mem::replace(&mut group.root, new);
+                    let new = &group.root;
+                    (0..new.len())
+                        .map(|i| {
+                            (old.v[i], old.cv[i], old.dv[i]) != (new.v[i], new.cv[i], new.dv[i])
+                        })
+                        .collect()
+                }
+                None => Vec::new(),
+            };
+            for (fp, proj) in &group.members {
+                let entry = self
+                    .cache
+                    .get_mut(&(frag, *fp))
+                    .expect("an evicted entry leaves its group");
+                let reads_a_move = !moved.is_empty() && proj.iter().any(|&i| moved[i as usize]);
+                let projected = reads_a_move.then(|| group.root.project(proj));
+                reply.outcomes.push(refresh(entry, *fp, projected));
             }
-            self.stats.repaired += 1;
-            reply.outcomes.push(RepairOutcome {
-                fingerprint: key.1,
-                triplet: Arc::clone(&entry.triplet),
-                changed,
-                delta_bytes,
-            });
+            self.stats.repaired += group.members.len() as u64;
         }
+
+        let mut fresh: Vec<(QueryFingerprint, Arc<CompiledQuery>)> = self
+            .cache
+            .iter()
+            .filter(|((f, _), e)| *f == frag && e.group.is_none())
+            .map(|((_, fp), e)| (*fp, Arc::clone(&e.program)))
+            .collect();
+        if fresh.is_empty() {
+            return;
+        }
+        // The cache iterates in no fixed order; the merged program's
+        // numbering should not depend on it.
+        fresh.sort_by_key(|(fp, _)| *fp);
+        let mut tick = || {
+            let _ = progress.send(RepairProgress::Building);
+        };
+        let (batch, embeddings) = merge_embedded(fresh.iter().map(|(_, p)| &**p));
+        let (run, state) = (kernel.build)(tree, batch.merged(), &mut tick);
+        self.stats.memos_built += 1;
+        reply.nodes_recomputed += run.nodes_recomputed;
+        reply.work_units += run.work_units;
+        let id = self.next_group;
+        self.next_group += 1;
+        let mut group = Group {
+            frag,
+            state,
+            root: run.triplet.expect("a build reports its triplet"),
+            members: Vec::with_capacity(fresh.len()),
+        };
+        for ((fp, _), proj) in fresh.into_iter().zip(embeddings) {
+            let entry = self.cache.get_mut(&(frag, fp)).expect("just listed");
+            entry.group = Some(id);
+            reply
+                .outcomes
+                .push(refresh(entry, fp, Some(group.root.project(&proj))));
+            group.members.push((fp, proj));
+            tick();
+        }
+        self.stats.repaired += group.members.len() as u64;
+        self.groups.insert(id, group);
     }
 
     fn insert(&mut self, frag: FragmentId, fp: QueryFingerprint, entry: SiteEntry) {
         if self.capacity == 0 {
             return;
         }
-        if self.cache.insert((frag, fp), entry).is_none() {
-            self.order.push_back((frag, fp));
+        match self.cache.insert((frag, fp), entry) {
+            // Replaced in place: the key keeps its FIFO slot, and the
+            // new entry waits for the next group like any newcomer.
+            Some(old) => self.leave_group(old.group, fp),
+            None => self.order.push_back((frag, fp)),
         }
         while self.cache.len() > self.capacity {
             // Entries already removed by invalidation may linger in the
             // order queue; skip them until a live key is found.
             match self.order.pop_front() {
                 Some(key) => {
-                    if self.cache.remove(&key).is_some() {
+                    if let Some(evicted) = self.cache.remove(&key) {
                         self.stats.evictions += 1;
+                        self.leave_group(evicted.group, key.1);
                     }
                 }
                 None => break,
@@ -499,13 +587,57 @@ impl SiteWorker {
         }
     }
 
-    /// Drops every entry of `frag`, memo included; returns how many.
+    /// Takes an evicted entry out of the group that maintained it, and
+    /// drops the group with its memo when that was its last member.
+    fn leave_group(&mut self, group: Option<u64>, fp: QueryFingerprint) {
+        let Some(id) = group else { return };
+        let members = &mut self
+            .groups
+            .get_mut(&id)
+            .expect("a group outlives its members")
+            .members;
+        members.retain(|(member, _)| *member != fp);
+        if members.is_empty() {
+            self.groups.remove(&id);
+        }
+    }
+
+    /// Drops every entry of `frag`, its groups included; returns how
+    /// many entries.
     fn drop_entries_of(&mut self, frag: FragmentId) -> u64 {
         let before = self.cache.len();
         self.cache.retain(|(f, _), _| *f != frag);
+        self.groups.retain(|_, g| g.frag != frag);
         let dropped = (before - self.cache.len()) as u64;
         self.stats.invalidated += dropped;
         dropped
+    }
+}
+
+/// Puts what a kernel call found for one member into its cache entry
+/// and words it for the coordinator: `projected` is the member's
+/// triplet after the call, `None` when nothing it reads moved.
+fn refresh(
+    entry: &mut SiteEntry,
+    fingerprint: QueryFingerprint,
+    projected: Option<Triplet>,
+) -> RepairOutcome {
+    let Some(t) = projected.filter(|t| *t != *entry.triplet) else {
+        return RepairOutcome {
+            fingerprint,
+            triplet: Arc::clone(&entry.triplet),
+            changed: false,
+            delta_bytes: 1, // bare "unchanged" ack
+        };
+    };
+    let delta_bytes = triplet_delta_dag_wire_size(&TripletDelta::diff(&entry.triplet, &t));
+    // Replaced in place: the key keeps its FIFO slot.
+    entry.triplet = Arc::new(t);
+    RepairOutcome {
+        fingerprint,
+        triplet: Arc::clone(&entry.triplet),
+        changed: true,
+        delta_bytes,
     }
 }
 
@@ -601,6 +733,8 @@ impl SitePool {
             cache: HashMap::new(),
             order: VecDeque::new(),
             capacity: self.capacity,
+            groups: BTreeMap::new(),
+            next_group: 0,
             stats: SiteCacheStats::default(),
         };
         let handle = std::thread::Builder::new()
@@ -1046,9 +1180,16 @@ mod tests {
     const BUILD: u64 = 1000;
 
     /// Toy delta kernel over [`toy_eval`]: the "state" is just the
-    /// program width; both halves recompute the constant triplet from
-    /// the patched tree.
-    fn toy_build(tree: &Tree, q: &CompiledQuery) -> (RepairedEval, DeltaState) {
+    /// width of the (merged) program it is handed; both halves
+    /// recompute the constant triplet from the patched tree. Every
+    /// sub-query gets the same formula, so the kernel commutes with
+    /// projection: a member's share of the merged triplet is what
+    /// [`toy_eval`] computes for the member. Work units are the width.
+    fn toy_build(
+        tree: &Tree,
+        q: &CompiledQuery,
+        _tick: &mut dyn FnMut(),
+    ) -> (RepairedEval, DeltaState) {
         let mut state: DeltaState = Box::new(q.len());
         let run = RepairedEval {
             nodes_recomputed: BUILD,
@@ -1060,13 +1201,13 @@ mod tests {
     fn toy_repair(state: &mut DeltaState, tree: &Tree, _anchor: NodeId) -> RepairedEval {
         let m = *state.downcast_ref::<usize>().expect("toy state");
         RepairedEval {
-            triplet: Triplet {
+            triplet: Some(Triplet {
                 v: vec![Formula::constant(tree.len().is_multiple_of(2)); m],
                 cv: vec![Formula::FALSE; m],
                 dv: vec![Formula::FALSE; m],
-            },
+            }),
             nodes_recomputed: 1,
-            work_units: 1,
+            work_units: m as u64,
         }
     }
 
@@ -1249,6 +1390,12 @@ mod tests {
         assert_eq!(stats.memos_built, 0, "no update, no memo");
     }
 
+    /// Width of the program a group of these members is maintained
+    /// under — what [`toy_build`] and [`toy_repair`] report as work.
+    fn merged_width(members: &[&Arc<CompiledQuery>]) -> u64 {
+        merge_embedded(members.iter().map(|p| &***p)).0.merged_len() as u64
+    }
+
     #[test]
     fn first_update_builds_the_touched_fragments_memos_and_later_ones_repair() {
         let mut pool = two_fragment_pool(16);
@@ -1260,43 +1407,49 @@ mod tests {
         let mut cached = vec![a.fingerprint(), b.fingerprint()];
         cached.sort();
 
-        // The first update to reach fragment 0 builds a memo for each of
-        // its two entries, on the patched tree (3 nodes: the triplets
-        // flip), and reports them like any repair.
+        // The first update to reach fragment 0 builds one memo for its
+        // two entries — one kernel call on their merged program, where
+        // there used to be a build per entry — on the patched tree (3
+        // nodes: the triplets flip), and still reports an outcome per
+        // entry, like any repair.
         let first = grow(&pool, 0, 1);
         assert!(first.patched);
         assert_eq!(first.dropped, 0);
-        assert_eq!(first.nodes_recomputed, 2 * BUILD, "two builds, no repair");
+        assert_eq!(first.nodes_recomputed, BUILD, "one build, no repair");
+        assert_eq!(first.work_units, merged_width(&[&a, &b]));
         assert_eq!(fingerprints(&first), cached);
         for o in &first.outcomes {
             assert!(o.changed && o.delta_bytes > 1);
+            assert_eq!(o.triplet.len(), a.len(), "projected to the member");
             assert_eq!(o.triplet.v[0], Formula::constant(false));
         }
         let stats = &pool.cache_stats()[&0];
-        assert_eq!((stats.memos_built, stats.repaired), (2, 2));
-        assert_eq!(stats.invalidated, 0);
+        assert_eq!((stats.memos_built, stats.repaired), (1, 2));
+        assert_eq!((stats.groups, stats.invalidated), (1, 0));
 
-        // The second builds nothing: one repair call per entry. Two more
-        // nodes keep the parity, so nothing changed.
+        // The second builds nothing: one repair call for the group,
+        // not one per entry. Two more nodes keep the parity, so nothing
+        // changed.
         let second = grow(&pool, 0, 2);
-        assert_eq!(second.nodes_recomputed, 2, "two repairs, no build");
+        assert_eq!(second.nodes_recomputed, 1, "one repair, no build");
         assert_eq!(fingerprints(&second), cached);
         assert!(second
             .outcomes
             .iter()
             .all(|o| !o.changed && o.delta_bytes == 1));
         let stats = &pool.cache_stats()[&0];
-        assert_eq!((stats.memos_built, stats.repaired), (2, 4));
+        assert_eq!((stats.memos_built, stats.repaired), (1, 4));
 
         // Fragment 1 was left alone: its entries still serve the
-        // original triplet, and its own first update builds its memos.
+        // original triplet, and its own first update builds its group.
         let replies = pool.eval_round(&a, a.fingerprint(), both);
         let served = &replies[0].triplets;
         assert!(served.iter().all(|(_, _, hit)| *hit));
         assert_eq!(served[0].1.v[0], Formula::constant(false));
         assert_eq!(served[1].1.v[0], Formula::constant(true));
-        assert_eq!(grow(&pool, 1, 1).nodes_recomputed, 2 * BUILD);
-        assert_eq!(pool.cache_stats()[&0].memos_built, 4);
+        assert_eq!(grow(&pool, 1, 1).nodes_recomputed, BUILD);
+        let stats = &pool.cache_stats()[&0];
+        assert_eq!((stats.memos_built, stats.groups), (2, 2));
     }
 
     #[test]
@@ -1307,63 +1460,174 @@ mod tests {
         for p in [&a, &b] {
             pool.eval_round(p, p.fingerprint(), one.clone());
         }
-        assert_eq!(grow(&pool, 0, 1).nodes_recomputed, 2 * BUILD);
-        // `c` pushes `a` — triplet, program and memo — out of the FIFO.
+        // One group for `a` and `b`: a single build.
+        assert_eq!(grow(&pool, 0, 1).nodes_recomputed, BUILD);
+        // `c` pushes `a` — triplet, program and its place in the group —
+        // out of the FIFO. The group lives on for `b`.
         pool.eval_round(&c, c.fingerprint(), one);
         let reply = grow(&pool, 0, 1);
         let mut live = vec![b.fingerprint(), c.fingerprint()];
         live.sort();
         assert_eq!(fingerprints(&reply), live, "the evicted entry is gone");
-        assert_eq!(reply.nodes_recomputed, BUILD + 1, "repair b, build c");
+        assert_eq!(reply.nodes_recomputed, BUILD + 1, "repair b's, build c's");
         assert_eq!(reply.dropped, 0);
         let stats = &pool.cache_stats()[&0];
         assert_eq!((stats.entries, stats.evictions), (2, 1));
-        assert_eq!(stats.memos_built, 3);
+        // Two builds, where a memo per entry took three.
+        assert_eq!((stats.memos_built, stats.groups), (2, 2));
+    }
+
+    #[test]
+    fn entries_arriving_between_two_updates_form_the_next_group() {
+        let mut pool = two_fragment_pool(16);
+        let one = vec![(SiteId(0), vec![FragmentId(0)])];
+        let (a, b, c) = (program("[//a]"), program("[//b]"), program("[//c]"));
+        pool.eval_round(&a, a.fingerprint(), one.clone());
+        assert_eq!(grow(&pool, 0, 1).work_units, merged_width(&[&a]));
+        for p in [&b, &c] {
+            pool.eval_round(p, p.fingerprint(), one.clone());
+        }
+        // `a`'s group is repaired as it stands, never rebuilt around the
+        // newcomers: they get a build of their own, sized by them alone.
+        let reply = grow(&pool, 0, 1);
+        assert_eq!(reply.nodes_recomputed, 1 + BUILD);
+        assert_eq!(
+            reply.work_units,
+            merged_width(&[&a]) + merged_width(&[&b, &c])
+        );
+        assert_eq!(reply.outcomes.len(), 3);
+        let stats = &pool.cache_stats()[&0];
+        assert_eq!((stats.memos_built, stats.groups), (2, 2));
+        // From here on: two repair calls per update, for three entries.
+        let reply = grow(&pool, 0, 1);
+        assert_eq!((reply.nodes_recomputed, reply.outcomes.len()), (2, 3));
+    }
+
+    #[test]
+    fn a_group_whose_members_were_all_evicted_is_dropped() {
+        let mut pool = two_fragment_pool(2);
+        let one = vec![(SiteId(0), vec![FragmentId(0)])];
+        let cached: Vec<_> = ["[//a]", "[//b]", "[//c]", "[//d]"]
+            .into_iter()
+            .map(program)
+            .collect();
+        for p in &cached[..2] {
+            pool.eval_round(p, p.fingerprint(), one.clone());
+        }
+        grow(&pool, 0, 1);
+        assert_eq!(pool.cache_stats()[&0].groups, 1);
+        for p in &cached[2..] {
+            pool.eval_round(p, p.fingerprint(), one.clone());
+        }
+        // Both members went the way of the FIFO, and the memo with the
+        // second: nothing is left to repair, only the newcomers to build.
+        assert_eq!(pool.cache_stats()[&0].groups, 0);
+        let reply = grow(&pool, 0, 1);
+        assert_eq!(reply.nodes_recomputed, BUILD, "no repair call");
+        assert_eq!(reply.outcomes.len(), 2);
+        assert_eq!(pool.cache_stats()[&0].groups, 1);
+        // A reload drops the fragment's groups with its entries.
+        pool.load(SiteId(0), FragmentId(0), site_tree(0));
+        let stats = &pool.cache_stats()[&0];
+        assert_eq!((stats.entries, stats.groups), (0, 0));
+    }
+
+    #[test]
+    fn evicted_and_reinserted_fingerprint_gets_one_outcome() {
+        let mut pool = two_fragment_pool(3);
+        let one = vec![(SiteId(0), vec![FragmentId(0)])];
+        let cached: Vec<_> = ["[//a]", "[//b]", "[//c]", "[//d]"]
+            .into_iter()
+            .map(program)
+            .collect();
+        let (a, c, d) = (&cached[0], &cached[2], &cached[3]);
+        for p in &cached[..3] {
+            pool.eval_round(p, p.fingerprint(), one.clone());
+        }
+        grow(&pool, 0, 1);
+        // `d` evicts `a`, `a` comes back and evicts `b`: the first group
+        // keeps `c` alone, and `a` waits with `d` for the next one.
+        for p in [d, a] {
+            pool.eval_round(p, p.fingerprint(), one.clone());
+        }
+        let reply = grow(&pool, 0, 1);
+        let mut live = vec![a.fingerprint(), c.fingerprint(), d.fingerprint()];
+        live.sort();
+        assert_eq!(fingerprints(&reply), live, "one outcome per entry");
+        assert_eq!(reply.nodes_recomputed, 1 + BUILD);
+        // A group is never rebuilt, around newcomers or without the
+        // departed: the first still evaluates what it was built for.
+        let first_group = merged_width(&[a, &cached[1], c]);
+        assert_eq!(reply.work_units, first_group + merged_width(&[a, d]));
+        // All three carry the triplet of the tree as it stands.
+        let even = Formula::constant(true);
+        assert!(reply.outcomes.iter().all(|o| o.triplet.v[0] == even));
     }
 
     #[test]
     fn repair_deadline_bounds_the_workers_silence_not_the_job() {
-        const BUILDS: usize = 128;
-        fn slow_build(tree: &Tree, q: &CompiledQuery) -> (RepairedEval, DeltaState) {
-            std::thread::sleep(Duration::from_millis(4));
-            toy_build(tree, q)
+        const ENTRIES: usize = 128;
+        // One build serves every entry now, so it is the kernel that
+        // has to report in: the worker can no longer do it between
+        // per-entry builds.
+        fn ticking_build(
+            tree: &Tree,
+            q: &CompiledQuery,
+            tick: &mut dyn FnMut(),
+        ) -> (RepairedEval, DeltaState) {
+            for _ in 0..ENTRIES {
+                std::thread::sleep(Duration::from_millis(4));
+                tick();
+            }
+            toy_build(tree, q, tick)
         }
-        let kernel = DeltaKernel {
-            build: slow_build,
-            repair: toy_repair,
+        fn silent_build(
+            tree: &Tree,
+            q: &CompiledQuery,
+            tick: &mut dyn FnMut(),
+        ) -> (RepairedEval, DeltaState) {
+            std::thread::sleep(Duration::from_millis(400));
+            toy_build(tree, q, tick)
+        }
+        let pool_with = |build: BuildFn| {
+            let kernel = DeltaKernel {
+                build,
+                repair: toy_repair,
+            };
+            let plan = FaultPlan::none();
+            let mut pool =
+                SitePool::spawn_full(deployment(1), ENTRIES, toy_eval, plan, Some(kernel));
+            let frags = vec![(SiteId(0), vec![FragmentId(0)])];
+            for i in 0..ENTRIES {
+                let p = program(&format!("[//l{i}]"));
+                pool.eval_round(&p, p.fingerprint(), frags.clone());
+            }
+            pool
         };
-        let mut pool = SitePool::spawn_full(
-            deployment(1),
-            BUILDS,
-            toy_eval,
-            FaultPlan::none(),
-            Some(kernel),
-        );
-        let frags = vec![(SiteId(0), vec![FragmentId(0)])];
-        for i in 0..BUILDS {
-            let p = program(&format!("[//l{i}]"));
-            pool.eval_round(&p, p.fingerprint(), frags.clone());
-        }
-        // 128 builds of at least 4 ms each outlast the 500 ms deadline
+        let anchor = Tree::parse("<r/>").unwrap().root();
+        let repair = |pool: &SitePool, deadline| {
+            let patch = Box::new(|_t: &mut Tree| {});
+            pool.repair(SiteId(0), FragmentId(0), patch, anchor, deadline)
+        };
+
+        // 128 pauses of at least 4 ms each outlast the 500 ms deadline
         // (a sleep never returns early), yet the worker is never silent
         // for more than one of them — 1 % of the deadline, so a loaded
-        // host has ~495 ms of scheduling slack per build.
+        // host has ~495 ms of scheduling slack per tick.
+        let pool = pool_with(ticking_build);
         let (deadline, start) = (Duration::from_millis(500), Instant::now());
-        let anchor = Tree::parse("<r/>").unwrap().root();
-        let reply = pool
-            .repair(
-                SiteId(0),
-                FragmentId(0),
-                Box::new(|_t: &mut Tree| {}),
-                anchor,
-                deadline,
-            )
-            .expect("a site at work is not a dead site");
+        let reply = repair(&pool, deadline).expect("a site at work is not a dead site");
         assert!(
             start.elapsed() > deadline,
             "the job must outlast the deadline"
         );
-        assert_eq!(reply.nodes_recomputed, BUILDS as u64 * BUILD);
+        assert_eq!(reply.nodes_recomputed, BUILD, "one build for all of them");
+        assert_eq!(reply.outcomes.len(), ENTRIES);
+
+        // A build that never reports in is a silent site, however hard
+        // it works: the caller gives up on it at the deadline.
+        let pool = pool_with(silent_build);
+        assert!(repair(&pool, Duration::from_millis(100)).is_none());
     }
 
     #[test]

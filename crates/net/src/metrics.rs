@@ -144,9 +144,10 @@ pub struct RepairEfficacy {
     pub repaired: u64,
     /// Cache entries invalidated and left for full recomputation.
     pub invalidated: u64,
-    /// Tree nodes re-interned by the repairs: O(depth) per entry,
-    /// versus O(|fragment|) for a recomputation — which is also what
-    /// the update that builds an entry's repair memo pays, once.
+    /// Tree nodes re-interned by the repairs: per group of entries
+    /// sharing a memo, as far up from the change as it reaches, versus
+    /// O(|fragment|) for a recomputation — which is also what the
+    /// update that builds a group's repair memo pays, once.
     pub nodes_recomputed: u64,
     /// Wire bytes of the shipped triplet deltas (changed entries only,
     /// varint-DAG encoded; 1-byte ack per unchanged entry).

@@ -471,13 +471,26 @@ pub fn compile_batch(queries: &[Query]) -> QueryBatch {
 /// assert_eq!(merge_programs(&compiled), compile_batch(&queries));
 /// ```
 pub fn merge_programs(programs: &[CompiledQuery]) -> QueryBatch {
-    assert!(!programs.is_empty(), "empty query batch");
+    merge_embedded(programs).0
+}
+
+/// [`merge_programs`] over borrowed members, also returning where each
+/// member's sub-queries landed: entry `k` is what
+/// `member_k.embedding_into(batch.merged())` would compute, read off
+/// the merge itself instead of re-hashing the merged program once per
+/// member — which is quadratic when thousands of programs merge.
+///
+/// Panics on an empty input, like [`compile_batch`].
+pub fn merge_embedded<'a>(
+    programs: impl IntoIterator<Item = &'a CompiledQuery>,
+) -> (QueryBatch, Vec<Vec<SubId>>) {
     let mut b = Builder {
         subs: Vec::new(),
         memo: HashMap::new(),
     };
-    let mut roots: Vec<SubId> = Vec::with_capacity(programs.len());
-    let mut member_fps: Vec<QueryFingerprint> = Vec::with_capacity(programs.len());
+    let mut member_fps: Vec<QueryFingerprint> = Vec::new();
+    let mut roots: Vec<SubId> = Vec::new();
+    let mut embeddings: Vec<Vec<SubId>> = Vec::new();
     for p in programs {
         // Translate the member's ops into the shared id space; `add`
         // dedups against everything merged so far.
@@ -488,13 +501,15 @@ pub fn merge_programs(programs: &[CompiledQuery]) -> QueryBatch {
         }
         roots.push(map[p.root() as usize]);
         member_fps.push(p.fingerprint());
+        embeddings.push(map);
     }
-    let root = *roots.last().expect("non-empty batch");
-    QueryBatch {
+    let root = *roots.last().expect("empty query batch");
+    let batch = QueryBatch {
         merged: CompiledQuery::from_parts(b.subs, root),
         roots,
         member_fps,
-    }
+    };
+    (batch, embeddings)
 }
 
 struct Builder {
@@ -775,6 +790,16 @@ mod tests {
         // Single program: the merge is the program itself.
         let solo = merge_programs(&compiled[..1]);
         assert_eq!(solo.merged(), &compiled[0]);
+        // The embeddings read off the merge are the ones looked up in
+        // its result.
+        let (batch, embeddings) = merge_embedded(&compiled);
+        assert_eq!(batch, merge_programs(&compiled));
+        for (member, embedding) in compiled.iter().zip(&embeddings) {
+            assert_eq!(
+                member.embedding_into(batch.merged()).as_ref(),
+                Some(embedding)
+            );
+        }
     }
 
     #[test]

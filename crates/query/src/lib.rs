@@ -29,8 +29,8 @@ pub mod normalize;
 
 pub use ast::{Path, Query, Step};
 pub use compile::{
-    compile, compile_batch, merge_programs, sub_fingerprints, CompiledQuery, Op, QueryBatch,
-    QueryFingerprint, ResolvedQuery, SubId, SubQuery,
+    compile, compile_batch, merge_embedded, merge_programs, sub_fingerprints, CompiledQuery, Op,
+    QueryBatch, QueryFingerprint, ResolvedQuery, SubId, SubQuery,
 };
 pub use lexer::{tokenize, LexError, Token, TokenKind};
 pub use normalize::{normalize, NQuery, NStep};

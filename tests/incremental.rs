@@ -2,7 +2,7 @@
 //! long random update sequences against a from-scratch oracle, locality
 //! of recomputation, and traffic independence from data and update size.
 
-use parbox::core::{parbox, Engine, EngineConfig, MaterializedView, Update};
+use parbox::core::{bottom_up, parbox, Engine, EngineConfig, MaterializedView, Update};
 use parbox::frag::{Forest, Placement, SiteId};
 use parbox::net::{Cluster, NetworkModel};
 use parbox::query::{compile, parse_query, CompiledQuery, Query};
@@ -11,6 +11,7 @@ use parbox::xml::{FragmentId, NodeId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 fn setup(bytes: usize, frags: usize, q: &str) -> (Forest, Placement, MaterializedView) {
     let mut tree = parbox::xml::Tree::new("corpus");
@@ -287,6 +288,107 @@ proptest! {
         }
         // The invalidation engine must never have repaired in place.
         prop_assert_eq!(legacy.stats().entries_repaired, 0);
+    }
+}
+
+/// Ad-hoc queries over the labels and texts [`sensitive_update`]
+/// inserts and deletes, so updates flip them often; they share
+/// sub-queries, so the programs a site merges into one group overlap.
+const AD_HOC: [&str; 8] = [
+    "[//sentinel]",
+    "[//item and not //sentinel]",
+    "[//filler/text() = \"v1\" or //sentinel/text() = \"v2\"]",
+    "[//item[sentinel] or //person[filler]]",
+    "[*/sentinel or */*/filler]",
+    "[not(//filler[sentinel]) and //item]",
+    "[//*[sentinel and filler]]",
+    "[not(//no-such-label)]",
+];
+
+/// A pure data update the [`AD_HOC`] queries can see: a `sentinel`,
+/// `filler` or `item` leaf under a random node, or the deletion of a
+/// small subtree.
+fn sensitive_update(forest: &Forest, rng: &mut StdRng) -> Option<Update> {
+    let (frag, node) = random_node(forest, rng);
+    let tree = &forest.fragment(frag).tree;
+    if rng.random_bool(0.6) {
+        let label = ["sentinel", "filler", "item"][rng.random_range(0..3usize)];
+        let text = [None, Some("v1"), Some("v2")][rng.random_range(0..3usize)];
+        return Some(Update::InsNode {
+            frag,
+            parent: node,
+            label: label.into(),
+            text: text.map(String::from),
+        });
+    }
+    let deletable =
+        node != tree.root() && tree.virtual_nodes(node).is_empty() && tree.subtree_size(node) <= 4;
+    deletable.then_some(Update::DelNode { frag, node })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// One memo per group must be as good as one per entry: on a random
+    /// schedule of data updates interleaved with ad-hoc queries, with a
+    /// site cache of three entries (so members are evicted from live
+    /// groups, groups die, and evicted fingerprints come back to join
+    /// the next group), every answer equals the oracle **and** every
+    /// triplet a site holds for a program equals `bottomUp` of that
+    /// program alone on the fragment as it stands — id for id, not just
+    /// logically.
+    #[test]
+    fn grouped_repair_keeps_every_site_entry_id_identical_to_bottom_up(
+        doc_seed in 0u64..500,
+        schedule_seed in any::<u64>(),
+    ) {
+        let tree = generate(XmarkConfig { target_bytes: 6_000, seed: doc_seed });
+        let mut forest = Forest::from_tree(tree);
+        parbox::frag::strategies::fragment_evenly(&mut forest, 4).unwrap();
+        let placement = Placement::round_robin(&forest, 4);
+        let config = EngineConfig { site_cache_capacity: 3, ..EngineConfig::default() };
+        let mut engine = Engine::new(forest, placement, config).expect("valid deployment");
+        let mut rng = StdRng::seed_from_u64(schedule_seed);
+
+        let mut asked: Vec<Query> = Vec::new();
+        // Per (program, fragment): the triplet the site last showed.
+        let mut shown: std::collections::HashMap<(String, FragmentId), _> = Default::default();
+        let mut repaired_in_place = 0usize;
+        for step in 0..40 {
+            // A query comes in every fourth step or so, known or not;
+            // the stretches of updates between them are what a group
+            // lives through.
+            if asked.is_empty() || rng.random_range(0..4u32) == 0 {
+                let q = parse_query(AD_HOC[rng.random_range(0..AD_HOC.len())]).unwrap();
+                asked.retain(|known| *known != q);
+                asked.push(q);
+                // One more than a site can hold.
+                if asked.len() > 4 {
+                    asked.remove(0);
+                }
+            } else if let Some(update) = sensitive_update(engine.forest(), &mut rng) {
+                // Repairs what the owning site still caches; a solve
+                // entry whose source was evicted there is invalidated.
+                engine.apply(update).unwrap();
+            }
+            for q in &asked {
+                let expected = oracle(engine.forest(), engine.placement(), &compile(q));
+                prop_assert_eq!(engine.query(q).answer, expected, "step {}: {}", step, q);
+            }
+            // What the sites hold for the most recent program (a second
+            // would chase the first out of three slots).
+            let q = asked.last().expect("asked one above");
+            let program = compile(q);
+            for (frag, held, hit) in engine.site_triplets(&program) {
+                let fresh = bottom_up(&engine.forest().fragment(frag).tree, &program);
+                prop_assert_eq!(&*held, &fresh.triplet, "step {}: {} on {}", step, q, frag);
+                let before = shown.insert((q.to_string(), frag), Arc::clone(&held));
+                repaired_in_place += usize::from(hit && before.is_some_and(|t| t != held));
+            }
+        }
+        // Not vacuous: entries were read back from the cache with a
+        // triplet an update had given them there.
+        prop_assert!(repaired_in_place > 0, "no repaired entry was read back");
     }
 }
 
