@@ -1,10 +1,13 @@
 //! Micro-benchmarks of the building blocks: XML parsing, query
-//! compilation, the centralized bitset kernel, the formula-valued
-//! `bottomUp`, and the equation-system solver.
+//! compilation, the column-at-a-time bitset kernel (against the per-node
+//! reference interpreter it replaced), the formula-valued `bottomUp`, and
+//! the equation-system solver.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use parbox_bool::EquationSystem;
-use parbox_core::{bottom_up, bottom_up_formula_only, centralized_eval, BitSet};
+use parbox_core::{
+    bottom_up, bottom_up_formula_only, centralized_eval, centralized_eval_reference, BitSet,
+};
 use parbox_frag::{Forest, Placement};
 use parbox_query::{compile, parse_query};
 use parbox_xmark::{generate, query_with_qlist, XmarkConfig};
@@ -39,6 +42,13 @@ fn bench(c: &mut Criterion) {
         b.iter(|| black_box(centralized_eval(&tree, &q8)))
     });
 
+    // The per-node interpreter the column kernel replaced, on the same
+    // document and query: the kernel ratio is centralized_reference_q8
+    // over centralized_q8.
+    group.bench_function("centralized_reference_q8", |b| {
+        b.iter(|| black_box(centralized_eval_reference(&tree, &q8).answer))
+    });
+
     group.bench_function("centralized_q23", |b| {
         b.iter(|| black_box(centralized_eval(&tree, &q23)))
     });
@@ -58,6 +68,16 @@ fn bench(c: &mut Criterion) {
     let f0 = fragmented.root_fragment();
     group.bench_function("bottom_up_root_fragment_q8", |b| {
         b.iter(|| black_box(bottom_up(&fragmented.fragment(f0).tree, &q8).work_units))
+    });
+
+    // The split-off fragment has no virtual node: constants straight from
+    // the root's columns.
+    let leaf = fragmented
+        .fragment_ids()
+        .find(|&f| f != f0)
+        .expect("the split made a second fragment");
+    group.bench_function("bottom_up_leaf_fragment_q8", |b| {
+        b.iter(|| black_box(bottom_up(&fragmented.fragment(leaf).tree, &q8).work_units))
     });
 
     // Ablation: the same fragment through the pure formula path — this is

@@ -1,7 +1,8 @@
-//! Word-parallel bitset kernels — the data-level hot path of the
+//! Word-parallel bitsets — the sub-query vectors of the per-node
 //! evaluators.
 //!
-//! The centralized evaluator and the selection pass keep three Boolean
+//! The selection pass and the per-node reference interpreter
+//! ([`crate::eval::centralized_eval_reference`]) keep three Boolean
 //! vectors of width `|QList|` per live traversal frame; packing them
 //! into `u64` words turns per-node child accumulation (`CV |= V_w`,
 //! `DV |= DV_w`) into a handful of word ORs. The bulk kernels

@@ -8,16 +8,31 @@
 //! without waiting — this is what decouples the dependencies between the
 //! per-fragment partial-evaluation processes.
 //!
-//! Like the paper's procedure, the implementation maintains only two
-//! vector triplets at a time per live ancestor (current accumulation +
-//! completed child), not one per node. Child accumulation is **buffered**:
-//! each live frame collects per-sub-query operand lists and interns one
-//! n-ary `Or` per entry when the node completes, so fan-out `k` costs
-//! `O(k)` operand slots instead of the `O(k²)` a pairwise
-//! re-flattening accumulation pays (see the `wide_fanout_*` regression
-//! tests). The seed implementation, with the original accumulation, is
-//! preserved in [`crate::eval::reference`] as the `expD` baseline.
+//! Only the *spine* — the nodes whose subtree holds a virtual node —
+//! needs formulas; everywhere else every value is a constant. So
+//! [`bottom_up`] first runs the column-at-a-time bitset kernel
+//! (`eval/columns.rs`) over the whole fragment, which gives the `V` and
+//! `DV` of every node as bits, and computes the spine as the kernel's
+//! upward closure of the virtual column — the nodes where `//virtual`
+//! holds. A fragment without virtual nodes (every leaf fragment, and
+//! whole documents) is then finished: its triplet is constants read from
+//! the root's bits. Otherwise the formula evaluator below walks the spine
+//! only, taking the `V`/`DV` of each off-spine child from the columns.
+//!
+//! The formula evaluator keeps only two vector triplets at a time per
+//! live ancestor (current accumulation + completed child), not one per
+//! node. Child accumulation is **buffered**: each live frame collects
+//! per-sub-query operand lists and interns one n-ary `Or` per entry when
+//! the node completes, so fan-out `k` costs `O(k)` operand slots instead
+//! of the `O(k²)` a pairwise re-flattening accumulation pays (see the
+//! `wide_fanout_*` regression tests). An off-spine child contributes a
+//! `true` operand where its bit is set and nothing where it is clear —
+//! the operand set the formula path would build from its constants, so
+//! the triplet is id-identical to [`bottom_up_formula_only`]'s. The seed
+//! implementation, with the original accumulation, is preserved in
+//! [`crate::eval::reference`] as the `expD` baseline.
 
+use crate::eval::columns::{eval_columns, Columns, Layout};
 use parbox_bool::{Formula, Triplet};
 use parbox_query::{CompiledQuery, Op, ResolvedQuery};
 use parbox_xml::{FragmentId, NodeId, Tree};
@@ -33,93 +48,98 @@ pub struct FragmentRun {
 
 /// Partially evaluates `q` over the fragment `tree` (which may contain
 /// virtual nodes), returning the triplet for its root.
-///
-/// Fragments *without* virtual nodes — every leaf fragment, and whole
-/// documents — have no unknowns: partial evaluation degenerates to full
-/// evaluation, and the fast bitset kernel of the centralized evaluator
-/// is used directly, producing a constant triplet.
 pub fn bottom_up(tree: &Tree, q: &CompiledQuery) -> FragmentRun {
     let resolved = q.resolve(tree.labels());
     let m = resolved.len();
+    let layout = Layout::new(tree);
+    let work_units = (layout.len() * m) as u64;
     let root = tree.root();
-    // Mark the *spine*: nodes whose subtree contains a virtual node. Only
-    // spine nodes need formula-valued evaluation; every other subtree is
-    // handled by the bitset kernel at centralized speed.
-    let spine = compute_spine(tree, root);
-    if !spine[root.index()] {
-        let (v, cv, dv, nodes) = crate::eval::centralized::eval_vectors_at(tree, &resolved, root);
-        let to_vec = |b: &crate::eval::bitset::BitSet| {
-            (0..m)
-                .map(|i| Formula::constant(b.get(i)))
-                .collect::<Vec<_>>()
+    if !layout.has_virtual() {
+        // No unknowns: partial evaluation is full evaluation. The root is
+        // position 0 and every node is below it, so `DV` at the root is
+        // "the column is not empty".
+        let cols = eval_columns(&layout, &resolved, false);
+        let kids = layout.column_of(tree.node(root).child_ids());
+        let mut t = Triplet {
+            v: Vec::with_capacity(m),
+            cv: Vec::with_capacity(m),
+            dv: Vec::with_capacity(m),
         };
+        for i in 0..m {
+            let col = cols.v(i);
+            t.v.push(Formula::constant(col[0] & 1 != 0));
+            t.cv.push(Formula::constant(
+                col.iter().zip(&kids).any(|(c, k)| c & k != 0),
+            ));
+            t.dv.push(Formula::constant(col.iter().any(|&c| c != 0)));
+        }
         return FragmentRun {
-            triplet: Triplet {
-                v: to_vec(&v),
-                cv: to_vec(&cv),
-                dv: to_vec(&dv),
-            },
-            work_units: nodes * m as u64,
+            triplet: t,
+            work_units,
         };
     }
+    let cols = eval_columns(&layout, &resolved, true);
+    let spine = layout.spine();
     let mut eval = FormulaEvaluator {
         tree,
         q: &resolved,
         m,
-        nodes: 0,
-        spine: &spine,
+        off_spine: Some(OffSpine {
+            layout: &layout,
+            cols: &cols,
+            spine: &spine,
+        }),
     };
     let (v, cv, dv) = eval.run(root);
     FragmentRun {
         triplet: Triplet { v, cv, dv },
-        work_units: eval.nodes * m as u64,
+        work_units,
     }
 }
 
 /// Ablation reference: `bottomUp` with the spine optimization disabled —
 /// every node is evaluated through the formula path, as a literal reading
 /// of the paper's Fig. 3(b) would. Exists so the benchmark suite can
-/// quantify the spine fast-path (see `benches/kernels.rs`); production
-/// callers should use [`bottom_up`].
+/// quantify the spine fast-path (see `benches/kernels.rs`) and as the
+/// differential oracle of [`bottom_up`]; production callers should use
+/// [`bottom_up`].
 pub fn bottom_up_formula_only(tree: &Tree, q: &CompiledQuery) -> FragmentRun {
     let resolved = q.resolve(tree.labels());
     let m = resolved.len();
-    let root = tree.root();
-    // An all-true spine forces the formula path everywhere.
-    let spine = vec![true; tree.arena_len()];
     let mut eval = FormulaEvaluator {
         tree,
         q: &resolved,
         m,
-        nodes: 0,
-        spine: &spine,
+        off_spine: None,
     };
-    let (v, cv, dv) = eval.run(root);
+    let (v, cv, dv) = eval.run(tree.root());
     FragmentRun {
         triplet: Triplet { v, cv, dv },
-        work_units: eval.nodes * m as u64,
+        work_units: (tree.len() * m) as u64,
     }
-}
-
-/// One postorder sweep computing, per arena slot, whether the subtree
-/// contains a virtual node.
-fn compute_spine(tree: &Tree, root: NodeId) -> Vec<bool> {
-    let mut spine = vec![false; tree.arena_len()];
-    for n in tree.postorder(root) {
-        let node = tree.node(n);
-        spine[n.index()] =
-            node.kind.is_virtual() || node.child_ids().iter().any(|c| spine[c.index()]);
-    }
-    spine
 }
 
 struct FormulaEvaluator<'a> {
     tree: &'a Tree,
     q: &'a ResolvedQuery,
     m: usize,
-    nodes: u64,
-    /// `spine[n]` — does n's subtree contain a virtual node?
-    spine: &'a [bool],
+    /// The kernel's values for the nodes off the spine; `None` evaluates
+    /// every node as formulas.
+    off_spine: Option<OffSpine<'a>>,
+}
+
+struct OffSpine<'a> {
+    layout: &'a Layout<'a>,
+    cols: &'a Columns,
+    spine: &'a [u64],
+}
+
+impl OffSpine<'_> {
+    /// `child`'s position when it is off the spine.
+    fn pos(&self, child: NodeId) -> Option<usize> {
+        let p = self.layout.pos(child);
+        ((self.spine[p / 64] >> (p % 64)) & 1 == 0).then_some(p)
+    }
 }
 
 struct Frame {
@@ -170,17 +190,18 @@ impl<'a> FormulaEvaluator<'a> {
             if frame.child_idx < kids.len() {
                 let child = kids[frame.child_idx];
                 frame.child_idx += 1;
-                if !self.spine[child.index()] {
-                    // Virtual-free subtree: bitset kernel, constant result.
-                    let (v, _cv, dv, nodes) =
-                        crate::eval::centralized::eval_vectors_at(self.tree, self.q, child);
-                    self.nodes += nodes;
-                    let to_vec = |b: &crate::eval::bitset::BitSet, m: usize| {
-                        (0..m)
-                            .map(|i| Formula::constant(b.get(i)))
-                            .collect::<Vec<_>>()
-                    };
-                    done = Some((to_vec(&v, self.m), to_vec(&dv, self.m)));
+                let off_spine = self.off_spine.as_ref();
+                if let Some((off, p)) = off_spine.and_then(|off| Some((off, off.pos(child)?))) {
+                    // Virtual-free subtree: its constants, read from the
+                    // columns — `true` operands only, as above.
+                    for i in 0..self.m {
+                        if off.cols.v_bit(i, p) {
+                            frame.cv_ops[i].push(Formula::TRUE);
+                        }
+                        if off.cols.dv_bit(i, p) {
+                            frame.dv_ops[i].push(Formula::TRUE);
+                        }
+                    }
                     continue;
                 }
                 let frame = self.empty_frame(child);
@@ -200,7 +221,6 @@ impl<'a> FormulaEvaluator<'a> {
     /// at a virtual node. The buffered child operands are interned here —
     /// one n-ary `Or` per sub-query entry.
     fn compute_node(&mut self, frame: Frame) -> Vectors {
-        self.nodes += 1;
         let Frame {
             node,
             cv_ops,

@@ -1,14 +1,22 @@
 //! Optimal centralized evaluation of Boolean XPath.
 //!
-//! One bottom-up traversal computing the values of all sub-queries in
-//! `QList(q)` at every node — the `O(|T| · |q|)` strategy of Gottlob,
-//! Koch & Pichler cited as the best-known centralized algorithm in the
-//! paper (Section 2.2). This is both the correctness oracle for all
-//! distributed algorithms and the compute kernel of `NaiveCentralized`.
+//! The values of all sub-queries in `QList(q)` at every node — the
+//! `O(|T| · |q|)` strategy of Gottlob, Koch & Pichler cited as the
+//! best-known centralized algorithm in the paper (Section 2.2). This is
+//! both the correctness oracle for all distributed algorithms and the
+//! compute kernel of `NaiveCentralized`.
+//!
+//! It runs the same column-at-a-time bitset kernel as
+//! [`bottom_up`](fn@crate::eval::bottom_up) (`eval/columns.rs`): one
+//! column of `⌈|T|/64⌉` words per sub-query, so `NaiveCentralized` and
+//! ParBoX pay the same price per `(node, sub-query)` unit and their
+//! comparison stays like for like. The per-node interpreter it replaced
+//! is [`centralized_eval_reference`](crate::eval::centralized_eval_reference),
+//! the oracle the kernel is tested against.
 
-use crate::eval::bitset::BitSet;
-use parbox_query::{CompiledQuery, Op, ResolvedQuery};
-use parbox_xml::{NodeId, Tree};
+use crate::eval::columns::{eval_columns, Layout};
+use parbox_query::CompiledQuery;
+use parbox_xml::Tree;
 
 /// Result of a counted centralized evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,146 +39,12 @@ pub fn centralized_eval(tree: &Tree, q: &CompiledQuery) -> bool {
 /// Evaluates `q` and reports the work performed.
 pub fn centralized_eval_counted(tree: &Tree, q: &CompiledQuery) -> CentralizedRun {
     let resolved = q.resolve(tree.labels());
-    let (v, _cv, _dv, nodes) = eval_vectors(tree, &resolved);
+    let layout = Layout::new(tree);
+    let cols = eval_columns(&layout, &resolved, false);
     CentralizedRun {
-        answer: v.get(resolved.root as usize),
-        work_units: nodes * resolved.len() as u64,
-    }
-}
-
-/// Runs the bitset kernel and returns the root's `(V, CV, DV)` vectors
-/// and the number of nodes visited. Shared with `bottomUp`, which uses
-/// it as a fast path for fragments without virtual nodes (where partial
-/// evaluation degenerates to full evaluation).
-pub(crate) fn eval_vectors(tree: &Tree, resolved: &ResolvedQuery) -> (BitSet, BitSet, BitSet, u64) {
-    eval_vectors_at(tree, resolved, tree.root())
-}
-
-/// Like [`eval_vectors`] but rooted at an arbitrary subtree. `bottomUp`
-/// uses this to evaluate virtual-free subtrees at bitset speed, keeping
-/// formula construction confined to the spine above virtual nodes.
-pub(crate) fn eval_vectors_at(
-    tree: &Tree,
-    resolved: &ResolvedQuery,
-    start: NodeId,
-) -> (BitSet, BitSet, BitSet, u64) {
-    let m = resolved.len();
-    let mut eval = Evaluator {
-        tree,
-        q: resolved,
-        m,
-        pool: Vec::new(),
-        nodes: 0,
-    };
-    let (v, cv, dv) = eval.run(start);
-    (v, cv, dv, eval.nodes)
-}
-
-struct Evaluator<'a> {
-    tree: &'a Tree,
-    q: &'a ResolvedQuery,
-    m: usize,
-    /// Pool of zeroed bitsets for frame reuse (at most O(depth) live).
-    pool: Vec<BitSet>,
-    nodes: u64,
-}
-
-struct Frame {
-    node: NodeId,
-    child_idx: usize,
-    cv: BitSet,
-    dv: BitSet,
-}
-
-impl<'a> Evaluator<'a> {
-    /// Returns a zeroed bitset, reusing pooled ones.
-    fn alloc(&mut self) -> BitSet {
-        match self.pool.pop() {
-            Some(mut b) => {
-                b.clear();
-                b
-            }
-            None => BitSet::zeros(self.m),
-        }
-    }
-
-    /// Iterative postorder evaluation; returns `(V, CV, DV)` of `start`.
-    fn run(&mut self, start: NodeId) -> (BitSet, BitSet, BitSet) {
-        let (cv, dv) = (self.alloc(), self.alloc());
-        let mut stack = vec![Frame {
-            node: start,
-            child_idx: 0,
-            cv,
-            dv,
-        }];
-        // (V, DV) of the most recently completed child.
-        let mut done: Option<(BitSet, BitSet)> = None;
-        loop {
-            let frame = stack.last_mut().expect("non-empty until return");
-            // Fold the child that just completed into the accumulators.
-            if let Some((v_w, dv_w)) = done.take() {
-                frame.cv.or_assign(&v_w);
-                frame.dv.or_assign(&dv_w);
-                self.pool.push(v_w);
-                self.pool.push(dv_w);
-            }
-            let kids = self.tree.node(frame.node).child_ids();
-            if frame.child_idx < kids.len() {
-                let child = kids[frame.child_idx];
-                frame.child_idx += 1;
-                let (cv, dv) = (self.alloc(), self.alloc());
-                stack.push(Frame {
-                    node: child,
-                    child_idx: 0,
-                    cv,
-                    dv,
-                });
-                continue;
-            }
-            // All children folded: compute V at this node.
-            let frame = stack.pop().expect("just peeked");
-            let keep_cv = stack.is_empty();
-            let cv_root = if keep_cv {
-                Some(frame.cv.clone())
-            } else {
-                None
-            };
-            let (v, dv) = self.compute_node(frame);
-            if let Some(cv) = cv_root {
-                return (v, cv, dv);
-            }
-            done = Some((v, dv));
-        }
-    }
-
-    /// Computes the `V` vector at a node from its accumulated `CV`/`DV`,
-    /// updating `DV` with `V` (paper, Fig. 3b lines 6–17).
-    fn compute_node(&mut self, frame: Frame) -> (BitSet, BitSet) {
-        self.nodes += 1;
-        let Frame {
-            node, cv, mut dv, ..
-        } = frame;
-        let n = self.tree.node(node);
-        let mut v = self.alloc();
-        for (i, op) in self.q.ops.iter().enumerate() {
-            let value = match op {
-                Op::True => true,
-                // A virtual node has no label/text of its own.
-                Op::LabelIs(l) => !n.kind.is_virtual() && Some(n.label) == *l,
-                Op::TextIs(s) => !n.kind.is_virtual() && n.text.as_deref() == Some(s.as_ref()),
-                Op::Child(j) => cv.get(*j as usize),
-                Op::Desc(j) => dv.get(*j as usize),
-                Op::Or(a, b) => v.get(*a as usize) || v.get(*b as usize),
-                Op::And(a, b) => v.get(*a as usize) && v.get(*b as usize),
-                Op::Not(a) => !v.get(*a as usize),
-            };
-            v.set(i, value);
-            if value {
-                dv.set(i, true); // line 17: DV := V ∨ DV
-            }
-        }
-        self.pool.push(cv);
-        (v, dv)
+        // The root is position 0.
+        answer: cols.v_bit(resolved.root as usize, 0),
+        work_units: (layout.len() * resolved.len()) as u64,
     }
 }
 

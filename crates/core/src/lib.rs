@@ -82,8 +82,8 @@ pub use algorithms::{
 };
 pub use eval::{
     bottom_up, bottom_up_formula_only, bottom_up_reference, centralized_eval,
-    centralized_eval_counted, BitSet, CentralizedRun, FragmentRun, IncrementalBottomUp,
-    Propagation, RefFragmentRun, RepairRun,
+    centralized_eval_counted, centralized_eval_reference, BitSet, CentralizedRun, FragmentRun,
+    IncrementalBottomUp, Propagation, RefFragmentRun, RepairRun,
 };
 pub use plan::{
     plan_run, Choice, CostEstimate, Executor, PlanContext, PlanExplain, PlanSummary, Planner,

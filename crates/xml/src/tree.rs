@@ -12,6 +12,12 @@ use crate::{FragmentId, LabelId, LabelTable, Node, NodeId, NodeKind, XmlError};
 /// This is the storage substrate for both whole documents and fragments of
 /// documents: a *fragment* is simply a `Tree` whose leaves may include
 /// [`NodeKind::Virtual`] nodes pointing at sub-fragments (paper, Section 2.1).
+///
+/// **Allocation order.** A node's slot index is greater than its
+/// parent's: every node is allocated after the parent it is attached to,
+/// and no node is ever re-parented. Slot order ([`Tree::live_nodes`])
+/// therefore lists every parent before its children, and the root first.
+/// [`Tree::validate`] checks this.
 #[derive(Debug, Clone)]
 pub struct Tree {
     nodes: Vec<Node>,
@@ -109,6 +115,17 @@ impl Tree {
     #[inline]
     pub fn arena_len(&self) -> usize {
         self.nodes.len()
+    }
+
+    /// Live nodes in arena-slot order, which lists every parent before
+    /// its children (see the allocation order on [`Tree`]). One sequential
+    /// scan of the arena, tomb-stones skipped.
+    pub fn live_nodes(&self) -> impl Iterator<Item = (NodeId, &Node)> + '_ {
+        self.nodes
+            .iter()
+            .enumerate()
+            .filter(|(_, n)| n.live)
+            .map(|(i, n)| (NodeId(i as u32), n))
     }
 
     /// Appends a new element child to `parent` and returns its id.
@@ -388,7 +405,8 @@ impl Tree {
     }
 
     /// Verifies arena invariants (parent/child symmetry, liveness, single
-    /// root, acyclicity). Intended for tests and debug assertions.
+    /// root, acyclicity, a child's slot after its parent's). Intended for
+    /// tests and debug assertions.
     pub fn validate(&self) -> Result<(), String> {
         if !self.is_live(self.root) {
             return Err("root is not live".into());
@@ -412,6 +430,9 @@ impl Tree {
             for &c in &n.children {
                 if self.nodes[c.index()].parent != Some(id) {
                     return Err(format!("child {c} of {id} has wrong parent link"));
+                }
+                if c.index() <= id.index() {
+                    return Err(format!("child {c} of {id} sits in an earlier slot"));
                 }
                 stack.push(c);
             }

@@ -126,6 +126,52 @@ proptest! {
         prop_assert!(work.remove_subtree(node).is_err());
     }
 
+    /// A random history of insertions at positions, removals, split-and-
+    /// graft round trips and virtual children keeps the allocation order:
+    /// every child in a later slot than its parent, so slot order lists
+    /// the root first and every parent before its children.
+    #[test]
+    fn mutation_history_keeps_children_in_later_slots(
+        tree in tree_strategy(),
+        script in proptest::collection::vec((0usize..4, 0usize..1000, 0usize..8), 0..24),
+    ) {
+        let mut work = tree;
+        for (kind, pick, pos) in script {
+            let nodes: Vec<NodeId> = work.descendants(work.root()).collect();
+            let at = nodes[pick % nodes.len()];
+            let inner = at != work.root() && !work.node(at).kind.is_virtual();
+            match kind {
+                0 => {
+                    work.insert_child(at, pos, LABELS[pos % LABELS.len()]);
+                }
+                1 if inner => work.remove_subtree(at).unwrap(),
+                2 if inner => {
+                    let sub = work.split_off(at, FragmentId(9)).unwrap();
+                    let v = work
+                        .virtual_nodes(work.root())
+                        .into_iter()
+                        .find(|&(_, f)| f == FragmentId(9))
+                        .unwrap()
+                        .0;
+                    work.graft(v, &sub).unwrap();
+                }
+                3 if !work.node(at).kind.is_virtual() => {
+                    work.add_virtual_child(at, FragmentId(5));
+                }
+                _ => {}
+            }
+            work.validate().unwrap();
+            let order: Vec<NodeId> = work.live_nodes().map(|(id, _)| id).collect();
+            prop_assert_eq!(order.len(), work.len());
+            prop_assert_eq!(order[0], work.root());
+            for (id, node) in work.live_nodes() {
+                if let Some(parent) = node.parent() {
+                    prop_assert!(parent < id, "{} under {}", id, parent);
+                }
+            }
+        }
+    }
+
     #[test]
     fn byte_size_monotone_under_growth(tree in tree_strategy()) {
         let before = tree.byte_size(tree.root());
