@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use parbox_bench::{ft1, Scale};
-use parbox_core::{parbox, MaterializedView, Update};
+use parbox_core::{parbox, Engine, EngineConfig, Update};
 use parbox_net::{Cluster, NetworkModel};
 use parbox_query::{compile, parse_query};
 use std::hint::black_box;
@@ -13,7 +13,8 @@ fn bench(c: &mut Criterion) {
         corpus_bytes: 96 * 1024,
         seed: 2006,
     };
-    let q = compile(&parse_query("[//qmarker[key/text() = \"F0\"]]").unwrap());
+    let query = parse_query("[//qmarker[key/text() = \"F0\"]]").unwrap();
+    let q = compile(&query);
 
     let mut group = c.benchmark_group("incremental");
     group.sample_size(10);
@@ -22,26 +23,23 @@ fn bench(c: &mut Criterion) {
         b.iter_batched(
             || {
                 let (forest, placement) = ft1(scale, 4);
-                let (view, _) =
-                    MaterializedView::materialize(&forest, &placement, NetworkModel::lan(), &q);
-                (forest, placement, view)
+                let mut engine = Engine::new(forest, placement, EngineConfig::default())
+                    .expect("valid deployment");
+                let view = engine.subscribe(&query);
+                (engine, view)
             },
-            |(mut forest, mut placement, mut view)| {
-                let frag = forest.fragment_ids().last().unwrap();
-                let parent = forest.fragment(frag).tree.root();
-                let rep = view
-                    .apply(
-                        &mut forest,
-                        &mut placement,
-                        Update::InsNode {
-                            frag,
-                            parent,
-                            label: "noise".into(),
-                            text: None,
-                        },
-                    )
+            |(mut engine, view)| {
+                let frag = engine.forest().fragment_ids().last().unwrap();
+                let parent = engine.forest().fragment(frag).tree.root();
+                engine
+                    .apply(Update::InsNode {
+                        frag,
+                        parent,
+                        label: "noise".into(),
+                        text: None,
+                    })
                     .unwrap();
-                black_box(rep.answer)
+                black_box(engine.subscription_answer(view))
             },
             criterion::BatchSize::SmallInput,
         )

@@ -8,18 +8,17 @@ use parbox_core::plan::{
 };
 use parbox_core::{
     apply_update_to_forest, full_dist_parbox, lazy_parbox, naive_centralized, naive_distributed,
-    parbox, plan_run, run_batch, CostEstimate, Engine, EngineConfig, EvalOutcome, MaterializedView,
-    Update,
+    parbox, plan_run, run_batch, CostEstimate, Engine, EngineConfig, EvalOutcome, Update,
 };
 use parbox_frag::{Forest, ForestStats, Placement};
 use parbox_net::{Cluster, NetworkModel};
-use parbox_query::{compile, compile_batch, CompiledQuery};
+use parbox_query::{compile, compile_batch, parse_query, CompiledQuery};
 use parbox_xmark::{
-    batch_workload, drive_stream, drive_stream_with, generate, marker_query, mixed_workload,
-    query_with_qlist, resolve_data_update, resolve_update, update_heavy_workload, MixedConfig,
-    MixedOp, XmarkConfig,
+    batch_workload, drive_stream, generate, marker_query, mixed_workload, query_with_qlist,
+    resolve_update, MixedConfig, MixedOp, XmarkConfig,
 };
 use parbox_xml::FragmentId;
+use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
 fn compile_str(src: &str) -> CompiledQuery {
@@ -597,20 +596,24 @@ pub fn fig4_table(scale: Scale, machines: usize) -> Vec<Fig4Row> {
 pub struct IncrementalRow {
     /// Scenario label.
     pub scenario: &'static str,
-    /// Incremental maintenance cost (modeled seconds).
+    /// Incremental maintenance cost: the update plus the re-read
+    /// (modeled seconds).
     pub incremental_s: f64,
     /// Full ParBoX re-evaluation cost (modeled seconds).
     pub reeval_s: f64,
-    /// Maintenance traffic (bytes).
+    /// Maintenance traffic, update plus re-read (bytes).
     pub incremental_bytes: usize,
     /// Re-evaluation traffic (bytes).
     pub reeval_bytes: usize,
-    /// Sites visited by maintenance.
+    /// Sites visited by the update or the re-read.
     pub sites_visited: usize,
 }
 
 /// **Section 5**: incremental view maintenance vs full re-evaluation,
 /// for relevant and irrelevant updates and for a fragmentation change.
+/// The view is the resident engine's cached query: its incremental cost
+/// is the [`Engine::apply`] that maintains it plus the [`Engine::query`]
+/// that re-reads it.
 pub fn sec5_incremental(scale: Scale, machines: usize) -> Vec<IncrementalRow> {
     let mut rows = Vec::new();
     for (scenario, update_of) in [
@@ -657,25 +660,33 @@ pub fn sec5_incremental(scale: Scale, machines: usize) -> Vec<IncrementalRow> {
             }),
         ),
     ] {
-        let (mut forest, mut placement) = ft1(scale, machines);
-        let q = compile_str("[//flip-target = \"now\" or //qmarker[key/text() = \"F0\"]]");
-        let (mut view, _) =
-            MaterializedView::materialize(&forest, &placement, NetworkModel::lan(), &q);
+        let (forest, placement) = ft1(scale, machines);
         let update = update_of(&forest);
-        let rep = view
-            .apply(&mut forest, &mut placement, update)
-            .expect("valid update");
+        let mut engine =
+            Engine::new(forest, placement, EngineConfig::default()).expect("valid deployment");
+        let q = parse_query("[//flip-target = \"now\" or //qmarker[key/text() = \"F0\"]]")
+            .expect("valid query");
+        // The view: materialized once, then maintained by the update and
+        // re-read, which is where a split's invalidated fragments are
+        // re-evaluated.
+        engine.query(&q);
+        let up = engine.apply(update).expect("valid update");
+        let read = engine.query(&q);
         // Full re-evaluation for comparison.
-        let cluster = Cluster::new(&forest, &placement, NetworkModel::lan());
-        let full = parbox(&cluster, &q);
-        assert_eq!(view.answer(), full.answer, "view drifted in {scenario}");
+        let cluster = Cluster::new(engine.forest(), engine.placement(), NetworkModel::lan());
+        let full = parbox(&cluster, &compile(&q));
+        assert_eq!(read.answer, full.answer, "view drifted in {scenario}");
+        let visited: BTreeSet<_> = [&up.report, &read.report]
+            .into_iter()
+            .flat_map(|r| r.sites().filter(|(_, s)| s.visits > 0).map(|(s, _)| s))
+            .collect();
         rows.push(IncrementalRow {
             scenario,
-            incremental_s: rep.report.elapsed_model_s,
+            incremental_s: up.report.elapsed_model_s + read.report.elapsed_model_s,
             reeval_s: full.report.elapsed_model_s,
-            incremental_bytes: rep.report.total_bytes(),
+            incremental_bytes: up.report.total_bytes() + read.report.total_bytes(),
             reeval_bytes: full.report.total_bytes(),
-            sites_visited: rep.report.sites().filter(|(_, r)| r.visits > 0).count(),
+            sites_visited: visited.len(),
         });
     }
     rows
@@ -1344,118 +1355,6 @@ fn expg_cell(
     }
 }
 
-/// One measured row of Experiment H: incremental view maintenance under
-/// an update-heavy stream.
-#[derive(Debug, Clone)]
-pub struct ExpHRow {
-    /// Participating sites (= fragments, one per site).
-    pub sites: usize,
-    /// Operations in the stream (queries + updates).
-    pub ops: usize,
-    /// Queries answered (both runs, identically).
-    pub queries: usize,
-    /// Updates that resolved and were applied (both runs, identically).
-    pub updates_applied: usize,
-    /// Wall-clock of the delta-maintaining run, seconds.
-    pub delta_wall_s: f64,
-    /// Wall-clock of the invalidate-and-recompute run, seconds.
-    pub legacy_wall_s: f64,
-    /// `legacy_wall_s / delta_wall_s` — reported, not gated: the delta
-    /// run lasts well under 0.1 s, so the ratio moves with the host.
-    pub speedup: f64,
-    /// Work units of the delta-maintaining run: every round's site and
-    /// coordinator work plus every repair, first-touch memo builds
-    /// included. Exact run to run.
-    pub delta_work: u64,
-    /// Work units of the invalidate-and-recompute run.
-    pub legacy_work: u64,
-    /// `legacy_work / delta_work` — the gated ratio.
-    pub work_ratio: f64,
-    /// Cache entries repaired in place (site + coordinator levels).
-    pub entries_repaired: u64,
-    /// Cache entries the delta run still had to invalidate.
-    pub entries_invalidated: u64,
-    /// Tree nodes re-interned across all repairs — the update cost
-    /// actually paid: O(depth) per repair, plus the fragment once per
-    /// entry whose memo an update built (compare against
-    /// `fragment_nodes`).
-    pub nodes_recomputed: u64,
-    /// Nodes in the forest at the end of the delta run — the O(|F|)
-    /// cost the legacy path pays per recompute, for contrast.
-    pub fragment_nodes: usize,
-    /// Wire bytes of shipped triplet deltas.
-    pub delta_bytes: u64,
-    /// Total simulated traffic of the delta run, bytes.
-    pub delta_traffic_bytes: usize,
-    /// Total simulated traffic of the legacy run, bytes.
-    pub legacy_traffic_bytes: usize,
-}
-
-/// **Experiment H**: delta-repair view maintenance vs
-/// invalidate-and-recompute on an update-heavy stream (≥50% pure data
-/// updates, queries drawn from a small standing pool) over an FT1
-/// deployment of `machines` sites. Both engines are identically
-/// configured apart from [`EngineConfig::delta_maintenance`] and see the
-/// same stream; their answers must match bit for bit. Admission is
-/// single-query (`max_batch = 1`) so cached fingerprints stay bounded by
-/// the standing pool — the serving regime delta repair targets.
-pub fn exph_ivm(scale: Scale, machines: usize, ops: usize) -> ExpHRow {
-    let stream = update_heavy_workload(ops, 4, scale.seed);
-    let config = |delta_maintenance: bool| EngineConfig {
-        max_batch: 1,
-        batch_window: Duration::ZERO,
-        delta_maintenance,
-        ..EngineConfig::default()
-    };
-
-    // --- Delta-maintaining run -----------------------------------------
-    let (forest, placement) = ft1(scale, machines);
-    let mut engine = Engine::new(forest, placement, config(true)).expect("valid deployment");
-    let start = Instant::now();
-    let delta = drive_stream_with(&mut engine, &stream, resolve_data_update);
-    let delta_wall_s = start.elapsed().as_secs_f64();
-    let stats = engine.stats();
-    let fragment_nodes = engine.forest_stats().total_nodes();
-    drop(engine);
-
-    // --- Invalidate-and-recompute run ----------------------------------
-    let (forest, placement) = ft1(scale, machines);
-    let mut engine = Engine::new(forest, placement, config(false)).expect("valid deployment");
-    let start = Instant::now();
-    let legacy = drive_stream_with(&mut engine, &stream, resolve_data_update);
-    let legacy_wall_s = start.elapsed().as_secs_f64();
-    drop(engine);
-
-    assert_eq!(
-        delta.answers, legacy.answers,
-        "delta repair and invalidate-and-recompute must agree on every answer"
-    );
-    assert_eq!(
-        delta.updates_applied, legacy.updates_applied,
-        "both runs must apply the same updates"
-    );
-
-    ExpHRow {
-        sites: machines,
-        ops,
-        queries: delta.answers.len(),
-        updates_applied: delta.updates_applied,
-        delta_wall_s,
-        legacy_wall_s,
-        speedup: legacy_wall_s / delta_wall_s.max(1e-12),
-        delta_work: delta.work_units,
-        legacy_work: legacy.work_units,
-        work_ratio: legacy.work_units as f64 / delta.work_units.max(1) as f64,
-        entries_repaired: stats.entries_repaired,
-        entries_invalidated: stats.entries_invalidated,
-        nodes_recomputed: stats.repair_nodes_recomputed,
-        fragment_nodes,
-        delta_bytes: stats.repair_delta_bytes,
-        delta_traffic_bytes: delta.bytes,
-        legacy_traffic_bytes: legacy.bytes,
-    }
-}
-
 // Re-export used by binaries.
 pub use crate::builders::plant_markers;
 
@@ -1731,28 +1630,5 @@ mod tests {
             injected_total += c.injected;
         }
         assert!(injected_total > 0, "chaos cells injected nothing");
-    }
-
-    #[test]
-    fn exph_repairs_in_place_and_agrees() {
-        // Answer equality between the two engines is asserted inside
-        // exph_ivm; wall-clock ratios are left to the release binary.
-        let row = exph_ivm(tiny(), 3, 80);
-        assert!(row.updates_applied > 0, "stream must carry updates");
-        // ~55% of ops are update seeds; a few don't resolve (guarded
-        // deletions), so the applied floor sits below one half.
-        assert!(
-            row.updates_applied * 3 >= row.ops,
-            "stream must be update-heavy"
-        );
-        assert!(row.entries_repaired > 0, "delta run must repair in place");
-        assert!(
-            (row.nodes_recomputed as usize) < row.fragment_nodes * row.updates_applied,
-            "repair cost must undercut per-update full recompute"
-        );
-        assert!(
-            row.delta_traffic_bytes < row.legacy_traffic_bytes,
-            "triplet deltas must undercut full triplet re-ships"
-        );
     }
 }

@@ -16,14 +16,15 @@
 //!   [`Executor`] trait, with statistics-driven selection
 //!   ([`Planner::choose`], [`plan_run`]) replacing the hand-written
 //!   `HybridParBoX` tipping point;
-//! * [`MaterializedView`] — incremental maintenance of Boolean XPath
-//!   views under data and fragmentation updates (Section 5);
 //! * [`run_batch`] — the **batch engine**: a whole batch of concurrent
 //!   queries evaluated in one ParBoX round (one visit per site, one
 //!   traversal per fragment, one solver pass);
 //! * [`Engine`] — the **resident serving engine** ([`serve`]): an owned,
 //!   long-lived deployment with persistent site workers, two-level
-//!   triplet caching and update routing, for query/update *streams*.
+//!   triplet caching and update routing, for query/update *streams*;
+//!   its standing queries ([`Engine::subscribe`]) are the incrementally
+//!   maintained Boolean views of Section 5, under the [`Update`]s of
+//!   [`views`].
 //!
 //! Every algorithm takes a [`parbox_net::Cluster`] (fragmented document +
 //! placement + network model) and a compiled query, and returns the
@@ -94,6 +95,5 @@ pub use serve::{
     ShutdownReport, SubscriptionId, Ticket, UpdateOutcome,
 };
 pub use views::{
-    apply_update_to_forest, apply_update_tracked, FragmentDelta, MaterializedView, Update,
-    UpdateEffect, UpdateReport, ViewError,
+    apply_update_to_forest, apply_update_tracked, FragmentDelta, Update, UpdateEffect, ViewError,
 };

@@ -18,11 +18,13 @@
 //!   memoizes the triplets it received per *member* fingerprint, so a
 //!   repeated query is re-solved locally with **zero data-plane
 //!   messages**;
-//! * **update routing** — [`Engine::apply`] reuses the Section 5
-//!   maintenance logic ([`crate::views::apply_update_to_forest`]) and
-//!   repairs (or, for structural updates, invalidates) only the touched
-//!   fragment's cache entries, at both levels, keeping every cached
-//!   triplet consistent with the document.
+//! * **update routing** — [`Engine::apply`] mutates the document
+//!   through [`crate::views::apply_update_to_forest`] and repairs (or,
+//!   for structural updates, invalidates) only the touched fragment's
+//!   cache entries, at both levels, keeping every cached triplet
+//!   consistent with the document. With [`Engine::subscribe`] this is
+//!   the repository's one implementation of the paper's Section 5
+//!   incremental view maintenance.
 //!
 //! Reads and maintenance are priced apart. A site answers every miss
 //! with plain `bottomUp` and caches the triplet with its program; the
@@ -79,8 +81,8 @@ use crate::views::{apply_update_tracked, FragmentDelta, Update, UpdateEffect, Vi
 use parbox_bool::{site_envelope_dag_wire_size, EquationSystem, Formula, Triplet};
 use parbox_frag::{Forest, ForestStats, FragError, Placement, SiteId, SourceTree};
 use parbox_net::engine::{
-    DeltaKernel, DeltaState, EvalReply, FragmentEval, PatchFn, RepairOutcome, RepairedEval,
-    SiteCacheStats, SitePool,
+    DeltaMemo, EvalReply, FragmentEval, PatchFn, RepairOutcome, RepairedEval, SiteCacheStats,
+    SitePool,
 };
 use parbox_net::{FaultPlan, FaultSummary, MessageKind, NetworkModel, PlanSummary};
 use parbox_net::{RepairEfficacy, RunReport, SupervisorConfig};
@@ -95,6 +97,10 @@ use std::time::{Duration, Instant};
 const UPDATE_CONTROL_BYTES: usize = 16;
 
 /// Configuration of a resident [`Engine`].
+///
+/// Maintenance has no switch: a data update always repairs the cached
+/// triplets of its fragment in place, and a split or merge invalidates
+/// the stale fragments ([`Engine::apply`]).
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Network cost model for the report accounting.
@@ -126,15 +132,6 @@ pub struct EngineConfig {
     /// rounds. `None` derives one from the network model via
     /// [`SupervisorConfig::from_model`].
     pub supervisor: Option<SupervisorConfig>,
-    /// Maintain cached triplets *in place* under pure data updates: the
-    /// first update to reach a fragment builds one per-node memo behind
-    /// the triplets the owning site caches for it, every later one
-    /// repairs it as far up from the change as the change reaches, and
-    /// the coordinator re-projects the shipped triplet deltas instead
-    /// of invalidating. Reads never pay for it: a miss runs plain
-    /// `bottomUp` whatever this says. When false, every update falls
-    /// back to invalidate-and-recompute.
-    pub delta_maintenance: bool,
 }
 
 impl Default for EngineConfig {
@@ -147,7 +144,6 @@ impl Default for EngineConfig {
             solve_cache_fingerprints: 512,
             fault_plan: FaultPlan::none(),
             supervisor: None,
-            delta_maintenance: true,
         }
     }
 }
@@ -272,8 +268,8 @@ pub struct UpdateOutcome {
     /// shipped subtree on a cross-site split).
     pub report: RunReport,
     /// Cache entries invalidated by the update and left for
-    /// recomputation (site + coordinator levels on the delta path;
-    /// coordinator entries on the legacy path).
+    /// recomputation (site + coordinator levels on the repair path;
+    /// coordinator entries on the invalidation path).
     pub invalidated: usize,
     /// Cache entries repaired in place — or certified unchanged — by
     /// delta maintenance, across both cache levels. 0 on the
@@ -381,8 +377,9 @@ pub struct Engine {
     /// FIFO eviction order of cached fingerprints.
     solve_order: VecDeque<QueryFingerprint>,
     pending: Vec<(Ticket, CompiledQuery)>,
-    /// Rounds flushed implicitly by [`Engine::query`], kept so their
-    /// answers stay retrievable ([`Engine::take_parked_rounds`]).
+    /// Rounds flushed implicitly (by [`Engine::query`] among others),
+    /// kept so their answers stay retrievable
+    /// ([`Engine::take_parked_rounds`]).
     parked: Vec<RoundOutcome>,
     /// Standing queries, refreshed after every update; ordered so
     /// notifications come out deterministically.
@@ -413,7 +410,7 @@ fn delta_build(
     tree: &Tree,
     q: &CompiledQuery,
     tick: &mut dyn FnMut(),
-) -> (RepairedEval, DeltaState) {
+) -> (RepairedEval, Box<dyn DeltaMemo>) {
     let (inc, work_units) = IncrementalBottomUp::build_with_progress(tree, q, tick);
     let run = RepairedEval {
         triplet: Some(inc.triplet().clone()),
@@ -427,23 +424,16 @@ fn delta_build(
 /// updated node and as many of its ancestors as the change reaches —
 /// not the path to the root, let alone the fragment — and hands the
 /// root triplet back only when it moved.
-fn delta_repair(state: &mut DeltaState, tree: &Tree, anchor: NodeId) -> RepairedEval {
-    let inc = state
-        .downcast_mut::<IncrementalBottomUp>()
-        .expect("state was built by delta_build");
-    let run = inc.propagate(tree, anchor);
-    RepairedEval {
-        triplet: run.root_changed.then(|| inc.triplet().clone()),
-        nodes_recomputed: run.nodes_recomputed,
-        work_units: run.work_units,
+impl DeltaMemo for IncrementalBottomUp {
+    fn repair(&mut self, tree: &Tree, anchor: NodeId) -> RepairedEval {
+        let run = self.propagate(tree, anchor);
+        RepairedEval {
+            triplet: run.root_changed.then(|| self.triplet().clone()),
+            nodes_recomputed: run.nodes_recomputed,
+            work_units: run.work_units,
+        }
     }
 }
-
-/// Kernel pair handed to the site pool when delta maintenance is on.
-const DELTA_KERNEL: DeltaKernel = DeltaKernel {
-    build: delta_build,
-    repair: delta_repair,
-};
 
 /// Builds the site-side patch replaying a pure data update on the
 /// site's *own* copy of the fragment tree — the [`Update`] expressed as
@@ -451,7 +441,7 @@ const DELTA_KERNEL: DeltaKernel = DeltaKernel {
 /// identical mutation sequence from the identical seed state, so they
 /// stay equal without ever sharing (and therefore without the `O(|F|)`
 /// copy-on-write clone a shared handle would force on every update).
-/// Restructuring updates return `None` and take the legacy path.
+/// Restructuring updates return `None` and take the invalidation path.
 fn data_patch(update: &Update) -> Option<PatchFn> {
     match update {
         Update::InsNode {
@@ -510,7 +500,7 @@ impl Engine {
             config.site_cache_capacity,
             kernel,
             config.fault_plan.clone(),
-            config.delta_maintenance.then_some(DELTA_KERNEL),
+            Some(delta_build),
         );
         let supervisor = config
             .supervisor
@@ -693,9 +683,10 @@ impl Engine {
         }
     }
 
-    /// Rounds that [`Engine::query`] flushed on behalf of earlier
+    /// Rounds that [`Engine::query`], [`Engine::subscribe`] or a
+    /// rejected [`Engine::apply`] flushed on behalf of earlier
     /// [`Engine::submit`] calls, in flush order. Empty unless `submit`
-    /// and `query` were interleaved.
+    /// was interleaved with those.
     pub fn take_parked_rounds(&mut self) -> Vec<RoundOutcome> {
         std::mem::take(&mut self.parked)
     }
@@ -704,10 +695,12 @@ impl Engine {
     /// baseline), its solve-cache entry is pinned against eviction, and
     /// every subsequent [`Engine::apply`] re-checks it — pushing a
     /// [`Notification`] with the [`UpdateOutcome`] whenever the answer
-    /// flips. With delta maintenance on, the re-check is free when the
-    /// update left the entry's triplets unchanged, and a local re-solve
-    /// of the repaired triplets otherwise — no data-plane round either
-    /// way. Anything pending is flushed (and parked) first, as for
+    /// flips. This is the paper's materialized Boolean view (Section
+    /// 5): after a data update the re-check is free when the repair
+    /// left the entry's triplets unchanged, and a local re-solve of the
+    /// repaired triplets otherwise — no data-plane round either way;
+    /// after a split or merge it re-evaluates only the stale fragments.
+    /// Anything pending is flushed (and parked) first, as for
     /// [`Engine::query`].
     pub fn subscribe(&mut self, query: &Query) -> SubscriptionId {
         if let Some(prior) = self.flush() {
@@ -1218,45 +1211,53 @@ impl Engine {
     /// queries are flushed first (answered against the pre-update
     /// document), the forest mutates through the shared maintenance path
     /// (incrementally maintaining the planner's [`ForestStats`]), and
-    /// the cached state is then brought back in sync.
+    /// the cached state is then brought back in sync. With
+    /// [`Engine::subscribe`] this is the paper's incremental view
+    /// maintenance: only the updated fragment's site is visited, and
+    /// the traffic does not depend on `|T|`.
     ///
-    /// For a pure data update under delta maintenance, sync is **repair
-    /// in place**: the owning site re-interns the changed stretch of the
-    /// anchor-to-root path, once for each group of cached triplets
-    /// (sized by the change, not by the fragment or the entries), and
-    /// ships back a varint-DAG triplet delta of the changed entries; the
-    /// coordinator re-projects those through each solve entry's
-    /// recorded provenance — keeping memoized answers alive whenever
-    /// the triplet did not actually change. Entries no update has
-    /// reached before get their shared repair memo first: one full
-    /// evaluation of the patched fragment under their merged program,
-    /// reported as a repair like the small ones that follow. Structural
-    /// updates, a disabled [`EngineConfig::delta_maintenance`], or any
-    /// failure mid-repair (crash, wedge, dropped reply) fall back to the
-    /// legacy invalidate-and-recompute path — a half-repaired cache is
-    /// never trusted. Standing queries are re-checked at the end and
-    /// their answer flips delivered in [`UpdateOutcome::notifications`].
+    /// For a pure data update, sync is **repair in place**: the owning
+    /// site re-interns the changed stretch of the anchor-to-root path,
+    /// once for each group of cached triplets (sized by the change, not
+    /// by the fragment or the entries), and ships back a varint-DAG
+    /// triplet delta of the changed entries; the coordinator
+    /// re-projects those through each solve entry's recorded provenance
+    /// — keeping memoized answers alive whenever the triplet did not
+    /// actually change. Entries no update has reached before get their
+    /// shared repair memo first: one full evaluation of the patched
+    /// fragment under their merged program, reported as a repair like
+    /// the small ones that follow. Structural updates (split, merge)
+    /// and any failure mid-repair (crash, wedge, dropped reply)
+    /// invalidate the stale fragments instead — a half-repaired cache
+    /// is never trusted — and the next read re-evaluates exactly those.
+    /// Standing queries are re-checked at the end and their answer
+    /// flips delivered in [`UpdateOutcome::notifications`].
+    ///
+    /// An update naming a dead fragment or node, or one that would
+    /// orphan fragments, is rejected before anything mutates; the round
+    /// it flushed is parked ([`Engine::take_parked_rounds`]).
     pub fn apply(&mut self, update: Update) -> Result<UpdateOutcome, ViewError> {
         let flushed = self.flush();
         let mut report = RunReport::new();
         let wall = Instant::now();
-        let patch = if self.config.delta_maintenance {
-            data_patch(&update)
-        } else {
-            None
-        };
-        let effect = apply_update_tracked(
+        let patch = data_patch(&update);
+        let tracked = apply_update_tracked(
             &mut self.forest,
             &mut self.placement,
             &mut self.forest_stats,
             update,
-        )?;
+        );
+        let effect = match tracked {
+            Ok(effect) => effect,
+            Err(e) => {
+                self.parked.extend(flushed);
+                return Err(e);
+            }
+        };
         let mut faults = FaultSummary::default();
 
-        let delta = effect
-            .delta
-            .filter(|_| self.config.delta_maintenance && !effect.restructured());
-        let efficacy = match (delta, patch) {
+        // Only insNode/delNode carry a delta, and only they have a patch.
+        let efficacy = match (effect.delta, patch) {
             (Some(d), Some(patch)) => self.repair_in_place(d, patch, &mut report, &mut faults),
             _ => RepairEfficacy {
                 invalidated: self.invalidate_for(&effect, &mut report, &mut faults) as u64,
@@ -1372,9 +1373,9 @@ impl Engine {
         }
     }
 
-    /// The legacy maintenance path: reload touched fragments at their
-    /// sites (dropping the site cache entries) and purge the
-    /// coordinator's. Returns the coordinator entries dropped.
+    /// The invalidation path of structural updates: reload touched
+    /// fragments at their sites (dropping the site cache entries) and
+    /// purge the coordinator's. Returns the coordinator entries dropped.
     fn invalidate_for(
         &mut self,
         effect: &UpdateEffect,
@@ -1761,18 +1762,6 @@ mod tests {
         Engine::new(forest, placement, EngineConfig::default()).unwrap()
     }
 
-    /// An engine with delta maintenance off: every update invalidates
-    /// and recomputes, as before delta repair existed.
-    fn legacy_engine() -> Engine {
-        let forest = fig1_forest();
-        let placement = Placement::one_per_fragment(&forest);
-        let config = EngineConfig {
-            delta_maintenance: false,
-            ..EngineConfig::default()
-        };
-        Engine::new(forest, placement, config).unwrap()
-    }
-
     fn oracle(engine: &Engine, q: &Query) -> bool {
         let cluster = Cluster::new(engine.forest(), engine.placement(), NetworkModel::lan());
         parbox(&cluster, &compile(q)).answer
@@ -1817,10 +1806,8 @@ mod tests {
         // Regression: two merged batch programs ending in the same member
         // share a *root* fingerprint. If the site caches keyed by it,
         // round 2 would be served round 1's (differently shaped) triplets
-        // and the projection would read the wrong entries. (Legacy
-        // engine: delta repair would keep B's answer memoized and round
-        // 2 would never merge [C, B].)
-        let mut e = legacy_engine();
+        // and the projection would read the wrong entries.
+        let mut e = engine();
         let a = parse_query("[//A]").unwrap();
         let b = parse_query("[//B]").unwrap();
         let c = parse_query("[//pad]").unwrap();
@@ -1828,16 +1815,9 @@ mod tests {
         e.submit(&a);
         e.submit(&b);
         e.flush().unwrap();
-        // Invalidate one fragment so B is active again next round.
-        let frag = FragmentId(3);
-        let parent = e.forest().fragment(frag).tree.root();
-        e.apply(Update::InsNode {
-            frag,
-            parent,
-            label: "noise".into(),
-            text: None,
-        })
-        .unwrap();
+        // Drop the coordinator's triplets so B is active again next
+        // round; the sites keep round 1's entries.
+        e.clear_solve_cache();
         // Round 2: merged program [C, B] — same root fingerprint as
         // round 1's, different program. Every fragment is requested
         // (C is new), so stale site-cache entries would be hit.
@@ -2092,45 +2072,56 @@ mod tests {
 
     #[test]
     fn legacy_invalidation_reevaluates_one_fragment() {
-        // With delta maintenance off, the pre-existing contract holds:
-        // the touched fragment is invalidated and exactly it re-runs
-        // `bottomUp` on the next query.
-        let mut e = legacy_engine();
+        // A split restructures the fragment tree, so the engine falls
+        // back to invalidation: the split fragment and the one it
+        // created are stale, and exactly they re-run `bottomUp` on the
+        // next query, at the one site that owns them.
+        let mut e = engine();
         let q = parse_query("[//A and //B]").unwrap();
         e.query(&q);
         let frag = FragmentId(3);
-        let parent = {
+        let b = {
             let t = &e.forest().fragment(frag).tree;
-            t.root()
+            t.descendants(t.root())
+                .find(|&n| t.label_str(n) == "B")
+                .unwrap()
         };
         let up = e
-            .apply(Update::InsNode {
+            .apply(Update::SplitFragments {
                 frag,
-                parent,
-                label: "noise".into(),
-                text: None,
+                node: b,
+                to_site: None,
             })
             .unwrap();
         assert!(up.invalidated >= 1);
         assert_eq!(up.repaired, 0);
+        let stale: Vec<FragmentId> = up.effect.stale().collect();
+        assert_eq!(stale.len(), 2);
         let before = e.stats().fragments_evaluated;
         let again = e.query(&q);
         assert_eq!(again.answer, oracle(&e, &q));
         assert!(!again.from_cache);
         assert_eq!(
             e.stats().fragments_evaluated - before,
-            1,
-            "only the invalidated fragment goes back to its site"
+            stale.len() as u64,
+            "only the stale fragments go back to their sites"
         );
+        let site = e.placement().site_of(frag);
+        let visited: Vec<SiteId> = again
+            .report
+            .sites()
+            .filter(|(_, r)| r.visits > 0)
+            .map(|(s, _)| s)
+            .collect();
+        assert_eq!(visited, vec![site]);
     }
 
     #[test]
     fn delta_and_legacy_engines_agree_on_update_streams() {
-        // Per-step oracle equivalence of the two maintenance paths: the
-        // repaired caches must serve byte-identical answers to the
-        // invalidate-and-recompute baseline on every step.
-        let mut delta = engine();
-        let mut legacy = legacy_engine();
+        // Per-step oracle equivalence of the repair path: the repaired
+        // caches must serve the answers a from-scratch evaluation gives
+        // on every step.
+        let mut e = engine();
         let queries: Vec<Query> = SRCS.iter().map(|s| parse_query(s).unwrap()).collect();
         let updates = [
             ("goal", FragmentId(3)),
@@ -2139,26 +2130,123 @@ mod tests {
             ("B", FragmentId(0)),
         ];
         for (label, frag) in updates {
-            let parent = delta.forest().fragment(frag).tree.root();
-            let up = Update::InsNode {
+            let parent = e.forest().fragment(frag).tree.root();
+            e.apply(Update::InsNode {
                 frag,
                 parent,
                 label: label.into(),
                 text: None,
-            };
-            delta.apply(up.clone()).unwrap();
-            legacy.apply(up).unwrap();
+            })
+            .unwrap();
             for q in &queries {
-                assert_eq!(
-                    delta.query(q).answer,
-                    legacy.query(q).answer,
-                    "{label} -> {frag:?}"
-                );
-                assert_eq!(delta.query(q).answer, oracle(&delta, q));
+                assert_eq!(e.query(q).answer, oracle(&e, q), "{label} -> {frag:?}");
             }
         }
-        assert!(delta.stats().entries_repaired > 0);
-        assert_eq!(legacy.stats().entries_repaired, 0);
+        assert!(e.stats().entries_repaired > 0);
+        assert_eq!(e.stats().entries_invalidated, 0);
+    }
+
+    #[test]
+    fn rejected_update_parks_the_round_it_flushed() {
+        let mut e = engine();
+        let a = parse_query("[//A]").unwrap();
+        let b = parse_query("[//B and //pad]").unwrap();
+        let (ta, tb) = (e.submit(&a), e.submit(&b));
+        // Deleting a virtual node would orphan the fragment behind it.
+        let f0 = e.forest().root_fragment();
+        let vnode = {
+            let t = &e.forest().fragment(f0).tree;
+            t.virtual_nodes(t.root())[0].0
+        };
+        let err = e.apply(Update::DelNode {
+            frag: f0,
+            node: vnode,
+        });
+        assert!(matches!(err, Err(ViewError::WouldOrphanFragments(_))));
+        let parked = e.take_parked_rounds();
+        assert_eq!(parked.len(), 1, "the flushed round was kept");
+        assert_eq!(
+            parked[0].answers,
+            vec![(ta, oracle(&e, &a)), (tb, oracle(&e, &b))]
+        );
+    }
+
+    #[test]
+    fn bad_updates_are_rejected_before_anything_mutates() {
+        let mut e = engine();
+        let q = parse_query("[//A and //B]").unwrap();
+        e.query(&q);
+        // Merge fragment 3 away, and remove `pad` from fragment 1.
+        let (f0, f1, gone) = (e.forest().root_fragment(), FragmentId(1), FragmentId(3));
+        let vnode = {
+            let t = &e.forest().fragment(f0).tree;
+            let v = t.virtual_nodes(t.root());
+            v.into_iter().find(|&(_, f)| f == gone).unwrap().0
+        };
+        e.apply(Update::MergeFragments {
+            frag: f0,
+            node: vnode,
+        })
+        .unwrap();
+        let pad = {
+            let t = &e.forest().fragment(f1).tree;
+            t.descendants(t.root())
+                .find(|&n| t.label_str(n) == "pad")
+                .unwrap()
+        };
+        e.apply(Update::DelNode {
+            frag: f1,
+            node: pad,
+        })
+        .unwrap();
+
+        let ins = |frag, parent| Update::InsNode {
+            frag,
+            parent,
+            label: "B".into(),
+            text: None,
+        };
+        let far = NodeId::from_index(10_000);
+        let dead_fragment = [
+            ins(gone, NodeId::from_index(0)),
+            Update::DelNode {
+                frag: gone,
+                node: NodeId::from_index(1),
+            },
+        ];
+        let dead_node = [
+            ins(f1, pad),
+            Update::DelNode {
+                frag: f1,
+                node: pad,
+            },
+            ins(f1, far),
+            Update::SplitFragments {
+                frag: f1,
+                node: pad,
+                to_site: None,
+            },
+            Update::MergeFragments {
+                frag: f0,
+                node: far,
+            },
+        ];
+        for (update, dead) in (dead_fragment.into_iter().map(|u| (u, true)))
+            .chain(dead_node.into_iter().map(|u| (u, false)))
+        {
+            let (forest, stats) = (format!("{:?}", e.forest()), e.forest_stats().clone());
+            let shown = format!("{update:?}");
+            match e.apply(update) {
+                Err(ViewError::Frag(FragError::UnknownFragment(f))) => {
+                    assert!(dead && f == gone, "{shown}");
+                }
+                Err(ViewError::Xml(parbox_xml::XmlError::StaleNode)) => assert!(!dead, "{shown}"),
+                other => panic!("{shown}: {other:?}"),
+            }
+            assert_eq!(format!("{:?}", e.forest()), forest, "{shown}");
+            assert_eq!(*e.forest_stats(), stats, "{shown}");
+            assert_eq!(e.query(&q).answer, oracle(&e, &q), "{shown}");
+        }
     }
 
     #[test]

@@ -1,33 +1,25 @@
-//! Incremental maintenance of Boolean XPath views (paper, Section 5).
+//! The updates of the paper's Section 5 and the one mutation path they
+//! take through a fragmented document.
 //!
-//! A materialized view `M(q, T)` caches the source tree and the answer
-//! `ans` of `q` over the fragmented tree `T`. To make maintenance
-//! incremental, the state is augmented with the `(V, CV, DV)` triplet of
-//! every fragment. After updates to a fragment `F_j`:
-//!
-//! * only the site storing `F_j` is visited, and only `F_j` is
-//!   re-evaluated (`bottomUp`);
-//! * the fresh triplet is compared with the cached one — if identical,
-//!   maintenance stops without touching `ans`;
-//! * otherwise the (local, cheap) equation system is re-solved.
-//!
-//! The communication cost is `O(|q| · card(F_j))` — independent of both
-//! `|T|` and the size of the update.
+//! A materialized Boolean view `M(q, T)` is maintained incrementally by
+//! re-evaluating only the updated fragment `F_j` at its own site and
+//! re-solving the (local, cheap) equation system, for `O(|q| ·
+//! card(F))` traffic — independent of both `|T|` and the size of the
+//! update. The serving engine is that view: [`crate::serve::Engine::subscribe`]
+//! materializes it and [`crate::serve::Engine::apply`] maintains it,
+//! repairing the cached triplets of `F_j` in place under data updates
+//! and re-evaluating just the stale fragments after a split or merge.
+//! This module holds what the engine and every other caller share:
+//! the [`Update`] itself and [`apply_update_to_forest`], which mutates
+//! the forest and placement and reports the [`UpdateEffect`].
 //!
 //! Four update operations are supported, matching the paper exactly:
 //! `insNode`, `delNode`, `splitFragments` and `mergeFragments`.
 
-use crate::algorithms::{parbox, query_wire_size, EvalOutcome};
-use crate::eval::bottom_up;
-use parbox_bool::{triplet_dag_wire_size, EquationSystem, Triplet};
-use parbox_frag::{Forest, FragError, Placement, SiteId, SourceTree};
-use parbox_net::{Cluster, MessageKind, NetworkModel, RunReport};
-use parbox_query::CompiledQuery;
-use parbox_xml::{FragmentId, NodeId};
-use std::collections::HashMap;
-use std::time::Instant;
+use parbox_frag::{Forest, FragError, Placement, SiteId};
+use parbox_xml::{FragmentId, NodeId, XmlError};
 
-/// An update against a materialized view's underlying fragmented tree.
+/// An update against a fragmented document.
 #[derive(Debug, Clone)]
 pub enum Update {
     /// `insNode(A, v)`: insert a node labelled `label` (with optional
@@ -77,8 +69,9 @@ pub enum Update {
 pub enum ViewError {
     /// The underlying fragmentation operation failed.
     Frag(FragError),
-    /// The tree operation failed.
-    Xml(parbox_xml::XmlError),
+    /// The tree operation failed, or the update names a node that is not
+    /// live in its fragment ([`XmlError::StaleNode`]).
+    Xml(XmlError),
     /// `delNode` would orphan sub-fragments.
     WouldOrphanFragments(Vec<FragmentId>),
 }
@@ -108,7 +101,7 @@ impl std::error::Error for ViewError {}
 /// and so does the path above the first node the change does not reach.
 /// Only `insNode`/`delNode` produce a delta — `splitFragments` and
 /// `mergeFragments` restructure the fragment tree itself and take the
-/// legacy invalidate path.
+/// invalidation path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FragmentDelta {
     /// The fragment whose tree changed in place.
@@ -159,15 +152,22 @@ impl UpdateEffect {
 /// Applies one update to the fragmented document, mutating the forest and
 /// placement, and reports which fragments were touched, added or removed.
 ///
-/// This is the shared mutation path of [`MaterializedView::apply`] and the
-/// serving engine's update routing ([`crate::serve::Engine::apply`]): the
-/// callers differ only in how they maintain their cached triplets
-/// afterwards.
+/// This is the mutation path of the serving engine's update routing
+/// ([`crate::serve::Engine::apply`]). An update whose fragment is not
+/// live ([`FragError::UnknownFragment`]) or whose node is not a live node
+/// of it ([`XmlError::StaleNode`]) is rejected before anything mutates.
 pub fn apply_update_to_forest(
     forest: &mut Forest,
     placement: &mut Placement,
     update: Update,
 ) -> Result<UpdateEffect, ViewError> {
+    let (Update::InsNode {
+        frag, parent: node, ..
+    }
+    | Update::DelNode { frag, node }
+    | Update::SplitFragments { frag, node, .. }
+    | Update::MergeFragments { frag, node }) = update;
+    check_live(forest, frag, node)?;
     match update {
         Update::InsNode {
             frag,
@@ -250,6 +250,18 @@ pub fn apply_update_to_forest(
     }
 }
 
+/// Rejects an update whose fragment is not live, or whose node is not a
+/// live node of it.
+fn check_live(forest: &Forest, frag: FragmentId, node: NodeId) -> Result<(), ViewError> {
+    if !forest.is_live(frag) {
+        return Err(ViewError::Frag(FragError::UnknownFragment(frag)));
+    }
+    if !forest.fragment(frag).tree.is_live(node) {
+        return Err(ViewError::Xml(XmlError::StaleNode));
+    }
+    Ok(())
+}
+
 /// [`apply_update_to_forest`] with incremental
 /// [`ForestStats`](parbox_frag::ForestStats) maintenance: a pure data
 /// update adjusts the touched fragment's figures in `O(1)` from the
@@ -283,217 +295,36 @@ pub fn apply_update_tracked(
     Ok(effect)
 }
 
-/// Cost/result report of one maintenance step.
-#[derive(Debug, Clone)]
-pub struct UpdateReport {
-    /// The (possibly unchanged) view answer after the update.
-    pub answer: bool,
-    /// Whether the answer changed.
-    pub answer_changed: bool,
-    /// Fragments that were re-evaluated (always local to the update).
-    pub reevaluated: Vec<FragmentId>,
-    /// Visits / messages / work of the maintenance step.
-    pub report: RunReport,
-}
-
-/// A materialized Boolean XPath view `M(q, T) = (S_T, ans)`, augmented
-/// with per-fragment triplets for incremental maintenance.
-#[derive(Debug, Clone)]
-pub struct MaterializedView {
-    query: CompiledQuery,
-    model: NetworkModel,
-    /// Site holding the view state (the coordinator of the initial run).
-    home: SiteId,
-    triplets: HashMap<FragmentId, Triplet>,
-    ans: bool,
-}
-
-impl MaterializedView {
-    /// Materializes the view by running ParBoX once; the per-fragment
-    /// triplets computed on the way are cached as the augmented state.
-    pub fn materialize(
-        forest: &Forest,
-        placement: &Placement,
-        model: NetworkModel,
-        query: &CompiledQuery,
-    ) -> (MaterializedView, EvalOutcome) {
-        let cluster = Cluster::new(forest, placement, model);
-        let outcome = parbox(&cluster, query);
-        // Recompute triplets locally for the cache (the algorithm returns
-        // only the answer; fragments are small enough to redo in-process).
-        let mut triplets = HashMap::new();
-        for f in forest.fragment_ids() {
-            triplets.insert(f, bottom_up(&forest.fragment(f).tree, query).triplet);
-        }
-        let view = MaterializedView {
-            query: query.clone(),
-            model,
-            home: cluster.coordinator(),
-            triplets,
-            ans: outcome.answer,
-        };
-        (view, outcome)
-    }
-
-    /// The cached answer.
-    #[inline]
-    pub fn answer(&self) -> bool {
-        self.ans
-    }
-
-    /// The view's query.
-    pub fn query(&self) -> &CompiledQuery {
-        &self.query
-    }
-
-    /// Re-runs maintenance for `frag` against the *current* forest state
-    /// without mutating it. This is the notification path when several
-    /// views share one document (publish–subscribe): the publisher applies
-    /// the update once through any view (or directly on the forest), then
-    /// refreshes every other subscription for the changed fragment.
-    pub fn refresh(
-        &mut self,
-        forest: &Forest,
-        placement: &Placement,
-        frag: FragmentId,
-    ) -> UpdateReport {
-        let mut report = RunReport::new();
-        let wall = Instant::now();
-        let site = placement.site_of(frag);
-        report.record_visit(site);
-        let start = Instant::now();
-        let run = bottom_up(&forest.fragment(frag).tree, &self.query);
-        report.record_compute(site, start.elapsed());
-        report.record_work(site, run.work_units);
-        if site != self.home {
-            let bytes = triplet_dag_wire_size(&run.triplet);
-            report.record_message(site, self.home, bytes, MessageKind::Triplet);
-        }
-        let old = self.triplets.insert(frag, run.triplet);
-        let old_ans = self.ans;
-        if old.as_ref() != self.triplets.get(&frag) {
-            // Drop cached triplets of fragments that no longer exist and
-            // add any new ones before re-solving.
-            self.triplets.retain(|f, _| forest.is_live(*f));
-            for f in forest.fragment_ids() {
-                self.triplets
-                    .entry(f)
-                    .or_insert_with(|| bottom_up(&forest.fragment(f).tree, &self.query).triplet);
-            }
-            let st = SourceTree::new(forest, placement);
-            let mut sys = EquationSystem::new();
-            for (&f, t) in &self.triplets {
-                sys.insert(f, t.clone());
-            }
-            let resolved = sys
-                .solve(st.postorder())
-                .expect("triplets cover all fragments");
-            self.ans = resolved[&forest.root_fragment()].v[self.query.root() as usize];
-        }
-        report.elapsed_wall_s = wall.elapsed().as_secs_f64();
-        report.elapsed_model_s = report.total_compute_s();
-        UpdateReport {
-            answer: self.ans,
-            answer_changed: self.ans != old_ans,
-            reevaluated: vec![frag],
-            report,
-        }
-    }
-
-    /// Applies one update, mutating the forest/placement and incrementally
-    /// maintaining the view.
-    pub fn apply(
-        &mut self,
-        forest: &mut Forest,
-        placement: &mut Placement,
-        update: Update,
-    ) -> Result<UpdateReport, ViewError> {
-        let mut report = RunReport::new();
-        let wall = Instant::now();
-        let effect = apply_update_to_forest(forest, placement, update)?;
-        for gone in &effect.removed {
-            self.triplets.remove(gone);
-        }
-        let reevaluated: Vec<FragmentId> = effect.stale().collect();
-
-        // Localized recomputation: only the updated fragments' site works.
-        let mut changed = false;
-        for &frag in &reevaluated {
-            let site = placement.site_of(frag);
-            report.record_visit(site);
-            let start = Instant::now();
-            let run = bottom_up(&forest.fragment(frag).tree, &self.query);
-            report.record_compute(site, start.elapsed());
-            report.record_work(site, run.work_units);
-            let bytes = triplet_dag_wire_size(&run.triplet);
-            if site != self.home {
-                // The update notification and the fresh triplet travel
-                // between the fragment's site and the view's home site.
-                report.record_message(
-                    self.home,
-                    site,
-                    query_wire_size(&self.query),
-                    MessageKind::Control,
-                );
-                report.record_message(site, self.home, bytes, MessageKind::Triplet);
-            }
-            let old = self.triplets.insert(frag, run.triplet);
-            if old.as_ref() != self.triplets.get(&frag) {
-                changed = true;
-            }
-        }
-
-        let old_ans = self.ans;
-        if changed {
-            // Re-solve the (small) equation system at the home site.
-            let st = SourceTree::new(forest, placement);
-            let start = Instant::now();
-            let mut sys = EquationSystem::new();
-            for (&f, t) in &self.triplets {
-                sys.insert(f, t.clone());
-            }
-            let resolved = sys
-                .solve(st.postorder())
-                .expect("triplets cover all fragments");
-            report.record_compute(self.home, start.elapsed());
-            report.record_work(self.home, (self.query.len() * forest.card()) as u64);
-            self.ans = resolved[&forest.root_fragment()].v[self.query.root() as usize];
-        }
-
-        report.elapsed_wall_s = wall.elapsed().as_secs_f64();
-        report.elapsed_model_s = report.total_compute_s()
-            + self
-                .model
-                .shared_link_time(report.messages.iter().map(|m| m.bytes));
-        Ok(UpdateReport {
-            answer: self.ans,
-            answer_changed: self.ans != old_ans,
-            reevaluated,
-            report,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parbox_frag::strategies;
-    use parbox_query::{compile, parse_query};
+    use crate::algorithms::parbox;
+    use crate::serve::{Engine, EngineConfig, Notification, SubscriptionId};
+    use parbox_frag::{strategies, ForestStats};
+    use parbox_net::{Cluster, NetworkModel};
+    use parbox_query::{compile, parse_query, Query};
     use parbox_xml::Tree;
 
-    fn setup(q: &str) -> (Forest, Placement, MaterializedView) {
+    /// `r` in fragment 0 with `a`, `b` and `c` split off below it into
+    /// fragments 1–3, one site per fragment.
+    fn document() -> (Forest, Placement) {
         let tree = Tree::parse("<r><a><x>1</x><pad/></a><b><y>2</y><pad/></b><c><z>3</z></c></r>")
             .unwrap();
         let mut forest = Forest::from_tree(tree);
         let root = forest.root_fragment();
         strategies::star(&mut forest, root).unwrap();
         let placement = Placement::one_per_fragment(&forest);
-        let compiled = compile(&parse_query(q).unwrap());
-        let (view, _) =
-            MaterializedView::materialize(&forest, &placement, NetworkModel::lan(), &compiled);
-        // keep placement mutable for updates
-        placement.validate(&forest).unwrap();
-        (forest, placement, view)
+        (forest, placement)
+    }
+
+    /// The materialized view of `q` over [`document`]: a standing query
+    /// of a resident engine.
+    fn view(q: &str) -> (Engine, Query, SubscriptionId) {
+        let (forest, placement) = document();
+        let mut engine = Engine::new(forest, placement, EngineConfig::default()).unwrap();
+        let q = parse_query(q).unwrap();
+        let sub = engine.subscribe(&q);
+        (engine, q, sub)
     }
 
     fn node_of(forest: &Forest, frag: FragmentId, label: &str) -> NodeId {
@@ -504,276 +335,203 @@ mod tests {
     }
 
     /// Re-evaluates from scratch as an oracle.
-    fn oracle(forest: &Forest, placement: &Placement, q: &CompiledQuery) -> bool {
-        let cluster = Cluster::new(forest, placement, NetworkModel::lan());
-        parbox(&cluster, q).answer
+    fn oracle(engine: &Engine, q: &Query) -> bool {
+        let cluster = Cluster::new(engine.forest(), engine.placement(), NetworkModel::lan());
+        parbox(&cluster, &compile(q)).answer
+    }
+
+    fn insert(frag: FragmentId, parent: NodeId, label: &str) -> Update {
+        Update::InsNode {
+            frag,
+            parent,
+            label: label.into(),
+            text: None,
+        }
     }
 
     #[test]
     fn ins_node_flips_answer() {
-        let (mut forest, mut placement, mut view) = setup("[//goal]");
-        assert!(!view.answer());
+        let (mut e, q, sub) = view("[//goal]");
+        assert_eq!(e.subscription_answer(sub), Some(false));
         let frag = FragmentId(2);
-        let parent = node_of(&forest, frag, "b");
-        let rep = view
-            .apply(
-                &mut forest,
-                &mut placement,
-                Update::InsNode {
-                    frag,
-                    parent,
-                    label: "goal".into(),
-                    text: None,
-                },
-            )
-            .unwrap();
-        assert!(rep.answer && rep.answer_changed);
-        assert_eq!(rep.reevaluated, vec![frag]);
-        assert_eq!(view.answer(), oracle(&forest, &placement, view.query()));
+        let parent = node_of(e.forest(), frag, "b");
+        let up = e.apply(insert(frag, parent, "goal")).unwrap();
+        let flip = Notification {
+            subscription: sub,
+            answer: true,
+        };
+        assert_eq!(up.notifications, vec![flip]);
+        assert_eq!(up.effect.stale().collect::<Vec<_>>(), vec![frag]);
+        assert_eq!(e.subscription_answer(sub), Some(oracle(&e, &q)));
     }
 
     #[test]
     fn del_node_flips_answer_back() {
-        let (mut forest, mut placement, mut view) = setup("[//y = \"2\"]");
-        assert!(view.answer());
+        let (mut e, q, sub) = view("[//y = \"2\"]");
+        assert_eq!(e.subscription_answer(sub), Some(true));
         let frag = FragmentId(2);
-        let y = node_of(&forest, frag, "y");
-        let rep = view
-            .apply(
-                &mut forest,
-                &mut placement,
-                Update::DelNode { frag, node: y },
-            )
-            .unwrap();
-        assert!(!rep.answer && rep.answer_changed);
-        assert_eq!(view.answer(), oracle(&forest, &placement, view.query()));
+        let y = node_of(e.forest(), frag, "y");
+        let up = e.apply(Update::DelNode { frag, node: y }).unwrap();
+        let flip = Notification {
+            subscription: sub,
+            answer: false,
+        };
+        assert_eq!(up.notifications, vec![flip]);
+        assert_eq!(e.subscription_answer(sub), Some(oracle(&e, &q)));
     }
 
     #[test]
     fn irrelevant_update_stops_after_triplet_comparison() {
-        let (mut forest, mut placement, mut view) = setup("[//x = \"1\"]");
-        assert!(view.answer());
-        // Insert an unrelated node in fragment c.
+        let (mut e, q, sub) = view("[//x = \"1\"]");
+        // Insert an unrelated node in fragment c: the repair certifies
+        // the triplet unchanged, so the view keeps its memoized answer
+        // and nothing is re-solved.
         let frag = FragmentId(3);
-        let parent = node_of(&forest, frag, "c");
-        let rep = view
-            .apply(
-                &mut forest,
-                &mut placement,
-                Update::InsNode {
-                    frag,
-                    parent,
-                    label: "noise".into(),
-                    text: None,
-                },
-            )
-            .unwrap();
-        assert!(rep.answer && !rep.answer_changed);
-        assert_eq!(view.answer(), oracle(&forest, &placement, view.query()));
+        let parent = node_of(e.forest(), frag, "c");
+        let rounds = e.stats().rounds;
+        let up = e.apply(insert(frag, parent, "noise")).unwrap();
+        assert!(up.notifications.is_empty());
+        assert!(up.repaired >= 1 && up.invalidated == 0);
+        assert_eq!(e.stats().rounds, rounds, "no re-solve");
+        assert_eq!(e.subscription_answer(sub), Some(true));
+        assert_eq!(e.subscription_answer(sub), Some(oracle(&e, &q)));
     }
 
     #[test]
     fn maintenance_is_localized() {
-        let (mut forest, mut placement, mut view) = setup("[//goal]");
+        let (mut e, _, _) = view("[//goal]");
         let frag = FragmentId(1);
-        let parent = node_of(&forest, frag, "a");
-        let rep = view
-            .apply(
-                &mut forest,
-                &mut placement,
-                Update::InsNode {
-                    frag,
-                    parent,
-                    label: "noise".into(),
-                    text: None,
-                },
-            )
-            .unwrap();
+        let parent = node_of(e.forest(), frag, "a");
+        let up = e.apply(insert(frag, parent, "noise")).unwrap();
         // Only the updated fragment's site was visited.
-        let visited: Vec<_> = rep
+        let visited: Vec<_> = up
             .report
             .sites()
             .filter(|(_, r)| r.visits > 0)
             .map(|(s, _)| s)
             .collect();
-        assert_eq!(visited, vec![placement.site_of(frag)]);
+        assert_eq!(visited, vec![e.placement().site_of(frag)]);
     }
 
     #[test]
     fn split_preserves_answer_and_updates_state() {
-        let (mut forest, mut placement, mut view) = setup("[//y = \"2\"]");
-        assert!(view.answer());
+        let (mut e, q, sub) = view("[//y = \"2\"]");
         let frag = FragmentId(2);
-        let y = node_of(&forest, frag, "y");
-        let rep = view
-            .apply(
-                &mut forest,
-                &mut placement,
-                Update::SplitFragments {
-                    frag,
-                    node: y,
-                    to_site: Some(SiteId(9)),
-                },
-            )
+        let y = node_of(e.forest(), frag, "y");
+        let up = e
+            .apply(Update::SplitFragments {
+                frag,
+                node: y,
+                to_site: Some(SiteId(9)),
+            })
             .unwrap();
-        assert!(rep.answer, "splitting must not change the answer");
-        assert!(!rep.answer_changed);
-        assert_eq!(forest.card(), 5);
-        assert_eq!(view.answer(), oracle(&forest, &placement, view.query()));
-        // Follow-up query still maintainable after the split.
-        let new_frag = forest.fragment_ids().last().unwrap();
-        assert_eq!(placement.site_of(new_frag), SiteId(9));
+        assert!(up.notifications.is_empty(), "splitting keeps the answer");
+        assert_eq!(e.forest().card(), 5);
+        assert_eq!(e.subscription_answer(sub), Some(true));
+        assert_eq!(e.subscription_answer(sub), Some(oracle(&e, &q)));
+        let new_frag = e.forest().fragment_ids().last().unwrap();
+        assert_eq!(up.effect.added, vec![new_frag]);
+        assert_eq!(e.placement().site_of(new_frag), SiteId(9));
     }
 
     #[test]
     fn merge_preserves_answer() {
-        let (mut forest, mut placement, mut view) = setup("[//y = \"2\"]");
+        let (mut e, q, sub) = view("[//y = \"2\"]");
         // Merge fragment 2 (subtree b) back into the root fragment.
-        let root = forest.root_fragment();
-        let t = &forest.fragment(root).tree;
+        let root = e.forest().root_fragment();
+        let t = &e.forest().fragment(root).tree;
         let vnode = t
             .virtual_nodes(t.root())
             .into_iter()
             .find(|&(_, f)| f == FragmentId(2))
             .unwrap()
             .0;
-        let rep = view
-            .apply(
-                &mut forest,
-                &mut placement,
-                Update::MergeFragments {
-                    frag: root,
-                    node: vnode,
-                },
-            )
+        let up = e
+            .apply(Update::MergeFragments {
+                frag: root,
+                node: vnode,
+            })
             .unwrap();
-        assert!(rep.answer && !rep.answer_changed);
-        assert_eq!(forest.card(), 3);
-        assert_eq!(view.answer(), oracle(&forest, &placement, view.query()));
+        assert!(up.notifications.is_empty());
+        assert_eq!(e.forest().card(), 3);
+        assert_eq!(e.subscription_answer(sub), Some(true));
+        assert_eq!(e.subscription_answer(sub), Some(oracle(&e, &q)));
     }
 
     #[test]
     fn merge_non_virtual_is_noop() {
-        let (mut forest, mut placement, mut view) = setup("[//y = \"2\"]");
+        let (mut forest, mut placement) = document();
         let frag = FragmentId(2);
         let y = node_of(&forest, frag, "y");
-        let rep = view
-            .apply(
-                &mut forest,
-                &mut placement,
-                Update::MergeFragments { frag, node: y },
-            )
-            .unwrap();
-        assert!(rep.reevaluated.is_empty());
-        assert!(!rep.answer_changed);
+        let effect = apply_update_to_forest(
+            &mut forest,
+            &mut placement,
+            Update::MergeFragments { frag, node: y },
+        )
+        .unwrap();
+        assert_eq!(effect.stale().count(), 0);
+        assert!(!effect.restructured() && effect.delta.is_none());
+        assert_eq!(forest.card(), 4);
     }
 
     #[test]
     fn del_node_refuses_to_orphan() {
-        let (mut forest, mut placement, mut view) = setup("[//y = \"2\"]");
-        // Split y out of fragment 2, then try to delete b's subtree that
-        // contains the virtual node.
+        let (mut forest, mut placement) = document();
+        // Split y out of fragment 2, then try to delete the virtual node
+        // that now stands for it.
         let frag = FragmentId(2);
         let y = node_of(&forest, frag, "y");
-        view.apply(
+        let split = Update::SplitFragments {
+            frag,
+            node: y,
+            to_site: None,
+        };
+        apply_update_to_forest(&mut forest, &mut placement, split).unwrap();
+        let t = &forest.fragment(frag).tree;
+        let (v, orphan) = t.virtual_nodes(t.root())[0];
+        let err = apply_update_to_forest(
             &mut forest,
             &mut placement,
-            Update::SplitFragments {
-                frag,
-                node: y,
-                to_site: None,
-            },
+            Update::DelNode { frag, node: v },
         )
-        .unwrap();
-        let b = {
-            let t = &forest.fragment(frag).tree;
-            t.root()
-        };
-        // Root of a fragment can't be deleted anyway; pick the subtree
-        // holding the virtual node: b itself is the root, so target the
-        // whole fragment root's child list via the virtual node's parent.
-        let t = &forest.fragment(frag).tree;
-        let v = t.virtual_nodes(b)[0].0;
-        let err = view
-            .apply(
-                &mut forest,
-                &mut placement,
-                Update::DelNode { frag, node: v },
-            )
-            .unwrap_err();
-        assert!(matches!(err, ViewError::WouldOrphanFragments(_)));
+        .unwrap_err();
+        assert!(matches!(err, ViewError::WouldOrphanFragments(fs) if fs == vec![orphan]));
+        assert!(forest.fragment(frag).tree.is_live(v), "nothing was deleted");
     }
 
     #[test]
     fn traffic_independent_of_update_and_data_size() {
-        let (mut forest, mut placement, mut view) = setup("[//goal]");
+        let (mut e, _, _) = view("[//goal]");
         let frag = FragmentId(1);
-        let parent = node_of(&forest, frag, "a");
+        let parent = node_of(e.forest(), frag, "a");
         // Small update.
-        let rep1 = view
-            .apply(
-                &mut forest,
-                &mut placement,
-                Update::InsNode {
-                    frag,
-                    parent,
-                    label: "n1".into(),
-                    text: None,
-                },
-            )
-            .unwrap();
+        let rep1 = e.apply(insert(frag, parent, "n1")).unwrap().report;
         // Large update: 100 inserts, then one more to measure.
         for i in 0..100 {
-            view.apply(
-                &mut forest,
-                &mut placement,
-                Update::InsNode {
-                    frag,
-                    parent,
-                    label: format!("bulk{i}"),
-                    text: Some("payload".into()),
-                },
-            )
-            .unwrap();
+            let bulk = Update::InsNode {
+                frag,
+                parent,
+                label: format!("bulk{i}"),
+                text: Some("payload".into()),
+            };
+            e.apply(bulk).unwrap();
         }
-        let rep2 = view
-            .apply(
-                &mut forest,
-                &mut placement,
-                Update::InsNode {
-                    frag,
-                    parent,
-                    label: "n2".into(),
-                    text: None,
-                },
-            )
-            .unwrap();
+        let rep2 = e.apply(insert(frag, parent, "n2")).unwrap().report;
         assert_eq!(
-            rep1.report.total_bytes(),
-            rep2.report.total_bytes(),
+            rep1.total_bytes(),
+            rep2.total_bytes(),
             "maintenance traffic must not depend on |T|"
         );
     }
 
     #[test]
     fn tracked_updates_keep_stats_equal_to_recompute() {
-        use parbox_frag::ForestStats;
-        let (mut forest, mut placement, _) = setup("[//goal]");
+        let (mut forest, mut placement) = document();
         let mut stats = ForestStats::compute(&forest, &placement);
         let frag = FragmentId(2);
         let parent = node_of(&forest, frag, "b");
-        apply_update_tracked(
-            &mut forest,
-            &mut placement,
-            &mut stats,
-            Update::InsNode {
-                frag,
-                parent,
-                label: "goal".into(),
-                text: None,
-            },
-        )
-        .unwrap();
+        let goal = insert(frag, parent, "goal");
+        apply_update_tracked(&mut forest, &mut placement, &mut stats, goal).unwrap();
         assert_eq!(stats, ForestStats::compute(&forest, &placement));
         let y = node_of(&forest, frag, "y");
         apply_update_tracked(
@@ -806,28 +564,23 @@ mod tests {
     fn random_update_sequences_match_oracle() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
-        let (mut forest, mut placement, mut view) = setup("[//x = \"1\" or //goal]");
+        let (mut e, q, sub) = view("[//x = \"1\" or //goal]");
         let mut rng = StdRng::seed_from_u64(42);
         for step in 0..40 {
-            let frags: Vec<FragmentId> = forest.fragment_ids().collect();
+            let frags: Vec<FragmentId> = e.forest().fragment_ids().collect();
             let frag = frags[rng.random_range(0..frags.len())];
-            let tree = &forest.fragment(frag).tree;
+            let tree = &e.forest().fragment(frag).tree;
             let nodes: Vec<NodeId> = tree
                 .descendants(tree.root())
                 .filter(|&n| !tree.node(n).kind.is_virtual())
                 .collect();
             let node = nodes[rng.random_range(0..nodes.len())];
             let update = match rng.random_range(0..3) {
-                0 => Update::InsNode {
+                0 => insert(
                     frag,
-                    parent: node,
-                    label: if rng.random_bool(0.2) {
-                        "goal".into()
-                    } else {
-                        "pad".into()
-                    },
-                    text: None,
-                },
+                    node,
+                    if rng.random_bool(0.2) { "goal" } else { "pad" },
+                ),
                 1 => {
                     if node == tree.root() || !tree.virtual_nodes(node).is_empty() {
                         continue;
@@ -845,13 +598,13 @@ mod tests {
                     }
                 }
             };
-            view.apply(&mut forest, &mut placement, update).unwrap();
+            e.apply(update).unwrap();
             assert_eq!(
-                view.answer(),
-                oracle(&forest, &placement, view.query()),
+                e.subscription_answer(sub),
+                Some(oracle(&e, &q)),
                 "divergence at step {step}"
             );
-            forest.validate().unwrap();
+            e.forest().validate().unwrap();
         }
     }
 }

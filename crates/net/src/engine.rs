@@ -15,7 +15,7 @@
 //! Reads always run the plain [`EvalFn`] and cache the triplet with its
 //! program, nothing more: **the entries cached on a fragment get a
 //! repair memo when the first update reaches it** ([`SitePool::repair`]
-//! with a [`DeltaKernel`]) — *one* memo for all of them. The update
+//! with a [`BuildFn`]) — *one* [`DeltaMemo`] for all of them. The update
 //! merges the programs of the fragment's entries that nothing maintains
 //! yet into one program (`merge_embedded`, the merge a round's members
 //! go through), builds its memo once on the patched tree, and keeps each
@@ -71,12 +71,6 @@ pub struct FragmentEval {
 /// this crate below the algorithms in the dependency DAG.
 pub type EvalFn = fn(&Tree, &CompiledQuery) -> FragmentEval;
 
-/// Opaque per-`(fragment, program)` evaluation state owned by a site
-/// worker on behalf of the algorithm layer (the memoized per-node
-/// vectors of `parbox-core`'s incremental `bottomUp`). This crate only
-/// stores and routes it; the delta kernel's functions downcast it.
-pub type DeltaState = Box<dyn std::any::Any + Send>;
-
 /// Result of one delta-kernel call on a maintained evaluation.
 #[derive(Debug, Clone)]
 pub struct RepairedEval {
@@ -91,17 +85,28 @@ pub struct RepairedEval {
     pub work_units: u64,
 }
 
-/// Memo-building evaluation of the *post-update* tree under a group's
-/// merged program. Reports every node as recomputed and returns the
-/// repairable state the worker keeps for the group from then on. Calls
-/// the tick it is given at a steady pace of work done: one build is one
-/// kernel call however many entries it serves, and the caller's
-/// deadline bounds the worker's silence.
-pub type BuildFn = fn(&Tree, &CompiledQuery, &mut dyn FnMut()) -> (RepairedEval, DeltaState);
+/// A group's maintained evaluation of its fragment, owned by the site
+/// worker on behalf of the algorithm layer (`parbox-core` keeps the
+/// per-node vectors of its incremental `bottomUp` behind it).
+///
+/// What it reports must commute with [`Triplet::project`], id for id,
+/// so that a member's projection of the merged triplet is the triplet
+/// the [`EvalFn`] computes for the member alone.
+pub trait DeltaMemo: Send {
+    /// In-place repair after a data update to `tree` whose deepest
+    /// surviving changed node is `anchor`.
+    fn repair(&mut self, tree: &Tree, anchor: NodeId) -> RepairedEval;
+}
 
-/// In-place repair of a previously built [`DeltaState`] after a data
-/// update whose deepest surviving changed node is the given anchor.
-pub type RepairFn = fn(&mut DeltaState, &Tree, NodeId) -> RepairedEval;
+/// Memo-building evaluation of the *post-update* tree under a group's
+/// merged program, run by the first [`SitePool::repair`] to find
+/// entries of its fragment that no group maintains. Reports every node
+/// as recomputed and returns the memo the worker keeps for the group
+/// from then on. Calls the tick it is given at a steady pace of work
+/// done: one build is one kernel call however many entries it serves,
+/// and the caller's deadline bounds the worker's silence.
+pub type BuildFn =
+    fn(&Tree, &CompiledQuery, &mut dyn FnMut()) -> (RepairedEval, Box<dyn DeltaMemo>);
 
 /// A one-shot patch shipped with [`SitePool::repair`]: applies one pure
 /// data update to the site's *locally owned* copy of the fragment tree.
@@ -110,22 +115,6 @@ pub type RepairFn = fn(&mut DeltaState, &Tree, NodeId) -> RepairedEval;
 /// copy-on-write clone per update — the wire cost of an update is the
 /// patch itself, `O(|delta|)`.
 pub type PatchFn = Box<dyn FnOnce(&mut Tree) + Send>;
-
-/// The delta-maintenance kernel pair injected by the algorithm layer.
-/// When present, updates repair cached entries in place instead of
-/// dropping them; cache misses run the plain [`EvalFn`] either way. The
-/// kernel maintains *merged* programs: what it returns must commute
-/// with [`Triplet::project`], id for id, so that a member's projection
-/// is the triplet the [`EvalFn`] computes for the member alone.
-#[derive(Debug, Clone, Copy)]
-pub struct DeltaKernel {
-    /// Memo-building evaluation, run once per group: by the first
-    /// [`SitePool::repair`] to find entries of its fragment that no
-    /// group maintains.
-    pub build: BuildFn,
-    /// Change-sized repair, run once per group by every later one.
-    pub repair: RepairFn,
-}
 
 /// The initial deployment passed to [`SitePool::spawn`]: each site with
 /// the fragments (ids + shared tree handles) it will own.
@@ -164,7 +153,7 @@ pub struct SiteCacheStats {
     /// Entries dropped by explicit invalidation (updates).
     pub invalidated: u64,
     /// Entries **brought up to date in place** by delta maintenance —
-    /// the update path that replaces invalidation when a [`DeltaKernel`]
+    /// the update path that replaces invalidation when a [`BuildFn`]
     /// is installed: one per cached entry of the touched fragment per
     /// update, whether its group's repair moved it or certified it
     /// unchanged. A repaired entry keeps serving hits without a
@@ -255,7 +244,7 @@ pub struct RepairReply {
     /// Per cached `(fragment, program)` entry: the repair outcome.
     pub outcomes: Vec<RepairOutcome>,
     /// Cache entries for the fragment that had no repairable state and
-    /// were dropped (legacy invalidation for just those entries).
+    /// were dropped (invalidation for just those entries).
     pub dropped: u64,
     /// Total nodes recomputed across all repaired entries.
     pub nodes_recomputed: u64,
@@ -281,7 +270,7 @@ struct SiteEntry {
 struct Group {
     frag: FragmentId,
     /// The kernel's memo of the merged program over the fragment.
-    state: DeltaState,
+    memo: Box<dyn DeltaMemo>,
     /// The merged triplet the memo last reported.
     root: Triplet,
     /// The members still cached: their entry's fingerprint and their
@@ -295,7 +284,7 @@ struct SiteWorker {
     /// When present, [`Request::Repair`] repairs entries in place
     /// (building an entry's memo on its first repair) instead of
     /// dropping them.
-    delta: Option<DeltaKernel>,
+    build: Option<BuildFn>,
     plan: FaultPlan,
     /// Set by an injected [`FaultKind::Wedge`]: the worker stays alive
     /// but answers nothing, holding every subsequent request (and its
@@ -471,8 +460,8 @@ impl SiteWorker {
             // seed) pays one clone and is unique thereafter.
             patch(Arc::make_mut(handle));
             reply.patched = true;
-            match self.delta {
-                Some(kernel) => self.repair_entries(frag, kernel, anchor, &mut reply, progress),
+            match self.build {
+                Some(build) => self.repair_entries(frag, build, anchor, &mut reply, progress),
                 None => reply.dropped = self.drop_entries_of(frag),
             }
         }
@@ -486,14 +475,14 @@ impl SiteWorker {
     fn repair_entries(
         &mut self,
         frag: FragmentId,
-        kernel: DeltaKernel,
+        build: BuildFn,
         anchor: NodeId,
         reply: &mut RepairReply,
         progress: &mpsc::Sender<RepairProgress>,
     ) {
         let tree: &Tree = &self.fragments[&frag];
         for group in self.groups.values_mut().filter(|g| g.frag == frag) {
-            let run = (kernel.repair)(&mut group.state, tree, anchor);
+            let run = group.memo.repair(tree, anchor);
             reply.nodes_recomputed += run.nodes_recomputed;
             reply.work_units += run.work_units;
             // Which merged entries moved; empty when the kernel says none.
@@ -537,7 +526,7 @@ impl SiteWorker {
             let _ = progress.send(RepairProgress::Building);
         };
         let (batch, embeddings) = merge_embedded(fresh.iter().map(|(_, p)| &**p));
-        let (run, state) = (kernel.build)(tree, batch.merged(), &mut tick);
+        let (run, memo) = build(tree, batch.merged(), &mut tick);
         self.stats.memos_built += 1;
         reply.nodes_recomputed += run.nodes_recomputed;
         reply.work_units += run.work_units;
@@ -545,7 +534,7 @@ impl SiteWorker {
         self.next_group += 1;
         let mut group = Group {
             frag,
-            state,
+            memo,
             root: run.triplet.expect("a build reports its triplet"),
             members: Vec::with_capacity(fresh.len()),
         };
@@ -663,7 +652,7 @@ pub struct SupervisedRound {
 #[derive(Debug)]
 pub struct SitePool {
     eval: EvalFn,
-    delta: Option<DeltaKernel>,
+    build: Option<BuildFn>,
     capacity: usize,
     plan: FaultPlan,
     senders: BTreeMap<u32, mpsc::Sender<Request>>,
@@ -689,22 +678,22 @@ impl SitePool {
 
     /// [`SitePool::spawn`] with a fault-injection plan threaded into
     /// every worker loop (the default [`FaultPlan::none`] is inert) and
-    /// an optional [`DeltaKernel`]: with one installed,
+    /// an optional [`BuildFn`]: with one installed,
     /// [`SitePool::repair`] maintains cached triplets in place, building
-    /// each entry's repair state the first time an update reaches it.
+    /// each group's [`DeltaMemo`] the first time an update reaches it.
     pub fn spawn_full(
         sites: SiteDeployment,
         cache_capacity: usize,
         eval: EvalFn,
         plan: FaultPlan,
-        delta: Option<DeltaKernel>,
+        build: Option<BuildFn>,
     ) -> SitePool {
         if !plan.is_inert() {
             install_quiet_panic_hook();
         }
         let mut pool = SitePool {
             eval,
-            delta,
+            build,
             capacity: cache_capacity,
             plan,
             senders: BTreeMap::new(),
@@ -724,7 +713,7 @@ impl SitePool {
         let worker = SiteWorker {
             site,
             eval: self.eval,
-            delta: self.delta,
+            build: self.build,
             plan: self.plan.clone(),
             wedged: false,
             held: Vec::new(),
@@ -1174,47 +1163,46 @@ mod tests {
     }
 
     /// What one [`toy_build`] call adds to `nodes_recomputed`; a
-    /// [`toy_repair`] adds 1. A reply's total therefore *counts the
+    /// [`ToyMemo`] repair adds 1. A reply's total therefore *counts the
     /// kernel calls* behind it — `builds × BUILD + repairs` — without
     /// any state shared between tests.
     const BUILD: u64 = 1000;
 
-    /// Toy delta kernel over [`toy_eval`]: the "state" is just the
-    /// width of the (merged) program it is handed; both halves
+    /// Toy delta kernel over [`toy_eval`]: the memo is just the width
+    /// of the (merged) program it is handed; build and repair both
     /// recompute the constant triplet from the patched tree. Every
     /// sub-query gets the same formula, so the kernel commutes with
     /// projection: a member's share of the merged triplet is what
     /// [`toy_eval`] computes for the member. Work units are the width.
+    struct ToyMemo(usize);
+
+    impl DeltaMemo for ToyMemo {
+        fn repair(&mut self, tree: &Tree, _anchor: NodeId) -> RepairedEval {
+            let m = self.0;
+            RepairedEval {
+                triplet: Some(Triplet {
+                    v: vec![Formula::constant(tree.len().is_multiple_of(2)); m],
+                    cv: vec![Formula::FALSE; m],
+                    dv: vec![Formula::FALSE; m],
+                }),
+                nodes_recomputed: 1,
+                work_units: m as u64,
+            }
+        }
+    }
+
     fn toy_build(
         tree: &Tree,
         q: &CompiledQuery,
         _tick: &mut dyn FnMut(),
-    ) -> (RepairedEval, DeltaState) {
-        let mut state: DeltaState = Box::new(q.len());
+    ) -> (RepairedEval, Box<dyn DeltaMemo>) {
+        let mut memo = ToyMemo(q.len());
         let run = RepairedEval {
             nodes_recomputed: BUILD,
-            ..toy_repair(&mut state, tree, tree.root())
+            ..memo.repair(tree, tree.root())
         };
-        (run, state)
+        (run, Box::new(memo))
     }
-
-    fn toy_repair(state: &mut DeltaState, tree: &Tree, _anchor: NodeId) -> RepairedEval {
-        let m = *state.downcast_ref::<usize>().expect("toy state");
-        RepairedEval {
-            triplet: Some(Triplet {
-                v: vec![Formula::constant(tree.len().is_multiple_of(2)); m],
-                cv: vec![Formula::FALSE; m],
-                dv: vec![Formula::FALSE; m],
-            }),
-            nodes_recomputed: 1,
-            work_units: m as u64,
-        }
-    }
-
-    const TOY_KERNEL: DeltaKernel = DeltaKernel {
-        build: toy_build,
-        repair: toy_repair,
-    };
 
     fn delta_pool(n_sites: u32) -> SitePool {
         SitePool::spawn_full(
@@ -1222,7 +1210,7 @@ mod tests {
             16,
             toy_eval,
             FaultPlan::none(),
-            Some(TOY_KERNEL),
+            Some(toy_build),
         )
     }
 
@@ -1347,7 +1335,7 @@ mod tests {
             capacity,
             toy_eval,
             FaultPlan::none(),
-            Some(TOY_KERNEL),
+            Some(toy_build),
         )
     }
 
@@ -1391,7 +1379,7 @@ mod tests {
     }
 
     /// Width of the program a group of these members is maintained
-    /// under — what [`toy_build`] and [`toy_repair`] report as work.
+    /// under — what [`toy_build`] and [`ToyMemo`] report as work.
     fn merged_width(members: &[&Arc<CompiledQuery>]) -> u64 {
         merge_embedded(members.iter().map(|p| &***p)).0.merged_len() as u64
     }
@@ -1574,7 +1562,7 @@ mod tests {
             tree: &Tree,
             q: &CompiledQuery,
             tick: &mut dyn FnMut(),
-        ) -> (RepairedEval, DeltaState) {
+        ) -> (RepairedEval, Box<dyn DeltaMemo>) {
             for _ in 0..ENTRIES {
                 std::thread::sleep(Duration::from_millis(4));
                 tick();
@@ -1585,18 +1573,14 @@ mod tests {
             tree: &Tree,
             q: &CompiledQuery,
             tick: &mut dyn FnMut(),
-        ) -> (RepairedEval, DeltaState) {
+        ) -> (RepairedEval, Box<dyn DeltaMemo>) {
             std::thread::sleep(Duration::from_millis(400));
             toy_build(tree, q, tick)
         }
         let pool_with = |build: BuildFn| {
-            let kernel = DeltaKernel {
-                build,
-                repair: toy_repair,
-            };
             let plan = FaultPlan::none();
             let mut pool =
-                SitePool::spawn_full(deployment(1), ENTRIES, toy_eval, plan, Some(kernel));
+                SitePool::spawn_full(deployment(1), ENTRIES, toy_eval, plan, Some(build));
             let frags = vec![(SiteId(0), vec![FragmentId(0)])];
             for i in 0..ENTRIES {
                 let p = program(&format!("[//l{i}]"));

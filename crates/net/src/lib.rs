@@ -57,9 +57,8 @@ mod model;
 pub use batch::{BatchProtocolError, BatchRound};
 pub use cluster::Cluster;
 pub use engine::{
-    BuildFn, DeltaKernel, DeltaState, EvalFn, EvalReply, FragmentEval, PatchFn, RepairFn,
-    RepairOutcome, RepairReply, RepairedEval, SiteCacheStats, SiteDeployment, SitePool,
-    SupervisedRound,
+    BuildFn, DeltaMemo, EvalFn, EvalReply, FragmentEval, PatchFn, RepairOutcome, RepairReply,
+    RepairedEval, SiteCacheStats, SiteDeployment, SitePool, SupervisedRound,
 };
 pub use exec::{run_sites_parallel, run_sites_sequential, SiteRun};
 pub use fault::{FaultContext, FaultKind, FaultPlan, FaultRates, InjectedFault, SupervisorConfig};

@@ -27,6 +27,6 @@ pub use queries::{
     batch_workload, heterogeneous_workload, query_with_qlist, standard_sweep, XMARK_VOCAB,
 };
 pub use workload::{
-    drive_stream, drive_stream_with, mixed_workload, resolve_data_update, resolve_update,
-    update_heavy_workload, MixedConfig, MixedOp, StreamReport,
+    drive_stream, mixed_workload, resolve_data_update, resolve_update, MixedConfig, MixedOp,
+    StreamReport,
 };

@@ -189,28 +189,6 @@ pub fn resolve_data_update(forest: &Forest, seed: u64) -> Option<Update> {
     }
 }
 
-/// Generates a deterministic *update-heavy* stream: ≥50% of operations
-/// are updates (resolve them with [`resolve_data_update`]), and every
-/// query is drawn uniformly from a small fixed pool of `pool` queries —
-/// the standing queries of an incremental-view-maintenance workload.
-pub fn update_heavy_workload(ops: usize, pool: usize, seed: u64) -> Vec<MixedOp> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let queries = batch_workload(pool.max(1), seed ^ 0x1e77);
-    let mut out = Vec::with_capacity(ops);
-    for _ in 0..ops {
-        if rng.random_bool(0.55) {
-            out.push(MixedOp::Update {
-                seed: rng.next_u64(),
-            });
-        } else {
-            out.push(MixedOp::Query(
-                queries[rng.random_range(0..queries.len())].clone(),
-            ));
-        }
-    }
-    out
-}
-
 /// Aggregate result of driving one mixed stream through an engine.
 #[derive(Debug, Clone, Default)]
 pub struct StreamReport {
@@ -220,9 +198,6 @@ pub struct StreamReport {
     pub updates_applied: usize,
     /// Total simulated traffic: every flushed round plus update routing.
     pub bytes: usize,
-    /// Total work units (`RunReport::total_work`): every flushed round
-    /// plus every update's repair — a count that repeats exactly.
-    pub work_units: u64,
     /// Answers that went out degraded (`Completeness::Partial`) —
     /// always zero without fault injection.
     pub partial_answers: usize,
@@ -233,24 +208,13 @@ pub struct StreamReport {
 /// `expC` experiment: queries are submitted and flushed by the engine's
 /// admission policy ([`Engine::poll`]), updates resolve against the live
 /// forest and flush whatever is pending first, and a final flush drains
-/// the tail.
+/// the tail. Updates resolve with [`resolve_update`].
 pub fn drive_stream(engine: &mut Engine, stream: &[MixedOp]) -> StreamReport {
-    drive_stream_with(engine, stream, resolve_update)
-}
-
-/// [`drive_stream`] with an explicit update resolver — pass
-/// [`resolve_update`] for the full Section-5 mix or
-/// [`resolve_data_update`] for pure data-update streams.
-pub fn drive_stream_with<F>(engine: &mut Engine, stream: &[MixedOp], mut resolve: F) -> StreamReport
-where
-    F: FnMut(&Forest, u64) -> Option<Update>,
-{
     let mut report = StreamReport::default();
     let absorb = |report: &mut StreamReport, out: Option<parbox_core::RoundOutcome>| {
         if let Some(out) = out {
             report.answers.extend(out.answers.iter().map(|&(_, a)| a));
             report.bytes += out.report.total_bytes();
-            report.work_units += out.report.total_work();
             report.partial_answers += out.partial.len();
         }
     };
@@ -262,11 +226,10 @@ where
                 absorb(&mut report, out);
             }
             MixedOp::Update { seed } => {
-                if let Some(update) = resolve(engine.forest(), *seed) {
+                if let Some(update) = resolve_update(engine.forest(), *seed) {
                     let up = engine.apply(update).expect("resolved update applies");
                     report.updates_applied += 1;
                     report.bytes += up.report.total_bytes();
-                    report.work_units += up.report.total_work();
                     absorb(&mut report, up.flushed);
                 }
             }
@@ -394,31 +357,5 @@ mod tests {
             fragments_before,
             "pure data updates must not change the fragmentation"
         );
-    }
-
-    #[test]
-    fn update_heavy_stream_is_mostly_updates_from_a_small_pool() {
-        let stream = update_heavy_workload(2000, 4, 7);
-        let (queries, updates) = ops_of(&stream);
-        assert_eq!(queries + updates, 2000);
-        assert!(
-            updates * 100 / 2000 >= 50,
-            "update-heavy stream must be ≥50% updates: {updates}"
-        );
-        let distinct: std::collections::HashSet<String> = stream
-            .iter()
-            .filter_map(|op| match op {
-                MixedOp::Query(q) => Some(format!("{q}")),
-                _ => None,
-            })
-            .collect();
-        assert!(
-            distinct.len() <= 4,
-            "queries come from the fixed pool: {}",
-            distinct.len()
-        );
-        // Determinism: same arguments, same stream.
-        let again = update_heavy_workload(2000, 4, 7);
-        assert_eq!(stream.len(), again.len());
     }
 }

@@ -6,13 +6,12 @@
 
 use parbox::core::{
     full_dist_parbox, hybrid_parbox, lazy_parbox, naive_centralized, naive_distributed, parbox,
-    MaterializedView, Update,
+    Engine, EngineConfig, Update,
 };
 use parbox::frag::{Forest, Placement, SiteId};
 use parbox::net::{Cluster, NetworkModel};
 use parbox::query::{compile, parse_query};
 use parbox::xmark::{portfolio, PortfolioConfig};
-use parbox::xml::FragmentId;
 
 fn main() {
     // Generate a portfolio: 3 brokers × 2 markets × 4 stocks.
@@ -59,9 +58,8 @@ fn main() {
     let cluster = Cluster::new(&forest, &placement, NetworkModel::lan());
 
     // The alert: has GOOG reached a selling price of 376 anywhere?
-    let q = compile(
-        &parse_query("[//stock[code/text() = \"GOOG\" and sell/text() = \"376\"]]").unwrap(),
-    );
+    let alert = parse_query("[//stock[code/text() = \"GOOG\" and sell/text() = \"376\"]]").unwrap();
+    let q = compile(&alert);
 
     println!("== all six algorithms, one query ==");
     for (name, out) in [
@@ -80,88 +78,75 @@ fn main() {
         );
     }
 
-    // Cache the alert as a materialized view and maintain it as trades
-    // happen on the exchange's servers.
+    // Cache the alert as a materialized view — a standing query of a
+    // resident engine — and maintain it as trades happen on the
+    // exchange's servers.
     println!("\n== incremental maintenance of the alert view ==");
-    let (mut view, initial) =
-        MaterializedView::materialize(&forest, &placement, NetworkModel::lan(), &q);
-    println!(
-        "materialized: answer={} ({} bytes)",
-        view.answer(),
-        initial.report.total_bytes()
-    );
+    let mut engine =
+        Engine::new(forest, placement, EngineConfig::default()).expect("valid deployment");
+    let view = engine.subscribe(&alert);
+    let answer = |engine: &Engine| engine.subscription_answer(view).expect("subscribed");
+    println!("materialized: answer={}", answer(&engine));
 
     // A trade on an unrelated stock: triplet unchanged, no re-solve.
-    let market = forest.fragment(f2).tree.root();
-    let rep = view
-        .apply(
-            &mut forest,
-            &mut placement,
-            Update::InsNode {
-                frag: f2,
-                parent: market,
-                label: "tick".into(),
-                text: Some("noise".into()),
-            },
-        )
+    let market = engine.forest().fragment(f2).tree.root();
+    let tick = engine
+        .apply(Update::InsNode {
+            frag: f2,
+            parent: market,
+            label: "tick".into(),
+            text: Some("noise".into()),
+        })
         .unwrap();
     println!(
         "irrelevant tick:   answer={} changed={} traffic={}B",
-        rep.answer,
-        rep.answer_changed,
-        rep.report.total_bytes()
+        answer(&engine),
+        !tick.notifications.is_empty(),
+        tick.report.total_bytes()
     );
 
-    // GOOG hits 376 on the exchange: one fragment re-evaluated, answer flips.
-    view.apply(
-        &mut forest,
-        &mut placement,
-        Update::InsNode {
+    // GOOG hits 376 on the exchange: one fragment repaired, answer flips.
+    engine
+        .apply(Update::InsNode {
             frag: f2,
             parent: market,
             label: "stock".into(),
             text: None,
-        },
-    )
-    .unwrap();
+        })
+        .unwrap();
     let new_stock = {
-        let t = &forest.fragment(f2).tree;
+        let t = &engine.forest().fragment(f2).tree;
         t.children(market).last().unwrap()
     };
     for (label, text) in [("code", "GOOG"), ("sell", "376")] {
-        view.apply(
-            &mut forest,
-            &mut placement,
-            Update::InsNode {
+        engine
+            .apply(Update::InsNode {
                 frag: f2,
                 parent: new_stock,
                 label: label.into(),
                 text: Some(text.into()),
-            },
-        )
-        .unwrap();
+            })
+            .unwrap();
     }
-    println!("GOOG@376 listed:   answer={} (alert fires)", view.answer());
-    assert!(view.answer());
+    println!(
+        "GOOG@376 listed:   answer={} (alert fires)",
+        answer(&engine)
+    );
+    assert!(answer(&engine));
 
     // The exchange archives that market into its own fragment.
-    let rep2 = view
-        .apply(
-            &mut forest,
-            &mut placement,
-            Update::SplitFragments {
-                frag: f2,
-                node: new_stock,
-                to_site: Some(SiteId(3)),
-            },
-        )
+    let split = engine
+        .apply(Update::SplitFragments {
+            frag: f2,
+            node: new_stock,
+            to_site: Some(SiteId(3)),
+        })
         .unwrap();
     println!(
         "archive split:     answer={} changed={} fragments={}",
-        rep2.answer,
-        rep2.answer_changed,
-        forest.card()
+        answer(&engine),
+        !split.notifications.is_empty(),
+        engine.forest().card()
     );
-    assert!(view.answer(), "split must not lose the alert");
-    let _ = FragmentId(0);
+    assert!(answer(&engine), "split must not lose the alert");
 }

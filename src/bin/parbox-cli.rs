@@ -69,7 +69,7 @@ USAGE:
                       [--network lan|wan|infinite]
   parbox-cli batch    <file.xml> '<q1>' '<q2>' ... [--fragments N] [--sites K]
   parbox-cli serve    <file.xml> [--fragments N] [--sites K] [--ops N] [--seed S] [--batch N]
-                      [--fault-plan SPEC] [--deadline-ms N] [--no-delta]
+                      [--fault-plan SPEC] [--deadline-ms N]
   parbox-cli generate --bytes N [--seed S]
 
 Fault spec: comma-separated kind:rate pairs, e.g. --fault-plan panic:0.01,wedge:0.02
@@ -395,7 +395,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let [file] = positional(args)[..] else {
         return Err(
             "usage: parbox-cli serve <file.xml> [--fragments N] [--sites K] [--ops N] \
-             [--seed S] [--batch N] [--fault-plan SPEC] [--deadline-ms N] [--no-delta]"
+             [--seed S] [--batch N] [--fault-plan SPEC] [--deadline-ms N]"
                 .into(),
         );
     };
@@ -433,8 +433,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             jitter_seed: seed,
         });
 
-    let delta_maintenance = !args.iter().any(|a| a == "--no-delta");
-
     let tree = load_tree(file)?;
     let mut forest = Forest::from_tree(tree);
     strategies::fragment_evenly(&mut forest, fragments).map_err(|e| format!("fragmenting: {e}"))?;
@@ -444,7 +442,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         max_batch,
         fault_plan,
         supervisor,
-        delta_maintenance,
         ..EngineConfig::default()
     };
     let mut engine =
@@ -487,23 +484,16 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         arena.local_hits,
         arena.shards.iter().map(|s| s.interns).max().unwrap_or(0)
     );
-    if delta_maintenance {
-        let total = (stats.entries_repaired + stats.entries_invalidated).max(1);
-        println!(
-            "update maintenance: {} entries repaired in place ({:.1}%), {} invalidated, \
-             {} nodes re-interned, {} delta bytes shipped",
-            stats.entries_repaired,
-            100.0 * stats.entries_repaired as f64 / total as f64,
-            stats.entries_invalidated,
-            stats.repair_nodes_recomputed,
-            stats.repair_delta_bytes
-        );
-    } else {
-        println!(
-            "update maintenance: delta repair disabled (--no-delta), {} entries invalidated",
-            stats.entries_invalidated
-        );
-    }
+    let total = (stats.entries_repaired + stats.entries_invalidated).max(1);
+    println!(
+        "update maintenance: {} entries repaired in place ({:.1}%), {} invalidated, \
+         {} nodes re-interned, {} delta bytes shipped",
+        stats.entries_repaired,
+        100.0 * stats.entries_repaired as f64 / total as f64,
+        stats.entries_invalidated,
+        stats.repair_nodes_recomputed,
+        stats.repair_delta_bytes
+    );
     if chaotic {
         println!(
             "supervision: timeouts {}  retries {}  actor restarts {}  partial answers {}",

@@ -76,7 +76,7 @@ pub mod prelude {
         centralized_eval, count_distributed, full_dist_parbox, hybrid_parbox, lazy_parbox,
         naive_centralized, naive_distributed, parbox, plan_run, run_batch, select_distributed,
         sum_distributed, BatchOutcome, Completeness, CostEstimate, Engine, EngineConfig,
-        EvalOutcome, MaterializedView, PlanContext, Planner, QueryOutcome, RoundOutcome, Update,
+        EvalOutcome, PlanContext, Planner, QueryOutcome, RoundOutcome, Update,
     };
     pub use parbox_frag::{Forest, Placement, SourceTree};
     pub use parbox_net::{Cluster, NetworkModel, SiteId};

@@ -1,11 +1,14 @@
-//! Integration tests of the incremental view maintenance of Section 5:
-//! long random update sequences against a from-scratch oracle, locality
-//! of recomputation, and traffic independence from data and update size.
+//! Integration tests of the incremental view maintenance of Section 5,
+//! run on the resident engine's standing queries
+//! ([`Engine::subscribe`] maintained by [`Engine::apply`]): long random
+//! update sequences against a from-scratch oracle, locality of
+//! maintenance, traffic independence from data and update size, and the
+//! grouped in-place repair of the sites' cached triplets.
 
-use parbox::core::{bottom_up, parbox, Engine, EngineConfig, MaterializedView, Update};
+use parbox::core::{bottom_up, parbox, Engine, EngineConfig, SubscriptionId, Update};
 use parbox::frag::{Forest, Placement, SiteId};
 use parbox::net::{Cluster, NetworkModel};
-use parbox::query::{compile, parse_query, CompiledQuery, Query};
+use parbox::query::{compile, parse_query, Query};
 use parbox::xmark::{generate, resolve_data_update, resolve_update, XmarkConfig};
 use parbox::xml::{FragmentId, NodeId};
 use proptest::prelude::*;
@@ -13,7 +16,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
-fn setup(bytes: usize, frags: usize, q: &str) -> (Forest, Placement, MaterializedView) {
+/// A view of `q` over `frags` XMark documents under one root, one
+/// fragment (and site) per document: a standing query of a resident
+/// engine.
+fn setup(bytes: usize, frags: usize, q: &str) -> (Engine, Query, SubscriptionId) {
     let mut tree = parbox::xml::Tree::new("corpus");
     let root = tree.root();
     for i in 0..frags {
@@ -33,15 +39,17 @@ fn setup(bytes: usize, frags: usize, q: &str) -> (Forest, Placement, Materialize
         forest.split(f0, c).unwrap();
     }
     let placement = Placement::one_per_fragment(&forest);
-    let compiled = compile(&parse_query(q).unwrap());
-    let (view, _) =
-        MaterializedView::materialize(&forest, &placement, NetworkModel::lan(), &compiled);
-    (forest, placement, view)
+    let mut engine =
+        Engine::new(forest, placement, EngineConfig::default()).expect("valid deployment");
+    let q = parse_query(q).unwrap();
+    let sub = engine.subscribe(&q);
+    (engine, q, sub)
 }
 
-fn oracle(forest: &Forest, placement: &Placement, q: &CompiledQuery) -> bool {
-    let cluster = Cluster::new(forest, placement, NetworkModel::lan());
-    parbox(&cluster, q).answer
+/// One-shot ParBoX over the engine's current document.
+fn oracle(engine: &Engine, q: &Query) -> bool {
+    let cluster = Cluster::new(engine.forest(), engine.placement(), NetworkModel::lan());
+    parbox(&cluster, &compile(q)).answer
 }
 
 /// Picks a random non-virtual node inside a random fragment.
@@ -56,18 +64,28 @@ fn random_node(forest: &Forest, rng: &mut StdRng) -> (FragmentId, NodeId) {
     (frag, nodes[rng.random_range(0..nodes.len())])
 }
 
+fn insert(frag: FragmentId, parent: NodeId, label: &str) -> Update {
+    Update::InsNode {
+        frag,
+        parent,
+        label: label.into(),
+        text: None,
+    }
+}
+
 #[test]
 fn long_random_update_sequence_stays_consistent() {
-    let (mut forest, mut placement, mut view) = setup(
+    let (mut engine, q, sub) = setup(
         24_000,
         4,
         "[//item[payment/text() = \"Cash\"] or //sentinel]",
     );
     let mut rng = StdRng::seed_from_u64(0xFEED);
     let mut applied = 0;
+    let mut restructured = 0;
     for step in 0..120 {
-        let (frag, node) = random_node(&forest, &mut rng);
-        let tree = &forest.fragment(frag).tree;
+        let (frag, node) = random_node(engine.forest(), &mut rng);
+        let tree = &engine.forest().fragment(frag).tree;
         let update = match rng.random_range(0..10) {
             0..=4 => Update::InsNode {
                 frag,
@@ -105,125 +123,106 @@ fn long_random_update_sequence_stays_consistent() {
                 Update::MergeFragments { frag, node: vn }
             }
         };
-        view.apply(&mut forest, &mut placement, update).unwrap();
+        let up = engine.apply(update).unwrap();
         applied += 1;
-        forest.validate().unwrap();
+        restructured += usize::from(up.effect.restructured());
+        engine.forest().validate().unwrap();
         assert_eq!(
-            view.answer(),
-            oracle(&forest, &placement, view.query()),
+            engine.subscription_answer(sub),
+            Some(oracle(&engine, &q)),
             "divergence at step {step}"
         );
     }
     assert!(applied > 60, "too few updates exercised: {applied}");
+    assert!(restructured > 0, "no split or merge exercised");
 }
 
 #[test]
 fn maintenance_visits_only_the_updated_fragments_site() {
-    let (mut forest, mut placement, mut view) = setup(20_000, 5, "[//nothing-here]");
+    let (mut engine, q, sub) = setup(20_000, 5, "[//nothing-here]");
     let mut rng = StdRng::seed_from_u64(7);
     for _ in 0..25 {
-        let (frag, node) = random_node(&forest, &mut rng);
-        let expected_site = placement.site_of(frag);
-        let rep = view
-            .apply(
-                &mut forest,
-                &mut placement,
-                Update::InsNode {
-                    frag,
-                    parent: node,
-                    label: "filler".into(),
-                    text: None,
-                },
-            )
-            .unwrap();
-        let visited: Vec<SiteId> = rep
+        let (frag, node) = random_node(engine.forest(), &mut rng);
+        let expected_site = engine.placement().site_of(frag);
+        let up = engine.apply(insert(frag, node, "filler")).unwrap();
+        let visited: Vec<SiteId> = up
             .report
             .sites()
             .filter(|(_, r)| r.visits > 0)
             .map(|(s, _)| s)
             .collect();
         assert_eq!(visited, vec![expected_site]);
+        assert_eq!(engine.subscription_answer(sub), Some(oracle(&engine, &q)));
     }
 }
 
 #[test]
 fn maintenance_traffic_constant_as_document_grows() {
-    let (mut forest, mut placement, mut view) = setup(20_000, 4, "[//needle]");
-    let frag = forest.fragment_ids().last().unwrap();
-    let parent = forest.fragment(frag).tree.root();
-
-    let probe = |view: &mut MaterializedView, forest: &mut Forest, placement: &mut Placement| {
-        view.apply(
-            forest,
-            placement,
-            Update::InsNode {
-                frag,
-                parent,
-                label: "probe".into(),
-                text: None,
-            },
-        )
-        .unwrap()
-        .report
-        .total_bytes()
+    let (mut engine, q, sub) = setup(20_000, 4, "[//needle]");
+    let frag = engine.forest().fragment_ids().last().unwrap();
+    let parent = engine.forest().fragment(frag).tree.root();
+    let probe = |engine: &mut Engine| {
+        engine
+            .apply(insert(frag, parent, "probe"))
+            .unwrap()
+            .report
+            .total_bytes()
     };
 
-    let before = probe(&mut view, &mut forest, &mut placement);
+    let before = probe(&mut engine);
     // Grow the fragment by three orders of magnitude more nodes.
     for i in 0..2_000 {
-        view.apply(
-            &mut forest,
-            &mut placement,
-            Update::InsNode {
+        engine
+            .apply(Update::InsNode {
                 frag,
                 parent,
                 label: "bulk".into(),
                 text: Some(format!("row {i}")),
-            },
-        )
-        .unwrap();
+            })
+            .unwrap();
     }
-    let after = probe(&mut view, &mut forest, &mut placement);
+    let after = probe(&mut engine);
     assert_eq!(before, after, "maintenance traffic grew with |T|");
+    assert_eq!(engine.subscription_answer(sub), Some(oracle(&engine, &q)));
 }
 
 #[test]
 fn view_survives_full_defragmentation() {
     // Merge everything back into one fragment, one merge at a time, with
     // the view staying consistent throughout.
-    let (mut forest, mut placement, mut view) = setup(16_000, 4, "[//item]");
+    let (mut engine, q, sub) = setup(16_000, 4, "[//item]");
     loop {
-        let root = forest.root_fragment();
+        let root = engine.forest().root_fragment();
         let vnode = {
-            let t = &forest.fragment(root).tree;
+            let t = &engine.forest().fragment(root).tree;
             t.virtual_nodes(t.root()).first().map(|&(n, _)| n)
         };
         let Some(vnode) = vnode else { break };
-        view.apply(
-            &mut forest,
-            &mut placement,
-            Update::MergeFragments {
+        engine
+            .apply(Update::MergeFragments {
                 frag: root,
                 node: vnode,
-            },
-        )
-        .unwrap();
-        assert_eq!(view.answer(), oracle(&forest, &placement, view.query()));
+            })
+            .unwrap();
+        assert_eq!(engine.subscription_answer(sub), Some(oracle(&engine, &q)));
     }
-    assert_eq!(forest.card(), 1);
-    assert!(view.answer(), "items exist in every XMark document");
+    assert_eq!(engine.forest().card(), 1);
+    assert_eq!(
+        engine.subscription_answer(sub),
+        Some(true),
+        "items exist in every XMark document"
+    );
 }
 
 // ---------------------------------------------------------------------
-// Delta repair vs invalidate-and-recompute: the resident engine's two
-// maintenance modes must be observationally equivalent on any update
-// schedule. The delta engine repairs cached triplets in place (O(depth));
-// the legacy engine drops and recomputes them (O(|fragment|)) — both must
-// produce the same answers as one-shot ParBoX at every step.
+// Update streams through the engine's query cache: on any schedule the
+// cached triplets (repaired in place under data updates, invalidated
+// and recomputed after splits and merges) must produce the answers of
+// one-shot ParBoX at every step.
 
-/// Two engines over identical deployments, differing only in
-/// [`EngineConfig::delta_maintenance`], plus a small standing query pool.
-fn twin_engines(doc_seed: u64) -> (Engine, Engine, Vec<Query>) {
+/// An engine over a 4-fragment XMark document on two sites, plus a
+/// small pool of queries to keep asking.
+fn engine_with_queries(doc_seed: u64) -> (Engine, Vec<Query>) {
     let tree = generate(XmarkConfig {
         target_bytes: 6_000,
         seed: doc_seed,
@@ -231,17 +230,7 @@ fn twin_engines(doc_seed: u64) -> (Engine, Engine, Vec<Query>) {
     let mut forest = Forest::from_tree(tree);
     parbox::frag::strategies::fragment_evenly(&mut forest, 4).unwrap();
     let placement = Placement::round_robin(&forest, 2);
-    let delta = Engine::new(forest.clone(), placement.clone(), EngineConfig::default())
-        .expect("valid deployment");
-    let legacy = Engine::new(
-        forest,
-        placement,
-        EngineConfig {
-            delta_maintenance: false,
-            ..EngineConfig::default()
-        },
-    )
-    .expect("valid deployment");
+    let engine = Engine::new(forest, placement, EngineConfig::default()).expect("valid deployment");
     let queries = [
         "[//item[payment/text() = \"Cash\"]]",
         "[//item and //person]",
@@ -250,44 +239,36 @@ fn twin_engines(doc_seed: u64) -> (Engine, Engine, Vec<Query>) {
     .iter()
     .map(|s| parse_query(s).unwrap())
     .collect();
-    (delta, legacy, queries)
+    (engine, queries)
 }
 
 proptest! {
-    // Each case spawns two engines' worth of site workers, so fewer
-    // cases than a pure-function property would use.
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// On a random schedule of Section-5 updates (inserts, deletes,
-    /// splits, merges — the structural ones exercise the invalidation
-    /// fallback inside the delta engine), both maintenance modes agree
-    /// with the one-shot oracle after every step.
+    /// splits, merges — the structural ones take the invalidation path),
+    /// every cached answer agrees with a from-scratch re-evaluation
+    /// after every step.
     #[test]
     fn delta_repair_equals_invalidate_and_recompute(
         doc_seed in 0u64..500,
         update_seeds in proptest::collection::vec(any::<u64>(), 1..20),
     ) {
-        let (mut delta, mut legacy, queries) = twin_engines(doc_seed);
-        // Warm both caches so the delta engine has entries to repair.
+        let (mut engine, queries) = engine_with_queries(doc_seed);
+        // Warm the caches so there are entries to repair.
         for q in &queries {
-            prop_assert_eq!(delta.query(q).answer, legacy.query(q).answer);
+            prop_assert_eq!(engine.query(q).answer, oracle(&engine, q));
         }
         for (step, seed) in update_seeds.iter().enumerate() {
-            // Both forests evolve identically, so resolving against the
-            // delta engine yields an update valid for both.
-            let Some(update) = resolve_update(delta.forest(), *seed) else {
+            let Some(update) = resolve_update(engine.forest(), *seed) else {
                 continue;
             };
-            delta.apply(update.clone()).unwrap();
-            legacy.apply(update).unwrap();
+            engine.apply(update).unwrap();
             for q in &queries {
-                let expected = oracle(delta.forest(), delta.placement(), &compile(q));
-                prop_assert_eq!(delta.query(q).answer, expected, "delta, step {}: {}", step, q);
-                prop_assert_eq!(legacy.query(q).answer, expected, "legacy, step {}: {}", step, q);
+                let expected = oracle(&engine, q);
+                prop_assert_eq!(engine.query(q).answer, expected, "step {}: {}", step, q);
             }
         }
-        // The invalidation engine must never have repaired in place.
-        prop_assert_eq!(legacy.stats().entries_repaired, 0);
     }
 }
 
@@ -372,7 +353,7 @@ proptest! {
                 engine.apply(update).unwrap();
             }
             for q in &asked {
-                let expected = oracle(engine.forest(), engine.placement(), &compile(q));
+                let expected = oracle(&engine, q);
                 prop_assert_eq!(engine.query(q).answer, expected, "step {}: {}", step, q);
             }
             // What the sites hold for the most recent program (a second
@@ -394,51 +375,31 @@ proptest! {
 
 /// Deterministic direction of the same property: a pure data-update
 /// schedule (no splits/merges) is serviced *entirely* by in-place repair
-/// on the delta engine — zero invalidations — while still agreeing with
-/// the invalidate-and-recompute engine at every step.
+/// — zero invalidations — while agreeing with a from-scratch
+/// re-evaluation at every step.
 #[test]
 fn data_update_schedule_repairs_in_place_and_agrees() {
-    let (mut delta, mut legacy, queries) = twin_engines(2006);
+    let (mut engine, queries) = engine_with_queries(2006);
     for q in &queries {
-        assert_eq!(delta.query(q).answer, legacy.query(q).answer);
+        assert_eq!(engine.query(q).answer, oracle(&engine, q));
     }
     let mut applied = 0;
     for seed in 0..60u64 {
-        let Some(update) = resolve_data_update(delta.forest(), seed) else {
+        let Some(update) = resolve_data_update(engine.forest(), seed) else {
             continue;
         };
-        delta.apply(update.clone()).unwrap();
-        legacy.apply(update).unwrap();
+        engine.apply(update).unwrap();
         applied += 1;
         for q in &queries {
-            let expected = oracle(delta.forest(), delta.placement(), &compile(q));
-            assert_eq!(delta.query(q).answer, expected, "delta after seed {seed}");
-            assert_eq!(legacy.query(q).answer, expected, "legacy after seed {seed}");
+            let expected = oracle(&engine, q);
+            assert_eq!(engine.query(q).answer, expected, "after seed {seed}");
         }
     }
     assert!(applied > 10, "schedule too thin: {applied} updates");
-    let stats = delta.stats();
-    assert!(stats.entries_repaired > 0, "delta engine never repaired");
+    let stats = engine.stats();
+    assert!(stats.entries_repaired > 0, "the engine never repaired");
     assert_eq!(
         stats.entries_invalidated, 0,
         "data updates must repair, not invalidate"
     );
-    assert_eq!(legacy.stats().entries_repaired, 0);
-    assert!(legacy.stats().entries_invalidated > 0);
-}
-
-#[test]
-fn refresh_tracks_external_mutations() {
-    let (mut forest, mut placement, mut view) = setup(16_000, 3, "[//external-marker]");
-    assert!(!view.answer());
-    // Mutate the forest directly (not through the view), as a second
-    // writer would, then refresh the view for the changed fragment.
-    let frag = forest.fragment_ids().last().unwrap();
-    let root = forest.fragment(frag).tree.root();
-    forest.tree_mut(frag).add_child(root, "external-marker");
-    let rep = view.refresh(&forest, &placement, frag);
-    assert!(rep.answer_changed);
-    assert!(view.answer());
-    assert_eq!(view.answer(), oracle(&forest, &placement, view.query()));
-    let _ = &mut placement;
 }
