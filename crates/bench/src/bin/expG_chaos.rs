@@ -11,7 +11,7 @@
 //!
 //! `--rate R` replaces the default rate sweep with a single injection
 //! rate. `--json PATH` writes the cells as `BENCH_chaos.json` (the CI
-//! workflow uploads it next to the expC–expF artifacts). The binary
+//! workflow uploads it next to the expE artifact). The binary
 //! asserts the ISSUE acceptance criteria: faults were actually injected
 //! in the panic and wedge cells, **zero** `Complete` answers disagree
 //! with the oracle anywhere, every cell recovers to all-correct answers

@@ -7,19 +7,18 @@ use parbox_core::plan::{
     measure_resolution_depth, replay_modeled_s, PlanContext, Planner, TRAFFIC_ESTIMATE_FACTOR,
 };
 use parbox_core::{
-    apply_update_to_forest, full_dist_parbox, lazy_parbox, naive_centralized, naive_distributed,
-    parbox, plan_run, run_batch, CostEstimate, Engine, EngineConfig, EvalOutcome, Update,
+    full_dist_parbox, lazy_parbox, naive_centralized, naive_distributed, parbox, plan_run,
+    run_batch, CostEstimate, Engine, EngineConfig, EvalOutcome, Update,
 };
 use parbox_frag::{Forest, ForestStats, Placement};
 use parbox_net::{Cluster, NetworkModel};
 use parbox_query::{compile, compile_batch, parse_query, CompiledQuery};
 use parbox_xmark::{
-    batch_workload, drive_stream, generate, marker_query, mixed_workload, query_with_qlist,
-    resolve_update, MixedConfig, MixedOp, XmarkConfig,
+    batch_workload, generate, marker_query, query_with_qlist, resolve_update, XmarkConfig,
 };
 use parbox_xml::FragmentId;
 use std::collections::BTreeSet;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 fn compile_str(src: &str) -> CompiledQuery {
     parbox_query::compile(&parbox_query::parse_query(src).expect("valid query"))
@@ -215,334 +214,6 @@ pub fn expb_batch_vs_sequential(
             }
         })
         .collect()
-}
-
-/// Result of Experiment C: one mixed serving workload driven through the
-/// resident engine and through spawn-per-query one-shot ParBoX.
-#[derive(Debug, Clone)]
-pub struct ExpCRow {
-    /// Participating sites.
-    pub sites: usize,
-    /// Operations in the stream (queries + updates).
-    pub ops: usize,
-    /// Queries answered (both runs, identically).
-    pub queries: usize,
-    /// Updates that resolved and were applied.
-    pub updates_applied: usize,
-    /// Wall-clock of the resident-engine run, seconds.
-    pub resident_wall_s: f64,
-    /// Wall-clock of the spawn-per-query run, seconds.
-    pub oneshot_wall_s: f64,
-    /// Total simulated traffic of the resident run, bytes.
-    pub resident_bytes: usize,
-    /// Total simulated traffic of the one-shot run, bytes.
-    pub oneshot_bytes: usize,
-    /// Admission rounds the resident engine flushed.
-    pub rounds: u64,
-    /// Members answered purely from the coordinator triplet cache.
-    pub members_from_cache: u64,
-    /// Per-fragment evaluations the site caches absorbed.
-    pub site_cache_hits: u64,
-    /// Data-plane bytes (`Triplet`/`Envelope`/`Data`) recorded while
-    /// serving a fully cached repeat query — the acceptance criterion
-    /// demands exactly 0.
-    pub cached_repeat_data_plane_bytes: usize,
-}
-
-/// **Experiment C**: the resident serving engine vs spawn-per-query
-/// one-shot ParBoX on a mixed query/update stream (~20% repeated queries,
-/// interleaved Section-5 updates) over an FT1 deployment of `machines`
-/// sites. Both runs see the same stream and must produce identical
-/// answers; the one-shot baseline keeps its `Cluster` across queries and
-/// rebuilds it only after updates — its per-query cost is the scoped
-/// thread spawn per site plus the full re-evaluation the resident
-/// engine's caches avoid.
-pub fn expc_resident_vs_oneshot(scale: Scale, machines: usize, ops: usize) -> ExpCRow {
-    let stream = mixed_workload(MixedConfig::serving(ops, scale.seed));
-
-    // --- Resident engine run -------------------------------------------
-    let (forest, placement) = ft1(scale, machines);
-    let config = EngineConfig {
-        max_batch: 32,
-        batch_window: Duration::from_secs(3600), // flush on size or update
-        ..EngineConfig::default()
-    };
-    let mut engine = Engine::new(forest, placement, config).expect("valid deployment");
-    let start = Instant::now();
-    let resident = drive_stream(&mut engine, &stream);
-    let resident_wall_s = start.elapsed().as_secs_f64();
-    let stats = engine.stats();
-
-    // The acceptance criterion: a repeated query served entirely from
-    // cache moves zero data-plane bytes.
-    let repeat = stream
-        .iter()
-        .find_map(|op| match op {
-            MixedOp::Query(q) => Some(q.clone()),
-            _ => None,
-        })
-        .expect("stream contains queries");
-    engine.query(&repeat); // warm (or already warm)
-    let cached = engine.query(&repeat);
-    assert!(cached.from_cache, "repeat query must hit the cache");
-    let cached_repeat_data_plane_bytes = cached.report.data_plane_bytes();
-
-    // --- One-shot spawn-per-query run ----------------------------------
-    let (mut forest2, mut placement2) = ft1(scale, machines);
-    let model = NetworkModel::lan();
-    let start = Instant::now();
-    let mut oneshot_answers: Vec<bool> = Vec::new();
-    let mut oneshot_bytes = 0usize;
-    // Segment the stream at updates so the borrow-based cluster can be
-    // kept across the queries in between (the strongest one-shot
-    // baseline: only thread spawns and re-evaluations are per query).
-    let mut i = 0usize;
-    while i < stream.len() {
-        let segment_end = stream[i..]
-            .iter()
-            .position(|op| matches!(op, MixedOp::Update { .. }))
-            .map(|p| i + p)
-            .unwrap_or(stream.len());
-        {
-            let cluster = Cluster::new(&forest2, &placement2, model);
-            for op in &stream[i..segment_end] {
-                let MixedOp::Query(q) = op else {
-                    unreachable!()
-                };
-                let out = parbox(&cluster, &compile(q));
-                oneshot_answers.push(out.answer);
-                oneshot_bytes += out.report.total_bytes();
-            }
-        }
-        if let Some(MixedOp::Update { seed }) = stream.get(segment_end) {
-            if let Some(update) = resolve_update(&forest2, *seed) {
-                apply_update_to_forest(&mut forest2, &mut placement2, update)
-                    .expect("resolved update applies");
-            }
-        }
-        i = segment_end + 1;
-    }
-    let oneshot_wall_s = start.elapsed().as_secs_f64();
-
-    assert_eq!(
-        resident.answers, oneshot_answers,
-        "resident and one-shot runs must agree on every answer"
-    );
-
-    ExpCRow {
-        sites: machines,
-        ops,
-        queries: resident.answers.len(),
-        updates_applied: resident.updates_applied,
-        resident_wall_s,
-        oneshot_wall_s,
-        resident_bytes: resident.bytes,
-        oneshot_bytes,
-        rounds: stats.rounds,
-        members_from_cache: stats.members_from_cache,
-        site_cache_hits: stats.site_cache_hits,
-        cached_repeat_data_plane_bytes,
-    }
-}
-
-/// Result of Experiment D: the hash-consed formula arena against the
-/// seed tree representation on the formula-path kernel.
-#[derive(Debug, Clone)]
-pub struct ExpDRow {
-    /// Fragments in the wide-fan-out star (root fan-out = fragments − 1).
-    pub fragments: usize,
-    /// Sites the deployment is spread over.
-    pub sites: usize,
-    /// `|QList|` of the query.
-    pub qlist: usize,
-    /// `evalST` solve passes timed after the single partial evaluation
-    /// (the serving engine re-solves cached triplets on repeats).
-    pub solve_repeats: usize,
-    /// Wall-clock of the arena pipeline (bottomUp + solves), seconds.
-    pub arena_s: f64,
-    /// Wall-clock of the seed pipeline, seconds.
-    pub seed_s: f64,
-    /// `seed_s / arena_s`.
-    pub speedup: f64,
-    /// Σ per-fragment triplet bytes in the seed tree wire format.
-    pub tree_triplet_bytes: usize,
-    /// Σ per-fragment triplet bytes in the DAG wire format.
-    pub dag_triplet_bytes: usize,
-    /// One all-fragment envelope in the tree wire format, bytes.
-    pub envelope_tree_bytes: usize,
-    /// The same envelope in the DAG wire format (one shared node table).
-    pub envelope_dag_bytes: usize,
-}
-
-/// **Experiment D**: the formula-path kernel — `bottomUp` partial
-/// evaluation over a wide-fan-out spine fragment plus `solve_repeats`
-/// coordinator solves — through the hash-consed arena versus the
-/// preserved seed tree representation
-/// ([`parbox_core::bottom_up_reference`]). Answers are asserted
-/// byte-identical (full resolved triplet maps), and the DAG wire
-/// encoding is asserted never larger than the tree encoding on every
-/// fragment triplet.
-///
-/// The star shape is the adversarial case for the seed representation:
-/// the root fragment's child-accumulation loop re-flattens a growing
-/// n-ary `Or` once per virtual child (`O(fan-out²)` clones), and every
-/// solve re-walks the `O(fan-out)`-sized entry trees; the arena buffers
-/// operands, interns once, and solves over the memoized DAG.
-pub fn expd_formula_arena(
-    scale: Scale,
-    sites: usize,
-    fragments: usize,
-    solve_repeats: usize,
-) -> ExpDRow {
-    use parbox_bool::reference::{ref_solve, RefTriplet};
-    use parbox_bool::{
-        site_envelope_dag_wire_size, site_envelope_wire_size, triplet_dag_wire_size,
-        triplet_wire_size, EquationSystem, Triplet,
-    };
-    use parbox_core::{bottom_up, bottom_up_reference};
-    use std::collections::HashMap;
-
-    // One small XMark document per fragment: content subtrees take the
-    // bitset fast path in both pipelines, so the measured difference is
-    // the formula kernel at the star's hub.
-    let (forest, _) = ft1(
-        Scale {
-            corpus_bytes: scale.corpus_bytes.max(fragments * 1024),
-            seed: scale.seed,
-        },
-        fragments,
-    );
-    let placement = Placement::round_robin(&forest, sites as u32);
-    placement.validate(&forest).expect("valid placement");
-    let (_, q) = query_with_qlist(8, scale.seed);
-    let order = forest.postorder();
-    let root = forest.root_fragment();
-
-    // --- Arena pipeline ------------------------------------------------
-    let start = Instant::now();
-    let mut sys = EquationSystem::new();
-    for f in forest.fragment_ids() {
-        sys.insert(f, bottom_up(&forest.fragment(f).tree, &q).triplet);
-    }
-    let mut arena_solved = sys.solve(&order).expect("solvable star");
-    for _ in 1..solve_repeats.max(1) {
-        arena_solved = sys.solve(&order).expect("solvable star");
-    }
-    let arena_s = start.elapsed().as_secs_f64();
-
-    // --- Seed pipeline -------------------------------------------------
-    let start = Instant::now();
-    let mut seed_triplets: HashMap<FragmentId, RefTriplet> = HashMap::new();
-    for f in forest.fragment_ids() {
-        seed_triplets.insert(f, bottom_up_reference(&forest.fragment(f).tree, &q).triplet);
-    }
-    let mut seed_solved = ref_solve(&seed_triplets, &order).expect("solvable star");
-    for _ in 1..solve_repeats.max(1) {
-        seed_solved = ref_solve(&seed_triplets, &order).expect("solvable star");
-    }
-    let seed_s = start.elapsed().as_secs_f64();
-
-    // Byte-identical answers: the full resolved triplet of every
-    // fragment, not just the root bit.
-    for f in forest.fragment_ids() {
-        assert_eq!(
-            arena_solved[&f], seed_solved[&f],
-            "arena and seed pipelines diverged on fragment {f}"
-        );
-    }
-    assert_eq!(
-        arena_solved[&root].v[q.root() as usize],
-        seed_solved[&root].v[q.root() as usize]
-    );
-
-    // Wire accounting over the arena triplets: the DAG format must never
-    // exceed the tree format, per fragment and for the packed envelope.
-    let mut tree_triplet_bytes = 0usize;
-    let mut dag_triplet_bytes = 0usize;
-    let mut entries: Vec<(FragmentId, &Triplet)> = Vec::new();
-    for f in forest.fragment_ids() {
-        let t = sys.get(f).expect("inserted above");
-        let tree_b = triplet_wire_size(t);
-        let dag_b = triplet_dag_wire_size(t);
-        assert!(
-            dag_b <= tree_b,
-            "DAG encoding larger than tree on fragment {f}: {dag_b} > {tree_b}"
-        );
-        tree_triplet_bytes += tree_b;
-        dag_triplet_bytes += dag_b;
-        entries.push((f, t));
-    }
-    let envelope_tree_bytes = site_envelope_wire_size(&entries);
-    let envelope_dag_bytes = site_envelope_dag_wire_size(&entries);
-    assert!(envelope_dag_bytes <= envelope_tree_bytes);
-
-    ExpDRow {
-        fragments,
-        sites,
-        qlist: q.len(),
-        solve_repeats: solve_repeats.max(1),
-        arena_s,
-        seed_s,
-        speedup: seed_s / arena_s.max(1e-12),
-        tree_triplet_bytes,
-        dag_triplet_bytes,
-        envelope_tree_bytes,
-        envelope_dag_bytes,
-    }
-}
-
-/// Per-workload wire-byte comparison of Experiment D.
-#[derive(Debug, Clone)]
-pub struct ExpDWireRow {
-    /// Workload label (fragment-tree shape × query).
-    pub workload: String,
-    /// Fragments in the forest.
-    pub fragments: usize,
-    /// Σ per-fragment triplet bytes, tree format.
-    pub tree_bytes: usize,
-    /// Σ per-fragment triplet bytes, DAG format.
-    pub dag_bytes: usize,
-}
-
-/// **Experiment D, wire sweep**: encodes every fragment triplet of the
-/// expA–expC fragment-tree shapes (FT1 star, FT2 chain, FT3 skew) for
-/// `|QList| ∈ {8, 23}` in both wire formats, asserting the DAG encoding
-/// is never larger than the tree encoding on any triplet.
-pub fn expd_dag_bytes_on_workloads(scale: Scale) -> Vec<ExpDWireRow> {
-    use parbox_bool::{triplet_dag_wire_size, triplet_wire_size};
-    use parbox_core::bottom_up;
-
-    let shapes: Vec<(String, Forest)> = vec![
-        ("FT1-star-6".into(), ft1(scale, 6).0),
-        ("FT2-chain-6".into(), ft2_chain(scale, 6).0),
-        ("FT3-skew".into(), ft3(scale, 0.5).0),
-    ];
-    let mut rows = Vec::new();
-    for (name, forest) in shapes {
-        for qlist in [8usize, 23] {
-            let (_, q) = query_with_qlist(qlist, scale.seed ^ qlist as u64);
-            let mut tree_bytes = 0usize;
-            let mut dag_bytes = 0usize;
-            for f in forest.fragment_ids() {
-                let t = bottom_up(&forest.fragment(f).tree, &q).triplet;
-                let tree_b = triplet_wire_size(&t);
-                let dag_b = triplet_dag_wire_size(&t);
-                assert!(
-                    dag_b <= tree_b,
-                    "{name} |QList|={qlist}: DAG {dag_b} > tree {tree_b} on {f}"
-                );
-                tree_bytes += tree_b;
-                dag_bytes += dag_b;
-            }
-            rows.push(ExpDWireRow {
-                workload: format!("{name} |QList|={qlist}"),
-                fragments: forest.card(),
-                tree_bytes,
-                dag_bytes,
-            });
-        }
-    }
-    rows
 }
 
 /// A measured row of the Fig. 4 complexity table.
@@ -927,202 +598,13 @@ pub fn sec4_hybrid_ablation(scale: Scale, steps: &[usize]) -> Vec<Row> {
     rows
 }
 
-/// One offered-rate point of the Experiment F open-loop sweep.
-#[derive(Debug, Clone, Copy)]
-pub struct RatePoint {
-    /// Open-loop arrival rate the run was driven at, queries/sec.
-    pub offered_qps: f64,
-    /// Throughput actually achieved (queries / wall time), queries/sec.
-    pub achieved_qps: f64,
-    /// Median latency from *scheduled arrival* to completion, ms.
-    pub p50_ms: f64,
-    /// 99th-percentile latency, ms.
-    pub p99_ms: f64,
-    /// 99.9th-percentile latency, ms.
-    pub p999_ms: f64,
-}
-
-/// Result of Experiment F: sustained-load saturation of the resident
-/// serving engine plus the sharded-arena contention probe.
-#[derive(Debug, Clone)]
-pub struct ExpFRow {
-    /// Participating sites (one persistent worker each).
-    pub sites: usize,
-    /// Worker threads of the intern contention probe.
-    pub threads: usize,
-    /// Queries issued per open-loop run.
-    pub queries: usize,
-    /// Closed-loop calibrated service capacity, queries/sec.
-    pub capacity_qps: f64,
-    /// Achieved throughput at the most oversubscribed offered rate —
-    /// the engine's saturation throughput.
-    pub saturated_qps: f64,
-    /// Median latency at saturation, ms.
-    pub p50_ms: f64,
-    /// 99th-percentile latency at saturation, ms.
-    pub p99_ms: f64,
-    /// 99.9th-percentile latency at saturation, ms.
-    pub p999_ms: f64,
-    /// Every offered-rate point of the sweep, in sweep order.
-    pub rates: Vec<RatePoint>,
-    /// Coordinator-cache share of answered queries over the whole run.
-    pub cache_hit_rate: f64,
-    /// The sharded-vs-single-lock intern measurement at `threads`.
-    pub probe: parbox_bool::contention::ContentionProbe,
-}
-
-/// Seeded xorshift64* for interarrival draws (no `rand` in the hot loop).
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-}
-
+/// The `q`-quantile of ascending seconds, in milliseconds.
 fn percentile(sorted_s: &[f64], q: f64) -> f64 {
     if sorted_s.is_empty() {
         return 0.0;
     }
     let ix = ((sorted_s.len() - 1) as f64 * q).round() as usize;
     sorted_s[ix] * 1e3
-}
-
-/// Drives `queries` through a resident engine open-loop at `offered_qps`:
-/// arrival times are drawn from an exponential interarrival distribution
-/// (a Poisson process), the driver waits for each scheduled arrival, and
-/// every latency is measured from the *scheduled* arrival — so queueing
-/// delay behind a saturated server counts against the tail, exactly as a
-/// client on the wire would see it.
-fn open_loop_run(
-    engine: &mut Engine,
-    queries: &[parbox_query::Query],
-    offered_qps: f64,
-    seed: u64,
-) -> RatePoint {
-    let mut rng = seed | 1;
-    let mut latencies_s: Vec<f64> = Vec::with_capacity(queries.len());
-    let start = Instant::now();
-    let mut scheduled_s = 0.0f64;
-    for q in queries {
-        // Exponential interarrival: −ln(1−u)/λ with u ∈ [0,1).
-        let u = (xorshift(&mut rng) >> 11) as f64 / (1u64 << 53) as f64;
-        scheduled_s += -(1.0 - u).ln() / offered_qps;
-        while start.elapsed().as_secs_f64() < scheduled_s {
-            std::hint::spin_loop();
-        }
-        engine.query(q);
-        latencies_s.push(start.elapsed().as_secs_f64() - scheduled_s);
-    }
-    let wall_s = start.elapsed().as_secs_f64().max(1e-9);
-    latencies_s.sort_by(|a, b| a.total_cmp(b));
-    RatePoint {
-        offered_qps,
-        achieved_qps: queries.len() as f64 / wall_s,
-        p50_ms: percentile(&latencies_s, 0.50),
-        p99_ms: percentile(&latencies_s, 0.99),
-        p999_ms: percentile(&latencies_s, 0.999),
-    }
-}
-
-/// **Experiment F**: sustained-load saturation of the resident
-/// [`Engine`]. Three measurements in one row:
-///
-/// 1. **Contention probe** — [`parbox_bool::contention::intern_contention_probe`]
-///    at `threads` worker threads: the sharded production arena vs the
-///    single-mutex seed replica on the identical intern workload. The
-///    acceptance gate (`modeled_scaling() ≥ 2`) is asserted by the
-///    `expF_saturation` binary.
-/// 2. **Oracle differential** — before any timing, the engine's exact
-///    forest is pushed through both `bottomUp` pipelines (arena and
-///    preserved seed representation) and the full resolved triplet of
-///    *every* fragment is asserted byte-identical, expD-style.
-/// 3. **Open-loop saturation sweep** — the engine is calibrated
-///    closed-loop, then driven at `rate_multipliers` × capacity with
-///    Poisson arrivals; the most oversubscribed point is the saturation
-///    row (achieved qps + p50/p99/p999 from scheduled arrival).
-pub fn expf_saturation(
-    scale: Scale,
-    sites: usize,
-    threads: usize,
-    queries: usize,
-    rate_multipliers: &[f64],
-) -> ExpFRow {
-    use parbox_bool::contention::intern_contention_probe;
-    use parbox_bool::reference::{ref_solve, RefTriplet};
-    use parbox_bool::EquationSystem;
-    use parbox_core::{bottom_up, bottom_up_reference};
-    use std::collections::HashMap;
-
-    let (forest, placement) = ft1(scale, sites);
-
-    // (2) Oracle differential over the serving forest: byte-identical
-    // resolved triplets, every fragment, before anything is timed.
-    let order = forest.postorder();
-    let (_, q) = query_with_qlist(8, scale.seed);
-    let mut sys = EquationSystem::new();
-    let mut seed_triplets: HashMap<FragmentId, RefTriplet> = HashMap::new();
-    for f in forest.fragment_ids() {
-        sys.insert(f, bottom_up(&forest.fragment(f).tree, &q).triplet);
-        seed_triplets.insert(f, bottom_up_reference(&forest.fragment(f).tree, &q).triplet);
-    }
-    let arena_solved = sys.solve(&order).expect("solvable FT1");
-    let seed_solved = ref_solve(&seed_triplets, &order).expect("solvable FT1");
-    for f in forest.fragment_ids() {
-        assert_eq!(
-            arena_solved[&f], seed_solved[&f],
-            "sharded arena diverged from the reference oracle on fragment {f}"
-        );
-    }
-
-    // (1) The intern contention probe.
-    let probe = intern_contention_probe(threads, 30_000);
-
-    // (3) The saturation sweep.
-    let stream: Vec<parbox_query::Query> = batch_workload(queries, scale.seed ^ 0xF0F0);
-    let mut engine = Engine::new(forest, placement, EngineConfig::default()).expect("valid");
-
-    // Closed-loop calibration: warm the caches with one full pass, then
-    // time a second — the engine's steady-state service capacity.
-    for q in &stream {
-        engine.query(q);
-    }
-    let start = Instant::now();
-    for q in &stream {
-        engine.query(q);
-    }
-    let capacity_qps = stream.len() as f64 / start.elapsed().as_secs_f64().max(1e-9);
-
-    let mut rates = Vec::new();
-    for (i, m) in rate_multipliers.iter().enumerate() {
-        rates.push(open_loop_run(
-            &mut engine,
-            &stream,
-            (capacity_qps * m).max(1.0),
-            scale.seed ^ (0xE0 + i as u64),
-        ));
-    }
-    let saturated = rates
-        .iter()
-        .cloned()
-        .max_by(|a, b| a.offered_qps.total_cmp(&b.offered_qps))
-        .expect("at least one rate multiplier");
-
-    let stats = engine.stats();
-    ExpFRow {
-        sites,
-        threads,
-        queries: stream.len(),
-        capacity_qps,
-        saturated_qps: saturated.achieved_qps,
-        p50_ms: saturated.p50_ms,
-        p99_ms: saturated.p99_ms,
-        p999_ms: saturated.p999_ms,
-        rates,
-        cache_hit_rate: stats.members_from_cache as f64 / (stats.queries as f64).max(1.0),
-        probe,
-    }
 }
 
 /// Result of one chaos cell: a fault kind injected at one rate under
@@ -1500,63 +982,6 @@ mod tests {
     }
 
     #[test]
-    fn expc_resident_engine_beats_oneshot_with_zero_triplet_repeats() {
-        // The ISSUE acceptance criterion, at test scale: on a mixed
-        // workload with ~20% repeats and interleaved updates, the
-        // resident engine beats spawn-per-query wall-clock, answers
-        // match one-shot ParBoX op for op (asserted inside the driver),
-        // and a fully cached repeat moves zero data-plane bytes.
-        let row = expc_resident_vs_oneshot(tiny(), 8, 300);
-        assert!(row.queries > 250, "most ops are queries: {}", row.queries);
-        assert!(row.updates_applied > 0, "updates must interleave");
-        assert!(row.members_from_cache > 0, "repeats must hit the cache");
-        assert_eq!(row.cached_repeat_data_plane_bytes, 0);
-        assert!(
-            row.resident_wall_s < row.oneshot_wall_s,
-            "resident {:.4}s !< one-shot {:.4}s",
-            row.resident_wall_s,
-            row.oneshot_wall_s
-        );
-    }
-
-    #[test]
-    fn expd_arena_matches_seed_and_wins() {
-        // The ISSUE acceptance criterion, at test scale: the arena
-        // pipeline must produce byte-identical resolved triplets to the
-        // seed representation and a DAG wire encoding that never exceeds
-        // the tree encoding (both asserted inside the experiment). The
-        // ≥2x speedup headline is asserted by the release-mode
-        // `expD_formula_arena` binary that CI runs (4x at the default
-        // 2048-fragment scale); unoptimized debug timings at test scale
-        // measure mutex/hashing constants, not the quadratic-vs-linear
-        // asymptotics, so no timing is asserted here.
-        let row = expd_formula_arena(tiny(), 8, 160, 4);
-        assert_eq!(row.fragments, 160);
-        assert!(row.arena_s > 0.0 && row.seed_s > 0.0);
-        assert!(row.dag_triplet_bytes <= row.tree_triplet_bytes);
-        assert!(row.envelope_dag_bytes <= row.envelope_tree_bytes);
-        // The star's hub triplet is dominated by shared wide
-        // disjunctions, so the DAG format should be a real win, not a tie.
-        assert!(
-            row.dag_triplet_bytes * 10 <= row.tree_triplet_bytes * 9,
-            "expected ≥10% wire win: dag {} vs tree {}",
-            row.dag_triplet_bytes,
-            row.tree_triplet_bytes
-        );
-    }
-
-    #[test]
-    fn expd_dag_never_larger_across_workloads() {
-        // asserts dag ≤ tree per triplet internally, across the FT1/FT2/
-        // FT3 shapes of experiments A–C.
-        let rows = expd_dag_bytes_on_workloads(tiny());
-        assert_eq!(rows.len(), 6);
-        for r in &rows {
-            assert!(r.dag_bytes <= r.tree_bytes, "{}", r.workload);
-        }
-    }
-
-    #[test]
     fn expe_adaptive_planner_tracks_best_fixed_strategy() {
         // The ISSUE acceptance criterion, at test scale: across query
         // shapes × fragmentations × network models, the adaptive
@@ -1575,21 +1000,6 @@ mod tests {
         let distinct: std::collections::HashSet<&str> =
             rows.iter().map(|r| r.chosen.as_str()).collect();
         assert!(distinct.len() >= 2, "planner always chose {distinct:?}");
-    }
-
-    #[test]
-    fn expf_open_loop_reports_sane_percentiles() {
-        // Tiny smoke of the saturation sweep: percentiles monotone, the
-        // oracle differential and the contention probe both run, and the
-        // cache-hit rate is a rate. (The ≥2x scaling gate itself is
-        // asserted by the expF_saturation binary and the 16-thread
-        // regression test in crates/bool/tests/contention.rs.)
-        let row = expf_saturation(tiny(), 3, 2, 40, &[1.0]);
-        assert_eq!(row.rates.len(), 1);
-        assert!(row.capacity_qps > 0.0 && row.saturated_qps > 0.0);
-        assert!(row.p50_ms <= row.p99_ms && row.p99_ms <= row.p999_ms);
-        assert!(row.probe.sharded.modeled_ops_per_sec > 0.0);
-        assert!((0.0..=1.0).contains(&row.cache_hit_rate));
     }
 
     #[test]

@@ -1,23 +1,19 @@
-//! Binary wire encodings for formulas and triplets.
+//! Binary wire encoding for formulas and triplets.
 //!
 //! The network layer ships triplets between sites; encoding them gives
 //! honest byte counts for the paper's communication-cost measurements
-//! (`O(|q| · card(F))` per query). Two formats exist:
+//! (`O(|q| · card(F))` per query). The format is a varint-compressed
+//! *node table* (children before parents, operands as table indices)
+//! followed by per-entry root indices ([`encode_formula_dag`] /
+//! [`encode_triplet_dag`] / [`encode_site_envelope_dag`]). Shared
+//! subformulas are encoded **once**, and an envelope shares one table
+//! across every triplet it carries.
 //!
-//! * the **tree format** ([`encode_formula`] / [`encode_triplet`] /
-//!   [`encode_site_envelope`]) — the seed's compact tagged preorder
-//!   serialization, kept as the baseline the `expD` experiment compares
-//!   against. Shared subformulas are re-encoded once per occurrence.
-//! * the **DAG format** ([`encode_triplet_dag`] /
-//!   [`encode_site_envelope_dag`]) — a varint-compressed *node table*
-//!   (children before parents, operands as table indices) followed by
-//!   per-entry root indices. Shared subformulas are encoded **once**, and
-//!   an envelope shares one table across every triplet it carries; this
-//!   is the format the production algorithms account traffic in.
-//!
-//! All encoders and decoders are iterative (explicit work stacks over
-//! arena snapshots), so a deep `Not`/`And` chain cannot overflow the call
-//! stack in either direction.
+//! Encoders walk arena snapshots and decoders fill the table front to
+//! back, so a deep `Not`/`And` chain cannot overflow the call stack in
+//! either direction. Decoders accept arbitrary bytes: malformed input is
+//! a [`DecodeError`], never a panic, and no count read from the wire
+//! pre-allocates more than a fixed bound.
 
 use crate::arena::DagNode;
 use crate::formula::Formula;
@@ -46,6 +42,15 @@ pub enum DecodeError {
     /// A DAG reference pointing at itself, forward, or out of the table —
     /// or a varint wider than the format allows.
     BadIndex(u64),
+    /// A triplet whose `V`, `CV` and `DV` rows differ in width.
+    RaggedTriplet {
+        /// Width of the `V` row.
+        v: usize,
+        /// Width of the `CV` row.
+        cv: usize,
+        /// Width of the `DV` row.
+        dv: usize,
+    },
 }
 
 impl fmt::Display for DecodeError {
@@ -55,6 +60,9 @@ impl fmt::Display for DecodeError {
             DecodeError::BadTag(t) => write!(f, "unknown formula tag {t}"),
             DecodeError::BadArity(n) => write!(f, "n-ary formula with arity {n}"),
             DecodeError::BadIndex(i) => write!(f, "invalid DAG node reference {i}"),
+            DecodeError::RaggedTriplet { v, cv, dv } => {
+                write!(f, "triplet rows of unequal width ({v}, {cv}, {dv})")
+            }
         }
     }
 }
@@ -65,215 +73,10 @@ impl std::error::Error for DecodeError {}
 /// attacker-controlled count; the vectors still grow to the real size.
 const MAX_PREALLOC: usize = 1024;
 
-// ---------------------------------------------------------------------------
-// Tree format (seed-compatible bytes, iterative traversal)
-// ---------------------------------------------------------------------------
-
-/// Encodes a formula into `buf` (tree format: tagged preorder, shared
-/// subformulas expanded per occurrence).
-pub fn encode_formula(f: &Formula, buf: &mut BytesMut) {
-    let dag = Formula::snapshot_many(std::slice::from_ref(f));
-    encode_tree_from(&dag, dag.roots[0], buf);
+/// The capacity to reserve for `count` elements read off the wire.
+fn prealloc(count: u64) -> usize {
+    usize::try_from(count).map_or(MAX_PREALLOC, |n| n.min(MAX_PREALLOC))
 }
-
-fn encode_var(v: &Var, buf: &mut BytesMut) {
-    buf.put_u8(TAG_VAR);
-    buf.put_u32_le(v.frag.0);
-    buf.put_u8(match v.vec {
-        VecKind::V => 0,
-        VecKind::CV => 1,
-        VecKind::DV => 2,
-    });
-    buf.put_u32_le(v.sub);
-}
-
-fn encode_tree_from(dag: &crate::arena::Dag, root: u32, buf: &mut BytesMut) {
-    let mut stack = vec![root];
-    while let Some(ix) = stack.pop() {
-        match &dag.nodes[ix as usize] {
-            DagNode::Const(false) => buf.put_u8(TAG_FALSE),
-            DagNode::Const(true) => buf.put_u8(TAG_TRUE),
-            DagNode::Var(v) => encode_var(v, buf),
-            DagNode::Not(x) => {
-                buf.put_u8(TAG_NOT);
-                stack.push(*x);
-            }
-            DagNode::And(r) | DagNode::Or(r) => {
-                let conj = matches!(&dag.nodes[ix as usize], DagNode::And(_));
-                buf.put_u8(if conj { TAG_AND } else { TAG_OR });
-                let ops = dag.ops(r);
-                buf.put_u32_le(ops.len() as u32);
-                for &x in ops.iter().rev() {
-                    stack.push(x);
-                }
-            }
-        }
-    }
-}
-
-fn decode_var(buf: &mut Bytes) -> Result<Formula, DecodeError> {
-    if buf.remaining() < 9 {
-        return Err(DecodeError::Truncated);
-    }
-    let frag = FragmentId(buf.get_u32_le());
-    let vec = match buf.get_u8() {
-        0 => VecKind::V,
-        1 => VecKind::CV,
-        2 => VecKind::DV,
-        t => return Err(DecodeError::BadTag(t)),
-    };
-    let sub = buf.get_u32_le();
-    Ok(Formula::var(Var::new(frag, vec, sub)))
-}
-
-/// Decodes one formula from `buf` (tree format). Iterative: an explicit
-/// continuation stack replaces recursion.
-pub fn decode_formula(buf: &mut Bytes) -> Result<Formula, DecodeError> {
-    enum Pending {
-        Not,
-        Nary {
-            conj: bool,
-            remaining: u32,
-            ops: Vec<Formula>,
-        },
-    }
-    let mut pending: Vec<Pending> = Vec::new();
-    loop {
-        if buf.remaining() < 1 {
-            return Err(DecodeError::Truncated);
-        }
-        let mut value: Option<Formula> = match buf.get_u8() {
-            TAG_FALSE => Some(Formula::FALSE),
-            TAG_TRUE => Some(Formula::TRUE),
-            TAG_VAR => Some(decode_var(buf)?),
-            TAG_NOT => {
-                pending.push(Pending::Not);
-                None
-            }
-            tag @ (TAG_AND | TAG_OR) => {
-                if buf.remaining() < 4 {
-                    return Err(DecodeError::Truncated);
-                }
-                let n = buf.get_u32_le();
-                if n < 2 {
-                    return Err(DecodeError::BadArity(n));
-                }
-                pending.push(Pending::Nary {
-                    conj: tag == TAG_AND,
-                    remaining: n,
-                    ops: Vec::with_capacity((n as usize).min(MAX_PREALLOC)),
-                });
-                None
-            }
-            t => return Err(DecodeError::BadTag(t)),
-        };
-        while let Some(v) = value.take() {
-            match pending.last_mut() {
-                None => return Ok(v),
-                Some(Pending::Not) => {
-                    pending.pop();
-                    value = Some(v.not());
-                }
-                Some(Pending::Nary { remaining, ops, .. }) => {
-                    ops.push(v);
-                    *remaining -= 1;
-                    if *remaining == 0 {
-                        let Some(Pending::Nary { conj, ops, .. }) = pending.pop() else {
-                            unreachable!("just matched")
-                        };
-                        value = Some(if conj {
-                            Formula::all(ops)
-                        } else {
-                            Formula::any(ops)
-                        });
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Encodes a triplet (tree format: three length-prefixed vectors).
-pub fn encode_triplet(t: &Triplet, buf: &mut BytesMut) {
-    for vec in [&t.v, &t.cv, &t.dv] {
-        buf.put_u32_le(vec.len() as u32);
-        for f in vec {
-            encode_formula(f, buf);
-        }
-    }
-}
-
-/// Decodes a triplet (tree format).
-pub fn decode_triplet(buf: &mut Bytes) -> Result<Triplet, DecodeError> {
-    let mut vecs = Vec::with_capacity(3);
-    for _ in 0..3 {
-        if buf.remaining() < 4 {
-            return Err(DecodeError::Truncated);
-        }
-        let n = buf.get_u32_le();
-        let mut v = Vec::with_capacity((n as usize).min(MAX_PREALLOC));
-        for _ in 0..n {
-            v.push(decode_formula(buf)?);
-        }
-        vecs.push(v);
-    }
-    let dv = vecs.pop().expect("three vectors");
-    let cv = vecs.pop().expect("two vectors");
-    let v = vecs.pop().expect("one vector");
-    Ok(Triplet { v, cv, dv })
-}
-
-/// Exact wire size in bytes of a triplet in the **tree format** — kept as
-/// the baseline figure; production accounting uses
-/// [`triplet_dag_wire_size`].
-pub fn triplet_wire_size(t: &Triplet) -> usize {
-    let mut buf = BytesMut::new();
-    encode_triplet(t, &mut buf);
-    buf.len()
-}
-
-/// Encodes a *site envelope* in the tree format: every
-/// `(fragment, triplet)` pair one site computed for a query batch, packed
-/// into a single message (count followed by `fragment id + triplet`
-/// records).
-pub fn encode_site_envelope(entries: &[(FragmentId, &Triplet)], buf: &mut BytesMut) {
-    buf.put_u32_le(entries.len() as u32);
-    for (frag, t) in entries {
-        buf.put_u32_le(frag.0);
-        encode_triplet(t, buf);
-    }
-}
-
-/// Decodes a tree-format site envelope back into `(fragment, triplet)`
-/// pairs.
-pub fn decode_site_envelope(buf: &mut Bytes) -> Result<Vec<(FragmentId, Triplet)>, DecodeError> {
-    if buf.remaining() < 4 {
-        return Err(DecodeError::Truncated);
-    }
-    let n = buf.get_u32_le();
-    let mut entries = Vec::with_capacity((n as usize).min(MAX_PREALLOC));
-    for _ in 0..n {
-        if buf.remaining() < 4 {
-            return Err(DecodeError::Truncated);
-        }
-        let frag = FragmentId(buf.get_u32_le());
-        entries.push((frag, decode_triplet(buf)?));
-    }
-    Ok(entries)
-}
-
-/// Exact wire size in bytes of a tree-format site envelope:
-/// `4 + Σ (4 + triplet_wire_size)`.
-pub fn site_envelope_wire_size(entries: &[(FragmentId, &Triplet)]) -> usize {
-    4 + entries
-        .iter()
-        .map(|(_, t)| 4 + triplet_wire_size(t))
-        .sum::<usize>()
-}
-
-// ---------------------------------------------------------------------------
-// DAG format (node table + root indices, varint-compressed)
-// ---------------------------------------------------------------------------
 
 fn put_varint(buf: &mut BytesMut, mut v: u64) {
     loop {
@@ -308,6 +111,42 @@ fn get_varint(buf: &mut Bytes) -> Result<u64, DecodeError> {
     Err(DecodeError::BadIndex(out))
 }
 
+/// Reads a varint that must fit a `u32` (fragment ids, sub-query
+/// indices, widths).
+fn get_varint_u32(buf: &mut Bytes) -> Result<u32, DecodeError> {
+    let v = get_varint(buf)?;
+    u32::try_from(v).map_err(|_| DecodeError::BadIndex(v))
+}
+
+fn put_vec_kind(buf: &mut BytesMut, kind: VecKind) {
+    buf.put_u8(match kind {
+        VecKind::V => 0,
+        VecKind::CV => 1,
+        VecKind::DV => 2,
+    });
+}
+
+fn get_vec_kind(buf: &mut Bytes) -> Result<VecKind, DecodeError> {
+    if buf.remaining() < 1 {
+        return Err(DecodeError::Truncated);
+    }
+    match buf.get_u8() {
+        0 => Ok(VecKind::V),
+        1 => Ok(VecKind::CV),
+        2 => Ok(VecKind::DV),
+        t => Err(DecodeError::BadTag(t)),
+    }
+}
+
+/// The table entry a root index names.
+fn table_ref(table: &[Formula], ix: u64) -> Result<Formula, DecodeError> {
+    usize::try_from(ix)
+        .ok()
+        .and_then(|i| table.get(i))
+        .copied()
+        .ok_or(DecodeError::BadIndex(ix))
+}
+
 /// Writes the DAG node table: varint node count, then one record per
 /// node with operand references as varint indices of strictly earlier
 /// table entries.
@@ -320,11 +159,7 @@ fn encode_dag_nodes(dag: &crate::arena::Dag, buf: &mut BytesMut) {
             DagNode::Var(v) => {
                 buf.put_u8(TAG_VAR);
                 put_varint(buf, u64::from(v.frag.0));
-                buf.put_u8(match v.vec {
-                    VecKind::V => 0,
-                    VecKind::CV => 1,
-                    VecKind::DV => 2,
-                });
+                put_vec_kind(buf, v.vec);
                 put_varint(buf, u64::from(v.sub));
             }
             DagNode::Not(x) => {
@@ -351,11 +186,11 @@ fn encode_dag_nodes(dag: &crate::arena::Dag, buf: &mut BytesMut) {
 /// entry. References must point strictly backwards (acyclic by
 /// construction); anything else is a [`DecodeError::BadIndex`].
 fn decode_dag_nodes(buf: &mut Bytes) -> Result<Vec<Formula>, DecodeError> {
-    let n = get_varint(buf)? as usize;
-    let mut table: Vec<Formula> = Vec::with_capacity(n.min(MAX_PREALLOC));
+    let n = get_varint(buf)?;
+    let mut table: Vec<Formula> = Vec::with_capacity(prealloc(n));
     for i in 0..n {
         let back_ref = |ix: u64| -> Result<usize, DecodeError> {
-            if (ix as usize) < i {
+            if ix < i {
                 Ok(ix as usize)
             } else {
                 Err(DecodeError::BadIndex(ix))
@@ -368,19 +203,9 @@ fn decode_dag_nodes(buf: &mut Bytes) -> Result<Vec<Formula>, DecodeError> {
             TAG_FALSE => Formula::FALSE,
             TAG_TRUE => Formula::TRUE,
             TAG_VAR => {
-                let frag = FragmentId(
-                    u32::try_from(get_varint(buf)?).map_err(|_| DecodeError::Truncated)?,
-                );
-                if buf.remaining() < 1 {
-                    return Err(DecodeError::Truncated);
-                }
-                let vec = match buf.get_u8() {
-                    0 => VecKind::V,
-                    1 => VecKind::CV,
-                    2 => VecKind::DV,
-                    t => return Err(DecodeError::BadTag(t)),
-                };
-                let sub = u32::try_from(get_varint(buf)?).map_err(|_| DecodeError::Truncated)?;
+                let frag = FragmentId(get_varint_u32(buf)?);
+                let vec = get_vec_kind(buf)?;
+                let sub = get_varint_u32(buf)?;
                 Formula::var(Var::new(frag, vec, sub))
             }
             TAG_NOT => table[back_ref(get_varint(buf)?)?].not(),
@@ -389,7 +214,7 @@ fn decode_dag_nodes(buf: &mut Bytes) -> Result<Vec<Formula>, DecodeError> {
                 if arity < 2 {
                     return Err(DecodeError::BadArity(arity as u32));
                 }
-                let mut ops = Vec::with_capacity((arity as usize).min(MAX_PREALLOC));
+                let mut ops = Vec::with_capacity(prealloc(arity));
                 for _ in 0..arity {
                     ops.push(table[back_ref(get_varint(buf)?)?]);
                 }
@@ -406,29 +231,41 @@ fn decode_dag_nodes(buf: &mut Bytes) -> Result<Vec<Formula>, DecodeError> {
     Ok(table)
 }
 
-fn encode_root_rows(dag: &crate::arena::Dag, rows: &[usize], buf: &mut BytesMut) {
-    // `dag.roots` holds one local index per requested root formula, in
-    // request order; `rows` gives the length of each row to emit.
-    let mut next = 0usize;
-    for &len in rows {
-        put_varint(buf, len as u64);
-        for _ in 0..len {
-            put_varint(buf, u64::from(dag.roots[next]));
-            next += 1;
+/// Writes a triplet's `V`, `CV` and `DV` rows, each a varint length
+/// followed by one table index per entry; `roots` yields the indices in
+/// entry order.
+fn encode_triplet_rows(t: &Triplet, roots: &mut std::slice::Iter<'_, u32>, buf: &mut BytesMut) {
+    for row in [&t.v, &t.cv, &t.dv] {
+        put_varint(buf, row.len() as u64);
+        for &ix in roots.by_ref().take(row.len()) {
+            put_varint(buf, u64::from(ix));
         }
     }
-    debug_assert_eq!(next, dag.roots.len());
 }
 
 fn decode_root_row(buf: &mut Bytes, table: &[Formula]) -> Result<Vec<Formula>, DecodeError> {
-    let len = get_varint(buf)? as usize;
-    let mut out = Vec::with_capacity(len.min(MAX_PREALLOC));
+    let len = get_varint(buf)?;
+    let mut out = Vec::with_capacity(prealloc(len));
     for _ in 0..len {
-        let ix = get_varint(buf)?;
-        let f = table.get(ix as usize).ok_or(DecodeError::BadIndex(ix))?;
-        out.push(*f);
+        out.push(table_ref(table, get_varint(buf)?)?);
     }
     Ok(out)
+}
+
+/// Reads the three rows [`encode_triplet_rows`] wrote, rejecting a
+/// triplet whose rows differ in width.
+fn decode_triplet_rows(buf: &mut Bytes, table: &[Formula]) -> Result<Triplet, DecodeError> {
+    let v = decode_root_row(buf, table)?;
+    let cv = decode_root_row(buf, table)?;
+    let dv = decode_root_row(buf, table)?;
+    if v.len() != cv.len() || v.len() != dv.len() {
+        return Err(DecodeError::RaggedTriplet {
+            v: v.len(),
+            cv: cv.len(),
+            dv: dv.len(),
+        });
+    }
+    Ok(Triplet { v, cv, dv })
 }
 
 /// Encodes one formula in the DAG format (node table + root index).
@@ -441,11 +278,7 @@ pub fn encode_formula_dag(f: &Formula, buf: &mut BytesMut) {
 /// Decodes one DAG-format formula.
 pub fn decode_formula_dag(buf: &mut Bytes) -> Result<Formula, DecodeError> {
     let table = decode_dag_nodes(buf)?;
-    let ix = get_varint(buf)?;
-    table
-        .get(ix as usize)
-        .copied()
-        .ok_or(DecodeError::BadIndex(ix))
+    table_ref(&table, get_varint(buf)?)
 }
 
 /// Encodes a triplet in the DAG format: one node table shared by all
@@ -456,16 +289,13 @@ pub fn encode_triplet_dag(t: &Triplet, buf: &mut BytesMut) {
     let roots: Vec<Formula> = t.v.iter().chain(&t.cv).chain(&t.dv).copied().collect();
     let dag = Formula::snapshot_many(&roots);
     encode_dag_nodes(&dag, buf);
-    encode_root_rows(&dag, &[t.v.len(), t.cv.len(), t.dv.len()], buf);
+    encode_triplet_rows(t, &mut dag.roots.iter(), buf);
 }
 
 /// Decodes a DAG-format triplet.
 pub fn decode_triplet_dag(buf: &mut Bytes) -> Result<Triplet, DecodeError> {
     let table = decode_dag_nodes(buf)?;
-    let v = decode_root_row(buf, &table)?;
-    let cv = decode_root_row(buf, &table)?;
-    let dv = decode_root_row(buf, &table)?;
-    Ok(Triplet { v, cv, dv })
+    decode_triplet_rows(buf, &table)
 }
 
 /// Exact wire size in bytes of a DAG-format triplet — the unit in which
@@ -488,11 +318,7 @@ pub fn encode_triplet_delta_dag(d: &TripletDelta, buf: &mut BytesMut) {
     put_varint(buf, d.changed.len() as u64);
     encode_dag_nodes(&dag, buf);
     for (rec, &(kind, ix, _)) in d.changed.iter().enumerate() {
-        buf.put_u8(match kind {
-            VecKind::V => 0,
-            VecKind::CV => 1,
-            VecKind::DV => 2,
-        });
+        put_vec_kind(buf, kind);
         put_varint(buf, u64::from(ix));
         put_varint(buf, u64::from(dag.roots[rec]));
     }
@@ -502,29 +328,17 @@ pub fn encode_triplet_delta_dag(d: &TripletDelta, buf: &mut BytesMut) {
 /// against the declared width so [`TripletDelta::apply`] cannot panic on
 /// decoded input.
 pub fn decode_triplet_delta_dag(buf: &mut Bytes) -> Result<TripletDelta, DecodeError> {
-    let width = u32::try_from(get_varint(buf)?).map_err(|_| DecodeError::Truncated)?;
-    let n = get_varint(buf)? as usize;
+    let width = get_varint_u32(buf)?;
+    let n = get_varint(buf)?;
     let table = decode_dag_nodes(buf)?;
-    let mut changed = Vec::with_capacity(n.min(MAX_PREALLOC));
+    let mut changed = Vec::with_capacity(prealloc(n));
     for _ in 0..n {
-        if buf.remaining() < 1 {
-            return Err(DecodeError::Truncated);
-        }
-        let kind = match buf.get_u8() {
-            0 => VecKind::V,
-            1 => VecKind::CV,
-            2 => VecKind::DV,
-            t => return Err(DecodeError::BadTag(t)),
-        };
+        let kind = get_vec_kind(buf)?;
         let ix = get_varint(buf)?;
         if ix >= u64::from(width) {
             return Err(DecodeError::BadIndex(ix));
         }
-        let root = get_varint(buf)?;
-        let f = table
-            .get(root as usize)
-            .copied()
-            .ok_or(DecodeError::BadIndex(root))?;
+        let f = table_ref(&table, get_varint(buf)?)?;
         changed.push((kind, ix as u32, f));
     }
     Ok(TripletDelta { width, changed })
@@ -551,33 +365,24 @@ pub fn encode_site_envelope_dag(entries: &[(FragmentId, &Triplet)], buf: &mut By
     put_varint(buf, entries.len() as u64);
     encode_dag_nodes(&dag, buf);
     // `dag.roots` holds one index per entry formula, in request order.
-    let mut next = 0usize;
+    let mut roots = dag.roots.iter();
     for (frag, t) in entries {
         put_varint(buf, u64::from(frag.0));
-        for len in [t.v.len(), t.cv.len(), t.dv.len()] {
-            put_varint(buf, len as u64);
-            for _ in 0..len {
-                put_varint(buf, u64::from(dag.roots[next]));
-                next += 1;
-            }
-        }
+        encode_triplet_rows(t, &mut roots, buf);
     }
-    debug_assert_eq!(next, dag.roots.len());
+    debug_assert!(roots.next().is_none());
 }
 
 /// Decodes a DAG-format site envelope.
 pub fn decode_site_envelope_dag(
     buf: &mut Bytes,
 ) -> Result<Vec<(FragmentId, Triplet)>, DecodeError> {
-    let n = get_varint(buf)? as usize;
+    let n = get_varint(buf)?;
     let table = decode_dag_nodes(buf)?;
-    let mut entries = Vec::with_capacity(n.min(MAX_PREALLOC));
+    let mut entries = Vec::with_capacity(prealloc(n));
     for _ in 0..n {
-        let frag = FragmentId(u32::try_from(get_varint(buf)?).map_err(|_| DecodeError::Truncated)?);
-        let v = decode_root_row(buf, &table)?;
-        let cv = decode_root_row(buf, &table)?;
-        let dv = decode_root_row(buf, &table)?;
-        entries.push((frag, Triplet { v, cv, dv }));
+        let frag = FragmentId(get_varint_u32(buf)?);
+        entries.push((frag, decode_triplet_rows(buf, &table)?));
     }
     Ok(entries)
 }
@@ -595,15 +400,6 @@ mod tests {
 
     fn rt(f: &Formula) -> Formula {
         let mut buf = BytesMut::new();
-        encode_formula(f, &mut buf);
-        let mut bytes = buf.freeze();
-        let out = decode_formula(&mut bytes).unwrap();
-        assert_eq!(bytes.remaining(), 0, "trailing bytes");
-        out
-    }
-
-    fn rt_dag(f: &Formula) -> Formula {
-        let mut buf = BytesMut::new();
         encode_formula_dag(f, &mut buf);
         let mut bytes = buf.freeze();
         let out = decode_formula_dag(&mut bytes).unwrap();
@@ -619,7 +415,6 @@ mod tests {
     fn round_trip_constants_and_vars() {
         for f in [Formula::TRUE, Formula::FALSE, var(7, VecKind::CV, 3)] {
             assert_eq!(rt(&f), f);
-            assert_eq!(rt_dag(&f), f);
         }
     }
 
@@ -629,24 +424,26 @@ mod tests {
         let b = var(2, VecKind::DV, 9);
         let f = Formula::and(Formula::or(a, b), b.not()).not();
         assert_eq!(rt(&f), f);
-        assert_eq!(rt_dag(&f), f);
     }
 
     #[test]
     fn round_trip_triplet_both_formats() {
-        let mut t = Triplet::fresh_vars(FragmentId(3), 5);
+        // A triplet ships whole, or as a delta against the triplet the
+        // receiver already holds.
+        let old = Triplet::fresh_vars(FragmentId(3), 5);
+        let mut t = old.clone();
         t.v[0] = Formula::TRUE;
         t.cv[4] = Formula::or(var(1, VecKind::V, 2), var(2, VecKind::V, 2));
-        let mut buf = BytesMut::new();
-        encode_triplet(&t, &mut buf);
-        let mut bytes = buf.freeze();
-        assert_eq!(decode_triplet(&mut bytes).unwrap(), t);
-        assert_eq!(bytes.remaining(), 0);
-
         let mut buf = BytesMut::new();
         encode_triplet_dag(&t, &mut buf);
         let mut bytes = buf.freeze();
         assert_eq!(decode_triplet_dag(&mut bytes).unwrap(), t);
+        assert_eq!(bytes.remaining(), 0);
+
+        let mut buf = BytesMut::new();
+        encode_triplet_delta_dag(&TripletDelta::diff(&old, &t), &mut buf);
+        let mut bytes = buf.freeze();
+        assert_eq!(decode_triplet_delta_dag(&mut bytes).unwrap().apply(&old), t);
         assert_eq!(bytes.remaining(), 0);
     }
 
@@ -654,48 +451,21 @@ mod tests {
     fn wire_size_matches_encoding() {
         let t = Triplet::fresh_vars(FragmentId(3), 4);
         let mut buf = BytesMut::new();
-        encode_triplet(&t, &mut buf);
-        assert_eq!(triplet_wire_size(&t), buf.len());
-        let mut buf = BytesMut::new();
         encode_triplet_dag(&t, &mut buf);
         assert_eq!(triplet_dag_wire_size(&t), buf.len());
     }
 
     #[test]
     fn wire_size_scales_with_qlist_not_data() {
-        // Constant-entry triplets, tree format: 3*(4 + n) bytes.
+        // Constant-entry triplets: a one-node table (count + tag), then
+        // three rows of a length byte plus one index byte per entry.
         let small = Triplet::all_false(2);
         let big = Triplet::all_false(23);
-        let s = triplet_wire_size(&small);
-        let b = triplet_wire_size(&big);
+        let s = triplet_dag_wire_size(&small);
+        let b = triplet_dag_wire_size(&big);
         assert!(b > s);
-        assert_eq!(s, 3 * (4 + 2));
-        assert_eq!(b, 3 * (4 + 23));
-    }
-
-    #[test]
-    fn dag_never_larger_than_tree_on_shared_triplets() {
-        // DV accumulates V, so entries share structure: the DAG format
-        // encodes the shared parts once and must win (or tie).
-        let shared = Formula::any((0..12).map(|i| var(i, VecKind::DV, 0)));
-        let mut t = Triplet::all_false(4);
-        for i in 0..4 {
-            t.v[i] = Formula::or(shared, var(20, VecKind::V, i as u32));
-            t.dv[i] = t.v[i];
-            t.cv[i] = shared;
-        }
-        assert!(
-            triplet_dag_wire_size(&t) <= triplet_wire_size(&t),
-            "dag {} vs tree {}",
-            triplet_dag_wire_size(&t),
-            triplet_wire_size(&t)
-        );
-        // Constant triplets too (varint headers beat fixed u32 headers).
-        let c = Triplet::all_false(8);
-        assert!(triplet_dag_wire_size(&c) <= triplet_wire_size(&c));
-        // And fresh-variable triplets.
-        let f = Triplet::fresh_vars(FragmentId(3), 8);
-        assert!(triplet_dag_wire_size(&f) <= triplet_wire_size(&f));
+        assert_eq!(s, 2 + 3 * (1 + 2));
+        assert_eq!(b, 2 + 3 * (1 + 23));
     }
 
     #[test]
@@ -703,17 +473,6 @@ mod tests {
         let a = Triplet::fresh_vars(FragmentId(1), 3);
         let b = Triplet::all_false(3);
         let entries = vec![(FragmentId(1), &a), (FragmentId(4), &b)];
-        let mut buf = BytesMut::new();
-        encode_site_envelope(&entries, &mut buf);
-        assert_eq!(buf.len(), site_envelope_wire_size(&entries));
-        let mut bytes = buf.freeze();
-        let back = decode_site_envelope(&mut bytes).unwrap();
-        assert_eq!(bytes.remaining(), 0);
-        assert_eq!(
-            back,
-            vec![(FragmentId(1), a.clone()), (FragmentId(4), b.clone())]
-        );
-
         let mut buf = BytesMut::new();
         encode_site_envelope_dag(&entries, &mut buf);
         assert_eq!(buf.len(), site_envelope_dag_wire_size(&entries));
@@ -725,14 +484,11 @@ mod tests {
 
     #[test]
     fn dag_envelope_shares_one_table_across_fragments() {
-        // Two fragments with identical triplets: the DAG envelope stores
-        // the formulas once, so it beats per-fragment tree encoding by
-        // nearly 2x — and is never larger.
+        // Two fragments with identical triplets: the envelope stores the
+        // formulas once, so the second fragment costs only its root rows.
         let t = Triplet::fresh_vars(FragmentId(9), 6);
         let entries = vec![(FragmentId(1), &t), (FragmentId(2), &t)];
         let dag = site_envelope_dag_wire_size(&entries);
-        let tree = site_envelope_wire_size(&entries);
-        assert!(dag <= tree, "dag {dag} vs tree {tree}");
         let single = site_envelope_dag_wire_size(&entries[..1]);
         assert!(
             dag < single + single / 2,
@@ -742,16 +498,11 @@ mod tests {
 
     #[test]
     fn empty_envelope_is_just_a_count() {
-        let mut buf = BytesMut::new();
-        encode_site_envelope(&[], &mut buf);
-        assert_eq!(buf.len(), 4);
-        assert_eq!(site_envelope_wire_size(&[]), 4);
-        let back = decode_site_envelope(&mut buf.freeze()).unwrap();
-        assert!(back.is_empty());
-        // DAG format: varint count + varint empty table = 2 bytes.
+        // Varint count + varint empty table = 2 bytes.
         assert_eq!(site_envelope_dag_wire_size(&[]), 2);
         let mut buf = BytesMut::new();
         encode_site_envelope_dag(&[], &mut buf);
+        assert_eq!(buf.len(), 2);
         let back = decode_site_envelope_dag(&mut buf.freeze()).unwrap();
         assert!(back.is_empty());
     }
@@ -761,8 +512,8 @@ mod tests {
         // A batch of 8 two-sub-query members with full overlap: the
         // envelope carries one width-2 triplet instead of 8.
         let t = Triplet::all_false(2);
-        let batched = site_envelope_wire_size(&[(FragmentId(0), &t)]);
-        let sequential = 8 * triplet_wire_size(&t);
+        let batched = site_envelope_dag_wire_size(&[(FragmentId(0), &t)]);
+        let sequential = 8 * triplet_dag_wire_size(&t);
         assert!(batched < sequential, "{batched} vs {sequential}");
     }
 
@@ -770,20 +521,16 @@ mod tests {
     fn truncated_envelope_errors() {
         let mut empty = Bytes::new();
         assert_eq!(
-            decode_site_envelope(&mut empty),
+            decode_site_envelope_dag(&mut empty),
             Err(DecodeError::Truncated)
         );
-        // Count says one record but the payload is missing.
+        // Count says one record, the table is empty, the record is missing.
         let mut buf = BytesMut::new();
-        buf.put_u32_le(1);
+        put_varint(&mut buf, 1);
+        put_varint(&mut buf, 0);
         let mut bytes = buf.freeze();
         assert_eq!(
-            decode_site_envelope(&mut bytes),
-            Err(DecodeError::Truncated)
-        );
-        let mut empty = Bytes::new();
-        assert_eq!(
-            decode_site_envelope_dag(&mut empty),
+            decode_site_envelope_dag(&mut bytes),
             Err(DecodeError::Truncated)
         );
     }
@@ -791,18 +538,35 @@ mod tests {
     #[test]
     fn decode_errors() {
         let mut empty = Bytes::new();
-        assert_eq!(decode_formula(&mut empty), Err(DecodeError::Truncated));
-        let mut bad = Bytes::from_static(&[99]);
-        assert_eq!(decode_formula(&mut bad), Err(DecodeError::BadTag(99)));
-        let mut trunc = Bytes::from_static(&[TAG_VAR, 1, 2]);
-        assert_eq!(decode_formula(&mut trunc), Err(DecodeError::Truncated));
+        assert_eq!(decode_formula_dag(&mut empty), Err(DecodeError::Truncated));
+        let mut bad = Bytes::from_static(&[1, 99]);
+        assert_eq!(decode_formula_dag(&mut bad), Err(DecodeError::BadTag(99)));
+        // A variable node cut off before its vector kind.
+        let mut trunc = Bytes::from_static(&[1, TAG_VAR, 1]);
+        assert_eq!(decode_formula_dag(&mut trunc), Err(DecodeError::Truncated));
         // Arity 1 and-node.
         let mut buf = BytesMut::new();
-        buf.put_u8(TAG_AND);
-        buf.put_u32_le(1);
+        put_varint(&mut buf, 2);
         buf.put_u8(TAG_TRUE);
+        buf.put_u8(TAG_AND);
+        put_varint(&mut buf, 1);
+        put_varint(&mut buf, 0);
         let mut bytes = buf.freeze();
-        assert_eq!(decode_formula(&mut bytes), Err(DecodeError::BadArity(1)));
+        assert_eq!(
+            decode_formula_dag(&mut bytes),
+            Err(DecodeError::BadArity(1))
+        );
+    }
+
+    #[test]
+    fn ragged_triplet_rows_are_rejected() {
+        // A one-node table holding `true`, then rows of width 1, 0 and 0.
+        let ragged = DecodeError::RaggedTriplet { v: 1, cv: 0, dv: 0 };
+        let mut triplet = Bytes::from_static(&[1, TAG_TRUE, 1, 0, 0, 0]);
+        assert_eq!(decode_triplet_dag(&mut triplet), Err(ragged.clone()));
+        // The same rows as the one entry of an envelope, fragment 7.
+        let mut envelope = Bytes::from_static(&[1, 1, TAG_TRUE, 7, 1, 0, 0, 0]);
+        assert_eq!(decode_site_envelope_dag(&mut envelope), Err(ragged));
     }
 
     #[test]
@@ -921,7 +685,6 @@ mod tests {
             f = Formula::and(var(i, VecKind::V, 0), f.not());
         }
         assert_eq!(rt(&f), f);
-        assert_eq!(rt_dag(&f), f);
         // Display is iterative too (length check keeps output unused).
         assert!(f.to_string().len() > 100_000);
     }

@@ -24,8 +24,7 @@
 //! entirely lock-free.
 //!
 //! The previous tree representation is preserved verbatim in
-//! [`crate::reference`] as a differential-testing oracle and the baseline
-//! of the `expD` benchmark.
+//! [`crate::reference`] as a differential-testing oracle.
 
 use crate::arena::{self, DagNode, Node};
 use crate::var::Var;
@@ -321,7 +320,8 @@ impl Formula {
 
     /// Arena occupancy and intern-path counters (per shard, plus
     /// thread-local cache hits) — used by regression tests to assert
-    /// construction-cost bounds and by `expD`/`expF` reporting.
+    /// construction-cost bounds and by the benchmark's `bool.arena_*`
+    /// metrics.
     pub fn arena_stats() -> ArenaStats {
         arena::stats()
     }

@@ -8,10 +8,11 @@
 //! the `compFm` composition procedure, `(V, CV, DV)` [`Triplet`]s, the
 //! linear Boolean [`EquationSystem`] solved by the coordinator (the
 //! paper's `evalST`), and a compact wire encoding used for
-//! communication-cost accounting: per-triplet ([`encode_triplet`]) for
-//! single-query ParBoX and per-site envelopes ([`encode_site_envelope`])
-//! for the batch engine, which packs every fragment triplet a site
-//! computed into one message.
+//! communication-cost accounting: per-triplet ([`encode_triplet_dag`]) for
+//! single-query ParBoX and per-site envelopes
+//! ([`encode_site_envelope_dag`]) for the batch engine, which packs every
+//! fragment triplet a site computed into one message over one shared
+//! node table.
 //!
 //! Formula algebra folds constants as it builds (`compFm`, Fig. 3c):
 //!
@@ -47,7 +48,6 @@
 //! ```
 
 mod arena;
-pub mod contention;
 mod encode;
 mod formula;
 pub mod reference;
@@ -55,12 +55,9 @@ mod triplet;
 mod var;
 
 pub use encode::{
-    decode_formula, decode_formula_dag, decode_site_envelope, decode_site_envelope_dag,
-    decode_triplet, decode_triplet_dag, decode_triplet_delta_dag, encode_formula,
-    encode_formula_dag, encode_site_envelope, encode_site_envelope_dag, encode_triplet,
-    encode_triplet_dag, encode_triplet_delta_dag, site_envelope_dag_wire_size,
-    site_envelope_wire_size, triplet_dag_wire_size, triplet_delta_dag_wire_size, triplet_wire_size,
-    DecodeError,
+    decode_formula_dag, decode_site_envelope_dag, decode_triplet_dag, decode_triplet_delta_dag,
+    encode_formula_dag, encode_site_envelope_dag, encode_triplet_dag, encode_triplet_delta_dag,
+    site_envelope_dag_wire_size, triplet_dag_wire_size, triplet_delta_dag_wire_size, DecodeError,
 };
 pub use formula::{
     comp_fm, ArenaStats, BoolOp, Formula, FormulaId, FormulaNode, ShardCounters, SHARD_COUNT,

@@ -1,18 +1,15 @@
 //! The seed *tree* representation of formulas and triplets, preserved
-//! verbatim as a differential-testing oracle and benchmark baseline.
+//! verbatim as a differential-testing oracle.
 //!
 //! The production [`crate::Formula`] is a handle into the hash-consing
 //! arena; this module keeps the original `Arc`-tree enum it replaced,
 //! with the original smart constructors, substitution and evaluation —
 //! including the original cost profile (per-composition allocation,
 //! re-flattening n-ary accumulation, tree-walking substitution). It
-//! backs:
-//!
-//! * the property tests asserting that arena-built formulas `eval`,
-//!   `substitute` and resolve identically to the seed semantics
-//!   (`tests/formula_props.rs`), and
-//! * the `expD` benchmark, which quantifies the arena's speedup against
-//!   exactly this representation.
+//! backs the property tests asserting that arena-built formulas `eval`,
+//! `substitute` and resolve identically to the seed semantics
+//! (`tests/formula_props.rs`), and the workspace differential tests that
+//! compare whole `bottomUp` pipelines against it.
 //!
 //! Nothing here is used on production paths.
 

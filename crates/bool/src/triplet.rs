@@ -86,7 +86,7 @@ impl Triplet {
     }
 
     /// Total formula size over all entries (proxy for message payload; the
-    /// exact wire size is [`crate::encode::triplet_wire_size`]).
+    /// exact wire size is [`crate::triplet_dag_wire_size`]).
     pub fn size(&self) -> usize {
         self.v
             .iter()

@@ -1,7 +1,7 @@
 //! Property-based tests of the formula algebra: the smart constructors
 //! must be *sound* simplifications (same truth table as the naive
-//! connectives), substitution must commute with evaluation, both wire
-//! encodings must be lossless — and, since the hash-consing arena
+//! connectives), substitution must commute with evaluation, the wire
+//! encoding must be lossless — and, since the hash-consing arena
 //! rework, arena-built formulas must `eval`, `substitute` and resolve
 //! **identically to the seed tree semantics** preserved in
 //! [`parbox_bool::reference`].
@@ -9,8 +9,8 @@
 use bytes::BytesMut;
 use parbox_bool::reference::{RefFormula, RefTriplet};
 use parbox_bool::{
-    comp_fm, decode_formula, decode_formula_dag, decode_triplet_dag, encode_formula,
-    encode_formula_dag, encode_triplet_dag, BoolOp, Formula, Triplet, Var, VecKind,
+    comp_fm, decode_formula_dag, decode_triplet_dag, encode_formula_dag, encode_triplet_dag,
+    BoolOp, Formula, Triplet, Var, VecKind,
 };
 use parbox_xml::FragmentId;
 use proptest::prelude::*;
@@ -131,16 +131,6 @@ proptest! {
     }
 
     #[test]
-    fn encoding_round_trips(f in formula_strategy()) {
-        let mut buf = BytesMut::new();
-        encode_formula(&f, &mut buf);
-        let mut bytes = buf.freeze();
-        let back = decode_formula(&mut bytes).unwrap();
-        prop_assert_eq!(back, f);
-        prop_assert_eq!(bytes.len(), 0);
-    }
-
-    #[test]
     fn dag_encoding_round_trips(f in formula_strategy()) {
         let mut buf = BytesMut::new();
         encode_formula_dag(&f, &mut buf);
@@ -148,16 +138,6 @@ proptest! {
         let back = decode_formula_dag(&mut bytes).unwrap();
         prop_assert_eq!(back, f);
         prop_assert_eq!(bytes.len(), 0);
-    }
-
-    #[test]
-    fn size_bounds_wire_size(f in formula_strategy()) {
-        let mut buf = BytesMut::new();
-        encode_formula(&f, &mut buf);
-        // Each tree node costs at most 13 bytes on the wire (var = 10,
-        // n-ary header = 5) and at least 1.
-        prop_assert!(buf.len() <= 13 * f.size());
-        prop_assert!(buf.len() >= f.size());
     }
 
     #[test]

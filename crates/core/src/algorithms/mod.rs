@@ -68,12 +68,6 @@ pub fn resolved_triplet_wire_size(width: usize) -> usize {
     triplet_dag_wire_size(&t)
 }
 
-/// Convenience: wire size of a (possibly open) triplet in the DAG
-/// format the algorithms account traffic in.
-pub fn open_triplet_wire_size(t: &Triplet) -> usize {
-    triplet_dag_wire_size(t)
-}
-
 /// Extracts the final answer from the root fragment's resolved `V`
 /// vector: the value of the last query in `qL` (the root sub-query).
 pub(crate) fn answer_from_resolved(

@@ -30,7 +30,7 @@
 //! the operand set the formula path would build from its constants, so
 //! the triplet is id-identical to [`bottom_up_formula_only`]'s. The seed
 //! implementation, with the original accumulation, is preserved in
-//! [`crate::eval::reference`] as the `expD` baseline.
+//! [`crate::eval::reference`] as the differential-testing oracle.
 
 use crate::eval::columns::{eval_columns, Columns, Layout};
 use parbox_bool::{Formula, Triplet};

@@ -9,9 +9,8 @@
 //!   and work units alike.
 //! * [`bottom_up_reference`] — the **seed** `bottomUp` evaluator over
 //!   [`parbox_bool::reference::RefFormula`] trees with the original
-//!   pairwise child accumulation: the differential-testing oracle and
-//!   the baseline the `expD` experiment measures the hash-consed arena
-//!   against. This is a line-for-line port of the pre-arena
+//!   pairwise child accumulation: the differential-testing oracle the
+//!   hash-consed arena is checked against. This is a line-for-line port of the pre-arena
 //!   implementation: the accumulation loop re-flattens the growing n-ary
 //!   `Or` once per child (`O(k²)` over fan-out `k`), and every
 //!   composition allocates a fresh `Vec` + `Arc<[..]>`. Its virtual-free

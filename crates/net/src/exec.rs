@@ -58,26 +58,6 @@ where
     })
 }
 
-/// Runs `work` for every site sequentially (the naive baselines), still
-/// recording per-site timings.
-pub fn run_sites_sequential<R, F>(sites: &[SiteId], mut work: F) -> Vec<SiteRun<R>>
-where
-    F: FnMut(SiteId) -> R,
-{
-    sites
-        .iter()
-        .map(|&site| {
-            let start = Instant::now();
-            let output = work(site);
-            SiteRun {
-                site,
-                output,
-                elapsed: start.elapsed(),
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,18 +92,6 @@ mod tests {
         for r in &runs {
             assert!(r.elapsed >= Duration::from_millis(25));
         }
-    }
-
-    #[test]
-    fn sequential_runs_in_order() {
-        let sites: Vec<SiteId> = (0..3).map(SiteId).collect();
-        let mut seen = Vec::new();
-        let runs = run_sites_sequential(&sites, |s| {
-            seen.push(s);
-            s.0
-        });
-        assert_eq!(seen, sites);
-        assert_eq!(runs.len(), 3);
     }
 
     #[test]

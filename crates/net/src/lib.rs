@@ -60,7 +60,7 @@ pub use engine::{
     BuildFn, DeltaMemo, EvalFn, EvalReply, FragmentEval, PatchFn, RepairOutcome, RepairReply,
     RepairedEval, SiteCacheStats, SiteDeployment, SitePool, SupervisedRound,
 };
-pub use exec::{run_sites_parallel, run_sites_sequential, SiteRun};
+pub use exec::{run_sites_parallel, SiteRun};
 pub use fault::{FaultContext, FaultKind, FaultPlan, FaultRates, InjectedFault, SupervisorConfig};
 pub use metrics::{
     CacheEfficacy, CostEstimate, FaultSummary, Message, MessageKind, PlanSummary, RepairEfficacy,

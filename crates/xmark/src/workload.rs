@@ -50,7 +50,7 @@ pub struct MixedConfig {
 }
 
 impl MixedConfig {
-    /// The serving mix of the `expC` experiment: ~20% repeated queries
+    /// The serving mix of the CLI `serve` command: ~20% repeated queries
     /// with one update per fifty operations.
     pub fn serving(ops: usize, seed: u64) -> MixedConfig {
         MixedConfig {
@@ -204,8 +204,8 @@ pub struct StreamReport {
 }
 
 /// Drives a [`mixed_workload`] stream through a resident engine — the
-/// canonical serving loop shared by the CLI `serve` command and the
-/// `expC` experiment: queries are submitted and flushed by the engine's
+/// canonical serving loop of the CLI `serve` command: queries are
+/// submitted and flushed by the engine's
 /// admission policy ([`Engine::poll`]), updates resolve against the live
 /// forest and flush whatever is pending first, and a final flush drains
 /// the tail. Updates resolve with [`resolve_update`].

@@ -3,7 +3,7 @@
 //! and triplets as their binary encoding, and the harness experiment
 //! functions produce sound series.
 
-use parbox::boolean::{decode_triplet, encode_triplet};
+use parbox::boolean::{decode_triplet_dag, encode_triplet_dag};
 use parbox::core::plan::SECONDS_PER_WORK_UNIT;
 use parbox::core::{
     centralized_eval, full_dist_parbox, hybrid_parbox, lazy_parbox, naive_centralized,
@@ -86,9 +86,9 @@ fn triplets_survive_the_wire() {
     for f in forest.fragment_ids() {
         let run = parbox::core::bottom_up(&forest.fragment(f).tree, &q);
         let mut buf = bytes::BytesMut::new();
-        encode_triplet(&run.triplet, &mut buf);
+        encode_triplet_dag(&run.triplet, &mut buf);
         let mut wire = buf.freeze();
-        let back = decode_triplet(&mut wire).unwrap();
+        let back = decode_triplet_dag(&mut wire).unwrap();
         assert_eq!(back, run.triplet, "fragment {f}");
     }
 }
