@@ -1,16 +1,17 @@
 //! Micro-benchmarks of the building blocks: XML parsing, query
 //! compilation, the column-at-a-time bitset kernel (against the per-node
-//! reference interpreter it replaced), the formula-valued `bottomUp`, and
-//! the equation-system solver.
+//! reference interpreter it replaced), the formula-valued `bottomUp`, the
+//! equation-system solver and the coordinator's member solve.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use parbox_bool::EquationSystem;
+use parbox_bench::{ft1, Scale};
+use parbox_bool::{EquationSystem, KleeneRows, Var, VecKind};
 use parbox_core::{
     bottom_up, bottom_up_formula_only, centralized_eval, centralized_eval_reference, BitSet,
 };
 use parbox_frag::{Forest, Placement};
-use parbox_query::{compile, parse_query};
-use parbox_xmark::{generate, query_with_qlist, XmarkConfig};
+use parbox_query::{compile, merge_programs, parse_query, Path, Query};
+use parbox_xmark::{batch_workload, generate, query_with_qlist, XmarkConfig};
 use parbox_xml::Tree;
 use std::hint::black_box;
 
@@ -104,6 +105,55 @@ fn bench(c: &mut Criterion) {
     };
     group.bench_function("eval_st_solve", |b| {
         b.iter(|| black_box(sys.0.solve(&sys.1).unwrap().len()))
+    });
+
+    // One member solve at the coordinator: the 64-fragment FT1 star of
+    // the `fanout_batch` workload, every fragment's triplet computed
+    // under the merged program of 16 never-seen queries, and one
+    // member's answer evaluated through its projection — the per-member
+    // work of a serving round.
+    let (star, _) = ft1(
+        Scale {
+            corpus_bytes: 256 * 1024,
+            seed: 42,
+        },
+        64,
+    );
+    // Pool queries 6..22 merge 135 wide, the workload's mean round.
+    let members: Vec<_> = batch_workload(22, 42)
+        .into_iter()
+        .skip(6)
+        .enumerate()
+        .map(|(i, base)| {
+            let probe = Query::TextEq(Path::empty().desc().child("name"), format!("u{i}"));
+            compile(&if i % 2 == 0 {
+                base.and(probe)
+            } else {
+                base.or(probe)
+            })
+        })
+        .collect();
+    let merged = merge_programs(&members).merged().clone();
+    assert_eq!(merged.len(), 135);
+    let member = &members[0];
+    let proj = member.embedding_into(&merged).expect("members embed");
+    let sources: Vec<_> = star
+        .postorder()
+        .into_iter()
+        .map(|f| {
+            let triplet = bottom_up(&star.fragment(f).tree, &merged).triplet;
+            (f, triplet, star.depth(f) as u32)
+        })
+        .collect();
+    let root = Var::new(star.root_fragment(), VecKind::V, member.root());
+    group.bench_function("solve_fanout_root", |b| {
+        b.iter(|| {
+            let mut rows = KleeneRows::new();
+            for (f, triplet, depth) in &sources {
+                rows.solve(*f, triplet, Some(&proj), *depth);
+            }
+            black_box(rows.value(root))
+        })
     });
 
     // Word-parallel bitset kernels at a serving-realistic width

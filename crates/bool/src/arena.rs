@@ -45,9 +45,9 @@
 //!
 //! As before, no lock is ever held while invoking caller-supplied
 //! closures (lookups and assignments run against a lock-free [`Dag`]
-//! snapshot), the arena only grows — ids stay valid for the life of the
-//! process — and growth is bounded by the number of *distinct* formulas
-//! ever built.
+//! snapshot or inside a lock-free [`fold`]), the arena only grows — ids
+//! stay valid for the life of the process — and growth is bounded by
+//! the number of *distinct* formulas ever built.
 
 use crate::var::Var;
 use std::cell::RefCell;
@@ -594,6 +594,68 @@ pub(crate) fn snapshot(roots: &[FormulaId]) -> Dag {
     dag
 }
 
+/// Values the DAG reachable from `roots` bottom-up in one memoized pass
+/// without materializing a [`Dag`]: `leaf` values a constant or
+/// variable at each occurrence, `inner` values each distinct operator
+/// node from its operands' values, in operand order. Iterative and
+/// lock-free like [`snapshot`], but only operator nodes enter the memo
+/// and the stack — the cheap traversal for evaluation, where most nodes
+/// are variables read once.
+pub(crate) fn fold<T: Copy>(
+    roots: &[FormulaId],
+    leaf: impl Fn(&Node) -> T,
+    inner: impl Fn(&Node, &[T]) -> T,
+) -> Vec<T> {
+    let operands = |n: &'static Node| -> &'static [FormulaId] {
+        match n {
+            Node::Not(x) => std::slice::from_ref(x),
+            Node::And(xs) | Node::Or(xs) => xs,
+            Node::Const(_) | Node::Var(_) => &[],
+        }
+    };
+    let is_leaf = |n: &Node| matches!(n, Node::Const(_) | Node::Var(_));
+    let mut memo = IdMap::new();
+    let mut values: Vec<T> = Vec::new();
+    let mut scratch: Vec<T> = Vec::new();
+    let mut stack: Vec<(FormulaId, bool)> = Vec::new();
+    let mut out = Vec::with_capacity(roots.len());
+    for &root in roots {
+        if is_leaf(node(root)) {
+            out.push(leaf(node(root)));
+            continue;
+        }
+        stack.push((root, false));
+        while let Some((id, expanded)) = stack.pop() {
+            if memo.get(id.0).is_some() {
+                continue;
+            }
+            let n = node(id);
+            if expanded {
+                scratch.clear();
+                for x in operands(n) {
+                    let nx = node(*x);
+                    scratch.push(if is_leaf(nx) {
+                        leaf(nx)
+                    } else {
+                        values[memo.get(x.0).expect("operands first") as usize]
+                    });
+                }
+                memo.insert(id.0, values.len() as u32);
+                values.push(inner(n, &scratch));
+            } else {
+                stack.push((id, true));
+                for x in operands(n) {
+                    if !is_leaf(node(*x)) && memo.get(x.0).is_none() {
+                        stack.push((*x, false));
+                    }
+                }
+            }
+        }
+        out.push(values[memo.get(root.0).expect("root folded above") as usize]);
+    }
+    out
+}
+
 /// One node of a [`Dag`] snapshot; operand references are indices into
 /// [`Dag::operands`] / earlier [`Dag::nodes`] entries.
 #[derive(Debug, Clone)]
@@ -606,9 +668,10 @@ pub(crate) enum DagNode {
 }
 
 /// A lock-free snapshot of the sub-DAG reachable from a set of roots, in
-/// topological order (children strictly before parents). All traversal
-/// algorithms — eval, substitute, rendering, wire encoding — run over
-/// snapshots so no arena lock is ever held across user code.
+/// topological order (children strictly before parents). The traversals
+/// that rebuild or print formulas — substitute, rendering, wire encoding
+/// — run over snapshots, evaluation over [`fold`], so no arena lock is
+/// ever held across user code.
 #[derive(Debug, Clone)]
 pub(crate) struct Dag {
     pub(crate) nodes: Vec<DagNode>,
@@ -625,8 +688,8 @@ impl Dag {
 }
 
 /// Minimal open-addressing `u32 → u32` map with multiplicative hashing.
-/// The snapshot memo is the hot data structure of every
-/// substitute/eval/encode pass; `std`'s SipHash-backed `HashMap`
+/// The memo of every snapshot and fold is the hot data structure of
+/// every substitute/eval/encode pass; `std`'s SipHash-backed `HashMap`
 /// dominated those passes, and the keys here are small structured ids
 /// for which a Fibonacci-hashed probe sequence is both faster and
 /// collision-resistant enough.

@@ -11,8 +11,9 @@
 //! (a [`FormulaId`]) into the process-wide [`crate::arena`]: equality and
 //! hashing are `O(1)` id comparisons, identical subformulas are stored
 //! once and shared as a DAG, `size`/[`Formula::closed`] read metadata
-//! cached at interning, and [`Formula::substitute`]/[`Formula::eval`] are
-//! memoized single passes over the DAG. `And`/`Or` remain n-ary and
+//! cached at interning, and [`Formula::substitute`], [`Formula::eval`]
+//! and the three-valued [`Formula::kleene_all`] are memoized single
+//! passes over the DAG. `And`/`Or` remain n-ary and
 //! flattened (operands additionally sorted and deduplicated), keeping
 //! formula size linear in the number of referenced virtual nodes — the
 //! paper's `O(card(F_j))` bound on entry size.
@@ -294,28 +295,69 @@ impl Formula {
     }
 
     /// Evaluates the formula under a total assignment. One memoized pass
-    /// over the shared DAG; the snapshot is lock-free and `assign` runs
+    /// over the shared DAG; the traversal is lock-free and `assign` runs
     /// against local data only.
     pub fn eval<F>(&self, assign: &F) -> bool
     where
         F: Fn(Var) -> bool,
     {
-        if let Some(b) = self.as_const() {
-            return b;
-        }
-        let dag = arena::snapshot(&[self.0]);
-        let mut memo: Vec<bool> = Vec::with_capacity(dag.nodes.len());
-        for node in &dag.nodes {
-            let v = match node {
-                DagNode::Const(b) => *b,
-                DagNode::Var(v) => assign(*v),
-                DagNode::Not(x) => !memo[*x as usize],
-                DagNode::And(r) => dag.ops(r).iter().all(|&x| memo[x as usize]),
-                DagNode::Or(r) => dag.ops(r).iter().any(|&x| memo[x as usize]),
-            };
-            memo.push(v);
-        }
-        memo[dag.roots[0] as usize]
+        let leaf = |n: &Node| match n {
+            Node::Const(b) => *b,
+            Node::Var(v) => assign(*v),
+            _ => unreachable!("fold passes only leaves"),
+        };
+        arena::fold(&[self.0], leaf, |op, ops| match op {
+            Node::Not(_) => !ops[0],
+            Node::And(_) => ops.iter().all(|&b| b),
+            _ => ops.iter().any(|&b| b),
+        })[0]
+    }
+
+    /// Kleene three-valued evaluation of several formulas in one memoized
+    /// pass: `Some` when a formula has that value under every value of
+    /// the variables `lookup` leaves unknown (`None`), `None` otherwise.
+    /// Interns nothing; the arena only folds constants, flattens,
+    /// deduplicates and cancels double negation, so a formula is
+    /// determined exactly when substituting the known variables folds it
+    /// to a constant.
+    ///
+    /// Each determined value carries the least *depth* at which it is
+    /// determined. A constant formula is determined at
+    /// `floor`, a variable at the larger of `floor` and the depth
+    /// `lookup` gives it; a disjunction that is true at the least depth
+    /// of its true operands, one that is false at the greatest depth of
+    /// all its operands, and a conjunction dually. If a variable's depth
+    /// is the least cut-off at which it is known, a result's depth is
+    /// the least cut-off at which substituting the variables known by
+    /// then folds the formula to that constant.
+    pub fn kleene_all<F>(fs: &[Formula], floor: u32, lookup: &F) -> Vec<Option<Known>>
+    where
+        F: Fn(Var) -> Option<Known>,
+    {
+        let at_floor = |value| Known {
+            value,
+            depth: floor,
+        };
+        let roots: Vec<FormulaId> = fs.iter().map(|f| f.0).collect();
+        arena::fold(
+            &roots,
+            |leaf| match leaf {
+                Node::Const(b) => Some(at_floor(*b)),
+                Node::Var(v) => lookup(*v).map(|k| Known {
+                    value: k.value,
+                    depth: k.depth.max(floor),
+                }),
+                _ => unreachable!("fold passes only leaves"),
+            },
+            |op, ops| match op {
+                Node::Not(_) => ops[0].map(|k| Known {
+                    value: !k.value,
+                    ..k
+                }),
+                Node::And(_) => junction(false, ops.iter().copied()),
+                _ => junction(true, ops.iter().copied()),
+            },
+        )
     }
 
     /// Arena occupancy and intern-path counters (per shard, plus
@@ -331,6 +373,44 @@ impl Formula {
     pub(crate) fn snapshot_many(roots: &[Formula]) -> crate::arena::Dag {
         let ids: Vec<FormulaId> = roots.iter().map(|f| f.0).collect();
         arena::snapshot(&ids)
+    }
+}
+
+/// A truth value determined by three-valued evaluation
+/// ([`Formula::kleene_all`]), with the least depth at which it is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Known {
+    /// The truth value.
+    pub value: bool,
+    /// The least depth at which the value is determined.
+    pub depth: u32,
+}
+
+/// Kleene value of an n-ary junction whose `absorbing` operand value
+/// decides it (`false` for `And`, `true` for `Or`): decided at the least
+/// depth of its absorbing operands, else, once every operand is known,
+/// the other value at the greatest depth of all of them.
+fn junction<I: Iterator<Item = Option<Known>>>(absorbing: bool, ops: I) -> Option<Known> {
+    let (mut decided, mut open, mut latest) = (None::<u32>, false, 0u32);
+    for k in ops {
+        match k {
+            Some(k) if k.value == absorbing => {
+                decided = Some(decided.map_or(k.depth, |d| d.min(k.depth)));
+            }
+            Some(k) => latest = latest.max(k.depth),
+            None => open = true,
+        }
+    }
+    match decided {
+        Some(depth) => Some(Known {
+            value: absorbing,
+            depth,
+        }),
+        None if open => None,
+        None => Some(Known {
+            value: !absorbing,
+            depth: latest,
+        }),
     }
 }
 
@@ -550,6 +630,60 @@ mod tests {
         let f = Formula::and(v(1), v(2).not());
         assert!(f.eval(&|var: Var| var.frag.0 == 1));
         assert!(!f.eval(&|_| true));
+    }
+
+    #[test]
+    fn kleene_decides_what_every_completion_agrees_on() {
+        let f = Formula::and(Formula::or(v(1), v(2)), v(3).not());
+        let kleene = |known: &dyn Fn(u32) -> Option<bool>| {
+            let lookup = |var: Var| known(var.frag.0).map(|value| Known { value, depth: 0 });
+            Formula::kleene_all(&[f], 0, &lookup)[0].map(|k| k.value)
+        };
+        // v3 = true decides the conjunction whatever v1 and v2 are.
+        assert_eq!(kleene(&|frag| (frag == 3).then_some(true)), Some(false));
+        // v1 = true leaves ¬v3 open.
+        assert_eq!(kleene(&|frag| (frag == 1).then_some(true)), None);
+        assert_eq!(kleene(&|frag| Some(frag != 3)), Some(true));
+    }
+
+    #[test]
+    fn kleene_depth_is_the_least_depth_that_decides() {
+        let known = |value, depth| Some(Known { value, depth });
+        let depth_of = |var: Var| match var.frag.0 {
+            1 => known(true, 5),
+            2 => known(true, 2),
+            3 => known(false, 7),
+            _ => None,
+        };
+        // A true disjunction needs only its shallowest true operand…
+        let or = Formula::or(v(1), v(2));
+        // …a false conjunction its shallowest false one; a true
+        // conjunction needs all of them, and constants sit at the floor.
+        let and = Formula::and(v(1), v(2));
+        let fs = [or, Formula::and(v(1), v(3)), and, and.not(), Formula::TRUE];
+        assert_eq!(
+            Formula::kleene_all(&fs, 1, &depth_of),
+            vec![
+                known(true, 2),
+                known(false, 7),
+                known(true, 5),
+                known(false, 5),
+                known(true, 1),
+            ]
+        );
+        // Variables never resolve shallower than the floor.
+        assert_eq!(
+            Formula::kleene_all(&[or], 3, &depth_of),
+            vec![known(true, 3)]
+        );
+        assert_eq!(
+            Formula::kleene_all(&[Formula::or(v(1), v(4))], 0, &depth_of),
+            vec![known(true, 5)]
+        );
+        assert_eq!(
+            Formula::kleene_all(&[Formula::and(v(1), v(4))], 0, &depth_of),
+            vec![None]
+        );
     }
 
     #[test]

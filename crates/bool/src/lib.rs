@@ -7,7 +7,9 @@
 //! ParBoX sites ship instead of data (paper, Section 3.1) — together with
 //! the `compFm` composition procedure, `(V, CV, DV)` [`Triplet`]s, the
 //! linear Boolean [`EquationSystem`] solved by the coordinator (the
-//! paper's `evalST`), and a compact wire encoding used for
+//! paper's `evalST`, a three-valued pass — [`KleeneRows`] — that also
+//! decides answers with fragments still missing), and a compact wire
+//! encoding used for
 //! communication-cost accounting: per-triplet ([`encode_triplet_dag`]) for
 //! single-query ParBoX and per-site envelopes
 //! ([`encode_site_envelope_dag`]) for the batch engine, which packs every
@@ -60,7 +62,7 @@ pub use encode::{
     site_envelope_dag_wire_size, triplet_dag_wire_size, triplet_delta_dag_wire_size, DecodeError,
 };
 pub use formula::{
-    comp_fm, ArenaStats, BoolOp, Formula, FormulaId, FormulaNode, ShardCounters, SHARD_COUNT,
+    comp_fm, ArenaStats, BoolOp, Formula, FormulaId, FormulaNode, Known, ShardCounters, SHARD_COUNT,
 };
-pub use triplet::{EquationSystem, ResolvedTriplet, SolveError, Triplet, TripletDelta};
+pub use triplet::{EquationSystem, KleeneRows, ResolvedTriplet, SolveError, Triplet, TripletDelta};
 pub use var::{Var, VecKind};

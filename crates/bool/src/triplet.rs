@@ -12,20 +12,26 @@
 //! sub-fragments. Collecting the triplets of every fragment produces a
 //! *linear system of Boolean equations* (Example 3.2) that
 //! [`EquationSystem::solve`] resolves in one bottom-up pass over the
-//! fragment hierarchy (the paper's `evalST`).
+//! fragment hierarchy (the paper's `evalST`). That pass is
+//! [`KleeneRows`]: it evaluates each fragment's entries in three-valued
+//! logic against the rows of the fragments solved before it, so a
+//! system with fragments missing still yields every value that no
+//! content of the missing fragments could change.
 
-use crate::formula::Formula;
+use crate::arena::FxHasher;
+use crate::formula::{Formula, Known};
 use crate::var::{Var, VecKind};
 use parbox_xml::FragmentId;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::BuildHasherDefault;
 
 /// The `(V, CV, DV)` triplet computed for one fragment.
 ///
 /// Entries are arena [`Formula`] handles, so triplet equality and
 /// hashing reduce to `O(1)` id comparisons per entry — `Triplet` values
-/// are therefore cheap, stable cache keys (the serving engine's
-/// content-dedup and projection memos rely on this).
+/// are therefore cheap, stable cache keys (the serving engine shares
+/// identical triplets of a wave by content this way).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Triplet {
     /// Sub-query values at the fragment root.
@@ -110,8 +116,7 @@ impl Triplet {
     /// Substitutes every entry, re-simplifying. All `3·|QList|` entries
     /// share one DAG snapshot and one memo table
     /// ([`Formula::substitute_all`]): each distinct subformula is
-    /// rebuilt once per triplet, not once per occurrence — this is the
-    /// per-fragment memo table of the solver's `evalST` pass.
+    /// rebuilt once per triplet, not once per occurrence.
     pub fn substitute<F>(&self, lookup: &F) -> Triplet
     where
         F: Fn(Var) -> Option<Formula>,
@@ -272,6 +277,101 @@ impl ResolvedTriplet {
     }
 }
 
+/// A Boolean equation system solved in three-valued logic, one fragment
+/// at a time, children before parents.
+///
+/// Each solved fragment has one row of `3·w` values — `V`, then `CV`,
+/// then `DV` — where `None` marks an entry the fragments solved so far
+/// do not determine. An unsolved fragment reads as all unknown, so a
+/// determined entry holds under every content of the fragments never
+/// solved: the certain answer. Nothing is interned, and a determined
+/// entry is exactly one that [`Formula::substitute`] with the children's
+/// values would fold to a constant. Each value also carries the least
+/// fragment depth at which it is determined ([`Formula::kleene_all`]).
+#[derive(Debug, Clone, Default)]
+pub struct KleeneRows {
+    /// Per solved fragment, where its row starts in `values` and its
+    /// width `w`.
+    rows: HashMap<FragmentId, (u32, u32), BuildHasherDefault<FxHasher>>,
+    values: Vec<Option<Known>>,
+}
+
+impl KleeneRows {
+    /// No fragment solved yet.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Solves fragment `frag` from `triplet`, a fragment at `depth`.
+    /// With a projection, entry `i` of the row is entry `proj[i]` of the
+    /// triplet and the variables' sub-query ids are read back through
+    /// the inverse of `proj`, so a triplet computed under a merged
+    /// program answers for one member program; without one, the row is
+    /// the whole triplet. Variables read the rows of fragments solved
+    /// before (unknown when their fragment was not).
+    ///
+    /// # Panics
+    /// Panics if a selected entry mentions a sub-query outside `proj`:
+    /// an embedding covers the operand closure of everything it selects.
+    pub fn solve(
+        &mut self,
+        frag: FragmentId,
+        triplet: &Triplet,
+        proj: Option<&[u32]>,
+        depth: u32,
+    ) -> &[Option<Known>] {
+        let width = proj.map_or(triplet.len(), <[u32]>::len);
+        let entries = [&triplet.v, &triplet.cv, &triplet.dv]
+            .into_iter()
+            .flat_map(|xs| (0..width).map(move |i| xs[proj.map_or(i, |p| p[i] as usize)]));
+        let start = self.values.len();
+        // Most rows (every leaf fragment's) are closed: no snapshot.
+        self.values.extend(
+            entries
+                .clone()
+                .map_while(|f| f.as_const().map(|value| Some(Known { value, depth }))),
+        );
+        if self.values.len() - start < 3 * width {
+            self.values.truncate(start);
+            let entries: Vec<Formula> = entries.collect();
+            let row = match proj {
+                Some(proj) => {
+                    let mut inverse = vec![u32::MAX; triplet.len()];
+                    for (i, &h) in proj.iter().enumerate() {
+                        inverse[h as usize] = i as u32;
+                    }
+                    Formula::kleene_all(&entries, depth, &|var: Var| {
+                        let sub = inverse[var.sub as usize];
+                        assert_ne!(sub, u32::MAX, "variable outside the member's closure");
+                        self.value(Var { sub, ..var })
+                    })
+                }
+                None => Formula::kleene_all(&entries, depth, &|var| self.value(var)),
+            };
+            self.values.extend(row);
+        }
+        self.rows.insert(frag, (start as u32, width as u32));
+        &self.values[start..]
+    }
+
+    /// Stands fragment `frag` in by a row of `width` sub-queries whose
+    /// every entry is `value` — `false` solves the rest of the system as
+    /// if the fragment's subtree were absent.
+    pub fn stand_in(&mut self, frag: FragmentId, width: usize, value: Known) {
+        let start = self.values.len();
+        self.values.resize(start + 3 * width, Some(value));
+        self.rows.insert(frag, (start as u32, width as u32));
+    }
+
+    /// The value of `var`: `None` when its fragment was not solved or
+    /// does not determine the entry.
+    pub fn value(&self, var: Var) -> Option<Known> {
+        let &(start, width) = self.rows.get(&var.frag)?;
+        assert!(var.sub < width, "{var} outside its fragment's row");
+        self.values[(start + var.vec as u32 * width + var.sub) as usize]
+    }
+}
+
 /// Error from [`EquationSystem::solve`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SolveError {
@@ -337,29 +437,28 @@ impl EquationSystem {
     /// before parents — a postorder of the fragment tree). Returns the
     /// resolved truth values per fragment.
     ///
-    /// This is the paper's `evalST`: leaves are closed, and each
-    /// substitution step unifies a parent's variables with its children's
-    /// resolved vectors (Example 3.3). Runs in time linear in the total
-    /// size of the system.
+    /// This is the paper's `evalST`: leaves are closed, and each step
+    /// evaluates a parent's entries against its children's resolved
+    /// vectors (Example 3.3) — one [`KleeneRows`] pass, linear in the
+    /// total size of the system.
     pub fn solve(
         &self,
         bottom_up: &[FragmentId],
     ) -> Result<HashMap<FragmentId, ResolvedTriplet>, SolveError> {
+        let mut rows = KleeneRows::new();
         let mut resolved: HashMap<FragmentId, ResolvedTriplet> = HashMap::new();
         for &frag in bottom_up {
             let triplet = self
                 .triplets
                 .get(&frag)
                 .ok_or(SolveError::MissingFragment(frag))?;
-            let substituted = triplet.substitute(&|var: Var| {
-                resolved
-                    .get(&var.frag)
-                    .map(|r| Formula::constant(r.value_of(var)))
-            });
-            let closed = substituted
-                .resolved()
-                .ok_or(SolveError::NotBottomUp(frag))?;
-            resolved.insert(frag, closed);
+            let row = rows.solve(frag, triplet, None, 0);
+            let values: Option<Vec<bool>> = row.iter().map(|k| k.map(|k| k.value)).collect();
+            let mut values = values.ok_or(SolveError::NotBottomUp(frag))?;
+            let w = triplet.len();
+            let dv = values.split_off(2 * w);
+            let cv = values.split_off(w);
+            resolved.insert(frag, ResolvedTriplet { v: values, cv, dv });
         }
         Ok(resolved)
     }

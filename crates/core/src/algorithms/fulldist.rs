@@ -12,7 +12,7 @@
 
 use crate::algorithms::{query_wire_size, resolved_triplet_wire_size, EvalOutcome};
 use crate::eval::bottom_up;
-use parbox_bool::{Formula, ResolvedTriplet, Triplet, Var};
+use parbox_bool::{KleeneRows, Triplet, Var, VecKind};
 use parbox_net::{run_sites_parallel, Cluster, MessageKind, RunReport};
 use parbox_query::CompiledQuery;
 use parbox_xml::FragmentId;
@@ -57,7 +57,7 @@ pub fn full_dist_parbox(cluster: &Cluster<'_>, q: &CompiledQuery) -> EvalOutcome
 
     // Stage 3: `evalDistrST` — bottom-up resolution along the source tree.
     // A site is visited once per local fragment (Fig. 4: card(F_Si)).
-    let mut resolved: HashMap<FragmentId, ResolvedTriplet> = HashMap::new();
+    let mut resolved = KleeneRows::new();
     let mut done_at: HashMap<FragmentId, f64> = HashMap::new();
     let tri_bytes = resolved_triplet_wire_size(q.len());
     for &frag in st.postorder() {
@@ -76,26 +76,25 @@ pub fn full_dist_parbox(cluster: &Cluster<'_>, q: &CompiledQuery) -> EvalOutcome
             ready = ready.max(arrival);
         }
         let start = Instant::now();
-        let closed = open[&frag]
-            .substitute(&|var: Var| {
-                resolved
-                    .get(&var.frag)
-                    .map(|r| Formula::constant(r.value_of(var)))
-            })
-            .resolved()
-            .expect("children resolved in postorder");
+        let row = resolved.solve(frag, &open[&frag], None, 0);
+        assert!(
+            row.iter().all(Option::is_some),
+            "children resolved in postorder"
+        );
         let step = start.elapsed();
         report.record_compute(here, step);
         report.record_work(
             here,
             q.len() as u64 * (1 + st.entry(frag).children.len() as u64),
         );
-        resolved.insert(frag, closed);
         done_at.insert(frag, ready + step.as_secs_f64());
     }
 
     let root = cluster.forest.root_fragment();
-    let answer = resolved[&root].v[q.root() as usize];
+    let answer = resolved
+        .value(Var::new(root, VecKind::V, q.root()))
+        .expect("root resolved")
+        .value;
 
     let broadcast = if sites.len() > 1 {
         cluster.model.transfer_time(qsize + st.byte_size())

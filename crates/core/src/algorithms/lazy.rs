@@ -12,7 +12,7 @@
 
 use crate::algorithms::{query_wire_size, EvalOutcome};
 use crate::eval::bottom_up;
-use parbox_bool::{triplet_dag_wire_size, Triplet, Var};
+use parbox_bool::{triplet_dag_wire_size, KleeneRows, Triplet, Var, VecKind};
 use parbox_net::{run_sites_parallel, Cluster, MessageKind, RunReport};
 use parbox_query::CompiledQuery;
 use parbox_xml::FragmentId;
@@ -108,32 +108,22 @@ pub fn lazy_parbox(cluster: &Cluster<'_>, q: &CompiledQuery) -> EvalOutcome {
 
 /// Tries to determine the root answer from the triplets gathered so far.
 ///
-/// Evaluated fragments are processed bottom-up; their triplets are
-/// substituted with the (possibly still-open) triplets of evaluated
-/// children, while variables of unevaluated fragments stay free. The
-/// answer is known iff the root `V` entry folds to a constant.
-///
-/// Generic over the map's value type so callers holding shared
-/// `Arc<Triplet>` caches (the serving engine) can solve without cloning
-/// every triplet into an owned map first.
-pub(crate) fn partial_solve<T: std::borrow::Borrow<Triplet>>(
+/// One three-valued pass ([`KleeneRows`]) over the gathered fragments,
+/// bottom-up, with the variables of fragments not gathered unknown: the
+/// answer is known iff it holds under every content of those fragments.
+fn partial_solve(
     st: &parbox_frag::SourceTree,
-    gathered: &HashMap<FragmentId, T>,
+    gathered: &HashMap<FragmentId, Triplet>,
     root_sub: usize,
 ) -> Option<bool> {
-    let mut partial: HashMap<FragmentId, Triplet> = HashMap::new();
+    let mut rows = KleeneRows::new();
     for &frag in st.postorder() {
-        let Some(t) = gathered.get(&frag) else {
-            continue;
-        };
-        let sub = t.borrow().substitute(&|var: Var| {
-            partial
-                .get(&var.frag)
-                .map(|pt| pt.get(var.vec)[var.sub as usize])
-        });
-        partial.insert(frag, sub);
+        if let Some(t) = gathered.get(&frag) {
+            rows.solve(frag, t, None, 0);
+        }
     }
-    partial.get(&st.root())?.v[root_sub].as_const()
+    let root = Var::new(st.root(), VecKind::V, root_sub as u32);
+    rows.value(root).map(|k| k.value)
 }
 
 #[cfg(test)]

@@ -19,7 +19,6 @@ pub use self::batch::{batch_query_wire_size, run_batch, BatchOutcome};
 pub use self::fulldist::full_dist_parbox;
 pub use self::hybrid::hybrid_parbox;
 pub use self::lazy::lazy_parbox;
-pub(crate) use self::lazy::partial_solve;
 pub use self::naive::{naive_centralized, naive_distributed};
 pub use self::parbox_algo::parbox;
 

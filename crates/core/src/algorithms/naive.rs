@@ -11,11 +11,9 @@
 
 use crate::algorithms::{query_wire_size, resolved_triplet_wire_size, EvalOutcome};
 use crate::eval::{bottom_up, centralized_eval_counted};
-use parbox_bool::{Formula, ResolvedTriplet, Var};
+use parbox_bool::{KleeneRows, Var, VecKind};
 use parbox_net::{Cluster, MessageKind, RunReport};
 use parbox_query::CompiledQuery;
-use parbox_xml::FragmentId;
-use std::collections::HashMap;
 use std::time::Instant;
 
 /// `NaiveCentralized`: collect all fragments at the coordinator, then run
@@ -72,7 +70,7 @@ pub fn naive_distributed(cluster: &Cluster<'_>, q: &CompiledQuery) -> EvalOutcom
     let mut report = RunReport::new();
     let qsize = query_wire_size(q);
     let st = &cluster.source_tree;
-    let mut resolved: HashMap<FragmentId, ResolvedTriplet> = HashMap::new();
+    let mut resolved = KleeneRows::new();
     let mut model_time = 0.0f64;
 
     for &frag in st.postorder() {
@@ -89,15 +87,11 @@ pub fn naive_distributed(cluster: &Cluster<'_>, q: &CompiledQuery) -> EvalOutcom
         let start = Instant::now();
         let run = bottom_up(&cluster.forest.fragment(frag).tree, q);
         // Children are already resolved: close the triplet immediately.
-        let closed = run
-            .triplet
-            .substitute(&|var: Var| {
-                resolved
-                    .get(&var.frag)
-                    .map(|r| Formula::constant(r.value_of(var)))
-            })
-            .resolved()
-            .expect("postorder guarantees children resolved");
+        let row = resolved.solve(frag, &run.triplet, None, 0);
+        assert!(
+            row.iter().all(Option::is_some),
+            "postorder guarantees children resolved"
+        );
         let elapsed = start.elapsed();
         report.record_compute(here, elapsed);
         report.record_work(here, run.work_units);
@@ -109,11 +103,13 @@ pub fn naive_distributed(cluster: &Cluster<'_>, q: &CompiledQuery) -> EvalOutcom
             report.record_message(here, from, bytes, MessageKind::Triplet);
             model_time += cluster.model.transfer_time(bytes);
         }
-        resolved.insert(frag, closed);
     }
 
     let root = cluster.forest.root_fragment();
-    let answer = resolved[&root].v[q.root() as usize];
+    let answer = resolved
+        .value(Var::new(root, VecKind::V, q.root()))
+        .expect("root resolved")
+        .value;
     report.elapsed_model_s = model_time;
     report.elapsed_wall_s = wall.elapsed().as_secs_f64();
     EvalOutcome {

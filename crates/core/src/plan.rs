@@ -817,28 +817,21 @@ pub fn replay_modeled_s(report: &RunReport, model: &NetworkModel, rounds: usize)
 /// call it evaluates every fragment once — a warm-up/experiment oracle,
 /// not a planning-time estimate.
 pub fn measure_resolution_depth(cluster: &Cluster<'_>, q: &CompiledQuery) -> usize {
-    use crate::algorithms::partial_solve;
     use crate::eval::bottom_up;
-    use std::collections::HashMap;
+    use parbox_bool::{KleeneRows, Var, VecKind};
 
+    // One three-valued pass over every fragment, each at its depth: the
+    // root answer's depth is the least cut-off whose fragments decide it.
     let st = &cluster.source_tree;
-    let triplets: HashMap<parbox_xml::FragmentId, parbox_bool::Triplet> = cluster
-        .forest
-        .fragment_ids()
-        .map(|f| (f, bottom_up(&cluster.forest.fragment(f).tree, q).triplet))
-        .collect();
-    let max_depth = st.max_depth();
-    for d in 0..max_depth {
-        let gathered: HashMap<parbox_xml::FragmentId, parbox_bool::Triplet> = triplets
-            .iter()
-            .filter(|(f, _)| st.entry(**f).depth <= d)
-            .map(|(&f, t)| (f, t.clone()))
-            .collect();
-        if partial_solve(st, &gathered, q.root() as usize).is_some() {
-            return d;
-        }
+    let mut rows = KleeneRows::new();
+    for &f in st.postorder() {
+        let triplet = bottom_up(&cluster.forest.fragment(f).tree, q).triplet;
+        rows.solve(f, &triplet, None, st.entry(f).depth as u32);
     }
-    max_depth
+    let root = Var::new(st.root(), VecKind::V, q.root());
+    rows.value(root)
+        .expect("every fragment evaluated decides the answer")
+        .depth as usize
 }
 
 #[cfg(test)]

@@ -48,10 +48,21 @@
 //! silence and a long first update is not taken for a wedge.
 //!
 //! Batch evaluation merges the round's distinct member queries into one
-//! program; per-member triplets are recovered from the merged triplet via
-//! the structural embedding ([`CompiledQuery::embedding_into`]) and cached
-//! under each member's own fingerprint — so a query repeated *across
-//! different batches* still hits.
+//! program. The coordinator never rebuilds a per-member triplet: it
+//! caches, under each member's own fingerprint, the merged triplets the
+//! sites sent, each with the member's structural embedding
+//! ([`CompiledQuery::embedding_into`]) into that merged program — so a
+//! query repeated *across different batches* still hits, and one
+//! round's members share one copy of every triplet. A member is
+//! answered by **evaluating** them: one three-valued pass
+//! ([`KleeneRows`]) over the fragments, children first, reading the
+//! member's entries of each merged triplet through its projection and
+//! each variable through the projection's inverse, with a fragment not
+//! gathered yet unknown. The same pass answers a member with full
+//! coverage, decides whether a partial one is already certain, closes a
+//! degraded one (missing fragments stand in as all-`false`) and yields
+//! the fragment depth the answer was determined at, which feeds the
+//! planner's depth statistic.
 //!
 //! # The round pipeline
 //!
@@ -59,8 +70,12 @@
 //! with explicit inputs and outputs: `coalesce` (members by
 //! fingerprint) → `answer_from_cache` → `merge_active` and the wave
 //! plan (`RoundDemand::plan` in [`crate::plan`]) → per wave
-//! `dispatch_wave` → `absorb_replies` → `project_into_entries` →
-//! `attempt` → `degrade` → `evict` → `account`. The paper's ParBoX and
+//! `dispatch_wave` → `absorb_replies` (identical triplets of a wave
+//! share one `Arc`) → `project_into_entries` (hands each open member
+//! the merged triplets with its projection; `Arc` clones only) →
+//! `attempt` (one member solve each; stores the answer and the depth it
+//! was determined at) → `degrade` → `evict` → `update_depth_ewma`
+//! (reads those depths) → `account`. The paper's ParBoX and
 //! LazyParBoX are two *plans* for that one loop, not two code paths:
 //! the eager plan is a single wave holding every needed fragment, the
 //! depth-gated plan is one wave per fragment-tree depth with an
@@ -74,11 +89,10 @@
 //! `answer_from_cache`, `attempt` and `degrade`.
 
 use crate::algorithms::batch_query_wire_size;
-use crate::algorithms::partial_solve;
 use crate::eval::{bottom_up, IncrementalBottomUp};
 use crate::plan::RoundDemand;
 use crate::views::{apply_update_tracked, FragmentDelta, Update, UpdateEffect, ViewError};
-use parbox_bool::{site_envelope_dag_wire_size, EquationSystem, Formula, Triplet};
+use parbox_bool::{site_envelope_dag_wire_size, KleeneRows, Known, Triplet, Var, VecKind};
 use parbox_frag::{Forest, ForestStats, FragError, Placement, SiteId, SourceTree};
 use parbox_net::engine::{
     DeltaMemo, EvalReply, FragmentEval, PatchFn, RepairOutcome, RepairedEval, SiteCacheStats,
@@ -153,8 +167,8 @@ impl Default for EngineConfig {
 /// Under fault injection, sites can stay down past every supervised
 /// retry. The engine then answers from what it has: if the partial
 /// triplet coverage already *determines* the answer (it holds under any
-/// content of the missing fragments — `partial_solve` leaves their
-/// variables free), the answer is certain and reported `Complete`. Only
+/// content of the missing fragments — the member solve reads them as
+/// unknown), the answer is certain and reported `Complete`. Only
 /// when the missing fragments could change the answer does the engine
 /// fall back to a pessimistic evaluation and mark the answer
 /// [`Completeness::Partial`], naming the sites whose fragments were
@@ -340,14 +354,29 @@ pub struct ShutdownReport {
 struct SolveEntry {
     /// Root sub-query id within the member's own program.
     root: SubId,
-    /// Per-fragment triplets, each as wide as the member program.
-    triplets: HashMap<FragmentId, Arc<Triplet>>,
-    /// Provenance of each fragment's triplet: the merged program
-    /// (site-cache key) it was projected out of and the projection used
-    /// — what delta repair re-projects a repaired site triplet with.
-    sources: HashMap<FragmentId, (QueryFingerprint, Arc<Vec<SubId>>)>,
+    /// Per fragment, the merged triplet the member reads it from.
+    triplets: HashMap<FragmentId, Source>,
     /// Memoized answer; dropped whenever any triplet is invalidated.
     answer: Option<bool>,
+    /// The least fragment-tree depth whose fragments determined the
+    /// answer at the last `attempt` (`None` while undetermined) — what
+    /// the depth statistic reads.
+    resolved_at: Option<usize>,
+}
+
+/// One fragment's part of a member's equation system: a triplet the
+/// sites computed under a merged program, and the member's way into it.
+/// Members of one round share the triplet; nothing is rebuilt per
+/// member.
+#[derive(Debug, Clone)]
+struct Source {
+    /// The merged program's fingerprint — the site-cache key that delta
+    /// repair matches a site's repair outcomes by.
+    program: QueryFingerprint,
+    /// The merged triplet, as wide as the merged program.
+    triplet: Arc<Triplet>,
+    /// Entry `i` is the merged-program id of the member's sub-query `i`.
+    projection: Arc<Vec<SubId>>,
 }
 
 /// A long-lived deployment: persistent site workers, triplet caches, an
@@ -792,51 +821,42 @@ impl Engine {
                 SolveEntry {
                     root,
                     triplets: HashMap::new(),
-                    sources: HashMap::new(),
                     answer: None,
+                    resolved_at: None,
                 },
             );
         }
     }
 
-    /// The shallowest fragment-tree depth whose wavefronts' triplets
-    /// already determine this member's answer — measured post hoc from a
-    /// solved cache entry, and fed into the EWMA that gates future lazy
-    /// rounds. Resolvability is monotone in the gathered set (adding
-    /// triplets can only close more variables), so the minimal depth is
-    /// found by binary search: `O(log max_depth)` partial solves over
-    /// shared handles, never cloning a triplet. This is control-plane
-    /// bookkeeping and deliberately unaccounted in the round's report.
-    fn observed_resolution_depth(&self, entry: &SolveEntry) -> usize {
-        let max_depth = self.forest_stats.max_depth();
-        let mut by_depth: BTreeMap<usize, Vec<(FragmentId, Arc<Triplet>)>> = BTreeMap::new();
-        for (&f, t) in &entry.triplets {
-            if let Some(s) = self.forest_stats.try_fragment(f) {
-                by_depth
-                    .entry(s.depth)
-                    .or_default()
-                    .push((f, Arc::clone(t)));
+    /// Solves a member from its entry in one three-valued pass over the
+    /// live fragments, children first ([`KleeneRows`]): each fragment's
+    /// merged triplet is read through the member's projection, and a
+    /// fragment the entry has no triplet for is unknown (`absent:
+    /// None`) or stands in as all-`false` (`Some(false)`, the degraded
+    /// answer). Returns the answer with the least fragment-tree depth
+    /// whose fragments determine it, or `None` when the fragments held
+    /// do not determine it.
+    fn solve_member(
+        &self,
+        entry: &SolveEntry,
+        width: usize,
+        absent: Option<bool>,
+    ) -> Option<Known> {
+        let mut rows = KleeneRows::new();
+        for &f in self.source_tree.postorder() {
+            let depth = self
+                .forest_stats
+                .try_fragment(f)
+                .map_or(0, |s| s.depth as u32);
+            match (entry.triplets.get(&f), absent) {
+                (Some(s), _) => {
+                    rows.solve(f, &s.triplet, Some(&s.projection), depth);
+                }
+                (None, Some(value)) => rows.stand_in(f, width, Known { value, depth }),
+                (None, None) => {}
             }
         }
-        let resolves_at = |d: usize| {
-            let gathered: HashMap<FragmentId, &Triplet> = by_depth
-                .range(..=d)
-                .flat_map(|(_, wave)| wave.iter().map(|(f, t)| (*f, &**t)))
-                .collect();
-            partial_solve(&self.source_tree, &gathered, entry.root as usize).is_some()
-        };
-        // Invariant: the answer resolves somewhere in 0..=max_depth
-        // (solved entries cover enough triplets); find the smallest.
-        let (mut lo, mut hi) = (0usize, max_depth);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if resolves_at(mid) {
-                hi = mid;
-            } else {
-                lo = mid + 1;
-            }
-        }
-        lo
+        rows.value(Var::new(self.source_tree.root(), VecKind::V, entry.root))
     }
 
     /// One admission round: the stages of the module docs' *round
@@ -868,7 +888,7 @@ impl Engine {
             }
             .plan();
             if plan.attempt_before_first_wave {
-                self.attempt(&mut open, &live, &mut ledger);
+                self.attempt(&mut open, &mut ledger);
             }
             let waves = plan.waves.len();
             // The waves partition `need`, which was filtered against
@@ -888,9 +908,9 @@ impl Engine {
                 if !wanted.is_empty() {
                     let replies = self.dispatch_wave(&merged, wanted, &mut ledger);
                     let arrived = absorb_replies(replies, &self.config.model, &mut ledger);
-                    self.project_into_entries(&arrived, &mut open, merged.fp);
+                    self.project_into_entries(&arrived, &open, merged.fp);
                 }
-                self.attempt(&mut open, &live, &mut ledger);
+                self.attempt(&mut open, &mut ledger);
             }
             // One wave and no supervised retry is the batch protocol's
             // healthy round: every site visited at most once.
@@ -914,13 +934,11 @@ impl Engine {
         live: &[FragmentId],
         ledger: &mut Ledger,
     ) -> Vec<Member<'p>> {
-        let postorder = self.source_tree.postorder();
-        let root_frag = self.forest.root_fragment();
         let mut active = Vec::new();
         for m in members {
             let cached = self
                 .solve_cache
-                .get_mut(&m.fp)
+                .get(&m.fp)
                 .filter(|e| e.answer.is_some() || live.iter().all(|f| e.triplets.contains_key(f)));
             let Some(entry) = cached else {
                 active.push(m);
@@ -931,10 +949,16 @@ impl Engine {
                 Some(a) => a,
                 None => {
                     let start = Instant::now();
-                    let a = solve_entry(entry, postorder, root_frag);
-                    let work = (m.program.len() * live.len()) as u64;
-                    ledger.record_solve(start.elapsed(), work);
-                    entry.answer = Some(a);
+                    let width = m.program.len();
+                    let a = self
+                        .solve_member(entry, width, None)
+                        .expect("cached triplets cover every live fragment")
+                        .value;
+                    ledger.record_solve(start.elapsed(), (width * live.len()) as u64);
+                    self.solve_cache
+                        .get_mut(&m.fp)
+                        .expect("entry read above")
+                        .answer = Some(a);
                     a
                 }
             };
@@ -1022,69 +1046,53 @@ impl Engine {
         out.replies
     }
 
-    /// Projects the wave's merged triplets into every open member's
-    /// cache entry, recording the provenance delta repair re-projects
-    /// with. A fragment whose site stayed down never arrived; its slot
-    /// stays empty for `attempt` and `degrade` to work around.
+    /// Hands the wave's merged triplets to every open member's cache
+    /// entry, each with the member's projection into the merged
+    /// program: `Arc` clones only, nothing is rebuilt. A fragment whose
+    /// site stayed down never arrived; its slot stays empty for
+    /// `attempt` and `degrade` to work around.
     fn project_into_entries(
         &mut self,
         arrived: &[(FragmentId, Arc<Triplet>)],
-        open: &mut [ActiveMember<'_>],
-        program_fp: QueryFingerprint,
+        open: &[ActiveMember<'_>],
+        program: QueryFingerprint,
     ) {
         for am in open {
             let entry = self
                 .solve_cache
                 .get_mut(&am.member.fp)
                 .expect("entry ensured when the member went active");
-            for (f, merged_t) in arrived {
-                if entry.triplets.contains_key(f) {
-                    continue;
-                }
-                let t = am
-                    .projected
-                    .entry((**merged_t).clone())
-                    .or_insert_with(|| Arc::new(merged_t.project(&am.projection)));
-                entry.triplets.insert(*f, Arc::clone(t));
-                entry
-                    .sources
-                    .insert(*f, (program_fp, Arc::clone(&am.projection)));
+            for (f, triplet) in arrived {
+                entry.triplets.entry(*f).or_insert_with(|| Source {
+                    program,
+                    triplet: Arc::clone(triplet),
+                    projection: Arc::clone(&am.projection),
+                });
             }
         }
     }
 
     /// Tries to close every open member from the triplets it holds, and
-    /// keeps the ones it cannot. Full coverage solves the equation
-    /// system. Short of that, `partial_solve` leaves the missing
-    /// fragments' variables free, so an answer it determines holds
-    /// under *any* content of those fragments: it is exact, safe to
-    /// memoize, and the reason later waves need not be shipped.
-    fn attempt(
-        &mut self,
-        open: &mut Vec<ActiveMember<'_>>,
-        live: &[FragmentId],
-        ledger: &mut Ledger,
-    ) {
-        let postorder = self.source_tree.postorder();
-        let root_frag = self.forest.root_fragment();
+    /// keeps the ones it cannot. The member solve leaves the missing
+    /// fragments unknown, so an answer it determines holds under *any*
+    /// content of those fragments: it is exact, safe to memoize, and
+    /// the reason later waves need not be shipped. The depth it was
+    /// determined at is stored for the depth statistic.
+    fn attempt(&mut self, open: &mut Vec<ActiveMember<'_>>, ledger: &mut Ledger) {
         open.retain(|am| {
-            let entry = self
-                .solve_cache
-                .get_mut(&am.member.fp)
-                .expect("entry ensured when the member went active");
+            let entry = &self.solve_cache[&am.member.fp];
             let start = Instant::now();
-            let answer = if live.iter().all(|f| entry.triplets.contains_key(f)) {
-                Some(solve_entry(entry, postorder, root_frag))
-            } else {
-                partial_solve(&self.source_tree, &entry.triplets, entry.root as usize)
-            };
-            let work = (am.member.program.len() * entry.triplets.len().max(1)) as u64;
+            let width = am.member.program.len();
+            let solved = self.solve_member(entry, width, None);
+            let work = (width * entry.triplets.len().max(1)) as u64;
             ledger.record_solve(start.elapsed(), work);
-            entry.answer = answer;
-            if let Some(a) = answer {
-                ledger.answer(&am.member, a);
+            let entry = self.solve_cache.get_mut(&am.member.fp).expect("read above");
+            entry.answer = solved.map(|k| k.value);
+            entry.resolved_at = solved.map(|k| k.depth as usize);
+            if let Some(k) = solved {
+                ledger.answer(&am.member, k.value);
             }
-            answer.is_none()
+            solved.is_none()
         });
     }
 
@@ -1097,13 +1105,14 @@ impl Engine {
     /// solve is accounted as `|q| ×` live fragments, on top of the
     /// attempt that failed to close the member.
     fn degrade(&self, open: &[ActiveMember<'_>], live: &[FragmentId], ledger: &mut Ledger) {
-        let postorder = self.source_tree.postorder();
-        let root_frag = self.forest.root_fragment();
         for am in open {
             let entry = &self.solve_cache[&am.member.fp];
             let width = am.member.program.len();
             let start = Instant::now();
-            let answer = degraded_solve(entry, postorder, live, width, root_frag);
+            let answer = self
+                .solve_member(entry, width, Some(false))
+                .expect("all-false stand-ins close every live fragment")
+                .value;
             ledger.record_solve(start.elapsed(), (width * live.len()) as u64);
             ledger.answer(&am.member, answer);
             let missing = missing_sites(&self.source_tree, live, &entry.triplets);
@@ -1138,8 +1147,9 @@ impl Engine {
     }
 
     /// Feeds the round's observed resolution depth into the EWMA that
-    /// gates future depth-gated plans, measured post hoc from the solved
-    /// entries. The observation is the *deepest* depth any member
+    /// gates future depth-gated plans, read off the solved entries
+    /// (`attempt` stores it; an undetermined member counts as the full
+    /// depth). The observation is the *deepest* depth any member
     /// needed: a shallow member coalesced with a deep scan must not
     /// teach the planner that rounds resolve shallow, and a round
     /// answered from deep cached triplets does not masquerade as a
@@ -1149,7 +1159,7 @@ impl Engine {
         let observed = active
             .iter()
             .filter_map(|fp| self.solve_cache.get(fp))
-            .map(|e| self.observed_resolution_depth(e))
+            .map(|e| e.resolved_at.unwrap_or(max_depth))
             .max()
             .unwrap_or(max_depth);
         self.depth_ewma = (0.5 * self.depth_ewma + 0.5 * observed as f64).min(max_depth as f64);
@@ -1220,10 +1230,10 @@ impl Engine {
     /// site re-interns the changed stretch of the anchor-to-root path,
     /// once for each group of cached triplets (sized by the change, not
     /// by the fragment or the entries), and ships back a varint-DAG
-    /// triplet delta of the changed entries; the coordinator
-    /// re-projects those through each solve entry's recorded provenance
-    /// — keeping memoized answers alive whenever the triplet did not
-    /// actually change. Entries no update has reached before get their
+    /// triplet delta of the changed entries; the coordinator swaps the
+    /// repaired triplet into each solve entry that reads it from that
+    /// program — keeping memoized answers alive whenever the triplet did
+    /// not actually change. Entries no update has reached before get their
     /// shared repair memo first: one full evaluation of the patched
     /// fragment under their merged program, reported as a repair like
     /// the small ones that follow. Structural updates (split, merge)
@@ -1418,9 +1428,10 @@ impl Engine {
     /// Repairs the coordinator's solve-cache entries for `frag` from
     /// the owning site's repair outcomes. Per entry holding a triplet
     /// for `frag`: an *unchanged* source triplet keeps the memoized
-    /// answer alive; a changed one is re-projected through the entry's
-    /// recorded provenance (voiding the answer); an entry whose source
-    /// program the site no longer caches is invalidated. Entries
+    /// answer alive; a changed one replaces the source's triplet
+    /// (voiding the answer; the projection still applies, the program
+    /// did not change); an entry whose source program the site no
+    /// longer caches is invalidated. Entries
     /// *without* a triplet for `frag` keep their memoized answers —
     /// those were certain under any content of the uncovered fragments,
     /// which a pure data update cannot change. Returns
@@ -1434,24 +1445,18 @@ impl Engine {
             outcomes.iter().map(|o| (o.fingerprint, o)).collect();
         let (mut repaired, mut invalidated) = (0usize, 0usize);
         for entry in self.solve_cache.values_mut() {
-            if !entry.triplets.contains_key(&frag) {
+            let Some(source) = entry.triplets.get_mut(&frag) else {
                 continue;
-            }
-            let source = entry
-                .sources
-                .get(&frag)
-                .and_then(|(fp, proj)| by_fp.get(fp).map(|o| (*o, Arc::clone(proj))));
-            match source {
-                Some((o, _)) if !o.changed => repaired += 1,
-                Some((o, proj)) => {
-                    let projected = o.triplet.project(&proj);
-                    entry.triplets.insert(frag, Arc::new(projected));
+            };
+            match by_fp.get(&source.program) {
+                Some(o) if !o.changed => repaired += 1,
+                Some(o) => {
+                    source.triplet = Arc::clone(&o.triplet);
                     entry.answer = None;
                     repaired += 1;
                 }
                 None => {
                     entry.triplets.remove(&frag);
-                    entry.sources.remove(&frag);
                     entry.answer = None;
                     invalidated += 1;
                 }
@@ -1485,7 +1490,6 @@ impl Engine {
             if entry.triplets.remove(&frag).is_some() {
                 n += 1;
             }
-            entry.sources.remove(&frag);
             entry.answer = None;
         }
         n
@@ -1519,12 +1523,6 @@ struct ActiveMember<'p> {
     member: Member<'p>,
     /// Entry `i` is the merged-program id of the member's sub-query `i`.
     projection: Arc<Vec<SubId>>,
-    /// Identical merged triplets (the common case: many leaf fragments
-    /// resolving a member to the same constants) project identically.
-    /// Memoized on the `FormulaId`-stable triplet content, so the
-    /// renumbering substitution runs once and the cache entries share
-    /// one `Arc`.
-    projected: HashMap<Triplet, Arc<Triplet>>,
 }
 
 /// What a round accumulates across its stages, for `Engine::account` to
@@ -1623,7 +1621,6 @@ fn merge_active(active: Vec<Member<'_>>) -> (MergedBatch, Vec<ActiveMember<'_>>)
             ActiveMember {
                 member,
                 projection: Arc::new(projection),
-                projected: HashMap::new(),
             }
         })
         .collect();
@@ -1638,7 +1635,10 @@ fn merge_active(active: Vec<Member<'_>>) -> (MergedBatch, Vec<ActiveMember<'_>>)
 /// Absorbs one wave of site replies: records each site's compute and
 /// work, counts site-cache hits, sizes its envelope in the DAG wire
 /// format and accounts it as a message when remote. Returns the merged
-/// triplets that arrived, in reply order.
+/// triplets that arrived, in reply order, with identical ones (the
+/// common case: many leaf fragments resolving to the same constants)
+/// sharing one `Arc` — hashed once here, so every cache entry that
+/// keeps them keeps one copy.
 fn absorb_replies(
     replies: Vec<EvalReply>,
     model: &NetworkModel,
@@ -1647,6 +1647,7 @@ fn absorb_replies(
     let mut slowest_site = 0.0f64;
     let mut remote_envelopes: Vec<usize> = Vec::new();
     let mut arrived = Vec::new();
+    let mut distinct: HashSet<Arc<Triplet>> = HashSet::new();
     for reply in replies {
         ledger.report.record_compute(reply.site, reply.elapsed);
         ledger.report.record_work(reply.site, reply.work_units);
@@ -1664,7 +1665,16 @@ fn absorb_replies(
             );
             remote_envelopes.push(bytes);
         }
-        arrived.extend(reply.triplets.into_iter().map(|(f, t, _)| (f, t)));
+        for (f, t, _) in reply.triplets {
+            let t = match distinct.get(&t) {
+                Some(same) => Arc::clone(same),
+                None => {
+                    distinct.insert(Arc::clone(&t));
+                    t
+                }
+            };
+            arrived.push((f, t));
+        }
     }
     ledger.modeled_s += slowest_site + model.shared_link_time(remote_envelopes);
     arrived
@@ -1675,7 +1685,7 @@ fn absorb_replies(
 fn missing_sites(
     source_tree: &SourceTree,
     live: &[FragmentId],
-    triplets: &HashMap<FragmentId, Arc<Triplet>>,
+    triplets: &HashMap<FragmentId, Source>,
 ) -> Vec<SiteId> {
     let sites: std::collections::BTreeSet<u32> = live
         .iter()
@@ -1683,50 +1693,6 @@ fn missing_sites(
         .map(|&f| source_tree.site_of(f).0)
         .collect();
     sites.into_iter().map(SiteId).collect()
-}
-
-/// Pessimistic fallback solve for a degraded answer: every missing live
-/// fragment is stood in by an all-FALSE triplet of the member's width
-/// (as if its subtree were absent), which closes the equation system so
-/// it solves. The result is a best-effort answer, marked
-/// [`Completeness::Partial`] by the caller and never memoized.
-fn degraded_solve(
-    entry: &SolveEntry,
-    postorder: &[FragmentId],
-    live: &[FragmentId],
-    width: usize,
-    root_frag: FragmentId,
-) -> bool {
-    let mut sys = EquationSystem::new();
-    for (&f, t) in &entry.triplets {
-        sys.insert(f, (**t).clone());
-    }
-    let absent = Triplet {
-        v: vec![Formula::FALSE; width],
-        cv: vec![Formula::FALSE; width],
-        dv: vec![Formula::FALSE; width],
-    };
-    for &f in live {
-        if !entry.triplets.contains_key(&f) {
-            sys.insert(f, absent.clone());
-        }
-    }
-    let resolved = sys
-        .solve(postorder)
-        .expect("all-FALSE stand-ins close every live fragment");
-    resolved[&root_frag].v[entry.root as usize]
-}
-
-/// Re-solves a member program from its cached per-fragment triplets.
-fn solve_entry(entry: &SolveEntry, postorder: &[FragmentId], root_frag: FragmentId) -> bool {
-    let mut sys = EquationSystem::new();
-    for (&f, t) in &entry.triplets {
-        sys.insert(f, (**t).clone());
-    }
-    let resolved = sys
-        .solve(postorder)
-        .expect("cached triplets cover every live fragment");
-    resolved[&root_frag].v[entry.root as usize]
 }
 
 #[cfg(test)]
@@ -2117,6 +2083,73 @@ mod tests {
     }
 
     #[test]
+    fn member_read_through_two_merged_programs_answers_like_the_oracle() {
+        // `m` is false only once every fragment is known, so its answer
+        // reads all of them. It is first batched with `x`; the split
+        // then invalidates F3, which the next round re-evaluates under
+        // `m` batched with `y` — another merged program, into which `m`
+        // projects differently. The data update then swaps F3's source
+        // triplet by delta repair, and the answer flips.
+        let mut e = engine();
+        let m = parse_query("[//A and //goal]").unwrap();
+        let x = parse_query("[//x[z/A] or //pad]").unwrap();
+        let y = parse_query("[//B]").unwrap();
+        let batched = |e: &mut Engine, other: &Query| {
+            // `other` first, so it shifts `m`'s ids in the merge.
+            let (to, tm) = (e.submit(other), e.submit(&m));
+            let out = e.flush().expect("two pending queries");
+            let answer = |t| out.answers.iter().find(|(u, _)| *u == t).unwrap().1;
+            assert_eq!(answer(to), oracle(e, other));
+            answer(tm)
+        };
+        assert!(!batched(&mut e, &x));
+        assert!(!oracle(&e, &m));
+
+        let frag = FragmentId(3);
+        let b = {
+            let t = &e.forest().fragment(frag).tree;
+            t.descendants(t.root())
+                .find(|&n| t.label_str(n) == "B")
+                .unwrap()
+        };
+        let split = Update::SplitFragments {
+            frag,
+            node: b,
+            to_site: None,
+        };
+        assert!(e.apply(split).unwrap().invalidated >= 1);
+        assert_eq!(batched(&mut e, &y), oracle(&e, &m));
+
+        let fp = compile(&m).fingerprint();
+        let source = |e: &Engine, f: FragmentId| e.solve_cache[&fp].triplets[&f].clone();
+        let (old, new) = (source(&e, FragmentId(0)), source(&e, frag));
+        assert_ne!(old.program, new.program, "F3 came from the second batch");
+        assert_ne!(old.projection, new.projection, "m projects differently");
+
+        let parent = {
+            let t = &e.forest().fragment(frag).tree;
+            t.root()
+        };
+        let up = e
+            .apply(Update::InsNode {
+                frag,
+                parent,
+                label: "goal".into(),
+                text: None,
+            })
+            .unwrap();
+        assert_eq!(up.invalidated, 0);
+        assert!(
+            !Arc::ptr_eq(&source(&e, frag).triplet, &new.triplet),
+            "swapped"
+        );
+        let after = e.query(&m);
+        assert!(after.answer, "the update flipped the answer");
+        assert_eq!(after.answer, oracle(&e, &m));
+        assert!(after.from_cache, "re-solved from the repaired sources");
+    }
+
+    #[test]
     fn delta_and_legacy_engines_agree_on_update_streams() {
         // Per-step oracle equivalence of the repair path: the repaired
         // caches must serve the answers a from-scratch evaluation gives
@@ -2412,14 +2445,20 @@ mod tests {
             "pessimistic start"
         );
 
+        // The statistic after each round, pinned to what the post-hoc
+        // binary search over partial solves gave before the depth came
+        // out of the member solve itself: every round observes depth 0,
+        // so the EWMA halves from its start of 4.
+        let pinned = [2.0, 1.0, 0.5, 0.25, 0.125, 0.0625];
         let mut saw_lazy = false;
-        for i in 0..6 {
+        for (i, &ewma) in pinned.iter().enumerate() {
             // Distinct fingerprints, all resolvable at the root fragment
             // (mark0 is in it, so the disjunction folds to true there).
             let q = parse_query(&format!("[//mark0 or //nope{i}]")).unwrap();
             let before = e.stats().fragments_evaluated;
             let out = e.query(&q);
             assert!(out.answer, "query {i}");
+            assert_eq!(e.resolve_depth_ewma(), ewma, "after round {i}");
             let planned = out.report.planned.expect("planned round");
             if planned.strategy == "LazyParBoX" {
                 saw_lazy = true;
@@ -2434,8 +2473,10 @@ mod tests {
 
         // A deep query still answers correctly (the wave loop walks all
         // the way down when resolution demands it).
+        // It observes the full depth 4: 0.0625 / 2 + 4 / 2.
         let deep = parse_query("[//bottom]").unwrap();
         assert_eq!(e.query(&deep).answer, oracle(&e, &deep));
+        assert_eq!(e.resolve_depth_ewma(), 2.03125);
     }
 
     #[test]
