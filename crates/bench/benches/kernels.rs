@@ -1,13 +1,15 @@
 //! Micro-benchmarks of the building blocks: XML parsing, query
 //! compilation, the column-at-a-time bitset kernel (against the per-node
-//! reference interpreter it replaced), the formula-valued `bottomUp`, the
-//! equation-system solver and the coordinator's member solve.
+//! reference interpreter it replaced), the formula-valued `bottomUp` and
+//! the repair memo's build on the same kernel, the equation-system
+//! solver and the coordinator's member solve.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use parbox_bench::{ft1, Scale};
 use parbox_bool::{EquationSystem, KleeneRows, Var, VecKind};
 use parbox_core::{
-    bottom_up, bottom_up_formula_only, centralized_eval, centralized_eval_reference, BitSet,
+    bottom_up, bottom_up_formula_only, centralized_eval, centralized_eval_reference,
+    IncrementalBottomUp,
 };
 use parbox_frag::{Forest, Placement};
 use parbox_query::{compile, merge_programs, parse_query, Path, Query};
@@ -69,6 +71,12 @@ fn bench(c: &mut Criterion) {
     let f0 = fragmented.root_fragment();
     group.bench_function("bottom_up_root_fragment_q8", |b| {
         b.iter(|| black_box(bottom_up(&fragmented.fragment(f0).tree, &q8).work_units))
+    });
+
+    // The repair memo's build on the same fragment: the same pass, with a
+    // row kept at every node.
+    group.bench_function("memo_build_root_fragment_q8", |b| {
+        b.iter(|| black_box(IncrementalBottomUp::build(&fragmented.fragment(f0).tree, &q8).1))
     });
 
     // The split-off fragment has no virtual node: constants straight from
@@ -154,40 +162,6 @@ fn bench(c: &mut Criterion) {
             }
             black_box(rows.value(root))
         })
-    });
-
-    // Word-parallel bitset kernels at a serving-realistic width
-    // (|QList| of a large batch) — the chunk-unrolled loops LLVM
-    // autovectorizes.
-    let width = 1024;
-    let (mut x, mut y) = (BitSet::zeros(width), BitSet::zeros(width));
-    for i in (0..width).step_by(3) {
-        x.set(i, true);
-    }
-    for i in (0..width).step_by(7) {
-        y.set(i, true);
-    }
-    group.bench_function("bitset_or_assign_1024", |b| {
-        b.iter(|| {
-            x.or_assign(black_box(&y));
-            black_box(x.get(0))
-        })
-    });
-    group.bench_function("bitset_and_assign_1024", |b| {
-        b.iter(|| {
-            let mut z = x.clone();
-            z.and_assign(black_box(&y));
-            black_box(z.is_empty())
-        })
-    });
-    group.bench_function("bitset_count_ones_1024", |b| {
-        b.iter(|| black_box(x.count_ones()))
-    });
-    group.bench_function("bitset_any_intersect_1024", |b| {
-        b.iter(|| black_box(x.any_intersect(&y)))
-    });
-    group.bench_function("bitset_iter_ones_1024", |b| {
-        b.iter(|| black_box(x.iter_ones().sum::<usize>()))
     });
 
     group.finish();

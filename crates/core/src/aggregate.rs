@@ -17,15 +17,22 @@
 //! where `c` counts the fragment's nodes whose predicate value resolved
 //! locally, each `φ_i` is a Boolean formula for a node whose value still
 //! depends on sub-fragment variables (spine nodes), and the `count(F_k)`
-//! terms refer to the sub-fragments. The coordinator first solves the
-//! ordinary Boolean equation system (resolving every `φ_i`), then folds
-//! the affine expressions bottom-up — both passes are linear.
+//! terms refer to the sub-fragments. A site computes a fragment's
+//! triplet and its residual in one pass — `bottomUp`'s
+//! `FragmentPass`: off the spine, the matching element nodes are read
+//! from the kernel's `V` column of `q`'s root sub-query; on it, each
+//! node's formula step yields `φ_i` (or a constant); each virtual node
+//! is a `count(F_k)` term. The coordinator first solves the ordinary
+//! Boolean equation system (resolving every `φ_i`), then folds the
+//! affine expressions bottom-up — both passes are linear.
 
 use crate::algorithms::query_wire_size;
-use crate::eval::bottom_up;
+use crate::eval::bottom_up::{FragmentPass, Rows};
+use crate::eval::columns::ones;
+use crate::eval::FragmentRun;
 use parbox_bool::{triplet_dag_wire_size, EquationSystem, Formula, Var};
 use parbox_net::{run_sites_parallel, Cluster, MessageKind, RunReport};
-use parbox_query::{CompiledQuery, Op};
+use parbox_query::CompiledQuery;
 use parbox_xml::{FragmentId, NodeId, Tree};
 use std::collections::HashMap;
 use std::time::Instant;
@@ -69,19 +76,19 @@ pub enum AggKind {
     /// Each matching node contributes 1.
     Count,
     /// Each matching node contributes its numeric text value (nodes whose
-    /// text does not parse as a number contribute 0).
+    /// text is not a finite number contribute 0).
     SumText,
 }
 
 /// Counts the nodes of the whole (unfragmented) tree satisfying `q` —
 /// the centralized oracle.
 pub fn count_centralized(tree: &Tree, q: &CompiledQuery) -> u64 {
-    aggregate_fragment(tree, q, AggKind::Count).resolved as u64
+    aggregate_fragment(tree, q, AggKind::Count).1.resolved as u64
 }
 
 /// Sums the numeric text of nodes satisfying `q` on a whole tree.
 pub fn sum_centralized(tree: &Tree, q: &CompiledQuery) -> f64 {
-    aggregate_fragment(tree, q, AggKind::SumText).resolved
+    aggregate_fragment(tree, q, AggKind::SumText).1.resolved
 }
 
 /// Distributed COUNT of nodes satisfying `q`: one visit per site.
@@ -120,10 +127,8 @@ fn aggregate_distributed(
             .fragments_at(s)
             .into_iter()
             .map(|f| {
-                let tree = &cluster.forest.fragment(f).tree;
-                let triplet = bottom_up(tree, q);
-                let residual = aggregate_fragment(tree, q, kind);
-                (f, triplet, residual)
+                let (run, residual) = aggregate_fragment(&cluster.forest.fragment(f).tree, q, kind);
+                (f, run, residual)
             })
             .collect::<Vec<_>>()
     });
@@ -178,116 +183,69 @@ fn aggregate_distributed(
     }
 }
 
-/// One fragment-local pass: evaluates `q`'s formula vectors at every node
-/// and classifies each node's contribution as resolved or pending.
-fn aggregate_fragment(tree: &Tree, q: &CompiledQuery, kind: AggKind) -> ResidualAggregate {
+/// One fragment-local pass: the fragment's triplet, and each node's
+/// contribution classified as resolved or pending.
+fn aggregate_fragment(
+    tree: &Tree,
+    q: &CompiledQuery,
+    kind: AggKind,
+) -> (FragmentRun, ResidualAggregate) {
     let resolved_q = q.resolve(tree.labels());
-    let m = resolved_q.len();
     let root_sub = resolved_q.root as usize;
+    let weight = |n: NodeId| match kind {
+        AggKind::Count => 1.0,
+        AggKind::SumText => tree
+            .node(n)
+            .text
+            .as_deref()
+            .and_then(|t| t.trim().parse::<f64>().ok())
+            .filter(|x| x.is_finite())
+            .unwrap_or(0.0),
+    };
     let mut out = ResidualAggregate {
         resolved: 0.0,
         pending: Vec::new(),
         children: Vec::new(),
     };
-
-    // Postorder traversal with formula vectors, mirroring `bottomUp` but
-    // inspecting V(q_root) at every node. Child accumulation is buffered
-    // like `bottomUp`'s: one n-ary intern per entry at node completion,
-    // O(fan-out) operand slots instead of O(fan-out²).
-    struct Frame {
-        node: NodeId,
-        child_idx: usize,
-        cv_ops: Vec<Vec<Formula>>,
-        dv_ops: Vec<Vec<Formula>>,
-    }
-    let mk = |m: usize| vec![Vec::new(); m];
-    let mut stack = vec![Frame {
-        node: tree.root(),
-        child_idx: 0,
-        cv_ops: mk(m),
-        dv_ops: mk(m),
-    }];
-    let mut done: Option<(Vec<Formula>, Vec<Formula>)> = None;
-    loop {
-        let frame = stack.last_mut().expect("non-empty until break");
-        if let Some((v_w, dv_w)) = done.take() {
-            for i in 0..m {
-                if v_w[i] != Formula::FALSE {
-                    frame.cv_ops[i].push(v_w[i]);
-                }
-                if dv_w[i] != Formula::FALSE {
-                    frame.dv_ops[i].push(dv_w[i]);
-                }
+    let pass = FragmentPass::run(
+        tree,
+        &resolved_q,
+        Rows::Spine,
+        |n, v| {
+            if let Some(frag) = tree.node(n).kind.fragment() {
+                // Sub-fragment: its nodes are counted by its own residual.
+                out.children.push(frag);
+                return;
             }
-        }
-        let kids = tree.node(frame.node).child_ids();
-        if frame.child_idx < kids.len() {
-            let child = kids[frame.child_idx];
-            frame.child_idx += 1;
-            stack.push(Frame {
-                node: child,
-                child_idx: 0,
-                cv_ops: mk(m),
-                dv_ops: mk(m),
-            });
-            continue;
-        }
-        let Frame {
-            node,
-            cv_ops,
-            dv_ops,
-            ..
-        } = stack.pop().expect("peeked");
-        let n = tree.node(node);
-        let (v, dv): (Vec<Formula>, Vec<Formula>) = if let Some(frag) = n.kind.fragment() {
-            // Sub-fragment: its nodes are counted by its own residual.
-            out.children.push(frag);
-            let t = parbox_bool::Triplet::fresh_vars(frag, m);
-            (t.v, t.dv)
-        } else {
-            let cv: Vec<Formula> = cv_ops.into_iter().map(Formula::any).collect();
-            let mut dv: Vec<Formula> = Vec::with_capacity(m);
-            let mut v: Vec<Formula> = Vec::with_capacity(m);
-            for (i, op) in resolved_q.ops.iter().enumerate() {
-                let value = match op {
-                    Op::True => Formula::TRUE,
-                    Op::LabelIs(l) => Formula::constant(Some(n.label) == *l),
-                    Op::TextIs(s) => Formula::constant(n.text.as_deref() == Some(s.as_ref())),
-                    Op::Child(j) => cv[*j as usize],
-                    Op::Desc(j) => dv[*j as usize],
-                    Op::Or(a, b) => Formula::or(v[*a as usize], v[*b as usize]),
-                    Op::And(a, b) => Formula::and(v[*a as usize], v[*b as usize]),
-                    Op::Not(a) => v[*a as usize].not(),
-                };
-                dv.push(Formula::any(
-                    dv_ops[i].iter().copied().chain(std::iter::once(value)),
-                ));
-                v.push(value);
-            }
-            // This node's contribution.
-            let weight = match kind {
-                AggKind::Count => 1.0,
-                AggKind::SumText => n
-                    .text
-                    .as_deref()
-                    .and_then(|t| t.trim().parse::<f64>().ok())
-                    .unwrap_or(0.0),
-            };
-            if weight != 0.0 {
+            let w = weight(n);
+            if w != 0.0 {
                 match v[root_sub].as_const() {
-                    Some(true) => out.resolved += weight,
+                    Some(true) => out.resolved += w,
                     Some(false) => {}
-                    None => out.pending.push((v[root_sub], weight)),
+                    None => out.pending.push((v[root_sub], w)),
                 }
             }
-            (v, dv)
-        };
-        if stack.is_empty() {
-            break;
-        }
-        done = Some((v, dv));
-    }
-    out
+        },
+        &mut || {},
+    );
+    // Off the spine every value is a constant: the matching element
+    // nodes are the set bits of the root sub-query's column.
+    let matched: Vec<u64> = pass
+        .cols
+        .v(root_sub)
+        .iter()
+        .zip(pass.layout.element())
+        .zip(&pass.spine)
+        .map(|((v, e), s)| v & e & !s)
+        .collect();
+    out.resolved += ones(&matched)
+        .map(|p| weight(pass.layout.node(p)))
+        .sum::<f64>();
+    let run = FragmentRun {
+        work_units: pass.work_units(),
+        triplet: pass.root,
+    };
+    (run, out)
 }
 
 #[cfg(test)]
@@ -316,6 +274,21 @@ mod tests {
         let tree = Tree::parse("<r><p>10</p><p>2.5</p><p>not-a-number</p><x>99</x></r>").unwrap();
         assert_eq!(sum_centralized(&tree, &q("[label() = p]")), 12.5);
         assert_eq!(sum_centralized(&tree, &q("[label() = x]")), 99.0);
+    }
+
+    #[test]
+    fn sum_skips_text_that_is_not_a_finite_number() {
+        // `f64` parses "NaN" and "inf"; either would swallow the sum.
+        let tree = Tree::parse("<r><p>NaN</p><p>inf</p><p>2</p></r>").unwrap();
+        let query = q("[label() = p]");
+        assert_eq!(sum_centralized(&tree, &query), 2.0);
+        let mut forest = Forest::from_tree(tree);
+        let root = forest.root_fragment();
+        strategies::star(&mut forest, root).unwrap();
+        assert_eq!(forest.card(), 4);
+        let placement = Placement::one_per_fragment(&forest);
+        let cluster = Cluster::new(&forest, &placement, NetworkModel::lan());
+        assert_eq!(sum_distributed(&cluster, &query).value, 2.0);
     }
 
     fn stock_forest() -> (Forest, Placement) {
@@ -391,6 +364,50 @@ mod tests {
         let got = count_distributed(&cluster, &query);
         assert_eq!(got.value, expected);
         assert!(expected >= 4.0, "root + markets + stocks chains");
+    }
+
+    /// `(visits, messages, bytes, work units)` of a report, in total and
+    /// per site.
+    fn costs(report: &RunReport) -> (usize, usize, usize, u64, Vec<(usize, u64)>) {
+        let per_site = report
+            .sites()
+            .map(|(_, s)| (s.visits, s.work_units))
+            .collect();
+        (
+            report.total_visits(),
+            report.total_messages(),
+            report.total_bytes(),
+            report.total_work(),
+            per_site,
+        )
+    }
+
+    #[test]
+    fn extension_cost_reports_are_pinned() {
+        let (forest, placement) = stock_forest();
+        let cluster = Cluster::new(&forest, &placement, NetworkModel::lan());
+        let program = parbox_query::compile_selection(
+            &parse_query("[//stock[code/text() = \"GOOG\"]]").unwrap(),
+        )
+        .unwrap();
+        let sel = crate::selection::select_distributed(&cluster, &program);
+        let count = count_distributed(&cluster, &q("[//code = \"GOOG\"]"));
+        let sum = sum_distributed(&cluster, &q("[label() = sell]"));
+        // A change to the local passes must not move a visit, message,
+        // byte or work unit.
+        let per_site = |work: [u64; 4], visits: usize| work.map(|w| (visits, w)).to_vec();
+        assert_eq!(
+            costs(&sel.report),
+            (8, 12, 279, 352, per_site([64, 112, 64, 112], 2))
+        );
+        assert_eq!(
+            costs(&count.report),
+            (4, 6, 198, 240, per_site([60, 70, 40, 70], 1))
+        );
+        assert_eq!(
+            costs(&sum.report),
+            (4, 6, 84, 48, per_site([12, 14, 8, 14], 1))
+        );
     }
 
     #[test]

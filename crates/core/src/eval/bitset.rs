@@ -1,9 +1,11 @@
 //! Word-parallel bitsets — the sub-query vectors of the per-node
-//! evaluators.
+//! reference interpreter.
 //!
-//! The selection pass and the per-node reference interpreter
-//! ([`crate::eval::centralized_eval_reference`]) keep three Boolean
-//! vectors of width `|QList|` per live traversal frame; packing them
+//! No production path uses them: every fragment pass runs on the column
+//! kernel (`eval/columns.rs`). The per-node reference interpreter
+//! ([`crate::eval::centralized_eval_reference`]), the kernel's oracle,
+//! keeps three Boolean vectors of width `|QList|` per live traversal
+//! frame; packing them
 //! into `u64` words turns per-node child accumulation (`CV |= V_w`,
 //! `DV |= DV_w`) into a handful of word ORs. The bulk kernels
 //! ([`BitSet::or_assign`], [`BitSet::and_assign`],

@@ -1,6 +1,9 @@
 //! Procedure `bottomUp` (paper, Fig. 3b): partial evaluation of the
 //! sub-query list over one fragment, producing a `(V, CV, DV)` triplet of
-//! Boolean *formulas*.
+//! Boolean *formulas* — and the one fragment pass every local evaluation
+//! runs on: `bottomUp` itself, the repair memo's build
+//! ([`IncrementalBottomUp`](crate::eval::IncrementalBottomUp)), and the
+//! aggregation of [`crate::aggregate`].
 //!
 //! At a virtual node (a leaf standing for sub-fragment `F_k`) the values
 //! of the sub-queries are unknown; fresh variables `x_i`, `cx_i`, `dx_i`
@@ -9,33 +12,35 @@
 //! per-fragment partial-evaluation processes.
 //!
 //! Only the *spine* — the nodes whose subtree holds a virtual node —
-//! needs formulas; everywhere else every value is a constant. So
-//! [`bottom_up`] first runs the column-at-a-time bitset kernel
+//! needs formulas; everywhere else every value is a constant. So a
+//! `FragmentPass` first runs the column-at-a-time bitset kernel
 //! (`eval/columns.rs`) over the whole fragment, which gives the `V` and
 //! `DV` of every node as bits, and computes the spine as the kernel's
 //! upward closure of the virtual column — the nodes where `//virtual`
-//! holds. A fragment without virtual nodes (every leaf fragment, and
-//! whole documents) is then finished: its triplet is constants read from
-//! the root's bits. Otherwise the formula evaluator below walks the spine
-//! only, taking the `V`/`DV` of each off-spine child from the columns.
+//! holds. It then walks the spine in postorder and runs the one formula
+//! step, `compute_node` (`eval/incremental.rs`), at each spine node. The
+//! step reads its children's `(V, DV)` rows: a spine child's from its
+//! own step, an off-spine child's as `Formula::constant` of its bits,
+//! which interns nothing. `Rows` says which nodes keep a row: the spine
+//! and its children for [`bottom_up`], every live node for the memo.
 //!
-//! The formula evaluator keeps only two vector triplets at a time per
-//! live ancestor (current accumulation + completed child), not one per
-//! node. Child accumulation is **buffered**: each live frame collects
-//! per-sub-query operand lists and interns one n-ary `Or` per entry when
-//! the node completes, so fan-out `k` costs `O(k)` operand slots instead
-//! of the `O(k²)` a pairwise re-flattening accumulation pays (see the
-//! `wide_fanout_*` regression tests). An off-spine child contributes a
-//! `true` operand where its bit is set and nothing where it is clear —
-//! the operand set the formula path would build from its constants, so
-//! the triplet is id-identical to [`bottom_up_formula_only`]'s. The seed
-//! implementation, with the original accumulation, is preserved in
-//! [`crate::eval::reference`] as the differential-testing oracle.
+//! A fragment without virtual nodes (every leaf fragment, and whole
+//! documents) has no spine: its triplet is constants read from the
+//! root's columns.
+//!
+//! [`bottom_up_formula_only`] runs the formula step at every node and no
+//! kernel: the literal reading of Fig. 3(b) and the oracle the pass is
+//! tested against. The step interns each disjunction once, over the
+//! operand set Fig. 3(b) gives it, so both return id-identical triplets.
+//! The seed implementation, with the original accumulation, is preserved
+//! in [`crate::eval::reference`] as the differential-testing oracle of
+//! both.
 
-use crate::eval::columns::{eval_columns, Columns, Layout};
+use crate::eval::columns::{bit, eval_columns, ones, Columns, Layout};
+use crate::eval::incremental::{compute_node, Memo, Scratch, TICK_WORK};
 use parbox_bool::{Formula, Triplet};
-use parbox_query::{CompiledQuery, Op, ResolvedQuery};
-use parbox_xml::{FragmentId, NodeId, Tree};
+use parbox_query::{CompiledQuery, ResolvedQuery};
+use parbox_xml::{NodeId, Tree};
 
 /// Result of partially evaluating one fragment.
 #[derive(Debug, Clone)]
@@ -50,221 +55,183 @@ pub struct FragmentRun {
 /// virtual nodes), returning the triplet for its root.
 pub fn bottom_up(tree: &Tree, q: &CompiledQuery) -> FragmentRun {
     let resolved = q.resolve(tree.labels());
-    let m = resolved.len();
-    let layout = Layout::new(tree);
-    let work_units = (layout.len() * m) as u64;
-    let root = tree.root();
-    if !layout.has_virtual() {
-        // No unknowns: partial evaluation is full evaluation. The root is
-        // position 0 and every node is below it, so `DV` at the root is
-        // "the column is not empty".
-        let cols = eval_columns(&layout, &resolved, false);
-        let kids = layout.column_of(tree.node(root).child_ids());
-        let mut t = Triplet {
-            v: Vec::with_capacity(m),
-            cv: Vec::with_capacity(m),
-            dv: Vec::with_capacity(m),
-        };
-        for i in 0..m {
-            let col = cols.v(i);
-            t.v.push(Formula::constant(col[0] & 1 != 0));
-            t.cv.push(Formula::constant(
-                col.iter().zip(&kids).any(|(c, k)| c & k != 0),
-            ));
-            t.dv.push(Formula::constant(col.iter().any(|&c| c != 0)));
-        }
-        return FragmentRun {
-            triplet: t,
-            work_units,
-        };
-    }
-    let cols = eval_columns(&layout, &resolved, true);
-    let spine = layout.spine();
-    let mut eval = FormulaEvaluator {
-        tree,
-        q: &resolved,
-        m,
-        off_spine: Some(OffSpine {
-            layout: &layout,
-            cols: &cols,
-            spine: &spine,
-        }),
-    };
-    let (v, cv, dv) = eval.run(root);
+    let pass = FragmentPass::run(tree, &resolved, Rows::Spine, |_, _| {}, &mut || {});
     FragmentRun {
-        triplet: Triplet { v, cv, dv },
-        work_units,
+        work_units: pass.work_units(),
+        triplet: pass.root,
     }
 }
 
-/// Ablation reference: `bottomUp` with the spine optimization disabled —
-/// every node is evaluated through the formula path, as a literal reading
-/// of the paper's Fig. 3(b) would. Exists so the benchmark suite can
-/// quantify the spine fast-path (see `benches/kernels.rs`) and as the
-/// differential oracle of [`bottom_up`]; production callers should use
-/// [`bottom_up`].
+/// `bottomUp` without the kernel: the formula step at every node, as a
+/// literal reading of the paper's Fig. 3(b) would run it. The
+/// differential oracle of [`bottom_up`], which must return an
+/// id-identical triplet, and the ablation that prices the kernel (see
+/// `benches/kernels.rs`); production callers use [`bottom_up`].
 pub fn bottom_up_formula_only(tree: &Tree, q: &CompiledQuery) -> FragmentRun {
     let resolved = q.resolve(tree.labels());
     let m = resolved.len();
-    let mut eval = FormulaEvaluator {
-        tree,
-        q: &resolved,
-        m,
-        off_spine: None,
-    };
-    let (v, cv, dv) = eval.run(tree.root());
+    let mut memo = Memo::new(m, tree.arena_len(), tree.len());
+    let mut s = Scratch::default();
+    // Postorder ends at the root, whose vectors stay in `s`.
+    for n in tree.postorder(tree.root()) {
+        compute_node(tree, &resolved, &memo, n, NodeId::index, &mut s);
+        memo.store(n.index(), &s.v, &s.dv);
+    }
     FragmentRun {
-        triplet: Triplet { v, cv, dv },
+        triplet: Triplet {
+            v: s.v,
+            cv: s.cv,
+            dv: s.dv,
+        },
         work_units: (tree.len() * m) as u64,
     }
 }
 
-struct FormulaEvaluator<'a> {
-    tree: &'a Tree,
-    q: &'a ResolvedQuery,
-    m: usize,
-    /// The kernel's values for the nodes off the spine; `None` evaluates
-    /// every node as formulas.
-    off_spine: Option<OffSpine<'a>>,
+/// Which nodes a [`FragmentPass`] gives a `(V, DV)` row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Rows {
+    /// The spine and the children of spine nodes: what the formula step
+    /// reads.
+    Spine,
+    /// Every live node: what change propagation reads later.
+    Every,
 }
 
-struct OffSpine<'a> {
-    layout: &'a Layout<'a>,
-    cols: &'a Columns,
-    spine: &'a [u64],
+/// One fragment evaluated: the kernel's columns for every node, the
+/// spine, the formula rows [`Rows`] asks for, and the root triplet.
+pub(crate) struct FragmentPass<'t> {
+    pub(crate) layout: Layout<'t>,
+    pub(crate) cols: Columns,
+    pub(crate) spine: Vec<u64>,
+    pub(crate) memo: Memo,
+    pub(crate) scratch: Scratch,
+    /// The fragment-root triplet.
+    pub(crate) root: Triplet,
 }
 
-impl OffSpine<'_> {
-    /// `child`'s position when it is off the spine.
-    fn pos(&self, child: NodeId) -> Option<usize> {
-        let p = self.layout.pos(child);
-        ((self.spine[p / 64] >> (p % 64)) & 1 == 0).then_some(p)
-    }
-}
-
-struct Frame {
-    node: NodeId,
-    child_idx: usize,
-    /// Per sub-query: `V_w(qi)` of each completed child `w` (lines 3–5's
-    /// `CV_v(qi) |= V_w(qi)`, deferred to one n-ary intern at pop).
-    cv_ops: Vec<Vec<Formula>>,
-    /// Per sub-query: `DV_w(qi)` of each completed child.
-    dv_ops: Vec<Vec<Formula>>,
-}
-
-type Vectors = (Vec<Formula>, Vec<Formula>, Vec<Formula>);
-
-impl<'a> FormulaEvaluator<'a> {
-    fn empty_frame(&self, node: NodeId) -> Frame {
-        Frame {
-            node,
-            child_idx: 0,
-            cv_ops: vec![Vec::new(); self.m],
-            dv_ops: vec![Vec::new(); self.m],
-        }
-    }
-
-    /// Iterative postorder evaluation; returns `(V, CV, DV)` of `start`.
-    fn run(&mut self, start: NodeId) -> Vectors {
-        let mut stack = vec![self.empty_frame(start)];
-        // (V, DV) of the most recently completed child.
-        let mut done: Option<(Vec<Formula>, Vec<Formula>)> = None;
-        loop {
-            let frame = stack.last_mut().expect("non-empty until return");
-            if let Some((v_w, dv_w)) = done.take() {
-                // Lines 3–5: buffer the child's vectors; the disjunction
-                // is interned once when this frame pops. `false` operands
-                // would be dropped by the n-ary constructor anyway — skip
-                // them here so buffers stay proportional to the number of
-                // *contributing* children.
-                for i in 0..self.m {
-                    if v_w[i] != Formula::FALSE {
-                        frame.cv_ops[i].push(v_w[i]);
-                    }
-                    if dv_w[i] != Formula::FALSE {
-                        frame.dv_ops[i].push(dv_w[i]);
-                    }
-                }
+impl<'t> FragmentPass<'t> {
+    /// Evaluates `q` over `tree`. `on_spine` sees each spine node's `V`
+    /// right after its formula step, in postorder; `tick` is called
+    /// whenever rows worth `TICK_WORK` work units have been stored since
+    /// the last call.
+    pub(crate) fn run(
+        tree: &'t Tree,
+        q: &ResolvedQuery,
+        rows: Rows,
+        mut on_spine: impl FnMut(NodeId, &[Formula]),
+        tick: &mut dyn FnMut(),
+    ) -> FragmentPass<'t> {
+        let m = q.len();
+        // Allocated ahead of the pass's working buffers: the root triplet
+        // may stay cached for long, and allocated after them it lands
+        // among their freed chunks. That made `scan_miss`'s resident
+        // memory grow 15 % more in its measured phase (2-vCPU host).
+        let mut root = Triplet {
+            v: Vec::with_capacity(m),
+            cv: Vec::with_capacity(m),
+            dv: Vec::with_capacity(m),
+        };
+        let layout = Layout::new(tree);
+        let spine = layout.spine();
+        let root_on_spine = spine[0] & 1 != 0;
+        let full = rows == Rows::Every;
+        // An off-spine `DV` is read by a spine parent or by propagation;
+        // without either only the root's is, and that is "the column is
+        // not empty".
+        let cols = eval_columns(&layout, q, root_on_spine || full, None);
+        // Rows to hold: every node, or the root and the children of spine
+        // nodes, or none. Sized up front so the table is allocated once.
+        let held = match (full, root_on_spine) {
+            (true, _) => layout.len(),
+            (false, true) => {
+                1 + ones(&spine)
+                    .map(|p| tree.node(layout.node(p)).child_ids().len())
+                    .sum::<usize>()
             }
-            let kids = self.tree.node(frame.node).child_ids();
-            if frame.child_idx < kids.len() {
-                let child = kids[frame.child_idx];
-                frame.child_idx += 1;
-                let off_spine = self.off_spine.as_ref();
-                if let Some((off, p)) = off_spine.and_then(|off| Some((off, off.pos(child)?))) {
-                    // Virtual-free subtree: its constants, read from the
-                    // columns — `true` operands only, as above.
-                    for i in 0..self.m {
-                        if off.cols.v_bit(i, p) {
-                            frame.cv_ops[i].push(Formula::TRUE);
-                        }
-                        if off.cols.dv_bit(i, p) {
-                            frame.dv_ops[i].push(Formula::TRUE);
-                        }
-                    }
+            (false, false) => 0,
+        };
+        // A memo that outlives the pass is keyed by arena slot, as
+        // propagation finds nodes; one that does not, by position.
+        let key = |n: NodeId| if full { n.index() } else { layout.pos(n) };
+        let keys = if full { tree.arena_len() } else { layout.len() };
+        let mut memo = Memo::new(m, keys, held);
+        let mut s = Scratch::default();
+        let per_tick = TICK_WORK.div_ceil(m.max(1));
+        let mut stored = 0usize;
+        let mut row_done = || {
+            stored += 1;
+            if stored.is_multiple_of(per_tick) {
+                tick();
+            }
+        };
+        let fill = |memo: &mut Memo, s: &mut Scratch, p: usize| {
+            s.v.clear();
+            s.dv.clear();
+            s.v.extend((0..m).map(|i| Formula::constant(cols.v_bit(i, p))));
+            s.dv.extend((0..m).map(|i| Formula::constant(cols.dv_bit(i, p))));
+            memo.store(key(layout.node(p)), &s.v, &s.dv);
+        };
+        if full {
+            for p in (0..layout.len()).filter(|&p| !bit(&spine, p)) {
+                fill(&mut memo, &mut s, p);
+                row_done();
+            }
+        }
+        if root_on_spine {
+            // Iterative postorder over the spine: (node, next child).
+            let mut stack: Vec<(NodeId, usize)> = vec![(tree.root(), 0)];
+            while let Some((n, next)) = stack.last_mut() {
+                let kids = tree.node(*n).child_ids();
+                if let Some(k) = kids[*next..]
+                    .iter()
+                    .position(|&c| bit(&spine, layout.pos(c)))
+                {
+                    let child = kids[*next + k];
+                    *next += k + 1;
+                    stack.push((child, 0));
                     continue;
                 }
-                let frame = self.empty_frame(child);
-                stack.push(frame);
-                continue;
+                let n = *n;
+                stack.pop();
+                for &c in kids {
+                    if memo.base(key(c)).is_none() {
+                        fill(&mut memo, &mut s, layout.pos(c));
+                    }
+                }
+                compute_node(tree, q, &memo, n, key, &mut s);
+                memo.store(key(n), &s.v, &s.dv);
+                row_done();
+                on_spine(n, &s.v);
             }
-            let frame = stack.pop().expect("just peeked");
-            let (v, cv, dv) = self.compute_node(frame);
-            if stack.is_empty() {
-                return (v, cv, dv);
+            // The root came last; its vectors are still in the scratch.
+            root.v.extend_from_slice(&s.v);
+            root.cv.extend_from_slice(&s.cv);
+            root.dv.extend_from_slice(&s.dv);
+        } else {
+            // No unknowns: the root is position 0 and every node is below
+            // it, so `DV` at the root is "the column is not empty".
+            let kids = layout.column_of(tree.node(tree.root()).child_ids());
+            for col in (0..m).map(|i| cols.v(i)) {
+                root.v.push(Formula::constant(col[0] & 1 != 0));
+                root.cv.push(Formula::constant(
+                    col.iter().zip(&kids).any(|(c, k)| c & k != 0),
+                ));
+                root.dv.push(Formula::constant(col.iter().any(|&c| c != 0)));
             }
-            done = Some((v, dv));
+        }
+        FragmentPass {
+            layout,
+            cols,
+            spine,
+            memo,
+            scratch: s,
+            root,
         }
     }
 
-    /// Computes `V` at a node (lines 6–17), or introduces fresh variables
-    /// at a virtual node. The buffered child operands are interned here —
-    /// one n-ary `Or` per sub-query entry.
-    fn compute_node(&mut self, frame: Frame) -> Vectors {
-        let Frame {
-            node,
-            cv_ops,
-            dv_ops,
-            ..
-        } = frame;
-        let n = self.tree.node(node);
-        if let Some(frag) = n.kind.fragment() {
-            return self.virtual_vectors(frag);
-        }
-        let cv: Vec<Formula> = cv_ops.into_iter().map(Formula::any).collect();
-        let mut dv: Vec<Formula> = Vec::with_capacity(self.m);
-        let mut v: Vec<Formula> = Vec::with_capacity(self.m);
-        for (i, op) in self.q.ops.iter().enumerate() {
-            let value = match op {
-                Op::True => Formula::TRUE,
-                Op::LabelIs(l) => Formula::constant(Some(n.label) == *l),
-                Op::TextIs(s) => Formula::constant(n.text.as_deref() == Some(s.as_ref())),
-                Op::Child(j) => cv[*j as usize],
-                // Sub-queries are topologically numbered, so `j < i` and
-                // `dv[j]` is already finalized (includes `V` at this node).
-                Op::Desc(j) => dv[*j as usize],
-                Op::Or(a, b) => Formula::or(v[*a as usize], v[*b as usize]),
-                Op::And(a, b) => Formula::and(v[*a as usize], v[*b as usize]),
-                Op::Not(a) => v[*a as usize].not(),
-            };
-            // Line 17: DV_v(qi) := V_v(qi) ∨ ⋁_w DV_w(qi), one intern.
-            dv.push(Formula::any(
-                dv_ops[i].iter().copied().chain(std::iter::once(value)),
-            ));
-            v.push(value);
-        }
-        (v, cv, dv)
-    }
-
-    /// Fresh-variable triplet for a virtual node referencing `frag`.
-    ///
-    /// The paper (Example 3.1) additionally runs the case analysis at the
-    /// virtual node, so only leaf cases receive fresh variables; unifying
-    /// against the sub-fragment's full `(V, CV, DV)` triplet is
-    /// semantically identical and keeps the solver uniform (DESIGN.md §4).
-    fn virtual_vectors(&self, frag: FragmentId) -> Vectors {
-        let t = Triplet::fresh_vars(frag, self.m);
-        (t.v, t.cv, t.dv)
+    /// Work units: `live nodes × |QList|`.
+    pub(crate) fn work_units(&self) -> u64 {
+        (self.layout.len() * self.memo.m) as u64
     }
 }
 
@@ -273,6 +240,7 @@ mod tests {
     use super::*;
     use parbox_bool::VecKind;
     use parbox_query::{compile, parse_query};
+    use parbox_xml::FragmentId;
 
     fn triplet(xml: &str, q: &str) -> Triplet {
         let tree = Tree::parse(xml).unwrap();

@@ -40,7 +40,7 @@ pub fn centralized_eval(tree: &Tree, q: &CompiledQuery) -> bool {
 pub fn centralized_eval_counted(tree: &Tree, q: &CompiledQuery) -> CentralizedRun {
     let resolved = q.resolve(tree.labels());
     let layout = Layout::new(tree);
-    let cols = eval_columns(&layout, &resolved, false);
+    let cols = eval_columns(&layout, &resolved, false, None);
     CentralizedRun {
         // The root is position 0.
         answer: cols.v_bit(resolved.root as usize, 0),

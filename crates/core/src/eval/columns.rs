@@ -38,8 +38,10 @@
 //! interpreter ([`crate::eval::reference`]): `True` and `Not(x)` (when
 //! `x` does not) hold there, `LabelIs` and `TextIs` never do.
 
+use parbox_bool::ResolvedTriplet;
 use parbox_query::{Op, ResolvedQuery};
-use parbox_xml::{LabelId, NodeId, Tree};
+use parbox_xml::{FragmentId, LabelId, NodeId, Tree};
+use std::collections::HashMap;
 
 /// Slot → position entry of a tomb-stoned slot.
 const NO_POS: u32 = u32::MAX;
@@ -126,9 +128,15 @@ impl<'t> Layout<'t> {
         self.pos_of[id.index()] as usize
     }
 
-    /// True when the tree has a virtual node.
-    pub(crate) fn has_virtual(&self) -> bool {
-        self.virt.iter().any(|&w| w != 0)
+    /// The live node at position `p`.
+    #[inline]
+    pub(crate) fn node(&self, p: usize) -> NodeId {
+        NodeId::from_index(self.slot[p] as usize)
+    }
+
+    /// The element (non-virtual) nodes.
+    pub(crate) fn element(&self) -> &[u64] {
+        &self.element
     }
 
     /// The *spine*: nodes whose subtree holds a virtual node — the upward
@@ -240,16 +248,64 @@ impl Columns {
     }
 }
 
+/// Is bit `p` of `col` set?
 #[inline]
-fn bit(col: &[u64], p: usize) -> bool {
+pub(crate) fn bit(col: &[u64], p: usize) -> bool {
     (col[p / 64] >> (p % 64)) & 1 == 1
 }
+
+/// The positions of the set bits of `col`, ascending.
+pub(crate) fn ones(col: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    col.iter().enumerate().flat_map(|(w, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let b = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                w * 64 + b
+            })
+        })
+    })
+}
+
+#[inline]
+fn set_bit(col: &mut [u64], p: usize, value: bool) {
+    let (w, b) = (p / 64, p % 64);
+    col[w] = (col[w] & !(1 << b)) | (u64::from(value) << b);
+}
+
+/// Resolved triplets of sub-fragments, by fragment.
+pub(crate) type SubTriplets<'r> = HashMap<FragmentId, &'r ResolvedTriplet>;
 
 /// Evaluates `q` over every node of `layout`. `DV_i` is computed for
 /// every sub-query when `all_dv`, otherwise only for the operands of
 /// `Desc`.
-pub(crate) fn eval_columns(layout: &Layout<'_>, q: &ResolvedQuery, all_dv: bool) -> Columns {
+///
+/// With `subs`, a virtual node takes the values of its sub-fragment's
+/// resolved triplet: `V_i` is overwritten there with `r.v[i]` before
+/// any later sub-query reads column `i`, and the `DV_i` closure starts
+/// from `r.dv[i]` there. Without, a virtual node is the opaque leaf
+/// described in the module docs.
+pub(crate) fn eval_columns(
+    layout: &Layout<'_>,
+    q: &ResolvedQuery,
+    all_dv: bool,
+    subs: Option<&SubTriplets<'_>>,
+) -> Columns {
     let (m, words) = (q.len(), layout.words());
+    let subs: Vec<(usize, &ResolvedTriplet)> = match subs {
+        None => Vec::new(),
+        Some(subs) => ones(&layout.virt)
+            .map(|p| {
+                let frag = layout.tree.node(layout.node(p)).kind.fragment();
+                let frag = frag.expect("a virtual node names its fragment");
+                let r = subs
+                    .get(&frag)
+                    .unwrap_or_else(|| panic!("missing resolved triplet for {frag}"));
+                (p, *r)
+            })
+            .collect(),
+    };
     let mut need_dv = vec![all_dv; m];
     for op in &q.ops {
         if let Op::Desc(j) = op {
@@ -285,9 +341,15 @@ pub(crate) fn eval_columns(layout: &Layout<'_>, q: &ResolvedQuery, all_dv: bool)
                 }
             }
         }
+        for &(p, r) in &subs {
+            set_bit(out, p, r.v[i]);
+        }
         if need_dv[i] {
             let closed = &mut dv[i * words..(i + 1) * words];
             closed.copy_from_slice(out);
+            for &(p, r) in &subs {
+                set_bit(closed, p, r.dv[i]);
+            }
             layout.close_upward(closed);
         }
     }
@@ -329,7 +391,7 @@ mod tests {
         let layout = Layout::new(&tree);
         assert_eq!(layout.words(), (depth + 1).div_ceil(64));
         let q = compiled("[//leaf]").resolve(tree.labels());
-        let cols = eval_columns(&layout, &q, true);
+        let cols = eval_columns(&layout, &q, true, None);
         let root = q.root as usize;
         assert!(cols.v_bit(root, 0));
         // `//leaf` holds on every node of the chain except the leaf.
@@ -383,7 +445,7 @@ mod tests {
         let q = compiled("[//zzz or not(//zzz)]").resolve(tree.labels());
         assert!(q.ops.iter().any(|op| matches!(op, Op::LabelIs(None))));
         let layout = Layout::new(&tree);
-        let cols = eval_columns(&layout, &q, true);
+        let cols = eval_columns(&layout, &q, true, None);
         let absent = q
             .ops
             .iter()
@@ -408,7 +470,7 @@ mod tests {
             .position(|op| matches!(op, Op::TextIs(_)))
             .unwrap();
         let layout = Layout::new(&tree);
-        let cols = eval_columns(&layout, &q, false);
+        let cols = eval_columns(&layout, &q, false, None);
         assert!(cols.v_bit(text, layout.pos(tree.children(r).next().unwrap())));
         assert!(!cols.v_bit(text, layout.pos(v)));
         agrees_with_reference(&tree, "[*[text() = \"x\"] and */parbox:virtual]");

@@ -1,13 +1,17 @@
 //! Memoized `bottomUp` with change propagation — the evaluation half of
-//! delta-repair view maintenance.
+//! delta-repair view maintenance — and the formula step every fragment
+//! evaluation shares.
 //!
-//! [`bottom_up`](fn@crate::eval::bottom_up) keeps only two live vector
-//! triplets at a time, so after an update the whole fragment must be
-//! re-evaluated. [`IncrementalBottomUp`] instead memoizes the `(V, DV)`
-//! vectors of every *live* node. An in-place data update
-//! (`insNode`/`delNode`) changes the child list of exactly one surviving
-//! node — the *anchor* — so only the anchor, any newly inserted subtree,
-//! and the anchor's ancestors can have stale vectors.
+//! [`bottom_up`](fn@crate::eval::bottom_up) keeps formula rows only for
+//! the spine and its children, so after an update the whole fragment
+//! must be re-evaluated. [`IncrementalBottomUp`] instead memoizes the
+//! `(V, DV)` vectors of every *live* node: its build is `bottom_up`'s
+//! own fragment pass asked for a row at every node — constants read
+//! from the kernel's columns off the spine, the formula step on it. An
+//! in-place data update (`insNode`/`delNode`) changes the child list of
+//! exactly one surviving node — the *anchor* — so only the anchor, any
+//! newly inserted subtree, and the anchor's ancestors can have stale
+//! vectors.
 //! [`IncrementalBottomUp::propagate`] recomputes the inserted subtree
 //! and the anchor against the memoized off-path children and then
 //! climbs **only as far as something changed**: a parent reads `V` and
@@ -18,11 +22,12 @@
 //! until a disjunction absorbs it. The root's `CV` is recomputed only
 //! when the root is.
 //!
-//! Because the formula arena is hash-consed and the per-node math here
-//! produces the operand *sets* of the
-//! [`FormulaEvaluator`](mod@crate::eval::bottom_up) (`Formula::any`
-//! canonicalises, so order and the early exit on a `true` operand do not
-//! show), a repaired triplet is **id-identical** to what a fresh
+//! The formula step, `compute_node`, is the paper's Fig. 3(b) case
+//! analysis at one node, fed from its children's rows. The formula arena
+//! is hash-consed and each disjunction is interned once over the operand
+//! *set* Fig. 3(b) gives it (`Formula::any` canonicalises, so order and
+//! the early exit on a `true` operand do not show), so a repaired
+//! triplet is **id-identical** to what a fresh
 //! [`bottom_up`](fn@crate::eval::bottom_up) over the updated fragment
 //! would produce (asserted by the equivalence proptests) — so delta
 //! repair can never drift from invalidate-and-recompute.
@@ -33,6 +38,7 @@
 //! memo's size (the tree's own tomb-stoned slots cost four bytes each
 //! here).
 
+use crate::eval::bottom_up::{FragmentPass, Rows};
 use parbox_bool::{Formula, Triplet};
 use parbox_query::{CompiledQuery, Op, ResolvedQuery};
 use parbox_xml::{NodeId, Tree};
@@ -40,21 +46,24 @@ use parbox_xml::{NodeId, Tree};
 /// Work units between two progress ticks of a build: about half a
 /// millisecond of an optimised build, a few of a debug one — far inside
 /// any supervision deadline, far above the cost of a tick.
-const TICK_WORK: usize = 1 << 14;
+pub(super) const TICK_WORK: usize = 1 << 14;
 
 const NO_ROW: u32 = u32::MAX;
 
-/// The memoized `(V, DV)` vectors of every live node, in one table.
+/// The memoized `(V, DV)` vectors of nodes, in one table, each row
+/// under a key: the node's arena slot in a repair memo, which
+/// propagation reaches by node id, or its layout position in a pass that
+/// keeps no memo, whose key map then is no larger than the fragment.
 /// `CV` is not stored: it is only read at the node itself
 /// (`Op::Child`), never by the parent, and is rebuilt from the
 /// children's `V` whenever the node is recomputed.
 #[derive(Debug, Clone)]
-struct Memo {
-    m: usize,
-    /// Arena slot → row, [`NO_ROW`] for a slot never evaluated (a new
-    /// node before its repair) or swept after its node died.
+pub(crate) struct Memo {
+    pub(super) m: usize,
+    /// Key → row, [`NO_ROW`] for a key without one: a node not evaluated
+    /// (a new node before its repair) or swept after it died.
     row_of: Vec<u32>,
-    /// Row → the arena slot it belongs to, [`NO_ROW`] when free.
+    /// Row → its key, [`NO_ROW`] when free.
     owner: Vec<u32>,
     /// Row `r` holds `V` at `[2mr, 2mr + m)` and `DV` right behind it.
     cells: Vec<Formula>,
@@ -62,19 +71,21 @@ struct Memo {
 }
 
 impl Memo {
-    fn new(m: usize, arena_len: usize, live: usize) -> Memo {
+    /// An empty memo for keys below `keys`, with room for `rows` rows.
+    pub(super) fn new(m: usize, keys: usize, rows: usize) -> Memo {
         Memo {
             m,
-            row_of: vec![NO_ROW; arena_len],
-            owner: Vec::with_capacity(live),
-            cells: Vec::with_capacity(live * 2 * m),
+            row_of: vec![NO_ROW; keys],
+            owner: Vec::with_capacity(rows),
+            cells: Vec::with_capacity(rows * 2 * m),
             free: Vec::new(),
         }
     }
 
-    /// Offset of `n`'s `V` in `cells`; its `DV` starts `m` further on.
-    fn base(&self, n: NodeId) -> Option<usize> {
-        match self.row_of[n.index()] {
+    /// Offset of the `V` under `key` in `cells`; its `DV` starts `m`
+    /// further on.
+    pub(super) fn base(&self, key: usize) -> Option<usize> {
+        match self.row_of[key] {
             NO_ROW => None,
             r => Some(r as usize * 2 * self.m),
         }
@@ -85,11 +96,12 @@ impl Memo {
         self.owner.len() - self.free.len()
     }
 
-    /// Memoizes `n`'s vectors; returns whether they differ from what was
-    /// there (a node seen for the first time always differs).
-    fn store(&mut self, n: NodeId, v: &[Formula], dv: &[Formula]) -> bool {
+    /// Memoizes a node's vectors under `key`; returns whether they differ
+    /// from what was there (a node seen for the first time always
+    /// differs).
+    pub(super) fn store(&mut self, key: usize, v: &[Formula], dv: &[Formula]) -> bool {
         let m = self.m;
-        let b = match self.base(n) {
+        let b = match self.base(key) {
             Some(b) if self.cells[b..b + m] == *v && self.cells[b + m..b + 2 * m] == *dv => {
                 return false;
             }
@@ -100,8 +112,8 @@ impl Memo {
                     self.cells.resize(self.owner.len() * 2 * m, Formula::FALSE);
                     (self.owner.len() - 1) as u32
                 });
-                self.owner[r as usize] = n.index() as u32;
-                self.row_of[n.index()] = r;
+                self.owner[r as usize] = key as u32;
+                self.row_of[key] = r;
                 r as usize * 2 * m
             }
         };
@@ -113,7 +125,7 @@ impl Memo {
     /// Releases the rows of tomb-stoned nodes once they outnumber the
     /// live ones: every live node holds a row, so the table stays within
     /// twice the fragment and a sweep is paid for by the deletions that
-    /// made it due.
+    /// made it due. Keys are arena slots here.
     fn sweep_if_mostly_dead(&mut self, tree: &Tree) {
         if self.held() <= 2 * tree.len() {
             return;
@@ -131,10 +143,10 @@ impl Memo {
 
 /// Buffers one node's computation runs in, reused from node to node.
 #[derive(Debug, Clone, Default)]
-struct Scratch {
-    v: Vec<Formula>,
-    cv: Vec<Formula>,
-    dv: Vec<Formula>,
+pub(crate) struct Scratch {
+    pub(super) v: Vec<Formula>,
+    pub(super) cv: Vec<Formula>,
+    pub(super) dv: Vec<Formula>,
     /// Offsets of the children's rows in the memo.
     kids: Vec<usize>,
     /// Operands of the disjunction being built.
@@ -183,11 +195,9 @@ impl IncrementalBottomUp {
     /// Evaluates `q` over the fragment, memoizing every live node.
     /// Returns the state and the work spent (`live nodes × |QList|`).
     ///
-    /// The initial build runs the formula path at every node (the spine
-    /// fast path cannot be used — it leaves no per-node state), so it
-    /// costs a small constant factor over
-    /// [`bottom_up`](fn@crate::eval::bottom_up); the price is paid once
-    /// and buys change-sized updates thereafter.
+    /// The build is [`bottom_up`](fn@crate::eval::bottom_up)'s pass with
+    /// a row kept at every node: the kernel's constants off the spine,
+    /// the formula step on it.
     pub fn build(tree: &Tree, q: &CompiledQuery) -> (IncrementalBottomUp, u64) {
         IncrementalBottomUp::build_with_progress(tree, q, &mut || {})
     }
@@ -201,34 +211,15 @@ impl IncrementalBottomUp {
         tick: &mut dyn FnMut(),
     ) -> (IncrementalBottomUp, u64) {
         let resolved = q.resolve(tree.labels());
-        let m = resolved.len();
-        let mut memo = Memo::new(m, tree.arena_len(), tree.len());
-        let mut scratch = Scratch::default();
-        let mut nodes = 0u64;
-        let mut unticked = 0usize;
-        // Postorder ends at the root, whose vectors stay in `scratch`.
-        for n in tree.postorder(tree.root()) {
-            compute_node(tree, &resolved, &memo, n, &mut scratch);
-            memo.store(n, &scratch.v, &scratch.dv);
-            nodes += 1;
-            unticked += m;
-            if unticked >= TICK_WORK {
-                unticked = 0;
-                tick();
-            }
-        }
-        let root = Triplet {
-            v: scratch.v.clone(),
-            cv: scratch.cv.clone(),
-            dv: scratch.dv.clone(),
-        };
+        let pass = FragmentPass::run(tree, &resolved, Rows::Every, |_, _| {}, tick);
+        let work = pass.work_units();
         let state = IncrementalBottomUp {
             q: q.clone(),
-            memo,
-            scratch,
-            root,
+            memo: pass.memo,
+            scratch: pass.scratch,
+            root: pass.root,
         };
-        (state, nodes * m as u64)
+        (state, work)
     }
 
     /// The current fragment-root triplet.
@@ -266,17 +257,17 @@ impl IncrementalBottomUp {
         let mut p = anchor;
         loop {
             for &c in tree.node(p).child_ids() {
-                if memo.base(c).is_none() {
+                if memo.base(c.index()).is_none() {
                     for n in tree.postorder(c) {
-                        compute_node(tree, &resolved, memo, n, scratch);
-                        memo.store(n, &scratch.v, &scratch.dv);
+                        compute_node(tree, &resolved, memo, n, NodeId::index, scratch);
+                        memo.store(n.index(), &scratch.v, &scratch.dv);
                         nodes += 1;
                     }
                 }
             }
-            compute_node(tree, &resolved, memo, p, scratch);
+            compute_node(tree, &resolved, memo, p, NodeId::index, scratch);
             nodes += 1;
-            let moved = memo.store(p, &scratch.v, &scratch.dv);
+            let moved = memo.store(p.index(), &scratch.v, &scratch.dv);
             if p == tree.root() {
                 root_changed = moved || scratch.cv != self.root.cv;
                 if root_changed {
@@ -312,12 +303,20 @@ impl IncrementalBottomUp {
     }
 }
 
-/// One node of the paper's Fig. 3(b) case analysis, fed from memoized
-/// children, into `s.v`, `s.cv` and `s.dv`. Each disjunction gets the
-/// operands the [`FormulaEvaluator`](mod@crate::eval::bottom_up) gives
-/// it (`false` ones skipped), so the interned formulas — and with them
-/// the triplets — come out identical.
-fn compute_node(tree: &Tree, q: &ResolvedQuery, memo: &Memo, n: NodeId, s: &mut Scratch) {
+/// The formula step: one node of the paper's Fig. 3(b) case analysis,
+/// fed from its children's memo rows (found under `key(child)`), into
+/// `s.v`, `s.cv` and `s.dv`.
+/// Each disjunction is interned once over its operand set (`false` ones
+/// skipped), so the interned formulas — and with them the triplets —
+/// come out identical whichever rows the children's came from.
+pub(super) fn compute_node(
+    tree: &Tree,
+    q: &ResolvedQuery,
+    memo: &Memo,
+    n: NodeId,
+    key: impl Fn(NodeId) -> usize,
+    s: &mut Scratch,
+) {
     let node = tree.node(n);
     let m = memo.m;
     s.v.clear();
@@ -331,11 +330,10 @@ fn compute_node(tree: &Tree, q: &ResolvedQuery, memo: &Memo, n: NodeId, s: &mut 
         return;
     }
     s.kids.clear();
-    s.kids.extend(
-        node.child_ids()
-            .iter()
-            .map(|&c| memo.base(c).expect("children evaluated before parents")),
-    );
+    s.kids.extend(node.child_ids().iter().map(|&c| {
+        memo.base(key(c))
+            .expect("children evaluated before parents")
+    }));
     for (i, op) in q.ops.iter().enumerate() {
         let cv = any_over(&memo.cells, &s.kids, i, Formula::FALSE, &mut s.ops);
         s.cv.push(cv);

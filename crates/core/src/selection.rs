@@ -12,21 +12,22 @@
 //! 2. **Visit 2**: the coordinator walks the source tree top-down in
 //!    depth waves. Each fragment's site receives the resolved triplets
 //!    of its sub-fragments plus the automaton state set arriving at its
-//!    fragment root; it runs one local bottom-up pass (qualifier bits
-//!    per node, with virtual nodes looked up from the resolved triplets)
-//!    and one top-down pass (state propagation), returning the selected
-//!    nodes and the state sets flowing into each virtual node.
+//!    fragment root; it runs the column kernel once over the fragment
+//!    (qualifier bits for every node, each virtual node taking its
+//!    sub-fragment's resolved values) and one top-down pass (state
+//!    propagation), returning the selected nodes and the state sets
+//!    flowing into each virtual node.
 //!
 //! With one fragment per site (the paper's experimental setting) every
 //! site is visited exactly twice; in general a site is visited once in
 //! phase 1 plus once per depth wave containing one of its fragments.
 
 use crate::algorithms::{query_wire_size, resolved_triplet_wire_size};
-use crate::eval::bitset::BitSet;
 use crate::eval::bottom_up;
-use parbox_bool::{triplet_dag_wire_size, EquationSystem, ResolvedTriplet};
+use crate::eval::columns::{eval_columns, Layout, SubTriplets};
+use parbox_bool::{triplet_dag_wire_size, EquationSystem};
 use parbox_net::{run_sites_parallel, Cluster, MessageKind, RunReport};
-use parbox_query::{Op, SelStep, SelectionProgram};
+use parbox_query::{SelStep, SelectionProgram};
 use parbox_xml::{FragmentId, NodeId, Tree};
 use std::collections::HashMap;
 use std::time::Instant;
@@ -115,7 +116,7 @@ pub fn select_distributed(cluster: &Cluster<'_>, sel: &SelectionProgram) -> Sele
                 report.record_message(coord, site, bytes, MessageKind::Control);
             }
             // Local work at the fragment's site.
-            let children: HashMap<FragmentId, &ResolvedTriplet> =
+            let children: SubTriplets =
                 entry.children.iter().map(|&c| (c, &resolved[&c])).collect();
             let start = Instant::now();
             let tree = &cluster.forest.fragment(frag).tree;
@@ -152,125 +153,21 @@ struct SelectPass {
     work_units: u64,
 }
 
-/// One fragment-local selection pass: a bottom-up sweep computing the
-/// qualifier bits per node (virtual nodes read from their sub-fragment's
-/// resolved triplet), then a top-down sweep propagating automaton state
-/// sets from `root_mask`.
+/// One fragment-local selection pass: the column kernel computing the
+/// qualifier bits of every node (virtual nodes read from their
+/// sub-fragment's resolved triplet), then a top-down sweep propagating
+/// automaton state sets from `root_mask`.
 fn fragment_select_pass(
     tree: &Tree,
     sel: &SelectionProgram,
-    children: &HashMap<FragmentId, &ResolvedTriplet>,
+    children: &SubTriplets<'_>,
     root_mask: u64,
 ) -> SelectPass {
     let resolved = sel.quals.resolve(tree.labels());
-    let m = resolved.len();
     let k = sel.steps.len();
-    // Per-node V bits of the qualifier sub-queries actually referenced by
-    // steps, packed one word per node per referenced qual.
-    let qual_ids = sel.qual_ids();
-    let mut qual_bits: Vec<u64> = vec![0; tree.arena_len()];
-    let mut work: u64 = 0;
-
-    // Bottom-up: compute V/CV/DV vectors per node, keep only qual bits.
-    // (Vectors live on an explicit stack; O(depth) memory. Packed into
-    // `u64` words so child accumulation runs through the word-parallel
-    // kernels.)
-    struct Frame {
-        node: NodeId,
-        child_idx: usize,
-        cv: BitSet,
-        dv: BitSet,
-    }
-    let mut stack = vec![Frame {
-        node: tree.root(),
-        child_idx: 0,
-        cv: BitSet::zeros(m),
-        dv: BitSet::zeros(m),
-    }];
-    let mut done: Option<(BitSet, BitSet)> = None;
-    loop {
-        let frame = stack.last_mut().expect("non-empty until break");
-        if let Some((v_w, dv_w)) = done.take() {
-            frame.cv.or_assign(&v_w);
-            frame.dv.or_assign(&dv_w);
-        }
-        let kids = tree.node(frame.node).child_ids();
-        if frame.child_idx < kids.len() {
-            let child = kids[frame.child_idx];
-            frame.child_idx += 1;
-            stack.push(Frame {
-                node: child,
-                child_idx: 0,
-                cv: BitSet::zeros(m),
-                dv: BitSet::zeros(m),
-            });
-            continue;
-        }
-        let Frame {
-            node, cv, mut dv, ..
-        } = stack.pop().expect("peeked");
-        work += m as u64;
-        let n = tree.node(node);
-        let v: BitSet = if let Some(frag) = n.kind.fragment() {
-            // Virtual node: values are the sub-fragment's resolved vectors.
-            let r = children
-                .get(&frag)
-                .unwrap_or_else(|| panic!("missing resolved triplet for {frag}"));
-            dv = BitSet::from_bools(&r.dv);
-            BitSet::from_bools(&r.v)
-        } else {
-            let mut v = BitSet::zeros(m);
-            // Stays per-bit: `Op::Desc(j)` reads `dv[j]` updated earlier
-            // in this very loop (topological sub-query order), so the DV
-            // fold cannot be deferred to a word-parallel pass.
-            for (i, op) in resolved.ops.iter().enumerate() {
-                let value = match op {
-                    Op::True => true,
-                    Op::LabelIs(l) => Some(n.label) == *l,
-                    Op::TextIs(s) => n.text.as_deref() == Some(s.as_ref()),
-                    Op::Child(j) => cv.get(*j as usize),
-                    Op::Desc(j) => dv.get(*j as usize),
-                    Op::Or(a, b) => v.get(*a as usize) || v.get(*b as usize),
-                    Op::And(a, b) => v.get(*a as usize) && v.get(*b as usize),
-                    Op::Not(a) => !v.get(*a as usize),
-                };
-                v.set(i, value);
-                if value {
-                    dv.set(i, true);
-                }
-            }
-            v
-        };
-        // Record the qualifier bits this node exposes to the automaton.
-        let mut bits = 0u64;
-        for (pos, &qid) in qual_ids.iter().enumerate() {
-            if v.get(qid as usize) {
-                bits |= 1 << pos;
-            }
-        }
-        qual_bits[node.index()] = bits;
-        if stack.is_empty() {
-            break;
-        }
-        done = Some((v, dv));
-    }
-
-    // Map step index → position in qual_ids (for bit lookups).
-    let qual_pos: Vec<usize> = {
-        let mut next = 0usize;
-        sel.steps
-            .iter()
-            .map(|s| {
-                if matches!(s, SelStep::Qual(_)) {
-                    let p = next;
-                    next += 1;
-                    p
-                } else {
-                    usize::MAX
-                }
-            })
-            .collect()
-    };
+    let layout = Layout::new(tree);
+    let cols = eval_columns(&layout, &resolved, false, Some(children));
+    let mut work = (layout.len() * resolved.len()) as u64;
 
     // Top-down: propagate state masks; virtual nodes terminate locally
     // and emit the raw mask for their sub-fragment.
@@ -292,8 +189,8 @@ fn fragment_select_pass(
                 continue;
             }
             match step {
-                SelStep::Qual(_) => {
-                    if qual_bits[node.index()] & (1 << qual_pos[i]) != 0 {
+                SelStep::Qual(q) => {
+                    if cols.v_bit(*q as usize, layout.pos(node)) {
                         mask |= 1 << (i + 1);
                     }
                 }
@@ -471,6 +368,38 @@ mod tests {
             a.sort();
             b.sort();
             assert_eq!(a, b, "label mismatch for {src}");
+        }
+    }
+
+    #[test]
+    fn qualifiers_read_sub_fragment_roots_through_their_resolved_values() {
+        // Each qualifier holds at the first div only through its child,
+        // the root of another fragment, or below it: what the div's site
+        // sees at that virtual node is the child fragment's resolved
+        // triplet, `V` for the child step and `DV` for the descendant.
+        let tree = Tree::parse(
+            "<r><div><stock><deal><code>GOOG</code></deal></stock></div><div><pad/></div></r>",
+        )
+        .unwrap();
+        let mut forest = Forest::from_tree(tree);
+        let root = forest.root_fragment();
+        let stock = {
+            let t = &forest.fragment(root).tree;
+            t.descendants(t.root())
+                .find(|&n| t.label_str(n) == "stock")
+                .unwrap()
+        };
+        forest.split(root, stock).unwrap();
+        let placement = Placement::one_per_fragment(&forest);
+        let cluster = Cluster::new(&forest, &placement, NetworkModel::lan());
+        for src in ["[//div[stock]]", "[//div[//code = \"GOOG\"]]"] {
+            let out = select_distributed(&cluster, &sel(src));
+            let got: Vec<_> = out
+                .nodes
+                .iter()
+                .map(|&(f, n)| (f, forest.fragment(f).tree.label_str(n).to_string()))
+                .collect();
+            assert_eq!(got, vec![(root, "div".to_string())], "{src}");
         }
     }
 

@@ -28,7 +28,7 @@
 //!
 //! Reads and maintenance are priced apart. A site answers every miss
 //! with plain `bottomUp` and caches the triplet with its program; the
-//! per-node repair memo ([`IncrementalBottomUp`], ~2.9x a `bottomUp` to
+//! per-node repair memo ([`IncrementalBottomUp`], a few `bottomUp`s to
 //! build and `8·|QList|` bytes per document node) is built **when the
 //! first update reaches the fragment**, inside that [`Engine::apply`]:
 //! *one* memo, under the merged program of all the entries then cached

@@ -9,16 +9,28 @@
 //! * On every fragment, `bottom_up` (kernel plus formulas on the spine)
 //!   must return a triplet id-identical to `bottom_up_formula_only`
 //!   (formulas everywhere), with equal work units.
+//! * On every fragment, the repair memo's build (kernel plus a row at
+//!   every node) must be id-identical to `bottom_up_formula_only`; after
+//!   one random insert or delete, its change propagation must be
+//!   id-identical to `bottom_up` of the mutated fragment.
+//! * On whole trees, the extensions' centralized forms — `count`, `sum`
+//!   and `select` — must agree with the per-node reference interpreter
+//!   asked at every node.
 //!
 //! Queries are single compiled queries and `merge_programs` batches.
 
 use parbox_core::{
     bottom_up, bottom_up_formula_only, centralized_eval_counted, centralized_eval_reference,
+    count_centralized, select_centralized, sum_centralized, IncrementalBottomUp,
 };
 use parbox_frag::Forest;
-use parbox_query::{compile, merge_programs, CompiledQuery, Path, Query, Step};
+use parbox_query::{
+    compile, compile_selection, merge_programs, CompiledQuery, Path, Query, SelStep,
+    SelectionProgram, Step,
+};
 use parbox_xml::{FragmentId, NodeId, Tree};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 const LABELS: [&str; 5] = ["a", "b", "c", "d", "e"];
 const TEXTS: [&str; 3] = ["x", "7", "z"];
@@ -148,6 +160,87 @@ fn check_centralized(tree: &Tree, q: &CompiledQuery) -> Result<(), TestCaseError
     Ok(())
 }
 
+/// Builds the repair memo on `t`, then applies one insert or delete
+/// picked by `edit` to a copy and propagates it.
+fn check_memo(
+    t: &Tree,
+    q: &CompiledQuery,
+    (pick, label, insert): (usize, usize, bool),
+) -> Result<(), TestCaseError> {
+    let (mut state, work) = IncrementalBottomUp::build(t, q);
+    let slow = bottom_up_formula_only(t, q);
+    prop_assert_eq!(state.triplet(), &slow.triplet, "memo build, query\n{}", q);
+    prop_assert_eq!(work, slow.work_units);
+
+    let mut t = t.clone();
+    let nodes: Vec<NodeId> = t
+        .descendants(t.root())
+        .filter(|&n| !t.node(n).kind.is_virtual())
+        .collect();
+    let at = nodes[pick % nodes.len()];
+    let anchor = if insert || at == t.root() || !t.virtual_nodes(at).is_empty() {
+        t.insert_child(at, label % 4, LABELS[label % LABELS.len()]);
+        at
+    } else {
+        let parent = t.node(at).parent().expect("not the root");
+        t.remove_subtree(at).unwrap();
+        parent
+    };
+    state.propagate(&t, anchor);
+    prop_assert_eq!(
+        state.triplet(),
+        &bottom_up(&t, q).triplet,
+        "memo after an edit at {}, query\n{}",
+        anchor,
+        q
+    );
+    Ok(())
+}
+
+/// Does `q` hold at `n`? The per-node reference over `n`'s subtree: with
+/// downward axes only, `V` at a node reads nothing outside it.
+fn holds_at(tree: &Tree, q: &CompiledQuery, n: NodeId) -> bool {
+    centralized_eval_reference(&tree.extract_subtree(n), q).answer
+}
+
+/// `sel`'s automaton run top-down over the reference's qualifier bits.
+fn select_by_reference(tree: &Tree, sel: &SelectionProgram) -> Vec<NodeId> {
+    let (k, mut selected) = (sel.steps.len(), Vec::new());
+    let mut todo = vec![(tree.root(), BTreeSet::from([0usize]))];
+    while let Some((n, mut states)) = todo.pop() {
+        for (i, step) in sel.steps.iter().enumerate() {
+            let moves = states.contains(&i)
+                && match step {
+                    SelStep::Qual(q) => {
+                        let qual = CompiledQuery::from_parts(sel.quals.subs().to_vec(), *q);
+                        holds_at(tree, &qual, n)
+                    }
+                    SelStep::DescOrSelf => true,
+                    SelStep::Child => false,
+                };
+            if moves {
+                states.insert(i + 1);
+            }
+        }
+        if states.contains(&k) {
+            selected.push(n);
+        }
+        let down: BTreeSet<usize> = states
+            .iter()
+            .filter_map(|&i| match sel.steps.get(i) {
+                Some(SelStep::Child) => Some(i + 1),
+                Some(SelStep::DescOrSelf) => Some(i),
+                _ => None,
+            })
+            .collect();
+        if !down.is_empty() {
+            todo.extend(tree.children(n).map(|c| (c, down.clone())));
+        }
+    }
+    selected.sort_by_key(|n| n.index());
+    selected
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -157,6 +250,7 @@ proptest! {
         history in proptest::collection::vec(mutation_strategy(), 0..24),
         queries in proptest::collection::vec(query_strategy(), 1..4),
         cuts in proptest::collection::vec(0usize..10_000, 0..5),
+        edit in (0usize..10_000, 0usize..100, proptest::bool::ANY),
     ) {
         let mut tree = tree;
         mutate(&mut tree, &history);
@@ -189,7 +283,38 @@ proptest! {
                 prop_assert_eq!(&fast.triplet, &slow.triplet, "fragment {} query\n{}", f, q);
                 prop_assert_eq!(fast.work_units, slow.work_units);
                 prop_assert_eq!(fast.work_units, (t.len() * q.len()) as u64);
+                check_memo(t, q, edit)?;
             }
+        }
+    }
+
+    #[test]
+    fn extensions_match_the_per_node_reference(
+        tree in tree_strategy(),
+        history in proptest::collection::vec(mutation_strategy(), 0..24),
+        query in query_strategy(),
+    ) {
+        let mut tree = tree;
+        mutate(&mut tree, &history);
+        let q = compile(&query);
+        let matched: Vec<NodeId> = tree
+            .descendants(tree.root())
+            .filter(|&n| holds_at(&tree, &q, n))
+            .collect();
+        prop_assert_eq!(count_centralized(&tree, &q), matched.len() as u64, "{}", q);
+        let sum: f64 = matched
+            .iter()
+            .filter_map(|&n| tree.node(n).text.as_deref()?.trim().parse::<f64>().ok())
+            .filter(|x| x.is_finite())
+            .sum();
+        prop_assert_eq!(sum_centralized(&tree, &q), sum, "{}", q);
+        if let Ok(sel) = compile_selection(&query) {
+            prop_assert_eq!(
+                select_centralized(&tree, &sel),
+                select_by_reference(&tree, &sel),
+                "{}",
+                query
+            );
         }
     }
 }
