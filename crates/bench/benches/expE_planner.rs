@@ -26,7 +26,7 @@ fn bench_planner(c: &mut Criterion) {
     let lan = Cluster::new(&forest, &placement, NetworkModel::lan());
     let wan = Cluster::new(&forest, &placement, NetworkModel::wan());
 
-    // The decision alone: estimate all six strategies from statistics.
+    // The decision alone: estimate all five strategies from statistics.
     c.bench_function("expE/choose_only", |b| {
         let planner = Planner::standard();
         let cx = PlanContext::new(&lan, &q, &stats);

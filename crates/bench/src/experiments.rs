@@ -8,11 +8,11 @@ use parbox_core::plan::{
 };
 use parbox_core::{
     full_dist_parbox, lazy_parbox, naive_centralized, naive_distributed, parbox, plan_run,
-    run_batch, CostEstimate, Engine, EngineConfig, EvalOutcome, Update,
+    CostEstimate, Engine, EngineConfig, EvalOutcome, Update,
 };
 use parbox_frag::{Forest, ForestStats, Placement};
 use parbox_net::{Cluster, NetworkModel};
-use parbox_query::{compile, compile_batch, parse_query, CompiledQuery};
+use parbox_query::{compile, parse_query, CompiledQuery};
 use parbox_xmark::{
     batch_workload, generate, marker_query, query_with_qlist, resolve_update, XmarkConfig,
 };
@@ -136,84 +136,6 @@ pub fn experiment4_fig13(scale: Scale, max_fragments: usize) -> Vec<Row> {
         rows.push(Row::from_outcome(n as f64, "ParBoX", &out));
     }
     rows
-}
-
-/// One measured row of Experiment B: the batch engine against the same
-/// queries run sequentially through per-query ParBoX.
-#[derive(Debug, Clone)]
-pub struct BatchRow {
-    /// Queries in the batch.
-    pub batch_size: usize,
-    /// `|QList|` of the merged program.
-    pub merged_qlist: usize,
-    /// Sum of the members' individual `|QList|`s.
-    pub summed_qlist: usize,
-    /// Maximum visits to any site during the batched round.
-    pub batch_max_visits: usize,
-    /// Total traffic of the batched round, bytes.
-    pub batch_bytes: usize,
-    /// Total traffic of the sequential runs, bytes.
-    pub sequential_bytes: usize,
-    /// Simulated network cost of the batched round, seconds.
-    pub batch_network_s: f64,
-    /// Simulated network cost of the sequential runs, seconds.
-    pub sequential_network_s: f64,
-    /// Modeled elapsed time of the batched round, seconds.
-    pub batch_model_s: f64,
-    /// Summed modeled elapsed time of the sequential runs, seconds.
-    pub sequential_model_s: f64,
-}
-
-/// **Experiment B**: batched multi-query evaluation vs sequential ParBoX
-/// on FT1, for each batch size in `batch_sizes`, over the default XMark
-/// serving workload ([`batch_workload`]). Answers are cross-checked
-/// member by member.
-pub fn expb_batch_vs_sequential(
-    scale: Scale,
-    machines: usize,
-    batch_sizes: &[usize],
-) -> Vec<BatchRow> {
-    let (forest, placement) = ft1(scale, machines);
-    let model = NetworkModel::lan();
-    let cluster = Cluster::new(&forest, &placement, model);
-    batch_sizes
-        .iter()
-        .map(|&n| {
-            let queries = batch_workload(n, scale.seed);
-            let batch = compile_batch(&queries);
-            let batched = run_batch(&cluster, &batch);
-
-            let mut sequential_bytes = 0usize;
-            let mut sequential_network_s = 0.0f64;
-            let mut sequential_model_s = 0.0f64;
-            let mut summed_qlist = 0usize;
-            for (i, q) in queries.iter().enumerate() {
-                let compiled = compile(q);
-                summed_qlist += compiled.len();
-                let out = parbox(&cluster, &compiled);
-                assert_eq!(
-                    out.answer, batched.answers[i],
-                    "batch/sequential disagreement on member {i} of batch {n}"
-                );
-                sequential_bytes += out.report.total_bytes();
-                sequential_network_s += out.report.network_cost_s(&model);
-                sequential_model_s += out.report.elapsed_model_s;
-            }
-
-            BatchRow {
-                batch_size: n,
-                merged_qlist: batch.merged_len(),
-                summed_qlist,
-                batch_max_visits: batched.report.max_visits(),
-                batch_bytes: batched.report.total_bytes(),
-                sequential_bytes,
-                batch_network_s: batched.report.network_cost_s(&model),
-                sequential_network_s,
-                batch_model_s: batched.report.elapsed_model_s,
-                sequential_model_s,
-            }
-        })
-        .collect()
 }
 
 /// A measured row of the Fig. 4 complexity table.
@@ -409,7 +331,7 @@ pub struct ExpERow {
 /// fragmentations (FT1 star / FT2 chain / even split) × network models
 /// (lan / wan / infinite).
 ///
-/// Per cell, all six fixed strategies run once and are scored with the
+/// Per cell, all five fixed strategies run once and are scored with the
 /// deterministic replay metric (recorded bytes at the model's rates,
 /// estimated latency rounds, work units at the calibrated rate — no
 /// wall clock, so the sweep is reproducible). The adaptive planner
@@ -950,35 +872,6 @@ mod tests {
                 r.sites_visited
             );
         }
-    }
-
-    #[test]
-    fn expb_batch_of_32_single_visit_and_4x_network_win() {
-        // The ISSUE acceptance criterion, at test scale: a batch of 32
-        // issues exactly one visit per site and beats 32 sequential ParBoX
-        // runs on total simulated network cost by at least 4×.
-        let rows = expb_batch_vs_sequential(tiny(), 4, &[32]);
-        let row = &rows[0];
-        assert_eq!(row.batch_max_visits, 1, "batch must visit each site once");
-        assert!(
-            row.sequential_network_s >= 4.0 * row.batch_network_s,
-            "network win below 4x: sequential {} vs batch {}",
-            row.sequential_network_s,
-            row.batch_network_s
-        );
-        assert!(
-            row.batch_bytes < row.sequential_bytes,
-            "batched traffic must not exceed sequential"
-        );
-        assert!(row.merged_qlist < row.summed_qlist, "no dedup happened");
-    }
-
-    #[test]
-    fn expb_savings_grow_with_batch_size() {
-        let rows = expb_batch_vs_sequential(tiny(), 3, &[1, 8, 32]);
-        let ratio = |r: &BatchRow| r.sequential_network_s / r.batch_network_s.max(1e-12);
-        assert!(ratio(&rows[2]) > ratio(&rows[1]));
-        assert!(ratio(&rows[1]) > ratio(&rows[0]));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! encoding used for
 //! communication-cost accounting: per-triplet ([`encode_triplet_dag`]) for
 //! single-query ParBoX and per-site envelopes
-//! ([`encode_site_envelope_dag`]) for the batch engine, which packs every
+//! ([`encode_site_envelope_dag`]) for batched rounds, which pack every
 //! fragment triplet a site computed into one message over one shared
 //! node table.
 //!

@@ -8,14 +8,12 @@
 //! regenerate the paper's Fig. 4 complexity table and the runtime figures
 //! of Section 6.
 
-mod batch;
 mod fulldist;
 mod hybrid;
 mod lazy;
 mod naive;
 mod parbox_algo;
 
-pub use self::batch::{batch_query_wire_size, run_batch, BatchOutcome};
 pub use self::fulldist::full_dist_parbox;
 pub use self::hybrid::hybrid_parbox;
 pub use self::lazy::lazy_parbox;
@@ -24,7 +22,7 @@ pub use self::parbox_algo::parbox;
 
 use parbox_bool::{triplet_dag_wire_size, Triplet};
 use parbox_net::{Cluster, RunReport};
-use parbox_query::{CompiledQuery, SubQuery};
+use parbox_query::{CompiledQuery, QueryBatch, SubQuery};
 
 /// Result of running a distributed evaluation algorithm.
 #[derive(Debug, Clone)]
@@ -52,6 +50,13 @@ pub fn query_wire_size(q: &CompiledQuery) -> usize {
         })
         .sum::<usize>()
         + 4 // root id
+}
+
+/// Wire size in bytes of a batch request: the merged program plus the
+/// root-id table (4 bytes per member; [`query_wire_size`] already counts
+/// the first root id).
+pub fn batch_query_wire_size(batch: &QueryBatch) -> usize {
+    query_wire_size(batch.merged()) + 4 * (batch.len() - 1)
 }
 
 /// Wire size of a *resolved* (constant) triplet, in the same DAG format

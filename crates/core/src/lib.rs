@@ -16,12 +16,11 @@
 //!   [`Executor`] trait, with statistics-driven selection
 //!   ([`Planner::choose`], [`plan_run`]) replacing the hand-written
 //!   `HybridParBoX` tipping point;
-//! * [`run_batch`] — the **batch engine**: a whole batch of concurrent
-//!   queries evaluated in one ParBoX round (one visit per site, one
-//!   traversal per fragment, one solver pass);
 //! * [`Engine`] — the **resident serving engine** ([`serve`]): an owned,
 //!   long-lived deployment with persistent site workers, two-level
-//!   triplet caching and update routing, for query/update *streams*;
+//!   triplet caching and update routing, for query/update *streams*.
+//!   Its admission round answers a whole batch of queries in one ParBoX
+//!   round (one visit per site, one traversal per fragment, one solve);
 //!   its standing queries ([`Engine::subscribe`]) are the incrementally
 //!   maintained Boolean views of Section 5, under the [`Update`]s of
 //!   [`views`].
@@ -33,10 +32,10 @@
 //! reports.
 //!
 //! ```
-//! use parbox_core::{parbox, run_batch};
+//! use parbox_core::{parbox, Engine, EngineConfig};
 //! use parbox_frag::{Forest, Placement};
 //! use parbox_net::{Cluster, NetworkModel};
-//! use parbox_query::{compile, compile_batch, parse_query};
+//! use parbox_query::{compile, parse_query};
 //! use parbox_xml::Tree;
 //!
 //! // Fragment a document over two sites…
@@ -57,12 +56,16 @@
 //! assert!(out.answer);
 //! assert_eq!(out.report.max_visits(), 1);
 //!
-//! // …and a whole batch through the batch engine: still one visit.
-//! let queries: Vec<_> = ["[//A]", "[//B]", "[//A and not //B]"]
-//!     .iter().map(|s| parse_query(s).unwrap()).collect();
-//! let batch = run_batch(&cluster, &compile_batch(&queries));
-//! assert_eq!(batch.answers, vec![true, true, false]);
-//! assert_eq!(batch.report.max_visits(), 1);
+//! // …and a whole batch as one round of the serving engine: still one
+//! // visit per site.
+//! let mut engine = Engine::new(forest, placement, EngineConfig::default()).unwrap();
+//! for src in ["[//A]", "[//B]", "[//A and not //B]"] {
+//!     engine.submit(&parse_query(src).unwrap());
+//! }
+//! let round = engine.flush().unwrap();
+//! let answers: Vec<bool> = round.answers.iter().map(|&(_, a)| a).collect();
+//! assert_eq!(answers, vec![true, true, false]);
+//! assert_eq!(round.report.max_visits(), 1);
 //! ```
 
 pub mod aggregate;
@@ -78,8 +81,7 @@ pub use aggregate::{
 };
 pub use algorithms::{
     batch_query_wire_size, full_dist_parbox, hybrid_parbox, lazy_parbox, naive_centralized,
-    naive_distributed, parbox, query_wire_size, resolved_triplet_wire_size, run_batch,
-    BatchOutcome, EvalOutcome,
+    naive_distributed, parbox, query_wire_size, resolved_triplet_wire_size, EvalOutcome,
 };
 pub use eval::{
     bottom_up, bottom_up_formula_only, bottom_up_reference, centralized_eval,

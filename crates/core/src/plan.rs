@@ -49,12 +49,12 @@
 
 use crate::algorithms::{
     full_dist_parbox, lazy_parbox, naive_centralized, naive_distributed, parbox, query_wire_size,
-    resolved_triplet_wire_size, run_batch, EvalOutcome,
+    resolved_triplet_wire_size, EvalOutcome,
 };
 use parbox_frag::{ForestStats, SiteId};
 use parbox_net::{Cluster, NetworkModel, RunReport};
 pub use parbox_net::{CostEstimate, PlanSummary};
-use parbox_query::{merge_programs, CompiledQuery};
+use parbox_query::CompiledQuery;
 use parbox_xml::FragmentId;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -83,8 +83,8 @@ pub fn estimated_triplet_bytes(m: usize, fanout: usize) -> usize {
 /// Predicted wire size of one site's batch envelope:
 /// `triplet_bytes_sum` of predicted per-fragment triplet bytes sharing
 /// one node table, behind the envelope's fragment-count/site header.
-/// The single source of truth for the framing constant — used by
-/// [`BatchExec`] and by the serving engine's per-round planner.
+/// The single source of truth for the framing constant, used by the
+/// serving engine's per-round planner.
 pub fn estimated_envelope_bytes(triplet_bytes_sum: usize) -> usize {
     4 + triplet_bytes_sum
 }
@@ -425,64 +425,6 @@ impl Executor for LazyExec {
     }
 }
 
-/// `BatchParBoX` over a single-member batch: ParBoX's round with the
-/// batch protocol's one-envelope-per-site framing (the natural executor
-/// when the caller serves admission rounds).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BatchExec;
-
-impl Executor for BatchExec {
-    fn name(&self) -> &'static str {
-        "BatchParBoX"
-    }
-
-    fn estimate(&self, cx: &PlanContext<'_>) -> CostEstimate {
-        let d = Derived::of(cx);
-        let model = &cx.cluster.model;
-        let coord = cx.cluster.coordinator();
-        // One envelope per remote site: a small header plus its
-        // fragments' triplets sharing one node table. One grouped pass
-        // over the fragment table, not one scan per site.
-        let mut per_site: BTreeMap<u32, usize> = BTreeMap::new();
-        for (_, s) in cx.stats.fragments() {
-            if s.site != coord {
-                *per_site.entry(s.site.0).or_default() += estimated_triplet_bytes(d.m, s.fanout);
-            }
-        }
-        let envelope_bytes: usize = per_site
-            .values()
-            .map(|&b| estimated_envelope_bytes(b))
-            .sum();
-        let request = d.qsize; // single member: merged program == program
-        let broadcast = if d.sites > 1 {
-            model.transfer_time(request)
-        } else {
-            0.0
-        };
-        CostEstimate {
-            visits: d.sites,
-            messages: 2 * d.remote_sites,
-            traffic_bytes: request * d.remote_sites + envelope_bytes,
-            rounds: if d.remote_sites > 0 { 2 } else { 0 },
-            work_units: (d.total_nodes * d.m + d.m * d.card) as u64,
-            modeled_s: broadcast
-                + Derived::compute_s(d.max_site_nodes, d.m)
-                + model.estimate_round(d.remote_sites, envelope_bytes)
-                + Derived::compute_s(d.card, d.m),
-        }
-    }
-
-    fn execute(&self, cluster: &Cluster<'_>, q: &CompiledQuery) -> EvalOutcome {
-        let batch = merge_programs(std::slice::from_ref(q));
-        let out = run_batch(cluster, &batch);
-        EvalOutcome {
-            answer: out.answers[0],
-            report: out.report,
-            algorithm: "BatchParBoX",
-        }
-    }
-}
-
 /// A serving round's data-plane schedule, chosen by [`RoundDemand::plan`].
 pub(crate) struct RoundPlan {
     /// The needed fragments, one group per dispatch; the engine attempts
@@ -686,12 +628,12 @@ pub struct Planner {
 }
 
 impl Planner {
-    /// All six strategies of the paper (plus the batch engine's framing).
+    /// The paper's five fixed strategies (`HybridParBoX` is the
+    /// two-way [`Planner::hybrid`] over two of them).
     pub fn standard() -> Planner {
         Planner {
             executors: vec![
                 Box::new(ParBoxExec),
-                Box::new(BatchExec),
                 Box::new(FullDistExec),
                 Box::new(LazyExec),
                 Box::new(NaiveCentralizedExec),
@@ -942,7 +884,7 @@ mod tests {
         let out = choice.execute(&cluster, &q);
         let planned = out.report.planned.expect("planned run records a summary");
         assert_eq!(planned.strategy, choice.summary.strategy);
-        assert_eq!(planned.candidates, 6);
+        assert_eq!(planned.candidates, 5);
         // The label of the executed algorithm matches the plan.
         assert_eq!(out.algorithm, planned.strategy);
         // plan_run is the same path.
@@ -959,7 +901,7 @@ mod tests {
         let q = compile(&parse_query("[//goal]").unwrap());
         let cx = PlanContext::new(&cluster, &q, &stats);
         let explain = Planner::standard().explain(&cx);
-        assert_eq!(explain.entries.len(), 6);
+        assert_eq!(explain.entries.len(), 5);
         assert!(explain
             .entries
             .windows(2)

@@ -10,8 +10,8 @@
 //!
 //! * an **admission queue** — submitted queries coalesce into one
 //!   [`parbox_query::QueryBatch`] per round (under a configurable
-//!   batching window / batch-size bound), so the data plane keeps the
-//!   batch engine's one-visit-per-site discipline under online traffic;
+//!   batching window / batch-size bound), so the data plane answers a
+//!   whole batch with one visit per site under online traffic;
 //! * a two-level **triplet cache** keyed by `(FragmentId,`
 //!   [`QueryFingerprint`]`)` — each site worker memoizes the triplets it
 //!   computed (skipping `bottomUp` on a repeat), and the coordinator

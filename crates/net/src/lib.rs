@@ -14,11 +14,8 @@
 //! why this substitution preserves the paper's experimental shapes.
 //!
 //! A [`Cluster`] bundles a fragmented document, its placement and a cost
-//! model — the input every algorithm in `parbox-core` takes. For batched
-//! evaluation, [`BatchRound`] enforces the single-visit discipline: one
-//! request and one triplet envelope per site per batch, however many
-//! queries the batch holds. For *serving* traffic, the [`engine`] module
-//! replaces per-query scoped threads with a [`SitePool`] of persistent
+//! model — the input every algorithm in `parbox-core` takes. For
+//! *serving* traffic, the [`engine`] module replaces per-query scoped threads with a [`SitePool`] of persistent
 //! site workers — one resident actor per site, owning its fragments and
 //! a fingerprint-keyed triplet cache. Residency brings failure with it:
 //! the [`fault`] module supplies deterministic fault injection
@@ -27,26 +24,37 @@
 //! backoff, actor restart, and authoritative fragment re-seeding.
 //!
 //! ```
-//! use parbox_net::{BatchRound, MessageKind, NetworkModel, SiteId};
+//! use parbox_bool::Triplet;
+//! use parbox_net::{FragmentEval, NetworkModel, SiteId, SitePool};
+//! use parbox_query::{compile, parse_query, CompiledQuery};
+//! use parbox_xml::{FragmentId, Tree};
+//! use std::sync::Arc;
 //!
 //! // A LAN message costs latency plus payload over bandwidth.
 //! let lan = NetworkModel::lan();
 //! assert!(lan.transfer_time(1_000) < lan.transfer_time(1_000_000));
 //!
-//! // One batched round: visit both sites once, collect one envelope each.
-//! let mut round = BatchRound::new(SiteId(0));
-//! for s in [SiteId(0), SiteId(1)] {
-//!     round.visit(s, 120).unwrap();
+//! // Two resident site workers, one fragment each, running an injected
+//! // kernel (parbox-core passes `bottomUp`; this one answers all-false).
+//! fn kernel(tree: &Tree, q: &CompiledQuery) -> FragmentEval {
+//!     FragmentEval { triplet: Triplet::all_false(q.len()), work_units: tree.len() as u64 }
 //! }
-//! round.reply(SiteId(1), 48).unwrap();
-//! // A second visit would break the paper's guarantee — and is rejected.
-//! assert!(round.visit(SiteId(1), 120).is_err());
-//! let report = round.finish();
-//! assert_eq!(report.max_visits(), 1);
-//! assert_eq!(report.bytes_of_kind(MessageKind::Envelope), 48);
+//! let tree = Arc::new(Tree::parse("<a><b/></a>").unwrap());
+//! let sites = (0..2)
+//!     .map(|s| (SiteId(s), vec![(FragmentId(s), Arc::clone(&tree))]))
+//!     .collect();
+//! let mut pool = SitePool::spawn(sites, 16, kernel);
+//!
+//! // One round: each site evaluates its fragment in parallel and replies
+//! // once. Asked again under the same program, both serve their caches.
+//! let program = Arc::new(compile(&parse_query("[//b]").unwrap()));
+//! let fp = program.program_fingerprint();
+//! let per_site = || (0..2).map(|s| (SiteId(s), vec![FragmentId(s)])).collect();
+//! assert_eq!(pool.eval_round(&program, fp, per_site()).len(), 2);
+//! let again = pool.eval_round(&program, fp, per_site());
+//! assert!(again.iter().all(|r| r.triplets.iter().all(|&(_, _, hit)| hit)));
 //! ```
 
-mod batch;
 mod cluster;
 pub mod engine;
 mod exec;
@@ -54,7 +62,6 @@ pub mod fault;
 mod metrics;
 mod model;
 
-pub use batch::{BatchProtocolError, BatchRound};
 pub use cluster::Cluster;
 pub use engine::{
     BuildFn, DeltaMemo, EvalFn, EvalReply, FragmentEval, PatchFn, RepairOutcome, RepairReply,

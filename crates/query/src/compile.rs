@@ -342,9 +342,9 @@ pub fn compile(q: &Query) -> CompiledQuery {
 /// the member queries' `QList`s, hash-consed across query boundaries, plus
 /// one root id per member.
 ///
-/// This is the front end of the multi-query batch engine: evaluating the
-/// merged program once per fragment computes every member query's answer
-/// in the same tree traversal, so a whole batch costs one site visit and
+/// This is the front end of the serving engine's admission round:
+/// evaluating the merged program once per fragment computes every member
+/// query's answer in the same tree traversal, so a whole batch costs one site visit and
 /// one `(V, CV, DV)` exchange instead of one per query. Sub-queries shared
 /// between members (common predicates, common path prefixes) are compiled
 /// — and evaluated, and shipped — exactly once.

@@ -7,7 +7,7 @@
 //! parbox-cli run      <file.xml> '<query>' [--fragments N] [--sites K] [--algo NAME]
 //!                                                   fragment + evaluate distributed
 //! parbox-cli batch    <file.xml> '<q1>' '<q2>' … [--fragments N] [--sites K]
-//!                                                   evaluate a whole batch in one round
+//!                                                   answer a whole batch in one engine round
 //! parbox-cli serve    <file.xml> [--fragments N] [--sites K] [--ops N] [--seed S]
 //!                                                   drive a mixed workload through the
 //!                                                   resident serving engine
@@ -16,7 +16,7 @@
 
 use parbox::core::{
     centralized_eval, count_centralized, full_dist_parbox, lazy_parbox, naive_centralized,
-    naive_distributed, parbox, run_batch, select_centralized, sum_centralized,
+    naive_distributed, parbox, select_centralized, sum_centralized,
 };
 use parbox::core::{Engine, EngineConfig, PlanContext, Planner};
 use parbox::frag::{strategies, Forest, ForestStats, Placement};
@@ -75,13 +75,21 @@ USAGE:
 Fault spec: comma-separated kind:rate pairs, e.g. --fault-plan panic:0.01,wedge:0.02
             (kinds: panic wedge delay drop crash; chaos runs print restart/retry counters)
 Query syntax (XBL): [//stock[code/text() = \"GOOG\" and sell/text() = \"376\"]]
-Strategies: ParBoX BatchParBoX NaiveCentralized NaiveDistributed FullDistParBoX LazyParBoX
+Strategies: ParBoX NaiveCentralized NaiveDistributed FullDistParBoX LazyParBoX
             auto — the cost-based planner picks per query (see `explain`)
 (--algo remains an alias of --strategy.)
 ";
 
 fn flag(args: &[String], name: &str) -> Option<String> {
     args.windows(2).find(|w| w[0] == name).map(|w| w[1].clone())
+}
+
+/// Parses the numeric flag `name`, if given. A value that does not
+/// parse is an error naming the flag, never a silent default.
+fn num_flag<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {
+    flag(args, name)
+        .map(|v| v.parse().map_err(|_| format!("{name}: bad value {v:?}")))
+        .transpose()
 }
 
 fn positional(args: &[String]) -> Vec<&String> {
@@ -189,20 +197,16 @@ fn network_flag(args: &[String]) -> Result<NetworkModel, String> {
     }
 }
 
-/// Fragments `file` and deploys it for `run` / `explain`.
-fn deploy(file: &str, args: &[String]) -> Result<(Forest, Placement, NetworkModel, usize), String> {
-    let fragments: usize = flag(args, "--fragments")
-        .map(|v| v.parse().unwrap_or(4))
-        .unwrap_or(4);
-    let sites: u32 = flag(args, "--sites")
-        .map(|v| v.parse().unwrap_or(fragments as u32))
-        .unwrap_or(fragments as u32);
-    let model = network_flag(args)?;
+/// Fragments `file` (`--fragments`, default 4) and places the fragments
+/// round-robin over `--sites` sites (default one per fragment).
+fn deploy(file: &str, args: &[String]) -> Result<(Forest, Placement), String> {
+    let fragments: usize = num_flag(args, "--fragments")?.unwrap_or(4);
+    let sites: u32 = num_flag(args, "--sites")?.unwrap_or(fragments as u32);
     let tree = load_tree(file)?;
     let mut forest = Forest::from_tree(tree);
     strategies::fragment_evenly(&mut forest, fragments).map_err(|e| format!("fragmenting: {e}"))?;
     let placement = Placement::round_robin(&forest, sites.max(1));
-    Ok((forest, placement, model, fragments))
+    Ok((forest, placement))
 }
 
 fn cmd_run(args: &[String]) -> Result<(), String> {
@@ -218,7 +222,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         .or_else(|| flag(args, "--algo"))
         .unwrap_or_else(|| "all".into());
 
-    let (forest, placement, model, _) = deploy(file, args)?;
+    let (forest, placement) = deploy(file, args)?;
+    let model = network_flag(args)?;
     let q = compile(&parse_arg_query(src)?);
     let expected = centralized_eval(&forest.reassemble(), &q);
     let cluster =
@@ -251,10 +256,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             "NaiveDistributed" => naive_distributed(&cluster, &q),
             "FullDistParBoX" => full_dist_parbox(&cluster, &q),
             "LazyParBoX" => lazy_parbox(&cluster, &q),
-            "BatchParBoX" => {
-                use parbox::core::plan::{BatchExec, Executor as _};
-                BatchExec.execute(&cluster, &q)
-            }
             "auto" | "Auto" => parbox::core::plan_run(&cluster, &q),
             "HybridParBoX" => parbox::core::hybrid_parbox(&cluster, &q),
             other => return Err(format!("unknown strategy {other:?}")),
@@ -301,7 +302,8 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
                 .into(),
         );
     };
-    let (forest, placement, model, _) = deploy(file, args)?;
+    let (forest, placement) = deploy(file, args)?;
+    let model = network_flag(args)?;
     let q = compile(&parse_arg_query(src)?);
     let cluster =
         Cluster::try_new(&forest, &placement, model).map_err(|e| format!("deploying: {e}"))?;
@@ -335,41 +337,39 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
     if queries.is_empty() {
         return Err("batch needs at least one query".into());
     }
-    let fragments: usize = flag(args, "--fragments")
-        .map(|v| v.parse().unwrap_or(4))
-        .unwrap_or(4);
-    let sites: u32 = flag(args, "--sites")
-        .map(|v| v.parse().unwrap_or(fragments as u32))
-        .unwrap_or(fragments as u32);
-
-    let tree = load_tree(file)?;
     let parsed = queries
         .iter()
         .map(|src| parse_arg_query(src))
         .collect::<Result<Vec<_>, _>>()?;
-    let batch = compile_batch(&parsed);
+    let (forest, placement) = deploy(file, args)?;
+    let whole = forest.reassemble();
+    let mut engine = Engine::new(forest, placement, EngineConfig::default())
+        .map_err(|e| format!("deploying: {e}"))?;
+    let model = *engine.model();
+    for q in &parsed {
+        engine.submit(q);
+    }
+    let out = engine.flush().expect("the batch is pending");
 
-    let mut forest = Forest::from_tree(tree);
-    strategies::fragment_evenly(&mut forest, fragments).map_err(|e| format!("fragmenting: {e}"))?;
-    let placement = Placement::round_robin(&forest, sites.max(1));
-    let model = NetworkModel::lan();
-    let cluster =
-        Cluster::try_new(&forest, &placement, model).map_err(|e| format!("deploying: {e}"))?;
-
-    let out = run_batch(&cluster, &batch);
     let compiled: Vec<_> = parsed.iter().map(compile).collect();
     let summed: usize = compiled.iter().map(|c| c.len()).sum();
     println!(
         "batch of {} queries — merged QList {} (vs {} compiled separately), {} fragments, {} site(s)",
-        batch.len(),
-        batch.merged_len(),
+        parsed.len(),
+        compile_batch(&parsed).merged_len(),
         summed,
-        forest.card(),
-        placement.sites().len()
+        engine.forest().card(),
+        engine.placement().sites().len()
     );
-    for (src, answer) in queries.iter().zip(&out.answers) {
+    let mut disagreed = Vec::new();
+    for ((src, c), &(_, answer)) in queries.iter().zip(&compiled).zip(&out.answers) {
         println!("{answer:<5}  {src}");
+        if answer != centralized_eval(&whole, c) {
+            disagreed.push(src.as_str());
+        }
     }
+    let cluster = Cluster::try_new(engine.forest(), engine.placement(), model)
+        .map_err(|e| format!("deploying: {e}"))?;
     let sequential: f64 = compiled
         .iter()
         .map(|c| parbox(&cluster, c).report.network_cost_s(&model))
@@ -388,6 +388,11 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
         batched,
         sequential,
     );
+    if !disagreed.is_empty() {
+        return Err(format!(
+            "the engine disagreed with the centralized answer on {disagreed:?}"
+        ));
+    }
     Ok(())
 }
 
@@ -399,44 +404,23 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                 .into(),
         );
     };
-    let fragments: usize = flag(args, "--fragments")
-        .map(|v| v.parse().unwrap_or(4))
-        .unwrap_or(4);
-    let sites: u32 = flag(args, "--sites")
-        .map(|v| v.parse().unwrap_or(fragments as u32))
-        .unwrap_or(fragments as u32);
-    let ops: usize = flag(args, "--ops")
-        .map(|v| v.parse().unwrap_or(1000))
-        .unwrap_or(1000);
-    let seed: u64 = flag(args, "--seed")
-        .map(|v| v.parse().unwrap_or(2006))
-        .unwrap_or(2006);
-    let max_batch: usize = flag(args, "--batch")
-        .map(|v| v.parse().unwrap_or(32))
-        .unwrap_or(32);
+    let ops: usize = num_flag(args, "--ops")?.unwrap_or(1000);
+    let seed: u64 = num_flag(args, "--seed")?.unwrap_or(2006);
+    let max_batch: usize = num_flag(args, "--batch")?.unwrap_or(32);
     let fault_plan = match flag(args, "--fault-plan") {
         Some(spec) => FaultPlan::parse(&spec, seed, std::time::Duration::from_millis(75))
             .map_err(|e| format!("--fault-plan: {e}"))?,
         None => FaultPlan::none(),
     };
-    let supervisor = flag(args, "--deadline-ms")
-        .map(|v| {
-            v.parse::<u64>()
-                .map_err(|_| format!("--deadline-ms: bad value {v:?}"))
-        })
-        .transpose()?
-        .map(|ms| SupervisorConfig {
-            deadline: std::time::Duration::from_millis(ms),
-            max_attempts: 4,
-            restart_after_timeouts: 1,
-            backoff_base: std::time::Duration::from_millis((ms / 4).max(1)),
-            jitter_seed: seed,
-        });
+    let supervisor = num_flag::<u64>(args, "--deadline-ms")?.map(|ms| SupervisorConfig {
+        deadline: std::time::Duration::from_millis(ms),
+        max_attempts: 4,
+        restart_after_timeouts: 1,
+        backoff_base: std::time::Duration::from_millis((ms / 4).max(1)),
+        jitter_seed: seed,
+    });
 
-    let tree = load_tree(file)?;
-    let mut forest = Forest::from_tree(tree);
-    strategies::fragment_evenly(&mut forest, fragments).map_err(|e| format!("fragmenting: {e}"))?;
-    let placement = Placement::round_robin(&forest, sites.max(1));
+    let (forest, placement) = deploy(file, args)?;
     let chaotic = !fault_plan.is_inert();
     let config = EngineConfig {
         max_batch,
@@ -504,17 +488,67 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_generate(args: &[String]) -> Result<(), String> {
-    let bytes: usize = flag(args, "--bytes")
-        .ok_or("usage: parbox-cli generate --bytes N [--seed S]")?
-        .parse()
-        .map_err(|e| format!("--bytes: {e}"))?;
-    let seed: u64 = flag(args, "--seed")
-        .map(|v| v.parse().unwrap_or(0))
-        .unwrap_or(0);
+    let bytes: usize =
+        num_flag(args, "--bytes")?.ok_or("usage: parbox-cli generate --bytes N [--seed S]")?;
+    let seed: u64 = num_flag(args, "--seed")?.unwrap_or(0);
     let tree = generate(XmarkConfig {
         target_bytes: bytes,
         seed,
     });
     println!("{}", tree.to_xml());
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(xs: &[&str]) -> Vec<String> {
+        xs.iter().map(|x| x.to_string()).collect()
+    }
+
+    #[test]
+    fn numeric_flags_parse_or_name_the_flag() {
+        let a = args(&["doc.xml", "--ops", "12", "--sites", "-1"]);
+        assert_eq!(num_flag::<usize>(&a, "--ops"), Ok(Some(12)));
+        assert_eq!(num_flag::<usize>(&a, "--seed"), Ok(None));
+        let err = num_flag::<u32>(&a, "--sites").unwrap_err();
+        assert!(err.contains("--sites") && err.contains("-1"), "{err}");
+    }
+
+    #[test]
+    fn every_command_rejects_a_malformed_numeric_flag() {
+        type Cmd = fn(&[String]) -> Result<(), String>;
+        let cases: [(Cmd, &[&str], &str); 9] = [
+            (cmd_run, &["missing.xml", "[//a]"], "--fragments"),
+            (cmd_explain, &["missing.xml", "[//a]"], "--sites"),
+            (cmd_batch, &["missing.xml", "[//a]", "[//b]"], "--fragments"),
+            (cmd_batch, &["missing.xml", "[//a]"], "--sites"),
+            (cmd_serve, &["missing.xml"], "--ops"),
+            (cmd_serve, &["missing.xml"], "--seed"),
+            (cmd_serve, &["missing.xml"], "--batch"),
+            (cmd_serve, &["missing.xml"], "--deadline-ms"),
+            (cmd_generate, &["--bytes", "100"], "--seed"),
+        ];
+        for (cmd, base, name) in cases {
+            let mut a = args(base);
+            a.extend(args(&[name, "abc"]));
+            let err = cmd(&a).expect_err(name);
+            assert!(err.contains(name) && err.contains("abc"), "{name}: {err}");
+        }
+        let err = cmd_generate(&args(&["--bytes", "abc"])).unwrap_err();
+        assert!(err.contains("--bytes"), "{err}");
+    }
+
+    #[test]
+    fn batch_answers_in_one_engine_round() {
+        let path =
+            std::env::temp_dir().join(format!("parbox-cli-batch-{}.xml", std::process::id()));
+        std::fs::write(&path, "<r><x><A/></x><y><B/></y><z><C/></z></r>").unwrap();
+        let file = path.to_string_lossy().into_owned();
+        let a = args(&[&file, "[//A and //B]", "[//A]", "[//A and not //C]"]);
+        let run = cmd_batch(&[a, args(&["--fragments", "3", "--sites", "2"])].concat());
+        std::fs::remove_file(&path).unwrap();
+        run.unwrap();
+    }
 }

@@ -74,9 +74,9 @@ pub use parbox_xml as xml;
 pub mod prelude {
     pub use parbox_core::{
         centralized_eval, count_distributed, full_dist_parbox, hybrid_parbox, lazy_parbox,
-        naive_centralized, naive_distributed, parbox, plan_run, run_batch, select_distributed,
-        sum_distributed, BatchOutcome, Completeness, CostEstimate, Engine, EngineConfig,
-        EvalOutcome, PlanContext, Planner, QueryOutcome, RoundOutcome, Update,
+        naive_centralized, naive_distributed, parbox, plan_run, select_distributed,
+        sum_distributed, Completeness, CostEstimate, Engine, EngineConfig, EvalOutcome,
+        PlanContext, Planner, QueryOutcome, RoundOutcome, Update,
     };
     pub use parbox_frag::{Forest, Placement, SourceTree};
     pub use parbox_net::{Cluster, NetworkModel, SiteId};

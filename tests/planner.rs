@@ -45,7 +45,7 @@ proptest! {
             chosen.algorithm, &query, model_name
         );
         let planned = chosen.report.planned.as_ref().expect("summary recorded");
-        prop_assert_eq!(planned.candidates, 6);
+        prop_assert_eq!(planned.candidates, 5);
         prop_assert_eq!(planned.strategy.as_str(), chosen.algorithm);
         for exec in planner.executors() {
             prop_assert_eq!(
