@@ -875,6 +875,53 @@ mod tests {
     }
 
     #[test]
+    fn expb_batch_of_32_single_visit_and_4x_network_win() {
+        // At test scale: a batch of 32 answered as one Engine admission
+        // round issues exactly one visit per site and beats 32 sequential
+        // ParBoX runs on total simulated network cost by at least 4x.
+        let scale = tiny();
+        let (forest, placement) = ft1(scale, 4);
+        let model = NetworkModel::lan();
+        let cluster = Cluster::new(&forest, &placement, model);
+        let queries = batch_workload(32, scale.seed);
+        let config = EngineConfig {
+            model,
+            ..EngineConfig::default()
+        };
+        let mut engine =
+            Engine::new(forest.clone(), placement.clone(), config).expect("valid deployment");
+        for q in &queries {
+            engine.submit(q);
+        }
+        let round = engine.flush().expect("the batch is pending");
+
+        let mut sequential_bytes = 0usize;
+        let mut sequential_network_s = 0.0f64;
+        let mut summed_qlist = 0usize;
+        for (i, q) in queries.iter().enumerate() {
+            let compiled = compile(q);
+            summed_qlist += compiled.len();
+            let solo = parbox(&cluster, &compiled);
+            assert_eq!(solo.answer, round.answers[i].1, "member {i}");
+            sequential_bytes += solo.report.total_bytes();
+            sequential_network_s += solo.report.network_cost_s(&model);
+        }
+        let batch_network_s = round.report.network_cost_s(&model);
+
+        assert_eq!(round.report.max_visits(), 1, "batch must visit each site once");
+        assert!(
+            sequential_network_s >= 4.0 * batch_network_s,
+            "network win below 4x: sequential {sequential_network_s} vs batch {batch_network_s}"
+        );
+        assert!(
+            round.report.total_bytes() < sequential_bytes,
+            "batched traffic must not exceed sequential"
+        );
+        let merged_qlist = parbox_query::compile_batch(&queries).merged_len();
+        assert!(merged_qlist < summed_qlist, "no dedup happened");
+    }
+
+    #[test]
     fn expe_adaptive_planner_tracks_best_fixed_strategy() {
         // The ISSUE acceptance criterion, at test scale: across query
         // shapes × fragmentations × network models, the adaptive

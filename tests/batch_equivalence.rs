@@ -205,6 +205,31 @@ const FIG1_BATCH: [&str; 6] = [
 ];
 
 #[test]
+fn fig1_batch_matches_per_query_parbox_and_centralized() {
+    let forest = fig1_forest();
+    let whole = forest.reassemble();
+    let placement = Placement::one_per_fragment(&forest);
+    let cluster = Cluster::new(&forest, &placement, NetworkModel::lan());
+    let qs = queries(&FIG1_BATCH);
+    let out = engine_round(&forest, &placement, NetworkModel::lan(), &qs);
+    assert_eq!(out.answers.len(), FIG1_BATCH.len());
+    for (i, src) in FIG1_BATCH.iter().enumerate() {
+        let compiled = compile(&qs[i]);
+        let answer = out.answers[i].1;
+        assert_eq!(
+            answer,
+            parbox(&cluster, &compiled).answer,
+            "parbox mismatch on {src}"
+        );
+        assert_eq!(
+            answer,
+            centralized_eval(&whole, &compiled),
+            "centralized mismatch on {src}"
+        );
+    }
+}
+
+#[test]
 fn one_request_and_one_envelope_per_remote_site() {
     let forest = fig1_forest();
     let placement = Placement::one_per_fragment(&forest);
