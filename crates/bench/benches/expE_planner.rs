@@ -10,7 +10,6 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use parbox_bench::{ft1, Scale};
 use parbox_core::plan::{plan_run, PlanContext, Planner};
 use parbox_core::{naive_centralized, parbox};
-use parbox_frag::ForestStats;
 use parbox_net::{Cluster, NetworkModel};
 use parbox_xmark::query_with_qlist;
 
@@ -21,7 +20,6 @@ fn bench_planner(c: &mut Criterion) {
     };
     let (forest, placement) = ft1(scale, 8);
     let (_, q) = query_with_qlist(8, scale.seed);
-    let stats = ForestStats::compute(&forest, &placement);
 
     let lan = Cluster::new(&forest, &placement, NetworkModel::lan());
     let wan = Cluster::new(&forest, &placement, NetworkModel::wan());
@@ -29,7 +27,7 @@ fn bench_planner(c: &mut Criterion) {
     // The decision alone: estimate all five strategies from statistics.
     c.bench_function("expE/choose_only", |b| {
         let planner = Planner::standard();
-        let cx = PlanContext::new(&lan, &q, &stats);
+        let cx = PlanContext::new(&lan, &q);
         b.iter(|| planner.choose(&cx).summary.estimate.modeled_s)
     });
 

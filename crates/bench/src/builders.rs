@@ -243,7 +243,7 @@ mod tests {
             let (forest, placement) = ft1(tiny(), n);
             assert_eq!(forest.card(), n);
             forest.validate().unwrap();
-            placement.validate(&forest).unwrap();
+            placement.check(&forest).unwrap();
             // One fragment per site.
             assert_eq!(placement.sites().len(), n);
         }
@@ -278,7 +278,7 @@ mod tests {
         let (forest, placement) = ft3(tiny(), 0.5);
         assert_eq!(forest.card(), 8);
         forest.validate().unwrap();
-        placement.validate(&forest).unwrap();
+        placement.check(&forest).unwrap();
         // F1's section is the largest non-root fragment.
         let sizes: Vec<(FragmentId, usize)> = forest
             .fragment_ids()

@@ -10,7 +10,7 @@ use parbox_core::{
     full_dist_parbox, lazy_parbox, naive_centralized, naive_distributed, parbox, plan_run,
     CostEstimate, Engine, EngineConfig, EvalOutcome, Update,
 };
-use parbox_frag::{Forest, ForestStats, Placement};
+use parbox_frag::{Forest, Placement};
 use parbox_net::{Cluster, NetworkModel};
 use parbox_query::{compile, parse_query, CompiledQuery};
 use parbox_xmark::{
@@ -367,7 +367,6 @@ pub fn expe_planner(scale: Scale, machines: usize) -> Vec<ExpERow> {
 
     let mut rows = Vec::new();
     for (shape, (forest, placement)) in &shapes {
-        let stats = ForestStats::compute(forest, placement);
         let queries: Vec<(&str, CompiledQuery)> = vec![
             ("tiny-selective", compile_str(&marker_query("F0"))),
             ("mid", query_with_qlist(8, scale.seed).1),
@@ -379,7 +378,7 @@ pub fn expe_planner(scale: Scale, machines: usize) -> Vec<ExpERow> {
                 // The workload statistic a serving deployment would have
                 // accumulated: at what depth this query resolves.
                 let depth = measure_resolution_depth(&cluster, q);
-                let mut cx = PlanContext::new(&cluster, q, &stats);
+                let mut cx = PlanContext::new(&cluster, q);
                 cx.resolve_depth_hint = Some(depth);
                 let planner = Planner::standard();
                 let choice = planner.choose(&cx);
@@ -908,7 +907,11 @@ mod tests {
         }
         let batch_network_s = round.report.network_cost_s(&model);
 
-        assert_eq!(round.report.max_visits(), 1, "batch must visit each site once");
+        assert_eq!(
+            round.report.max_visits(),
+            1,
+            "batch must visit each site once"
+        );
         assert!(
             sequential_network_s >= 4.0 * batch_network_s,
             "network win below 4x: sequential {sequential_network_s} vs batch {batch_network_s}"

@@ -31,7 +31,7 @@ use crate::eval::bottom_up::{FragmentPass, Rows};
 use crate::eval::columns::ones;
 use crate::eval::FragmentRun;
 use parbox_bool::{triplet_dag_wire_size, EquationSystem, Formula, Var};
-use parbox_net::{run_sites_parallel, Cluster, MessageKind, RunReport};
+use parbox_net::{run_sites_parallel, Cluster, MessageKind, RunReport, SiteId};
 use parbox_query::CompiledQuery;
 use parbox_xml::{FragmentId, NodeId, Tree};
 use std::collections::HashMap;
@@ -109,8 +109,8 @@ fn aggregate_distributed(
     let wall = Instant::now();
     let mut report = RunReport::new();
     let coord = cluster.coordinator();
-    let st = &cluster.source_tree;
-    let sites = cluster.sites();
+    let st = &cluster.forest_stats;
+    let sites: Vec<SiteId> = st.sites().collect();
     let qsize = query_wire_size(q);
 
     // Stage 1+2 (one visit per site): every fragment produces both its
@@ -123,8 +123,7 @@ fn aggregate_distributed(
         }
     }
     let runs = run_sites_parallel(&sites, |s| {
-        cluster
-            .fragments_at(s)
+        st.fragments_at(s)
             .into_iter()
             .map(|f| {
                 let (run, residual) = aggregate_fragment(&cluster.forest.fragment(f).tree, q, kind);

@@ -13,7 +13,7 @@
 use crate::algorithms::{query_wire_size, resolved_triplet_wire_size, EvalOutcome};
 use crate::eval::bottom_up;
 use parbox_bool::{KleeneRows, Triplet, Var, VecKind};
-use parbox_net::{run_sites_parallel, Cluster, MessageKind, RunReport};
+use parbox_net::{run_sites_parallel, Cluster, MessageKind, RunReport, SiteId};
 use parbox_query::CompiledQuery;
 use parbox_xml::FragmentId;
 use std::collections::HashMap;
@@ -24,8 +24,8 @@ pub fn full_dist_parbox(cluster: &Cluster<'_>, q: &CompiledQuery) -> EvalOutcome
     let wall = Instant::now();
     let mut report = RunReport::new();
     let coord = cluster.coordinator();
-    let st = &cluster.source_tree;
-    let sites = cluster.sites();
+    let st = &cluster.forest_stats;
+    let sites: Vec<SiteId> = st.sites().collect();
     let qsize = query_wire_size(q);
 
     // Stage 1: broadcast the query (and the source-tree replica).
@@ -37,8 +37,7 @@ pub fn full_dist_parbox(cluster: &Cluster<'_>, q: &CompiledQuery) -> EvalOutcome
 
     // Stage 2: parallel partial evaluation (identical to ParBoX).
     let runs = run_sites_parallel(&sites, |s| {
-        cluster
-            .fragments_at(s)
+        st.fragments_at(s)
             .into_iter()
             .map(|f| (f, bottom_up(&cluster.forest.fragment(f).tree, q)))
             .collect::<Vec<_>>()
@@ -66,7 +65,7 @@ pub fn full_dist_parbox(cluster: &Cluster<'_>, q: &CompiledQuery) -> EvalOutcome
         // Ready when the local parallel phase finished and every child's
         // resolved triplet has arrived.
         let mut ready = *site_compute.get(&here.0).unwrap_or(&0.0);
-        for child in &st.entry(frag).children {
+        for child in st.children(frag) {
             let child_site = st.site_of(*child);
             let mut arrival = done_at[child];
             if child_site != here {
@@ -83,10 +82,7 @@ pub fn full_dist_parbox(cluster: &Cluster<'_>, q: &CompiledQuery) -> EvalOutcome
         );
         let step = start.elapsed();
         report.record_compute(here, step);
-        report.record_work(
-            here,
-            q.len() as u64 * (1 + st.entry(frag).children.len() as u64),
-        );
+        report.record_work(here, q.len() as u64 * (1 + st.children(frag).len() as u64));
         done_at.insert(frag, ready + step.as_secs_f64());
     }
 

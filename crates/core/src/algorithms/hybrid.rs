@@ -12,7 +12,6 @@
 
 use crate::algorithms::EvalOutcome;
 use crate::plan::{PlanContext, Planner};
-use parbox_frag::ForestStats;
 use parbox_net::Cluster;
 use parbox_query::CompiledQuery;
 
@@ -20,8 +19,7 @@ use parbox_query::CompiledQuery;
 /// planner predicts cheaper — the planner-backed form of the paper's
 /// `card(F) ≷ |T| / |q|` tipping point.
 pub fn hybrid_parbox(cluster: &Cluster<'_>, q: &CompiledQuery) -> EvalOutcome {
-    let stats = ForestStats::compute(cluster.forest, cluster.placement);
-    let cx = PlanContext::new(cluster, q, &stats);
+    let cx = PlanContext::new(cluster, q);
     let planner = Planner::hybrid();
     let choice = planner.choose(&cx);
     let mut out = choice.execute(cluster, q);
@@ -87,8 +85,7 @@ mod tests {
 
     /// Whether the two-way planner picks ParBoX.
     fn prefers_parbox(cluster: &Cluster<'_>, q: &CompiledQuery) -> bool {
-        let stats = ForestStats::compute(cluster.forest, cluster.placement);
-        let cx = PlanContext::new(cluster, q, &stats);
+        let cx = PlanContext::new(cluster, q);
         Planner::hybrid().choose(&cx).summary.strategy == "ParBoX"
     }
 

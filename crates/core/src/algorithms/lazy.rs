@@ -24,7 +24,7 @@ pub fn lazy_parbox(cluster: &Cluster<'_>, q: &CompiledQuery) -> EvalOutcome {
     let wall = Instant::now();
     let mut report = RunReport::new();
     let coord = cluster.coordinator();
-    let st = &cluster.source_tree;
+    let st = &cluster.forest_stats;
     let qsize = query_wire_size(q);
     let mut gathered: HashMap<FragmentId, Triplet> = HashMap::new();
     let mut model_time = 0.0f64;
@@ -112,7 +112,7 @@ pub fn lazy_parbox(cluster: &Cluster<'_>, q: &CompiledQuery) -> EvalOutcome {
 /// bottom-up, with the variables of fragments not gathered unknown: the
 /// answer is known iff it holds under every content of those fragments.
 fn partial_solve(
-    st: &parbox_frag::SourceTree,
+    st: &parbox_frag::ForestStats,
     gathered: &HashMap<FragmentId, Triplet>,
     root_sub: usize,
 ) -> Option<bool> {
@@ -228,7 +228,7 @@ mod tests {
         let forest = chain_with_markers(6);
         let placement = Placement::one_per_fragment(&forest);
         let cluster = Cluster::new(&forest, &placement, NetworkModel::lan());
-        let st = &cluster.source_tree;
+        let st = &cluster.forest_stats;
         let q = compile(&parse_query("[//mark2]").unwrap());
         let out = lazy_parbox(&cluster, &q);
         assert!(out.answer);
@@ -292,7 +292,7 @@ mod tests {
         let mut gathered = HashMap::new();
         gathered.insert(root, run.triplet);
         assert_eq!(
-            partial_solve(&cluster.source_tree, &gathered, q.root() as usize),
+            partial_solve(&cluster.forest_stats, &gathered, q.root() as usize),
             None
         );
     }

@@ -25,12 +25,13 @@ pub fn naive_centralized(cluster: &Cluster<'_>, q: &CompiledQuery) -> EvalOutcom
 
     // Every remote site is visited once and ships its fragments.
     let mut shipped: Vec<usize> = Vec::new();
-    for site in cluster.sites() {
+    let st = &cluster.forest_stats;
+    for site in st.sites() {
         report.record_visit(site);
         if site == coord {
             continue;
         }
-        for frag in cluster.fragments_at(site) {
+        for frag in st.fragments_at(site) {
             let bytes = cluster.forest.fragment(frag).byte_size();
             report.record_message(site, coord, bytes, MessageKind::Data);
             shipped.push(bytes);
@@ -69,7 +70,7 @@ pub fn naive_distributed(cluster: &Cluster<'_>, q: &CompiledQuery) -> EvalOutcom
     let wall = Instant::now();
     let mut report = RunReport::new();
     let qsize = query_wire_size(q);
-    let st = &cluster.source_tree;
+    let st = &cluster.forest_stats;
     let mut resolved = KleeneRows::new();
     let mut model_time = 0.0f64;
 
@@ -77,7 +78,7 @@ pub fn naive_distributed(cluster: &Cluster<'_>, q: &CompiledQuery) -> EvalOutcom
         let here = st.site_of(frag);
         // Control (and the query) arrives from the parent fragment's site.
         report.record_visit(here);
-        let from = st.entry(frag).parent.map(|p| st.site_of(p)).unwrap_or(here);
+        let from = st.fragment(frag).parent.map_or(here, |p| st.site_of(p));
         if from != here {
             report.record_message(from, here, qsize, MessageKind::Query);
             model_time += cluster.model.transfer_time(qsize);

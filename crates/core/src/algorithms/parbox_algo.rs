@@ -18,7 +18,7 @@
 use crate::algorithms::{answer_from_resolved, query_wire_size, EvalOutcome};
 use crate::eval::bottom_up;
 use parbox_bool::{triplet_dag_wire_size, EquationSystem};
-use parbox_net::{run_sites_parallel, Cluster, MessageKind, RunReport};
+use parbox_net::{run_sites_parallel, Cluster, MessageKind, RunReport, SiteId};
 use parbox_query::CompiledQuery;
 use parbox_xml::FragmentId;
 use std::time::Instant;
@@ -28,7 +28,8 @@ pub fn parbox(cluster: &Cluster<'_>, q: &CompiledQuery) -> EvalOutcome {
     let wall = Instant::now();
     let mut report = RunReport::new();
     let coord = cluster.coordinator();
-    let sites = cluster.sites();
+    let st = &cluster.forest_stats;
+    let sites: Vec<SiteId> = st.sites().collect();
     let qsize = query_wire_size(q);
 
     // Stage 1: one visit per site; ship the query to the remote ones.
@@ -41,8 +42,7 @@ pub fn parbox(cluster: &Cluster<'_>, q: &CompiledQuery) -> EvalOutcome {
 
     // Stage 2: parallel partial evaluation of every fragment.
     let runs = run_sites_parallel(&sites, |s| {
-        cluster
-            .fragments_at(s)
+        st.fragments_at(s)
             .into_iter()
             .map(|f| (f, bottom_up(&cluster.forest.fragment(f).tree, q)))
             .collect::<Vec<(FragmentId, crate::eval::FragmentRun)>>()
@@ -68,7 +68,7 @@ pub fn parbox(cluster: &Cluster<'_>, q: &CompiledQuery) -> EvalOutcome {
     // Stage 3: solve the Boolean equation system at the coordinator.
     let solve_start = Instant::now();
     let resolved = sys
-        .solve(cluster.source_tree.postorder())
+        .solve(st.postorder())
         .expect("triplets cover every fragment in bottom-up order");
     let solve_time = solve_start.elapsed();
     report.record_compute(coord, solve_time);

@@ -89,16 +89,14 @@ pub fn estimated_envelope_bytes(triplet_bytes_sum: usize) -> usize {
     4 + triplet_bytes_sum
 }
 
-/// Everything an [`Executor::estimate`] may read: the deployment, the
-/// compiled query, and the cached forest statistics.
+/// Everything an [`Executor::estimate`] may read: the deployment (whose
+/// source tree caches the per-fragment sizes) and the compiled query.
 #[derive(Debug, Clone, Copy)]
 pub struct PlanContext<'a> {
     /// The deployment (forest + placement + source tree + network).
     pub cluster: &'a Cluster<'a>,
     /// The compiled query to be planned.
     pub query: &'a CompiledQuery,
-    /// Cached aggregates of the fragmented document.
-    pub stats: &'a ForestStats,
     /// Observed fragment-tree depth at which answers tend to resolve
     /// (fed back by the serving engine); `None` makes `LazyParBoX`'s
     /// estimate pessimistically assume the full depth.
@@ -107,15 +105,10 @@ pub struct PlanContext<'a> {
 
 impl<'a> PlanContext<'a> {
     /// Context with no lazy-depth hint (pessimistic lazy estimate).
-    pub fn new(
-        cluster: &'a Cluster<'a>,
-        query: &'a CompiledQuery,
-        stats: &'a ForestStats,
-    ) -> PlanContext<'a> {
+    pub fn new(cluster: &'a Cluster<'a>, query: &'a CompiledQuery) -> PlanContext<'a> {
         PlanContext {
             cluster,
             query,
-            stats,
             resolve_depth_hint: None,
         }
     }
@@ -155,32 +148,32 @@ struct Derived {
 
 impl Derived {
     fn of(cx: &PlanContext<'_>) -> Derived {
-        let coord = cx.cluster.coordinator();
+        let (stats, coord) = (&cx.cluster.forest_stats, cx.cluster.coordinator());
         let m = cx.query.len();
         let mut remote_frags = 0usize;
         let mut remote_data_bytes = 0usize;
         let mut remote_triplet_bytes = 0usize;
-        for (_, s) in cx.stats.fragments() {
+        for (_, s) in stats.fragments() {
             if s.site != coord {
                 remote_frags += 1;
                 remote_data_bytes += s.bytes;
-                remote_triplet_bytes += estimated_triplet_bytes(m, s.fanout);
+                remote_triplet_bytes += estimated_triplet_bytes(m, s.children.len());
             }
         }
-        let sites = cx.stats.site_count();
+        let sites = stats.site_count();
         Derived {
             m,
             qsize: query_wire_size(cx.query),
-            card: cx.stats.card(),
+            card: stats.card(),
             sites,
             remote_sites: sites.saturating_sub(1),
-            total_nodes: cx.stats.total_nodes(),
-            max_site_nodes: cx.stats.max_site_nodes(),
+            total_nodes: stats.total_nodes(),
+            max_site_nodes: stats.max_site_nodes(),
             remote_frags,
             remote_data_bytes,
             remote_triplet_bytes,
-            cross_edges: cx.stats.cross_site_edges(),
-            max_depth: cx.stats.max_depth(),
+            cross_edges: stats.cross_site_edges(),
+            max_depth: stats.max_depth(),
         }
     }
 
@@ -302,7 +295,7 @@ impl Executor for FullDistExec {
         let d = Derived::of(cx);
         let model = &cx.cluster.model;
         let tri = resolved_triplet_wire_size(d.m);
-        let st_bytes = cx.cluster.source_tree.byte_size();
+        let st_bytes = cx.cluster.forest_stats.byte_size();
         let broadcast = if d.sites > 1 {
             model.transfer_time(d.qsize + st_bytes)
         } else {
@@ -312,10 +305,8 @@ impl Executor for FullDistExec {
         // at most `max_depth` site boundaries and performs one `O(|q|)`
         // substitution step per fragment on the way.
         let climb = d.max_depth.min(d.cross_edges) as f64 * model.transfer_time(tri);
-        let solve_work: u64 = cx
-            .stats
-            .fragments()
-            .map(|(_, s)| (d.m * (1 + s.fanout)) as u64)
+        let solve_work: u64 = (cx.cluster.forest_stats.fragments())
+            .map(|(_, s)| (d.m * (1 + s.children.len())) as u64)
             .sum();
         CostEstimate {
             visits: d.card,
@@ -370,7 +361,7 @@ impl Executor for LazyExec {
         let mut waves = vec![Wave::default(); stop + 1];
         let mut site_nodes: std::collections::HashMap<(usize, u32), usize> =
             std::collections::HashMap::new();
-        for (_, s) in cx.stats.fragments() {
+        for (_, s) in cx.cluster.forest_stats.fragments() {
             if s.depth > stop {
                 continue;
             }
@@ -379,7 +370,7 @@ impl Executor for LazyExec {
             w.nodes += s.nodes;
             if s.site != coord {
                 w.remote_frags += 1;
-                w.remote_triplet_bytes += estimated_triplet_bytes(d.m, s.fanout);
+                w.remote_triplet_bytes += estimated_triplet_bytes(d.m, s.children.len());
             }
             let acc = site_nodes.entry((s.depth, s.site.0)).or_default();
             *acc += s.nodes;
@@ -471,7 +462,7 @@ impl RoundDemand<'_> {
             let s = self.stats.fragment(f);
             let site = sites.entry(s.site).or_default();
             site.0 += s.nodes;
-            site.1 += estimated_triplet_bytes(m, s.fanout);
+            site.1 += estimated_triplet_bytes(m, s.children.len());
         }
         let remote = sites.keys().filter(|&&s| s != self.coordinator).count();
         let envelopes: usize = sites
@@ -729,12 +720,11 @@ impl fmt::Debug for Planner {
     }
 }
 
-/// One-shot adaptive evaluation: measures the forest, asks the standard
-/// planner, runs the winner, and stamps the [`PlanSummary`] into the
-/// report. This is what `parbox-cli run --strategy auto` executes.
+/// One-shot adaptive evaluation: asks the standard planner, runs the
+/// winner, and stamps the [`PlanSummary`] into the report. This is what
+/// `parbox-cli run --strategy auto` executes.
 pub fn plan_run(cluster: &Cluster<'_>, q: &CompiledQuery) -> EvalOutcome {
-    let stats = ForestStats::compute(cluster.forest, cluster.placement);
-    let cx = PlanContext::new(cluster, q, &stats);
+    let cx = PlanContext::new(cluster, q);
     Planner::standard().choose(&cx).execute(cluster, q)
 }
 
@@ -764,11 +754,11 @@ pub fn measure_resolution_depth(cluster: &Cluster<'_>, q: &CompiledQuery) -> usi
 
     // One three-valued pass over every fragment, each at its depth: the
     // root answer's depth is the least cut-off whose fragments decide it.
-    let st = &cluster.source_tree;
+    let st = &cluster.forest_stats;
     let mut rows = KleeneRows::new();
     for &f in st.postorder() {
         let triplet = bottom_up(&cluster.forest.fragment(f).tree, q).triplet;
-        rows.solve(f, &triplet, None, st.entry(f).depth as u32);
+        rows.solve(f, &triplet, None, st.fragment(f).depth as u32);
     }
     let root = Var::new(st.root(), VecKind::V, q.root());
     rows.value(root)
@@ -807,9 +797,8 @@ mod tests {
     fn estimates_match_measured_counts_exactly() {
         let (forest, placement) = star_cluster(60, 5);
         let cluster = Cluster::new(&forest, &placement, NetworkModel::lan());
-        let stats = ForestStats::compute(&forest, &placement);
         let q = compile(&parse_query("[//goal and //a]").unwrap());
-        let cx = PlanContext::new(&cluster, &q, &stats);
+        let cx = PlanContext::new(&cluster, &q);
 
         for exec in [
             Box::new(ParBoxExec) as Box<dyn Executor>,
@@ -854,9 +843,8 @@ mod tests {
         // the two naive baselines' traffic is predicted to the byte.
         let (forest, placement) = star_cluster(40, 4);
         let cluster = Cluster::new(&forest, &placement, NetworkModel::lan());
-        let stats = ForestStats::compute(&forest, &placement);
         let q = compile(&parse_query("[//goal]").unwrap());
-        let cx = PlanContext::new(&cluster, &q, &stats);
+        let cx = PlanContext::new(&cluster, &q);
         for exec in [
             Box::new(NaiveCentralizedExec) as Box<dyn Executor>,
             Box::new(NaiveDistributedExec),
@@ -876,9 +864,8 @@ mod tests {
     fn choice_executes_and_stamps_plan_summary() {
         let (forest, placement) = star_cluster(50, 4);
         let cluster = Cluster::new(&forest, &placement, NetworkModel::lan());
-        let stats = ForestStats::compute(&forest, &placement);
         let q = compile(&parse_query("[//goal]").unwrap());
-        let cx = PlanContext::new(&cluster, &q, &stats);
+        let cx = PlanContext::new(&cluster, &q);
         let planner = Planner::standard();
         let choice = planner.choose(&cx);
         let out = choice.execute(&cluster, &q);
@@ -897,9 +884,8 @@ mod tests {
     fn explain_lists_all_candidates_cheapest_first() {
         let (forest, placement) = star_cluster(50, 4);
         let cluster = Cluster::new(&forest, &placement, NetworkModel::wan());
-        let stats = ForestStats::compute(&forest, &placement);
         let q = compile(&parse_query("[//goal]").unwrap());
-        let cx = PlanContext::new(&cluster, &q, &stats);
+        let cx = PlanContext::new(&cluster, &q);
         let explain = Planner::standard().explain(&cx);
         assert_eq!(explain.entries.len(), 5);
         assert!(explain
@@ -932,9 +918,8 @@ mod tests {
         strategies::chain(&mut forest, 6).unwrap();
         let placement = Placement::one_per_fragment(&forest);
         let cluster = Cluster::new(&forest, &placement, NetworkModel::lan());
-        let stats = ForestStats::compute(&forest, &placement);
         let q = compile(&parse_query("[//bottom]").unwrap());
-        let mut cx = PlanContext::new(&cluster, &q, &stats);
+        let mut cx = PlanContext::new(&cluster, &q);
         let pessimistic = LazyExec.estimate(&cx);
         cx.resolve_depth_hint = Some(0);
         let shallow = LazyExec.estimate(&cx);
@@ -951,10 +936,9 @@ mod tests {
     fn planner_answers_agree_across_all_executors() {
         let (forest, placement) = star_cluster(30, 4);
         let cluster = Cluster::new(&forest, &placement, NetworkModel::lan());
-        let stats = ForestStats::compute(&forest, &placement);
         for src in ["[//goal]", "[//a and //b]", "[//nope]", "[not //goal]"] {
             let q = compile(&parse_query(src).unwrap());
-            let cx = PlanContext::new(&cluster, &q, &stats);
+            let cx = PlanContext::new(&cluster, &q);
             let planner = Planner::standard();
             let chosen = planner.choose(&cx).execute(&cluster, &q);
             for exec in planner.executors() {

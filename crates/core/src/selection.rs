@@ -26,7 +26,7 @@ use crate::algorithms::{query_wire_size, resolved_triplet_wire_size};
 use crate::eval::bottom_up;
 use crate::eval::columns::{eval_columns, Layout, SubTriplets};
 use parbox_bool::{triplet_dag_wire_size, EquationSystem};
-use parbox_net::{run_sites_parallel, Cluster, MessageKind, RunReport};
+use parbox_net::{run_sites_parallel, Cluster, MessageKind, RunReport, SiteId};
 use parbox_query::{SelStep, SelectionProgram};
 use parbox_xml::{FragmentId, NodeId, Tree};
 use std::collections::HashMap;
@@ -56,8 +56,8 @@ pub fn select_distributed(cluster: &Cluster<'_>, sel: &SelectionProgram) -> Sele
     let wall = Instant::now();
     let mut report = RunReport::new();
     let coord = cluster.coordinator();
-    let st = &cluster.source_tree;
-    let sites = cluster.sites();
+    let st = &cluster.forest_stats;
+    let sites: Vec<SiteId> = st.sites().collect();
     let m = sel.quals.len();
 
     // ---- Visit 1: ParBoX over the qualifier program. --------------------
@@ -69,8 +69,7 @@ pub fn select_distributed(cluster: &Cluster<'_>, sel: &SelectionProgram) -> Sele
         }
     }
     let runs = run_sites_parallel(&sites, |s| {
-        cluster
-            .fragments_at(s)
+        st.fragments_at(s)
             .into_iter()
             .map(|f| (f, bottom_up(&cluster.forest.fragment(f).tree, &sel.quals)))
             .collect::<Vec<_>>()
@@ -110,7 +109,7 @@ pub fn select_distributed(cluster: &Cluster<'_>, sel: &SelectionProgram) -> Sele
                 report.record_visit(site);
             }
             // Request: sub-fragment triplets + the incoming state mask.
-            let entry = st.entry(frag);
+            let entry = st.fragment(frag);
             if site != coord {
                 let bytes = 8 + entry.children.len() * resolved_triplet_wire_size(m);
                 report.record_message(coord, site, bytes, MessageKind::Control);

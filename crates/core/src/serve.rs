@@ -93,7 +93,7 @@ use crate::eval::{bottom_up, IncrementalBottomUp};
 use crate::plan::RoundDemand;
 use crate::views::{apply_update_tracked, FragmentDelta, Update, UpdateEffect, ViewError};
 use parbox_bool::{site_envelope_dag_wire_size, KleeneRows, Known, Triplet, Var, VecKind};
-use parbox_frag::{Forest, ForestStats, FragError, Placement, SiteId, SourceTree};
+use parbox_frag::{Forest, ForestStats, FragError, Placement, SiteId};
 use parbox_net::engine::{
     DeltaMemo, EvalReply, FragmentEval, PatchFn, RepairOutcome, RepairedEval, SiteCacheStats,
     SitePool,
@@ -387,16 +387,15 @@ struct Source {
 pub struct Engine {
     forest: Forest,
     placement: Placement,
-    source_tree: SourceTree,
-    coordinator: SiteId,
+    /// The source tree `S_T` with live per-fragment sizes, maintained
+    /// incrementally through every update — what dispatch, solving and
+    /// per-round planning read.
+    forest_stats: ForestStats,
     config: EngineConfig,
     /// Resolved supervision policy (from `config.supervisor`, or
     /// derived from the network model).
     supervisor: SupervisorConfig,
     pool: SitePool,
-    /// Live aggregates of the deployed forest, maintained incrementally
-    /// through every update — what per-round planning reads.
-    forest_stats: ForestStats,
     /// EWMA of the fragment-tree depth at which recent rounds' answers
     /// resolved. Initialized pessimistically to the full depth, so a
     /// fresh engine runs eager batch rounds until observations say
@@ -510,13 +509,11 @@ impl Engine {
         config: EngineConfig,
     ) -> Result<Engine, FragError> {
         placement.check(&forest)?;
-        let source_tree = SourceTree::new(&forest, &placement);
-        let coordinator = source_tree.site_of(forest.root_fragment());
-        let sites = source_tree
+        let forest_stats = ForestStats::compute(&forest, &placement);
+        let sites = forest_stats
             .sites()
-            .into_iter()
             .map(|s| {
-                let frags = source_tree
+                let frags = forest_stats
                     .fragments_at(s)
                     .into_iter()
                     .map(|f| (f, forest.tree_handle(f)))
@@ -535,7 +532,6 @@ impl Engine {
             .supervisor
             .clone()
             .unwrap_or_else(|| SupervisorConfig::from_model(&config.model));
-        let forest_stats = ForestStats::compute(&forest, &placement);
         let depth_ewma = forest_stats.max_depth() as f64;
         // Sized for the bound up front (a round inserts before it
         // evicts, hence the + 1): FIFO churn at the bound fills the
@@ -546,12 +542,10 @@ impl Engine {
         Ok(Engine {
             forest,
             placement,
-            source_tree,
-            coordinator,
+            forest_stats,
             config,
             supervisor,
             pool,
-            forest_stats,
             depth_ewma,
             solve_cache: HashMap::with_capacity(2 * bound),
             solve_order: VecDeque::with_capacity(bound),
@@ -578,7 +572,7 @@ impl Engine {
 
     /// The coordinating site (home of the root fragment).
     pub fn coordinator(&self) -> SiteId {
-        self.coordinator
+        self.forest_stats.site_of(self.forest_stats.root())
     }
 
     /// The engine's network cost model.
@@ -591,8 +585,8 @@ impl Engine {
         self.stats
     }
 
-    /// Live forest statistics, incrementally maintained through every
-    /// update — the planner's input.
+    /// The live source tree with its per-fragment sizes, incrementally
+    /// maintained through every update — the planner's input.
     pub fn forest_stats(&self) -> &ForestStats {
         &self.forest_stats
     }
@@ -618,8 +612,8 @@ impl Engine {
         &mut self,
         program: &CompiledQuery,
     ) -> Vec<(FragmentId, Arc<Triplet>, bool)> {
-        let per_site = (self.source_tree.sites().into_iter())
-            .map(|site| (site, self.source_tree.fragments_at(site)))
+        let per_site = (self.forest_stats.sites())
+            .map(|site| (site, self.forest_stats.fragments_at(site)))
             .collect();
         let fp = program.program_fingerprint();
         let replies = self
@@ -843,11 +837,8 @@ impl Engine {
         absent: Option<bool>,
     ) -> Option<Known> {
         let mut rows = KleeneRows::new();
-        for &f in self.source_tree.postorder() {
-            let depth = self
-                .forest_stats
-                .try_fragment(f)
-                .map_or(0, |s| s.depth as u32);
+        for &f in self.forest_stats.postorder() {
+            let depth = self.forest_stats.fragment(f).depth as u32;
             match (entry.triplets.get(&f), absent) {
                 (Some(s), _) => {
                     rows.solve(f, &s.triplet, Some(&s.projection), depth);
@@ -856,7 +847,7 @@ impl Engine {
                 (None, None) => {}
             }
         }
-        rows.value(Var::new(self.source_tree.root(), VecKind::V, entry.root))
+        rows.value(Var::new(self.forest_stats.root(), VecKind::V, entry.root))
     }
 
     /// One admission round: the stages of the module docs' *round
@@ -865,7 +856,7 @@ impl Engine {
     fn run_round(&mut self, pending: Vec<(Ticket, CompiledQuery)>) -> RoundOutcome {
         let wall = Instant::now();
         let live: Vec<FragmentId> = self.forest.fragment_ids().collect();
-        let mut ledger = Ledger::new(&pending, self.coordinator);
+        let mut ledger = Ledger::new(&pending, self.coordinator());
         let members = coalesce(&pending);
         let member_count = members.len();
         let active = self.answer_from_cache(members, &live, &mut ledger);
@@ -879,7 +870,7 @@ impl Engine {
             let plan = RoundDemand {
                 stats: &self.forest_stats,
                 model: &self.config.model,
-                coordinator: self.coordinator,
+                coordinator: self.coordinator(),
                 need: self.still_missing(&live, &open),
                 active_members: open.len(),
                 merged_len: merged.program.len(),
@@ -999,7 +990,7 @@ impl Engine {
         let mut per_site: BTreeMap<SiteId, Vec<FragmentId>> = BTreeMap::new();
         for f in wanted {
             per_site
-                .entry(self.source_tree.site_of(f))
+                .entry(self.forest_stats.site_of(f))
                 .or_default()
                 .push(f);
         }
@@ -1012,7 +1003,7 @@ impl Engine {
             ledger.modeled_s += model.transfer_time(merged.request_bytes);
         }
 
-        let (source_tree, forest) = (&self.source_tree, &self.forest);
+        let (forest_stats, forest) = (&self.forest_stats, &self.forest);
         let mut reseeded: Vec<(SiteId, usize)> = Vec::new();
         let out = self.pool.eval_round_supervised(
             &merged.program,
@@ -1020,7 +1011,7 @@ impl Engine {
             per_site.into_iter().collect(),
             &self.supervisor,
             &mut |site| {
-                let frags = source_tree.fragments_at(site);
+                let frags = forest_stats.fragments_at(site);
                 let bytes = frags.iter().map(|&f| forest.fragment(f).byte_size()).sum();
                 reseeded.push((site, bytes));
                 frags
@@ -1115,7 +1106,7 @@ impl Engine {
                 .value;
             ledger.record_solve(start.elapsed(), (width * live.len()) as u64);
             ledger.answer(&am.member, answer);
-            let missing = missing_sites(&self.source_tree, live, &entry.triplets);
+            let missing = missing_sites(&self.forest_stats, live, &entry.triplets);
             for &pi in &am.member.submissions {
                 ledger.partial.push((ledger.answers[pi].0, missing.clone()));
             }
@@ -1179,12 +1170,6 @@ impl Engine {
         report.elapsed_model_s = ledger.modeled_s;
         report.elapsed_wall_s = wall.elapsed().as_secs_f64();
         report.planned = planned;
-        report.cache = Some(parbox_net::CacheEfficacy {
-            queries_from_cache: ledger.members_from_cache as u64,
-            queries_total: members as u64,
-            site_cache_hits: ledger.site_cache_hits as u64,
-            fragments_evaluated: ledger.fragments_evaluated as u64,
-        });
         if ledger.faults.any() {
             report.faults = Some(ledger.faults.clone());
         }
@@ -1290,8 +1275,6 @@ impl Engine {
             }
         }
         if effect.restructured() {
-            self.source_tree = SourceTree::new(&self.forest, &self.placement);
-            self.coordinator = self.source_tree.site_of(self.forest.root_fragment());
             // The fragment tree changed shape: keep the depth statistic
             // within the new bounds.
             self.depth_ewma = self.depth_ewma.min(self.forest_stats.max_depth() as f64);
@@ -1335,16 +1318,11 @@ impl Engine {
         report: &mut RunReport,
         faults: &mut FaultSummary,
     ) -> RepairEfficacy {
-        let site = self.placement.site_of(d.frag);
+        let (site, coord) = (self.placement.site_of(d.frag), self.coordinator());
         self.pool.ensure_site(site);
         report.record_visit(site);
-        if site != self.coordinator {
-            report.record_message(
-                self.coordinator,
-                site,
-                UPDATE_CONTROL_BYTES,
-                MessageKind::Control,
-            );
+        if site != coord {
+            report.record_message(coord, site, UPDATE_CONTROL_BYTES, MessageKind::Control);
         }
         let deadline = self.supervisor.deadline;
         match self.pool.repair(site, d.frag, patch, d.anchor, deadline) {
@@ -1352,13 +1330,8 @@ impl Engine {
                 report.record_compute(site, reply.elapsed);
                 report.record_work(site, reply.work_units);
                 let delta_bytes: usize = reply.outcomes.iter().map(|o| o.delta_bytes).sum();
-                if site != self.coordinator && delta_bytes > 0 {
-                    report.record_message(
-                        site,
-                        self.coordinator,
-                        delta_bytes,
-                        MessageKind::Envelope,
-                    );
+                if site != coord && delta_bytes > 0 {
+                    report.record_message(site, coord, delta_bytes, MessageKind::Envelope);
                 }
                 let (kept, dropped) = self.repair_coordinator_entries(d.frag, &reply.outcomes);
                 RepairEfficacy {
@@ -1413,9 +1386,9 @@ impl Engine {
             }
             invalidated += self.purge_fragment(f);
             report.record_visit(site);
-            if site != self.coordinator {
+            if site != self.coordinator() {
                 report.record_message(
-                    self.coordinator,
+                    self.coordinator(),
                     site,
                     UPDATE_CONTROL_BYTES,
                     MessageKind::Control,
@@ -1470,10 +1443,8 @@ impl Engine {
     /// authoritative forest handles. Used when a maintenance message
     /// finds the actor's inbox dead.
     fn reseed_site(&mut self, site: SiteId, faults: &mut FaultSummary) {
-        let frags: Vec<(FragmentId, Arc<Tree>)> = self
-            .forest
-            .fragment_ids()
-            .filter(|&f| self.placement.site_of(f) == site)
+        let frags: Vec<(FragmentId, Arc<Tree>)> = (self.forest_stats.fragments_at(site))
+            .into_iter()
             .map(|f| (f, self.forest.tree_handle(f)))
             .collect();
         faults.restarts += 1;
@@ -1683,14 +1654,14 @@ fn absorb_replies(
 /// The sites owning live fragments the entry has no triplet for —
 /// ascending, deduped: the `missing_sites` of a degraded answer.
 fn missing_sites(
-    source_tree: &SourceTree,
+    forest_stats: &ForestStats,
     live: &[FragmentId],
     triplets: &HashMap<FragmentId, Source>,
 ) -> Vec<SiteId> {
     let sites: std::collections::BTreeSet<u32> = live
         .iter()
         .filter(|f| !triplets.contains_key(f))
-        .map(|&f| source_tree.site_of(f).0)
+        .map(|&f| forest_stats.site_of(f).0)
         .collect();
     sites.into_iter().map(SiteId).collect()
 }
@@ -2264,17 +2235,26 @@ mod tests {
                 node: far,
             },
         ];
-        for (update, dead) in (dead_fragment.into_iter().map(|u| (u, true)))
-            .chain(dead_node.into_iter().map(|u| (u, false)))
-        {
+        // A virtual node stands for its sub-fragment and stays a leaf.
+        let vnode = {
+            let t = &e.forest().fragment(f0).tree;
+            t.virtual_nodes(t.root())[0].0
+        };
+        let cases = (dead_fragment.into_iter().map(|u| (u, "dead fragment")))
+            .chain(dead_node.into_iter().map(|u| (u, "dead node")))
+            .chain([(ins(f0, vnode), "virtual parent")]);
+        for (update, case) in cases {
             let (forest, stats) = (format!("{:?}", e.forest()), e.forest_stats().clone());
             let shown = format!("{update:?}");
-            match e.apply(update) {
-                Err(ViewError::Frag(FragError::UnknownFragment(f))) => {
-                    assert!(dead && f == gone, "{shown}");
+            match (e.apply(update), case) {
+                (Err(ViewError::Frag(FragError::UnknownFragment(f))), "dead fragment") => {
+                    assert_eq!(f, gone, "{shown}");
                 }
-                Err(ViewError::Xml(parbox_xml::XmlError::StaleNode)) => assert!(!dead, "{shown}"),
-                other => panic!("{shown}: {other:?}"),
+                (Err(ViewError::Xml(parbox_xml::XmlError::StaleNode)), "dead node") => {}
+                (Err(ViewError::VirtualParent(n)), "virtual parent") => {
+                    assert_eq!(n, vnode, "{shown}");
+                }
+                (other, _) => panic!("{shown}: {other:?}"),
             }
             assert_eq!(format!("{:?}", e.forest()), forest, "{shown}");
             assert_eq!(*e.forest_stats(), stats, "{shown}");

@@ -74,6 +74,10 @@ pub enum ViewError {
     Xml(XmlError),
     /// `delNode` would orphan sub-fragments.
     WouldOrphanFragments(Vec<FragmentId>),
+    /// `insNode` names a virtual node as the parent: a virtual node
+    /// stands for a sub-fragment and stays a leaf, so the insert belongs
+    /// under that fragment's root instead.
+    VirtualParent(NodeId),
 }
 
 impl std::fmt::Display for ViewError {
@@ -83,6 +87,9 @@ impl std::fmt::Display for ViewError {
             ViewError::Xml(e) => write!(f, "{e}"),
             ViewError::WouldOrphanFragments(fs) => {
                 write!(f, "deleting this subtree would orphan fragments {fs:?}")
+            }
+            ViewError::VirtualParent(n) => {
+                write!(f, "cannot insert under virtual node {n}")
             }
         }
     }
@@ -143,7 +150,7 @@ impl UpdateEffect {
     }
 
     /// True when the fragment tree itself changed shape (split/merge), so
-    /// the source tree must be re-induced.
+    /// the source tree's structure must be refreshed.
     pub fn restructured(&self) -> bool {
         !self.added.is_empty() || !self.removed.is_empty()
     }
@@ -154,8 +161,9 @@ impl UpdateEffect {
 ///
 /// This is the mutation path of the serving engine's update routing
 /// ([`crate::serve::Engine::apply`]). An update whose fragment is not
-/// live ([`FragError::UnknownFragment`]) or whose node is not a live node
-/// of it ([`XmlError::StaleNode`]) is rejected before anything mutates.
+/// live ([`FragError::UnknownFragment`]), whose node is not a live node
+/// of it ([`XmlError::StaleNode`]), or an `insNode` under a virtual node
+/// ([`ViewError::VirtualParent`]) is rejected before anything mutates.
 pub fn apply_update_to_forest(
     forest: &mut Forest,
     placement: &mut Placement,
@@ -175,6 +183,9 @@ pub fn apply_update_to_forest(
             label,
             text,
         } => {
+            if forest.fragment(frag).tree.node(parent).kind.is_virtual() {
+                return Err(ViewError::VirtualParent(parent));
+            }
             let tree = forest.tree_mut(frag);
             let new = match text {
                 Some(t) => tree.add_text_child(parent, &label, &t),
@@ -262,12 +273,14 @@ fn check_live(forest: &Forest, frag: FragmentId, node: NodeId) -> Result<(), Vie
     Ok(())
 }
 
-/// [`apply_update_to_forest`] with incremental
-/// [`ForestStats`](parbox_frag::ForestStats) maintenance: a pure data
-/// update adjusts the touched fragment's figures in `O(1)` from the
-/// exact deltas the mutation measured; restructuring updates re-measure
-/// the touched fragments (`O(|F_j|)`) plus an `O(card(F) · depth)`
-/// structural refresh. The maintained statistics stay equal to
+/// [`apply_update_to_forest`] with incremental maintenance of the source
+/// tree [`ForestStats`](parbox_frag::ForestStats): a pure data update
+/// adjusts the touched fragment's figures in `O(1)` from the exact
+/// deltas the mutation measured; a split or merge re-measures only the
+/// touched and added fragments (`O(|F_j|)` each, recording their
+/// children), then re-derives depth, parent, site and the postorder from
+/// the cached children in `O(card(F))`, walking no other fragment. The
+/// maintained index stays equal to
 /// [`ForestStats::compute`](parbox_frag::ForestStats::compute) from
 /// scratch (asserted by the serve suite's proptests).
 pub fn apply_update_tracked(

@@ -289,9 +289,9 @@ impl Forest {
     }
 
     /// Checks forest invariants: the fragment tree is a tree rooted at the
-    /// root fragment, every virtual node references a live fragment whose
-    /// `parent` points back, and every non-root fragment is referenced by
-    /// exactly one virtual node.
+    /// root fragment, every virtual node is a leaf referencing a live
+    /// fragment whose `parent` points back, and every non-root fragment is
+    /// referenced by exactly one virtual node.
     pub fn validate(&self) -> Result<(), String> {
         if !self.is_live(self.root) {
             return Err("root fragment is not live".into());
@@ -305,7 +305,12 @@ impl Forest {
             frag.tree
                 .validate()
                 .map_err(|e| format!("fragment {id}: {e}"))?;
-            for sub in frag.sub_fragments() {
+            for (vnode, sub) in frag.tree.virtual_nodes(frag.tree.root()) {
+                if frag.tree.children(vnode).next().is_some() {
+                    return Err(format!(
+                        "virtual node {vnode} in fragment {id} has children"
+                    ));
+                }
                 if !self.is_live(sub) {
                     return Err(format!("fragment {id} references dead fragment {sub}"));
                 }
@@ -460,6 +465,21 @@ mod tests {
         // Reassembly is non-destructive.
         assert_eq!(f.card(), 4);
         f.validate().unwrap();
+    }
+
+    #[test]
+    fn validate_rejects_a_virtual_node_with_children() {
+        let mut f = sample_forest();
+        let a = find(&f, FragmentId(0), "a");
+        f.split(FragmentId(0), a).unwrap();
+        f.validate().unwrap();
+        let vnode = {
+            let t = &f.fragment(FragmentId(0)).tree;
+            t.virtual_nodes(t.root())[0].0
+        };
+        f.tree_mut(FragmentId(0)).add_child(vnode, "B");
+        let err = f.validate().unwrap_err();
+        assert!(err.contains("has children"), "{err}");
     }
 
     #[test]

@@ -6,13 +6,13 @@
 //! Tree fragmentation for the ParBoX system (paper, Sections 2.1 and 5):
 //! the [`Forest`] of disjoint fragments with `splitFragments` /
 //! `mergeFragments`, the placement `h : F → S` of fragments onto sites,
-//! the induced [`SourceTree`] `S_T` (the only structure the algorithms
-//! require), decomposition strategies reproducing the experiment
-//! shapes FT1–FT3, and the incrementally maintained [`ForestStats`]
-//! aggregates the cost-based planner reads.
+//! decomposition strategies reproducing the experiment shapes FT1–FT3,
+//! and [`ForestStats`]: the induced source tree `S_T` (the only structure
+//! the algorithms require) with the per-fragment sizes the cost-based
+//! planner reads, maintained incrementally through updates.
 //!
 //! ```
-//! use parbox_frag::{Forest, Placement, SourceTree, strategies};
+//! use parbox_frag::{Forest, ForestStats, Placement, strategies};
 //! use parbox_xml::Tree;
 //!
 //! let tree = Tree::parse("<r><a><x/></a><b><y/></b></r>").unwrap();
@@ -20,14 +20,15 @@
 //! let root = forest.root_fragment();
 //! strategies::star(&mut forest, root).unwrap();
 //! let placement = Placement::one_per_fragment(&forest);
-//! let st = SourceTree::new(&forest, &placement);
+//! let st = ForestStats::compute(&forest, &placement);
 //! assert_eq!(st.card(), 3);
+//! assert_eq!(st.children(root).len(), 2);
+//! assert_eq!(st.postorder().last(), Some(&root));
 //! ```
 
 mod error;
 mod forest;
 mod placement;
-mod source_tree;
 mod stats;
 
 pub mod strategies;
@@ -35,5 +36,4 @@ pub mod strategies;
 pub use error::FragError;
 pub use forest::{Forest, Fragment};
 pub use placement::{Placement, SiteId};
-pub use source_tree::{SourceEntry, SourceTree};
 pub use stats::{ForestStats, FragmentStats, SiteStats};

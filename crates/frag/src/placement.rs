@@ -122,13 +122,8 @@ impl Placement {
         p
     }
 
-    /// Checks that every fragment of the forest is placed.
-    pub fn validate(&self, forest: &Forest) -> Result<(), String> {
-        self.check(forest).map_err(|e| e.to_string())
-    }
-
-    /// Typed variant of [`Placement::validate`]: the error names the
-    /// first unplaced fragment.
+    /// Checks that every fragment of the forest is placed; the error
+    /// names the first unplaced fragment.
     pub fn check(&self, forest: &Forest) -> Result<(), crate::FragError> {
         for f in forest.fragment_ids() {
             if !self.map.contains_key(&f) {
@@ -166,7 +161,7 @@ mod tests {
     fn round_robin_covers_all_fragments() {
         let f = forest_with(5);
         let p = Placement::round_robin(&f, 3);
-        p.validate(&f).unwrap();
+        p.check(&f).unwrap();
         assert_eq!(p.sites().len(), 3);
         assert_eq!(p.site_of(FragmentId(0)), SiteId(0));
         assert_eq!(p.site_of(FragmentId(3)), SiteId(0));
@@ -196,7 +191,10 @@ mod tests {
         let f = forest_with(2);
         let mut p = Placement::new();
         p.assign(FragmentId(0), SiteId(0));
-        assert!(p.validate(&f).is_err());
+        assert_eq!(
+            p.check(&f),
+            Err(crate::FragError::UnplacedFragment(FragmentId(1)))
+        );
     }
 
     #[test]

@@ -1,27 +1,35 @@
-//! Cheap, incrementally maintained statistics over a fragmented
-//! document — the inputs a cost-based planner reads.
+//! The source tree `S_T` (paper, Section 2.1 and Fig. 2b), with the
+//! per-fragment sizes a cost-based planner reads.
 //!
-//! Every distributed strategy's cost depends on the same handful of
-//! aggregates: how many fragments there are, how big each one is (nodes
-//! and serialized bytes), how deep it sits in the fragment tree, how
-//! many sub-fragments hang off it, and how the fragments spread over
-//! sites. Recomputing those from the trees is `O(|T|)` per query — far
-//! too slow to consult on every planning decision — so [`ForestStats`]
-//! caches them and is maintained *incrementally*: after an update only
-//! the touched fragments are re-measured (`O(|F_j|)`), plus an
-//! `O(card(F) · depth)` structural refresh when the fragment tree
-//! changed shape.
+//! The source tree is the *only* structure ParBoX's algorithms require:
+//! it records, for every fragment, the site that stores it, its parent
+//! and its child fragments. It is induced from the fragment tree and the
+//! placement `h`, and is small (one entry per fragment) — cheap enough to
+//! replicate on every site for `FullDistParBoX`.
 //!
-//! The maintained figures are asserted equal to a recompute-from-scratch
-//! oracle under random insert/remove/split sequences (see the proptest
-//! in `crates/frag/tests` and `parbox-core`'s serve suite).
+//! [`ForestStats`] is that tree, and every distributed strategy's cost
+//! hangs off the same entries: how big each fragment is (nodes and
+//! serialized bytes), how deep it sits, how many sub-fragments hang off
+//! it, and how the fragments spread over sites. Recomputing those from
+//! the trees is `O(|T|)`, far too slow to consult on every planning
+//! decision, so the index is maintained *incrementally*: after an update
+//! only the touched fragments are re-measured (`O(|F_j|)`, which also
+//! records their children), and when the fragment tree changed shape
+//! [`ForestStats::refresh_structure`] re-derives depth, parent, site and
+//! the postorder from the cached children in `O(card(F))`, without
+//! walking any fragment.
+//!
+//! The maintained index is asserted equal to a recompute-from-scratch
+//! oracle under random insert/remove/split/merge sequences (see the
+//! proptest in `crates/frag/tests` and `parbox-core`'s serve suite).
 
 use crate::{Forest, Placement, SiteId};
 use parbox_xml::FragmentId;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
-/// Per-fragment statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One entry of the source tree: a fragment's place in the deployment
+/// and its size.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FragmentStats {
     /// Live nodes in the fragment, virtual nodes included.
     pub nodes: usize,
@@ -30,12 +38,13 @@ pub struct FragmentStats {
     pub bytes: usize,
     /// Depth in the fragment tree (root fragment = 0).
     pub depth: usize,
-    /// Virtual-node fan-out: number of direct sub-fragments.
-    pub fanout: usize,
     /// Site storing the fragment.
     pub site: SiteId,
-    /// Parent fragment in the fragment tree.
+    /// Parent fragment in the fragment tree (`None` for the root).
     pub parent: Option<FragmentId>,
+    /// Direct sub-fragments, in document order of their virtual nodes;
+    /// their number is the fragment's virtual-node fan-out.
+    pub children: Vec<FragmentId>,
 }
 
 /// Per-site placement totals.
@@ -49,13 +58,15 @@ pub struct SiteStats {
     pub bytes: usize,
 }
 
-/// Aggregate statistics of a fragmented, placed document, cached so
-/// planning reads them in `O(1)`–`O(card(F))` instead of walking trees.
+/// The source tree `S_T` of a fragmented, placed document, with cached
+/// sizes so planning reads them in `O(1)`–`O(card(F))` instead of
+/// walking trees.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ForestStats {
-    per_fragment: HashMap<FragmentId, FragmentStats>,
+    per_fragment: BTreeMap<FragmentId, FragmentStats>,
     per_site: BTreeMap<u32, SiteStats>,
     root: FragmentId,
+    postorder: Vec<FragmentId>,
 }
 
 impl ForestStats {
@@ -63,13 +74,17 @@ impl ForestStats {
     /// incremental maintenance is tested against.
     pub fn compute(forest: &Forest, placement: &Placement) -> ForestStats {
         let mut stats = ForestStats {
-            per_fragment: HashMap::with_capacity(forest.card()),
+            per_fragment: BTreeMap::new(),
             per_site: BTreeMap::new(),
             root: forest.root_fragment(),
+            postorder: Vec::with_capacity(forest.card()),
         };
         for f in forest.fragment_ids() {
-            stats.insert_fragment(forest, placement, f);
+            stats
+                .per_fragment
+                .insert(f, Self::measure(forest, placement, f));
         }
+        stats.refresh_structure(forest, placement);
         stats
     }
 
@@ -79,20 +94,9 @@ impl ForestStats {
             nodes: frag.len(),
             bytes: frag.byte_size(),
             depth: forest.depth(f),
-            fanout: frag.sub_fragments().len(),
             site: placement.site_of(f),
             parent: frag.parent,
-        }
-    }
-
-    fn insert_fragment(&mut self, forest: &Forest, placement: &Placement, f: FragmentId) {
-        let entry = Self::measure(forest, placement, f);
-        let site = self.per_site.entry(entry.site.0).or_default();
-        site.fragments += 1;
-        site.nodes += entry.nodes;
-        site.bytes += entry.bytes;
-        if let Some(old) = self.per_fragment.insert(f, entry) {
-            self.debit_site(&old);
+            children: frag.sub_fragments(),
         }
     }
 
@@ -110,10 +114,18 @@ impl ForestStats {
     }
 
     /// Re-measures one fragment after its tree changed (or it was just
-    /// created). `O(|F_j|)` — the cost of walking only the touched
-    /// fragment.
+    /// created), children included. `O(|F_j|)` — the cost of walking only
+    /// the touched fragment. A split or merge must follow up with
+    /// [`ForestStats::refresh_structure`].
     pub fn refresh_fragment(&mut self, forest: &Forest, placement: &Placement, f: FragmentId) {
-        self.insert_fragment(forest, placement, f);
+        let entry = Self::measure(forest, placement, f);
+        let site = self.per_site.entry(entry.site.0).or_default();
+        site.fragments += 1;
+        site.nodes += entry.nodes;
+        site.bytes += entry.bytes;
+        if let Some(old) = self.per_fragment.insert(f, entry) {
+            self.debit_site(&old);
+        }
     }
 
     /// Adjusts one fragment's node/byte figures by a known pure-data
@@ -141,17 +153,37 @@ impl ForestStats {
         }
     }
 
-    /// Refreshes the structural columns (depth, fan-out, parent, site) of
-    /// every tracked fragment after the fragment tree changed shape —
-    /// `O(card(F) · depth)`, without re-walking any fragment's nodes.
+    /// Re-derives the structure after the fragment tree changed shape:
+    /// depth, parent and site of every fragment, the per-site totals and
+    /// the postorder, all from the cached children — `O(card(F))`, without
+    /// walking any fragment's nodes. The touched and added fragments must
+    /// have been re-measured first ([`ForestStats::refresh_fragment`]).
     pub fn refresh_structure(&mut self, forest: &Forest, placement: &Placement) {
         self.root = forest.root_fragment();
-        for (f, entry) in self.per_fragment.iter_mut() {
-            let frag = forest.fragment(*f);
-            entry.depth = forest.depth(*f);
-            entry.fanout = frag.sub_fragments().len();
-            entry.parent = frag.parent;
-            entry.site = placement.site_of(*f);
+        self.postorder.clear();
+        // Iterative postorder: (fragment, parent, depth, next child).
+        let mut stack = vec![(self.root, None, 0usize, 0usize)];
+        while let Some(top) = stack.last_mut() {
+            let (f, parent, depth, next) = *top;
+            let entry = self
+                .per_fragment
+                .get_mut(&f)
+                .unwrap_or_else(|| panic!("fragment {f} is not tracked"));
+            if next == 0 {
+                entry.parent = parent;
+                entry.depth = depth;
+                entry.site = placement.site_of(f);
+            }
+            match entry.children.get(next) {
+                Some(&child) => {
+                    top.3 += 1;
+                    stack.push((child, Some(f), depth + 1, 0));
+                }
+                None => {
+                    self.postorder.push(f);
+                    stack.pop();
+                }
+            }
         }
         // Rebuild the (small) per-site table from the per-fragment rows;
         // placement changes are rare and the table is O(sites).
@@ -175,19 +207,36 @@ impl ForestStats {
             .unwrap_or_else(|| panic!("fragment {f} is not tracked"))
     }
 
-    /// Statistics of one fragment, if tracked.
-    pub fn try_fragment(&self, f: FragmentId) -> Option<&FragmentStats> {
-        self.per_fragment.get(&f)
-    }
-
-    /// Iterator over `(fragment, stats)` in unspecified order.
+    /// Iterator over `(fragment, stats)`, ascending by fragment.
     pub fn fragments(&self) -> impl Iterator<Item = (FragmentId, &FragmentStats)> {
         self.per_fragment.iter().map(|(&f, s)| (f, s))
     }
 
-    /// Iterator over `(site, totals)`, ascending by site.
-    pub fn sites(&self) -> impl Iterator<Item = (SiteId, &SiteStats)> {
-        self.per_site.iter().map(|(&s, t)| (SiteId(s), t))
+    /// The root fragment.
+    pub fn root(&self) -> FragmentId {
+        self.root
+    }
+
+    /// All fragments in bottom-up (postorder) order, children in
+    /// document order — the resolution order of `evalST`.
+    pub fn postorder(&self) -> &[FragmentId] {
+        &self.postorder
+    }
+
+    /// Child fragments of `f`, in document order of their virtual nodes.
+    pub fn children(&self, f: FragmentId) -> &[FragmentId] {
+        &self.fragment(f).children
+    }
+
+    /// Site storing a fragment.
+    pub fn site_of(&self, f: FragmentId) -> SiteId {
+        self.fragment(f).site
+    }
+
+    /// Distinct sites, ascending — the sites the coordinator contacts in
+    /// stage 1 of ParBoX.
+    pub fn sites(&self) -> impl Iterator<Item = SiteId> + '_ {
+        self.per_site.keys().map(|&s| SiteId(s))
     }
 
     /// Placement totals of one site (default-empty when the site stores
@@ -196,9 +245,22 @@ impl ForestStats {
         self.per_site.get(&site.0).copied().unwrap_or_default()
     }
 
-    /// The root fragment.
-    pub fn root(&self) -> FragmentId {
-        self.root
+    /// Fragments stored at `site`, ascending (`card(F_Si)` is this
+    /// list's length).
+    pub fn fragments_at(&self, site: SiteId) -> Vec<FragmentId> {
+        self.fragments()
+            .filter(|(_, s)| s.site == site)
+            .map(|(f, _)| f)
+            .collect()
+    }
+
+    /// Fragments at a given fragment-tree depth, ascending — the
+    /// wavefront visited by `LazyParBoX` at traversal step `depth`.
+    pub fn fragments_at_depth(&self, depth: usize) -> Vec<FragmentId> {
+        self.fragments()
+            .filter(|(_, s)| s.depth == depth)
+            .map(|(f, _)| f)
+            .collect()
     }
 
     /// `card(F)`.
@@ -250,6 +312,14 @@ impl ForestStats {
             })
             .count()
     }
+
+    /// Approximate serialized size of the source tree in bytes (one
+    /// compact record per fragment) — what `FullDistParBoX` ships when it
+    /// replicates the source tree.
+    pub fn byte_size(&self) -> usize {
+        // frag id + site id + parent id + child count ≈ 16 bytes/entry.
+        16 * self.per_fragment.len()
+    }
 }
 
 #[cfg(test)]
@@ -266,6 +336,92 @@ mod tests {
         (forest, placement)
     }
 
+    /// Builds the paper's Fig. 2 configuration: F0 ⊃ {F1 ⊃ {F2}, F3},
+    /// with F2 and F3 both on site S2.
+    fn fig2() -> (Forest, Placement) {
+        let t = Tree::parse(
+            "<portfolio>\
+               <broker><name>Bache</name><market><title>NYSE</title></market></broker>\
+               <broker2><market2><stock><code>GOOG</code></stock></market2></broker2>\
+             </portfolio>",
+        )
+        .unwrap();
+        let mut forest = Forest::from_tree(t);
+        let f0 = forest.root_fragment();
+        let find = |forest: &Forest, frag, label: &str| {
+            let tree = &forest.fragment(frag).tree;
+            tree.descendants(tree.root())
+                .find(|&n| tree.label_str(n) == label)
+                .unwrap()
+        };
+        // F1 = broker2 subtree; F2 = stock inside F1; F3 = market inside F0.
+        let b2 = find(&forest, f0, "broker2");
+        let f1 = forest.split(f0, b2).unwrap();
+        let stock = find(&forest, f1, "stock");
+        let f2 = forest.split(f1, stock).unwrap();
+        let market = find(&forest, f0, "market");
+        let f3 = forest.split(f0, market).unwrap();
+
+        let mut p = Placement::new();
+        p.assign(f0, SiteId(0));
+        p.assign(f1, SiteId(1));
+        p.assign(f2, SiteId(2));
+        p.assign(f3, SiteId(2));
+        (forest, p)
+    }
+
+    #[test]
+    fn structure_matches_fig2() {
+        let (forest, p) = fig2();
+        let st = ForestStats::compute(&forest, &p);
+        assert_eq!(st.card(), 4);
+        assert_eq!(st.root(), FragmentId(0));
+        assert_eq!(st.fragment(FragmentId(2)).parent, Some(FragmentId(1)));
+        assert_eq!(st.fragment(FragmentId(3)).parent, Some(FragmentId(0)));
+        // F0's virtual nodes in document order: market (F3), then broker2 (F1).
+        assert_eq!(st.children(FragmentId(0)), [FragmentId(3), FragmentId(1)]);
+        assert_eq!(st.children(FragmentId(1)), [FragmentId(2)]);
+        assert_eq!(
+            st.sites().collect::<Vec<_>>(),
+            vec![SiteId(0), SiteId(1), SiteId(2)]
+        );
+        // S2 stores both F2 and F3 — the site NaiveDistributed visits twice.
+        assert_eq!(
+            st.fragments_at(SiteId(2)),
+            vec![FragmentId(2), FragmentId(3)]
+        );
+        assert_eq!(st.site_of(FragmentId(3)), SiteId(2));
+    }
+
+    #[test]
+    fn depths_and_wavefronts() {
+        let (forest, p) = fig2();
+        let st = ForestStats::compute(&forest, &p);
+        assert_eq!(st.fragments_at_depth(0), vec![FragmentId(0)]);
+        assert_eq!(st.fragments_at_depth(1), vec![FragmentId(1), FragmentId(3)]);
+        assert_eq!(st.fragments_at_depth(2), vec![FragmentId(2)]);
+        assert_eq!(st.max_depth(), 2);
+    }
+
+    #[test]
+    fn postorder_resolves_children_first() {
+        let (forest, p) = fig2();
+        let st = ForestStats::compute(&forest, &p);
+        let order = st.postorder();
+        let pos = |f: FragmentId| order.iter().position(|&x| x == f).unwrap();
+        assert!(pos(FragmentId(2)) < pos(FragmentId(1)));
+        assert!(pos(FragmentId(1)) < pos(FragmentId(0)));
+        assert!(pos(FragmentId(3)) < pos(FragmentId(0)));
+        assert_eq!(order, forest.postorder());
+    }
+
+    #[test]
+    fn byte_size_is_per_fragment() {
+        let (forest, p) = fig2();
+        let st = ForestStats::compute(&forest, &p);
+        assert_eq!(st.byte_size(), 16 * 4);
+    }
+
     #[test]
     fn compute_measures_every_fragment() {
         let (forest, placement) = forest();
@@ -279,12 +435,12 @@ mod tests {
             assert_eq!(s.nodes, forest.fragment(f).len());
             assert_eq!(s.bytes, forest.fragment(f).byte_size());
             assert_eq!(s.depth, forest.depth(f));
-            assert_eq!(s.fanout, forest.children(f).len());
+            assert_eq!(s.children, forest.children(f));
             assert_eq!(s.site, placement.site_of(f));
         }
         // Root has fanout 3 (the star), depth 0.
         let root = stats.fragment(forest.root_fragment());
-        assert_eq!((root.depth, root.fanout), (0, 3));
+        assert_eq!((root.depth, root.children.len()), (0, 3));
         assert_eq!(stats.max_depth(), 1);
     }
 
@@ -292,12 +448,28 @@ mod tests {
     fn per_site_totals_partition_the_forest() {
         let (forest, placement) = forest();
         let stats = ForestStats::compute(&forest, &placement);
-        let nodes: usize = stats.sites().map(|(_, t)| t.nodes).sum();
-        let frags: usize = stats.sites().map(|(_, t)| t.fragments).sum();
+        let nodes: usize = stats.sites().map(|s| stats.site(s).nodes).sum();
+        let frags: usize = stats.sites().map(|s| stats.site(s).fragments).sum();
         assert_eq!(nodes, forest.total_nodes());
         assert_eq!(frags, forest.card());
         assert!(stats.max_site_nodes() >= forest.total_nodes() / 2);
         assert_eq!(stats.site(SiteId(99)), SiteStats::default());
+    }
+
+    #[test]
+    fn node_accounting_per_site() {
+        // `|F_Si|` summed over the sites is the whole forest, and the
+        // largest site holds at least its share.
+        let (forest, placement) = forest();
+        let st = ForestStats::compute(&forest, &placement);
+        let at = |s| -> usize {
+            let frags = st.fragments_at(s);
+            frags.iter().map(|&f| forest.fragment(f).len()).sum()
+        };
+        let total: usize = st.sites().map(at).sum();
+        assert_eq!(total, forest.total_nodes());
+        assert!(st.max_site_nodes() >= total / st.site_count());
+        assert_eq!(st.max_site_nodes(), st.sites().map(at).max().unwrap());
     }
 
     #[test]
@@ -327,6 +499,7 @@ mod tests {
         stats.refresh_structure(&forest, &placement);
         assert_eq!(stats, ForestStats::compute(&forest, &placement));
         assert_eq!(stats.fragment(new).depth, 2);
+        assert_eq!(stats.postorder(), forest.postorder());
     }
 
     #[test]
@@ -343,6 +516,7 @@ mod tests {
         stats.refresh_fragment(&forest, &placement, root);
         stats.refresh_structure(&forest, &placement);
         assert_eq!(stats, ForestStats::compute(&forest, &placement));
+        assert!(!stats.postorder().contains(&gone));
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! The [`Cluster`]: a fragmented document deployed on simulated sites.
 
 use crate::NetworkModel;
-use parbox_frag::{Forest, FragError, Placement, SiteId, SourceTree};
-use parbox_xml::FragmentId;
+use parbox_frag::{Forest, ForestStats, FragError, Placement, SiteId};
 
 /// A deployment of a fragmented document: forest + placement + induced
 /// source tree + network model. This is the input every distributed
@@ -13,8 +12,9 @@ pub struct Cluster<'a> {
     pub forest: &'a Forest,
     /// Assignment of fragments to sites (the paper's `h`).
     pub placement: &'a Placement,
-    /// The induced source tree `S_T`.
-    pub source_tree: SourceTree,
+    /// The induced source tree `S_T`, with per-fragment and per-site
+    /// sizes.
+    pub forest_stats: ForestStats,
     /// Network cost model.
     pub model: NetworkModel,
 }
@@ -42,7 +42,7 @@ impl<'a> Cluster<'a> {
         Ok(Cluster {
             forest,
             placement,
-            source_tree: SourceTree::new(forest, placement),
+            forest_stats: ForestStats::compute(forest, placement),
             model,
         })
     }
@@ -50,35 +50,7 @@ impl<'a> Cluster<'a> {
     /// The coordinating site: the site storing the root fragment (the
     /// paper's convention, w.l.o.g.).
     pub fn coordinator(&self) -> SiteId {
-        self.source_tree.site_of(self.forest.root_fragment())
-    }
-
-    /// All participating sites, ascending.
-    pub fn sites(&self) -> Vec<SiteId> {
-        self.source_tree.sites()
-    }
-
-    /// Fragments stored at `site`.
-    pub fn fragments_at(&self, site: SiteId) -> Vec<FragmentId> {
-        self.source_tree.fragments_at(site)
-    }
-
-    /// `|F_Si|`: total nodes stored at `site`.
-    pub fn nodes_at(&self, site: SiteId) -> usize {
-        self.fragments_at(site)
-            .into_iter()
-            .map(|f| self.forest.fragment(f).len())
-            .sum()
-    }
-
-    /// Largest per-site aggregated fragment size `max_Si |F_Si|` — the
-    /// parallel-computation bound of Fig. 4.
-    pub fn max_site_nodes(&self) -> usize {
-        self.sites()
-            .into_iter()
-            .map(|s| self.nodes_at(s))
-            .max()
-            .unwrap_or(0)
+        self.forest_stats.site_of(self.forest_stats.root())
     }
 }
 
@@ -102,15 +74,6 @@ mod tests {
         let (forest, placement) = setup();
         let c = Cluster::new(&forest, &placement, NetworkModel::lan());
         assert_eq!(c.coordinator(), placement.site_of(forest.root_fragment()));
-    }
-
-    #[test]
-    fn node_accounting_per_site() {
-        let (forest, placement) = setup();
-        let c = Cluster::new(&forest, &placement, NetworkModel::lan());
-        let total: usize = c.sites().iter().map(|&s| c.nodes_at(s)).sum();
-        assert_eq!(total, forest.total_nodes());
-        assert!(c.max_site_nodes() >= total / c.sites().len());
     }
 
     #[test]

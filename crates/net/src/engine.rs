@@ -167,18 +167,6 @@ pub struct SiteCacheStats {
     pub groups: usize,
 }
 
-impl SiteCacheStats {
-    /// Fraction of lookups answered from cache (0 when none were made).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 enum Request {
     /// Evaluate `program` over the listed resident fragments, consulting
     /// the cache under `fingerprint`.

@@ -70,8 +70,8 @@ pub use engine::{
 pub use exec::{run_sites_parallel, SiteRun};
 pub use fault::{FaultContext, FaultKind, FaultPlan, FaultRates, InjectedFault, SupervisorConfig};
 pub use metrics::{
-    CacheEfficacy, CostEstimate, FaultSummary, Message, MessageKind, PlanSummary, RepairEfficacy,
-    RunReport, SiteReport,
+    CostEstimate, FaultSummary, Message, MessageKind, PlanSummary, RepairEfficacy, RunReport,
+    SiteReport,
 };
 pub use model::NetworkModel;
 

@@ -102,36 +102,6 @@ pub struct PlanSummary {
     pub candidates: usize,
 }
 
-/// Cache efficacy of one serving round, recorded in
-/// [`RunReport::cache`] so every experiment artifact shows how much of
-/// the answer came from the two cache levels (the engine's solve cache
-/// and the site workers' triplet caches) rather than from evaluation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct CacheEfficacy {
-    /// Queries answered entirely from the engine's solve cache — no
-    /// site was contacted for them.
-    pub queries_from_cache: u64,
-    /// Queries in the round (cached + evaluated).
-    pub queries_total: u64,
-    /// Site-worker triplet-cache hits during the round.
-    pub site_cache_hits: u64,
-    /// Fragment evaluations actually run (site-cache misses).
-    pub fragments_evaluated: u64,
-}
-
-impl CacheEfficacy {
-    /// Fraction of per-fragment lookups the site triplet caches
-    /// answered (0 when no lookup was made).
-    pub fn site_hit_rate(&self) -> f64 {
-        let total = self.site_cache_hits + self.fragments_evaluated;
-        if total == 0 {
-            0.0
-        } else {
-            self.site_cache_hits as f64 / total as f64
-        }
-    }
-}
-
 /// Delta-repair maintenance counters of one update (or an aggregate of
 /// updates), recorded in [`RunReport::repair`] so serving artifacts
 /// show how much of the cached state survived each update in place
@@ -152,27 +122,6 @@ pub struct RepairEfficacy {
     /// Wire bytes of the shipped triplet deltas (changed entries only,
     /// varint-DAG encoded; 1-byte ack per unchanged entry).
     pub delta_bytes: u64,
-}
-
-impl RepairEfficacy {
-    /// Fraction of touched cache entries kept alive in place
-    /// (0 when the update touched no cached state).
-    pub fn repair_rate(&self) -> f64 {
-        let total = self.repaired + self.invalidated;
-        if total == 0 {
-            0.0
-        } else {
-            self.repaired as f64 / total as f64
-        }
-    }
-
-    /// Folds another update's counters into this one.
-    pub fn absorb(&mut self, other: &RepairEfficacy) {
-        self.repaired += other.repaired;
-        self.invalidated += other.invalidated;
-        self.nodes_recomputed += other.nodes_recomputed;
-        self.delta_bytes += other.delta_bytes;
-    }
 }
 
 /// Fault-tolerance counters of one run, recorded in
@@ -240,9 +189,6 @@ pub struct RunReport {
     /// report, what it chose and what it predicted (`None` for runs of a
     /// fixed, caller-chosen strategy).
     pub planned: Option<PlanSummary>,
-    /// Cache efficacy of the round, for serving-engine runs (`None` for
-    /// one-shot algorithm runs, which have no caches).
-    pub cache: Option<CacheEfficacy>,
     /// Delta-repair efficacy of a maintenance step (`None` outside
     /// update handling, or when delta maintenance is disabled).
     pub repair: Option<RepairEfficacy>,
@@ -448,19 +394,6 @@ mod tests {
             r.planned.as_ref().unwrap().estimate.visits,
             r.total_visits()
         );
-    }
-
-    #[test]
-    fn cache_efficacy_rates() {
-        let c = CacheEfficacy {
-            queries_from_cache: 3,
-            queries_total: 4,
-            site_cache_hits: 6,
-            fragments_evaluated: 2,
-        };
-        assert!((c.site_hit_rate() - 0.75).abs() < 1e-12);
-        assert_eq!(CacheEfficacy::default().site_hit_rate(), 0.0);
-        assert!(RunReport::new().cache.is_none());
     }
 
     #[test]

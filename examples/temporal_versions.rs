@@ -52,7 +52,7 @@ fn main() {
     println!(
         "version chain: {} fragments, depth {}",
         forest.card(),
-        cluster.source_tree.max_depth()
+        cluster.forest_stats.max_depth()
     );
 
     // Query 1: was release r1 ever published? (shallow — near the top)

@@ -19,7 +19,7 @@ use parbox::core::{
     naive_distributed, parbox, select_centralized, sum_centralized,
 };
 use parbox::core::{Engine, EngineConfig, PlanContext, Planner};
-use parbox::frag::{strategies, Forest, ForestStats, Placement};
+use parbox::frag::{strategies, Forest, Placement};
 use parbox::net::{Cluster, FaultPlan, NetworkModel, SupervisorConfig};
 use parbox::query::{compile, compile_batch, compile_selection, normalize, parse_query};
 use parbox::xmark::{drive_stream, generate, mixed_workload, MixedConfig, XmarkConfig};
@@ -307,14 +307,13 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
     let q = compile(&parse_arg_query(src)?);
     let cluster =
         Cluster::try_new(&forest, &placement, model).map_err(|e| format!("deploying: {e}"))?;
-    let stats = ForestStats::compute(&forest, &placement);
-    let cx = PlanContext::new(&cluster, &q, &stats);
+    let cx = PlanContext::new(&cluster, &q);
     let planner = Planner::standard();
     let choice = planner.choose(&cx);
     println!(
         "{} fragments over {} site(s), |QList| = {}, network {}: candidate estimates",
-        stats.card(),
-        stats.site_count(),
+        cluster.forest_stats.card(),
+        cluster.forest_stats.site_count(),
         q.len(),
         flag(args, "--network").unwrap_or_else(|| "lan".into()),
     );

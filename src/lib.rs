@@ -15,8 +15,9 @@
 //!   [`query::CompiledQuery`] (the paper's `QList`).
 //! * [`boolean`] — Boolean formulas with free variables and the equation
 //!   system solver used to compose partial answers.
-//! * [`frag`] — tree fragmentation: fragments, fragment tree, source tree,
-//!   split/merge operations.
+//! * [`frag`] — tree fragmentation: fragments, fragment tree,
+//!   split/merge operations, and the incrementally maintained source
+//!   tree with per-fragment sizes (`ForestStats`).
 //! * [`net`] — the simulated distributed substrate: sites, messages,
 //!   network cost model, parallel per-site execution.
 //! * [`core`] — the algorithms: centralized baseline, `NaiveCentralized`,
@@ -78,7 +79,7 @@ pub mod prelude {
         sum_distributed, Completeness, CostEstimate, Engine, EngineConfig, EvalOutcome,
         PlanContext, Planner, QueryOutcome, RoundOutcome, Update,
     };
-    pub use parbox_frag::{Forest, Placement, SourceTree};
+    pub use parbox_frag::{Forest, ForestStats, Placement};
     pub use parbox_net::{Cluster, NetworkModel, SiteId};
     pub use parbox_net::{FaultKind, FaultPlan, FaultRates, SupervisorConfig};
     pub use parbox_query::compile_selection;

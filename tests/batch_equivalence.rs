@@ -88,7 +88,7 @@ proptest! {
             .map(|q| parbox(&cluster, &compile(q)))
             .collect();
 
-        for &site in &cluster.sites() {
+        for site in cluster.forest_stats.sites() {
             let b = batched.report.site(site);
             let sent: usize = solo.iter().map(|o| o.report.site(site).bytes_sent).sum();
             let recv: usize = solo.iter().map(|o| o.report.site(site).bytes_recv).sum();
@@ -105,7 +105,8 @@ proptest! {
         prop_assert!(batched.report.total_bytes() <= sequential_total);
         // Message count: at most one request + one envelope per site vs
         // that much *per query* sequentially.
-        prop_assert!(batched.report.total_messages() <= 2 * (cluster.sites().len() - 1));
+        let sites = cluster.forest_stats.site_count();
+        prop_assert!(batched.report.total_messages() <= 2 * (sites - 1));
     }
 }
 
@@ -241,7 +242,7 @@ fn one_request_and_one_envelope_per_remote_site() {
         &queries(&FIG1_BATCH),
     );
     let coordinator = cluster.coordinator();
-    for site in cluster.sites() {
+    for site in cluster.forest_stats.sites() {
         assert_eq!(out.report.site(site).visits, 1, "site {}", site.0);
         if site == coordinator {
             continue;
@@ -254,7 +255,10 @@ fn one_request_and_one_envelope_per_remote_site() {
         assert_eq!(count(MessageKind::BatchQuery, coordinator, site), 1);
         assert_eq!(count(MessageKind::Envelope, site, coordinator), 1);
     }
-    assert_eq!(out.report.total_messages(), 2 * (cluster.sites().len() - 1));
+    assert_eq!(
+        out.report.total_messages(),
+        2 * (cluster.forest_stats.site_count() - 1)
+    );
 }
 
 #[test]

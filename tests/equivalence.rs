@@ -159,7 +159,7 @@ proptest! {
         prop_assert_eq!(a, b, "selected node mismatch for {}", query);
         // Visit guarantee: ≤ 1 (phase 1) + #depth-waves per site.
         for (_, rep) in distributed.report.sites() {
-            prop_assert!(rep.visits <= 1 + cluster.source_tree.max_depth() + 1);
+            prop_assert!(rep.visits <= 1 + cluster.forest_stats.max_depth() + 1);
         }
     }
 

@@ -9,7 +9,7 @@
 
 use parbox::core::plan::TRAFFIC_ESTIMATE_FACTOR;
 use parbox::core::{centralized_eval, plan_run, PlanContext, Planner};
-use parbox::frag::{ForestStats, Placement};
+use parbox::frag::Placement;
 use parbox::net::Cluster;
 use parbox::query::compile;
 use proptest::prelude::*;
@@ -34,9 +34,8 @@ proptest! {
         let forest = fragment_randomly(tree, &cuts);
         let placement = Placement::round_robin(&forest, 3);
         let cluster = Cluster::new(&forest, &placement, model);
-        let stats = ForestStats::compute(&forest, &placement);
         let q = compile(&query);
-        let cx = PlanContext::new(&cluster, &q, &stats);
+        let cx = PlanContext::new(&cluster, &q);
         let planner = Planner::standard();
         let chosen = planner.choose(&cx).execute(&cluster, &q);
         prop_assert_eq!(
@@ -70,9 +69,8 @@ proptest! {
         let forest = fragment_randomly(tree, &cuts);
         let placement = Placement::round_robin(&forest, 3);
         let cluster = Cluster::new(&forest, &placement, model);
-        let stats = ForestStats::compute(&forest, &placement);
         let q = compile(&query);
-        let cx = PlanContext::new(&cluster, &q, &stats);
+        let cx = PlanContext::new(&cluster, &q);
         for exec in Planner::standard().executors() {
             let deterministic = matches!(
                 exec.name(),
