@@ -7,14 +7,15 @@
 //! `cargo run --release -p parbox-bench --bin expE_planner \
 //!    [--scale BYTES] [--machines N] [--json PATH]`
 //!
-//! Per cell every fixed strategy runs once and is scored with the
-//! deterministic replay metric; the adaptive planner's time is its
-//! chosen strategy's run. The binary asserts the ISSUE acceptance
-//! criteria: adaptive within 1.1× of the best fixed strategy on every
-//! cell, ≥2× better than the worst fixed strategy on at least one
-//! cell, visit/message estimates exact for the deterministic
-//! strategies, and traffic estimates within the documented factor
-//! (the last two checked inside the sweep). `--json PATH` writes the
+//! Per cell every fixed strategy runs once and is scored by its
+//! report's `elapsed_model_s`, priced from work units and message
+//! bytes, so the sweep is deterministic; the adaptive planner's time
+//! is its chosen strategy's run. The binary asserts: adaptive within
+//! 1.1× of the best fixed strategy on every cell, ≥2× better than the
+//! worst fixed strategy on at least one cell, visit/message estimates
+//! exact for the deterministic strategies, and traffic estimates
+//! within the documented factor (the last two checked inside the
+//! sweep). `--json PATH` writes the
 //! rows — prediction next to measurement — for the CI artifact.
 
 // The experiment is named expE in the issue tracker; keep the binary name.
@@ -91,9 +92,9 @@ fn main() {
         );
     }
 
-    // Acceptance: adaptive ≤ 1.1x best per cell (1 ms model-granularity
-    // allowance), ≥2x better than the worst somewhere.
-    expe_check(&rows, 1e-3);
+    // Acceptance: adaptive ≤ 1.1x best per cell, ≥2x better than the
+    // worst somewhere.
+    expe_check(&rows);
     let wins = rows
         .iter()
         .filter(|r| r.worst_model_s >= 2.0 * r.adaptive_model_s.max(1e-12))

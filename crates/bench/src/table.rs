@@ -9,8 +9,8 @@ pub struct Row {
     pub x: f64,
     /// The series label (algorithm or query size).
     pub series: String,
-    /// Modeled runtime in seconds (compute ∥ + network model) — the
-    /// quantity the paper's runtime figures plot.
+    /// Modeled runtime in seconds — the run's deterministic
+    /// `elapsed_model_s`, the quantity the paper's runtime figures plot.
     pub runtime_s: f64,
     /// Measured wall-clock seconds of the run.
     pub wall_s: f64,

@@ -30,6 +30,7 @@ use crate::algorithms::query_wire_size;
 use crate::eval::bottom_up::{FragmentPass, Rows};
 use crate::eval::columns::ones;
 use crate::eval::FragmentRun;
+use crate::plan::compute_s;
 use parbox_bool::{triplet_dag_wire_size, EquationSystem, Formula, Var};
 use parbox_net::{run_sites_parallel, Cluster, MessageKind, RunReport, SiteId};
 use parbox_query::CompiledQuery;
@@ -134,6 +135,7 @@ fn aggregate_distributed(
 
     let mut sys = EquationSystem::new();
     let mut residuals: HashMap<FragmentId, ResidualAggregate> = HashMap::new();
+    let mut replies: Vec<usize> = Vec::new();
     for run in runs {
         report.record_compute(run.site, run.elapsed);
         for (frag, frun, residual) in run.output {
@@ -141,11 +143,14 @@ fn aggregate_distributed(
             if run.site != coord {
                 let bytes = triplet_dag_wire_size(&frun.triplet) + residual.wire_size();
                 report.record_message(run.site, coord, bytes, MessageKind::Triplet);
+                replies.push(bytes);
             }
             sys.insert(frag, frun.triplet);
             residuals.insert(frag, residual);
         }
     }
+    // So far each site's work is its share of stages 1+2.
+    let slowest_site = report.sites().map(|(_, r)| r.work_units).max().unwrap_or(0);
 
     // Stage 3 at the coordinator: solve the Boolean system, then fold the
     // affine aggregates bottom-up over the fragment tree.
@@ -166,16 +171,23 @@ fn aggregate_distributed(
         }
         totals.insert(frag, total);
     }
-    let solve_time = solve_start.elapsed();
-    report.record_compute(coord, solve_time);
-    report.record_work(coord, (q.len() * cluster.forest.card()) as u64);
+    report.record_compute(coord, solve_start.elapsed());
+    let solve_work = (q.len() * cluster.forest.card()) as u64;
+    report.record_work(coord, solve_work);
 
+    // ParBoX's stages: query broadcast ∥ → the slowest site → replies
+    // over the coordinator's shared inbound link → solve.
+    let broadcast = match sites.len() {
+        1 => 0.0,
+        _ => cluster.model.transfer_time(qsize),
+    };
     report.elapsed_wall_s = wall.elapsed().as_secs_f64();
-    report.elapsed_model_s = report.max_site_compute_s()
+    report.elapsed_model_s = broadcast
+        + compute_s(slowest_site)
         + cluster
             .model
-            .shared_link_time(report.messages.iter().map(|m| m.bytes))
-        + solve_time.as_secs_f64();
+            .shared_link_time(replies.len(), replies.iter().sum())
+        + compute_s(solve_work);
     AggregateOutcome {
         value: totals[&st.root()],
         report,

@@ -12,6 +12,7 @@
 
 use crate::algorithms::{query_wire_size, resolved_triplet_wire_size, EvalOutcome};
 use crate::eval::bottom_up;
+use crate::plan::compute_s;
 use parbox_bool::{KleeneRows, Triplet, Var, VecKind};
 use parbox_net::{run_sites_parallel, Cluster, MessageKind, RunReport, SiteId};
 use parbox_query::CompiledQuery;
@@ -47,11 +48,12 @@ pub fn full_dist_parbox(cluster: &Cluster<'_>, q: &CompiledQuery) -> EvalOutcome
     let mut site_compute: HashMap<u32, f64> = HashMap::new();
     for run in runs {
         report.record_compute(run.site, run.elapsed);
-        site_compute.insert(run.site.0, run.elapsed.as_secs_f64());
+        let site_work: u64 = run.output.iter().map(|(_, r)| r.work_units).sum();
         for (frag, frun) in run.output {
             report.record_work(run.site, frun.work_units);
             open.insert(frag, frun.triplet);
         }
+        site_compute.insert(run.site.0, compute_s(site_work));
     }
 
     // Stage 3: `evalDistrST` — bottom-up resolution along the source tree.
@@ -80,10 +82,10 @@ pub fn full_dist_parbox(cluster: &Cluster<'_>, q: &CompiledQuery) -> EvalOutcome
             row.iter().all(Option::is_some),
             "children resolved in postorder"
         );
-        let step = start.elapsed();
-        report.record_compute(here, step);
-        report.record_work(here, q.len() as u64 * (1 + st.children(frag).len() as u64));
-        done_at.insert(frag, ready + step.as_secs_f64());
+        report.record_compute(here, start.elapsed());
+        let step_work = q.len() as u64 * (1 + st.children(frag).len() as u64);
+        report.record_work(here, step_work);
+        done_at.insert(frag, ready + compute_s(step_work));
     }
 
     let root = cluster.forest.root_fragment();

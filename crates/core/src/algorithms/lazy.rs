@@ -12,6 +12,7 @@
 
 use crate::algorithms::{query_wire_size, EvalOutcome};
 use crate::eval::bottom_up;
+use crate::plan::compute_s;
 use parbox_bool::{triplet_dag_wire_size, KleeneRows, Triplet, Var, VecKind};
 use parbox_net::{run_sites_parallel, Cluster, MessageKind, RunReport};
 use parbox_query::CompiledQuery;
@@ -61,11 +62,11 @@ pub fn lazy_parbox(cluster: &Cluster<'_>, q: &CompiledQuery) -> EvalOutcome {
                 .collect::<Vec<_>>()
         });
 
-        let mut step_compute = 0.0f64;
+        let mut step_work = 0u64;
         let mut step_bytes: Vec<usize> = Vec::new();
         for run in runs {
             report.record_compute(run.site, run.elapsed);
-            step_compute = step_compute.max(run.elapsed.as_secs_f64());
+            step_work = step_work.max(run.output.iter().map(|(_, r)| r.work_units).sum());
             for (frag, frun) in run.output {
                 report.record_work(run.site, frun.work_units);
                 let bytes = triplet_dag_wire_size(&frun.triplet);
@@ -80,16 +81,17 @@ pub fn lazy_parbox(cluster: &Cluster<'_>, q: &CompiledQuery) -> EvalOutcome {
         // Attempt to answer with what we have.
         let solve_start = Instant::now();
         let maybe = partial_solve(st, &gathered, q.root() as usize);
-        let solve_time = solve_start.elapsed();
-        report.record_compute(coord, solve_time);
-        report.record_work(coord, (q.len() * gathered.len()) as u64);
+        report.record_compute(coord, solve_start.elapsed());
+        let solve_work = (q.len() * gathered.len()) as u64;
+        report.record_work(coord, solve_work);
 
         if sites.iter().any(|&s| s != coord) {
             model_time += cluster.model.transfer_time(qsize);
         }
-        model_time += step_compute
-            + cluster.model.shared_link_time(step_bytes.iter().copied())
-            + solve_time.as_secs_f64();
+        let collect = cluster
+            .model
+            .shared_link_time(step_bytes.len(), step_bytes.iter().sum());
+        model_time += compute_s(step_work) + collect + compute_s(solve_work);
 
         if let Some(a) = maybe {
             answer = Some(a);

@@ -11,6 +11,7 @@
 
 use crate::algorithms::{query_wire_size, resolved_triplet_wire_size, EvalOutcome};
 use crate::eval::{bottom_up, centralized_eval_counted};
+use crate::plan::compute_s;
 use parbox_bool::{KleeneRows, Var, VecKind};
 use parbox_net::{Cluster, MessageKind, RunReport};
 use parbox_query::CompiledQuery;
@@ -39,17 +40,18 @@ pub fn naive_centralized(cluster: &Cluster<'_>, q: &CompiledQuery) -> EvalOutcom
     }
 
     // Reassemble and evaluate at the coordinator. (Reassembly stands in
-    // for receiving + stitching the fragments; only evaluation is timed,
-    // transfer is costed by the network model.)
+    // for receiving + stitching the fragments; only evaluation is
+    // charged, transfer is costed by the network model.)
     let whole = cluster.forest.reassemble();
     let eval_start = Instant::now();
     let run = centralized_eval_counted(&whole, q);
-    let eval_time = eval_start.elapsed();
-    report.record_compute(coord, eval_time);
+    report.record_compute(coord, eval_start.elapsed());
     report.record_work(coord, run.work_units);
 
-    report.elapsed_model_s =
-        cluster.model.shared_link_time(shipped.iter().copied()) + eval_time.as_secs_f64();
+    let ship = cluster
+        .model
+        .shared_link_time(shipped.len(), shipped.iter().sum());
+    report.elapsed_model_s = ship + compute_s(run.work_units);
     report.elapsed_wall_s = wall.elapsed().as_secs_f64();
 
     EvalOutcome {
@@ -93,10 +95,9 @@ pub fn naive_distributed(cluster: &Cluster<'_>, q: &CompiledQuery) -> EvalOutcom
             row.iter().all(Option::is_some),
             "postorder guarantees children resolved"
         );
-        let elapsed = start.elapsed();
-        report.record_compute(here, elapsed);
+        report.record_compute(here, start.elapsed());
         report.record_work(here, run.work_units);
-        model_time += elapsed.as_secs_f64();
+        model_time += compute_s(run.work_units);
 
         // Return the resolved result vectors to the parent's site.
         if from != here {

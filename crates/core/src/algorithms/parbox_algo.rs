@@ -17,6 +17,7 @@
 
 use crate::algorithms::{answer_from_resolved, query_wire_size, EvalOutcome};
 use crate::eval::bottom_up;
+use crate::plan::compute_s;
 use parbox_bool::{triplet_dag_wire_size, EquationSystem};
 use parbox_net::{run_sites_parallel, Cluster, MessageKind, RunReport, SiteId};
 use parbox_query::CompiledQuery;
@@ -49,36 +50,36 @@ pub fn parbox(cluster: &Cluster<'_>, q: &CompiledQuery) -> EvalOutcome {
     });
 
     let mut sys = EquationSystem::new();
-    let mut remote_triplet_bytes: Vec<usize> = Vec::new();
-    let mut max_compute = 0.0f64;
+    let mut replies: Vec<usize> = Vec::new();
     for run in runs {
         report.record_compute(run.site, run.elapsed);
-        max_compute = max_compute.max(run.elapsed.as_secs_f64());
         for (frag, frun) in run.output {
             report.record_work(run.site, frun.work_units);
             let bytes = triplet_dag_wire_size(&frun.triplet);
             if run.site != coord {
                 report.record_message(run.site, coord, bytes, MessageKind::Triplet);
-                remote_triplet_bytes.push(bytes);
+                replies.push(bytes);
             }
             sys.insert(frag, frun.triplet);
         }
     }
+    // So far each site's work is its share of stage 2.
+    let slowest_site = report.sites().map(|(_, r)| r.work_units).max().unwrap_or(0);
 
     // Stage 3: solve the Boolean equation system at the coordinator.
     let solve_start = Instant::now();
     let resolved = sys
         .solve(st.postorder())
         .expect("triplets cover every fragment in bottom-up order");
-    let solve_time = solve_start.elapsed();
-    report.record_compute(coord, solve_time);
+    report.record_compute(coord, solve_start.elapsed());
     // The system has O(|q| · card(F)) entries; count its resolution as one
     // work unit per entry (paper: linear-time solve).
-    report.record_work(coord, (q.len() * cluster.forest.card()) as u64);
+    let solve_work = (q.len() * cluster.forest.card()) as u64;
+    report.record_work(coord, solve_work);
 
     let answer = answer_from_resolved(&resolved, cluster, q);
 
-    // Modeled elapsed time: query broadcast ∥ → parallel compute → triplet
+    // Modeled elapsed time: query broadcast ∥ → the slowest site → triplet
     // return over the coordinator's shared inbound link → solve.
     let model = &cluster.model;
     let broadcast = if sites.len() > 1 {
@@ -86,8 +87,8 @@ pub fn parbox(cluster: &Cluster<'_>, q: &CompiledQuery) -> EvalOutcome {
     } else {
         0.0
     };
-    let collect = model.shared_link_time(remote_triplet_bytes.iter().copied());
-    report.elapsed_model_s = broadcast + max_compute + collect + solve_time.as_secs_f64();
+    let collect = model.shared_link_time(replies.len(), replies.iter().sum());
+    report.elapsed_model_s = broadcast + compute_s(slowest_site) + collect + compute_s(solve_work);
     report.elapsed_wall_s = wall.elapsed().as_secs_f64();
 
     EvalOutcome {

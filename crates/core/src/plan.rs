@@ -20,8 +20,8 @@
 //!
 //! # The cost model
 //!
-//! Estimates are written in the *same units the [`RunReport`] accounting
-//! later measures*, so tests can assert prediction against measurement:
+//! Estimates are written in the *same units a run's report later
+//! measures*, so tests can assert prediction against measurement:
 //!
 //! * **visits / messages / work units** — predicted exactly for the
 //!   deterministic strategies (`ParBoX`, `FullDistParBoX`, both naive
@@ -35,11 +35,10 @@
 //!   `expE_planner` workloads the predicted total traffic stays within
 //!   a factor of [`TRAFFIC_ESTIMATE_FACTOR`] of the measured bytes
 //!   (asserted there and in `tests/planner.rs`).
-//! * **modeled seconds** — network terms use the exact same
-//!   [`NetworkModel`] arithmetic the algorithms charge
-//!   ([`NetworkModel::estimate_round`] ≡ shared-link rounds,
-//!   `transfer_time` ≡ point-to-point hops); computation is predicted
-//!   as `work units ×` [`SECONDS_PER_WORK_UNIT`].
+//! * **modeled seconds** — priced exactly as a run's `elapsed_model_s`
+//!   is charged, with no clock on either side:
+//!   [`NetworkModel::shared_link_time`] per shared-link round,
+//!   `transfer_time` per point-to-point hop, [`compute_s`] per work unit.
 //!
 //! `LazyParBoX`'s cost depends on the depth at which partial answers
 //! determine the result — unknowable before evaluation. Its estimate is
@@ -52,7 +51,7 @@ use crate::algorithms::{
     resolved_triplet_wire_size, EvalOutcome,
 };
 use parbox_frag::{ForestStats, SiteId};
-use parbox_net::{Cluster, NetworkModel, RunReport};
+use parbox_net::{Cluster, NetworkModel};
 pub use parbox_net::{CostEstimate, PlanSummary};
 use parbox_query::CompiledQuery;
 use parbox_xml::FragmentId;
@@ -62,9 +61,15 @@ use std::fmt;
 /// Calibrated cost of one work unit (one node × sub-query evaluation),
 /// in seconds. Chosen to match release-mode `bottomUp` throughput on
 /// XMark documents (~50 M node-subquery evaluations per second); the
-/// planner only needs it to be *consistent across strategies*, since
-/// every strategy's compute term uses the same constant.
+/// model only needs it to be *consistent across strategies*, since
+/// every compute term, planned or charged, is priced by [`compute_s`].
 pub const SECONDS_PER_WORK_UNIT: f64 = 2e-8;
+
+/// Modeled seconds of `work_units`: the one price of every compute term,
+/// estimated ([`CostEstimate::modeled_s`]) or charged.
+pub fn compute_s(work_units: u64) -> f64 {
+    work_units as f64 * SECONDS_PER_WORK_UNIT
+}
 
 /// Documented accuracy bound of the traffic prediction: on the
 /// `expE_planner` workloads, `CostEstimate::traffic_bytes` stays within
@@ -176,10 +181,6 @@ impl Derived {
             max_depth: stats.max_depth(),
         }
     }
-
-    fn compute_s(nodes: usize, m: usize) -> f64 {
-        (nodes * m) as f64 * SECONDS_PER_WORK_UNIT
-    }
 }
 
 /// `ParBoX`: one visit per site, two communication rounds.
@@ -199,7 +200,7 @@ impl Executor for ParBoxExec {
         } else {
             0.0
         };
-        let collect = model.estimate_round(d.remote_frags, d.remote_triplet_bytes);
+        let collect = model.shared_link_time(d.remote_frags, d.remote_triplet_bytes);
         let work = (d.total_nodes * d.m + d.m * d.card) as u64;
         CostEstimate {
             visits: d.sites,
@@ -208,9 +209,9 @@ impl Executor for ParBoxExec {
             rounds: if d.remote_sites > 0 { 2 } else { 0 },
             work_units: work,
             modeled_s: broadcast
-                + Derived::compute_s(d.max_site_nodes, d.m)
+                + compute_s((d.max_site_nodes * d.m) as u64)
                 + collect
-                + Derived::compute_s(d.card, d.m),
+                + compute_s((d.card * d.m) as u64),
         }
     }
 
@@ -242,8 +243,8 @@ impl Executor for NaiveCentralizedExec {
             modeled_s: cx
                 .cluster
                 .model
-                .estimate_round(d.remote_frags, d.remote_data_bytes)
-                + Derived::compute_s(whole, d.m),
+                .shared_link_time(d.remote_frags, d.remote_data_bytes)
+                + compute_s((whole * d.m) as u64),
         }
     }
 
@@ -273,7 +274,7 @@ impl Executor for NaiveDistributedExec {
             work_units: (d.total_nodes * d.m) as u64,
             modeled_s: d.cross_edges as f64
                 * (model.transfer_time(d.qsize) + model.transfer_time(tri))
-                + Derived::compute_s(d.total_nodes, d.m),
+                + compute_s((d.total_nodes * d.m) as u64),
         }
     }
 
@@ -319,9 +320,9 @@ impl Executor for FullDistExec {
             },
             work_units: (d.total_nodes * d.m) as u64 + solve_work,
             modeled_s: broadcast
-                + Derived::compute_s(d.max_site_nodes, d.m)
+                + compute_s((d.max_site_nodes * d.m) as u64)
                 + climb
-                + solve_work as f64 * SECONDS_PER_WORK_UNIT,
+                + compute_s(solve_work),
         }
     }
 
@@ -404,9 +405,9 @@ impl Executor for LazyExec {
                 model.transfer_time(d.qsize)
             } else {
                 0.0
-            } + Derived::compute_s(w.max_site_nodes, d.m)
-                + model.estimate_round(w.remote_frags, w.remote_triplet_bytes)
-                + Derived::compute_s(gathered, d.m);
+            } + compute_s((w.max_site_nodes * d.m) as u64)
+                + model.shared_link_time(w.remote_frags, w.remote_triplet_bytes)
+                + compute_s((gathered * d.m) as u64);
         }
         est
     }
@@ -426,7 +427,7 @@ pub(crate) struct RoundPlan {
     /// the depth-gated plan bets on answers closing early and pays for
     /// that zero-message pass, the eager plan ships everything anyway.
     pub attempt_before_first_wave: bool,
-    /// The decision record stamped into [`RunReport::planned`].
+    /// The decision record stamped into [`parbox_net::RunReport::planned`].
     pub summary: PlanSummary,
 }
 
@@ -484,9 +485,9 @@ impl RoundDemand<'_> {
             rounds: if remote > 0 { 2 } else { 0 },
             work_units: eval_work + solve_work,
             modeled_s: broadcast
-                + Derived::compute_s(slowest_site, m)
-                + self.model.estimate_round(remote, envelopes)
-                + solve_work as f64 * SECONDS_PER_WORK_UNIT,
+                + compute_s((slowest_site * m) as u64)
+                + self.model.shared_link_time(remote, envelopes)
+                + compute_s(solve_work),
         }
     }
 
@@ -596,7 +597,7 @@ impl fmt::Display for PlanExplain {
 pub struct Choice<'p> {
     /// The winning executor.
     pub executor: &'p dyn Executor,
-    /// The decision record ([`RunReport::planned`]).
+    /// The decision record ([`parbox_net::RunReport::planned`]).
     pub summary: PlanSummary,
     /// All candidates' estimates.
     pub explain: PlanExplain,
@@ -728,19 +729,6 @@ pub fn plan_run(cluster: &Cluster<'_>, q: &CompiledQuery) -> EvalOutcome {
     Planner::standard().choose(&cx).execute(cluster, q)
 }
 
-/// Deterministic replay of a measured run under the planner's own time
-/// model: the report's recorded network usage at `model` rates plus its
-/// work units at [`SECONDS_PER_WORK_UNIT`]. Used by `expE_planner` to
-/// compare strategies without wall-clock measurement noise.
-pub fn replay_modeled_s(report: &RunReport, model: &NetworkModel, rounds: usize) -> f64 {
-    // Payload time is load-dependent; latency is charged once per
-    // sequential round, as every strategy's own model does.
-    let bytes: usize = report.messages.iter().map(|m| m.bytes).sum();
-    rounds as f64 * model.latency_s
-        + bytes as f64 / model.bandwidth_bytes_per_s
-        + report.total_work() as f64 * SECONDS_PER_WORK_UNIT
-}
-
 /// Measures the fragment-tree depth at which `q`'s answer resolves: the
 /// smallest `d` such that the triplets of fragments at depth `≤ d`
 /// already determine the root answer. This is the statistic a serving
@@ -835,28 +823,47 @@ mod tests {
                 est.traffic_bytes
             );
         }
+        // Modeled time is priced from counts, never read off a clock.
+        for exec in Planner::standard().executors() {
+            let charged = || exec.execute(&cluster, &q).report.elapsed_model_s;
+            assert_eq!(charged(), charged(), "{} modeled time", exec.name());
+        }
+        // On a free network ParBoX's estimated compute is exact.
+        let free = Cluster::new(&forest, &placement, NetworkModel::infinite());
+        let est = ParBoxExec.estimate(&PlanContext::new(&free, &q)).modeled_s;
+        let charged = ParBoxExec.execute(&free, &q).report.elapsed_model_s;
+        assert!((est - charged).abs() < 1e-12, "{est} vs {charged}");
     }
 
     #[test]
     fn naive_traffic_estimates_are_exact() {
         // Shipped-fragment and resolved-triplet payloads are structural:
-        // the two naive baselines' traffic is predicted to the byte.
+        // the two naive baselines' traffic is predicted to the byte, and
+        // so, on every network, is their modeled time.
         let (forest, placement) = star_cluster(40, 4);
-        let cluster = Cluster::new(&forest, &placement, NetworkModel::lan());
         let q = compile(&parse_query("[//goal]").unwrap());
-        let cx = PlanContext::new(&cluster, &q);
-        for exec in [
-            Box::new(NaiveCentralizedExec) as Box<dyn Executor>,
-            Box::new(NaiveDistributedExec),
+        for model in [
+            NetworkModel::lan(),
+            NetworkModel::wan(),
+            NetworkModel::infinite(),
         ] {
-            let est = exec.estimate(&cx);
-            let out = exec.execute(&cluster, &q);
-            assert_eq!(
-                est.traffic_bytes,
-                out.report.total_bytes(),
-                "{} traffic",
-                exec.name()
-            );
+            let cluster = Cluster::new(&forest, &placement, model);
+            let cx = PlanContext::new(&cluster, &q);
+            for exec in [
+                Box::new(NaiveCentralizedExec) as Box<dyn Executor>,
+                Box::new(NaiveDistributedExec),
+            ] {
+                let est = exec.estimate(&cx);
+                let out = exec.execute(&cluster, &q);
+                assert_eq!(
+                    est.traffic_bytes,
+                    out.report.total_bytes(),
+                    "{} traffic",
+                    exec.name()
+                );
+                let (est, charged) = (est.modeled_s, out.report.elapsed_model_s);
+                assert!((est - charged).abs() < 1e-12, "{est} vs {charged}");
+            }
         }
     }
 

@@ -25,6 +25,7 @@
 use crate::algorithms::{query_wire_size, resolved_triplet_wire_size};
 use crate::eval::bottom_up;
 use crate::eval::columns::{eval_columns, Layout, SubTriplets};
+use crate::plan::compute_s;
 use parbox_bool::{triplet_dag_wire_size, EquationSystem};
 use parbox_net::{run_sites_parallel, Cluster, MessageKind, RunReport, SiteId};
 use parbox_query::{SelStep, SelectionProgram};
@@ -139,10 +140,10 @@ pub fn select_distributed(cluster: &Cluster<'_>, sel: &SelectionProgram) -> Sele
     }
 
     report.elapsed_wall_s = wall.elapsed().as_secs_f64();
-    report.elapsed_model_s = report.total_compute_s()
+    report.elapsed_model_s = compute_s(report.total_work())
         + cluster
             .model
-            .shared_link_time(report.messages.iter().map(|msg| msg.bytes));
+            .shared_link_time(report.total_messages(), report.total_bytes());
     SelectionOutcome { nodes, report }
 }
 

@@ -90,7 +90,7 @@
 
 use crate::algorithms::batch_query_wire_size;
 use crate::eval::{bottom_up, IncrementalBottomUp};
-use crate::plan::RoundDemand;
+use crate::plan::{compute_s, RoundDemand};
 use crate::views::{apply_update_tracked, FragmentDelta, Update, UpdateEffect, ViewError};
 use parbox_bool::{site_envelope_dag_wire_size, KleeneRows, Known, Triplet, Var, VecKind};
 use parbox_frag::{Forest, ForestStats, FragError, Placement, SiteId};
@@ -1535,9 +1535,9 @@ impl Ledger {
         }
     }
 
-    /// One solve at the coordinator.
+    /// One solve at the coordinator, charged by its work units.
     fn record_solve(&mut self, took: Duration, work_units: u64) {
-        self.modeled_s += took.as_secs_f64();
+        self.modeled_s += compute_s(work_units);
         self.report.record_compute(self.coordinator, took);
         self.report.record_work(self.coordinator, work_units);
     }
@@ -1622,7 +1622,7 @@ fn absorb_replies(
     for reply in replies {
         ledger.report.record_compute(reply.site, reply.elapsed);
         ledger.report.record_work(reply.site, reply.work_units);
-        slowest_site = slowest_site.max(reply.elapsed.as_secs_f64());
+        slowest_site = slowest_site.max(compute_s(reply.work_units));
         ledger.site_cache_hits += reply.triplets.iter().filter(|(_, _, hit)| *hit).count();
         let entries: Vec<(FragmentId, &Triplet)> =
             reply.triplets.iter().map(|(f, t, _)| (*f, &**t)).collect();
@@ -1647,7 +1647,8 @@ fn absorb_replies(
             arrived.push((f, t));
         }
     }
-    ledger.modeled_s += slowest_site + model.shared_link_time(remote_envelopes);
+    ledger.modeled_s += slowest_site
+        + model.shared_link_time(remote_envelopes.len(), remote_envelopes.iter().sum());
     arrived
 }
 

@@ -3,8 +3,8 @@
 //! ParBoX's stage 2 runs the same partial evaluation on every site *in
 //! parallel* — here each site is a scoped worker thread that really
 //! performs its fragment evaluations concurrently, and reports how long
-//! its local work took. The measured per-site durations feed the
-//! elapsed-time model (parallel compute = max over sites).
+//! its local work took: the measured per-site compute. The elapsed-time
+//! model prices the sites' work units instead.
 
 use parbox_frag::SiteId;
 use std::time::{Duration, Instant};

@@ -232,9 +232,12 @@ impl FaultPlan {
     }
 
     /// Parse a CLI spec like `"panic:0.01,wedge:0.02"` into a
-    /// rate-driven plan. Kinds are the [`FaultKind::name`] strings.
+    /// rate-driven plan. Kinds are the [`FaultKind::name`] strings, each
+    /// at most once; panic, wedge, delay and drop share one draw per
+    /// request, so their rates must sum to at most 1.
     pub fn parse(spec: &str, seed: u64, delay: Duration) -> Result<FaultPlan, String> {
         let mut rates = FaultRates::default();
+        let mut seen = [false; 5];
         for part in spec.split(',').filter(|p| !p.is_empty()) {
             let (kind, rate) = part
                 .split_once(':')
@@ -247,6 +250,9 @@ impl FaultPlan {
             if !(0.0..=1.0).contains(&r) {
                 return Err(format!("fault rate `{rate}` out of [0, 1]"));
             }
+            if std::mem::replace(&mut seen[k.index()], true) {
+                return Err(format!("fault kind `{kind}` given twice in `{spec}`"));
+            }
             match k {
                 FaultKind::Panic => rates.panic = r,
                 FaultKind::Wedge => rates.wedge = r,
@@ -254,6 +260,10 @@ impl FaultPlan {
                 FaultKind::DropEnvelope => rates.drop_envelope = r,
                 FaultKind::CrashApply => rates.crash_apply = r,
             }
+        }
+        let eval_sum = rates.panic + rates.wedge + rates.delay + rates.drop_envelope;
+        if eval_sum > 1.0 + 1e-9 {
+            return Err(format!("fault rates in `{spec}` sum to {eval_sum} > 1"));
         }
         Ok(FaultPlan::random(seed, rates, delay))
     }
@@ -530,6 +540,13 @@ mod tests {
         assert!(FaultPlan::parse("explode:0.1", 1, Duration::ZERO).is_err());
         assert!(FaultPlan::parse("panic:2.0", 1, Duration::ZERO).is_err());
         assert!(FaultPlan::parse("panic", 1, Duration::ZERO).is_err());
+        // The eval kinds share one cumulative draw, so 0.7 + 0.7 cannot
+        // be honoured; crash draws in its own context.
+        let parse = |spec| FaultPlan::parse(spec, 1, Duration::ZERO);
+        assert!(parse("panic:0.7,wedge:0.7").unwrap_err().contains("1.4"));
+        assert!(parse("panic:0.1,delay:0.2,drop:0.7").is_ok());
+        assert!(parse("panic:0.9,crash:0.9").is_ok());
+        assert!(parse("panic:0.1,panic:0.9").unwrap_err().contains("twice"));
     }
 
     #[test]

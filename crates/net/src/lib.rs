@@ -9,9 +9,9 @@
 //! *site* is a worker thread that really evaluates its fragments in
 //! parallel ([`run_sites_parallel`]), while network costs are *modeled*
 //! ([`NetworkModel`]): every message is recorded in a [`RunReport`] with
-//! its exact payload size, and modeled elapsed time combines measured
-//! per-site compute with latency + bandwidth terms. See DESIGN.md §5 for
-//! why this substitution preserves the paper's experimental shapes.
+//! its exact payload size, and modeled elapsed time prices a run's
+//! recorded work units and bytes with latency + bandwidth terms, so it
+//! is deterministic. Measured per-site compute is recorded beside it.
 //!
 //! A [`Cluster`] bundles a fragmented document, its placement and a cost
 //! model — the input every algorithm in `parbox-core` takes. For

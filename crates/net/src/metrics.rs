@@ -181,7 +181,9 @@ pub struct RunReport {
     pub per_site: BTreeMap<u32, SiteReport>,
     /// All messages in order of recording.
     pub messages: Vec<Message>,
-    /// Modeled elapsed time (parallel compute + modeled network), seconds.
+    /// Modeled elapsed time, seconds: the algorithm's stages priced from
+    /// its work units and message bytes, so deterministic. The measured
+    /// compute lives in [`SiteReport::compute_s`].
     pub elapsed_model_s: f64,
     /// Measured wall-clock time of the whole run, seconds.
     pub elapsed_wall_s: f64,
@@ -190,7 +192,7 @@ pub struct RunReport {
     /// fixed, caller-chosen strategy).
     pub planned: Option<PlanSummary>,
     /// Delta-repair efficacy of a maintenance step (`None` outside
-    /// update handling, or when delta maintenance is disabled).
+    /// update handling).
     pub repair: Option<RepairEfficacy>,
     /// Fault-tolerance counters, for supervised serving-engine runs
     /// (`None` for one-shot algorithm runs, which have no supervisor).
@@ -287,8 +289,7 @@ impl RunReport {
         self.per_site.values().map(|r| r.compute_s).sum()
     }
 
-    /// Maximum measured compute seconds over sites — the parallel
-    /// computation term of the elapsed-time model.
+    /// Maximum measured compute seconds over sites.
     pub fn max_site_compute_s(&self) -> f64 {
         self.per_site
             .values()

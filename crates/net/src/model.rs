@@ -50,33 +50,17 @@ impl NetworkModel {
         self.latency_s + bytes as f64 / self.bandwidth_bytes_per_s
     }
 
-    /// Modeled time for a set of transfers that share one link (e.g. the
-    /// coordinator's inbound link): payloads serialize, latencies overlap.
-    pub fn shared_link_time<I: IntoIterator<Item = usize>>(&self, payloads: I) -> f64 {
-        let mut total = 0usize;
-        let mut any = false;
-        for p in payloads {
-            total += p;
-            any = true;
+    /// Modeled time of one *communication round* on a shared link (e.g.
+    /// the coordinator's inbound link): `msgs` messages totalling
+    /// `bytes` payload, whose latencies overlap and whose payloads
+    /// serialize. Zero when the round carries no message. Both the
+    /// planner's estimates and the algorithms' charged
+    /// [`crate::RunReport::elapsed_model_s`] price a round here.
+    pub fn shared_link_time(&self, msgs: usize, bytes: usize) -> f64 {
+        match msgs {
+            0 => 0.0,
+            _ => self.transfer_time(bytes),
         }
-        if !any {
-            return 0.0;
-        }
-        self.latency_s + total as f64 / self.bandwidth_bytes_per_s
-    }
-
-    /// Predicted modeled time of one *communication round*: `msgs`
-    /// messages totalling `bytes` payload that overlap in latency and
-    /// share link bandwidth. This is the planning-time counterpart of
-    /// [`NetworkModel::shared_link_time`] — a cost estimator that knows
-    /// only aggregate message/byte counts (e.g. from
-    /// `parbox_frag::ForestStats`) predicts exactly what the measured
-    /// [`crate::RunReport`] accounting will charge for the same round.
-    pub fn estimate_round(&self, msgs: usize, bytes: usize) -> f64 {
-        if msgs == 0 {
-            return 0.0;
-        }
-        self.latency_s + bytes as f64 / self.bandwidth_bytes_per_s
     }
 }
 
@@ -98,29 +82,16 @@ mod tests {
     fn infinite_network_is_free() {
         let m = NetworkModel::infinite();
         assert_eq!(m.transfer_time(1 << 30), 0.0);
-        assert_eq!(m.shared_link_time([1, 2, 3]), 0.0);
+        assert_eq!(m.shared_link_time(3, 6), 0.0);
     }
 
     #[test]
     fn shared_link_serializes_payloads() {
         let m = NetworkModel::lan();
-        let a = m.shared_link_time([1_000_000, 1_000_000]);
+        let a = m.shared_link_time(2, 2_000_000);
         let b = m.transfer_time(2_000_000);
         assert!((a - b).abs() < 1e-9);
-        assert_eq!(m.shared_link_time(std::iter::empty()), 0.0);
-    }
-
-    #[test]
-    fn estimate_round_matches_shared_link_accounting() {
-        let m = NetworkModel::lan();
-        // An estimated round of n messages totalling B bytes predicts the
-        // same figure shared_link_time charges when the round happens.
-        assert_eq!(
-            m.estimate_round(3, 3_000),
-            m.shared_link_time([1_000, 1_000, 1_000])
-        );
-        assert_eq!(m.estimate_round(0, 0), 0.0);
-        assert_eq!(NetworkModel::infinite().estimate_round(5, 1 << 30), 0.0);
+        assert_eq!(m.shared_link_time(0, 0), 0.0);
     }
 
     #[test]

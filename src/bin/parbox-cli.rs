@@ -73,7 +73,8 @@ USAGE:
   parbox-cli generate --bytes N [--seed S]
 
 Fault spec: comma-separated kind:rate pairs, e.g. --fault-plan panic:0.01,wedge:0.02
-            (kinds: panic wedge delay drop crash; chaos runs print restart/retry counters)
+            (kinds: panic wedge delay drop crash, each once; panic+wedge+delay+drop <= 1;
+            chaos runs print restart/retry counters)
 Query syntax (XBL): [//stock[code/text() = \"GOOG\" and sell/text() = \"376\"]]
 Strategies: ParBoX NaiveCentralized NaiveDistributed FullDistParBoX LazyParBoX
             auto — the cost-based planner picks per query (see `explain`)

@@ -4,7 +4,6 @@
 //! functions produce sound series.
 
 use parbox::boolean::{decode_triplet_dag, encode_triplet_dag};
-use parbox::core::plan::SECONDS_PER_WORK_UNIT;
 use parbox::core::{
     centralized_eval, full_dist_parbox, hybrid_parbox, lazy_parbox, naive_centralized,
     naive_distributed, parbox,
@@ -135,10 +134,7 @@ fn experiment_series_are_internally_consistent() {
     let scale = tiny();
 
     // Fig. 7: NaiveCentralized's modeled runtime grows with machine count
-    // (shipping dominates — a deterministic model term), and ParBoX never
-    // ships data. Wall-clock comparisons at this tiny scale are noise, so
-    // the parallel-speedup shape itself is asserted on traffic and on the
-    // 4 MiB-scale harness runs recorded in EXPERIMENTS.md.
+    // (shipping dominates), and ParBoX never ships data.
     let rows = exp::experiment1_fig7(scale, 6);
     let rt = |series: &str, x: f64| {
         rows.iter()
@@ -155,22 +151,13 @@ fn experiment_series_are_internally_consistent() {
     assert!(rt("NaiveCentralized", 6.0) > rt("NaiveCentralized", 1.0));
     assert!(bytes("NaiveCentralized", 6.0) > 10 * bytes("ParBoX", 6.0));
 
-    // Fig. 12: runtime grows with data for every query size. The
-    // plotted `runtime_s` folds in *measured* site compute, which at
-    // this scale is scheduler noise (see above), so the guard reads the
-    // same model with the compute term priced from the row's work units.
+    // Fig. 12: runtime grows with data for every query size.
     let rows = exp::experiment3_fig12(scale, 4);
-    let lan = NetworkModel::lan();
-    let modeled_s = |r: &parbox_bench::Row| {
-        r.bytes as f64 / lan.bandwidth_bytes_per_s
-            + lan.latency_s
-            + r.work as f64 * SECONDS_PER_WORK_UNIT
-    };
     for size in ["|QList|=2", "|QList|=23"] {
         let mut xs: Vec<(f64, f64)> = rows
             .iter()
             .filter(|r| r.series == size)
-            .map(|r| (r.x, modeled_s(r)))
+            .map(|r| (r.x, r.runtime_s))
             .collect();
         xs.sort_by(|a, b| a.0.total_cmp(&b.0));
         assert!(
