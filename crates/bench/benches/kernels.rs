@@ -91,7 +91,7 @@ fn bench(c: &mut Criterion) {
 
     // Ablation: the same fragment through the pure formula path — this is
     // what a literal reading of Fig. 3(b) costs without the spine
-    // fast-path (DESIGN.md §4).
+    // fast-path (docs/ARCHITECTURE.md, "Stage 5").
     group.bench_function("bottom_up_no_spine_fastpath_q8", |b| {
         b.iter(|| black_box(bottom_up_formula_only(&fragmented.fragment(f0).tree, &q8).work_units))
     });

@@ -40,8 +40,18 @@
 //! arena only grows and ids never move — so the cache needs no
 //! invalidation; a hit skips hashing into the shared map and the shard
 //! lock entirely. This is the `SitePool` workers' fast path: a serving
-//! round re-interns the same working set of variables and small
-//! residual formulas over and over.
+//! round re-interns the same working set of small residual formulas
+//! over and over.
+//!
+//! Variables skip that cache. `bottomUp` mints `3·|QList|` of them at
+//! every virtual node, so a root fragment with many virtual children
+//! mints more per round than the cache holds, and every one would miss.
+//! Each thread instead keeps a **variable table**: per fragment, one
+//! dense row of ids per vector kind, indexed by the sub-query. A minted
+//! variable is an array read; only a thread's first use of a variable
+//! interns it (through the cache and its shard, so the id is the same on
+//! every thread) and records the id. The table costs 4 bytes per
+//! variable the thread minted, which the arena keeps forever anyway.
 //!
 //! As before, no lock is ever held while invoking caller-supplied
 //! closures (lookups and assignments run against a lock-free [`Dag`]
@@ -49,7 +59,8 @@
 //! stay valid for the life of the process — and growth is bounded by
 //! the number of *distinct* formulas ever built.
 
-use crate::var::Var;
+use crate::var::{Var, VecKind};
+use parbox_xml::FragmentId;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
@@ -380,6 +391,66 @@ thread_local! {
         RefCell::new(HashMap::default());
 }
 
+// ---------------------------------------------------------------------------
+// Thread-local variable table
+// ---------------------------------------------------------------------------
+
+/// One fragment's variables minted on this thread: a row of ids per
+/// [`VecKind`], in `VecKind::ALL` order, indexed by `sub`.
+type VarRows = [Vec<FormulaId>; 3];
+
+thread_local! {
+    /// Fragment → the ids of `x_sub`, `cx_sub` and `dx_sub` this thread
+    /// has minted. Keyed by hash, not by fragment index, because test
+    /// and split fragment ids are sparse. A row only grows by appending
+    /// its next `sub`, so it is dense: the table holds 4 bytes per
+    /// variable the thread minted, plus one fixed-size entry per
+    /// fragment it minted one of, and the arena keeps every such
+    /// variable forever, so the table never outgrows the arena. A `sub`
+    /// past the row's end (a decoded wire variable, say) is interned
+    /// without being recorded, so no input can make a row sparse.
+    static LOCAL_VARS: RefCell<HashMap<FragmentId, VarRows, FxBuild>> =
+        RefCell::new(HashMap::default());
+}
+
+/// Extends `row` (the `kind` row of `frag`) to at least `len` ids,
+/// interning each new variable through the cache-then-shard path so its
+/// id is the one every other thread gets.
+fn extend_row(row: &mut Vec<FormulaId>, frag: FragmentId, kind: VecKind, len: usize) {
+    for sub in row.len()..len {
+        row.push(intern(Node::Var(Var::new(frag, kind, sub as u32)), 1, true));
+    }
+}
+
+/// The variable constructor: an array read in the thread's variable
+/// table, interning (and recording) only on the thread's first use.
+pub(crate) fn mk_var(v: Var) -> FormulaId {
+    let sub = v.sub as usize;
+    LOCAL_VARS.with(|t| {
+        let mut table = t.borrow_mut();
+        let row = &mut table.entry(v.frag).or_default()[v.vec as usize];
+        if sub <= row.len() {
+            extend_row(row, v.frag, v.vec, sub + 1);
+            row[sub]
+        } else {
+            intern(Node::Var(v), 1, true)
+        }
+    })
+}
+
+/// `row(ids)` of the first `len` ids of each of `frag`'s three rows, in
+/// `VecKind::ALL` order: one table probe for all `3·len` variables.
+pub(crate) fn var_rows<T>(frag: FragmentId, len: usize, row: impl Fn(&[FormulaId]) -> T) -> [T; 3] {
+    LOCAL_VARS.with(|t| {
+        let mut table = t.borrow_mut();
+        let rows = table.entry(frag).or_default();
+        for (ids, kind) in rows.iter_mut().zip(VecKind::ALL) {
+            extend_row(ids, frag, kind, len);
+        }
+        std::array::from_fn(|k| row(&rows[k][..len]))
+    })
+}
+
 /// The interning entry point: thread-local cache first, then the node's
 /// hash-selected shard. The node→id mapping is immutable, so the local
 /// cache never needs invalidation.
@@ -435,10 +506,6 @@ pub(crate) fn mk_const(b: bool) -> FormulaId {
     } else {
         FALSE_ID
     }
-}
-
-pub(crate) fn mk_var(v: Var) -> FormulaId {
-    intern(Node::Var(v), 1, true)
 }
 
 pub(crate) fn mk_not(a: FormulaId) -> FormulaId {
@@ -766,8 +833,6 @@ impl IdMap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::var::VecKind;
-    use parbox_xml::FragmentId;
 
     #[test]
     fn constants_have_fixed_ids() {
@@ -832,15 +897,16 @@ mod tests {
         // Sibling tests intern concurrently and the shard counters are
         // process-global, so the hermetic evidence is this thread's own
         // cache: the key is resident after the first construction and
-        // the repeats add nothing to it (a miss would insert).
-        let v = Var::new(FragmentId(9102), VecKind::CV, 1);
-        let first = mk_var(v);
-        let resident = || LOCAL_INTERN.with(|c| c.borrow().get(&Node::Var(v)).copied());
+        // the repeats add nothing to it (a miss would insert). A
+        // negation, because a variable stops at the variable table.
+        let x = mk_var(Var::new(FragmentId(9102), VecKind::CV, 1));
+        let first = mk_not(x);
+        let resident = || LOCAL_INTERN.with(|c| c.borrow().get(&Node::Not(x)).copied());
         let cached = || LOCAL_INTERN.with(|c| c.borrow().len());
         assert_eq!(resident(), Some(first));
         let (len_before, before) = (cached(), stats());
         for _ in 0..100 {
-            assert_eq!(mk_var(v), first);
+            assert_eq!(mk_not(x), first);
         }
         assert_eq!(cached(), len_before, "repeats must not miss");
         assert!(stats().local_hits >= before.local_hits + 100);

@@ -29,6 +29,7 @@
 
 use crate::arena::{self, DagNode, Node};
 use crate::var::Var;
+use parbox_xml::FragmentId;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -101,18 +102,26 @@ impl Formula {
         }
     }
 
-    /// A variable formula.
+    /// A variable formula. After the calling thread's first use of `v`
+    /// this is a read in the thread's variable table: no hashing of the
+    /// node and no shard lock.
     #[inline]
     pub fn var(v: Var) -> Formula {
         Formula(arena::mk_var(v))
     }
 
-    /// Interns a batch of variable formulas — `bottomUp` mints
-    /// `3·|QList|` fresh variables per virtual node. Repeats hit the
-    /// thread-local intern cache, so the batch touches each variable's
-    /// shard lock at most once per thread lifetime.
+    /// A batch of variable formulas, one [`Formula::var`] each. Every
+    /// variable takes a shard lock only on the calling thread's first
+    /// use of it, however many variables the thread mints.
     pub fn var_many<I: IntoIterator<Item = Var>>(vars: I) -> Vec<Formula> {
         vars.into_iter().map(Formula::var).collect()
+    }
+
+    /// The variables of `frag` for sub-queries `0..len`, one vector per
+    /// vector kind in `VecKind::ALL` order, from one probe of the
+    /// thread's variable table.
+    pub(crate) fn var_rows(frag: FragmentId, len: usize) -> [Vec<Formula>; 3] {
+        arena::var_rows(frag, len, |ids| ids.iter().map(|&id| Formula(id)).collect())
     }
 
     /// Smart conjunction with constant folding and flattening.

@@ -54,13 +54,11 @@ impl Triplet {
 
     /// The triplet of *fresh variables* introduced at a virtual node for
     /// sub-fragment `frag`: `x_i`, `cx_i`, `dx_i` for every sub-query.
+    /// All `3·len` of them come from one probe of the thread's variable
+    /// table; only the thread's first use of a variable interns it.
     pub fn fresh_vars(frag: FragmentId, len: usize) -> Triplet {
-        // One locked batch for all 3·len variables (Formula::var_many).
-        Triplet::split(Formula::var_many(
-            VecKind::ALL
-                .iter()
-                .flat_map(|&vec| (0..len as u32).map(move |i| Var::new(frag, vec, i))),
-        ))
+        let [v, cv, dv] = Formula::var_rows(frag, len);
+        Triplet { v, cv, dv }
     }
 
     /// `V`, `CV` and `DV` from one vector holding them back to back.

@@ -1280,7 +1280,14 @@ impl Engine {
             self.depth_ewma = self.depth_ewma.min(self.forest_stats.max_depth() as f64);
         }
 
-        report.elapsed_model_s = report.network_cost_s(&self.config.model);
+        // Priced like a query round: the slowest site's repair work, then
+        // the update's messages as one round on the shared link.
+        let slowest_site = report.per_site.values().map(|r| r.work_units).max();
+        report.elapsed_model_s = compute_s(slowest_site.unwrap_or(0))
+            + self
+                .config
+                .model
+                .shared_link_time(report.total_messages(), report.total_bytes());
         report.elapsed_wall_s = wall.elapsed().as_secs_f64();
         if faults.any() {
             self.stats.restarts += faults.restarts;
@@ -1871,6 +1878,31 @@ mod tests {
         assert_eq!(after.answer, oracle(&e, &q));
         assert!(after.from_cache, "repaired solve entry re-solves locally");
         assert_eq!(after.report.total_messages(), 0);
+    }
+
+    #[test]
+    fn an_update_is_priced_from_its_repair_work_and_one_link_round() {
+        let mut e = engine();
+        e.query(&parse_query("[//goal]").unwrap());
+        let frag = FragmentId(3);
+        let parent = e.forest().fragment(frag).tree.root();
+        let up = e
+            .apply(Update::InsNode {
+                frag,
+                parent,
+                label: "goal".into(),
+                text: None,
+            })
+            .unwrap();
+        let r = &up.report;
+        let work = r.per_site.values().map(|s| s.work_units).max().unwrap();
+        assert!(work > 0, "the owning site repaired");
+        assert!(r.total_messages() >= 2, "control out, delta back");
+        let model = EngineConfig::default().model;
+        let link = model.shared_link_time(r.total_messages(), r.total_bytes());
+        assert_eq!(r.elapsed_model_s, compute_s(work) + link);
+        // One latency for the round, not one per message.
+        assert!(link < r.network_cost_s(&model));
     }
 
     #[test]

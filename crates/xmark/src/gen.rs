@@ -5,7 +5,7 @@
 //! documents with the same element vocabulary and rough shape
 //! (regions/items, categories, people, open and closed auctions), sized
 //! in approximate serialized bytes, fully deterministic under a seed
-//! (DESIGN.md §5).
+//! (docs/ARCHITECTURE.md, "Workloads and experiments").
 
 use parbox_xml::{NodeId, Tree};
 use rand::rngs::StdRng;

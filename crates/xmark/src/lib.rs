@@ -7,7 +7,7 @@
 //!
 //! * [`generate`] — a deterministic XMark-style auction-site document
 //!   generator, sized in bytes (substitution for the closed-source XMark
-//!   `xmlgen`; see DESIGN.md §5);
+//!   `xmlgen`; see docs/ARCHITECTURE.md, "Workloads and experiments");
 //! * [`portfolio`] — the stock-portfolio document of Fig. 1(b);
 //! * [`query_with_qlist`] — XBL queries with an exact `|QList|`, covering
 //!   the paper's sweep sizes {2, 8, 15, 23};
