@@ -65,26 +65,6 @@ pub fn print_table(title: &str, x_label: &str, rows: &[Row]) {
     println!();
 }
 
-/// Prints the rows as JSON lines (for plotting pipelines).
-pub fn print_json(rows: &[Row]) {
-    for r in rows {
-        println!("{}", serde_json::to_string_stub(r));
-    }
-}
-
-// Minimal JSON encoding without the serde_json dependency: the offline
-// crate set includes serde but not serde_json, so format manually.
-mod serde_json {
-    use super::Row;
-
-    pub fn to_string_stub(r: &Row) -> String {
-        format!(
-            "{{\"x\":{},\"series\":\"{}\",\"runtime_s\":{},\"wall_s\":{},\"bytes\":{},\"work\":{},\"max_visits\":{}}}",
-            r.x, r.series, r.runtime_s, r.wall_s, r.bytes, r.work, r.max_visits
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,13 +85,5 @@ mod tests {
     fn print_table_does_not_panic() {
         let rows = vec![row(1.0, "ParBoX"), row(2.0, "ParBoX"), row(1.0, "Central")];
         print_table("test", "machines", &rows);
-        print_json(&rows);
-    }
-
-    #[test]
-    fn json_row_is_wellformed() {
-        let s = serde_json::to_string_stub(&row(1.0, "ParBoX"));
-        assert!(s.starts_with('{') && s.ends_with('}'));
-        assert!(s.contains("\"series\":\"ParBoX\""));
     }
 }

@@ -18,11 +18,9 @@
 //! formula size linear in the number of referenced virtual nodes — the
 //! paper's `O(card(F_j))` bound on entry size.
 //!
-//! The arena itself is sharded (see [`crate::arena`]): constructors
-//! intern through a thread-local cache and a hash-selected shard lock,
-//! so concurrent site actors building unrelated formulas do not
-//! serialize on a single mutex, while snapshots and metadata reads are
-//! entirely lock-free.
+//! Constructors intern through a thread-local cache and, on a miss, the
+//! arena's one intern lock (see [`crate::arena`]); snapshots and
+//! metadata reads are entirely lock-free.
 //!
 //! The previous tree representation is preserved verbatim in
 //! [`crate::reference`] as a differential-testing oracle.
@@ -33,7 +31,7 @@ use parbox_xml::FragmentId;
 use std::collections::BTreeSet;
 use std::fmt;
 
-pub use crate::arena::{ArenaStats, FormulaId, ShardCounters, SHARD_COUNT};
+pub use crate::arena::{ArenaStats, FormulaId, ShardCounters};
 
 /// A Boolean formula over sub-fragment variables — a cheap `Copy` handle
 /// into the hash-consing arena. Two handles are equal iff the formulas
@@ -104,17 +102,10 @@ impl Formula {
 
     /// A variable formula. After the calling thread's first use of `v`
     /// this is a read in the thread's variable table: no hashing of the
-    /// node and no shard lock.
+    /// node and no intern lock.
     #[inline]
     pub fn var(v: Var) -> Formula {
         Formula(arena::mk_var(v))
-    }
-
-    /// A batch of variable formulas, one [`Formula::var`] each. Every
-    /// variable takes a shard lock only on the calling thread's first
-    /// use of it, however many variables the thread mints.
-    pub fn var_many<I: IntoIterator<Item = Var>>(vars: I) -> Vec<Formula> {
-        vars.into_iter().map(Formula::var).collect()
     }
 
     /// The variables of `frag` for sub-queries `0..len`, one vector per
@@ -369,7 +360,7 @@ impl Formula {
         )
     }
 
-    /// Arena occupancy and intern-path counters (per shard, plus
+    /// Arena occupancy and intern-path counters (the intern map's, plus
     /// thread-local cache hits) — used by regression tests to assert
     /// construction-cost bounds and by the benchmark's `bool.arena_*`
     /// metrics.

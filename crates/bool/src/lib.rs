@@ -62,7 +62,7 @@ pub use encode::{
     site_envelope_dag_wire_size, triplet_dag_wire_size, triplet_delta_dag_wire_size, DecodeError,
 };
 pub use formula::{
-    comp_fm, ArenaStats, BoolOp, Formula, FormulaId, FormulaNode, Known, ShardCounters, SHARD_COUNT,
+    comp_fm, ArenaStats, BoolOp, Formula, FormulaId, FormulaNode, Known, ShardCounters,
 };
 pub use triplet::{EquationSystem, KleeneRows, ResolvedTriplet, SolveError, Triplet, TripletDelta};
 pub use var::{Var, VecKind};

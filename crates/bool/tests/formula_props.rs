@@ -250,7 +250,7 @@ proptest! {
 
     #[test]
     fn sharded_interning_is_deterministic_and_matches_seed(rf in ref_strategy(), seed: u8) {
-        // Sharded interning must canonicalize identically no matter
+        // Interning must canonicalize identically no matter
         // which thread (and therefore which thread-local cache) builds
         // the formula: the id is a pure function of the structure.
         let here = rf.to_arena();

@@ -1,11 +1,12 @@
 //! The thread-local variable table behind `Formula::var` and
-//! `Triplet::fresh_vars`. A binary of its own: the arena's counters are
-//! process-wide, so a lock count is only this test's in its own process,
+//! `Triplet::fresh_vars`, and the intern map under racing threads. A
+//! binary of its own: the arena's counters are process-wide, so a lock
+//! or intern count is only this test's in its own process,
 //! and the tests here take turns on `SERIAL` for the same reason.
 
 use parbox_bool::{Formula, FormulaId, Triplet, Var, VecKind};
 use parbox_xml::FragmentId;
-use std::sync::Mutex;
+use std::sync::{Arc, Barrier, Mutex};
 use std::thread;
 
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -24,9 +25,14 @@ fn ids(t: &Triplet) -> Vec<FormulaId> {
         .collect()
 }
 
-/// Shard-lock acquisitions of the intern path so far, process-wide.
+/// Intern-lock acquisitions of the intern path so far, process-wide.
 fn locks() -> u64 {
     Formula::arena_stats().shards.iter().map(|s| s.locks).sum()
+}
+
+/// Distinct nodes interned so far, process-wide.
+fn interns() -> u64 {
+    Formula::arena_stats().shards[0].interns
 }
 
 /// The variables of fragments `base..base + frags`, `width` sub-queries
@@ -47,7 +53,7 @@ fn repeats_past_the_intern_cache_take_no_lock() {
     let before = locks();
     let second = mint(10_000, 64, 64);
     assert_eq!(second, first, "a repeat must return the same ids");
-    assert_eq!(locks(), before, "a repeat must take no shard lock");
+    assert_eq!(locks(), before, "a repeat must take no intern lock");
     // One variable at a time reads the same table.
     let x = Formula::var(Var::new(FragmentId(10_063), VecKind::DV, 63));
     assert_eq!(x.id(), *first.last().unwrap());
@@ -113,4 +119,42 @@ fn a_sub_far_past_the_row_is_minted_without_growing_it() {
         t.cv[1],
         Formula::var(Var::new(FragmentId(40_000), VecKind::CV, 1))
     );
+}
+
+#[test]
+fn racing_threads_intern_each_node_once() {
+    let _serial = serial();
+    const THREADS: usize = 8;
+    // The variables exist before the race, so the racing threads only
+    // intern the 1 000 fresh operator nodes built on them.
+    let x: Arc<[Formula]> = (0..=500)
+        .map(|sub| Formula::var(Var::new(FragmentId(50_000), VecKind::V, sub)))
+        .collect();
+    let before = interns();
+    let start = Arc::new(Barrier::new(THREADS));
+    let racers: Vec<_> = (0..THREADS)
+        .map(|_| {
+            let (x, start) = (Arc::clone(&x), Arc::clone(&start));
+            thread::spawn(move || {
+                start.wait();
+                (0..500)
+                    .flat_map(|i| {
+                        let not = x[i].not();
+                        [not, Formula::or(not, x[i + 1])]
+                    })
+                    .map(Formula::id)
+                    .collect::<Vec<FormulaId>>()
+            })
+        })
+        .collect();
+    let ids: Vec<Vec<FormulaId>> = racers.into_iter().map(|t| t.join().unwrap()).collect();
+    assert_eq!(ids[0].len(), 1_000);
+    for (t, other) in ids.iter().enumerate().skip(1) {
+        assert_eq!(other, &ids[0], "thread {t} disagrees with thread 0");
+    }
+    let mut distinct = ids[0].clone();
+    distinct.sort_unstable();
+    distinct.dedup();
+    assert_eq!(distinct.len(), 1_000);
+    assert_eq!(interns() - before, 1_000, "each node is interned once");
 }

@@ -1,7 +1,7 @@
 //! The arena-based XML tree.
 
 use crate::iter::{Ancestors, Descendants, Postorder};
-use crate::{FragmentId, LabelId, LabelTable, Node, NodeId, NodeKind, XmlError};
+use crate::{FragmentId, LabelTable, Node, NodeId, NodeKind, XmlError};
 
 /// An ordered, labelled XML tree stored in a flat arena.
 ///
@@ -85,11 +85,6 @@ impl Tree {
     #[inline]
     pub fn labels(&self) -> &LabelTable {
         &self.labels
-    }
-
-    /// Interns a label in this tree's table.
-    pub fn intern_label(&mut self, name: &str) -> LabelId {
-        self.labels.intern(name)
     }
 
     /// The tag name of a node as a string.

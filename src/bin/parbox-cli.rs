@@ -460,13 +460,12 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         / ((stats.site_cache_hits + stats.fragments_evaluated) as f64).max(1.0);
     let arena = parbox::boolean::Formula::arena_stats();
     println!(
-        "cache efficacy: coordinator {:.1}%  site {:.1}%  |  formula arena: {} nodes, \
-         {} thread-local hits, busiest shard {} interns",
+        "cache efficacy: coordinator {:.1}%  site {:.1}%  |  formula arena: {} nodes \
+         interned, {} thread-local hits",
         100.0 * coord_rate,
         100.0 * site_rate,
         arena.nodes,
-        arena.local_hits,
-        arena.shards.iter().map(|s| s.interns).max().unwrap_or(0)
+        arena.local_hits
     );
     let total = (stats.entries_repaired + stats.entries_invalidated).max(1);
     println!(
