@@ -40,7 +40,7 @@ fn to_json(cells: &[ExpGCell], machines: usize) -> String {
              \"queries\": {}, \"updates\": {}, \"injected\": {}, \
              \"timeouts\": {}, \"retries\": {}, \"restarts\": {}, \
              \"complete\": {}, \"partial\": {}, \
-             \"wrong_complete\": {}, \"wrong_partial\": {}, \
+             \"wrong_complete\": {}, \
              \"recovery_p99_ms\": {:.3}, \"recovery_max_ms\": {:.3}, \
              \"recovered_after_disarm\": {}}}{}\n",
             c.network,
@@ -55,7 +55,6 @@ fn to_json(cells: &[ExpGCell], machines: usize) -> String {
             c.complete_answers,
             c.partial_answers,
             c.wrong_complete,
-            c.wrong_partial,
             c.recovery_p99_ms,
             c.recovery_max_ms,
             c.recovered_after_disarm,
@@ -84,7 +83,7 @@ fn main() {
          rates {rates:?})"
     );
     println!(
-        "  {:<4} {:<6} {:>5}  {:>4}/{:<4} {:>8} {:>8} {:>8} {:>8} {:>8} {:>7} {:>12} {:>10}",
+        "  {:<4} {:<6} {:>5}  {:>4}/{:<4} {:>8} {:>8} {:>8} {:>8} {:>8} {:>12} {:>10}",
         "net",
         "kind",
         "rate",
@@ -95,13 +94,12 @@ fn main() {
         "retries",
         "restarts",
         "wrong",
-        "wrongP",
         "rec p99 (ms)",
         "recovered"
     );
     for c in &cells {
         println!(
-            "  {:<4} {:<6} {:>5.2} {:>5}/{:<4} {:>8} {:>8} {:>8} {:>8} {:>8} {:>7} {:>12.2} {:>10}",
+            "  {:<4} {:<6} {:>5.2} {:>5}/{:<4} {:>8} {:>8} {:>8} {:>8} {:>8} {:>12.2} {:>10}",
             c.network,
             c.kind,
             c.rate,
@@ -112,7 +110,6 @@ fn main() {
             c.retries,
             c.restarts,
             c.wrong_complete,
-            c.wrong_partial,
             c.recovery_p99_ms,
             c.recovered_after_disarm
         );

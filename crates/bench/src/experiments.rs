@@ -266,7 +266,7 @@ pub fn sec5_incremental(scale: Scale, machines: usize) -> Vec<IncrementalRow> {
         // Full re-evaluation for comparison.
         let cluster = Cluster::new(engine.forest(), engine.placement(), NetworkModel::lan());
         let full = parbox(&cluster, &compile(&q));
-        assert_eq!(read.answer, full.answer, "view drifted in {scenario}");
+        assert_eq!(read.answer, Some(full.answer), "view drifted in {scenario}");
         let visited: BTreeSet<_> = [&up.report, &read.report]
             .into_iter()
             .flat_map(|r| r.sites().filter(|(_, s)| s.visits > 0).map(|(s, _)| s))
@@ -550,14 +550,11 @@ pub struct ExpGCell {
     pub restarts: u64,
     /// Answers marked `Complete` (exact — full coverage or certain).
     pub complete_answers: usize,
-    /// Answers that went out degraded (`Partial`).
+    /// Queries that went out `Partial`, with no certain answer.
     pub partial_answers: usize,
     /// `Complete` answers disagreeing with the oracle. **Must be 0**:
     /// a complete answer is never wrong.
     pub wrong_complete: usize,
-    /// `Partial` answers disagreeing with the oracle (allowed — that is
-    /// what the marking is for — but tracked).
-    pub wrong_partial: usize,
     /// 99th-percentile actor outage (first failure sign → recovering
     /// reply), milliseconds.
     pub recovery_p99_ms: f64,
@@ -578,10 +575,10 @@ pub struct ExpGCell {
 /// the engine's authoritative forest:
 ///
 /// * `Complete` answers must match the oracle **always** — full
-///   coverage, or certainty established by `partial_solve` (the answer
-///   holds under any content of the missing fragments).
-/// * `Partial` answers may disagree; they are explicitly marked and
-///   name the sites that stayed down.
+///   coverage, or a certain answer despite gaps (it holds under any
+///   content of the missing fragments).
+/// * `Partial` queries have no answer: the missing fragments could flip
+///   it. They name the sites that stayed down.
 ///
 /// After the stream, the plan is disarmed (injection stops; wedged or
 /// dead actors stay as the faults left them) and the stream is re-asked:
@@ -621,7 +618,6 @@ fn expg_cell(
     net_name: &str,
     model: NetworkModel,
 ) -> ExpGCell {
-    use parbox_core::Completeness;
     use parbox_net::{FaultKind, FaultPlan, FaultRates, SupervisorConfig};
 
     // Deadlines are wall-clock (the workers are real threads; only the
@@ -680,7 +676,6 @@ fn expg_cell(
     let mut complete_answers = 0usize;
     let mut partial_answers = 0usize;
     let mut wrong_complete = 0usize;
-    let mut wrong_partial = 0usize;
     let mut updates = 0usize;
     let mut answered = 0usize;
     let mut recovery_s: Vec<f64> = Vec::new();
@@ -704,19 +699,12 @@ fn expg_cell(
         let out = engine.query(q);
         absorb_recovery(&out.report);
         answered += 1;
-        match out.completeness {
-            Completeness::Complete => {
+        match out.answer {
+            Some(answer) => {
                 complete_answers += 1;
-                if out.answer != expected {
-                    wrong_complete += 1;
-                }
+                wrong_complete += usize::from(answer != expected);
             }
-            Completeness::Partial { .. } => {
-                partial_answers += 1;
-                if out.answer != expected {
-                    wrong_partial += 1;
-                }
-            }
+            None => partial_answers += 1,
         }
     }
 
@@ -729,7 +717,7 @@ fn expg_cell(
         let expected = oracle(&engine, c);
         let out = engine.query(q);
         absorb_recovery(&out.report);
-        recovered &= out.completeness.is_complete() && out.answer == expected;
+        recovered &= out.answer == Some(expected);
     }
 
     recovery_s.sort_by(|a, b| a.total_cmp(b));
@@ -747,7 +735,6 @@ fn expg_cell(
         complete_answers,
         partial_answers,
         wrong_complete,
-        wrong_partial,
         recovery_p99_ms: percentile(&recovery_s, 0.99),
         recovery_max_ms: recovery_s.last().copied().unwrap_or(0.0) * 1e3,
         recovered_after_disarm: recovered,

@@ -352,15 +352,6 @@ impl KleeneRows {
         &self.values[start..]
     }
 
-    /// Stands fragment `frag` in by a row of `width` sub-queries whose
-    /// every entry is `value` — `false` solves the rest of the system as
-    /// if the fragment's subtree were absent.
-    pub fn stand_in(&mut self, frag: FragmentId, width: usize, value: Known) {
-        let start = self.values.len();
-        self.values.resize(start + 3 * width, Some(value));
-        self.rows.insert(frag, (start as u32, width as u32));
-    }
-
     /// The value of `var`: `None` when its fragment was not solved or
     /// does not determine the entry.
     pub fn value(&self, var: Var) -> Option<Known> {

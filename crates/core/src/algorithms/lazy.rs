@@ -10,10 +10,10 @@
 //! site evaluates one fragment at a time) for total computation: deep
 //! fragments may never be evaluated at all.
 
-use crate::algorithms::{query_wire_size, EvalOutcome};
+use crate::algorithms::{certain_answer, query_wire_size, EvalOutcome};
 use crate::eval::bottom_up;
 use crate::plan::compute_s;
-use parbox_bool::{triplet_dag_wire_size, KleeneRows, Triplet, Var, VecKind};
+use parbox_bool::{triplet_dag_wire_size, Triplet};
 use parbox_net::{run_sites_parallel, Cluster, MessageKind, RunReport};
 use parbox_query::CompiledQuery;
 use parbox_xml::FragmentId;
@@ -80,7 +80,7 @@ pub fn lazy_parbox(cluster: &Cluster<'_>, q: &CompiledQuery) -> EvalOutcome {
 
         // Attempt to answer with what we have.
         let solve_start = Instant::now();
-        let maybe = partial_solve(st, &gathered, q.root() as usize);
+        let maybe = certain_answer(st, q.root(), |f| gathered.get(&f).map(|t| (t, None)));
         report.record_compute(coord, solve_start.elapsed());
         let solve_work = (q.len() * gathered.len()) as u64;
         report.record_work(coord, solve_work);
@@ -93,8 +93,8 @@ pub fn lazy_parbox(cluster: &Cluster<'_>, q: &CompiledQuery) -> EvalOutcome {
             .shared_link_time(step_bytes.len(), step_bytes.iter().sum());
         model_time += compute_s(step_work) + collect + compute_s(solve_work);
 
-        if let Some(a) = maybe {
-            answer = Some(a);
+        if let Some(k) = maybe {
+            answer = Some(k.value);
             break;
         }
     }
@@ -106,26 +106,6 @@ pub fn lazy_parbox(cluster: &Cluster<'_>, q: &CompiledQuery) -> EvalOutcome {
         report,
         algorithm: "LazyParBoX",
     }
-}
-
-/// Tries to determine the root answer from the triplets gathered so far.
-///
-/// One three-valued pass ([`KleeneRows`]) over the gathered fragments,
-/// bottom-up, with the variables of fragments not gathered unknown: the
-/// answer is known iff it holds under every content of those fragments.
-fn partial_solve(
-    st: &parbox_frag::ForestStats,
-    gathered: &HashMap<FragmentId, Triplet>,
-    root_sub: usize,
-) -> Option<bool> {
-    let mut rows = KleeneRows::new();
-    for &frag in st.postorder() {
-        if let Some(t) = gathered.get(&frag) {
-            rows.solve(frag, t, None, 0);
-        }
-    }
-    let root = Var::new(st.root(), VecKind::V, root_sub as u32);
-    rows.value(root).map(|k| k.value)
 }
 
 #[cfg(test)]
@@ -293,9 +273,9 @@ mod tests {
         let run = crate::eval::bottom_up(&forest.fragment(root).tree, &q);
         let mut gathered = HashMap::new();
         gathered.insert(root, run.triplet);
-        assert_eq!(
-            partial_solve(&cluster.forest_stats, &gathered, q.root() as usize),
-            None
-        );
+        let certain = certain_answer(&cluster.forest_stats, q.root(), |f| {
+            gathered.get(&f).map(|t| (t, None))
+        });
+        assert_eq!(certain, None);
     }
 }

@@ -47,15 +47,17 @@
 //! feeds its live resolution-depth statistics back into planning.
 
 use crate::algorithms::{
-    full_dist_parbox, lazy_parbox, naive_centralized, naive_distributed, parbox, query_wire_size,
-    resolved_triplet_wire_size, EvalOutcome,
+    certain_answer, full_dist_parbox, lazy_parbox, naive_centralized, naive_distributed, parbox,
+    query_wire_size, resolved_triplet_wire_size, EvalOutcome,
 };
+use crate::eval::bottom_up;
+use parbox_bool::Triplet;
 use parbox_frag::{ForestStats, SiteId};
 use parbox_net::{Cluster, NetworkModel};
 pub use parbox_net::{CostEstimate, PlanSummary};
 use parbox_query::CompiledQuery;
 use parbox_xml::FragmentId;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 /// Calibrated cost of one work unit (one node × sub-query evaluation),
@@ -642,12 +644,6 @@ impl Planner {
         }
     }
 
-    /// A custom candidate set.
-    pub fn of(executors: Vec<Box<dyn Executor>>) -> Planner {
-        assert!(!executors.is_empty(), "a planner needs candidates");
-        Planner { executors }
-    }
-
     /// The candidate executors, in registration order.
     pub fn executors(&self) -> &[Box<dyn Executor>] {
         &self.executors
@@ -737,19 +733,13 @@ pub fn plan_run(cluster: &Cluster<'_>, q: &CompiledQuery) -> EvalOutcome {
 /// call it evaluates every fragment once — a warm-up/experiment oracle,
 /// not a planning-time estimate.
 pub fn measure_resolution_depth(cluster: &Cluster<'_>, q: &CompiledQuery) -> usize {
-    use crate::eval::bottom_up;
-    use parbox_bool::{KleeneRows, Var, VecKind};
-
-    // One three-valued pass over every fragment, each at its depth: the
-    // root answer's depth is the least cut-off whose fragments decide it.
+    // Every fragment evaluated, each read at its depth: the root answer's
+    // depth is the least cut-off whose fragments decide it.
     let st = &cluster.forest_stats;
-    let mut rows = KleeneRows::new();
-    for &f in st.postorder() {
-        let triplet = bottom_up(&cluster.forest.fragment(f).tree, q).triplet;
-        rows.solve(f, &triplet, None, st.fragment(f).depth as u32);
-    }
-    let root = Var::new(st.root(), VecKind::V, q.root());
-    rows.value(root)
+    let triplets: HashMap<FragmentId, Triplet> = (st.postorder().iter())
+        .map(|&f| (f, bottom_up(&cluster.forest.fragment(f).tree, q).triplet))
+        .collect();
+    certain_answer(st, q.root(), |f| triplets.get(&f).map(|t| (t, None)))
         .expect("every fragment evaluated decides the answer")
         .depth as usize
 }

@@ -55,14 +55,14 @@
 //! query repeated *across different batches* still hits, and one
 //! round's members share one copy of every triplet. A member is
 //! answered by **evaluating** them: one three-valued pass
-//! ([`KleeneRows`]) over the fragments, children first, reading the
-//! member's entries of each merged triplet through its projection and
-//! each variable through the projection's inverse, with a fragment not
-//! gathered yet unknown. The same pass answers a member with full
-//! coverage, decides whether a partial one is already certain, closes a
-//! degraded one (missing fragments stand in as all-`false`) and yields
-//! the fragment depth the answer was determined at, which feeds the
-//! planner's depth statistic.
+//! ([`parbox_bool::KleeneRows`]) over the fragments, children first,
+//! reading the member's entries of each merged triplet through its
+//! projection and each variable through the projection's inverse, with
+//! a fragment not gathered yet unknown. That pass is the engine's only
+//! solve: it answers a member with full coverage, decides whether a
+//! partial one is already certain, and yields the fragment depth the
+//! answer was determined at, which feeds the planner's depth statistic.
+//! A member the fragments at hand do not determine gets no answer.
 //!
 //! # The round pipeline
 //!
@@ -74,25 +74,27 @@
 //! share one `Arc`) → `project_into_entries` (hands each open member
 //! the merged triplets with its projection; `Arc` clones only) →
 //! `attempt` (one member solve each; stores the answer and the depth it
-//! was determined at) → `degrade` → `evict` → `update_depth_ewma`
-//! (reads those depths) → `account`. The paper's ParBoX and
-//! LazyParBoX are two *plans* for that one loop, not two code paths:
+//! was determined at) → `evict` → `update_depth_ewma` (reads those
+//! depths) → `account`. The paper's ParBoX and LazyParBoX are two
+//! *plans* for that one loop, not two code paths:
 //! the eager plan is a single wave holding every needed fragment, the
 //! depth-gated plan is one wave per fragment-tree depth with an
 //! `attempt` before the first, and the loop stops at the first wave
 //! after which no member is open. `attempt` is the certain-answer test:
 //! true, or false, under every content of the fragments not yet
-//! gathered. `dispatch_wave` is the only path to the data plane and
-//! owns the visit, request, retry and reseed accounting;
-//! `absorb_replies` owns compute, work, site-cache hits and envelopes;
-//! the coordinator's solves are accounted where they run, in
-//! `answer_from_cache`, `attempt` and `degrade`.
+//! gathered; a member still open after the last wave (a site stayed
+//! down past every supervised attempt) goes out `Partial`, with no
+//! answer. `dispatch_wave` is the only path to the data plane and owns
+//! the visit, request, retry and reseed accounting; `absorb_replies`
+//! owns compute, work, site-cache hits and envelopes; the coordinator's
+//! solves are accounted where they run, in `answer_from_cache` and
+//! `attempt`.
 
-use crate::algorithms::batch_query_wire_size;
+use crate::algorithms::{batch_query_wire_size, certain_answer};
 use crate::eval::{bottom_up, IncrementalBottomUp};
 use crate::plan::{compute_s, RoundDemand};
 use crate::views::{apply_update_tracked, FragmentDelta, Update, UpdateEffect, ViewError};
-use parbox_bool::{site_envelope_dag_wire_size, KleeneRows, Known, Triplet, Var, VecKind};
+use parbox_bool::{site_envelope_dag_wire_size, Known, Triplet};
 use parbox_frag::{Forest, ForestStats, FragError, Placement, SiteId};
 use parbox_net::engine::{
     DeltaMemo, EvalReply, FragmentEval, PatchFn, RepairOutcome, RepairedEval, SiteCacheStats,
@@ -162,23 +164,23 @@ impl Default for EngineConfig {
     }
 }
 
-/// Whether an answer is exact or a degraded partial answer.
+/// Whether a ticket got an answer.
 ///
 /// Under fault injection, sites can stay down past every supervised
 /// retry. The engine then answers from what it has: if the partial
 /// triplet coverage already *determines* the answer (it holds under any
 /// content of the missing fragments — the member solve reads them as
-/// unknown), the answer is certain and reported `Complete`. Only
-/// when the missing fragments could change the answer does the engine
-/// fall back to a pessimistic evaluation and mark the answer
-/// [`Completeness::Partial`], naming the sites whose fragments were
-/// unavailable. A `Complete` answer is never wrong.
+/// unknown), the answer is certain and reported `Complete`. When the
+/// missing fragments could change the answer there is no certain
+/// answer, and the ticket is [`Completeness::Partial`], with no answer
+/// and the sites whose fragments were unavailable. An answer is never
+/// wrong.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Completeness {
     /// The answer is exact — full coverage, or certain despite gaps.
     Complete,
-    /// Degraded: missing fragments were assumed empty; the answer may
-    /// differ from the true one.
+    /// No certain answer: the missing fragments could flip it, so the
+    /// ticket has none.
     Partial {
         /// Sites whose fragments were unavailable, ascending, deduped.
         missing_sites: Vec<SiteId>,
@@ -211,21 +213,23 @@ pub struct Notification {
 }
 
 /// One standing query: its compiled program and the last answer pushed
-/// to the subscriber. The subscription pins its solve-cache entry
-/// against FIFO eviction, so refreshing after an update is a local
-/// re-solve (or free, when delta repair certified the entry unchanged).
+/// to the subscriber (`None` until one was certain). The subscription
+/// pins its solve-cache entry against FIFO eviction, so refreshing
+/// after an update is a local re-solve (or free, when delta repair
+/// certified the entry unchanged).
 #[derive(Debug)]
 struct Subscription {
     query: CompiledQuery,
     fp: QueryFingerprint,
-    last: bool,
+    last: Option<bool>,
 }
 
 /// Result of one admission round.
 #[derive(Debug, Clone)]
 pub struct RoundOutcome {
-    /// `(ticket, answer)` for every query of the round, in submission
-    /// order.
+    /// `(ticket, answer)` for every ticket of the round with a certain
+    /// answer, in submission order. The round's other tickets are in
+    /// [`RoundOutcome::partial`].
     pub answers: Vec<(Ticket, bool)>,
     /// Cost accounting of the whole round.
     pub report: RunReport,
@@ -239,9 +243,9 @@ pub struct RoundOutcome {
     /// Requested triplets the sites served from their own caches
     /// (shipping the cached triplet instead of re-running `bottomUp`).
     pub site_cache_hits: usize,
-    /// Tickets whose answers are degraded partial answers, with the
-    /// sites that stayed down. Empty in a healthy round — and for every
-    /// ticket *not* listed here, the answer is exact.
+    /// Tickets with no certain answer, ascending, each with the sites
+    /// that stayed down. Empty in a healthy round. Every ticket of the
+    /// round is in exactly one of this and [`RoundOutcome::answers`].
     pub partial: Vec<(Ticket, Vec<SiteId>)>,
 }
 
@@ -260,13 +264,14 @@ impl RoundOutcome {
 /// Result of [`Engine::query`], the single-query convenience path.
 #[derive(Debug, Clone)]
 pub struct QueryOutcome {
-    /// The Boolean answer.
-    pub answer: bool,
+    /// The Boolean answer; `None` when the query is
+    /// [`Completeness::Partial`].
+    pub answer: Option<bool>,
     /// Cost accounting of the (single-member) round.
     pub report: RunReport,
     /// True when the answer came entirely from the coordinator cache.
     pub from_cache: bool,
-    /// Whether the answer is exact or a degraded partial answer.
+    /// Whether the query got an answer.
     pub completeness: Completeness,
 }
 
@@ -299,7 +304,7 @@ pub struct UpdateOutcome {
 pub struct EngineStats {
     /// Admission rounds flushed.
     pub rounds: u64,
-    /// Queries answered.
+    /// Queries served, with or without an answer.
     pub queries: u64,
     /// Distinct members evaluated through the data plane.
     pub members_evaluated: u64,
@@ -317,7 +322,8 @@ pub struct EngineStats {
     pub retries: u64,
     /// Site actors restarted (after a panic, wedge, or dead inbox).
     pub restarts: u64,
-    /// Answers that went out degraded ([`Completeness::Partial`]).
+    /// Queries that went out with no certain answer
+    /// ([`Completeness::Partial`]).
     pub partial_answers: u64,
     /// Cache entries brought up to date in place by delta maintenance,
     /// lifetime total: per update every site entry of the touched
@@ -680,11 +686,10 @@ impl Engine {
         if let Some(prior) = self.flush() {
             self.parked.push(prior);
         }
-        self.submit(query);
+        let ticket = self.submit(query);
         let outcome = self.flush().expect("one query is pending");
-        let (ticket, answer) = outcome.answers[0];
         QueryOutcome {
-            answer,
+            answer: outcome.answers.first().map(|&(_, a)| a),
             from_cache: outcome.members_from_cache == 1,
             completeness: outcome.completeness(ticket),
             report: outcome.report,
@@ -752,9 +757,10 @@ impl Engine {
     }
 
     /// The last answer pushed (or established at subscription time) for
-    /// a standing query; `None` for an unknown id.
+    /// a standing query; `None` for an unknown id, or while the query
+    /// has had no certain answer.
     pub fn subscription_answer(&self, id: SubscriptionId) -> Option<bool> {
-        self.subscriptions.get(&id.0).map(|s| s.last)
+        self.subscriptions.get(&id.0).and_then(|s| s.last)
     }
 
     /// Number of active standing queries.
@@ -764,16 +770,19 @@ impl Engine {
 
     /// Answers one already-compiled program in a round of its own,
     /// minting a throwaway ticket. Serves from the solve cache when the
-    /// entry has coverage (the standing-query refresh path).
-    fn answer_now(&mut self, compiled: CompiledQuery) -> bool {
+    /// entry has coverage (the standing-query refresh path). `None` when
+    /// the round ends [`Completeness::Partial`].
+    fn answer_now(&mut self, compiled: CompiledQuery) -> Option<bool> {
         let ticket = Ticket(self.next_ticket);
         self.next_ticket += 1;
         let out = self.run_round(vec![(ticket, compiled)]);
-        out.answers[0].1
+        out.answers.first().map(|&(_, a)| a)
     }
 
     /// Re-checks every standing query after an update, pushing an
     /// answer-flip notification per subscription whose answer changed.
+    /// A refresh with no certain answer keeps the last one and pushes
+    /// nothing.
     /// Cheap by construction: a memoized answer (kept alive by an
     /// unchanged delta repair) costs nothing; a voided one re-solves
     /// locally from the repaired triplets; only an invalidated entry
@@ -788,14 +797,17 @@ impl Engine {
             let s = &self.subscriptions[&id];
             let (fp, last) = (s.fp, s.last);
             let answer = match self.solve_cache.get(&fp).and_then(|e| e.answer) {
-                Some(a) => a,
+                Some(a) => Some(a),
                 None => {
                     let compiled = self.subscriptions[&id].query.clone();
                     self.answer_now(compiled)
                 }
             };
-            if answer != last {
-                self.subscriptions.get_mut(&id).expect("iterated ids").last = answer;
+            let Some(answer) = answer else {
+                continue;
+            };
+            if Some(answer) != last {
+                self.subscriptions.get_mut(&id).expect("iterated ids").last = Some(answer);
                 out.push(Notification {
                     subscription: SubscriptionId(id),
                     answer,
@@ -822,32 +834,15 @@ impl Engine {
         }
     }
 
-    /// Solves a member from its entry in one three-valued pass over the
-    /// live fragments, children first ([`KleeneRows`]): each fragment's
-    /// merged triplet is read through the member's projection, and a
-    /// fragment the entry has no triplet for is unknown (`absent:
-    /// None`) or stands in as all-`false` (`Some(false)`, the degraded
-    /// answer). Returns the answer with the least fragment-tree depth
-    /// whose fragments determine it, or `None` when the fragments held
-    /// do not determine it.
-    fn solve_member(
-        &self,
-        entry: &SolveEntry,
-        width: usize,
-        absent: Option<bool>,
-    ) -> Option<Known> {
-        let mut rows = KleeneRows::new();
-        for &f in self.forest_stats.postorder() {
-            let depth = self.forest_stats.fragment(f).depth as u32;
-            match (entry.triplets.get(&f), absent) {
-                (Some(s), _) => {
-                    rows.solve(f, &s.triplet, Some(&s.projection), depth);
-                }
-                (None, Some(value)) => rows.stand_in(f, width, Known { value, depth }),
-                (None, None) => {}
-            }
-        }
-        rows.value(Var::new(self.forest_stats.root(), VecKind::V, entry.root))
+    /// Solves a member from its entry: the certain answer of the merged
+    /// triplets it holds, each read through the member's projection,
+    /// with every fragment it holds none for unknown. Returns the answer
+    /// with the least fragment-tree depth whose fragments determine it,
+    /// or `None` when the fragments held do not determine it.
+    fn solve_member(&self, entry: &SolveEntry) -> Option<Known> {
+        certain_answer(&self.forest_stats, entry.root, |f| {
+            (entry.triplets.get(&f)).map(|s| (&*s.triplet, Some(s.projection.as_slice())))
+        })
     }
 
     /// One admission round: the stages of the module docs' *round
@@ -908,7 +903,15 @@ impl Engine {
             debug_assert!(
                 waves > 1 || ledger.faults.retries > 0 || ledger.report.max_visits() <= 1
             );
-            self.degrade(&open, &live, &mut ledger);
+            // Still open: a site stayed down past every supervised
+            // attempt and what did arrive leaves the answer open. No
+            // answer, and nothing memoized: the next round re-requests
+            // exactly what is missing.
+            for am in &open {
+                let entry = &self.solve_cache[&am.member.fp];
+                let missing = missing_sites(&self.forest_stats, &live, &entry.triplets);
+                ledger.leave_open(&am.member, missing);
+            }
             self.evict();
             self.update_depth_ewma(&active_fps);
             planned = Some(plan.summary);
@@ -940,12 +943,12 @@ impl Engine {
                 Some(a) => a,
                 None => {
                     let start = Instant::now();
-                    let width = m.program.len();
                     let a = self
-                        .solve_member(entry, width, None)
+                        .solve_member(entry)
                         .expect("cached triplets cover every live fragment")
                         .value;
-                    ledger.record_solve(start.elapsed(), (width * live.len()) as u64);
+                    let work = m.program.len() * live.len();
+                    ledger.record_solve(start.elapsed(), work as u64);
                     self.solve_cache
                         .get_mut(&m.fp)
                         .expect("entry read above")
@@ -1040,8 +1043,8 @@ impl Engine {
     /// Hands the wave's merged triplets to every open member's cache
     /// entry, each with the member's projection into the merged
     /// program: `Arc` clones only, nothing is rebuilt. A fragment whose
-    /// site stayed down never arrived; its slot stays empty for
-    /// `attempt` and `degrade` to work around.
+    /// site stayed down never arrived; its slot stays empty, and
+    /// `attempt` reads it as unknown.
     fn project_into_entries(
         &mut self,
         arrived: &[(FragmentId, Arc<Triplet>)],
@@ -1073,9 +1076,8 @@ impl Engine {
         open.retain(|am| {
             let entry = &self.solve_cache[&am.member.fp];
             let start = Instant::now();
-            let width = am.member.program.len();
-            let solved = self.solve_member(entry, width, None);
-            let work = (width * entry.triplets.len().max(1)) as u64;
+            let solved = self.solve_member(entry);
+            let work = (am.member.program.len() * entry.triplets.len().max(1)) as u64;
             ledger.record_solve(start.elapsed(), work);
             let entry = self.solve_cache.get_mut(&am.member.fp).expect("read above");
             entry.answer = solved.map(|k| k.value);
@@ -1085,32 +1087,6 @@ impl Engine {
             }
             solved.is_none()
         });
-    }
-
-    /// Answers the members still open after the last wave: some site
-    /// stayed down past every supervised attempt and the fragments that
-    /// did arrive do not determine the answer. Solves with the missing
-    /// fragments assumed empty and marks the answer partial. Never
-    /// memoized — the next round re-requests exactly what is missing.
-    /// The stand-ins close the system over every live fragment, so the
-    /// solve is accounted as `|q| ×` live fragments, on top of the
-    /// attempt that failed to close the member.
-    fn degrade(&self, open: &[ActiveMember<'_>], live: &[FragmentId], ledger: &mut Ledger) {
-        for am in open {
-            let entry = &self.solve_cache[&am.member.fp];
-            let width = am.member.program.len();
-            let start = Instant::now();
-            let answer = self
-                .solve_member(entry, width, Some(false))
-                .expect("all-false stand-ins close every live fragment")
-                .value;
-            ledger.record_solve(start.elapsed(), (width * live.len()) as u64);
-            ledger.answer(&am.member, answer);
-            let missing = missing_sites(&self.forest_stats, live, &entry.triplets);
-            for &pi in &am.member.submissions {
-                ledger.partial.push((ledger.answers[pi].0, missing.clone()));
-            }
-        }
     }
 
     /// Bounds the coordinator cache (FIFO over fingerprints). Standing
@@ -1157,7 +1133,8 @@ impl Engine {
     }
 
     /// Closes the round: stamps the ledger into the report and the
-    /// lifetime counters, and hands the answers out in submission order.
+    /// lifetime counters, and hands the certain answers out in
+    /// submission order, the other tickets in `partial`.
     fn account(
         &mut self,
         ledger: Ledger,
@@ -1176,8 +1153,9 @@ impl Engine {
         let mut partial = ledger.partial;
         partial.sort_by_key(|(t, _)| *t);
 
+        let tickets = ledger.answers.len();
         self.stats.rounds += 1;
-        self.stats.queries += ledger.answers.len() as u64;
+        self.stats.queries += tickets as u64;
         self.stats.members_evaluated += active as u64;
         self.stats.members_from_cache += ledger.members_from_cache as u64;
         self.stats.fragments_evaluated += ledger.fragments_evaluated as u64;
@@ -1187,12 +1165,16 @@ impl Engine {
         self.stats.restarts += ledger.faults.restarts;
         self.stats.partial_answers += partial.len() as u64;
 
+        let answers: Vec<(Ticket, bool)> = (ledger.answers.into_iter())
+            .filter_map(|(t, a)| Some((t, a?)))
+            .collect();
+        debug_assert_eq!(
+            answers.len() + partial.len(),
+            tickets,
+            "every ticket is answered or partial, once"
+        );
         RoundOutcome {
-            answers: ledger
-                .answers
-                .into_iter()
-                .map(|(t, a)| (t, a.expect("every member was answered")))
-                .collect(),
+            answers,
             report,
             members,
             members_from_cache: ledger.members_from_cache,
@@ -1508,8 +1490,9 @@ struct ActiveMember<'p> {
 struct Ledger {
     coordinator: SiteId,
     report: RunReport,
-    /// Per submission, in submission order.
+    /// Per submission, in submission order; `None` while open.
     answers: Vec<(Ticket, Option<bool>)>,
+    /// Submissions left open by the last wave, with the sites missing.
     partial: Vec<(Ticket, Vec<SiteId>)>,
     faults: FaultSummary,
     /// Modeled seconds so far: per wave the request broadcast, the
@@ -1539,6 +1522,12 @@ impl Ledger {
     fn answer(&mut self, member: &Member<'_>, answer: bool) {
         for &pi in &member.submissions {
             self.answers[pi].1 = Some(answer);
+        }
+    }
+
+    fn leave_open(&mut self, member: &Member<'_>, missing: Vec<SiteId>) {
+        for &pi in &member.submissions {
+            self.partial.push((self.answers[pi].0, missing.clone()));
         }
     }
 
@@ -1660,7 +1649,7 @@ fn absorb_replies(
 }
 
 /// The sites owning live fragments the entry has no triplet for —
-/// ascending, deduped: the `missing_sites` of a degraded answer.
+/// ascending, deduped: the `missing_sites` of a `Partial` ticket.
 fn missing_sites(
     forest_stats: &ForestStats,
     live: &[FragmentId],
@@ -1726,7 +1715,7 @@ mod tests {
         let mut e = engine();
         for src in SRCS {
             let q = parse_query(src).unwrap();
-            assert_eq!(e.query(&q).answer, oracle(&e, &q), "{src}");
+            assert_eq!(e.query(&q).answer, Some(oracle(&e, &q)), "{src}");
         }
     }
 
@@ -1739,7 +1728,7 @@ mod tests {
         // query() flushes the pending round for `a` — its answer must
         // remain retrievable, not be silently dropped.
         let out = e.query(&b);
-        assert_eq!(out.answer, oracle(&e, &b));
+        assert_eq!(out.answer, Some(oracle(&e, &b)));
         let parked = e.take_parked_rounds();
         assert_eq!(parked.len(), 1);
         assert_eq!(parked[0].answers, vec![(ticket, oracle(&e, &a))]);
@@ -1848,7 +1837,7 @@ mod tests {
     fn update_repairs_caches_in_place_and_flips_the_answer() {
         let mut e = engine();
         let q = parse_query("[//goal]").unwrap();
-        assert!(!e.query(&q).answer);
+        assert_eq!(e.query(&q).answer, Some(false));
         // Insert `goal` into fragment 3 (the y-subtree): a pure data
         // update, maintained by delta repair instead of invalidation.
         let frag = FragmentId(3);
@@ -1874,8 +1863,8 @@ mod tests {
         // The repaired caches answer the flipped query with zero
         // data-plane messages — the triplets are already current.
         let after = e.query(&q);
-        assert!(after.answer, "update flipped the answer");
-        assert_eq!(after.answer, oracle(&e, &q));
+        assert_eq!(after.answer, Some(true), "update flipped the answer");
+        assert_eq!(after.answer, Some(oracle(&e, &q)));
         assert!(after.from_cache, "repaired solve entry re-solves locally");
         assert_eq!(after.report.total_messages(), 0);
     }
@@ -1936,7 +1925,7 @@ mod tests {
         );
         let before = e.stats().fragments_evaluated;
         let again = e.query(&q);
-        assert_eq!(again.answer, oracle(&e, &q));
+        assert_eq!(again.answer, Some(oracle(&e, &q)));
         assert!(again.from_cache, "memoized answer survived the update");
         assert_eq!(
             e.stats().fragments_evaluated,
@@ -1950,7 +1939,7 @@ mod tests {
         let mut e = engine();
         for i in 0..200 {
             let q = parse_query(&format!("[//B and not //q{i}]")).unwrap();
-            assert!(e.query(&q).answer);
+            assert_eq!(e.query(&q).answer, Some(true));
         }
         let before = e.site_cache_stats();
         assert!(before.values().all(|s| s.entries > 0 && s.memos_built == 0));
@@ -2069,7 +2058,7 @@ mod tests {
         assert_eq!(stale.len(), 2);
         let before = e.stats().fragments_evaluated;
         let again = e.query(&q);
-        assert_eq!(again.answer, oracle(&e, &q));
+        assert_eq!(again.answer, Some(oracle(&e, &q)));
         assert!(!again.from_cache);
         assert_eq!(
             e.stats().fragments_evaluated - before,
@@ -2148,8 +2137,8 @@ mod tests {
             "swapped"
         );
         let after = e.query(&m);
-        assert!(after.answer, "the update flipped the answer");
-        assert_eq!(after.answer, oracle(&e, &m));
+        assert_eq!(after.answer, Some(true), "the update flipped the answer");
+        assert_eq!(after.answer, Some(oracle(&e, &m)));
         assert!(after.from_cache, "re-solved from the repaired sources");
     }
 
@@ -2176,7 +2165,11 @@ mod tests {
             })
             .unwrap();
             for q in &queries {
-                assert_eq!(e.query(q).answer, oracle(&e, q), "{label} -> {frag:?}");
+                assert_eq!(
+                    e.query(q).answer,
+                    Some(oracle(&e, q)),
+                    "{label} -> {frag:?}"
+                );
             }
         }
         assert!(e.stats().entries_repaired > 0);
@@ -2291,7 +2284,7 @@ mod tests {
             }
             assert_eq!(format!("{:?}", e.forest()), forest, "{shown}");
             assert_eq!(*e.forest_stats(), stats, "{shown}");
-            assert_eq!(e.query(&q).answer, oracle(&e, &q), "{shown}");
+            assert_eq!(e.query(&q).answer, Some(oracle(&e, &q)), "{shown}");
         }
     }
 
@@ -2388,7 +2381,7 @@ mod tests {
     fn split_and_merge_keep_engine_consistent() {
         let mut e = engine();
         let q = parse_query("[//B]").unwrap();
-        assert!(e.query(&q).answer);
+        assert_eq!(e.query(&q).answer, Some(true));
         // Split B's node out of fragment 3 onto a brand-new site.
         let frag = FragmentId(3);
         let b: NodeId = {
@@ -2407,8 +2400,8 @@ mod tests {
         assert_eq!(up.effect.added.len(), 1);
         // The subtree shipped to the new site is data-plane traffic.
         assert!(up.report.bytes_of_kind(MessageKind::Data) > 0);
-        assert!(e.query(&q).answer);
-        assert_eq!(e.query(&q).answer, oracle(&e, &q));
+        assert_eq!(e.query(&q).answer, Some(true));
+        assert_eq!(e.query(&q).answer, Some(oracle(&e, &q)));
 
         // Merge it back.
         let new = up.effect.added[0];
@@ -2424,8 +2417,8 @@ mod tests {
             .apply(Update::MergeFragments { frag, node: vnode })
             .unwrap();
         assert_eq!(down.effect.removed, vec![new]);
-        assert!(e.query(&q).answer);
-        assert_eq!(e.query(&q).answer, oracle(&e, &q));
+        assert_eq!(e.query(&q).answer, Some(true));
+        assert_eq!(e.query(&q).answer, Some(oracle(&e, &q)));
     }
 
     #[test]
@@ -2470,7 +2463,7 @@ mod tests {
             let q = parse_query(&format!("[//mark0 or //nope{i}]")).unwrap();
             let before = e.stats().fragments_evaluated;
             let out = e.query(&q);
-            assert!(out.answer, "query {i}");
+            assert_eq!(out.answer, Some(true), "query {i}");
             assert_eq!(e.resolve_depth_ewma(), ewma, "after round {i}");
             let planned = out.report.planned.expect("planned round");
             if planned.strategy == "LazyParBoX" {
@@ -2488,7 +2481,7 @@ mod tests {
         // the way down when resolution demands it).
         // It observes the full depth 4: 0.0625 / 2 + 4 / 2.
         let deep = parse_query("[//bottom]").unwrap();
-        assert_eq!(e.query(&deep).answer, oracle(&e, &deep));
+        assert_eq!(e.query(&deep).answer, Some(oracle(&e, &deep)));
         assert_eq!(e.resolve_depth_ewma(), 2.03125);
     }
 
@@ -2516,7 +2509,7 @@ mod tests {
         );
     }
 
-    // ---- chaos: supervision and degraded answers --------------------
+    // ---- chaos: supervision and Partial answers ---------------------
 
     fn chaos_cfg(attempts: u32, restart_after: u32) -> SupervisorConfig {
         SupervisorConfig {
@@ -2547,7 +2540,7 @@ mod tests {
         let mut e = chaos_engine(plan, chaos_cfg(4, 2));
         let q = parse_query("[//A and //B]").unwrap();
         let out = e.query(&q);
-        assert_eq!(out.answer, oracle(&e, &q));
+        assert_eq!(out.answer, Some(oracle(&e, &q)));
         assert_eq!(out.completeness, Completeness::Complete);
         assert_eq!(e.stats().restarts, 1);
         assert!(e.stats().retries >= 1);
@@ -2560,14 +2553,14 @@ mod tests {
     fn site_down_past_retries_degrades_without_lying() {
         // Site 3 wedges forever and the supervisor never restarts it
         // (one attempt, no restart threshold): every round that needs
-        // its fragment must degrade rather than hang or crash.
+        // its fragment must finish rather than hang or crash.
         let plan = FaultPlan::scripted(vec![(3, 0, FaultKind::Wedge)], Duration::ZERO);
         let mut e = chaos_engine(plan, chaos_cfg(1, u32::MAX));
         // B lives only on the wedged site: the answer is undetermined
-        // without it, so it degrades to a pessimistic Partial.
+        // without it, so the query goes out Partial, with no answer.
         let and = parse_query("[//A and //B]").unwrap();
         let out = e.query(&and);
-        assert!(!out.answer, "missing subtree is assumed empty");
+        assert_eq!(out.answer, None, "the missing subtree could hold a B");
         assert_eq!(
             out.completeness,
             Completeness::Partial {
@@ -2580,31 +2573,64 @@ mod tests {
         // the answer, so it is certain — Complete, and never wrong.
         let a = parse_query("[//A]").unwrap();
         let out = e.query(&a);
-        assert!(out.answer);
+        assert_eq!(out.answer, Some(true));
         assert_eq!(out.completeness, Completeness::Complete);
-        assert_eq!(out.answer, oracle(&e, &a));
+        assert_eq!(out.answer, Some(oracle(&e, &a)));
     }
 
     #[test]
-    fn degraded_round_accounts_the_failed_attempt_and_the_degraded_solve() {
-        // Same wedge as above. Against the healthy round's one solve of
-        // |q| × live, the degraded member is attempted over the
-        // live − 1 triplets that arrived and then solved over all live
-        // fragments with a stand-in: |q| × (live − 1) more coordinator
-        // work, one request per site and one envelope fewer.
-        let q = parse_query("[//A and //B]").unwrap();
-        let healthy = engine().query(&q).report;
+    fn site_down_leaves_a_negated_query_unanswered() {
+        // Same wedge. Reading the missing fragment as empty would answer
+        // `not //B` true, and B is on the wedged site: no answer is the
+        // only one that cannot be wrong.
         let plan = FaultPlan::scripted(vec![(3, 0, FaultKind::Wedge)], Duration::ZERO);
         let mut e = chaos_engine(plan, chaos_cfg(1, u32::MAX));
-        let degraded = e.query(&q).report;
-        let live = e.forest().fragment_ids().count() as u64;
-        let coord = e.coordinator();
+        let not_b = parse_query("[not //B]").unwrap();
+        let a = parse_query("[//A]").unwrap();
+        let t_not_b = e.submit(&not_b);
+        let t_a = e.submit(&a);
+        let out = e.flush().unwrap();
+        assert_eq!(out.answers, vec![(t_a, true)], "only the certain ticket");
+        assert_eq!(out.partial, vec![(t_not_b, vec![SiteId(3)])]);
         assert_eq!(
-            degraded.site(coord).work_units,
-            healthy.site(coord).work_units + compile(&q).len() as u64 * (live - 1)
+            out.completeness(t_not_b),
+            Completeness::Partial {
+                missing_sites: vec![SiteId(3)]
+            }
         );
-        assert_eq!(degraded.total_visits(), healthy.total_visits());
-        assert_eq!(degraded.total_messages(), healthy.total_messages() - 1);
+        assert!(!oracle(&e, &not_b), "the true answer is false");
+    }
+
+    #[test]
+    fn standing_query_keeps_its_answer_when_the_refresh_cannot_reach_a_site() {
+        // Site 3 (F3, which holds B) serves the subscription's baseline
+        // (op 0), crashes applying the update's repair (op 1) — so the
+        // coordinator purges F3 — and wedges on the refresh's evaluation
+        // (op 2). The refresh has no certain answer: the subscription
+        // keeps `true` and gets no notification.
+        let plan = FaultPlan::scripted(
+            vec![(3, 1, FaultKind::CrashApply), (3, 2, FaultKind::Wedge)],
+            Duration::ZERO,
+        );
+        let mut e = chaos_engine(plan, chaos_cfg(1, u32::MAX));
+        let q = parse_query("[//B]").unwrap();
+        let sub = e.subscribe(&q);
+        assert_eq!(e.subscription_answer(sub), Some(true));
+        let frag = FragmentId(3);
+        let parent = e.forest().fragment(frag).tree.root();
+        let out = e
+            .apply(Update::InsNode {
+                frag,
+                parent,
+                label: "C".into(),
+                text: None,
+            })
+            .unwrap();
+        assert!(out.notifications.is_empty(), "{:?}", out.notifications);
+        assert_eq!(e.subscription_answer(sub), Some(true));
+        assert_eq!(e.stats().notifications, 0);
+        assert_eq!(e.stats().partial_answers, 1, "the refresh went out Partial");
+        assert!(oracle(&e, &q), "B is still there");
     }
 
     #[test]
@@ -2616,7 +2642,7 @@ mod tests {
         let plan = FaultPlan::scripted(vec![(3, 1, FaultKind::CrashApply)], Duration::ZERO);
         let mut e = chaos_engine(plan, chaos_cfg(4, 2));
         let q = parse_query("[//goal]").unwrap();
-        assert!(!e.query(&q).answer);
+        assert_eq!(e.query(&q).answer, Some(false));
         let frag = FragmentId(3);
         let parent = e.forest().fragment(frag).tree.root();
         e.apply(Update::InsNode {
@@ -2627,8 +2653,8 @@ mod tests {
         })
         .unwrap();
         let out = e.query(&q);
-        assert!(out.answer, "post-update answer");
-        assert_eq!(out.answer, oracle(&e, &q));
+        assert_eq!(out.answer, Some(true), "post-update answer");
+        assert_eq!(out.answer, Some(oracle(&e, &q)));
         assert_eq!(out.completeness, Completeness::Complete);
         assert_eq!(e.stats().restarts, 1);
     }

@@ -817,7 +817,7 @@ impl SitePool {
     /// re-seeds restarted or missing fragments from `reseed` — the
     /// coordinator's authoritative `Arc<Tree>` handles for a site.
     /// Sites still silent after the last attempt are returned in
-    /// [`SupervisedRound::failed`] for the caller to degrade around.
+    /// [`SupervisedRound::failed`] for the caller to answer around.
     pub fn eval_round_supervised(
         &mut self,
         program: &Arc<CompiledQuery>,

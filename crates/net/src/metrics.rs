@@ -139,8 +139,8 @@ pub struct FaultSummary {
     /// Fragments re-seeded from the coordinator's authoritative handles
     /// (restart seeds plus missing-fragment reloads).
     pub reseeded_fragments: u64,
-    /// Sites still down when every attempt was exhausted — each one
-    /// degrades the answers it was needed for to `Partial`.
+    /// Sites still down when every attempt was exhausted — a query
+    /// their fragments could flip goes out `Partial`, with no answer.
     pub failed_sites: u64,
     /// Per recovered site: seconds from first failure sign to the reply
     /// that ended the outage.

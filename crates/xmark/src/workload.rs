@@ -192,14 +192,15 @@ pub fn resolve_data_update(forest: &Forest, seed: u64) -> Option<Update> {
 /// Aggregate result of driving one mixed stream through an engine.
 #[derive(Debug, Clone, Default)]
 pub struct StreamReport {
-    /// Query answers, in stream (submission) order.
-    pub answers: Vec<bool>,
+    /// Query answers, in stream (submission) order; `None` for a query
+    /// that went out `Partial`.
+    pub answers: Vec<Option<bool>>,
     /// Updates that resolved and were applied (unresolvable seeds skip).
     pub updates_applied: usize,
     /// Total simulated traffic: every flushed round plus update routing.
     pub bytes: usize,
-    /// Answers that went out degraded (`Completeness::Partial`) —
-    /// always zero without fault injection.
+    /// Queries that went out with no certain answer
+    /// (`Completeness::Partial`) — always zero without fault injection.
     pub partial_answers: usize,
 }
 
@@ -213,7 +214,12 @@ pub fn drive_stream(engine: &mut Engine, stream: &[MixedOp]) -> StreamReport {
     let mut report = StreamReport::default();
     let absorb = |report: &mut StreamReport, out: Option<parbox_core::RoundOutcome>| {
         if let Some(out) = out {
-            report.answers.extend(out.answers.iter().map(|&(_, a)| a));
+            let mut round: Vec<_> = (out.answers.iter())
+                .map(|&(t, a)| (t, Some(a)))
+                .chain(out.partial.iter().map(|(t, _)| (*t, None)))
+                .collect();
+            round.sort_by_key(|&(t, _)| t);
+            report.answers.extend(round.into_iter().map(|(_, a)| a));
             report.bytes += out.report.total_bytes();
             report.partial_answers += out.partial.len();
         }

@@ -346,9 +346,7 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
     let mut engine = Engine::new(forest, placement, EngineConfig::default())
         .map_err(|e| format!("deploying: {e}"))?;
     let model = *engine.model();
-    for q in &parsed {
-        engine.submit(q);
-    }
+    let tickets: Vec<_> = parsed.iter().map(|q| engine.submit(q)).collect();
     let out = engine.flush().expect("the batch is pending");
 
     let compiled: Vec<_> = parsed.iter().map(compile).collect();
@@ -361,11 +359,19 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
         engine.forest().card(),
         engine.placement().sites().len()
     );
-    let mut disagreed = Vec::new();
-    for ((src, c), &(_, answer)) in queries.iter().zip(&compiled).zip(&out.answers) {
-        println!("{answer:<5}  {src}");
-        if answer != centralized_eval(&whole, c) {
-            disagreed.push(src.as_str());
+    let (mut disagreed, mut unanswered) = (Vec::new(), Vec::new());
+    for ((src, c), ticket) in queries.iter().zip(&compiled).zip(&tickets) {
+        match out.answers.iter().find(|(t, _)| t == ticket) {
+            Some(&(_, answer)) => {
+                println!("{answer:<5}  {src}");
+                if answer != centralized_eval(&whole, c) {
+                    disagreed.push(src.as_str());
+                }
+            }
+            None => {
+                println!("{:?}  {src}", out.completeness(*ticket));
+                unanswered.push(src.as_str());
+            }
         }
     }
     let cluster = Cluster::try_new(engine.forest(), engine.placement(), model)
@@ -391,6 +397,11 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
     if !disagreed.is_empty() {
         return Err(format!(
             "the engine disagreed with the centralized answer on {disagreed:?}"
+        ));
+    }
+    if !unanswered.is_empty() {
+        return Err(format!(
+            "the engine had no certain answer for {unanswered:?}"
         ));
     }
     Ok(())
@@ -443,9 +454,9 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let wall = start.elapsed().as_secs_f64();
 
     let stats = engine.stats();
-    let trues = served.answers.iter().filter(|&&a| a).count();
+    let trues = served.answers.iter().filter(|&&a| a == Some(true)).count();
     println!(
-        "answered {} queries ({trues} true) and applied {} updates \
+        "served {} queries ({trues} true) and applied {} updates \
          in {wall:.3}s ({:.0} queries/s)",
         served.answers.len(),
         served.updates_applied,
@@ -479,7 +490,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     );
     if chaotic {
         println!(
-            "supervision: timeouts {}  retries {}  actor restarts {}  partial answers {}",
+            "supervision: timeouts {}  retries {}  actor restarts {}  unanswered (Partial) {}",
             stats.timeouts, stats.retries, stats.restarts, served.partial_answers
         );
     }

@@ -7,7 +7,7 @@
 //! invalidation all enabled, every answer must equal what one-shot
 //! ParBoX computes on the materialized forest at that moment.
 
-use parbox::core::{parbox, Engine, EngineConfig, Update};
+use parbox::core::{parbox, Completeness, Engine, EngineConfig, Ticket, Update};
 use parbox::frag::Placement;
 use parbox::net::{Cluster, FaultPlan, FaultRates, MessageKind, NetworkModel, SupervisorConfig};
 use parbox::query::{compile, Query};
@@ -51,9 +51,9 @@ proptest! {
         for q in &queries {
             let expected = oracle(&engine, q);
             let first = engine.query(q);
-            prop_assert_eq!(first.answer, expected, "first pass of {}", q);
+            prop_assert_eq!(first.answer, Some(expected), "first pass of {}", q);
             let second = engine.query(q);
-            prop_assert_eq!(second.answer, expected, "cached pass of {}", q);
+            prop_assert_eq!(second.answer, Some(expected), "cached pass of {}", q);
             prop_assert!(second.from_cache, "repeat of {} must hit the cache", q);
             // The cache guarantee: a repeated query moves zero data-plane
             // bytes and triggers no triplet/envelope messages at all.
@@ -112,9 +112,9 @@ proptest! {
         let mut armed = Engine::new(forest, placement, config).unwrap();
         for q in &queries {
             let expected = oracle(&plain, q);
-            prop_assert_eq!(plain.query(q).answer, expected, "plain: {}", q);
+            prop_assert_eq!(plain.query(q).answer, Some(expected), "plain: {}", q);
             let out = armed.query(q);
-            prop_assert_eq!(out.answer, expected, "zero-fault: {}", q);
+            prop_assert_eq!(out.answer, Some(expected), "zero-fault: {}", q);
             prop_assert!(out.completeness.is_complete(), "{} must be Complete", q);
             prop_assert!(out.report.faults.is_none(), "{} reported faults", q);
         }
@@ -134,9 +134,11 @@ proptest! {
 
     /// Chaos satellite, armed direction: under a *random* fault
     /// schedule (seed and rate both generated), an answer marked
-    /// `Complete` never disagrees with the oracle — degraded answers
-    /// must say so. Once the plan disarms, the same engine (no process
-    /// restart) recovers to all-`Complete`, all-correct answers.
+    /// `Complete` never disagrees with the oracle, and a `Partial`
+    /// ticket has no answer and names the sites that stayed down. In an
+    /// admission round, every ticket is answered or `Partial`, once.
+    /// Once the plan disarms, the same engine (no process restart)
+    /// recovers to all-`Complete`, all-correct answers.
     #[test]
     fn complete_answers_never_lie_under_random_faults(
         tree in tree_strategy(),
@@ -170,7 +172,33 @@ proptest! {
             let expected = oracle(&engine, q);
             let out = engine.query(q);
             if out.completeness.is_complete() {
-                prop_assert_eq!(out.answer, expected, "Complete answer lied: {}", q);
+                prop_assert_eq!(out.answer, Some(expected), "Complete answer lied: {}", q);
+            }
+            if let Completeness::Partial { missing_sites } = &out.completeness {
+                prop_assert_eq!(out.answer, None, "Partial with an answer: {}", q);
+                prop_assert!(!missing_sites.is_empty(), "Partial names no site: {}", q);
+            }
+        }
+        // The same queries as one admission round, still under faults.
+        let expected: Vec<bool> = queries.iter().map(|q| oracle(&engine, q)).collect();
+        let tickets: Vec<Ticket> = queries.iter().map(|q| engine.submit(q)).collect();
+        let round = engine.flush().expect("queries pending");
+        prop_assert_eq!(round.answers.len() + round.partial.len(), tickets.len());
+        for (t, want) in tickets.iter().zip(&expected) {
+            let answered: Vec<bool> = (round.answers.iter())
+                .filter(|(u, _)| u == t)
+                .map(|&(_, a)| a)
+                .collect();
+            let missing: Vec<&Vec<_>> = (round.partial.iter())
+                .filter(|(u, _)| u == t)
+                .map(|(_, m)| m)
+                .collect();
+            prop_assert_eq!(answered.len() + missing.len(), 1, "{:?} not listed once", t);
+            for a in answered {
+                prop_assert_eq!(a, *want, "definite answer lied: {:?}", t);
+            }
+            for m in missing {
+                prop_assert!(!m.is_empty(), "Partial {:?} names no site", t);
             }
         }
         plan.disarm();
@@ -181,7 +209,7 @@ proptest! {
                 out.completeness.is_complete(),
                 "did not recover after disarm: {}", q
             );
-            prop_assert_eq!(out.answer, expected, "post-disarm answer: {}", q);
+            prop_assert_eq!(out.answer, Some(expected), "post-disarm answer: {}", q);
         }
     }
 }
@@ -271,9 +299,9 @@ fn engine_equivalent_to_oneshot_after_every_update_step() {
         // match one-shot ParBoX on the materialized forest.
         for q in &queries {
             let expected = oracle(&engine, q);
-            assert_eq!(engine.query(q).answer, expected, "step {step}: {q}");
+            assert_eq!(engine.query(q).answer, Some(expected), "step {step}: {q}");
             let cached = engine.query(q);
-            assert_eq!(cached.answer, expected, "step {step} (cached): {q}");
+            assert_eq!(cached.answer, Some(expected), "step {step} (cached): {q}");
             assert!(cached.from_cache, "step {step}: repeat must hit");
         }
     }
@@ -314,7 +342,7 @@ fn adaptive_engine_serves_heterogeneous_workload_exactly() {
         }
         let expected = oracle(&engine, q);
         let out = engine.query(q);
-        assert_eq!(out.answer, expected, "query {i}: {q}");
+        assert_eq!(out.answer, Some(expected), "query {i}: {q}");
         // The round records what the planner decided.
         if !out.from_cache {
             let planned = out.report.planned.as_ref().expect("planned round");
@@ -328,7 +356,7 @@ fn adaptive_engine_serves_heterogeneous_workload_exactly() {
             );
         }
         let again = engine.query(q);
-        assert_eq!(again.answer, expected, "cached {i}: {q}");
+        assert_eq!(again.answer, Some(expected), "cached {i}: {q}");
         assert!(again.from_cache);
         assert_eq!(again.report.data_plane_bytes(), 0);
     }
