@@ -148,17 +148,14 @@ fn bench(c: &mut Criterion) {
     let sources: Vec<_> = star
         .postorder()
         .into_iter()
-        .map(|f| {
-            let triplet = bottom_up(&star.fragment(f).tree, &merged).triplet;
-            (f, triplet, star.depth(f) as u32)
-        })
+        .map(|f| (f, bottom_up(&star.fragment(f).tree, &merged).triplet))
         .collect();
     let root = Var::new(star.root_fragment(), VecKind::V, member.root());
     group.bench_function("solve_fanout_root", |b| {
         b.iter(|| {
             let mut rows = KleeneRows::new();
-            for (f, triplet, depth) in &sources {
-                rows.solve(*f, triplet, Some(&proj), *depth);
+            for (f, triplet) in &sources {
+                rows.solve(*f, triplet, Some(&proj));
             }
             black_box(rows.value(root))
         })

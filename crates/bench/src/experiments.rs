@@ -333,9 +333,10 @@ pub struct ExpERow {
 /// reports' `elapsed_model_s`: each strategy's own stage structure,
 /// priced from its work units and message bytes — no wall clock, so the
 /// sweep is reproducible. The adaptive planner
-/// plans with the cell's observed resolution-depth statistic (what a
-/// serving deployment accumulates; [`measure_resolution_depth`]) and
-/// its time is the chosen strategy's measured run. Along the way every
+/// plans with the depth at which the cell's query resolves, measured
+/// beforehand by evaluating every fragment
+/// ([`measure_resolution_depth`]), and its time is the chosen
+/// strategy's measured run. Along the way every
 /// deterministic strategy's estimate is asserted against its measured
 /// report: visit and message counts exactly, traffic within
 /// [`TRAFFIC_ESTIMATE_FACTOR`].
@@ -373,8 +374,8 @@ pub fn expe_planner(scale: Scale, machines: usize) -> Vec<ExpERow> {
         for (net_name, model) in networks {
             let cluster = Cluster::new(forest, placement, model);
             for (qname, q) in &queries {
-                // The workload statistic a serving deployment would have
-                // accumulated: at what depth this query resolves.
+                // The depth at which this query resolves: the hint that
+                // prices LazyParBoX's early stop.
                 let depth = measure_resolution_depth(&cluster, q);
                 let mut cx = PlanContext::new(&cluster, q);
                 cx.resolve_depth_hint = Some(depth);

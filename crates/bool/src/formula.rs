@@ -320,42 +320,22 @@ impl Formula {
     /// deduplicates and cancels double negation, so a formula is
     /// determined exactly when substituting the known variables folds it
     /// to a constant.
-    ///
-    /// Each determined value carries the least *depth* at which it is
-    /// determined. A constant formula is determined at
-    /// `floor`, a variable at the larger of `floor` and the depth
-    /// `lookup` gives it; a disjunction that is true at the least depth
-    /// of its true operands, one that is false at the greatest depth of
-    /// all its operands, and a conjunction dually. If a variable's depth
-    /// is the least cut-off at which it is known, a result's depth is
-    /// the least cut-off at which substituting the variables known by
-    /// then folds the formula to that constant.
-    pub fn kleene_all<F>(fs: &[Formula], floor: u32, lookup: &F) -> Vec<Option<Known>>
+    pub fn kleene_all<F>(fs: &[Formula], lookup: &F) -> Vec<Option<bool>>
     where
-        F: Fn(Var) -> Option<Known>,
+        F: Fn(Var) -> Option<bool>,
     {
-        let at_floor = |value| Known {
-            value,
-            depth: floor,
-        };
         let roots: Vec<FormulaId> = fs.iter().map(|f| f.0).collect();
         arena::fold(
             &roots,
             |leaf| match leaf {
-                Node::Const(b) => Some(at_floor(*b)),
-                Node::Var(v) => lookup(*v).map(|k| Known {
-                    value: k.value,
-                    depth: k.depth.max(floor),
-                }),
+                Node::Const(b) => Some(*b),
+                Node::Var(v) => lookup(*v),
                 _ => unreachable!("fold passes only leaves"),
             },
             |op, ops| match op {
-                Node::Not(_) => ops[0].map(|k| Known {
-                    value: !k.value,
-                    ..k
-                }),
-                Node::And(_) => junction(false, ops.iter().copied()),
-                _ => junction(true, ops.iter().copied()),
+                Node::Not(_) => ops[0].map(|b| !b),
+                Node::And(_) => junction(false, ops),
+                _ => junction(true, ops),
             },
         )
     }
@@ -376,41 +356,16 @@ impl Formula {
     }
 }
 
-/// A truth value determined by three-valued evaluation
-/// ([`Formula::kleene_all`]), with the least depth at which it is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Known {
-    /// The truth value.
-    pub value: bool,
-    /// The least depth at which the value is determined.
-    pub depth: u32,
-}
-
 /// Kleene value of an n-ary junction whose `absorbing` operand value
-/// decides it (`false` for `And`, `true` for `Or`): decided at the least
-/// depth of its absorbing operands, else, once every operand is known,
-/// the other value at the greatest depth of all of them.
-fn junction<I: Iterator<Item = Option<Known>>>(absorbing: bool, ops: I) -> Option<Known> {
-    let (mut decided, mut open, mut latest) = (None::<u32>, false, 0u32);
-    for k in ops {
-        match k {
-            Some(k) if k.value == absorbing => {
-                decided = Some(decided.map_or(k.depth, |d| d.min(k.depth)));
-            }
-            Some(k) => latest = latest.max(k.depth),
-            None => open = true,
-        }
-    }
-    match decided {
-        Some(depth) => Some(Known {
-            value: absorbing,
-            depth,
-        }),
-        None if open => None,
-        None => Some(Known {
-            value: !absorbing,
-            depth: latest,
-        }),
+/// decides it (`false` for `And`, `true` for `Or`): that value if any
+/// operand has it, else, once every operand is known, the other one.
+fn junction(absorbing: bool, ops: &[Option<bool>]) -> Option<bool> {
+    if ops.contains(&Some(absorbing)) {
+        Some(absorbing)
+    } else if ops.contains(&None) {
+        None
+    } else {
+        Some(!absorbing)
     }
 }
 
@@ -636,54 +591,13 @@ mod tests {
     fn kleene_decides_what_every_completion_agrees_on() {
         let f = Formula::and(Formula::or(v(1), v(2)), v(3).not());
         let kleene = |known: &dyn Fn(u32) -> Option<bool>| {
-            let lookup = |var: Var| known(var.frag.0).map(|value| Known { value, depth: 0 });
-            Formula::kleene_all(&[f], 0, &lookup)[0].map(|k| k.value)
+            Formula::kleene_all(&[f], &|var: Var| known(var.frag.0))[0]
         };
         // v3 = true decides the conjunction whatever v1 and v2 are.
         assert_eq!(kleene(&|frag| (frag == 3).then_some(true)), Some(false));
         // v1 = true leaves ¬v3 open.
         assert_eq!(kleene(&|frag| (frag == 1).then_some(true)), None);
         assert_eq!(kleene(&|frag| Some(frag != 3)), Some(true));
-    }
-
-    #[test]
-    fn kleene_depth_is_the_least_depth_that_decides() {
-        let known = |value, depth| Some(Known { value, depth });
-        let depth_of = |var: Var| match var.frag.0 {
-            1 => known(true, 5),
-            2 => known(true, 2),
-            3 => known(false, 7),
-            _ => None,
-        };
-        // A true disjunction needs only its shallowest true operand…
-        let or = Formula::or(v(1), v(2));
-        // …a false conjunction its shallowest false one; a true
-        // conjunction needs all of them, and constants sit at the floor.
-        let and = Formula::and(v(1), v(2));
-        let fs = [or, Formula::and(v(1), v(3)), and, and.not(), Formula::TRUE];
-        assert_eq!(
-            Formula::kleene_all(&fs, 1, &depth_of),
-            vec![
-                known(true, 2),
-                known(false, 7),
-                known(true, 5),
-                known(false, 5),
-                known(true, 1),
-            ]
-        );
-        // Variables never resolve shallower than the floor.
-        assert_eq!(
-            Formula::kleene_all(&[or], 3, &depth_of),
-            vec![known(true, 3)]
-        );
-        assert_eq!(
-            Formula::kleene_all(&[Formula::or(v(1), v(4))], 0, &depth_of),
-            vec![known(true, 5)]
-        );
-        assert_eq!(
-            Formula::kleene_all(&[Formula::and(v(1), v(4))], 0, &depth_of),
-            vec![None]
-        );
     }
 
     #[test]

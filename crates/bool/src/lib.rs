@@ -61,8 +61,6 @@ pub use encode::{
     encode_formula_dag, encode_site_envelope_dag, encode_triplet_dag, encode_triplet_delta_dag,
     site_envelope_dag_wire_size, triplet_dag_wire_size, triplet_delta_dag_wire_size, DecodeError,
 };
-pub use formula::{
-    comp_fm, ArenaStats, BoolOp, Formula, FormulaId, FormulaNode, Known, ShardCounters,
-};
+pub use formula::{comp_fm, ArenaStats, BoolOp, Formula, FormulaId, FormulaNode, ShardCounters};
 pub use triplet::{EquationSystem, KleeneRows, ResolvedTriplet, SolveError, Triplet, TripletDelta};
 pub use var::{Var, VecKind};

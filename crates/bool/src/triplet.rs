@@ -19,7 +19,7 @@
 //! content of the missing fragments could change.
 
 use crate::arena::FxHasher;
-use crate::formula::{Formula, Known};
+use crate::formula::Formula;
 use crate::var::{Var, VecKind};
 use parbox_xml::FragmentId;
 use std::collections::HashMap;
@@ -284,14 +284,13 @@ impl ResolvedTriplet {
 /// determined entry holds under every content of the fragments never
 /// solved: the certain answer. Nothing is interned, and a determined
 /// entry is exactly one that [`Formula::substitute`] with the children's
-/// values would fold to a constant. Each value also carries the least
-/// fragment depth at which it is determined ([`Formula::kleene_all`]).
+/// values would fold to a constant ([`Formula::kleene_all`]).
 #[derive(Debug, Clone, Default)]
 pub struct KleeneRows {
     /// Per solved fragment, where its row starts in `values` and its
     /// width `w`.
     rows: HashMap<FragmentId, (u32, u32), BuildHasherDefault<FxHasher>>,
-    values: Vec<Option<Known>>,
+    values: Vec<Option<bool>>,
 }
 
 impl KleeneRows {
@@ -300,7 +299,7 @@ impl KleeneRows {
         Self::default()
     }
 
-    /// Solves fragment `frag` from `triplet`, a fragment at `depth`.
+    /// Solves fragment `frag` from `triplet`.
     /// With a projection, entry `i` of the row is entry `proj[i]` of the
     /// triplet and the variables' sub-query ids are read back through
     /// the inverse of `proj`, so a triplet computed under a merged
@@ -316,19 +315,15 @@ impl KleeneRows {
         frag: FragmentId,
         triplet: &Triplet,
         proj: Option<&[u32]>,
-        depth: u32,
-    ) -> &[Option<Known>] {
+    ) -> &[Option<bool>] {
         let width = proj.map_or(triplet.len(), <[u32]>::len);
         let entries = [&triplet.v, &triplet.cv, &triplet.dv]
             .into_iter()
             .flat_map(|xs| (0..width).map(move |i| xs[proj.map_or(i, |p| p[i] as usize)]));
         let start = self.values.len();
         // Most rows (every leaf fragment's) are closed: no snapshot.
-        self.values.extend(
-            entries
-                .clone()
-                .map_while(|f| f.as_const().map(|value| Some(Known { value, depth }))),
-        );
+        self.values
+            .extend(entries.clone().map_while(|f| f.as_const().map(Some)));
         if self.values.len() - start < 3 * width {
             self.values.truncate(start);
             let entries: Vec<Formula> = entries.collect();
@@ -338,13 +333,13 @@ impl KleeneRows {
                     for (i, &h) in proj.iter().enumerate() {
                         inverse[h as usize] = i as u32;
                     }
-                    Formula::kleene_all(&entries, depth, &|var: Var| {
+                    Formula::kleene_all(&entries, &|var: Var| {
                         let sub = inverse[var.sub as usize];
                         assert_ne!(sub, u32::MAX, "variable outside the member's closure");
                         self.value(Var { sub, ..var })
                     })
                 }
-                None => Formula::kleene_all(&entries, depth, &|var| self.value(var)),
+                None => Formula::kleene_all(&entries, &|var| self.value(var)),
             };
             self.values.extend(row);
         }
@@ -354,7 +349,7 @@ impl KleeneRows {
 
     /// The value of `var`: `None` when its fragment was not solved or
     /// does not determine the entry.
-    pub fn value(&self, var: Var) -> Option<Known> {
+    pub fn value(&self, var: Var) -> Option<bool> {
         let &(start, width) = self.rows.get(&var.frag)?;
         assert!(var.sub < width, "{var} outside its fragment's row");
         self.values[(start + var.vec as u32 * width + var.sub) as usize]
@@ -441,8 +436,8 @@ impl EquationSystem {
                 .triplets
                 .get(&frag)
                 .ok_or(SolveError::MissingFragment(frag))?;
-            let row = rows.solve(frag, triplet, None, 0);
-            let values: Option<Vec<bool>> = row.iter().map(|k| k.map(|k| k.value)).collect();
+            let row = rows.solve(frag, triplet, None);
+            let values: Option<Vec<bool>> = row.iter().copied().collect();
             let mut values = values.ok_or(SolveError::NotBottomUp(frag))?;
             let w = triplet.len();
             let dv = values.split_off(2 * w);

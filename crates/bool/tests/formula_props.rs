@@ -10,7 +10,7 @@ use bytes::BytesMut;
 use parbox_bool::reference::{RefFormula, RefTriplet};
 use parbox_bool::{
     comp_fm, decode_formula_dag, decode_triplet_dag, encode_formula_dag, encode_triplet_dag,
-    BoolOp, Formula, Known, Triplet, Var, VecKind,
+    BoolOp, Formula, Triplet, Var, VecKind,
 };
 use parbox_xml::FragmentId;
 use proptest::prelude::*;
@@ -125,36 +125,8 @@ proptest! {
         // known variables folds to a constant.
         let known = partial(seed);
         let folded = f.substitute(&|v| known(v).map(Formula::constant));
-        let lookup = |v| known(v).map(|value| Known { value, depth: 0 });
-        let kleene = Formula::kleene_all(&[f], 0, &lookup)[0].map(|k| k.value);
+        let kleene = Formula::kleene_all(&[f], &known)[0];
         prop_assert_eq!(kleene, folded.as_const());
-    }
-
-    #[test]
-    fn kleene_depth_is_the_least_folding_cutoff(
-        f in formula_strategy(),
-        seed: u8,
-        depths in proptest::collection::vec(0u32..4, 9..10),
-        floor in 0u32..3,
-    ) {
-        // Each known variable is known from a depth on; a cut-off
-        // substitution at `d` replaces the variables known by `d`. The
-        // annotated depth is the least cut-off that folds, at least the
-        // floor.
-        let pool = var_pool();
-        let known = partial(seed);
-        let depth_of = |v: Var| depths[pool.iter().position(|&p| p == v).unwrap()];
-        let cutoff = |d: u32| {
-            f.substitute(&|v| {
-                known(v).filter(|_| depth_of(v) <= d).map(Formula::constant)
-            })
-            .as_const()
-        };
-        let annotated = Formula::kleene_all(&[f], floor, &|v| {
-            known(v).map(|value| Known { value, depth: depth_of(v) })
-        })[0];
-        let least = (0..4).find_map(|d| cutoff(d).map(|value| Known { value, depth: d.max(floor) }));
-        prop_assert_eq!(annotated, least);
     }
 
     #[test]

@@ -77,7 +77,7 @@ pub fn full_dist_parbox(cluster: &Cluster<'_>, q: &CompiledQuery) -> EvalOutcome
             ready = ready.max(arrival);
         }
         let start = Instant::now();
-        let row = resolved.solve(frag, &open[&frag], None, 0);
+        let row = resolved.solve(frag, &open[&frag], None);
         assert!(
             row.iter().all(Option::is_some),
             "children resolved in postorder"
@@ -91,8 +91,7 @@ pub fn full_dist_parbox(cluster: &Cluster<'_>, q: &CompiledQuery) -> EvalOutcome
     let root = cluster.forest.root_fragment();
     let answer = resolved
         .value(Var::new(root, VecKind::V, q.root()))
-        .expect("root resolved")
-        .value;
+        .expect("root resolved");
 
     let broadcast = if sites.len() > 1 {
         cluster.model.transfer_time(qsize + st.byte_size())

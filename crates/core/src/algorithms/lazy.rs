@@ -80,7 +80,7 @@ pub fn lazy_parbox(cluster: &Cluster<'_>, q: &CompiledQuery) -> EvalOutcome {
 
         // Attempt to answer with what we have.
         let solve_start = Instant::now();
-        let maybe = certain_answer(st, q.root(), |f| gathered.get(&f).map(|t| (t, None)));
+        answer = certain_answer(st, q.root(), |f| gathered.get(&f).map(|t| (t, None)));
         report.record_compute(coord, solve_start.elapsed());
         let solve_work = (q.len() * gathered.len()) as u64;
         report.record_work(coord, solve_work);
@@ -93,8 +93,7 @@ pub fn lazy_parbox(cluster: &Cluster<'_>, q: &CompiledQuery) -> EvalOutcome {
             .shared_link_time(step_bytes.len(), step_bytes.iter().sum());
         model_time += compute_s(step_work) + collect + compute_s(solve_work);
 
-        if let Some(k) = maybe {
-            answer = Some(k.value);
+        if answer.is_some() {
             break;
         }
     }

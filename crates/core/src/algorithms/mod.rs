@@ -20,7 +20,7 @@ pub use self::lazy::lazy_parbox;
 pub use self::naive::{naive_centralized, naive_distributed};
 pub use self::parbox_algo::parbox;
 
-use parbox_bool::{triplet_dag_wire_size, KleeneRows, Known, Triplet, Var, VecKind};
+use parbox_bool::{triplet_dag_wire_size, KleeneRows, Triplet, Var, VecKind};
 use parbox_frag::ForestStats;
 use parbox_net::{Cluster, RunReport};
 use parbox_query::{CompiledQuery, QueryBatch, SubId, SubQuery};
@@ -87,21 +87,20 @@ pub(crate) fn answer_from_resolved(
 
 /// The certain answer of the root sub-query `root_sub` from the
 /// triplets at hand: one three-valued pass ([`KleeneRows`]) over the
-/// source tree, children first, each fragment at its depth, with every
-/// fragment `triplet_of` has no triplet for unknown. `Some` when the
-/// answer holds under every content of those fragments, with the least
-/// fragment depth that determines it; `None` when they could flip it.
+/// source tree, children first, with every fragment `triplet_of` has
+/// no triplet for unknown. `Some` when the answer holds under every
+/// content of those fragments; `None` when they could flip it.
 /// A triplet may come with a projection, to read one member of the
 /// merged program it was computed under ([`KleeneRows::solve`]).
 pub(crate) fn certain_answer<'t>(
     st: &ForestStats,
     root_sub: SubId,
     triplet_of: impl Fn(FragmentId) -> Option<(&'t Triplet, Option<&'t [SubId]>)>,
-) -> Option<Known> {
+) -> Option<bool> {
     let mut rows = KleeneRows::new();
     for &f in st.postorder() {
         if let Some((triplet, proj)) = triplet_of(f) {
-            rows.solve(f, triplet, proj, st.fragment(f).depth as u32);
+            rows.solve(f, triplet, proj);
         }
     }
     rows.value(Var::new(st.root(), VecKind::V, root_sub))

@@ -90,7 +90,7 @@ pub fn naive_distributed(cluster: &Cluster<'_>, q: &CompiledQuery) -> EvalOutcom
         let start = Instant::now();
         let run = bottom_up(&cluster.forest.fragment(frag).tree, q);
         // Children are already resolved: close the triplet immediately.
-        let row = resolved.solve(frag, &run.triplet, None, 0);
+        let row = resolved.solve(frag, &run.triplet, None);
         assert!(
             row.iter().all(Option::is_some),
             "postorder guarantees children resolved"
@@ -110,8 +110,7 @@ pub fn naive_distributed(cluster: &Cluster<'_>, q: &CompiledQuery) -> EvalOutcom
     let root = cluster.forest.root_fragment();
     let answer = resolved
         .value(Var::new(root, VecKind::V, q.root()))
-        .expect("root resolved")
-        .value;
+        .expect("root resolved");
     report.elapsed_model_s = model_time;
     report.elapsed_wall_s = wall.elapsed().as_secs_f64();
     EvalOutcome {

@@ -9,14 +9,13 @@
 //! `reference`, and `bottom_up_formula_only` runs the formula step at
 //! every node as `bottomUp`'s oracle.
 
-pub mod bitset;
+pub(crate) mod bitset;
 pub mod bottom_up;
 pub mod centralized;
 pub(crate) mod columns;
 pub mod incremental;
 pub mod reference;
 
-pub use bitset::BitSet;
 pub use bottom_up::{bottom_up, bottom_up_formula_only, FragmentRun};
 pub use centralized::{centralized_eval, centralized_eval_counted, CentralizedRun};
 pub use incremental::{IncrementalBottomUp, Propagation, RepairRun};

@@ -85,7 +85,7 @@ pub use algorithms::{
 };
 pub use eval::{
     bottom_up, bottom_up_formula_only, bottom_up_reference, centralized_eval,
-    centralized_eval_counted, centralized_eval_reference, BitSet, CentralizedRun, FragmentRun,
+    centralized_eval_counted, centralized_eval_reference, CentralizedRun, FragmentRun,
     IncrementalBottomUp, Propagation, RefFragmentRun, RepairRun,
 };
 pub use plan::{

@@ -42,9 +42,13 @@
 //!
 //! `LazyParBoX`'s cost depends on the depth at which partial answers
 //! determine the result — unknowable before evaluation. Its estimate is
-//! pessimistic (full depth) unless the caller supplies an observed
-//! [`PlanContext::resolve_depth_hint`], which is how the serving engine
-//! feeds its live resolution-depth statistics back into planning.
+//! pessimistic (full depth) unless the caller supplies a
+//! [`PlanContext::resolve_depth_hint`], as the `expE_planner` sweep does
+//! from [`measure_resolution_depth`].
+//!
+//! A serving round has one plan: a single wave holding every fragment
+//! some member lacks, solved once (`RoundDemand`); [`lazy_parbox`] is a
+//! one-shot strategy only (see [`crate::serve`]).
 
 use crate::algorithms::{
     certain_answer, full_dist_parbox, lazy_parbox, naive_centralized, naive_distributed, parbox,
@@ -104,9 +108,9 @@ pub struct PlanContext<'a> {
     pub cluster: &'a Cluster<'a>,
     /// The compiled query to be planned.
     pub query: &'a CompiledQuery,
-    /// Observed fragment-tree depth at which answers tend to resolve
-    /// (fed back by the serving engine); `None` makes `LazyParBoX`'s
-    /// estimate pessimistically assume the full depth.
+    /// Fragment-tree depth at which the answer is expected to resolve
+    /// (say, from [`measure_resolution_depth`]); `None` makes
+    /// `LazyParBoX`'s estimate pessimistically assume the full depth.
     pub resolve_depth_hint: Option<usize>,
 }
 
@@ -419,49 +423,33 @@ impl Executor for LazyExec {
     }
 }
 
-/// A serving round's data-plane schedule, chosen by [`RoundDemand::plan`].
-pub(crate) struct RoundPlan {
-    /// The needed fragments, one group per dispatch; the engine attempts
-    /// the open members after each and stops once none is left. Eager is
-    /// the single wave `[need]`, depth-gated is one wave per depth.
-    pub waves: Vec<Vec<FragmentId>>,
-    /// Attempt from surviving cached triplets before the first dispatch:
-    /// the depth-gated plan bets on answers closing early and pays for
-    /// that zero-message pass, the eager plan ships everything anyway.
-    pub attempt_before_first_wave: bool,
-    /// The decision record stamped into [`parbox_net::RunReport::planned`].
-    pub summary: PlanSummary,
-}
-
 /// What one serving round asks of the data plane, and the live
 /// statistics to price it with.
 pub(crate) struct RoundDemand<'a> {
     pub stats: &'a ForestStats,
     pub model: &'a NetworkModel,
     pub coordinator: SiteId,
-    /// Fragments some active member lacks a cached triplet for; the
-    /// plan's waves take them over.
-    pub need: Vec<FragmentId>,
+    /// Fragments some active member lacks a cached triplet for: the
+    /// round's one wave.
+    pub need: &'a [FragmentId],
     /// Distinct member programs going to the data plane.
     pub active_members: usize,
     /// `|QList|` of their merged program.
     pub merged_len: usize,
     /// Wire size of the merged program: the per-site request.
     pub request_bytes: usize,
-    /// Fragment-tree depth at which recent rounds' answers resolved.
-    pub depth_hint: usize,
 }
 
 impl RoundDemand<'_> {
-    /// Predicted cost of one wave in the units the round's report
-    /// measures: `frags` dispatched (a visit per owning site, a request
-    /// and an envelope per remote one), then every active member
-    /// attempted over the `gathered` fragments held by then.
-    fn wave_cost(&self, frags: &[FragmentId], gathered: usize) -> CostEstimate {
+    /// Plans the round's one wave in the units its report measures:
+    /// `need` dispatched (a visit per owning site, a request and an
+    /// envelope per remote one), then every active member solved over
+    /// the whole source tree. A round of one member is plain ParBoX.
+    pub fn plan(&self) -> PlanSummary {
         let m = self.merged_len.max(1);
         // Per owning site: (nodes, predicted triplet bytes).
         let mut sites: BTreeMap<SiteId, (usize, usize)> = BTreeMap::new();
-        for &f in frags {
+        for &f in self.need {
             let s = self.stats.fragment(f);
             let site = sites.entry(s.site).or_default();
             site.0 += s.nodes;
@@ -475,12 +463,12 @@ impl RoundDemand<'_> {
             .sum();
         let slowest_site = sites.values().map(|&(nodes, _)| nodes).max().unwrap_or(0);
         let eval_work: u64 = sites.values().map(|&(nodes, _)| (nodes * m) as u64).sum();
-        let solve_work = (self.active_members * m * gathered) as u64;
+        let solve_work = (self.active_members * m * self.stats.card().max(1)) as u64;
         let broadcast = match remote {
             0 => 0.0,
             _ => self.model.transfer_time(self.request_bytes),
         };
-        CostEstimate {
+        let estimate = CostEstimate {
             visits: sites.len(),
             messages: 2 * remote,
             traffic_bytes: self.request_bytes * remote + envelopes,
@@ -490,52 +478,15 @@ impl RoundDemand<'_> {
                 + compute_s((slowest_site * m) as u64)
                 + self.model.shared_link_time(remote, envelopes)
                 + compute_s(solve_work),
-        }
-    }
-
-    /// Prices the eager round (one wave, solved over every fragment)
-    /// against depth-gated waves that optimistically stop at the depth
-    /// hint, though never before the shallowest needed wave, and plans
-    /// the cheaper. An eager round of one member is plain ParBoX.
-    pub fn plan(self) -> RoundPlan {
-        let eager = self.wave_cost(&self.need, self.stats.card().max(1));
-        let mut by_depth: BTreeMap<usize, Vec<FragmentId>> = BTreeMap::new();
-        for &f in &self.need {
-            let depth = self.stats.fragment(f).depth;
-            by_depth.entry(depth).or_default().push(f);
-        }
-        let stop = self.depth_hint.min(self.stats.max_depth());
-        let mut lazy = CostEstimate::default();
-        let mut gathered = 0usize;
-        for (i, (&depth, frags)) in by_depth.iter().enumerate() {
-            if i > 0 && depth > stop {
-                break;
-            }
-            gathered += frags.len();
-            let wave = self.wave_cost(frags, gathered);
-            lazy.visits += wave.visits;
-            lazy.messages += wave.messages;
-            lazy.traffic_bytes += wave.traffic_bytes;
-            lazy.rounds += wave.rounds;
-            lazy.work_units += wave.work_units;
-            lazy.modeled_s += wave.modeled_s;
-        }
-        let lazy_wins = lazy.modeled_s < eager.modeled_s;
-        let (strategy, estimate, waves) = if lazy_wins {
-            ("LazyParBoX", lazy, by_depth.into_values().collect())
-        } else if self.active_members == 1 {
-            ("ParBoX", eager, vec![self.need])
-        } else {
-            ("BatchParBoX", eager, vec![self.need])
         };
-        RoundPlan {
-            waves,
-            attempt_before_first_wave: lazy_wins,
-            summary: PlanSummary {
-                strategy: strategy.to_string(),
-                estimate,
-                candidates: 2,
-            },
+        let strategy = match self.active_members {
+            1 => "ParBoX",
+            _ => "BatchParBoX",
+        };
+        PlanSummary {
+            strategy: strategy.to_string(),
+            estimate,
+            candidates: 1,
         }
     }
 }
@@ -727,21 +678,24 @@ pub fn plan_run(cluster: &Cluster<'_>, q: &CompiledQuery) -> EvalOutcome {
 
 /// Measures the fragment-tree depth at which `q`'s answer resolves: the
 /// smallest `d` such that the triplets of fragments at depth `≤ d`
-/// already determine the root answer. This is the statistic a serving
-/// deployment accumulates over its history (the engine's EWMA) and
-/// feeds back as [`PlanContext::resolve_depth_hint`]; as a standalone
-/// call it evaluates every fragment once — a warm-up/experiment oracle,
-/// not a planning-time estimate.
+/// already determine the root answer — the depth at which
+/// [`lazy_parbox`] stops. An experiment oracle that feeds
+/// [`PlanContext::resolve_depth_hint`], not a planning-time estimate:
+/// it evaluates every fragment once.
 pub fn measure_resolution_depth(cluster: &Cluster<'_>, q: &CompiledQuery) -> usize {
-    // Every fragment evaluated, each read at its depth: the root answer's
-    // depth is the least cut-off whose fragments decide it.
     let st = &cluster.forest_stats;
     let triplets: HashMap<FragmentId, Triplet> = (st.postorder().iter())
         .map(|&f| (f, bottom_up(&cluster.forest.fragment(f).tree, q).triplet))
         .collect();
-    certain_answer(st, q.root(), |f| triplets.get(&f).map(|t| (t, None)))
+    (0..=st.max_depth())
+        .find(|&d| {
+            let upto = |f: FragmentId| st.fragment(f).depth <= d;
+            certain_answer(st, q.root(), |f| {
+                triplets.get(&f).filter(|_| upto(f)).map(|t| (t, None))
+            })
+            .is_some()
+        })
         .expect("every fragment evaluated decides the answer")
-        .depth as usize
 }
 
 #[cfg(test)]

@@ -59,42 +59,40 @@
 //! reading the member's entries of each merged triplet through its
 //! projection and each variable through the projection's inverse, with
 //! a fragment not gathered yet unknown. That pass is the engine's only
-//! solve: it answers a member with full coverage, decides whether a
-//! partial one is already certain, and yields the fragment depth the
-//! answer was determined at, which feeds the planner's depth statistic.
-//! A member the fragments at hand do not determine gets no answer.
+//! solve: it answers a member with full coverage and decides whether a
+//! partial one is already certain. A member the fragments at hand do
+//! not determine gets no answer.
 //!
 //! # The round pipeline
 //!
 //! Every admission round runs the same stages, each a small function
 //! with explicit inputs and outputs: `coalesce` (members by
-//! fingerprint) → `answer_from_cache` → `merge_active` and the wave
-//! plan (`RoundDemand::plan` in [`crate::plan`]) → per wave
-//! `dispatch_wave` → `absorb_replies` (identical triplets of a wave
-//! share one `Arc`) → `project_into_entries` (hands each open member
-//! the merged triplets with its projection; `Arc` clones only) →
-//! `attempt` (one member solve each; stores the answer and the depth it
-//! was determined at) → `evict` → `update_depth_ewma` (reads those
-//! depths) → `account`. The paper's ParBoX and LazyParBoX are two
-//! *plans* for that one loop, not two code paths:
-//! the eager plan is a single wave holding every needed fragment, the
-//! depth-gated plan is one wave per fragment-tree depth with an
-//! `attempt` before the first, and the loop stops at the first wave
-//! after which no member is open. `attempt` is the certain-answer test:
-//! true, or false, under every content of the fragments not yet
-//! gathered; a member still open after the last wave (a site stayed
-//! down past every supervised attempt) goes out `Partial`, with no
-//! answer. `dispatch_wave` is the only path to the data plane and owns
-//! the visit, request, retry and reseed accounting; `absorb_replies`
-//! owns compute, work, site-cache hits and envelopes; the coordinator's
-//! solves are accounted where they run, in `answer_from_cache` and
-//! `attempt`.
+//! fingerprint) → `answer_from_cache` → `merge_active` and the round's
+//! plan record (`RoundDemand::plan` in [`crate::plan`]) →
+//! `dispatch_wave` (one wave holding every fragment some member lacks)
+//! → `absorb_replies` (identical triplets of the wave share one `Arc`)
+//! → `project_into_entries` (hands each open member the merged
+//! triplets with its projection; `Arc` clones only) → `attempt` (one
+//! member solve each) → `leave_open` → `evict` → `account`. A round is
+//! the paper's ParBoX for one member and its batched form for several:
+//! every site is visited at most once, unless supervision retries it.
+//! LazyParBoX's depth-by-depth waves pay only when shallow fragments
+//! decide the answer, which no earlier round predicts, so it stays a
+//! one-shot strategy ([`crate::algorithms::lazy_parbox`]). `attempt`
+//! is the certain-answer test: true, or false, under every content of
+//! the fragments that did not arrive; a member it leaves open (a site
+//! stayed down past every supervised attempt) goes out `Partial`, with
+//! no answer. `dispatch_wave` is the only path to the data plane and
+//! owns the visit, request, retry and reseed accounting;
+//! `absorb_replies` owns compute, work, site-cache hits and envelopes;
+//! the coordinator's solves are accounted where they run, in
+//! `answer_from_cache` and `attempt`.
 
 use crate::algorithms::{batch_query_wire_size, certain_answer};
 use crate::eval::{bottom_up, IncrementalBottomUp};
 use crate::plan::{compute_s, RoundDemand};
 use crate::views::{apply_update_tracked, FragmentDelta, Update, UpdateEffect, ViewError};
-use parbox_bool::{site_envelope_dag_wire_size, Known, Triplet};
+use parbox_bool::{site_envelope_dag_wire_size, Triplet};
 use parbox_frag::{Forest, ForestStats, FragError, Placement, SiteId};
 use parbox_net::engine::{
     DeltaMemo, EvalReply, FragmentEval, PatchFn, RepairOutcome, RepairedEval, SiteCacheStats,
@@ -364,10 +362,6 @@ struct SolveEntry {
     triplets: HashMap<FragmentId, Source>,
     /// Memoized answer; dropped whenever any triplet is invalidated.
     answer: Option<bool>,
-    /// The least fragment-tree depth whose fragments determined the
-    /// answer at the last `attempt` (`None` while undetermined) — what
-    /// the depth statistic reads.
-    resolved_at: Option<usize>,
 }
 
 /// One fragment's part of a member's equation system: a triplet the
@@ -402,11 +396,6 @@ pub struct Engine {
     /// derived from the network model).
     supervisor: SupervisorConfig,
     pool: SitePool,
-    /// EWMA of the fragment-tree depth at which recent rounds' answers
-    /// resolved. Initialized pessimistically to the full depth, so a
-    /// fresh engine runs eager batch rounds until observations say
-    /// shallower wavefronts suffice.
-    depth_ewma: f64,
     solve_cache: HashMap<QueryFingerprint, SolveEntry>,
     /// FIFO eviction order of cached fingerprints.
     solve_order: VecDeque<QueryFingerprint>,
@@ -538,7 +527,6 @@ impl Engine {
             .supervisor
             .clone()
             .unwrap_or_else(|| SupervisorConfig::from_model(&config.model));
-        let depth_ewma = forest_stats.max_depth() as f64;
         // Sized for the bound up front (a round inserts before it
         // evicts, hence the + 1): FIFO churn at the bound fills the
         // table with tombstones, and only one with twice the live
@@ -552,7 +540,6 @@ impl Engine {
             config,
             supervisor,
             pool,
-            depth_ewma,
             solve_cache: HashMap::with_capacity(2 * bound),
             solve_order: VecDeque::with_capacity(bound),
             pending: Vec::new(),
@@ -595,12 +582,6 @@ impl Engine {
     /// maintained through every update — the planner's input.
     pub fn forest_stats(&self) -> &ForestStats {
         &self.forest_stats
-    }
-
-    /// EWMA of the fragment-tree depth at which recent rounds' answers
-    /// resolved — the statistic gating lazy wavefront rounds.
-    pub fn resolve_depth_ewma(&self) -> f64 {
-        self.depth_ewma
     }
 
     /// Per-site triplet-cache counters (from the resident workers).
@@ -828,7 +809,6 @@ impl Engine {
                     root,
                     triplets: HashMap::new(),
                     answer: None,
-                    resolved_at: None,
                 },
             );
         }
@@ -836,18 +816,16 @@ impl Engine {
 
     /// Solves a member from its entry: the certain answer of the merged
     /// triplets it holds, each read through the member's projection,
-    /// with every fragment it holds none for unknown. Returns the answer
-    /// with the least fragment-tree depth whose fragments determine it,
-    /// or `None` when the fragments held do not determine it.
-    fn solve_member(&self, entry: &SolveEntry) -> Option<Known> {
+    /// with every fragment it holds none for unknown: `None` when the
+    /// fragments held do not determine it.
+    fn solve_member(&self, entry: &SolveEntry) -> Option<bool> {
         certain_answer(&self.forest_stats, entry.root, |f| {
             (entry.triplets.get(&f)).map(|s| (&*s.triplet, Some(s.projection.as_slice())))
         })
     }
 
     /// One admission round: the stages of the module docs' *round
-    /// pipeline*, in order. The eager ParBoX round is the one-wave case
-    /// of the loop.
+    /// pipeline*, in order — one wave, one solve per member.
     fn run_round(&mut self, pending: Vec<(Ticket, CompiledQuery)>) -> RoundOutcome {
         let wall = Instant::now();
         let live: Vec<FragmentId> = self.forest.fragment_ids().collect();
@@ -855,54 +833,33 @@ impl Engine {
         let members = coalesce(&pending);
         let member_count = members.len();
         let active = self.answer_from_cache(members, &live, &mut ledger);
-        let active_fps: Vec<QueryFingerprint> = active.iter().map(|m| m.fp).collect();
+        let active_count = active.len();
         let mut planned = None;
         if !active.is_empty() {
             let (merged, mut open) = merge_active(active);
             for am in &open {
                 self.ensure_solve_entry(am.member.fp, am.member.program.root());
             }
-            let plan = RoundDemand {
+            // Every active member lacks a triplet of some live fragment,
+            // so the wave is never empty.
+            let need = self.still_missing(&live, &open);
+            let summary = RoundDemand {
                 stats: &self.forest_stats,
                 model: &self.config.model,
                 coordinator: self.coordinator(),
-                need: self.still_missing(&live, &open),
+                need: &need,
                 active_members: open.len(),
                 merged_len: merged.program.len(),
                 request_bytes: merged.request_bytes,
-                depth_hint: self.depth_ewma.round() as usize,
             }
             .plan();
-            if plan.attempt_before_first_wave {
-                self.attempt(&mut open, &mut ledger);
-            }
-            let waves = plan.waves.len();
-            // The waves partition `need`, which was filtered against
-            // `open` as it stood: a wave is re-filtered only once an
-            // attempt may have closed members.
-            let mut attempted = plan.attempt_before_first_wave;
-            for wave in plan.waves {
-                if open.is_empty() {
-                    break;
-                }
-                let wanted = if attempted {
-                    self.still_missing(&wave, &open)
-                } else {
-                    wave
-                };
-                attempted = true;
-                if !wanted.is_empty() {
-                    let replies = self.dispatch_wave(&merged, wanted, &mut ledger);
-                    let arrived = absorb_replies(replies, &self.config.model, &mut ledger);
-                    self.project_into_entries(&arrived, &open, merged.fp);
-                }
-                self.attempt(&mut open, &mut ledger);
-            }
-            // One wave and no supervised retry is the batch protocol's
-            // healthy round: every site visited at most once.
-            debug_assert!(
-                waves > 1 || ledger.faults.retries > 0 || ledger.report.max_visits() <= 1
-            );
+            let replies = self.dispatch_wave(&merged, need, &mut ledger);
+            let arrived = absorb_replies(replies, &self.config.model, &mut ledger);
+            self.project_into_entries(&arrived, &open, merged.fp);
+            self.attempt(&mut open, &mut ledger);
+            // Without a supervised retry, the batch protocol's round
+            // visits every site at most once.
+            debug_assert!(ledger.faults.retries > 0 || ledger.report.max_visits() <= 1);
             // Still open: a site stayed down past every supervised
             // attempt and what did arrive leaves the answer open. No
             // answer, and nothing memoized: the next round re-requests
@@ -913,10 +870,9 @@ impl Engine {
                 ledger.leave_open(&am.member, missing);
             }
             self.evict();
-            self.update_depth_ewma(&active_fps);
-            planned = Some(plan.summary);
+            planned = Some(summary);
         }
-        self.account(ledger, member_count, active_fps.len(), planned, wall)
+        self.account(ledger, member_count, active_count, planned, wall)
     }
 
     /// Answers the members that need no data-plane message — a memoized
@@ -945,8 +901,7 @@ impl Engine {
                     let start = Instant::now();
                     let a = self
                         .solve_member(entry)
-                        .expect("cached triplets cover every live fragment")
-                        .value;
+                        .expect("cached triplets cover every live fragment");
                     let work = m.program.len() * live.len();
                     ledger.record_solve(start.elapsed(), work as u64);
                     self.solve_cache
@@ -1069,9 +1024,7 @@ impl Engine {
     /// Tries to close every open member from the triplets it holds, and
     /// keeps the ones it cannot. The member solve leaves the missing
     /// fragments unknown, so an answer it determines holds under *any*
-    /// content of those fragments: it is exact, safe to memoize, and
-    /// the reason later waves need not be shipped. The depth it was
-    /// determined at is stored for the depth statistic.
+    /// content of those fragments: it is exact and safe to memoize.
     fn attempt(&mut self, open: &mut Vec<ActiveMember<'_>>, ledger: &mut Ledger) {
         open.retain(|am| {
             let entry = &self.solve_cache[&am.member.fp];
@@ -1079,11 +1032,12 @@ impl Engine {
             let solved = self.solve_member(entry);
             let work = (am.member.program.len() * entry.triplets.len().max(1)) as u64;
             ledger.record_solve(start.elapsed(), work);
-            let entry = self.solve_cache.get_mut(&am.member.fp).expect("read above");
-            entry.answer = solved.map(|k| k.value);
-            entry.resolved_at = solved.map(|k| k.depth as usize);
-            if let Some(k) = solved {
-                ledger.answer(&am.member, k.value);
+            self.solve_cache
+                .get_mut(&am.member.fp)
+                .expect("read above")
+                .answer = solved;
+            if let Some(answer) = solved {
+                ledger.answer(&am.member, answer);
             }
             solved.is_none()
         });
@@ -1111,25 +1065,6 @@ impl Engine {
             }
             self.solve_cache.remove(&fp);
         }
-    }
-
-    /// Feeds the round's observed resolution depth into the EWMA that
-    /// gates future depth-gated plans, read off the solved entries
-    /// (`attempt` stores it; an undetermined member counts as the full
-    /// depth). The observation is the *deepest* depth any member
-    /// needed: a shallow member coalesced with a deep scan must not
-    /// teach the planner that rounds resolve shallow, and a round
-    /// answered from deep cached triplets does not masquerade as a
-    /// shallow observation either.
-    fn update_depth_ewma(&mut self, active: &[QueryFingerprint]) {
-        let max_depth = self.forest_stats.max_depth();
-        let observed = active
-            .iter()
-            .filter_map(|fp| self.solve_cache.get(fp))
-            .map(|e| e.resolved_at.unwrap_or(max_depth))
-            .max()
-            .unwrap_or(max_depth);
-        self.depth_ewma = (0.5 * self.depth_ewma + 0.5 * observed as f64).min(max_depth as f64);
     }
 
     /// Closes the round: stamps the ledger into the report and the
@@ -1255,11 +1190,6 @@ impl Engine {
                     MessageKind::Data,
                 );
             }
-        }
-        if effect.restructured() {
-            // The fragment tree changed shape: keep the depth statistic
-            // within the new bounds.
-            self.depth_ewma = self.depth_ewma.min(self.forest_stats.max_depth() as f64);
         }
 
         // Priced like a query round: the slowest site's repair work, then
@@ -1492,10 +1422,10 @@ struct Ledger {
     report: RunReport,
     /// Per submission, in submission order; `None` while open.
     answers: Vec<(Ticket, Option<bool>)>,
-    /// Submissions left open by the last wave, with the sites missing.
+    /// Submissions the round's wave left open, with the sites missing.
     partial: Vec<(Ticket, Vec<SiteId>)>,
     faults: FaultSummary,
-    /// Modeled seconds so far: per wave the request broadcast, the
+    /// Modeled seconds so far: the wave's request broadcast, the
     /// slowest site and the envelope collection (plus any recovery
     /// traffic), and every coordinator solve.
     modeled_s: f64,
@@ -1599,7 +1529,7 @@ fn merge_active(active: Vec<Member<'_>>) -> (MergedBatch, Vec<ActiveMember<'_>>)
     (merged, open)
 }
 
-/// Absorbs one wave of site replies: records each site's compute and
+/// Absorbs a wave of site replies: records each site's compute and
 /// work, counts site-cache hits, sizes its envelope in the DAG wire
 /// format and accounts it as a message when remote. Returns the merged
 /// triplets that arrived, in reply order, with identical ones (the
@@ -2419,70 +2349,6 @@ mod tests {
         assert_eq!(down.effect.removed, vec![new]);
         assert_eq!(e.query(&q).answer, Some(true));
         assert_eq!(e.query(&q).answer, Some(oracle(&e, &q)));
-    }
-
-    #[test]
-    fn engine_switches_to_lazy_waves_once_depth_statistic_warms() {
-        // A 5-link chain, one site per fragment, free network (so the
-        // planner compares pure computation): queries that resolve at
-        // the root fragment drive the resolution-depth EWMA down from
-        // its pessimistic start, after which fresh rounds must switch to
-        // lazy wavefronts and stop shipping the deep fragments.
-        let mut xml = String::new();
-        for i in 0..10 {
-            xml.push_str(&format!("<lvl{i}><mark{i}/><pad/>"));
-        }
-        xml.push_str("<bottom/>");
-        for i in (0..10).rev() {
-            xml.push_str(&format!("</lvl{i}>"));
-        }
-        let mut forest = Forest::from_tree(Tree::parse(&xml).unwrap());
-        parbox_frag::strategies::chain(&mut forest, 5).unwrap();
-        let card = forest.card();
-        let placement = Placement::one_per_fragment(&forest);
-        let config = EngineConfig {
-            model: NetworkModel::infinite(),
-            ..EngineConfig::default()
-        };
-        let mut e = Engine::new(forest, placement, config).unwrap();
-        assert_eq!(
-            e.resolve_depth_ewma(),
-            (card - 1) as f64,
-            "pessimistic start"
-        );
-
-        // The statistic after each round, pinned to what the post-hoc
-        // binary search over partial solves gave before the depth came
-        // out of the member solve itself: every round observes depth 0,
-        // so the EWMA halves from its start of 4.
-        let pinned = [2.0, 1.0, 0.5, 0.25, 0.125, 0.0625];
-        let mut saw_lazy = false;
-        for (i, &ewma) in pinned.iter().enumerate() {
-            // Distinct fingerprints, all resolvable at the root fragment
-            // (mark0 is in it, so the disjunction folds to true there).
-            let q = parse_query(&format!("[//mark0 or //nope{i}]")).unwrap();
-            let before = e.stats().fragments_evaluated;
-            let out = e.query(&q);
-            assert_eq!(out.answer, Some(true), "query {i}");
-            assert_eq!(e.resolve_depth_ewma(), ewma, "after round {i}");
-            let planned = out.report.planned.expect("planned round");
-            if planned.strategy == "LazyParBoX" {
-                saw_lazy = true;
-                assert!(
-                    (e.stats().fragments_evaluated - before) < card as u64,
-                    "lazy round must not ship the whole chain"
-                );
-            }
-        }
-        assert!(saw_lazy, "EWMA never triggered a lazy round");
-        assert!(e.resolve_depth_ewma() < 1.0, "statistic converged shallow");
-
-        // A deep query still answers correctly (the wave loop walks all
-        // the way down when resolution demands it).
-        // It observes the full depth 4: 0.0625 / 2 + 4 / 2.
-        let deep = parse_query("[//bottom]").unwrap();
-        assert_eq!(e.query(&deep).answer, Some(oracle(&e, &deep)));
-        assert_eq!(e.resolve_depth_ewma(), 2.03125);
     }
 
     #[test]

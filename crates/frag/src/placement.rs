@@ -56,11 +56,6 @@ impl Placement {
             .unwrap_or_else(|| panic!("fragment {frag} is not placed on any site"))
     }
 
-    /// The site holding `frag`, if placed.
-    pub fn try_site_of(&self, frag: FragmentId) -> Option<SiteId> {
-        self.map.get(&frag).copied()
-    }
-
     /// All fragments assigned to `site`, ascending by id.
     pub fn fragments_at(&self, site: SiteId) -> Vec<FragmentId> {
         let mut out: Vec<FragmentId> = self
@@ -206,6 +201,5 @@ mod tests {
             p.fragments_at(SiteId(1)),
             vec![FragmentId(1), FragmentId(3)]
         );
-        assert_eq!(p.try_site_of(FragmentId(9)), None);
     }
 }

@@ -352,9 +352,6 @@ pub fn compile(q: &Query) -> CompiledQuery {
 pub struct QueryBatch {
     merged: CompiledQuery,
     roots: Vec<SubId>,
-    /// Structural fingerprint of each member (derived from `merged` and
-    /// `roots`), equal to the fingerprint of the member compiled solo.
-    member_fps: Vec<QueryFingerprint>,
 }
 
 impl QueryBatch {
@@ -377,14 +374,6 @@ impl QueryBatch {
     #[inline]
     pub fn root_of(&self, i: usize) -> SubId {
         self.roots[i]
-    }
-
-    /// Structural fingerprint of member `i` — equal to
-    /// `compile(&members[i]).fingerprint()`, because fingerprints are
-    /// computed over sub-query structure, not numeric ids.
-    #[inline]
-    pub fn member_fingerprint(&self, i: usize) -> QueryFingerprint {
-        self.member_fps[i]
     }
 
     /// Number of member queries in the batch.
@@ -439,16 +428,9 @@ pub fn compile_batch(queries: &[Query]) -> QueryBatch {
         })
         .collect();
     let root = *roots.last().expect("non-empty batch");
-    let merged = CompiledQuery::from_parts(b.subs, root);
-    let fps = sub_fingerprints(merged.subs());
-    let member_fps = roots
-        .iter()
-        .map(|&r| QueryFingerprint(fps[r as usize]))
-        .collect();
     QueryBatch {
-        merged,
+        merged: CompiledQuery::from_parts(b.subs, root),
         roots,
-        member_fps,
     }
 }
 
@@ -488,7 +470,6 @@ pub fn merge_embedded<'a>(
         subs: Vec::new(),
         memo: HashMap::new(),
     };
-    let mut member_fps: Vec<QueryFingerprint> = Vec::new();
     let mut roots: Vec<SubId> = Vec::new();
     let mut embeddings: Vec<Vec<SubId>> = Vec::new();
     for p in programs {
@@ -500,14 +481,12 @@ pub fn merge_embedded<'a>(
             map.push(b.add(translated));
         }
         roots.push(map[p.root() as usize]);
-        member_fps.push(p.fingerprint());
         embeddings.push(map);
     }
     let root = *roots.last().expect("empty query batch");
     let batch = QueryBatch {
         merged: CompiledQuery::from_parts(b.subs, root),
         roots,
-        member_fps,
     };
     (batch, embeddings)
 }
@@ -838,16 +817,17 @@ mod tests {
             "[//a and //b]",
             "[not(//a)]",
         ];
+        // Fingerprints are computed over sub-query structure, not
+        // numeric ids: a member's root in the merged program hashes as
+        // the member compiled solo.
         let b = batch(&srcs);
+        let fps = sub_fingerprints(b.merged().subs());
+        let member = |i: usize| QueryFingerprint(fps[b.root_of(i) as usize]);
         for (i, src) in srcs.iter().enumerate() {
-            assert_eq!(
-                b.member_fingerprint(i),
-                comp(src).fingerprint(),
-                "member {i} ({src})"
-            );
+            assert_eq!(member(i), comp(src).fingerprint(), "member {i} ({src})");
         }
         // Identical members share a fingerprint.
-        assert_eq!(b.member_fingerprint(0), b.member_fingerprint(2));
+        assert_eq!(member(0), member(2));
     }
 
     #[test]

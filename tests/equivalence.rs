@@ -2,6 +2,7 @@
 //! fragmentations and random XBL queries, every distributed algorithm
 //! must return exactly the centralized evaluator's answer.
 
+use parbox::core::plan::measure_resolution_depth;
 use parbox::core::{
     centralized_eval, full_dist_parbox, hybrid_parbox, lazy_parbox, naive_centralized,
     naive_distributed, parbox,
@@ -216,6 +217,29 @@ proptest! {
         let cluster = Cluster::new(&forest, &placement, model);
         let out = parbox(&cluster, &compiled);
         prop_assert!(out.report.max_visits() <= 1, "visits under {}", model_name);
+    }
+
+    /// The measured resolution depth is where LazyParBoX stops: the
+    /// deepest level it visits.
+    #[test]
+    fn resolution_depth_is_the_deepest_level_lazy_visits(
+        tree in tree_strategy(),
+        query in query_strategy(),
+        cuts in proptest::collection::vec(0usize..1000, 0..6),
+    ) {
+        let compiled = compile(&query);
+        let forest = fragment_randomly(tree, &cuts);
+        // One site per fragment: a site's visits are its fragment's.
+        let placement = Placement::one_per_fragment(&forest);
+        let cluster = Cluster::new(&forest, &placement, NetworkModel::lan());
+        let lazy = lazy_parbox(&cluster, &compiled);
+        let deepest = forest
+            .fragment_ids()
+            .filter(|&f| lazy.report.site(placement.site_of(f)).visits > 0)
+            .map(|f| forest.depth(f))
+            .max()
+            .expect("the root level is always visited");
+        prop_assert_eq!(measure_resolution_depth(&cluster, &compiled), deepest);
     }
 
     /// The single-visit and traffic guarantees are *behavioural*: the
