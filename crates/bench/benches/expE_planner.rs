@@ -8,7 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use parbox_bench::{ft1, Scale};
-use parbox_core::plan::{plan_run, PlanContext, Planner};
+use parbox_core::plan::{choose, plan_run, PlanContext, Strategy};
 use parbox_core::{naive_centralized, parbox};
 use parbox_net::{Cluster, NetworkModel};
 use parbox_xmark::query_with_qlist;
@@ -26,9 +26,8 @@ fn bench_planner(c: &mut Criterion) {
 
     // The decision alone: estimate all five strategies from statistics.
     c.bench_function("expE/choose_only", |b| {
-        let planner = Planner::standard();
         let cx = PlanContext::new(&lan, &q);
-        b.iter(|| planner.choose(&cx).summary.estimate.modeled_s)
+        b.iter(|| choose(&Strategy::ALL, &cx).chosen().estimate.modeled_s)
     });
 
     c.bench_function("expE/adaptive_lan", |b| {

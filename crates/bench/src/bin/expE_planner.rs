@@ -12,22 +12,19 @@
 //! bytes, so the sweep is deterministic; the adaptive planner's time
 //! is its chosen strategy's run. The binary asserts: adaptive within
 //! 1.1× of the best fixed strategy on every cell, ≥2× better than the
-//! worst fixed strategy on at least one cell, visit/message estimates
-//! exact for the deterministic strategies, and traffic estimates
-//! within the documented factor (the last two checked inside the
-//! sweep). `--json PATH` writes the
+//! worst fixed strategy on at least one cell, and every strategy's
+//! traffic estimate within the documented factor (checked inside the
+//! sweep). An estimate is its strategy's own schedule over predicted
+//! sizes, so its counts equal the measured ones by construction (the
+//! sweep checks that too).
+//! `--json PATH` writes the
 //! rows — prediction next to measurement — for the CI artifact.
 
 // The experiment is named expE in the issue tracker; keep the binary name.
 #![allow(non_snake_case)]
 
 use parbox_bench::experiments::{expe_check, expe_planner, ExpERow};
-use parbox_bench::Scale;
-
-fn flag(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.windows(2).find(|w| w[0] == name).map(|w| w[1].clone())
-}
+use parbox_bench::{flag, num_flag, Scale};
 
 fn to_json(rows: &[ExpERow]) -> String {
     let mut out = String::from("{\n  \"experiment\": \"expE_planner\",\n  \"cells\": [\n");
@@ -36,7 +33,7 @@ fn to_json(rows: &[ExpERow]) -> String {
             "    {{\"fragmentation\": \"{}\", \"network\": \"{}\", \"query\": \"{}\", \
              \"qlist\": {}, \"chosen\": \"{}\", \
              \"predicted\": {{\"visits\": {}, \"messages\": {}, \"traffic_bytes\": {}, \
-             \"rounds\": {}, \"modeled_s\": {:.9}}}, \
+             \"modeled_s\": {:.9}}}, \
              \"measured\": {{\"visits\": {}, \"messages\": {}, \"traffic_bytes\": {}}}, \
              \"adaptive_model_s\": {:.9}, \"best\": \"{}\", \"best_model_s\": {:.9}, \
              \"worst\": \"{}\", \"worst_model_s\": {:.9}}}{}\n",
@@ -48,7 +45,6 @@ fn to_json(rows: &[ExpERow]) -> String {
             r.estimate.visits,
             r.estimate.messages,
             r.estimate.traffic_bytes,
-            r.estimate.rounds,
             r.estimate.modeled_s,
             r.measured_visits,
             r.measured_messages,
@@ -66,8 +62,9 @@ fn to_json(rows: &[ExpERow]) -> String {
 }
 
 fn main() {
+    let args: Vec<String> = std::env::args().collect();
     let scale = Scale::from_args();
-    let machines: usize = flag("--machines").and_then(|v| v.parse().ok()).unwrap_or(8);
+    let machines: usize = num_flag(&args, "--machines").unwrap_or(8);
 
     let rows = expe_planner(scale, machines);
     println!(
@@ -104,7 +101,7 @@ fn main() {
         rows.len()
     );
 
-    if let Some(path) = flag("--json") {
+    if let Some(path) = flag(&args, "--json") {
         std::fs::write(&path, to_json(&rows)).unwrap_or_else(|e| panic!("writing {path}: {e}"));
         println!("json rows written to {path}");
     }

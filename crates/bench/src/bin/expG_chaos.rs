@@ -22,12 +22,7 @@
 #![allow(non_snake_case)]
 
 use parbox_bench::experiments::{expg_chaos, ExpGCell};
-use parbox_bench::Scale;
-
-fn flag(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.windows(2).find(|w| w[0] == name).map(|w| w[1].clone())
-}
+use parbox_bench::{flag, num_flag, Scale};
 
 fn to_json(cells: &[ExpGCell], machines: usize) -> String {
     let mut out = String::from("{\n");
@@ -66,12 +61,11 @@ fn to_json(cells: &[ExpGCell], machines: usize) -> String {
 }
 
 fn main() {
+    let args: Vec<String> = std::env::args().collect();
     let scale = Scale::from_args();
-    let machines: usize = flag("--machines").and_then(|v| v.parse().ok()).unwrap_or(6);
-    let queries: usize = flag("--queries")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(150);
-    let rates: Vec<f64> = match flag("--rate").and_then(|v| v.parse().ok()) {
+    let machines: usize = num_flag(&args, "--machines").unwrap_or(6);
+    let queries: usize = num_flag(&args, "--queries").unwrap_or(150);
+    let rates: Vec<f64> = match num_flag(&args, "--rate") {
         Some(r) => vec![r],
         None => vec![0.01, 0.05],
     };
@@ -150,7 +144,7 @@ fn main() {
          worst recovery p99 {rec_p99:.1} ms"
     );
 
-    if let Some(path) = flag("--json") {
+    if let Some(path) = flag(&args, "--json") {
         std::fs::write(&path, to_json(&cells, machines))
             .unwrap_or_else(|e| panic!("writing {path}: {e}"));
         println!("  json cells written to {path}");

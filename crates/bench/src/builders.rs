@@ -36,18 +36,33 @@ impl Scale {
     }
 
     /// Parses `--scale <bytes>` from argv, defaulting to [`Scale::default`].
+    ///
+    /// # Panics
+    /// Panics, naming the flag, on a value that is not a byte count.
     pub fn from_args() -> Scale {
-        let mut scale = Scale::default();
         let args: Vec<String> = std::env::args().collect();
-        for w in args.windows(2) {
-            if w[0] == "--scale" {
-                scale.corpus_bytes = w[1]
-                    .parse()
-                    .unwrap_or_else(|_| panic!("--scale expects bytes, got {:?}", w[1]));
-            }
+        match num_flag(&args, "--scale") {
+            Some(corpus_bytes) => Scale::bytes(corpus_bytes),
+            None => Scale::default(),
         }
-        scale
     }
+}
+
+/// The value after the flag `name` in `args`, if given.
+pub fn flag(args: &[String], name: &str) -> Option<String> {
+    args.windows(2).find(|w| w[0] == name).map(|w| w[1].clone())
+}
+
+/// Parses the numeric flag `name` in `args`, if given.
+///
+/// # Panics
+/// Panics, naming the flag, on a value that does not parse: a
+/// malformed flag never falls back to a default.
+pub fn num_flag<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
+    flag(args, name).map(|v| {
+        v.parse()
+            .unwrap_or_else(|_| panic!("{name}: bad value {v:?}"))
+    })
 }
 
 /// Plants one `qmarker` with key `F<i>` at the root of every fragment so
@@ -235,6 +250,30 @@ mod tests {
             corpus_bytes: 40_000,
             seed: 7,
         }
+    }
+
+    #[test]
+    fn numeric_flags_parse_or_panic_naming_the_flag() {
+        let args: Vec<String> = [
+            "bin",
+            "--machines",
+            "12",
+            "--rate",
+            "0.5",
+            "--queries",
+            "abc",
+        ]
+        .iter()
+        .map(|a| a.to_string())
+        .collect();
+        assert_eq!(num_flag::<usize>(&args, "--machines"), Some(12));
+        assert_eq!(num_flag::<f64>(&args, "--rate"), Some(0.5));
+        assert_eq!(num_flag::<usize>(&args, "--scale"), None);
+        assert_eq!(flag(&args, "--queries").as_deref(), Some("abc"));
+        let err = std::panic::catch_unwind(|| num_flag::<usize>(&args, "--queries"))
+            .expect_err("a malformed value must not fall back");
+        let msg = err.downcast_ref::<String>().expect("formatted panic");
+        assert!(msg.contains("--queries") && msg.contains("abc"), "{msg}");
     }
 
     #[test]

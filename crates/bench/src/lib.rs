@@ -17,5 +17,5 @@ pub mod builders;
 pub mod experiments;
 pub mod table;
 
-pub use builders::{ft1, ft2_chain, ft3, single_site_split, Scale};
+pub use builders::{flag, ft1, ft2_chain, ft3, num_flag, single_site_split, Scale};
 pub use table::{print_table, Row};

@@ -26,13 +26,12 @@
 //! Boolean equation system (resolving every `φ_i`), then folds the
 //! affine expressions bottom-up — both passes are linear.
 
-use crate::algorithms::query_wire_size;
+use crate::algorithms::{parbox_schedule, FragmentSize, Sizes};
 use crate::eval::bottom_up::{FragmentPass, Rows};
 use crate::eval::columns::ones;
 use crate::eval::FragmentRun;
-use crate::plan::compute_s;
 use parbox_bool::{triplet_dag_wire_size, EquationSystem, Formula, Var};
-use parbox_net::{run_sites_parallel, Cluster, MessageKind, RunReport, SiteId};
+use parbox_net::{run_sites_parallel, Cluster, RunReport, SiteId};
 use parbox_query::CompiledQuery;
 use parbox_xml::{FragmentId, NodeId, Tree};
 use std::collections::HashMap;
@@ -108,21 +107,12 @@ fn aggregate_distributed(
     kind: AggKind,
 ) -> AggregateOutcome {
     let wall = Instant::now();
-    let mut report = RunReport::new();
-    let coord = cluster.coordinator();
     let st = &cluster.forest_stats;
     let sites: Vec<SiteId> = st.sites().collect();
-    let qsize = query_wire_size(q);
 
-    // Stage 1+2 (one visit per site): every fragment produces both its
+    // ParBoX's one visit per site: every fragment produces both its
     // Boolean triplet (to resolve spine formulas) and its residual
     // aggregate, in one local pass each.
-    for &s in &sites {
-        report.record_visit(s);
-        if s != coord {
-            report.record_message(coord, s, qsize, MessageKind::Query);
-        }
-    }
     let runs = run_sites_parallel(&sites, |s| {
         st.fragments_at(s)
             .into_iter()
@@ -132,27 +122,30 @@ fn aggregate_distributed(
             })
             .collect::<Vec<_>>()
     });
+    // Priced as ParBoX: the pass counts twice, and the reply carries
+    // the residual behind the triplet.
+    let sizes: Sizes = (runs.iter().flat_map(|run| &run.output))
+        .map(|(f, frun, residual)| {
+            let size = FragmentSize {
+                work: 2 * frun.work_units,
+                reply_bytes: triplet_dag_wire_size(&frun.triplet) + residual.wire_size(),
+            };
+            (*f, size)
+        })
+        .collect();
+    let mut report = parbox_schedule(cluster, q, &sizes);
 
     let mut sys = EquationSystem::new();
     let mut residuals: HashMap<FragmentId, ResidualAggregate> = HashMap::new();
-    let mut replies: Vec<usize> = Vec::new();
     for run in runs {
         report.record_compute(run.site, run.elapsed);
         for (frag, frun, residual) in run.output {
-            report.record_work(run.site, 2 * frun.work_units);
-            if run.site != coord {
-                let bytes = triplet_dag_wire_size(&frun.triplet) + residual.wire_size();
-                report.record_message(run.site, coord, bytes, MessageKind::Triplet);
-                replies.push(bytes);
-            }
             sys.insert(frag, frun.triplet);
             residuals.insert(frag, residual);
         }
     }
-    // So far each site's work is its share of stages 1+2.
-    let slowest_site = report.sites().map(|(_, r)| r.work_units).max().unwrap_or(0);
 
-    // Stage 3 at the coordinator: solve the Boolean system, then fold the
+    // At the coordinator: solve the Boolean system, then fold the
     // affine aggregates bottom-up over the fragment tree.
     let solve_start = Instant::now();
     let resolved = sys.solve(st.postorder()).expect("complete bottom-up order");
@@ -171,23 +164,8 @@ fn aggregate_distributed(
         }
         totals.insert(frag, total);
     }
-    report.record_compute(coord, solve_start.elapsed());
-    let solve_work = (q.len() * cluster.forest.card()) as u64;
-    report.record_work(coord, solve_work);
-
-    // ParBoX's stages: query broadcast ∥ → the slowest site → replies
-    // over the coordinator's shared inbound link → solve.
-    let broadcast = match sites.len() {
-        1 => 0.0,
-        _ => cluster.model.transfer_time(qsize),
-    };
+    report.record_compute(cluster.coordinator(), solve_start.elapsed());
     report.elapsed_wall_s = wall.elapsed().as_secs_f64();
-    report.elapsed_model_s = broadcast
-        + compute_s(slowest_site)
-        + cluster
-            .model
-            .shared_link_time(replies.len(), replies.iter().sum())
-        + compute_s(solve_work);
     AggregateOutcome {
         value: totals[&st.root()],
         report,
@@ -263,7 +241,7 @@ fn aggregate_fragment(
 mod tests {
     use super::*;
     use parbox_frag::{strategies, Forest, Placement};
-    use parbox_net::NetworkModel;
+    use parbox_net::{MessageKind, NetworkModel};
     use parbox_query::{compile, parse_query};
 
     fn q(src: &str) -> CompiledQuery {

@@ -10,10 +10,12 @@
 //! variables ever cross the network, halving traffic in practice, at the
 //! price of visiting a site once per fragment it stores.
 
-use crate::algorithms::{query_wire_size, resolved_triplet_wire_size, EvalOutcome};
+use crate::algorithms::{
+    query_wire_size, resolved_triplet_wire_size, EvalOutcome, FragmentSize, Sizes,
+};
 use crate::eval::bottom_up;
 use crate::plan::compute_s;
-use parbox_bool::{KleeneRows, Triplet, Var, VecKind};
+use parbox_bool::{KleeneRows, Var, VecKind};
 use parbox_net::{run_sites_parallel, Cluster, MessageKind, RunReport, SiteId};
 use parbox_query::CompiledQuery;
 use parbox_xml::FragmentId;
@@ -23,18 +25,8 @@ use std::time::Instant;
 /// Evaluates `q` with FullDistParBoX.
 pub fn full_dist_parbox(cluster: &Cluster<'_>, q: &CompiledQuery) -> EvalOutcome {
     let wall = Instant::now();
-    let mut report = RunReport::new();
-    let coord = cluster.coordinator();
     let st = &cluster.forest_stats;
     let sites: Vec<SiteId> = st.sites().collect();
-    let qsize = query_wire_size(q);
-
-    // Stage 1: broadcast the query (and the source-tree replica).
-    for &s in &sites {
-        if s != coord {
-            report.record_message(coord, s, qsize + st.byte_size(), MessageKind::Query);
-        }
-    }
 
     // Stage 2: parallel partial evaluation (identical to ParBoX).
     let runs = run_sites_parallel(&sites, |s| {
@@ -43,68 +35,96 @@ pub fn full_dist_parbox(cluster: &Cluster<'_>, q: &CompiledQuery) -> EvalOutcome
             .map(|f| (f, bottom_up(&cluster.forest.fragment(f).tree, q)))
             .collect::<Vec<_>>()
     });
-
-    let mut open: HashMap<FragmentId, Triplet> = HashMap::new();
-    let mut site_compute: HashMap<u32, f64> = HashMap::new();
+    let sizes: Sizes = (runs.iter().flat_map(|run| &run.output))
+        .map(|(f, frun)| (*f, FragmentSize::of(frun)))
+        .collect();
+    let mut report = full_dist_schedule(cluster, q, &sizes);
+    let mut open = HashMap::new();
     for run in runs {
         report.record_compute(run.site, run.elapsed);
-        let site_work: u64 = run.output.iter().map(|(_, r)| r.work_units).sum();
-        for (frag, frun) in run.output {
-            report.record_work(run.site, frun.work_units);
-            open.insert(frag, frun.triplet);
-        }
-        site_compute.insert(run.site.0, compute_s(site_work));
+        open.extend(run.output.into_iter().map(|(f, frun)| (f, frun.triplet)));
     }
 
     // Stage 3: `evalDistrST` — bottom-up resolution along the source tree.
-    // A site is visited once per local fragment (Fig. 4: card(F_Si)).
     let mut resolved = KleeneRows::new();
-    let mut done_at: HashMap<FragmentId, f64> = HashMap::new();
-    let tri_bytes = resolved_triplet_wire_size(q.len());
     for &frag in st.postorder() {
-        let here = st.site_of(frag);
-        report.record_visit(here);
-        // Ready when the local parallel phase finished and every child's
-        // resolved triplet has arrived.
-        let mut ready = *site_compute.get(&here.0).unwrap_or(&0.0);
-        for child in st.children(frag) {
-            let child_site = st.site_of(*child);
-            let mut arrival = done_at[child];
-            if child_site != here {
-                report.record_message(child_site, here, tri_bytes, MessageKind::Triplet);
-                arrival += cluster.model.transfer_time(tri_bytes);
-            }
-            ready = ready.max(arrival);
-        }
         let start = Instant::now();
         let row = resolved.solve(frag, &open[&frag], None);
         assert!(
             row.iter().all(Option::is_some),
             "children resolved in postorder"
         );
-        report.record_compute(here, start.elapsed());
-        let step_work = q.len() as u64 * (1 + st.children(frag).len() as u64);
-        report.record_work(here, step_work);
-        done_at.insert(frag, ready + compute_s(step_work));
+        report.record_compute(st.site_of(frag), start.elapsed());
     }
-
-    let root = cluster.forest.root_fragment();
     let answer = resolved
-        .value(Var::new(root, VecKind::V, q.root()))
+        .value(Var::new(st.root(), VecKind::V, q.root()))
         .expect("root resolved");
-
-    let broadcast = if sites.len() > 1 {
-        cluster.model.transfer_time(qsize + st.byte_size())
-    } else {
-        0.0
-    };
-    report.elapsed_model_s = broadcast + done_at[&root];
     report.elapsed_wall_s = wall.elapsed().as_secs_f64();
     EvalOutcome {
         answer,
         report,
         algorithm: "FullDistParBoX",
     }
+}
+
+/// FullDistParBoX's schedule. Stage 1: the query and the source-tree
+/// replica to every remote site. Stage 2: each fragment's work at its
+/// site. Stage 3: per fragment in postorder, a visit to its site (a
+/// site is visited once per local fragment, Fig. 4: `card(F_Si)`), the
+/// resolved triplet of every child stored elsewhere, and one `O(|q|)`
+/// substitution step per fragment and child. Modeled time: the
+/// broadcast, then the critical path of the climb — a fragment is
+/// resolved once its site's parallel phase finished and every child's
+/// resolved triplet has arrived.
+pub(crate) fn full_dist_schedule(
+    cluster: &Cluster<'_>,
+    q: &CompiledQuery,
+    sizes: &Sizes,
+) -> RunReport {
+    let mut report = RunReport::new();
+    let coord = cluster.coordinator();
+    let st = &cluster.forest_stats;
+    let model = &cluster.model;
+    let query_bytes = query_wire_size(q) + st.byte_size();
+    let mut site_done: HashMap<SiteId, f64> = HashMap::new();
+    for s in st.sites() {
+        if s != coord {
+            report.record_message(coord, s, query_bytes, MessageKind::Query);
+        }
+        let mut site_work = 0;
+        for f in st.fragments_at(s) {
+            report.record_work(s, sizes[&f].work);
+            site_work += sizes[&f].work;
+        }
+        site_done.insert(s, compute_s(site_work));
+    }
+
+    let tri_bytes = resolved_triplet_wire_size(q.len());
+    let mut done_at: HashMap<FragmentId, f64> = HashMap::new();
+    for &frag in st.postorder() {
+        let here = st.site_of(frag);
+        report.record_visit(here);
+        let mut ready = site_done[&here];
+        for child in st.children(frag) {
+            let child_site = st.site_of(*child);
+            let mut arrival = done_at[child];
+            if child_site != here {
+                report.record_message(child_site, here, tri_bytes, MessageKind::Triplet);
+                arrival += model.transfer_time(tri_bytes);
+            }
+            ready = ready.max(arrival);
+        }
+        let step_work = q.len() as u64 * (1 + st.children(frag).len() as u64);
+        report.record_work(here, step_work);
+        done_at.insert(frag, ready + compute_s(step_work));
+    }
+
+    let broadcast = match st.site_count() {
+        1 => 0.0,
+        _ => model.transfer_time(query_bytes),
+    };
+    report.elapsed_model_s = broadcast + done_at[&st.root()];
+    report
 }
 
 #[cfg(test)]

@@ -6,27 +6,27 @@
 //! `O(|q| · card(F))` communication exceeds NaiveCentralized's
 //! `O(|T|)`, so the hybrid switched to shipping the document. The
 //! planner generalizes that tipping point to a full cost model (bytes,
-//! rounds, latency, parallel compute); [`hybrid_parbox`] is its two-way
-//! instance ([`Planner::hybrid`]). A regression test below pins that the
+//! latency, parallel compute); [`hybrid_parbox`] is its two-way
+//! instance over ParBoX and NaiveCentralized. A regression test below pins that the
 //! planner agrees with the paper's rule on its two documented cases.
 
 use crate::algorithms::EvalOutcome;
-use crate::plan::{PlanContext, Planner};
+use crate::plan::{choose, PlanContext, Strategy};
 use parbox_net::Cluster;
 use parbox_query::CompiledQuery;
+
+/// The two candidates of `HybridParBoX`, in tie-breaking order.
+const HYBRID: [Strategy; 2] = [Strategy::ParBoX, Strategy::NaiveCentralized];
 
 /// Evaluates `q` with whichever of ParBoX / NaiveCentralized the two-way
 /// planner predicts cheaper — the planner-backed form of the paper's
 /// `card(F) ≷ |T| / |q|` tipping point.
 pub fn hybrid_parbox(cluster: &Cluster<'_>, q: &CompiledQuery) -> EvalOutcome {
-    let cx = PlanContext::new(cluster, q);
-    let planner = Planner::hybrid();
-    let choice = planner.choose(&cx);
-    let mut out = choice.execute(cluster, q);
-    out.algorithm = if choice.summary.strategy == "ParBoX" {
-        "HybridParBoX→ParBoX"
-    } else {
-        "HybridParBoX→NaiveCentralized"
+    let plan = choose(&HYBRID, &PlanContext::new(cluster, q));
+    let mut out = plan.run(cluster, q);
+    out.algorithm = match plan.chosen().strategy {
+        Strategy::ParBoX => "HybridParBoX→ParBoX",
+        _ => "HybridParBoX→NaiveCentralized",
     };
     out
 }
@@ -85,8 +85,10 @@ mod tests {
 
     /// Whether the two-way planner picks ParBoX.
     fn prefers_parbox(cluster: &Cluster<'_>, q: &CompiledQuery) -> bool {
-        let cx = PlanContext::new(cluster, q);
-        Planner::hybrid().choose(&cx).summary.strategy == "ParBoX"
+        choose(&HYBRID, &PlanContext::new(cluster, q))
+            .chosen()
+            .strategy
+            == Strategy::ParBoX
     }
 
     const COARSE_QUERY: &str = "[//goal]";

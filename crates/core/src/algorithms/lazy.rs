@@ -10,101 +10,127 @@
 //! site evaluates one fragment at a time) for total computation: deep
 //! fragments may never be evaluated at all.
 
-use crate::algorithms::{certain_answer, query_wire_size, EvalOutcome};
+use crate::algorithms::{certain_answer, query_wire_size, EvalOutcome, FragmentSize, Sizes};
 use crate::eval::bottom_up;
 use crate::plan::compute_s;
-use parbox_bool::{triplet_dag_wire_size, Triplet};
-use parbox_net::{run_sites_parallel, Cluster, MessageKind, RunReport};
+use parbox_bool::Triplet;
+use parbox_net::{run_sites_parallel, Cluster, MessageKind, RunReport, SiteId};
 use parbox_query::CompiledQuery;
 use parbox_xml::FragmentId;
-use std::collections::HashMap;
-use std::time::Instant;
+use std::collections::{BTreeMap, HashMap};
+use std::time::{Duration, Instant};
 
 /// Evaluates `q` with LazyParBoX.
 pub fn lazy_parbox(cluster: &Cluster<'_>, q: &CompiledQuery) -> EvalOutcome {
     let wall = Instant::now();
-    let mut report = RunReport::new();
     let coord = cluster.coordinator();
     let st = &cluster.forest_stats;
-    let qsize = query_wire_size(q);
     let mut gathered: HashMap<FragmentId, Triplet> = HashMap::new();
-    let mut model_time = 0.0f64;
-    let mut answer: Option<bool> = None;
-
-    for depth in 0..=st.max_depth() {
-        let frags = st.fragments_at_depth(depth);
-        if frags.is_empty() {
-            break;
-        }
-        // Group this wavefront by site; a site evaluates its fragments of
-        // this level sequentially, different sites run in parallel.
-        let mut by_site: HashMap<u32, Vec<FragmentId>> = HashMap::new();
-        for f in &frags {
-            by_site.entry(st.site_of(*f).0).or_default().push(*f);
-        }
-        let sites: Vec<parbox_net::SiteId> =
-            by_site.keys().map(|&s| parbox_net::SiteId(s)).collect();
-        for &s in &sites {
-            // One visit (and one request message) per fragment at the site
-            // for this step — the lazy algorithm's per-step coordination.
-            for _ in &by_site[&s.0] {
-                report.record_visit(s);
-            }
-            if s != coord {
-                report.record_message(coord, s, qsize, MessageKind::Query);
-            }
-        }
-
+    let mut sizes = Sizes::new();
+    let mut computes: Vec<(SiteId, Duration)> = Vec::new();
+    let mut stop = 0;
+    let answer = loop {
+        // A site evaluates its fragments of this level sequentially,
+        // different sites run in parallel.
+        let by_site = wave(cluster, stop);
+        let sites: Vec<SiteId> = by_site.keys().copied().collect();
         let runs = run_sites_parallel(&sites, |s| {
-            by_site[&s.0]
+            by_site[&s]
                 .iter()
                 .map(|&f| (f, bottom_up(&cluster.forest.fragment(f).tree, q)))
                 .collect::<Vec<_>>()
         });
-
-        let mut step_work = 0u64;
-        let mut step_bytes: Vec<usize> = Vec::new();
         for run in runs {
-            report.record_compute(run.site, run.elapsed);
-            step_work = step_work.max(run.output.iter().map(|(_, r)| r.work_units).sum());
+            computes.push((run.site, run.elapsed));
             for (frag, frun) in run.output {
-                report.record_work(run.site, frun.work_units);
-                let bytes = triplet_dag_wire_size(&frun.triplet);
-                if run.site != coord {
-                    report.record_message(run.site, coord, bytes, MessageKind::Triplet);
-                    step_bytes.push(bytes);
-                }
+                sizes.insert(frag, FragmentSize::of(&frun));
                 gathered.insert(frag, frun.triplet);
             }
         }
-
         // Attempt to answer with what we have.
         let solve_start = Instant::now();
-        answer = certain_answer(st, q.root(), |f| gathered.get(&f).map(|t| (t, None)));
-        report.record_compute(coord, solve_start.elapsed());
-        let solve_work = (q.len() * gathered.len()) as u64;
-        report.record_work(coord, solve_work);
-
-        if sites.iter().any(|&s| s != coord) {
-            model_time += cluster.model.transfer_time(qsize);
+        let answer = certain_answer(st, q.root(), |f| gathered.get(&f).map(|t| (t, None)));
+        computes.push((coord, solve_start.elapsed()));
+        match answer {
+            Some(answer) => break answer,
+            None if stop < st.max_depth() => stop += 1,
+            None => panic!("full depth always determines the answer"),
         }
-        let collect = cluster
-            .model
-            .shared_link_time(step_bytes.len(), step_bytes.iter().sum());
-        model_time += compute_s(step_work) + collect + compute_s(solve_work);
+    };
 
-        if answer.is_some() {
-            break;
-        }
+    let mut report = lazy_schedule(cluster, q, &sizes, stop);
+    for (site, elapsed) in computes {
+        report.record_compute(site, elapsed);
     }
-
-    report.elapsed_model_s = model_time;
     report.elapsed_wall_s = wall.elapsed().as_secs_f64();
     EvalOutcome {
-        answer: answer.expect("full depth always determines the answer"),
+        answer,
         report,
         algorithm: "LazyParBoX",
     }
+}
+
+/// The fragments at `depth`, grouped by site.
+fn wave(cluster: &Cluster<'_>, depth: usize) -> BTreeMap<SiteId, Vec<FragmentId>> {
+    let mut by_site: BTreeMap<SiteId, Vec<FragmentId>> = BTreeMap::new();
+    for f in cluster.forest_stats.fragments_at_depth(depth) {
+        by_site
+            .entry(cluster.forest_stats.site_of(f))
+            .or_default()
+            .push(f);
+    }
+    by_site
+}
+
+/// LazyParBoX's schedule, one step per depth up to `stop`. Per step:
+/// one visit (the lazy algorithm's per-step coordination) per fragment
+/// of the wavefront, the query to each remote site holding one, each
+/// fragment's work and its reply to the coordinator, then a solve
+/// attempt over everything gathered so far. Modeled time: the steps in
+/// sequence, each ParBoX-shaped.
+pub(crate) fn lazy_schedule(
+    cluster: &Cluster<'_>,
+    q: &CompiledQuery,
+    sizes: &Sizes,
+    stop: usize,
+) -> RunReport {
+    let mut report = RunReport::new();
+    let coord = cluster.coordinator();
+    let model = &cluster.model;
+    let qsize = query_wire_size(q);
+    let mut gathered = 0;
+    for depth in 0..=stop {
+        let (mut slowest_site, mut replies, mut reply_bytes) = (0, 0, 0);
+        let by_site = wave(cluster, depth);
+        for (&s, frags) in &by_site {
+            if s != coord {
+                report.record_message(coord, s, qsize, MessageKind::Query);
+            }
+            let mut site_work = 0;
+            for f in frags {
+                report.record_visit(s);
+                report.record_work(s, sizes[f].work);
+                site_work += sizes[f].work;
+                if s != coord {
+                    report.record_message(s, coord, sizes[f].reply_bytes, MessageKind::Triplet);
+                    replies += 1;
+                    reply_bytes += sizes[f].reply_bytes;
+                }
+            }
+            slowest_site = slowest_site.max(site_work);
+            gathered += frags.len();
+        }
+        let solve_work = (q.len() * gathered) as u64;
+        report.record_work(coord, solve_work);
+
+        if by_site.keys().any(|&s| s != coord) {
+            report.elapsed_model_s += model.transfer_time(qsize);
+        }
+        report.elapsed_model_s += compute_s(slowest_site)
+            + model.shared_link_time(replies, reply_bytes)
+            + compute_s(solve_work);
+    }
+    report
 }
 
 #[cfg(test)]

@@ -7,6 +7,13 @@
 //! traffic, work and modeled/measured elapsed time. The reports are what
 //! regenerate the paper's Fig. 4 complexity table and the runtime figures
 //! of Section 6.
+//!
+//! Each strategy prices itself in one function, its *schedule*: from
+//! the per-fragment `Sizes` it records every visit, message, work unit
+//! and the modeled seconds into a fresh report. A run evaluates, fills
+//! the sizes from what it computed, calls the schedule and adds only
+//! what is read off a clock; the planner ([`crate::plan`]) calls the same
+//! schedule over sizes predicted from `ForestStats`.
 
 mod fulldist;
 mod hybrid;
@@ -15,16 +22,22 @@ mod naive;
 mod parbox_algo;
 
 pub use self::fulldist::full_dist_parbox;
+pub(crate) use self::fulldist::full_dist_schedule;
 pub use self::hybrid::hybrid_parbox;
 pub use self::lazy::lazy_parbox;
+pub(crate) use self::lazy::lazy_schedule;
 pub use self::naive::{naive_centralized, naive_distributed};
+pub(crate) use self::naive::{naive_centralized_schedule, naive_distributed_schedule};
 pub use self::parbox_algo::parbox;
+pub(crate) use self::parbox_algo::parbox_schedule;
 
+use crate::eval::FragmentRun;
 use parbox_bool::{triplet_dag_wire_size, KleeneRows, Triplet, Var, VecKind};
 use parbox_frag::ForestStats;
 use parbox_net::{Cluster, RunReport};
 use parbox_query::{CompiledQuery, QueryBatch, SubId, SubQuery};
 use parbox_xml::FragmentId;
+use std::collections::HashMap;
 
 /// Result of running a distributed evaluation algorithm.
 #[derive(Debug, Clone)]
@@ -37,6 +50,30 @@ pub struct EvalOutcome {
     /// `HybridParBoX` reports the branch it chose.
     pub algorithm: &'static str,
 }
+
+/// What a schedule prices of one evaluated fragment.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FragmentSize {
+    /// Work units of its evaluation.
+    pub work: u64,
+    /// Wire bytes of its reply, when its site is not the coordinator.
+    pub reply_bytes: usize,
+}
+
+impl FragmentSize {
+    /// The size of a fragment `bottomUp` evaluated: its work units and
+    /// its triplet's wire bytes.
+    pub fn of(run: &FragmentRun) -> FragmentSize {
+        FragmentSize {
+            work: run.work_units,
+            reply_bytes: triplet_dag_wire_size(&run.triplet),
+        }
+    }
+}
+
+/// Per-fragment sizes: what a run measured, or what the planner
+/// predicts.
+pub(crate) type Sizes = HashMap<FragmentId, FragmentSize>;
 
 /// Wire size in bytes of a compiled query — the payload of the stage-1
 /// broadcast. One tagged op per sub-query, labels/texts inline.

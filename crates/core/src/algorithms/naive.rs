@@ -9,7 +9,9 @@
 //!   tree. No fragment is shipped, but execution is sequential and a site
 //!   is visited once per fragment it stores.
 
-use crate::algorithms::{query_wire_size, resolved_triplet_wire_size, EvalOutcome};
+use crate::algorithms::{
+    query_wire_size, resolved_triplet_wire_size, EvalOutcome, FragmentSize, Sizes,
+};
 use crate::eval::{bottom_up, centralized_eval_counted};
 use crate::plan::compute_s;
 use parbox_bool::{KleeneRows, Var, VecKind};
@@ -21,37 +23,14 @@ use std::time::Instant;
 /// the centralized evaluator over the reassembled document.
 pub fn naive_centralized(cluster: &Cluster<'_>, q: &CompiledQuery) -> EvalOutcome {
     let wall = Instant::now();
-    let mut report = RunReport::new();
-    let coord = cluster.coordinator();
-
-    // Every remote site is visited once and ships its fragments.
-    let mut shipped: Vec<usize> = Vec::new();
-    let st = &cluster.forest_stats;
-    for site in st.sites() {
-        report.record_visit(site);
-        if site == coord {
-            continue;
-        }
-        for frag in st.fragments_at(site) {
-            let bytes = cluster.forest.fragment(frag).byte_size();
-            report.record_message(site, coord, bytes, MessageKind::Data);
-            shipped.push(bytes);
-        }
-    }
-
     // Reassemble and evaluate at the coordinator. (Reassembly stands in
     // for receiving + stitching the fragments; only evaluation is
     // charged, transfer is costed by the network model.)
     let whole = cluster.forest.reassemble();
     let eval_start = Instant::now();
     let run = centralized_eval_counted(&whole, q);
-    report.record_compute(coord, eval_start.elapsed());
-    report.record_work(coord, run.work_units);
-
-    let ship = cluster
-        .model
-        .shared_link_time(shipped.len(), shipped.iter().sum());
-    report.elapsed_model_s = ship + compute_s(run.work_units);
+    let mut report = naive_centralized_schedule(cluster, run.work_units);
+    report.record_compute(cluster.coordinator(), eval_start.elapsed());
     report.elapsed_wall_s = wall.elapsed().as_secs_f64();
 
     EvalOutcome {
@@ -59,6 +38,32 @@ pub fn naive_centralized(cluster: &Cluster<'_>, q: &CompiledQuery) -> EvalOutcom
         report,
         algorithm: "NaiveCentralized",
     }
+}
+
+/// NaiveCentralized's schedule: every site visited once, every remote
+/// fragment shipped to the coordinator over its shared inbound link,
+/// then `work` units of centralized evaluation there.
+pub(crate) fn naive_centralized_schedule(cluster: &Cluster<'_>, work: u64) -> RunReport {
+    let mut report = RunReport::new();
+    let coord = cluster.coordinator();
+    let st = &cluster.forest_stats;
+    let (mut shipped, mut shipped_bytes) = (0, 0);
+    for site in st.sites() {
+        report.record_visit(site);
+        if site == coord {
+            continue;
+        }
+        for frag in st.fragments_at(site) {
+            let bytes = st.fragment(frag).bytes;
+            report.record_message(site, coord, bytes, MessageKind::Data);
+            shipped += 1;
+            shipped_bytes += bytes;
+        }
+    }
+    report.record_work(coord, work);
+    report.elapsed_model_s =
+        cluster.model.shared_link_time(shipped, shipped_bytes) + compute_s(work);
+    report
 }
 
 /// `NaiveDistributed`: a distributed bottom-up traversal of the document.
@@ -70,22 +75,11 @@ pub fn naive_centralized(cluster: &Cluster<'_>, q: &CompiledQuery) -> EvalOutcom
 /// resolved `O(|q|)` result vectors to the site of its parent fragment.
 pub fn naive_distributed(cluster: &Cluster<'_>, q: &CompiledQuery) -> EvalOutcome {
     let wall = Instant::now();
-    let mut report = RunReport::new();
-    let qsize = query_wire_size(q);
     let st = &cluster.forest_stats;
     let mut resolved = KleeneRows::new();
-    let mut model_time = 0.0f64;
-
+    let mut sizes = Sizes::new();
+    let mut computes = Vec::new();
     for &frag in st.postorder() {
-        let here = st.site_of(frag);
-        // Control (and the query) arrives from the parent fragment's site.
-        report.record_visit(here);
-        let from = st.fragment(frag).parent.map_or(here, |p| st.site_of(p));
-        if from != here {
-            report.record_message(from, here, qsize, MessageKind::Query);
-            model_time += cluster.model.transfer_time(qsize);
-        }
-
         // Sequential evaluation of this fragment.
         let start = Instant::now();
         let run = bottom_up(&cluster.forest.fragment(frag).tree, q);
@@ -95,29 +89,55 @@ pub fn naive_distributed(cluster: &Cluster<'_>, q: &CompiledQuery) -> EvalOutcom
             row.iter().all(Option::is_some),
             "postorder guarantees children resolved"
         );
-        report.record_compute(here, start.elapsed());
-        report.record_work(here, run.work_units);
-        model_time += compute_s(run.work_units);
-
-        // Return the resolved result vectors to the parent's site.
-        if from != here {
-            let bytes = resolved_triplet_wire_size(q.len());
-            report.record_message(here, from, bytes, MessageKind::Triplet);
-            model_time += cluster.model.transfer_time(bytes);
-        }
+        computes.push((st.site_of(frag), start.elapsed()));
+        sizes.insert(frag, FragmentSize::of(&run));
     }
 
-    let root = cluster.forest.root_fragment();
+    let mut report = naive_distributed_schedule(cluster, q, &sizes);
+    for (site, elapsed) in computes {
+        report.record_compute(site, elapsed);
+    }
     let answer = resolved
-        .value(Var::new(root, VecKind::V, q.root()))
+        .value(Var::new(st.root(), VecKind::V, q.root()))
         .expect("root resolved");
-    report.elapsed_model_s = model_time;
     report.elapsed_wall_s = wall.elapsed().as_secs_f64();
     EvalOutcome {
         answer,
         report,
         algorithm: "NaiveDistributed",
     }
+}
+
+/// NaiveDistributed's schedule, fragment by fragment in postorder: a
+/// visit to its site; the query from its parent fragment's site when
+/// that is another site; its work; its resolved result vectors back
+/// there. Modeled time: all of it in sequence.
+pub(crate) fn naive_distributed_schedule(
+    cluster: &Cluster<'_>,
+    q: &CompiledQuery,
+    sizes: &Sizes,
+) -> RunReport {
+    let mut report = RunReport::new();
+    let st = &cluster.forest_stats;
+    let model = &cluster.model;
+    let qsize = query_wire_size(q);
+    let tri_bytes = resolved_triplet_wire_size(q.len());
+    for &frag in st.postorder() {
+        let here = st.site_of(frag);
+        report.record_visit(here);
+        let from = st.fragment(frag).parent.map_or(here, |p| st.site_of(p));
+        if from != here {
+            report.record_message(from, here, qsize, MessageKind::Query);
+            report.elapsed_model_s += model.transfer_time(qsize);
+        }
+        report.record_work(here, sizes[&frag].work);
+        report.elapsed_model_s += compute_s(sizes[&frag].work);
+        if from != here {
+            report.record_message(here, from, tri_bytes, MessageKind::Triplet);
+            report.elapsed_model_s += model.transfer_time(tri_bytes);
+        }
+    }
+    report
 }
 
 #[cfg(test)]

@@ -15,87 +15,99 @@
 //! network traffic is `O(|q| · card(F))`, independent of `|T|`; total
 //! computation is `O(|q| (|T| + card(F)))`.
 
-use crate::algorithms::{answer_from_resolved, query_wire_size, EvalOutcome};
+use crate::algorithms::{answer_from_resolved, query_wire_size, EvalOutcome, FragmentSize, Sizes};
 use crate::eval::bottom_up;
 use crate::plan::compute_s;
-use parbox_bool::{triplet_dag_wire_size, EquationSystem};
+use parbox_bool::EquationSystem;
 use parbox_net::{run_sites_parallel, Cluster, MessageKind, RunReport, SiteId};
 use parbox_query::CompiledQuery;
-use parbox_xml::FragmentId;
 use std::time::Instant;
 
 /// Evaluates `q` over the cluster with the ParBoX algorithm.
 pub fn parbox(cluster: &Cluster<'_>, q: &CompiledQuery) -> EvalOutcome {
     let wall = Instant::now();
-    let mut report = RunReport::new();
-    let coord = cluster.coordinator();
     let st = &cluster.forest_stats;
     let sites: Vec<SiteId> = st.sites().collect();
-    let qsize = query_wire_size(q);
-
-    // Stage 1: one visit per site; ship the query to the remote ones.
-    for &s in &sites {
-        report.record_visit(s);
-        if s != coord {
-            report.record_message(coord, s, qsize, MessageKind::Query);
-        }
-    }
 
     // Stage 2: parallel partial evaluation of every fragment.
     let runs = run_sites_parallel(&sites, |s| {
         st.fragments_at(s)
             .into_iter()
             .map(|f| (f, bottom_up(&cluster.forest.fragment(f).tree, q)))
-            .collect::<Vec<(FragmentId, crate::eval::FragmentRun)>>()
+            .collect::<Vec<_>>()
     });
+    let sizes: Sizes = (runs.iter().flat_map(|run| &run.output))
+        .map(|(f, frun)| (*f, FragmentSize::of(frun)))
+        .collect();
+    let mut report = parbox_schedule(cluster, q, &sizes);
 
     let mut sys = EquationSystem::new();
-    let mut replies: Vec<usize> = Vec::new();
     for run in runs {
         report.record_compute(run.site, run.elapsed);
         for (frag, frun) in run.output {
-            report.record_work(run.site, frun.work_units);
-            let bytes = triplet_dag_wire_size(&frun.triplet);
-            if run.site != coord {
-                report.record_message(run.site, coord, bytes, MessageKind::Triplet);
-                replies.push(bytes);
-            }
             sys.insert(frag, frun.triplet);
         }
     }
-    // So far each site's work is its share of stage 2.
-    let slowest_site = report.sites().map(|(_, r)| r.work_units).max().unwrap_or(0);
-
     // Stage 3: solve the Boolean equation system at the coordinator.
     let solve_start = Instant::now();
     let resolved = sys
         .solve(st.postorder())
         .expect("triplets cover every fragment in bottom-up order");
-    report.record_compute(coord, solve_start.elapsed());
-    // The system has O(|q| · card(F)) entries; count its resolution as one
-    // work unit per entry (paper: linear-time solve).
-    let solve_work = (q.len() * cluster.forest.card()) as u64;
-    report.record_work(coord, solve_work);
-
-    let answer = answer_from_resolved(&resolved, cluster, q);
-
-    // Modeled elapsed time: query broadcast ∥ → the slowest site → triplet
-    // return over the coordinator's shared inbound link → solve.
-    let model = &cluster.model;
-    let broadcast = if sites.len() > 1 {
-        model.transfer_time(qsize)
-    } else {
-        0.0
-    };
-    let collect = model.shared_link_time(replies.len(), replies.iter().sum());
-    report.elapsed_model_s = broadcast + compute_s(slowest_site) + collect + compute_s(solve_work);
+    report.record_compute(cluster.coordinator(), solve_start.elapsed());
     report.elapsed_wall_s = wall.elapsed().as_secs_f64();
 
     EvalOutcome {
-        answer,
+        answer: answer_from_resolved(&resolved, cluster, q),
         report,
         algorithm: "ParBoX",
     }
+}
+
+/// ParBoX's schedule. Stage 1: one visit per site, the query to every
+/// remote one. Stage 2: each fragment's work at its site, its reply to
+/// the coordinator. Stage 3: the solve, one work unit per entry of the
+/// `O(|q| · card(F))` equation system (paper: linear-time solve).
+/// Modeled time: query broadcast ∥ → the slowest site → replies over
+/// the coordinator's shared inbound link → solve.
+pub(crate) fn parbox_schedule(
+    cluster: &Cluster<'_>,
+    q: &CompiledQuery,
+    sizes: &Sizes,
+) -> RunReport {
+    let mut report = RunReport::new();
+    let coord = cluster.coordinator();
+    let st = &cluster.forest_stats;
+    let qsize = query_wire_size(q);
+    let (mut replies, mut reply_bytes) = (0, 0);
+    for s in st.sites() {
+        report.record_visit(s);
+        if s != coord {
+            report.record_message(coord, s, qsize, MessageKind::Query);
+        }
+        for f in st.fragments_at(s) {
+            let size = sizes[&f];
+            report.record_work(s, size.work);
+            if s != coord {
+                report.record_message(s, coord, size.reply_bytes, MessageKind::Triplet);
+                replies += 1;
+                reply_bytes += size.reply_bytes;
+            }
+        }
+    }
+    let slowest_site = report.sites().map(|(_, r)| r.work_units).max().unwrap_or(0);
+    let solve_work = (q.len() * st.card()) as u64;
+    report.record_work(coord, solve_work);
+
+    let model = &cluster.model;
+    let broadcast = match st.site_count() {
+        1 => 0.0,
+        _ => model.transfer_time(qsize),
+    };
+    report.elapsed_model_s = broadcast
+        + compute_s(slowest_site)
+        + model.shared_link_time(replies, reply_bytes)
+        + compute_s(solve_work);
+    report
 }
 
 #[cfg(test)]

@@ -12,10 +12,11 @@
 //!   distributed baselines (Section 3);
 //! * [`parbox`] — the **ParBoX** partial-evaluation algorithm (Fig. 3);
 //! * [`full_dist_parbox`], [`lazy_parbox`] — its variants (Section 4);
-//! * [`plan`] — the **cost-based planner**: all strategies behind the
-//!   [`Executor`] trait, with statistics-driven selection
-//!   ([`Planner::choose`], [`plan_run`]) replacing the hand-written
-//!   `HybridParBoX` tipping point;
+//! * [`plan`] — the **cost-based planner**: the five strategies as one
+//!   [`Strategy`] enum, each estimated by its own schedule over sizes
+//!   predicted from statistics, with selection ([`choose`],
+//!   [`plan_run`]) replacing the hand-written `HybridParBoX` tipping
+//!   point;
 //! * [`Engine`] — the **resident serving engine** ([`serve`]): an owned,
 //!   long-lived deployment with persistent site workers, two-level
 //!   triplet caching and update routing, for query/update *streams*.
@@ -89,7 +90,7 @@ pub use eval::{
     IncrementalBottomUp, Propagation, RefFragmentRun, RepairRun,
 };
 pub use plan::{
-    plan_run, Choice, CostEstimate, Executor, PlanContext, PlanExplain, PlanSummary, Planner,
+    choose, plan_run, run_named, CostEstimate, PlanContext, PlanExplain, PlanSummary, Strategy,
 };
 pub use selection::{select_centralized, select_distributed, SelectionOutcome};
 pub use serve::{

@@ -1,5 +1,5 @@
-//! The cost-based planner: every evaluation strategy behind one
-//! [`Executor`] interface, chosen per query from statistics.
+//! The cost-based planner: the five evaluation strategies as one
+//! [`Strategy`] enum, chosen per query from statistics.
 //!
 //! The paper's Fig. 4 tabulates by hand how the six strategies trade
 //! visits, traffic, computation and parallelism — and which one wins
@@ -7,42 +7,42 @@
 //! and the link characteristics. This module turns that table into
 //! code:
 //!
-//! * an [`Executor`] names a strategy, predicts its cost
-//!   ([`Executor::estimate`] → [`CostEstimate`]) from
-//!   [`parbox_frag::ForestStats`] aggregates *without touching any
-//!   site*, and runs it ([`Executor::execute`]);
-//! * the [`Planner`] compares the candidates' estimates and
-//!   [`Planner::choose`]s the cheapest by predicted modeled time,
-//!   recording the decision as a [`PlanSummary`] in the outcome's
-//!   [`parbox_net::RunReport::planned`] field;
-//! * [`PlanExplain`] renders every candidate's estimate — the
+//! * a [`Strategy`] has a name, predicts its cost
+//!   ([`Strategy::estimate`] → [`CostEstimate`]) from
+//!   [`parbox_frag::ForestStats`] *without touching any site*, and runs
+//!   ([`Strategy::run`]);
+//! * [`choose`] compares the candidates' estimates and ranks them
+//!   cheapest first by predicted modeled time, as a [`PlanExplain`]
+//!   whose [`PlanExplain::run`] records the decision as a
+//!   [`PlanSummary`] in the outcome's
+//!   [`parbox_net::RunReport::planned`] field; its `Display` is the
 //!   `parbox-cli explain` output.
 //!
 //! # The cost model
 //!
-//! Estimates are written in the *same units a run's report later
-//! measures*, so tests can assert prediction against measurement:
+//! Each strategy prices itself in one function, its *schedule*
+//! (`crate::algorithms`): from per-fragment sizes — work units and
+//! reply bytes — it records the visits, messages, bytes, work units
+//! and modeled seconds of a report. A run fills the sizes from what it
+//! evaluated; an estimate runs the same schedule over sizes predicted
+//! from `ForestStats` and reports its totals ([`CostEstimate::of`]):
 //!
-//! * **visits / messages / work units** — predicted exactly for the
-//!   deterministic strategies (`ParBoX`, `FullDistParBoX`, both naive
-//!   baselines): the counts follow from the source-tree structure and
-//!   the per-site placement totals alone.
-//! * **traffic bytes** — exact for payloads whose size is structural
-//!   (shipped fragments, resolved triplets, queries); *open* triplet
-//!   payloads depend on the formulas `bottomUp` produces, and are
-//!   predicted by [`estimated_triplet_bytes`] from `|QList|` and the
-//!   fragment's virtual-node fan-out. Documented bound: on the
-//!   `expE_planner` workloads the predicted total traffic stays within
-//!   a factor of [`TRAFFIC_ESTIMATE_FACTOR`] of the measured bytes
-//!   (asserted there and in `tests/planner.rs`).
-//! * **modeled seconds** — priced exactly as a run's `elapsed_model_s`
-//!   is charged, with no clock on either side:
-//!   [`NetworkModel::shared_link_time`] per shared-link round,
-//!   `transfer_time` per point-to-point hop, [`compute_s`] per work unit.
+//! * **work units** — `nodes · |QList|` per fragment, exactly what
+//!   `bottomUp` performs; so visits, messages and work units are exact.
+//! * **reply bytes** — the one real prediction. Shipped fragments and
+//!   resolved triplets have structural sizes; *open* triplet payloads
+//!   depend on the formulas `bottomUp` produces, and are predicted by
+//!   [`estimated_triplet_bytes`] from `|QList|` and the fragment's
+//!   virtual-node fan-out. Documented bound: on the `expE_planner`
+//!   workloads the predicted total traffic stays within a factor of
+//!   [`TRAFFIC_ESTIMATE_FACTOR`] of the measured bytes (asserted there
+//!   and in `tests/planner.rs`). Strategies that ship no open triplet
+//!   (`FullDistParBoX`, both naive baselines) are predicted exactly,
+//!   modeled seconds included.
 //!
-//! `LazyParBoX`'s cost depends on the depth at which partial answers
-//! determine the result — unknowable before evaluation. Its estimate is
-//! pessimistic (full depth) unless the caller supplies a
+//! `LazyParBoX`'s schedule also takes the depth at which partial
+//! answers determine the result — unknowable before evaluation. Its
+//! estimate is pessimistic (full depth) unless the caller supplies a
 //! [`PlanContext::resolve_depth_hint`], as the `expE_planner` sweep does
 //! from [`measure_resolution_depth`].
 //!
@@ -51,8 +51,10 @@
 //! one-shot strategy only (see [`crate::serve`]).
 
 use crate::algorithms::{
-    certain_answer, full_dist_parbox, lazy_parbox, naive_centralized, naive_distributed, parbox,
-    query_wire_size, resolved_triplet_wire_size, EvalOutcome,
+    certain_answer, full_dist_parbox, full_dist_schedule, hybrid_parbox, lazy_parbox,
+    lazy_schedule, naive_centralized, naive_centralized_schedule, naive_distributed,
+    naive_distributed_schedule, parbox, parbox_schedule, resolved_triplet_wire_size, EvalOutcome,
+    FragmentSize, Sizes,
 };
 use crate::eval::bottom_up;
 use parbox_bool::Triplet;
@@ -100,7 +102,7 @@ pub fn estimated_envelope_bytes(triplet_bytes_sum: usize) -> usize {
     4 + triplet_bytes_sum
 }
 
-/// Everything an [`Executor::estimate`] may read: the deployment (whose
+/// Everything a [`Strategy::estimate`] may read: the deployment (whose
 /// source tree caches the per-fragment sizes) and the compiled query.
 #[derive(Debug, Clone, Copy)]
 pub struct PlanContext<'a> {
@@ -125,301 +127,114 @@ impl<'a> PlanContext<'a> {
     }
 }
 
-/// One evaluation strategy behind the planner: a name, a statistics-only
-/// cost prediction, and the execution entry point.
-pub trait Executor {
+/// One evaluation strategy the planner can choose.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Strategy {
+    /// [`parbox`]: one visit per site, two communication rounds.
+    ParBoX,
+    /// [`full_dist_parbox`]: parallel evaluation, in-network resolution.
+    FullDistParBoX,
+    /// [`lazy_parbox`]: depth-wavefront evaluation with early
+    /// termination.
+    LazyParBoX,
+    /// [`naive_centralized`]: ship every remote fragment, evaluate
+    /// centrally.
+    NaiveCentralized,
+    /// [`naive_distributed`]: fully sequential distributed traversal.
+    NaiveDistributed,
+}
+
+impl Strategy {
+    /// The paper's five fixed strategies: the standard planner's
+    /// candidates, in tie-breaking order (`HybridParBoX` is the two-way
+    /// [`hybrid_parbox`] over two of them).
+    pub const ALL: [Strategy; 5] = [
+        Strategy::ParBoX,
+        Strategy::FullDistParBoX,
+        Strategy::LazyParBoX,
+        Strategy::NaiveCentralized,
+        Strategy::NaiveDistributed,
+    ];
+
     /// Strategy name, matching the `EvalOutcome::algorithm` label of its
-    /// execution.
-    fn name(&self) -> &'static str;
-    /// Predicts the run's cost from the context's statistics, without
-    /// contacting any site.
-    fn estimate(&self, cx: &PlanContext<'_>) -> CostEstimate;
+    /// run.
+    pub fn name(self) -> &'static str {
+        match self {
+            Strategy::ParBoX => "ParBoX",
+            Strategy::FullDistParBoX => "FullDistParBoX",
+            Strategy::LazyParBoX => "LazyParBoX",
+            Strategy::NaiveCentralized => "NaiveCentralized",
+            Strategy::NaiveDistributed => "NaiveDistributed",
+        }
+    }
+
+    /// The strategy called `name`, if any.
+    pub fn from_name(name: &str) -> Option<Strategy> {
+        Strategy::ALL.into_iter().find(|s| s.name() == name)
+    }
+
+    /// Predicts the run's cost without contacting any site: the totals
+    /// of the strategy's own schedule over `nodes · |QList|` work units
+    /// and [`estimated_triplet_bytes`] per fragment.
+    pub fn estimate(self, cx: &PlanContext<'_>) -> CostEstimate {
+        let (cluster, q) = (cx.cluster, cx.query);
+        let st = &cluster.forest_stats;
+        let m = q.len();
+        let sizes: Sizes = (st.fragments())
+            .map(|(f, s)| {
+                let size = FragmentSize {
+                    work: (s.nodes * m) as u64,
+                    reply_bytes: estimated_triplet_bytes(m, s.children.len()),
+                };
+                (f, size)
+            })
+            .collect();
+        let report = match self {
+            Strategy::ParBoX => parbox_schedule(cluster, q, &sizes),
+            Strategy::FullDistParBoX => full_dist_schedule(cluster, q, &sizes),
+            Strategy::LazyParBoX => {
+                let stop = cx
+                    .resolve_depth_hint
+                    .map_or(st.max_depth(), |d| d.min(st.max_depth()));
+                lazy_schedule(cluster, q, &sizes, stop)
+            }
+            Strategy::NaiveCentralized => {
+                // The reassembled document drops one virtual node per
+                // non-root fragment.
+                let whole = st.total_nodes() - (st.card() - 1);
+                naive_centralized_schedule(cluster, (whole * m) as u64)
+            }
+            Strategy::NaiveDistributed => naive_distributed_schedule(cluster, q, &sizes),
+        };
+        CostEstimate::of(&report)
+    }
+
     /// Runs the strategy.
-    fn execute(&self, cluster: &Cluster<'_>, q: &CompiledQuery) -> EvalOutcome;
-}
-
-/// Aggregates every estimator needs, derived once per estimate call from
-/// the context (`O(card(F))`).
-struct Derived {
-    m: usize,
-    qsize: usize,
-    card: usize,
-    sites: usize,
-    remote_sites: usize,
-    total_nodes: usize,
-    max_site_nodes: usize,
-    remote_frags: usize,
-    /// Σ shipped bytes of fragments stored away from the coordinator.
-    remote_data_bytes: usize,
-    /// Σ predicted open-triplet bytes of those fragments.
-    remote_triplet_bytes: usize,
-    cross_edges: usize,
-    max_depth: usize,
-}
-
-impl Derived {
-    fn of(cx: &PlanContext<'_>) -> Derived {
-        let (stats, coord) = (&cx.cluster.forest_stats, cx.cluster.coordinator());
-        let m = cx.query.len();
-        let mut remote_frags = 0usize;
-        let mut remote_data_bytes = 0usize;
-        let mut remote_triplet_bytes = 0usize;
-        for (_, s) in stats.fragments() {
-            if s.site != coord {
-                remote_frags += 1;
-                remote_data_bytes += s.bytes;
-                remote_triplet_bytes += estimated_triplet_bytes(m, s.children.len());
-            }
-        }
-        let sites = stats.site_count();
-        Derived {
-            m,
-            qsize: query_wire_size(cx.query),
-            card: stats.card(),
-            sites,
-            remote_sites: sites.saturating_sub(1),
-            total_nodes: stats.total_nodes(),
-            max_site_nodes: stats.max_site_nodes(),
-            remote_frags,
-            remote_data_bytes,
-            remote_triplet_bytes,
-            cross_edges: stats.cross_site_edges(),
-            max_depth: stats.max_depth(),
+    pub fn run(self, cluster: &Cluster<'_>, q: &CompiledQuery) -> EvalOutcome {
+        match self {
+            Strategy::ParBoX => parbox(cluster, q),
+            Strategy::FullDistParBoX => full_dist_parbox(cluster, q),
+            Strategy::LazyParBoX => lazy_parbox(cluster, q),
+            Strategy::NaiveCentralized => naive_centralized(cluster, q),
+            Strategy::NaiveDistributed => naive_distributed(cluster, q),
         }
     }
 }
 
-/// `ParBoX`: one visit per site, two communication rounds.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ParBoxExec;
-
-impl Executor for ParBoxExec {
-    fn name(&self) -> &'static str {
-        "ParBoX"
-    }
-
-    fn estimate(&self, cx: &PlanContext<'_>) -> CostEstimate {
-        let d = Derived::of(cx);
-        let model = &cx.cluster.model;
-        let broadcast = if d.sites > 1 {
-            model.transfer_time(d.qsize)
-        } else {
-            0.0
-        };
-        let collect = model.shared_link_time(d.remote_frags, d.remote_triplet_bytes);
-        let work = (d.total_nodes * d.m + d.m * d.card) as u64;
-        CostEstimate {
-            visits: d.sites,
-            messages: d.remote_sites + d.remote_frags,
-            traffic_bytes: d.qsize * d.remote_sites + d.remote_triplet_bytes,
-            rounds: if d.remote_sites > 0 { 2 } else { 0 },
-            work_units: work,
-            modeled_s: broadcast
-                + compute_s((d.max_site_nodes * d.m) as u64)
-                + collect
-                + compute_s((d.card * d.m) as u64),
-        }
-    }
-
-    fn execute(&self, cluster: &Cluster<'_>, q: &CompiledQuery) -> EvalOutcome {
-        parbox(cluster, q)
-    }
-}
-
-/// `NaiveCentralized`: ship every remote fragment, evaluate centrally.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NaiveCentralizedExec;
-
-impl Executor for NaiveCentralizedExec {
-    fn name(&self) -> &'static str {
-        "NaiveCentralized"
-    }
-
-    fn estimate(&self, cx: &PlanContext<'_>) -> CostEstimate {
-        let d = Derived::of(cx);
-        // The reassembled document drops one virtual node per non-root
-        // fragment.
-        let whole = d.total_nodes - (d.card - 1);
-        CostEstimate {
-            visits: d.sites,
-            messages: d.remote_frags,
-            traffic_bytes: d.remote_data_bytes,
-            rounds: if d.remote_frags > 0 { 1 } else { 0 },
-            work_units: (whole * d.m) as u64,
-            modeled_s: cx
-                .cluster
-                .model
-                .shared_link_time(d.remote_frags, d.remote_data_bytes)
-                + compute_s((whole * d.m) as u64),
-        }
-    }
-
-    fn execute(&self, cluster: &Cluster<'_>, q: &CompiledQuery) -> EvalOutcome {
-        naive_centralized(cluster, q)
-    }
-}
-
-/// `NaiveDistributed`: fully sequential distributed traversal.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NaiveDistributedExec;
-
-impl Executor for NaiveDistributedExec {
-    fn name(&self) -> &'static str {
-        "NaiveDistributed"
-    }
-
-    fn estimate(&self, cx: &PlanContext<'_>) -> CostEstimate {
-        let d = Derived::of(cx);
-        let model = &cx.cluster.model;
-        let tri = resolved_triplet_wire_size(d.m);
-        CostEstimate {
-            visits: d.card,
-            messages: 2 * d.cross_edges,
-            traffic_bytes: (d.qsize + tri) * d.cross_edges,
-            rounds: 2 * d.cross_edges,
-            work_units: (d.total_nodes * d.m) as u64,
-            modeled_s: d.cross_edges as f64
-                * (model.transfer_time(d.qsize) + model.transfer_time(tri))
-                + compute_s((d.total_nodes * d.m) as u64),
-        }
-    }
-
-    fn execute(&self, cluster: &Cluster<'_>, q: &CompiledQuery) -> EvalOutcome {
-        naive_distributed(cluster, q)
-    }
-}
-
-/// `FullDistParBoX`: parallel evaluation, in-network resolution.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FullDistExec;
-
-impl Executor for FullDistExec {
-    fn name(&self) -> &'static str {
-        "FullDistParBoX"
-    }
-
-    fn estimate(&self, cx: &PlanContext<'_>) -> CostEstimate {
-        let d = Derived::of(cx);
-        let model = &cx.cluster.model;
-        let tri = resolved_triplet_wire_size(d.m);
-        let st_bytes = cx.cluster.forest_stats.byte_size();
-        let broadcast = if d.sites > 1 {
-            model.transfer_time(d.qsize + st_bytes)
-        } else {
-            0.0
-        };
-        // Resolution climbs the fragment tree; the critical path crosses
-        // at most `max_depth` site boundaries and performs one `O(|q|)`
-        // substitution step per fragment on the way.
-        let climb = d.max_depth.min(d.cross_edges) as f64 * model.transfer_time(tri);
-        let solve_work: u64 = (cx.cluster.forest_stats.fragments())
-            .map(|(_, s)| (d.m * (1 + s.children.len())) as u64)
-            .sum();
-        CostEstimate {
-            visits: d.card,
-            messages: d.remote_sites + d.cross_edges,
-            traffic_bytes: (d.qsize + st_bytes) * d.remote_sites + tri * d.cross_edges,
-            rounds: if d.remote_sites > 0 {
-                1 + d.max_depth.min(d.cross_edges)
-            } else {
-                0
-            },
-            work_units: (d.total_nodes * d.m) as u64 + solve_work,
-            modeled_s: broadcast
-                + compute_s((d.max_site_nodes * d.m) as u64)
-                + climb
-                + compute_s(solve_work),
-        }
-    }
-
-    fn execute(&self, cluster: &Cluster<'_>, q: &CompiledQuery) -> EvalOutcome {
-        full_dist_parbox(cluster, q)
-    }
-}
-
-/// `LazyParBoX`: depth-wavefront evaluation with early termination.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LazyExec;
-
-impl Executor for LazyExec {
-    fn name(&self) -> &'static str {
-        "LazyParBoX"
-    }
-
-    fn estimate(&self, cx: &PlanContext<'_>) -> CostEstimate {
-        let d = Derived::of(cx);
-        let model = &cx.cluster.model;
-        let coord = cx.cluster.coordinator();
-        let stop = cx
-            .resolve_depth_hint
-            .unwrap_or(d.max_depth)
-            .min(d.max_depth);
-
-        // One pass over the fragments buckets the wavefronts up to the
-        // expected stopping depth.
-        #[derive(Default, Clone)]
-        struct Wave {
-            frags: usize,
-            remote_frags: usize,
-            remote_triplet_bytes: usize,
-            max_site_nodes: usize,
-            nodes: usize,
-        }
-        let mut waves = vec![Wave::default(); stop + 1];
-        let mut site_nodes: std::collections::HashMap<(usize, u32), usize> =
-            std::collections::HashMap::new();
-        for (_, s) in cx.cluster.forest_stats.fragments() {
-            if s.depth > stop {
-                continue;
-            }
-            let w = &mut waves[s.depth];
-            w.frags += 1;
-            w.nodes += s.nodes;
-            if s.site != coord {
-                w.remote_frags += 1;
-                w.remote_triplet_bytes += estimated_triplet_bytes(d.m, s.children.len());
-            }
-            let acc = site_nodes.entry((s.depth, s.site.0)).or_default();
-            *acc += s.nodes;
-        }
-        // Distinct remote sites per wavefront: one query message each.
-        let mut wave_remote_sites = vec![0usize; stop + 1];
-        for &(depth, site) in site_nodes.keys() {
-            waves[depth].max_site_nodes =
-                waves[depth].max_site_nodes.max(site_nodes[&(depth, site)]);
-            if site != coord.0 {
-                wave_remote_sites[depth] += 1;
-            }
-        }
-
-        let mut est = CostEstimate::default();
-        let mut gathered = 0usize;
-        for (depth, w) in waves.iter().enumerate() {
-            if w.frags == 0 {
-                continue;
-            }
-            gathered += w.frags;
-            est.visits += w.frags;
-            // Per step: the query to every distinct remote site of the
-            // wavefront and one triplet back per remote fragment.
-            let step_sites = wave_remote_sites[depth];
-            est.messages += step_sites + w.remote_frags;
-            est.traffic_bytes += d.qsize * step_sites + w.remote_triplet_bytes;
-            est.rounds += if step_sites > 0 { 2 } else { 0 };
-            est.work_units += (w.nodes * d.m + d.m * gathered) as u64;
-            est.modeled_s += if step_sites > 0 {
-                model.transfer_time(d.qsize)
-            } else {
-                0.0
-            } + compute_s((w.max_site_nodes * d.m) as u64)
-                + model.shared_link_time(w.remote_frags, w.remote_triplet_bytes)
-                + compute_s((gathered * d.m) as u64);
-        }
-        est
-    }
-
-    fn execute(&self, cluster: &Cluster<'_>, q: &CompiledQuery) -> EvalOutcome {
-        lazy_parbox(cluster, q)
+/// Runs the algorithm called `name`: a [`Strategy::name`],
+/// `HybridParBoX` ([`hybrid_parbox`]) or `auto`/`Auto` ([`plan_run`]).
+pub fn run_named(
+    name: &str,
+    cluster: &Cluster<'_>,
+    q: &CompiledQuery,
+) -> Result<EvalOutcome, String> {
+    match name {
+        "auto" | "Auto" => Ok(plan_run(cluster, q)),
+        "HybridParBoX" => Ok(hybrid_parbox(cluster, q)),
+        _ => match Strategy::from_name(name) {
+            Some(s) => Ok(s.run(cluster, q)),
+            None => Err(format!("unknown strategy {name:?}")),
+        },
     }
 }
 
@@ -472,7 +287,6 @@ impl RoundDemand<'_> {
             visits: sites.len(),
             messages: 2 * remote,
             traffic_bytes: self.request_bytes * remote + envelopes,
-            rounds: if remote > 0 { 2 } else { 0 },
             work_units: eval_work + solve_work,
             modeled_s: broadcast
                 + compute_s((slowest_site * m) as u64)
@@ -494,29 +308,42 @@ impl RoundDemand<'_> {
 /// One candidate's row in a [`PlanExplain`].
 #[derive(Debug, Clone)]
 pub struct ExplainEntry {
-    /// Strategy name.
-    pub strategy: &'static str,
+    /// The candidate.
+    pub strategy: Strategy,
     /// Its predicted cost.
     pub estimate: CostEstimate,
-    /// True for the strategy the planner picked.
-    pub chosen: bool,
 }
 
 /// Every candidate's estimate, cheapest first — what
-/// `parbox-cli explain` renders.
+/// `parbox-cli explain` renders. The first entry is the choice.
 #[derive(Debug, Clone)]
 pub struct PlanExplain {
-    /// Candidate rows, ascending by predicted modeled seconds.
+    /// Candidate rows, ascending by predicted modeled seconds; among
+    /// equal estimates the earlier-listed candidate comes first.
     pub entries: Vec<ExplainEntry>,
 }
 
 impl PlanExplain {
     /// The winning entry.
     pub fn chosen(&self) -> &ExplainEntry {
-        self.entries
-            .iter()
-            .find(|e| e.chosen)
-            .expect("explain always marks a winner")
+        &self.entries[0]
+    }
+
+    /// The decision record ([`parbox_net::RunReport::planned`]).
+    pub fn summary(&self) -> PlanSummary {
+        PlanSummary {
+            strategy: self.chosen().strategy.name().to_string(),
+            estimate: self.chosen().estimate,
+            candidates: self.entries.len(),
+        }
+    }
+
+    /// Runs the chosen strategy and records the [`PlanSummary`] in the
+    /// outcome's report.
+    pub fn run(&self, cluster: &Cluster<'_>, q: &CompiledQuery) -> EvalOutcome {
+        let mut out = self.chosen().strategy.run(cluster, q);
+        out.report.planned = Some(self.summary());
+        out
     }
 }
 
@@ -524,19 +351,18 @@ impl fmt::Display for PlanExplain {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "  {:<18} {:>7} {:>9} {:>12} {:>7} {:>12} {:>12}",
-            "strategy", "visits", "messages", "traffic (B)", "rounds", "est. work", "modeled (s)"
+            "  {:<18} {:>7} {:>9} {:>12} {:>12} {:>12}",
+            "strategy", "visits", "messages", "traffic (B)", "est. work", "modeled (s)"
         )?;
-        for e in &self.entries {
+        for (i, e) in self.entries.iter().enumerate() {
             writeln!(
                 f,
-                "{} {:<18} {:>7} {:>9} {:>12} {:>7} {:>12} {:>12.6}",
-                if e.chosen { "→" } else { " " },
-                e.strategy,
+                "{} {:<18} {:>7} {:>9} {:>12} {:>12} {:>12.6}",
+                if i == 0 { "→" } else { " " },
+                e.strategy.name(),
                 e.estimate.visits,
                 e.estimate.messages,
                 e.estimate.traffic_bytes,
-                e.estimate.rounds,
                 e.estimate.work_units,
                 e.estimate.modeled_s,
             )?;
@@ -545,135 +371,30 @@ impl fmt::Display for PlanExplain {
     }
 }
 
-/// The planner's decision: which executor to run, with the summary that
-/// will be stamped into the outcome's report.
-pub struct Choice<'p> {
-    /// The winning executor.
-    pub executor: &'p dyn Executor,
-    /// The decision record ([`parbox_net::RunReport::planned`]).
-    pub summary: PlanSummary,
-    /// All candidates' estimates.
-    pub explain: PlanExplain,
+/// Estimates every candidate and ranks them by predicted modeled
+/// seconds; ties break toward the earlier-listed — i.e. more
+/// specialized — strategy.
+///
+/// # Panics
+/// Panics if `candidates` is empty.
+pub fn choose(candidates: &[Strategy], cx: &PlanContext<'_>) -> PlanExplain {
+    assert!(!candidates.is_empty(), "the planner needs a candidate");
+    let mut entries: Vec<ExplainEntry> = (candidates.iter())
+        .map(|&strategy| ExplainEntry {
+            strategy,
+            estimate: strategy.estimate(cx),
+        })
+        .collect();
+    // A stable sort: equal estimates keep their listed order.
+    entries.sort_by(|a, b| a.estimate.modeled_s.total_cmp(&b.estimate.modeled_s));
+    PlanExplain { entries }
 }
 
-impl Choice<'_> {
-    /// Runs the chosen strategy and records the [`PlanSummary`] in the
-    /// outcome's report.
-    pub fn execute(&self, cluster: &Cluster<'_>, q: &CompiledQuery) -> EvalOutcome {
-        let mut out = self.executor.execute(cluster, q);
-        out.report.planned = Some(self.summary.clone());
-        out
-    }
-}
-
-/// A set of candidate executors and the choice rule over their
-/// estimates.
-pub struct Planner {
-    executors: Vec<Box<dyn Executor>>,
-}
-
-impl Planner {
-    /// The paper's five fixed strategies (`HybridParBoX` is the
-    /// two-way [`Planner::hybrid`] over two of them).
-    pub fn standard() -> Planner {
-        Planner {
-            executors: vec![
-                Box::new(ParBoxExec),
-                Box::new(FullDistExec),
-                Box::new(LazyExec),
-                Box::new(NaiveCentralizedExec),
-                Box::new(NaiveDistributedExec),
-            ],
-        }
-    }
-
-    /// The two-way planner behind `HybridParBoX`, replacing the paper's
-    /// tipping-point heuristic: ParBoX versus NaiveCentralized.
-    pub fn hybrid() -> Planner {
-        Planner {
-            executors: vec![Box::new(ParBoxExec), Box::new(NaiveCentralizedExec)],
-        }
-    }
-
-    /// The candidate executors, in registration order.
-    pub fn executors(&self) -> &[Box<dyn Executor>] {
-        &self.executors
-    }
-
-    /// Estimates every candidate and picks the cheapest by predicted
-    /// modeled seconds (ties break toward the earlier-registered —
-    /// i.e. more specialized — strategy).
-    pub fn choose(&self, cx: &PlanContext<'_>) -> Choice<'_> {
-        let mut entries: Vec<(usize, ExplainEntry)> = self
-            .executors
-            .iter()
-            .enumerate()
-            .map(|(i, e)| {
-                (
-                    i,
-                    ExplainEntry {
-                        strategy: e.name(),
-                        estimate: e.estimate(cx),
-                        chosen: false,
-                    },
-                )
-            })
-            .collect();
-        let winner = entries
-            .iter()
-            .min_by(|a, b| {
-                a.1.estimate
-                    .modeled_s
-                    .total_cmp(&b.1.estimate.modeled_s)
-                    .then(a.0.cmp(&b.0))
-            })
-            .expect("planner has candidates")
-            .0;
-        for (i, e) in entries.iter_mut() {
-            e.chosen = *i == winner;
-        }
-        let summary = PlanSummary {
-            strategy: self.executors[winner].name().to_string(),
-            estimate: entries
-                .iter()
-                .find(|(i, _)| *i == winner)
-                .expect("winner is among entries")
-                .1
-                .estimate,
-            candidates: entries.len(),
-        };
-        let mut rows: Vec<ExplainEntry> = entries.into_iter().map(|(_, e)| e).collect();
-        rows.sort_by(|a, b| a.estimate.modeled_s.total_cmp(&b.estimate.modeled_s));
-        Choice {
-            executor: &*self.executors[winner],
-            summary,
-            explain: PlanExplain { entries: rows },
-        }
-    }
-
-    /// Renders every candidate's estimate without executing anything.
-    pub fn explain(&self, cx: &PlanContext<'_>) -> PlanExplain {
-        self.choose(cx).explain
-    }
-}
-
-impl fmt::Debug for Planner {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Planner")
-            .field(
-                "executors",
-                &self.executors.iter().map(|e| e.name()).collect::<Vec<_>>(),
-            )
-            .finish()
-    }
-}
-
-/// One-shot adaptive evaluation: asks the standard planner, runs the
+/// One-shot adaptive evaluation: plans over [`Strategy::ALL`], runs the
 /// winner, and stamps the [`PlanSummary`] into the report. This is what
 /// `parbox-cli run --strategy auto` executes.
 pub fn plan_run(cluster: &Cluster<'_>, q: &CompiledQuery) -> EvalOutcome {
-    let cx = PlanContext::new(cluster, q);
-    Planner::standard().choose(&cx).execute(cluster, q)
+    choose(&Strategy::ALL, &PlanContext::new(cluster, q)).run(cluster, q)
 }
 
 /// Measures the fragment-tree depth at which `q`'s answer resolves: the
@@ -730,60 +451,42 @@ mod tests {
         let (forest, placement) = star_cluster(60, 5);
         let cluster = Cluster::new(&forest, &placement, NetworkModel::lan());
         let q = compile(&parse_query("[//goal and //a]").unwrap());
-        let cx = PlanContext::new(&cluster, &q);
+        let mut cx = PlanContext::new(&cluster, &q);
+        cx.resolve_depth_hint = Some(measure_resolution_depth(&cluster, &q));
 
-        for exec in [
-            Box::new(ParBoxExec) as Box<dyn Executor>,
-            Box::new(NaiveCentralizedExec),
-            Box::new(NaiveDistributedExec),
-            Box::new(FullDistExec),
-        ] {
-            let est = exec.estimate(&cx);
-            let out = exec.execute(&cluster, &q);
-            assert_eq!(
-                est.visits,
-                out.report.total_visits(),
-                "{} visits",
-                exec.name()
-            );
-            assert_eq!(
-                est.messages,
-                out.report.total_messages(),
-                "{} messages",
-                exec.name()
-            );
-            assert_eq!(
-                est.work_units,
-                out.report.total_work(),
-                "{} work units",
-                exec.name()
-            );
-            let measured = out.report.total_bytes();
+        for s in Strategy::ALL {
+            let est = s.estimate(&cx);
+            let out = s.run(&cluster, &q);
+            let measured = CostEstimate::of(&out.report);
+            assert_eq!(est.visits, measured.visits, "{} visits", s.name());
+            assert_eq!(est.messages, measured.messages, "{} messages", s.name());
+            assert_eq!(est.work_units, measured.work_units, "{} work", s.name());
             assert!(
-                est.traffic_bytes <= measured * TRAFFIC_ESTIMATE_FACTOR
-                    && measured <= est.traffic_bytes * TRAFFIC_ESTIMATE_FACTOR,
-                "{}: traffic estimate {} vs measured {measured}",
-                exec.name(),
-                est.traffic_bytes
+                est.traffic_bytes <= measured.traffic_bytes * TRAFFIC_ESTIMATE_FACTOR
+                    && measured.traffic_bytes <= est.traffic_bytes * TRAFFIC_ESTIMATE_FACTOR,
+                "{}: traffic estimate {} vs measured {}",
+                s.name(),
+                est.traffic_bytes,
+                measured.traffic_bytes
             );
+            // Modeled time is priced from counts, never read off a clock.
+            let charged = s.run(&cluster, &q).report.elapsed_model_s;
+            assert_eq!(charged, out.report.elapsed_model_s, "{} modeled", s.name());
         }
-        // Modeled time is priced from counts, never read off a clock.
-        for exec in Planner::standard().executors() {
-            let charged = || exec.execute(&cluster, &q).report.elapsed_model_s;
-            assert_eq!(charged(), charged(), "{} modeled time", exec.name());
-        }
-        // On a free network ParBoX's estimated compute is exact.
+        // On a free network only compute is charged, and it is exact.
         let free = Cluster::new(&forest, &placement, NetworkModel::infinite());
-        let est = ParBoxExec.estimate(&PlanContext::new(&free, &q)).modeled_s;
-        let charged = ParBoxExec.execute(&free, &q).report.elapsed_model_s;
+        let est = Strategy::ParBoX
+            .estimate(&PlanContext::new(&free, &q))
+            .modeled_s;
+        let charged = parbox(&free, &q).report.elapsed_model_s;
         assert!((est - charged).abs() < 1e-12, "{est} vs {charged}");
     }
 
     #[test]
     fn naive_traffic_estimates_are_exact() {
         // Shipped-fragment and resolved-triplet payloads are structural:
-        // the two naive baselines' traffic is predicted to the byte, and
-        // so, on every network, is their modeled time.
+        // the strategies that ship no open triplet are predicted to the
+        // byte, and so, on every network, is their modeled time.
         let (forest, placement) = star_cluster(40, 4);
         let q = compile(&parse_query("[//goal]").unwrap());
         for model in [
@@ -793,20 +496,18 @@ mod tests {
         ] {
             let cluster = Cluster::new(&forest, &placement, model);
             let cx = PlanContext::new(&cluster, &q);
-            for exec in [
-                Box::new(NaiveCentralizedExec) as Box<dyn Executor>,
-                Box::new(NaiveDistributedExec),
+            for s in [
+                Strategy::NaiveCentralized,
+                Strategy::NaiveDistributed,
+                Strategy::FullDistParBoX,
             ] {
-                let est = exec.estimate(&cx);
-                let out = exec.execute(&cluster, &q);
+                let out = s.run(&cluster, &q);
                 assert_eq!(
-                    est.traffic_bytes,
-                    out.report.total_bytes(),
-                    "{} traffic",
-                    exec.name()
+                    s.estimate(&cx),
+                    CostEstimate::of(&out.report),
+                    "{}",
+                    s.name()
                 );
-                let (est, charged) = (est.modeled_s, out.report.elapsed_model_s);
-                assert!((est - charged).abs() < 1e-12, "{est} vs {charged}");
             }
         }
     }
@@ -816,19 +517,22 @@ mod tests {
         let (forest, placement) = star_cluster(50, 4);
         let cluster = Cluster::new(&forest, &placement, NetworkModel::lan());
         let q = compile(&parse_query("[//goal]").unwrap());
-        let cx = PlanContext::new(&cluster, &q);
-        let planner = Planner::standard();
-        let choice = planner.choose(&cx);
-        let out = choice.execute(&cluster, &q);
+        let plan = choose(&Strategy::ALL, &PlanContext::new(&cluster, &q));
+        let out = plan.run(&cluster, &q);
         let planned = out.report.planned.expect("planned run records a summary");
-        assert_eq!(planned.strategy, choice.summary.strategy);
+        assert_eq!(planned, plan.summary());
         assert_eq!(planned.candidates, 5);
         // The label of the executed algorithm matches the plan.
         assert_eq!(out.algorithm, planned.strategy);
-        // plan_run is the same path.
-        let auto = plan_run(&cluster, &q);
-        assert_eq!(auto.answer, out.answer);
-        assert!(auto.report.planned.is_some());
+        // plan_run and the `auto` name are the same path.
+        for auto in [
+            plan_run(&cluster, &q),
+            run_named("auto", &cluster, &q).unwrap(),
+        ] {
+            assert_eq!(auto.answer, out.answer);
+            assert_eq!(auto.report.planned, Some(planned.clone()));
+        }
+        assert!(run_named("Nope", &cluster, &q).is_err());
     }
 
     #[test]
@@ -836,14 +540,12 @@ mod tests {
         let (forest, placement) = star_cluster(50, 4);
         let cluster = Cluster::new(&forest, &placement, NetworkModel::wan());
         let q = compile(&parse_query("[//goal]").unwrap());
-        let cx = PlanContext::new(&cluster, &q);
-        let explain = Planner::standard().explain(&cx);
+        let explain = choose(&Strategy::ALL, &PlanContext::new(&cluster, &q));
         assert_eq!(explain.entries.len(), 5);
         assert!(explain
             .entries
             .windows(2)
             .all(|w| w[0].estimate.modeled_s <= w[1].estimate.modeled_s));
-        assert_eq!(explain.entries.iter().filter(|e| e.chosen).count(), 1);
         assert_eq!(
             explain.chosen().strategy,
             explain.entries[0].strategy,
@@ -851,6 +553,24 @@ mod tests {
         );
         let rendered = format!("{explain}");
         assert!(rendered.contains("ParBoX") && rendered.contains("modeled (s)"));
+        assert_eq!(rendered.matches('→').count(), 1, "one winner marked");
+        // One fragment: ParBoX and FullDistParBoX charge the same
+        // evaluation and solve, and the earlier-listed one wins.
+        let whole = Forest::from_tree(xmlish(5));
+        let local = Placement::single_site(&whole);
+        let cluster = Cluster::new(&whole, &local, NetworkModel::lan());
+        let cx = PlanContext::new(&cluster, &q);
+        for pair in [
+            [Strategy::ParBoX, Strategy::FullDistParBoX],
+            [Strategy::FullDistParBoX, Strategy::ParBoX],
+        ] {
+            let tied = choose(&pair, &cx);
+            assert_eq!(
+                tied.entries[0].estimate.modeled_s,
+                tied.entries[1].estimate.modeled_s
+            );
+            assert_eq!(tied.chosen().strategy, pair[0]);
+        }
     }
 
     #[test]
@@ -871,9 +591,9 @@ mod tests {
         let cluster = Cluster::new(&forest, &placement, NetworkModel::lan());
         let q = compile(&parse_query("[//bottom]").unwrap());
         let mut cx = PlanContext::new(&cluster, &q);
-        let pessimistic = LazyExec.estimate(&cx);
+        let pessimistic = Strategy::LazyParBoX.estimate(&cx);
         cx.resolve_depth_hint = Some(0);
-        let shallow = LazyExec.estimate(&cx);
+        let shallow = Strategy::LazyParBoX.estimate(&cx);
         assert!(shallow.visits < pessimistic.visits);
         assert!(shallow.modeled_s < pessimistic.modeled_s);
         assert!(shallow.traffic_bytes < pessimistic.traffic_bytes);
@@ -889,15 +609,14 @@ mod tests {
         let cluster = Cluster::new(&forest, &placement, NetworkModel::lan());
         for src in ["[//goal]", "[//a and //b]", "[//nope]", "[not //goal]"] {
             let q = compile(&parse_query(src).unwrap());
-            let cx = PlanContext::new(&cluster, &q);
-            let planner = Planner::standard();
-            let chosen = planner.choose(&cx).execute(&cluster, &q);
-            for exec in planner.executors() {
+            let chosen = plan_run(&cluster, &q);
+            for s in Strategy::ALL {
+                assert_eq!(Strategy::from_name(s.name()), Some(s), "one name table");
                 assert_eq!(
-                    exec.execute(&cluster, &q).answer,
+                    s.run(&cluster, &q).answer,
                     chosen.answer,
                     "{} disagrees on {src}",
-                    exec.name()
+                    s.name()
                 );
             }
         }

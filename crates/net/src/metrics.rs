@@ -61,32 +61,39 @@ pub struct SiteReport {
     pub compute_s: f64,
 }
 
-/// A strategy's *predicted* cost, in the same units the [`RunReport`]
-/// accounting later measures: an executor's `estimate` fills one of
-/// these from `ForestStats`-style aggregates before any site is
-/// contacted, and tests assert estimate-vs-actual agreement (visit and
-/// message counts exactly; traffic within the bound documented on the
-/// estimator).
+/// The totals of a [`RunReport`] that the planner compares strategies
+/// by. A strategy's estimate is these totals of its own schedule run
+/// over sizes predicted from `ForestStats` ([`CostEstimate::of`] a
+/// report no site contributed to), so every field is scored against the
+/// same field of the measured report: the counts and work units match
+/// it exactly, the bytes and modeled seconds differ only by the
+/// predicted open-triplet bytes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct CostEstimate {
-    /// Predicted total site visits (the sum over sites of per-site
-    /// visits — compare with [`RunReport::total_visits`]).
+    /// Total site visits ([`RunReport::total_visits`]).
     pub visits: usize,
-    /// Predicted total messages (compare with
-    /// [`RunReport::total_messages`]).
+    /// Total messages ([`RunReport::total_messages`]).
     pub messages: usize,
-    /// Predicted total traffic in bytes (compare with
-    /// [`RunReport::total_bytes`]).
+    /// Total traffic in bytes ([`RunReport::total_bytes`]).
     pub traffic_bytes: usize,
-    /// Predicted sequential communication rounds (latency-bearing
-    /// phases that cannot overlap).
-    pub rounds: usize,
-    /// Predicted computation in work units (node × sub-query
-    /// evaluations — compare with [`RunReport::total_work`]).
+    /// Computation in work units, node × sub-query evaluations
+    /// ([`RunReport::total_work`]).
     pub work_units: u64,
-    /// Predicted modeled elapsed seconds (compare with
-    /// [`RunReport::elapsed_model_s`]).
+    /// Modeled elapsed seconds ([`RunReport::elapsed_model_s`]).
     pub modeled_s: f64,
+}
+
+impl CostEstimate {
+    /// The totals of `report`.
+    pub fn of(report: &RunReport) -> CostEstimate {
+        CostEstimate {
+            visits: report.total_visits(),
+            messages: report.total_messages(),
+            traffic_bytes: report.total_bytes(),
+            work_units: report.total_work(),
+            modeled_s: report.elapsed_model_s,
+        }
+    }
 }
 
 /// What the planner decided for a run: the chosen strategy and its

@@ -15,10 +15,9 @@
 //! ```
 
 use parbox::core::{
-    centralized_eval, count_centralized, full_dist_parbox, lazy_parbox, naive_centralized,
-    naive_distributed, parbox, select_centralized, sum_centralized,
+    centralized_eval, count_centralized, parbox, select_centralized, sum_centralized,
 };
-use parbox::core::{Engine, EngineConfig, PlanContext, Planner};
+use parbox::core::{choose, run_named, Engine, EngineConfig, PlanContext, Strategy};
 use parbox::frag::{strategies, Forest, Placement};
 use parbox::net::{Cluster, FaultPlan, NetworkModel, SupervisorConfig};
 use parbox::query::{compile, compile_batch, compile_selection, normalize, parse_query};
@@ -76,7 +75,7 @@ Fault spec: comma-separated kind:rate pairs, e.g. --fault-plan panic:0.01,wedge:
             (kinds: panic wedge delay drop crash, each once; panic+wedge+delay+drop <= 1;
             chaos runs print restart/retry counters)
 Query syntax (XBL): [//stock[code/text() = \"GOOG\" and sell/text() = \"376\"]]
-Strategies: ParBoX NaiveCentralized NaiveDistributed FullDistParBoX LazyParBoX
+Strategies: ParBoX NaiveCentralized NaiveDistributed FullDistParBoX LazyParBoX HybridParBoX
             auto — the cost-based planner picks per query (see `explain`)
 (--algo remains an alias of --strategy.)
 ";
@@ -239,30 +238,20 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         "strategy", "answer", "max visits", "traffic (B)", "work units", "modeled (s)"
     );
     let names: Vec<&str> = if strategy == "all" {
-        vec![
-            "ParBoX",
-            "NaiveCentralized",
-            "NaiveDistributed",
-            "auto",
-            "FullDistParBoX",
-            "LazyParBoX",
-        ]
+        Strategy::ALL
+            .iter()
+            .map(|s| s.name())
+            .chain(["auto"])
+            .collect()
     } else {
         vec![strategy.as_str()]
     };
     for name in names {
-        let out = match name {
-            "ParBoX" => parbox(&cluster, &q),
-            "NaiveCentralized" => naive_centralized(&cluster, &q),
-            "NaiveDistributed" => naive_distributed(&cluster, &q),
-            "FullDistParBoX" => full_dist_parbox(&cluster, &q),
-            "LazyParBoX" => lazy_parbox(&cluster, &q),
-            "auto" | "Auto" => parbox::core::plan_run(&cluster, &q),
-            "HybridParBoX" => parbox::core::hybrid_parbox(&cluster, &q),
-            other => return Err(format!("unknown strategy {other:?}")),
-        };
+        let out = run_named(name, &cluster, &q)?;
         let label = match &out.report.planned {
-            Some(p) if name == "auto" || name == "Auto" => format!("auto→{}", p.strategy),
+            // The standard planner's run carries its winner's label;
+            // HybridParBoX labels its branch.
+            Some(p) if p.strategy == out.algorithm => format!("auto→{}", p.strategy),
             _ => out.algorithm.to_string(),
         };
         println!(
@@ -275,17 +264,15 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             out.report.elapsed_model_s
         );
         if let Some(p) = &out.report.planned {
-            if name == "auto" || name == "Auto" {
-                println!(
-                    "  planner: chose {} of {} candidates (predicted {} visits, {} msgs, {} B, {:.6}s)",
-                    p.strategy,
-                    p.candidates,
-                    p.estimate.visits,
-                    p.estimate.messages,
-                    p.estimate.traffic_bytes,
-                    p.estimate.modeled_s
-                );
-            }
+            println!(
+                "  planner: chose {} of {} candidates (predicted {} visits, {} msgs, {} B, {:.6}s)",
+                p.strategy,
+                p.candidates,
+                p.estimate.visits,
+                p.estimate.messages,
+                p.estimate.traffic_bytes,
+                p.estimate.modeled_s
+            );
         }
         if out.answer != expected {
             return Err(format!("{name} disagreed with the centralized answer!"));
@@ -308,9 +295,7 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
     let q = compile(&parse_arg_query(src)?);
     let cluster =
         Cluster::try_new(&forest, &placement, model).map_err(|e| format!("deploying: {e}"))?;
-    let cx = PlanContext::new(&cluster, &q);
-    let planner = Planner::standard();
-    let choice = planner.choose(&cx);
+    let plan = choose(&Strategy::ALL, &PlanContext::new(&cluster, &q));
     println!(
         "{} fragments over {} site(s), |QList| = {}, network {}: candidate estimates",
         cluster.forest_stats.card(),
@@ -318,10 +303,11 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
         q.len(),
         flag(args, "--network").unwrap_or_else(|| "lan".into()),
     );
-    print!("{}", choice.explain);
+    print!("{plan}");
     println!(
         "planner chooses {} (predicted {:.6}s modeled time)",
-        choice.summary.strategy, choice.summary.estimate.modeled_s
+        plan.chosen().strategy.name(),
+        plan.chosen().estimate.modeled_s
     );
     Ok(())
 }

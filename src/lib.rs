@@ -77,7 +77,7 @@ pub mod prelude {
         centralized_eval, count_distributed, full_dist_parbox, hybrid_parbox, lazy_parbox,
         naive_centralized, naive_distributed, parbox, plan_run, select_distributed,
         sum_distributed, Completeness, CostEstimate, Engine, EngineConfig, EvalOutcome,
-        PlanContext, Planner, QueryOutcome, RoundOutcome, Update,
+        PlanContext, QueryOutcome, RoundOutcome, Strategy, Update,
     };
     pub use parbox_frag::{Forest, ForestStats, Placement};
     pub use parbox_net::{Cluster, NetworkModel, SiteId};

@@ -1,16 +1,16 @@
 //! Cost-based planner: equivalence and estimate-accuracy properties.
 //!
-//! The ISSUE acceptance property: for every generated cluster / query /
-//! network-model triple, the strategy the planner chooses returns an
-//! answer identical to *all* fixed executors (and to the centralized
-//! oracle); and the planner's `CostEstimate` matches the measured
-//! `RunReport` — visit and message counts exactly for the
-//! deterministic strategies, traffic within the documented factor.
+//! For every generated cluster / query / network-model triple, the
+//! strategy the planner chooses returns an answer identical to *all*
+//! fixed strategies (and to the centralized oracle); and each
+//! strategy's `CostEstimate` matches its measured `RunReport` — visit,
+//! message and work counts exactly, traffic within the documented
+//! factor, and on a free network the modeled seconds too.
 
-use parbox::core::plan::TRAFFIC_ESTIMATE_FACTOR;
-use parbox::core::{centralized_eval, plan_run, PlanContext, Planner};
+use parbox::core::plan::{measure_resolution_depth, TRAFFIC_ESTIMATE_FACTOR};
+use parbox::core::{centralized_eval, choose, plan_run, CostEstimate, PlanContext, Strategy};
 use parbox::frag::Placement;
-use parbox::net::Cluster;
+use parbox::net::{Cluster, NetworkModel};
 use parbox::query::compile;
 use proptest::prelude::*;
 
@@ -20,7 +20,7 @@ use common::{fragment_randomly, network_models, query_strategy, tree_strategy};
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Planner-chosen execution agrees with every fixed executor and
+    /// Planner-chosen execution agrees with every fixed strategy and
     /// the centralized oracle, under every network model.
     #[test]
     fn planned_answer_equals_all_fixed_executors(
@@ -35,9 +35,7 @@ proptest! {
         let placement = Placement::round_robin(&forest, 3);
         let cluster = Cluster::new(&forest, &placement, model);
         let q = compile(&query);
-        let cx = PlanContext::new(&cluster, &q);
-        let planner = Planner::standard();
-        let chosen = planner.choose(&cx).execute(&cluster, &q);
+        let chosen = choose(&Strategy::ALL, &PlanContext::new(&cluster, &q)).run(&cluster, &q);
         prop_assert_eq!(
             chosen.answer, expected,
             "planned {} vs centralized on {} under {}",
@@ -46,18 +44,20 @@ proptest! {
         let planned = chosen.report.planned.as_ref().expect("summary recorded");
         prop_assert_eq!(planned.candidates, 5);
         prop_assert_eq!(planned.strategy.as_str(), chosen.algorithm);
-        for exec in planner.executors() {
+        for s in Strategy::ALL {
             prop_assert_eq!(
-                exec.execute(&cluster, &q).answer, expected,
-                "{} vs centralized on {} under {}", exec.name(), &query, model_name
+                s.run(&cluster, &q).answer, expected,
+                "{} vs centralized on {} under {}", s.name(), &query, model_name
             );
         }
     }
 
-    /// Estimate-vs-measured agreement on arbitrary deterministic
-    /// workloads: visits, messages and work units are predicted exactly
-    /// for ParBoX, FullDistParBoX and both naive baselines; total
-    /// traffic stays within the documented factor.
+    /// Estimate-vs-measured agreement on arbitrary workloads, for all
+    /// five strategies (LazyParBoX planned at its measured resolution
+    /// depth): visits, messages and work units exactly; total traffic
+    /// within the documented factor; and on a free network
+    /// (`NetworkModel::infinite`), where only work is charged, the
+    /// modeled seconds.
     #[test]
     fn estimates_match_measured_reports(
         tree in tree_strategy(),
@@ -69,27 +69,30 @@ proptest! {
         let forest = fragment_randomly(tree, &cuts);
         let placement = Placement::round_robin(&forest, 3);
         let cluster = Cluster::new(&forest, &placement, model);
+        let free = Cluster::new(&forest, &placement, NetworkModel::infinite());
         let q = compile(&query);
-        let cx = PlanContext::new(&cluster, &q);
-        for exec in Planner::standard().executors() {
-            let deterministic = matches!(
-                exec.name(),
-                "ParBoX" | "NaiveCentralized" | "NaiveDistributed" | "FullDistParBoX"
-            );
-            if !deterministic {
-                continue;
-            }
-            let est = exec.estimate(&cx);
-            let out = exec.execute(&cluster, &q);
-            prop_assert_eq!(est.visits, out.report.total_visits(), "{} visits", exec.name());
-            prop_assert_eq!(est.messages, out.report.total_messages(), "{} messages", exec.name());
-            prop_assert_eq!(est.work_units, out.report.total_work(), "{} work", exec.name());
-            let measured = out.report.total_bytes();
+        let depth = measure_resolution_depth(&cluster, &q);
+        let mut cx = PlanContext::new(&cluster, &q);
+        cx.resolve_depth_hint = Some(depth);
+        let mut free_cx = PlanContext::new(&free, &q);
+        free_cx.resolve_depth_hint = Some(depth);
+        for s in Strategy::ALL {
+            let est = s.estimate(&cx);
+            let measured = CostEstimate::of(&s.run(&cluster, &q).report);
+            prop_assert_eq!(est.visits, measured.visits, "{} visits", s.name());
+            prop_assert_eq!(est.messages, measured.messages, "{} messages", s.name());
+            prop_assert_eq!(est.work_units, measured.work_units, "{} work", s.name());
             prop_assert!(
-                est.traffic_bytes <= measured.max(1) * TRAFFIC_ESTIMATE_FACTOR
-                    && measured <= est.traffic_bytes.max(1) * TRAFFIC_ESTIMATE_FACTOR,
+                est.traffic_bytes <= measured.traffic_bytes.max(1) * TRAFFIC_ESTIMATE_FACTOR
+                    && measured.traffic_bytes <= est.traffic_bytes.max(1) * TRAFFIC_ESTIMATE_FACTOR,
                 "{}: traffic {} vs measured {} on {}",
-                exec.name(), est.traffic_bytes, measured, &query
+                s.name(), est.traffic_bytes, measured.traffic_bytes, &query
+            );
+            let (est, charged) = (s.estimate(&free_cx), s.run(&free, &q).report);
+            prop_assert!(
+                (est.modeled_s - charged.elapsed_model_s).abs() < 1e-12,
+                "{}: modeled {} vs charged {} on {}",
+                s.name(), est.modeled_s, charged.elapsed_model_s, &query
             );
         }
     }
