@@ -5,8 +5,8 @@ use crate::builders::{ft1, ft2_chain, ft3, single_site_split, Scale};
 use crate::table::Row;
 use parbox_core::plan::{measure_resolution_depth, TRAFFIC_ESTIMATE_FACTOR};
 use parbox_core::{
-    choose, naive_centralized, parbox, run_named, CostEstimate, Engine, EngineConfig, EvalOutcome,
-    PlanContext, Strategy, Update,
+    choose, hybrid_parbox, naive_centralized, parbox, run_named, CostEstimate, Engine,
+    EngineConfig, PlanContext, Strategy, Update,
 };
 use parbox_frag::{Forest, Placement};
 use parbox_net::{Cluster, NetworkModel};
@@ -22,15 +22,6 @@ fn compile_str(src: &str) -> CompiledQuery {
     parbox_query::compile(&parbox_query::parse_query(src).expect("valid query"))
 }
 
-/// Runs one algorithm by name over a cluster ([`run_named`]): a fixed
-/// strategy, `"HybridParBoX"` or `"Auto"`.
-///
-/// # Panics
-/// Panics on an unknown name.
-pub fn run_algorithm(name: &str, cluster: &Cluster<'_>, q: &CompiledQuery) -> EvalOutcome {
-    run_named(name, cluster, q).unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// **Experiment 1 / Fig. 7**: ParBoX vs NaiveCentralized on FT1, sweeping
 /// 1→`max_machines` machines with a constant-size corpus, `|QList| = 8`.
 pub fn experiment1_fig7(scale: Scale, max_machines: usize) -> Vec<Row> {
@@ -39,9 +30,8 @@ pub fn experiment1_fig7(scale: Scale, max_machines: usize) -> Vec<Row> {
     for n in 1..=max_machines {
         let (forest, placement) = ft1(scale, n);
         let cluster = Cluster::new(&forest, &placement, NetworkModel::lan());
-        for algo in ["ParBoX", "NaiveCentralized"] {
-            let out = run_algorithm(algo, &cluster, &q);
-            rows.push(Row::from_outcome(n as f64, algo, &out));
+        for s in [Strategy::ParBoX, Strategy::NaiveCentralized] {
+            rows.push(Row::from_outcome(n as f64, s.name(), &s.run(&cluster, &q)));
         }
     }
     rows
@@ -87,10 +77,14 @@ pub fn experiment2(scale: Scale, max_machines: usize, target: Target) -> Vec<Row
             Target::Middle => n / 2,
         };
         let q = compile_str(&marker_query(&FragmentId(idx as u32).to_string()));
-        for algo in ["ParBoX", "FullDistParBoX", "LazyParBoX"] {
-            let out = run_algorithm(algo, &cluster, &q);
+        for s in [
+            Strategy::ParBoX,
+            Strategy::FullDistParBoX,
+            Strategy::LazyParBoX,
+        ] {
+            let out = s.run(&cluster, &q);
             assert!(out.answer, "marker query must hold at iteration {n}");
-            rows.push(Row::from_outcome(n as f64, algo, &out));
+            rows.push(Row::from_outcome(n as f64, s.name(), &out));
         }
     }
     rows
@@ -162,7 +156,7 @@ pub fn fig4_table(scale: Scale, machines: usize) -> Vec<Fig4Row> {
     ]
     .into_iter()
     .map(|algo| {
-        let out = run_algorithm(algo, &cluster, &q);
+        let out = run_named(algo, &cluster, &q).expect("Fig. 4 lists known algorithms");
         Fig4Row {
             algorithm: algo,
             max_visits: out.report.max_visits(),
@@ -489,7 +483,7 @@ pub fn sec4_hybrid_ablation(scale: Scale, steps: &[usize]) -> Vec<Row> {
         }
         let placement = Placement::one_per_fragment(&forest);
         let cluster = Cluster::new(&forest, &placement, NetworkModel::lan());
-        let hybrid = run_algorithm("HybridParBoX", &cluster, &q);
+        let hybrid = hybrid_parbox(&cluster, &q);
         rows.push(Row::from_outcome(n as f64, hybrid.algorithm, &hybrid));
         let pb = parbox(&cluster, &q);
         rows.push(Row::from_outcome(n as f64, "ParBoX(forced)", &pb));
