@@ -160,6 +160,17 @@ fn bench(c: &mut Criterion) {
             black_box(rows.value(root))
         })
     });
+    // The same answer evaluated on demand, as the serving engine's
+    // member solve does: only the entries the root's `V` entry reads.
+    group.bench_function("solve_fanout_root_on_demand", |b| {
+        b.iter(|| {
+            let mut rows = KleeneRows::new();
+            for (f, triplet) in &sources {
+                rows.register(*f, triplet, Some(&proj));
+            }
+            black_box(rows.value(root))
+        })
+    });
 
     group.finish();
 }

@@ -555,8 +555,9 @@ pub struct ExpGCell {
 /// * `Complete` answers must match the oracle **always** — full
 ///   coverage, or a certain answer despite gaps (it holds under any
 ///   content of the missing fragments).
-/// * `Partial` queries have no answer: the missing fragments could flip
-///   it. They name the sites that stayed down.
+/// * `Partial` queries have no answer: three-valued (Kleene) evaluation
+///   does not decide them without the missing fragments. They name the
+///   sites that stayed down.
 ///
 /// After the stream, the plan is disarmed (injection stops; wedged or
 /// dead actors stay as the faults left them) and the stream is re-asked:

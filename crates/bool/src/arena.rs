@@ -620,7 +620,7 @@ pub(crate) fn snapshot(roots: &[FormulaId]) -> Dag {
 /// are variables read once.
 pub(crate) fn fold<T: Copy>(
     roots: &[FormulaId],
-    leaf: impl Fn(&Node) -> T,
+    mut leaf: impl FnMut(&Node) -> T,
     inner: impl Fn(&Node, &[T]) -> T,
 ) -> Vec<T> {
     let operands = |n: &'static Node| -> &'static [FormulaId] {

@@ -319,11 +319,12 @@ impl Formula {
     /// Interns nothing; the arena only folds constants, flattens,
     /// deduplicates and cancels double negation, so a formula is
     /// determined exactly when substituting the known variables folds it
-    /// to a constant.
-    pub fn kleene_all<F>(fs: &[Formula], lookup: &F) -> Vec<Option<bool>>
-    where
-        F: Fn(Var) -> Option<bool>,
-    {
+    /// to a constant. `lookup` is asked at every occurrence of a
+    /// variable, in an unspecified order.
+    pub fn kleene_all(
+        fs: &[Formula],
+        mut lookup: impl FnMut(Var) -> Option<bool>,
+    ) -> Vec<Option<bool>> {
         let roots: Vec<FormulaId> = fs.iter().map(|f| f.0).collect();
         arena::fold(
             &roots,

@@ -275,37 +275,101 @@ impl ResolvedTriplet {
     }
 }
 
-/// A Boolean equation system solved in three-valued logic, one fragment
-/// at a time, children before parents.
+/// A Boolean equation system evaluated in three-valued logic.
 ///
-/// Each solved fragment has one row of `3·w` values — `V`, then `CV`,
-/// then `DV` — where `None` marks an entry the fragments solved so far
-/// do not determine. An unsolved fragment reads as all unknown, so a
-/// determined entry holds under every content of the fragments never
-/// solved: the certain answer. Nothing is interned, and a determined
-/// entry is exactly one that [`Formula::substitute`] with the children's
-/// values would fold to a constant ([`Formula::kleene_all`]).
+/// Each fragment has one row of `3·w` values — `V`, then `CV`, then
+/// `DV` — where `None` marks an entry the fragments at hand do not
+/// determine. An absent fragment reads as all unknown, so a determined
+/// entry holds under every content of the fragments never given: the
+/// certain answer. Nothing is interned, and a determined entry is
+/// exactly one that [`Formula::substitute`] with the children's values
+/// would fold to a constant ([`Formula::kleene_all`]).
+///
+/// One solver, two access patterns. [`KleeneRows::solve`] evaluates a
+/// fragment's whole row at once, against the fragments given before
+/// it. [`KleeneRows::register`] evaluates nothing; [`KleeneRows::value`]
+/// then folds only the entries its answer reads, each at most once,
+/// against the fragments registered when it is first asked for.
 #[derive(Debug, Clone, Default)]
-pub struct KleeneRows {
-    /// Per solved fragment, where its row starts in `values` and its
-    /// width `w`.
-    rows: HashMap<FragmentId, (u32, u32), BuildHasherDefault<FxHasher>>,
-    values: Vec<Option<bool>>,
+pub struct KleeneRows<'t> {
+    rows: HashMap<FragmentId, Row<'t>, BuildHasherDefault<FxHasher>>,
+    /// Per row, `3·w` slots from its `start`: `None` until the entry is
+    /// evaluated, then its Kleene value.
+    memo: Vec<Option<Option<bool>>>,
 }
 
-impl KleeneRows {
-    /// No fragment solved yet.
+/// One fragment's row of a [`KleeneRows`].
+#[derive(Debug, Clone)]
+struct Row<'t> {
+    /// The triplet and projection the entries are read from; `None` for
+    /// a row [`KleeneRows::solve`] evaluated whole.
+    source: Option<(&'t Triplet, Option<&'t [u32]>)>,
+    /// The projection's inverse (merged sub-query id to the row's),
+    /// built when an entry with variables is first evaluated.
+    inverse: Option<Vec<u32>>,
+    start: usize,
+    width: u32,
+}
+
+impl Row<'_> {
+    /// The memo slot of entry `sub` of vector `vec`.
+    fn slot(&self, var: Var) -> usize {
+        assert!(var.sub < self.width, "{var} outside its fragment's row");
+        self.start + (var.vec as u32 * self.width + var.sub) as usize
+    }
+
+    /// The formula behind memo slot `slot` of a registered row.
+    fn formula(&self, slot: usize) -> Formula {
+        let (triplet, proj) = self.source.expect("an unevaluated entry keeps its source");
+        entry(triplet, proj, self.width as usize, slot - self.start)
+    }
+}
+
+/// Entry `ix` of the `3·width` row read from `triplet` through `proj`.
+fn entry(triplet: &Triplet, proj: Option<&[u32]>, width: usize, ix: usize) -> Formula {
+    let i = ix % width;
+    [&triplet.v, &triplet.cv, &triplet.dv][ix / width][proj.map_or(i, |p| p[i] as usize)]
+}
+
+/// The inverse of a projection into a `merged_width` program:
+/// `u32::MAX` for the merged sub-queries outside it.
+fn invert(proj: &[u32], merged_width: usize) -> Vec<u32> {
+    let mut inverse = vec![u32::MAX; merged_width];
+    for (i, &h) in proj.iter().enumerate() {
+        inverse[h as usize] = i as u32;
+    }
+    inverse
+}
+
+impl<'t> KleeneRows<'t> {
+    /// No fragment given yet.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Solves fragment `frag` from `triplet`.
-    /// With a projection, entry `i` of the row is entry `proj[i]` of the
-    /// triplet and the variables' sub-query ids are read back through
-    /// the inverse of `proj`, so a triplet computed under a merged
-    /// program answers for one member program; without one, the row is
-    /// the whole triplet. Variables read the rows of fragments solved
-    /// before (unknown when their fragment was not).
+    /// Gives fragment `frag`'s `triplet`, read through `proj` as in
+    /// [`KleeneRows::solve`], and evaluates nothing: its entries are
+    /// folded when [`KleeneRows::value`] first reads them.
+    pub fn register(&mut self, frag: FragmentId, triplet: &'t Triplet, proj: Option<&'t [u32]>) {
+        let width = proj.map_or(triplet.len(), <[u32]>::len);
+        let start = self.memo.len();
+        self.memo.resize(start + 3 * width, None);
+        let row = Row {
+            source: Some((triplet, proj)),
+            inverse: None,
+            start,
+            width: width as u32,
+        };
+        self.rows.insert(frag, row);
+    }
+
+    /// Evaluates fragment `frag`'s whole row from `triplet` and returns
+    /// it. With a projection, entry `i` of the row is entry `proj[i]` of
+    /// the triplet and the variables' sub-query ids are read back
+    /// through the inverse of `proj`, so a triplet computed under a
+    /// merged program answers for one member program; without one, the
+    /// row is the whole triplet. Variables read the rows of fragments
+    /// given before (unknown when their fragment was not).
     ///
     /// # Panics
     /// Panics if a selected entry mentions a sub-query outside `proj`:
@@ -315,44 +379,120 @@ impl KleeneRows {
         frag: FragmentId,
         triplet: &Triplet,
         proj: Option<&[u32]>,
-    ) -> &[Option<bool>] {
+    ) -> Vec<Option<bool>> {
         let width = proj.map_or(triplet.len(), <[u32]>::len);
-        let entries = [&triplet.v, &triplet.cv, &triplet.dv]
-            .into_iter()
-            .flat_map(|xs| (0..width).map(move |i| xs[proj.map_or(i, |p| p[i] as usize)]));
-        let start = self.values.len();
-        // Most rows (every leaf fragment's) are closed: no snapshot.
-        self.values
-            .extend(entries.clone().map_while(|f| f.as_const().map(Some)));
-        if self.values.len() - start < 3 * width {
-            self.values.truncate(start);
+        let entries = (0..3 * width).map(|ix| entry(triplet, proj, width, ix));
+        // Most rows (every leaf fragment's) are closed: no fold.
+        let mut row: Vec<Option<bool>> = entries
+            .clone()
+            .map_while(|f| f.as_const().map(Some))
+            .collect();
+        if row.len() < 3 * width {
             let entries: Vec<Formula> = entries.collect();
-            let row = match proj {
-                Some(proj) => {
-                    let mut inverse = vec![u32::MAX; triplet.len()];
-                    for (i, &h) in proj.iter().enumerate() {
-                        inverse[h as usize] = i as u32;
-                    }
-                    Formula::kleene_all(&entries, &|var: Var| {
-                        let sub = inverse[var.sub as usize];
-                        assert_ne!(sub, u32::MAX, "variable outside the member's closure");
-                        self.value(Var { sub, ..var })
-                    })
+            let inverse = proj.map(|p| invert(p, triplet.len()));
+            let mut pending = Vec::new();
+            row = loop {
+                let row = self.fold(&entries, inverse.as_deref(), &mut pending);
+                if pending.is_empty() || row.iter().all(Option::is_some) {
+                    break row;
                 }
-                None => Formula::kleene_all(&entries, &|var| self.value(var)),
+                self.settle(std::mem::take(&mut pending));
             };
-            self.values.extend(row);
         }
-        self.rows.insert(frag, (start as u32, width as u32));
-        &self.values[start..]
+        let start = self.memo.len();
+        self.memo.extend(row.iter().map(|&v| Some(v)));
+        let row_of = Row {
+            source: None,
+            inverse: None,
+            start,
+            width: width as u32,
+        };
+        self.rows.insert(frag, row_of);
+        row
     }
 
-    /// The value of `var`: `None` when its fragment was not solved or
-    /// does not determine the entry.
-    pub fn value(&self, var: Var) -> Option<bool> {
-        let &(start, width) = self.rows.get(&var.frag)?;
-        assert!(var.sub < width, "{var} outside its fragment's row");
-        self.values[(start + var.vec as u32 * width + var.sub) as usize]
+    /// The value of `var`: `None` when its fragment was not given or
+    /// does not determine the entry. Evaluates the entry, and every
+    /// entry it reads, the first time it is asked for.
+    pub fn value(&mut self, var: Var) -> Option<bool> {
+        let slot = self.rows.get(&var.frag)?.slot(var);
+        if self.memo[slot].is_none() {
+            self.settle(vec![(var.frag, slot)]);
+        }
+        self.memo[slot].expect("settled above")
+    }
+
+    /// Evaluates the `stack`'s entries, each after the unevaluated
+    /// entries it reads: an explicit stack, so a long chain of
+    /// fragments cannot overflow the call stack. Variables point into
+    /// sub-fragments, so an entry is folded at most twice — once to
+    /// find what it reads, once to read it. Kleene logic is monotone: a
+    /// value decided with the unevaluated entries unknown is final, and
+    /// those entries stay unevaluated.
+    fn settle(&mut self, mut stack: Vec<(FragmentId, usize)>) {
+        let mut pending = Vec::new();
+        while let Some(&(frag, slot)) = stack.last() {
+            if self.memo[slot].is_some() {
+                stack.pop();
+                continue;
+            }
+            let row = self
+                .rows
+                .get_mut(&frag)
+                .expect("only given rows are pending");
+            let formula = row.formula(slot);
+            // Lent out for the fold, which reads only sub-fragments' rows.
+            let inverse = match (row.inverse.take(), row.source) {
+                (None, Some((triplet, Some(proj)))) => Some(invert(proj, triplet.len())),
+                (inverse, _) => inverse,
+            };
+            let value = self.fold(&[formula], inverse.as_deref(), &mut pending)[0];
+            self.rows.get_mut(&frag).expect("given above").inverse = inverse;
+            if pending.is_empty() || value.is_some() {
+                self.memo[slot] = Some(value);
+                pending.clear();
+                stack.pop();
+            } else {
+                stack.append(&mut pending);
+            }
+        }
+    }
+
+    /// Kleene-folds `entries` of one row. A variable reads the entry of
+    /// its fragment's row that it names, its sub-query id mapped through
+    /// `inverse` when the row is a projection; it is unknown when its
+    /// fragment was not given. An unevaluated entry that is a constant
+    /// is memoised on the spot; any other is read as unknown and pushed
+    /// to `pending`, for the caller to evaluate and fold again if that
+    /// unknown left an entry undecided.
+    fn fold(
+        &mut self,
+        entries: &[Formula],
+        inverse: Option<&[u32]>,
+        pending: &mut Vec<(FragmentId, usize)>,
+    ) -> Vec<Option<bool>> {
+        let (rows, memo) = (&self.rows, &mut self.memo);
+        Formula::kleene_all(entries, |var: Var| {
+            let sub = match inverse {
+                Some(inverse) => {
+                    let sub = inverse[var.sub as usize];
+                    assert_ne!(sub, u32::MAX, "variable outside the member's closure");
+                    sub
+                }
+                None => var.sub,
+            };
+            let row = rows.get(&var.frag)?;
+            let slot = row.slot(Var { sub, ..var });
+            if let Some(value) = memo[slot] {
+                return value;
+            }
+            let value = row.formula(slot).as_const();
+            match value {
+                Some(_) => memo[slot] = Some(value),
+                None => pending.push((var.frag, slot)),
+            }
+            value
+        })
     }
 }
 
@@ -437,7 +577,7 @@ impl EquationSystem {
                 .get(&frag)
                 .ok_or(SolveError::MissingFragment(frag))?;
             let row = rows.solve(frag, triplet, None);
-            let values: Option<Vec<bool>> = row.iter().copied().collect();
+            let values: Option<Vec<bool>> = row.into_iter().collect();
             let mut values = values.ok_or(SolveError::NotBottomUp(frag))?;
             let w = triplet.len();
             let dv = values.split_off(2 * w);
@@ -533,6 +673,71 @@ mod tests {
         assert!(solved[&fid(0)].v[0], "query answer should be true");
         assert!(solved[&fid(1)].dv[0]);
         assert!(!solved[&fid(3)].dv[0]);
+    }
+
+    #[test]
+    fn value_evaluates_only_what_its_entry_reads() {
+        // F0's V[0] = x0@F1 ∨ x1@F1. F1's V[0] is true, so F1's V[1]
+        // (which reads F2) and everything of F2 stay unevaluated.
+        let var = |frag, sub| Formula::var(Var::new(fid(frag), VecKind::V, sub));
+        let mut f0 = Triplet::all_false(2);
+        f0.v[0] = Formula::or(var(1, 0), var(1, 1));
+        f0.v[1] = var(1, 1);
+        let mut f1 = Triplet::all_false(2);
+        f1.v[0] = Formula::TRUE;
+        f1.v[1] = Formula::not(var(2, 0));
+        let f2 = Triplet::all_false(2);
+        let mut rows = KleeneRows::new();
+        for (f, t) in [(2, &f2), (1, &f1), (0, &f0)] {
+            rows.register(fid(f), t, None);
+        }
+        assert!(
+            rows.memo.iter().all(Option::is_none),
+            "registering folds nothing"
+        );
+        assert_eq!(rows.value(Var::new(fid(0), VecKind::V, 0)), Some(true));
+        assert_eq!(rows.memo.iter().filter(|m| m.is_some()).count(), 2);
+        // F0's V[1] reads through F1's V[1] down to F2.
+        assert_eq!(rows.value(Var::new(fid(0), VecKind::V, 1)), Some(true));
+        assert_eq!(rows.memo.iter().filter(|m| m.is_some()).count(), 5);
+        // An entry of a fragment never given is unknown.
+        assert_eq!(rows.value(Var::new(fid(9), VecKind::V, 0)), None);
+    }
+
+    #[test]
+    fn value_reads_a_long_chain_without_recursing() {
+        // F_k's V[0] = x0@F_{k+1}; the last fragment's is true.
+        let n = 50_000;
+        let triplets: Vec<Triplet> = (0..n)
+            .map(|k| {
+                let mut t = Triplet::all_false(1);
+                t.v[0] = match k + 1 < n {
+                    true => Formula::var(Var::new(fid(k + 1), VecKind::V, 0)),
+                    false => Formula::TRUE,
+                };
+                t
+            })
+            .collect();
+        let mut rows = KleeneRows::new();
+        for (k, t) in triplets.iter().enumerate() {
+            rows.register(fid(k as u32), t, None);
+        }
+        assert_eq!(rows.value(Var::new(fid(0), VecKind::V, 0)), Some(true));
+    }
+
+    #[test]
+    #[should_panic(expected = "variable outside the member's closure")]
+    fn a_projection_must_cover_what_its_entries_read() {
+        // Member entry 0 is merged entry 0, which reads merged sub-query
+        // 1 of F1: outside the projection [0].
+        let mut f0 = Triplet::all_false(2);
+        f0.v[0] = Formula::var(Var::new(fid(1), VecKind::V, 1));
+        let f1 = Triplet::all_false(2);
+        let proj = [0];
+        let mut rows = KleeneRows::new();
+        rows.register(fid(1), &f1, Some(&proj));
+        rows.register(fid(0), &f0, Some(&proj));
+        rows.value(Var::new(fid(0), VecKind::V, 0));
     }
 
     #[test]

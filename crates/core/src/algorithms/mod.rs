@@ -101,14 +101,12 @@ pub fn batch_query_wire_size(batch: &QueryBatch) -> usize {
 /// Wire size of a *resolved* (constant) triplet, in the same DAG format
 /// every other triplet message is accounted in (mixing formats would
 /// skew cross-algorithm traffic comparisons): a worst-case two-entry
-/// constant node table plus three rows of `width` node references.
+/// constant node table (count, `false`, `true`: 3 bytes) plus three
+/// rows of a varint width and `width` one-byte node references.
 pub fn resolved_triplet_wire_size(width: usize) -> usize {
-    let mut t = Triplet::all_false(width);
-    if width > 0 {
-        // Force both constants into the table (the worst case).
-        t.v[0] = parbox_bool::Formula::TRUE;
-    }
-    triplet_dag_wire_size(&t)
+    let varint_len = (usize::BITS - width.leading_zeros()).div_ceil(7).max(1) as usize;
+    let table = if width == 0 { 1 } else { 3 };
+    table + 3 * (varint_len + width)
 }
 
 /// Extracts the final answer from the root fragment's resolved `V`
@@ -123,12 +121,14 @@ pub(crate) fn answer_from_resolved(
 }
 
 /// The certain answer of the root sub-query `root_sub` from the
-/// triplets at hand: one three-valued pass ([`KleeneRows`]) over the
-/// source tree, children first, with every fragment `triplet_of` has
-/// no triplet for unknown. `Some` when the answer holds under every
-/// content of those fragments; `None` when they could flip it.
-/// A triplet may come with a projection, to read one member of the
-/// merged program it was computed under ([`KleeneRows::solve`]).
+/// triplets at hand: the root fragment's `V` entry in three-valued
+/// logic ([`KleeneRows`]), with every fragment `triplet_of` has no
+/// triplet for unknown. Only the entries that answer reads are
+/// evaluated. `Some` when three-valued (Kleene) evaluation decides the
+/// answer, which then holds under every content of those fragments;
+/// `None` when it does not. A triplet may come with a projection, to
+/// read one member of the merged program it was computed under
+/// ([`KleeneRows::solve`]).
 pub(crate) fn certain_answer<'t>(
     st: &ForestStats,
     root_sub: SubId,
@@ -137,7 +137,7 @@ pub(crate) fn certain_answer<'t>(
     let mut rows = KleeneRows::new();
     for &f in st.postorder() {
         if let Some((triplet, proj)) = triplet_of(f) {
-            rows.solve(f, triplet, proj);
+            rows.register(f, triplet, proj);
         }
     }
     rows.value(Var::new(st.root(), VecKind::V, root_sub))
@@ -146,7 +146,101 @@ pub(crate) fn certain_answer<'t>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parbox_query::{compile, parse_query};
+    use crate::eval::{bottom_up, centralized_eval};
+    use parbox_frag::{strategies, Forest, Placement};
+    use parbox_net::NetworkModel;
+    use parbox_query::{compile, merge_programs, parse_query};
+    use parbox_xml::{NodeId, Tree};
+    use proptest::prelude::*;
+
+    const LABELS: [&str; 5] = ["a", "b", "c", "d", "e"];
+    const QUERIES: [&str; 8] = [
+        "[//a]",
+        "[//b and //c]",
+        "[//a and not //b]",
+        "[not(//d)]",
+        "[//a[b]]",
+        "[//c[d/text() = \"x\"]]",
+        "[//b or not //b]",
+        "[not(//a[e] or //c)]",
+    ];
+
+    /// A tree from a preorder `(depth, label, text)` script.
+    fn tree_strategy() -> impl Strategy<Value = Tree> {
+        let row = (0usize..5, 0usize..LABELS.len(), proptest::bool::ANY);
+        proptest::collection::vec(row, 1..60).prop_map(|rows| {
+            let mut tree = Tree::new("r");
+            let mut stack: Vec<(usize, NodeId)> = vec![(0, tree.root())];
+            for (depth, label, text) in rows {
+                while stack.len() > 1 && stack.last().unwrap().0 > depth {
+                    stack.pop();
+                }
+                let parent = stack.last().unwrap().1;
+                let node = tree.add_child(parent, LABELS[label]);
+                if text {
+                    tree.set_text(node, "x");
+                }
+                stack.push((stack.last().unwrap().0 + 1, node));
+            }
+            tree
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The member solve evaluates only the root's `V` entry and what
+        /// it reads; it must equal that entry of rows evaluated whole,
+        /// children first, unknowns included.
+        #[test]
+        fn certain_answer_equals_fully_evaluated_rows(
+            tree in tree_strategy(),
+            chain in proptest::bool::ANY,
+            links in 2usize..7,
+            picks in proptest::collection::vec(0usize..QUERIES.len(), 1..5),
+            missing in proptest::collection::vec(0u32..16, 0..4),
+        ) {
+            let whole = tree.clone();
+            let mut forest = Forest::from_tree(tree);
+            if chain {
+                // A tree too small for every link keeps the links it has.
+                let _ = strategies::chain(&mut forest, links);
+            } else {
+                let root = forest.root_fragment();
+                strategies::star(&mut forest, root).unwrap();
+            }
+            let placement = Placement::one_per_fragment(&forest);
+            let cluster = Cluster::new(&forest, &placement, NetworkModel::lan());
+            let st = &cluster.forest_stats;
+            let members: Vec<CompiledQuery> = picks
+                .iter()
+                .map(|&i| compile(&parse_query(QUERIES[i]).unwrap()))
+                .collect();
+            let merged = merge_programs(&members).merged().clone();
+            let held: HashMap<FragmentId, Triplet> = forest
+                .fragment_ids()
+                .filter(|f| !missing.contains(&f.0))
+                .map(|f| (f, bottom_up(&forest.fragment(f).tree, &merged).triplet))
+                .collect();
+            for member in &members {
+                let proj = member.embedding_into(&merged).expect("members embed");
+                let demand = certain_answer(st, member.root(), |f| {
+                    held.get(&f).map(|t| (t, Some(proj.as_slice())))
+                });
+                let mut forced = KleeneRows::new();
+                for f in st.postorder() {
+                    if let Some(t) = held.get(f) {
+                        forced.solve(*f, t, Some(&proj));
+                    }
+                }
+                let whole_rows = forced.value(Var::new(st.root(), VecKind::V, member.root()));
+                prop_assert_eq!(demand, whole_rows);
+                if held.len() == forest.card() {
+                    prop_assert_eq!(demand, Some(centralized_eval(&whole, member)));
+                }
+            }
+        }
+    }
 
     #[test]
     fn query_wire_size_tracks_qlist() {
@@ -161,9 +255,18 @@ mod tests {
         // DAG format: 3-byte constant table + three rows of (len + refs).
         assert_eq!(resolved_triplet_wire_size(8), 6 + 3 * 8);
         assert!(resolved_triplet_wire_size(23) > resolved_triplet_wire_size(2));
-        // Matches the honest encoding of an actual resolved triplet.
-        let mut t = Triplet::all_false(5);
-        t.dv[3] = parbox_bool::Formula::TRUE;
-        assert_eq!(resolved_triplet_wire_size(5), triplet_dag_wire_size(&t));
+        // Matches the honest encoding of an actual resolved triplet,
+        // across the varint width's one-, two- and three-byte forms.
+        for width in [0, 1, 5, 127, 128, 139, 16_383, 16_384] {
+            let mut t = Triplet::all_false(width);
+            if width > 0 {
+                t.dv[width - 1] = parbox_bool::Formula::TRUE;
+            }
+            assert_eq!(
+                resolved_triplet_wire_size(width),
+                triplet_dag_wire_size(&t),
+                "width {width}"
+            );
+        }
     }
 }

@@ -90,7 +90,8 @@ pub use eval::{
     IncrementalBottomUp, Propagation, RefFragmentRun, RepairRun,
 };
 pub use plan::{
-    choose, plan_run, run_named, CostEstimate, PlanContext, PlanExplain, PlanSummary, Strategy,
+    choose, plan_run, run_named, Algorithm, CostEstimate, PlanContext, PlanExplain, PlanSummary,
+    Strategy,
 };
 pub use selection::{select_centralized, select_distributed, SelectionOutcome};
 pub use serve::{

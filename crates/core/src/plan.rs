@@ -221,21 +221,47 @@ impl Strategy {
     }
 }
 
-/// Runs the algorithm called `name`: a [`Strategy::name`],
-/// `HybridParBoX` ([`hybrid_parbox`]) or `auto`/`Auto` ([`plan_run`]).
+/// An algorithm [`run_named`] knows by name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Algorithm {
+    /// The planner's choice over [`Strategy::ALL`] ([`plan_run`]):
+    /// `auto` or `Auto`.
+    Auto,
+    /// [`hybrid_parbox`]: `HybridParBoX`.
+    Hybrid,
+    /// A fixed strategy, by its [`Strategy::name`].
+    Fixed(Strategy),
+}
+
+impl Algorithm {
+    /// The algorithm called `name`.
+    pub fn from_name(name: &str) -> Result<Algorithm, String> {
+        match name {
+            "auto" | "Auto" => Ok(Algorithm::Auto),
+            "HybridParBoX" => Ok(Algorithm::Hybrid),
+            _ => Strategy::from_name(name)
+                .map(Algorithm::Fixed)
+                .ok_or_else(|| format!("unknown strategy {name:?}")),
+        }
+    }
+
+    /// Runs the algorithm.
+    pub fn run(self, cluster: &Cluster<'_>, q: &CompiledQuery) -> EvalOutcome {
+        match self {
+            Algorithm::Auto => plan_run(cluster, q),
+            Algorithm::Hybrid => hybrid_parbox(cluster, q),
+            Algorithm::Fixed(s) => s.run(cluster, q),
+        }
+    }
+}
+
+/// Runs the algorithm called `name` ([`Algorithm::from_name`]).
 pub fn run_named(
     name: &str,
     cluster: &Cluster<'_>,
     q: &CompiledQuery,
 ) -> Result<EvalOutcome, String> {
-    match name {
-        "auto" | "Auto" => Ok(plan_run(cluster, q)),
-        "HybridParBoX" => Ok(hybrid_parbox(cluster, q)),
-        _ => match Strategy::from_name(name) {
-            Some(s) => Ok(s.run(cluster, q)),
-            None => Err(format!("unknown strategy {name:?}")),
-        },
-    }
+    Ok(Algorithm::from_name(name)?.run(cluster, q))
 }
 
 /// What one serving round asks of the data plane, and the live

@@ -54,14 +54,15 @@
 //! ([`CompiledQuery::embedding_into`]) into that merged program — so a
 //! query repeated *across different batches* still hits, and one
 //! round's members share one copy of every triplet. A member is
-//! answered by **evaluating** them: one three-valued pass
-//! ([`parbox_bool::KleeneRows`]) over the fragments, children first,
-//! reading the member's entries of each merged triplet through its
-//! projection and each variable through the projection's inverse, with
-//! a fragment not gathered yet unknown. That pass is the engine's only
-//! solve: it answers a member with full coverage and decides whether a
-//! partial one is already certain. A member the fragments at hand do
-//! not determine gets no answer.
+//! answered by **evaluating** them in three-valued logic
+//! ([`parbox_bool::KleeneRows`]): the root fragment's `V` entry of the
+//! member's root sub-query, folding only the entries it reads, each
+//! read through the member's projection and each variable through the
+//! projection's inverse, with a fragment not gathered yet unknown.
+//! That solve is the engine's only one: it answers a member with full
+//! coverage and decides whether a partial one is already certain. A
+//! member that three-valued (Kleene) evaluation does not decide gets no
+//! answer.
 //!
 //! # The round pipeline
 //!
@@ -80,11 +81,13 @@
 //! decide the answer, which no earlier round predicts, so it stays a
 //! one-shot strategy ([`crate::algorithms::lazy_parbox`]). `attempt`
 //! is the certain-answer test: true, or false, under every content of
-//! the fragments that did not arrive; a member it leaves open (a site
+//! the fragments that did not arrive, as far as three-valued (Kleene)
+//! evaluation decides; a member it leaves open (a site
 //! stayed down past every supervised attempt) goes out `Partial`, with
 //! no answer. `dispatch_wave` is the only path to the data plane and
 //! owns the visit, request, retry and reseed accounting;
-//! `absorb_replies` owns compute, work, site-cache hits and envelopes;
+//! `absorb_replies` owns compute, work, site-cache hits and envelopes
+//! (each remote site sizes its own; the coordinator's is never sized);
 //! the coordinator's solves are accounted where they run, in
 //! `answer_from_cache` and `attempt`.
 
@@ -92,7 +95,7 @@ use crate::algorithms::{batch_query_wire_size, certain_answer};
 use crate::eval::{bottom_up, IncrementalBottomUp};
 use crate::plan::{compute_s, RoundDemand};
 use crate::views::{apply_update_tracked, FragmentDelta, Update, UpdateEffect, ViewError};
-use parbox_bool::{site_envelope_dag_wire_size, Triplet};
+use parbox_bool::Triplet;
 use parbox_frag::{Forest, ForestStats, FragError, Placement, SiteId};
 use parbox_net::engine::{
     DeltaMemo, EvalReply, FragmentEval, PatchFn, RepairOutcome, RepairedEval, SiteCacheStats,
@@ -165,20 +168,21 @@ impl Default for EngineConfig {
 /// Whether a ticket got an answer.
 ///
 /// Under fault injection, sites can stay down past every supervised
-/// retry. The engine then answers from what it has: if the partial
-/// triplet coverage already *determines* the answer (it holds under any
-/// content of the missing fragments — the member solve reads them as
-/// unknown), the answer is certain and reported `Complete`. When the
-/// missing fragments could change the answer there is no certain
-/// answer, and the ticket is [`Completeness::Partial`], with no answer
-/// and the sites whose fragments were unavailable. An answer is never
-/// wrong.
+/// retry. The engine then answers from what it has: the member solve
+/// reads the missing fragments as unknown, and if three-valued (Kleene)
+/// evaluation still decides the answer, it holds under any content of
+/// those fragments and is reported `Complete`. Otherwise the ticket is
+/// [`Completeness::Partial`], with no answer and the sites whose
+/// fragments were unavailable. An answer is never wrong, but a
+/// `Partial` ticket may have one answer under every completion: Kleene
+/// evaluation does not decide `[//B or not //B]` without `//B`'s
+/// fragments.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Completeness {
     /// The answer is exact — full coverage, or certain despite gaps.
     Complete,
-    /// No certain answer: the missing fragments could flip it, so the
-    /// ticket has none.
+    /// No answer: three-valued (Kleene) evaluation does not decide it
+    /// without the missing fragments, so the ticket has none.
     Partial {
         /// Sites whose fragments were unavailable, ascending, deduped.
         missing_sites: Vec<SiteId>,
@@ -967,6 +971,7 @@ impl Engine {
             &merged.program,
             merged.fp,
             per_site.into_iter().collect(),
+            Some(ledger.coordinator),
             &self.supervisor,
             &mut |site| {
                 let frags = forest_stats.fragments_at(site);
@@ -1530,8 +1535,9 @@ fn merge_active(active: Vec<Member<'_>>) -> (MergedBatch, Vec<ActiveMember<'_>>)
 }
 
 /// Absorbs a wave of site replies: records each site's compute and
-/// work, counts site-cache hits, sizes its envelope in the DAG wire
-/// format and accounts it as a message when remote. Returns the merged
+/// work, counts site-cache hits, and accounts a remote site's envelope
+/// as a message of the bytes the site sized it at (the coordinator's
+/// own reply crosses no link and is never sized). Returns the merged
 /// triplets that arrived, in reply order, with identical ones (the
 /// common case: many leaf fragments resolving to the same constants)
 /// sharing one `Arc` — hashed once here, so every cache entry that
@@ -1550,10 +1556,8 @@ fn absorb_replies(
         ledger.report.record_work(reply.site, reply.work_units);
         slowest_site = slowest_site.max(compute_s(reply.work_units));
         ledger.site_cache_hits += reply.triplets.iter().filter(|(_, _, hit)| *hit).count();
-        let entries: Vec<(FragmentId, &Triplet)> =
-            reply.triplets.iter().map(|(f, t, _)| (*f, &**t)).collect();
-        let bytes = site_envelope_dag_wire_size(&entries);
         if reply.site != ledger.coordinator {
+            let bytes = reply.envelope_bytes;
             ledger.report.record_message(
                 reply.site,
                 ledger.coordinator,
@@ -1597,6 +1601,7 @@ fn missing_sites(
 mod tests {
     use super::*;
     use crate::algorithms::parbox;
+    use parbox_bool::site_envelope_dag_wire_size;
     use parbox_net::{Cluster, FaultKind};
     use parbox_query::parse_query;
     use parbox_xml::NodeId;
@@ -1707,6 +1712,43 @@ mod tests {
         assert_eq!(second.report.bytes_of_kind(MessageKind::Triplet), 0);
         assert_eq!(second.report.bytes_of_kind(MessageKind::Envelope), 0);
         assert_eq!(second.report.max_visits(), 0, "no site contacted");
+    }
+
+    #[test]
+    fn only_remote_envelopes_count_at_the_bytes_their_sites_sized() {
+        // The coordinator owns the root fragment; one site per leaf.
+        let mut e = engine();
+        let coord = e.coordinator();
+        assert_eq!(e.forest_stats().site_of(e.forest().root_fragment()), coord);
+        let queries: Vec<Query> = ["[//A and //B]", "[//x[z/A] and not //pad]"]
+            .iter()
+            .map(|src| parse_query(src).unwrap())
+            .collect();
+        for q in &queries {
+            e.submit(q);
+        }
+        let out = e.flush().unwrap();
+        let envelopes: Vec<_> = (out.report.messages.iter())
+            .filter(|m| m.kind == MessageKind::Envelope)
+            .collect();
+        assert!(envelopes.iter().all(|m| m.from != coord && m.to == coord));
+
+        // The same merged program again: every site serves the round's
+        // cached triplets.
+        let programs: Vec<CompiledQuery> = queries.iter().map(compile).collect();
+        let merged = merge_programs(&programs).merged().clone();
+        let mut by_site: BTreeMap<SiteId, Vec<(FragmentId, Arc<Triplet>)>> = BTreeMap::new();
+        for (f, t, hit) in e.site_triplets(&merged) {
+            assert!(hit, "{f} was evaluated by the round");
+            let site = e.forest_stats().site_of(f);
+            by_site.entry(site).or_default().push((f, t));
+        }
+        assert_eq!(envelopes.len(), by_site.len() - 1, "one per remote site");
+        for m in envelopes {
+            let entries: Vec<(FragmentId, &Triplet)> =
+                by_site[&m.from].iter().map(|(f, t)| (*f, &**t)).collect();
+            assert_eq!(m.bytes, site_envelope_dag_wire_size(&entries), "{}", m.from);
+        }
     }
 
     #[test]

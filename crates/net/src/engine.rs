@@ -49,7 +49,9 @@ use crate::fault::{
 };
 use crate::metrics::FaultSummary;
 use crate::SiteId;
-use parbox_bool::{triplet_delta_dag_wire_size, Triplet, TripletDelta};
+use parbox_bool::{
+    site_envelope_dag_wire_size, triplet_delta_dag_wire_size, Triplet, TripletDelta,
+};
 use parbox_query::{merge_embedded, CompiledQuery, QueryFingerprint, SubId};
 use parbox_xml::{FragmentId, NodeId, Tree};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
@@ -128,6 +130,11 @@ pub struct EvalReply {
     /// Per requested fragment: its triplet and whether it was served from
     /// the site's cache (no `bottomUp` run).
     pub triplets: Vec<(FragmentId, Arc<Triplet>, bool)>,
+    /// Wire size of the reply's triplets as one DAG-format site envelope
+    /// ([`site_envelope_dag_wire_size`]), sized by the site in parallel
+    /// with the others; 0 from the caller's own site, whose reply never
+    /// crosses a link.
+    pub envelope_bytes: usize,
     /// Requested fragments that were **not resident** at the worker —
     /// the typed replacement for the old "fragment not resident" panic.
     /// The supervisor re-seeds these from the coordinator's
@@ -135,7 +142,8 @@ pub struct EvalReply {
     pub missing: Vec<FragmentId>,
     /// Work units actually spent (cache hits contribute none).
     pub work_units: u64,
-    /// Measured wall-clock time of the site's local work.
+    /// Measured wall-clock time of the site's evaluation (sizing the
+    /// envelope excluded).
     pub elapsed: Duration,
 }
 
@@ -169,11 +177,13 @@ pub struct SiteCacheStats {
 
 enum Request {
     /// Evaluate `program` over the listed resident fragments, consulting
-    /// the cache under `fingerprint`.
+    /// the cache under `fingerprint`, and size the reply's envelope
+    /// when it crosses a link (`size`).
     Eval {
         program: Arc<CompiledQuery>,
         fingerprint: QueryFingerprint,
         frags: Vec<FragmentId>,
+        size: bool,
         reply: mpsc::Sender<EvalReply>,
     },
     /// Install (or replace) a fragment's tree handle, dropping every
@@ -331,6 +341,7 @@ impl SiteWorker {
                     program,
                     fingerprint,
                     frags,
+                    size,
                     reply,
                 } => {
                     let start = Instant::now();
@@ -361,12 +372,21 @@ impl SiteWorker {
                         self.insert(f, fingerprint, entry);
                         triplets.push((f, t, false));
                     }
+                    let elapsed = start.elapsed();
+                    let envelope_bytes = if size {
+                        let entries: Vec<(FragmentId, &Triplet)> =
+                            triplets.iter().map(|(f, t, _)| (*f, &**t)).collect();
+                        site_envelope_dag_wire_size(&entries)
+                    } else {
+                        0
+                    };
                     let envelope = EvalReply {
                         site: self.site,
                         triplets,
+                        envelope_bytes,
                         missing,
                         work_units,
-                        elapsed: start.elapsed(),
+                        elapsed,
                     };
                     match fault {
                         Some(FaultKind::DelayReply) => {
@@ -762,14 +782,16 @@ impl SitePool {
     }
 
     /// Sends one evaluation request to `site` on a fresh per-attempt
-    /// reply channel. A send error means the actor is dead (its inbox
-    /// hung up), which only a panic can cause.
+    /// reply channel; the site sizes its envelope unless it is `local`.
+    /// A send error means the actor is dead (its inbox hung up), which
+    /// only a panic can cause.
     fn send_eval(
         &self,
         site: SiteId,
         program: &Arc<CompiledQuery>,
         fingerprint: QueryFingerprint,
         frags: &[FragmentId],
+        local: Option<SiteId>,
     ) -> Option<mpsc::Receiver<EvalReply>> {
         let (tx, rx) = mpsc::channel();
         self.sender(site)
@@ -777,6 +799,7 @@ impl SitePool {
                 program: Arc::clone(program),
                 fingerprint,
                 frags: frags.to_vec(),
+                size: local != Some(site),
                 reply: tx,
             })
             .ok()
@@ -785,9 +808,10 @@ impl SitePool {
 
     /// Fans one evaluation round out to the listed sites **in parallel**
     /// (each worker runs concurrently on its own thread) and collects all
-    /// replies, in ascending site order. This is the pre-supervision
-    /// contract — any site failure is a hard error; serving traffic goes
-    /// through [`SitePool::eval_round_supervised`] instead.
+    /// replies, in ascending site order, each with its envelope sized.
+    /// This is the pre-supervision contract — any site failure is a
+    /// hard error; serving traffic goes through
+    /// [`SitePool::eval_round_supervised`] instead.
     pub fn eval_round(
         &mut self,
         program: &Arc<CompiledQuery>,
@@ -798,6 +822,7 @@ impl SitePool {
             program,
             fingerprint,
             per_site,
+            None,
             &SupervisorConfig::strict(),
             &mut |_| Vec::new(),
         );
@@ -818,11 +843,14 @@ impl SitePool {
     /// coordinator's authoritative `Arc<Tree>` handles for a site.
     /// Sites still silent after the last attempt are returned in
     /// [`SupervisedRound::failed`] for the caller to answer around.
+    /// Every site but the caller's own (`local`) sizes its envelope
+    /// ([`EvalReply::envelope_bytes`]).
     pub fn eval_round_supervised(
         &mut self,
         program: &Arc<CompiledQuery>,
         fingerprint: QueryFingerprint,
         per_site: Vec<(SiteId, Vec<FragmentId>)>,
+        local: Option<SiteId>,
         cfg: &SupervisorConfig,
         reseed: &mut dyn FnMut(SiteId) -> Vec<(FragmentId, Arc<Tree>)>,
     ) -> SupervisedRound {
@@ -848,7 +876,7 @@ impl SitePool {
             let mut waiting = Vec::new();
             let mut next_pending: Vec<(SiteId, Vec<FragmentId>)> = Vec::new();
             for (site, frags) in pending.drain(..) {
-                let rx = match self.send_eval(site, program, fingerprint, &frags) {
+                let rx = match self.send_eval(site, program, fingerprint, &frags, local) {
                     Some(rx) => Some(rx),
                     None => {
                         down_since.entry(site.0).or_insert_with(Instant::now);
@@ -856,7 +884,7 @@ impl SitePool {
                         stats.reseeded_fragments += seed.len() as u64;
                         self.restart_site(site, seed);
                         stats.restarts += 1;
-                        self.send_eval(site, program, fingerprint, &frags)
+                        self.send_eval(site, program, fingerprint, &frags, local)
                     }
                 };
                 match rx {
@@ -1648,6 +1676,7 @@ mod tests {
             &program,
             program.fingerprint(),
             per_site,
+            None,
             &test_cfg(),
             &mut |_| Vec::new(),
         );
@@ -1655,6 +1684,36 @@ mod tests {
         assert!(out.failed.is_empty());
         assert!(!out.stats.any(), "healthy round records no fault activity");
         assert!(out.retry_visits.is_empty());
+    }
+
+    #[test]
+    fn every_site_but_the_callers_own_sizes_its_envelope() {
+        let mut pool = pool_of(3, 16);
+        let program = q();
+        let per_site: Vec<_> = (0..3).map(|s| (SiteId(s), vec![FragmentId(s)])).collect();
+        let sized = |r: &EvalReply| {
+            let entries: Vec<(FragmentId, &Triplet)> =
+                r.triplets.iter().map(|(f, t, _)| (*f, &**t)).collect();
+            site_envelope_dag_wire_size(&entries)
+        };
+        let out = pool.eval_round_supervised(
+            &program,
+            program.fingerprint(),
+            per_site.clone(),
+            Some(SiteId(1)),
+            &test_cfg(),
+            &mut |_| Vec::new(),
+        );
+        for r in &out.replies {
+            let expect = if r.site == SiteId(1) { 0 } else { sized(r) };
+            assert_eq!(r.envelope_bytes, expect, "site {}", r.site);
+        }
+        // `eval_round` sizes every reply, cache hits included.
+        for r in pool.eval_round(&program, program.fingerprint(), per_site) {
+            assert!(r.triplets.iter().all(|(_, _, hit)| *hit));
+            assert_eq!(r.envelope_bytes, sized(&r));
+            assert!(r.envelope_bytes > 0);
+        }
     }
 
     #[test]
@@ -1667,6 +1726,7 @@ mod tests {
             &program,
             program.fingerprint(),
             per_site,
+            None,
             &test_cfg(),
             &mut |s| vec![(FragmentId(s.0), site_tree(s.0))],
         );
@@ -1680,6 +1740,7 @@ mod tests {
             &program,
             program.fingerprint(),
             vec![(SiteId(0), vec![FragmentId(0)])],
+            None,
             &test_cfg(),
             &mut |_| Vec::new(),
         );
@@ -1697,6 +1758,7 @@ mod tests {
             &program,
             program.fingerprint(),
             per_site,
+            None,
             &test_cfg(),
             &mut |s| vec![(FragmentId(s.0), site_tree(s.0))],
         );
@@ -1717,6 +1779,7 @@ mod tests {
             &program,
             program.fingerprint(),
             vec![(SiteId(0), vec![FragmentId(0)])],
+            None,
             &test_cfg(),
             &mut |_| Vec::new(),
         );
@@ -1736,6 +1799,7 @@ mod tests {
             &program,
             program.fingerprint(),
             vec![(SiteId(0), vec![FragmentId(5)])],
+            None,
             &test_cfg(),
             &mut |_| vec![(FragmentId(5), Arc::clone(&tree))],
         );
@@ -1767,6 +1831,7 @@ mod tests {
             &program,
             program.fingerprint(),
             per_site,
+            None,
             &cfg,
             &mut |_| Vec::new(),
         );
@@ -1791,7 +1856,8 @@ mod tests {
         let program = q();
         // Kill both workers; no supervision, so collect nothing.
         for s in 0..2 {
-            let _ = pool.send_eval(SiteId(s), &program, program.fingerprint(), &[FragmentId(s)]);
+            let fp = program.fingerprint();
+            let _ = pool.send_eval(SiteId(s), &program, fp, &[FragmentId(s)], None);
         }
         // Give the panics a moment to land before joining.
         std::thread::sleep(Duration::from_millis(20));

@@ -409,8 +409,8 @@ pub struct SupervisorConfig {
     pub deadline: Duration,
     /// Total attempts per site per round (first try included). A site
     /// still silent after the last attempt fails the round for its
-    /// fragments, and a query they could flip goes out `Partial`, with
-    /// no answer.
+    /// fragments, and a query that three-valued (Kleene) evaluation
+    /// does not decide without them goes out `Partial`, with no answer.
     pub max_attempts: u32,
     /// Consecutive timeouts after which the actor thread is presumed
     /// wedged, torn down, restarted, and re-seeded from the

@@ -147,7 +147,8 @@ pub struct FaultSummary {
     /// (restart seeds plus missing-fragment reloads).
     pub reseeded_fragments: u64,
     /// Sites still down when every attempt was exhausted — a query
-    /// their fragments could flip goes out `Partial`, with no answer.
+    /// that three-valued (Kleene) evaluation does not decide without
+    /// their fragments goes out `Partial`, with no answer.
     pub failed_sites: u64,
     /// Per recovered site: seconds from first failure sign to the reply
     /// that ended the outage.

@@ -17,7 +17,7 @@
 use parbox::core::{
     centralized_eval, count_centralized, parbox, select_centralized, sum_centralized,
 };
-use parbox::core::{choose, run_named, Engine, EngineConfig, PlanContext, Strategy};
+use parbox::core::{choose, Algorithm, Engine, EngineConfig, PlanContext, Strategy};
 use parbox::frag::{strategies, Forest, Placement};
 use parbox::net::{Cluster, FaultPlan, NetworkModel, SupervisorConfig};
 use parbox::query::{compile, compile_batch, compile_selection, normalize, parse_query};
@@ -221,6 +221,19 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     let strategy = flag(args, "--strategy")
         .or_else(|| flag(args, "--algo"))
         .unwrap_or_else(|| "all".into());
+    let names: Vec<&str> = if strategy == "all" {
+        Strategy::ALL
+            .iter()
+            .map(|s| s.name())
+            .chain(["auto"])
+            .collect()
+    } else {
+        vec![strategy.as_str()]
+    };
+    // Every name resolves before anything is loaded or printed.
+    let algorithms = (names.into_iter())
+        .map(|name| Ok((name, Algorithm::from_name(name)?)))
+        .collect::<Result<Vec<_>, String>>()?;
 
     let (forest, placement) = deploy(file, args)?;
     let model = network_flag(args)?;
@@ -237,17 +250,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         "{:<22} {:>7} {:>11} {:>12} {:>12} {:>12}",
         "strategy", "answer", "max visits", "traffic (B)", "work units", "modeled (s)"
     );
-    let names: Vec<&str> = if strategy == "all" {
-        Strategy::ALL
-            .iter()
-            .map(|s| s.name())
-            .chain(["auto"])
-            .collect()
-    } else {
-        vec![strategy.as_str()]
-    };
-    for name in names {
-        let out = run_named(name, &cluster, &q)?;
+    for (name, algorithm) in algorithms {
+        let out = algorithm.run(&cluster, &q);
         let label = match &out.report.planned {
             // The standard planner's run carries its winner's label;
             // HybridParBoX labels its branch.
