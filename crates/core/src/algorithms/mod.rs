@@ -29,7 +29,7 @@ pub(crate) use self::lazy::lazy_schedule;
 pub use self::naive::{naive_centralized, naive_distributed};
 pub(crate) use self::naive::{naive_centralized_schedule, naive_distributed_schedule};
 pub use self::parbox_algo::parbox;
-pub(crate) use self::parbox_algo::parbox_schedule;
+pub(crate) use self::parbox_algo::{batch_schedule, parbox_schedule, ReplySize, RoundSizes};
 
 use crate::eval::FragmentRun;
 use parbox_bool::{triplet_dag_wire_size, KleeneRows, Triplet, Var, VecKind};

@@ -14,12 +14,15 @@
 //! Guarantees (Section 3.2): each site is visited exactly once; total
 //! network traffic is `O(|q| · card(F))`, independent of `|T|`; total
 //! computation is `O(|q| (|T| + card(F)))`.
+//!
+//! A serving round ([`crate::serve`]) is ParBoX batched over several
+//! queries and supervised; `batch_schedule` prices it.
 
 use crate::algorithms::{answer_from_resolved, query_wire_size, EvalOutcome, FragmentSize, Sizes};
 use crate::eval::bottom_up;
 use crate::plan::compute_s;
 use parbox_bool::EquationSystem;
-use parbox_net::{run_sites_parallel, Cluster, MessageKind, RunReport, SiteId};
+use parbox_net::{run_sites_parallel, Cluster, MessageKind, NetworkModel, RunReport, SiteId};
 use parbox_query::CompiledQuery;
 use std::time::Instant;
 
@@ -107,6 +110,102 @@ pub(crate) fn parbox_schedule(
         + compute_s(slowest_site)
         + model.shared_link_time(replies, reply_bytes)
         + compute_s(solve_work);
+    report
+}
+
+/// What a serving round's schedule prices of one site's reply.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ReplySize {
+    /// The replying site.
+    pub site: SiteId,
+    /// Work units the site spent.
+    pub work: u64,
+    /// Wire bytes of its envelope; the coordinator's own reply crosses
+    /// no link, and its bytes are never read.
+    pub envelope_bytes: usize,
+}
+
+/// The sizes a serving round is priced from: what the round measured,
+/// or what its plan predicts. Every list is in the order the round
+/// charges it.
+#[derive(Debug, Default)]
+pub(crate) struct RoundSizes {
+    /// Wire size of the merged program: the request every visited site
+    /// receives.
+    pub request_bytes: usize,
+    /// The wave: one request per site.
+    pub sites: Vec<SiteId>,
+    /// One more request per supervised retry.
+    pub retries: Vec<SiteId>,
+    /// The fragments re-seeded to a restarted site: (site, bytes).
+    pub reseeds: Vec<(SiteId, usize)>,
+    /// Every reply of the wave.
+    pub replies: Vec<ReplySize>,
+    /// Work units of each coordinator solve before the wave (members
+    /// re-solved from cached triplets)…
+    pub cache_solves: Vec<u64>,
+    /// …and of each solve after it (the members the wave served).
+    pub member_solves: Vec<u64>,
+}
+
+/// A serving round's schedule: ParBoX's, batched and supervised. The
+/// cache solves at the coordinator; the wave — a visit per site, the
+/// merged program to each remote one, each retry again, each reseed as
+/// data; each reply's work at its site and a remote site's envelope to
+/// the coordinator; then the member solves. Modeled time, in that
+/// order: the cache solves → the broadcast ∥ → each retry and reseed →
+/// the slowest reply → the envelopes over the coordinator's shared
+/// inbound link → the member solves.
+pub(crate) fn batch_schedule(coord: SiteId, model: &NetworkModel, round: &RoundSizes) -> RunReport {
+    let mut report = RunReport::new();
+    let mut modeled_s = 0.0;
+    for &work in &round.cache_solves {
+        report.record_work(coord, work);
+        modeled_s += compute_s(work);
+    }
+    let request = |report: &mut RunReport, site: SiteId| {
+        report.record_visit(site);
+        let remote = site != coord;
+        if remote {
+            report.record_message(coord, site, round.request_bytes, MessageKind::BatchQuery);
+        }
+        remote
+    };
+    let mut any_remote = false;
+    for &site in &round.sites {
+        any_remote |= request(&mut report, site);
+    }
+    if any_remote {
+        modeled_s += model.transfer_time(round.request_bytes);
+    }
+    for &site in &round.retries {
+        if request(&mut report, site) {
+            modeled_s += model.transfer_time(round.request_bytes);
+        }
+    }
+    for &(site, bytes) in &round.reseeds {
+        if site != coord && bytes > 0 {
+            report.record_message(coord, site, bytes, MessageKind::Data);
+            modeled_s += model.transfer_time(bytes);
+        }
+    }
+    let (mut slowest, mut envelopes, mut envelope_bytes) = (0.0f64, 0, 0);
+    for reply in &round.replies {
+        report.record_work(reply.site, reply.work);
+        slowest = slowest.max(compute_s(reply.work));
+        if reply.site != coord {
+            let bytes = reply.envelope_bytes;
+            report.record_message(reply.site, coord, bytes, MessageKind::Envelope);
+            envelopes += 1;
+            envelope_bytes += bytes;
+        }
+    }
+    modeled_s += slowest + model.shared_link_time(envelopes, envelope_bytes);
+    for &work in &round.member_solves {
+        report.record_work(coord, work);
+        modeled_s += compute_s(work);
+    }
+    report.elapsed_model_s = modeled_s;
     report
 }
 

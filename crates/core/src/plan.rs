@@ -46,9 +46,12 @@
 //! [`PlanContext::resolve_depth_hint`], as the `expE_planner` sweep does
 //! from [`measure_resolution_depth`].
 //!
-//! A serving round has one plan: a single wave holding every fragment
-//! some member lacks, solved once (`RoundDemand`); [`lazy_parbox`] is a
-//! one-shot strategy only (see [`crate::serve`]).
+//! A serving round ([`crate::serve`]) has one plan, priced the same
+//! way: its schedule (ParBoX's, batched) over a single wave holding
+//! every fragment some member lacks, at the sizes `predicted_size`
+//! gives, then one solve per member; the round charges what happened
+//! through that same schedule. [`lazy_parbox`] is a one-shot strategy
+//! only.
 
 use crate::algorithms::{
     certain_answer, full_dist_parbox, full_dist_schedule, hybrid_parbox, lazy_parbox,
@@ -58,12 +61,12 @@ use crate::algorithms::{
 };
 use crate::eval::bottom_up;
 use parbox_bool::Triplet;
-use parbox_frag::{ForestStats, SiteId};
-use parbox_net::{Cluster, NetworkModel};
+use parbox_frag::FragmentStats;
+use parbox_net::Cluster;
 pub use parbox_net::{CostEstimate, PlanSummary};
 use parbox_query::CompiledQuery;
 use parbox_xml::FragmentId;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 
 /// Calibrated cost of one work unit (one node × sub-query evaluation),
@@ -93,11 +96,21 @@ pub fn estimated_triplet_bytes(m: usize, fanout: usize) -> usize {
     resolved_triplet_wire_size(m) + fanout * (4 + 3 * m)
 }
 
+/// Predicted size of evaluating one fragment under a `|QList| = m`
+/// program: `nodes · m` work units, exactly what `bottomUp` performs,
+/// and [`estimated_triplet_bytes`] of reply.
+pub(crate) fn predicted_size(fragment: &FragmentStats, m: usize) -> FragmentSize {
+    FragmentSize {
+        work: (fragment.nodes * m) as u64,
+        reply_bytes: estimated_triplet_bytes(m, fragment.children.len()),
+    }
+}
+
 /// Predicted wire size of one site's batch envelope:
 /// `triplet_bytes_sum` of predicted per-fragment triplet bytes sharing
 /// one node table, behind the envelope's fragment-count/site header.
 /// The single source of truth for the framing constant, used by the
-/// serving engine's per-round planner.
+/// serving round's plan.
 pub fn estimated_envelope_bytes(triplet_bytes_sum: usize) -> usize {
     4 + triplet_bytes_sum
 }
@@ -181,13 +194,7 @@ impl Strategy {
         let st = &cluster.forest_stats;
         let m = q.len();
         let sizes: Sizes = (st.fragments())
-            .map(|(f, s)| {
-                let size = FragmentSize {
-                    work: (s.nodes * m) as u64,
-                    reply_bytes: estimated_triplet_bytes(m, s.children.len()),
-                };
-                (f, size)
-            })
+            .map(|(f, s)| (f, predicted_size(s, m)))
             .collect();
         let report = match self {
             Strategy::ParBoX => parbox_schedule(cluster, q, &sizes),
@@ -262,73 +269,6 @@ pub fn run_named(
     q: &CompiledQuery,
 ) -> Result<EvalOutcome, String> {
     Ok(Algorithm::from_name(name)?.run(cluster, q))
-}
-
-/// What one serving round asks of the data plane, and the live
-/// statistics to price it with.
-pub(crate) struct RoundDemand<'a> {
-    pub stats: &'a ForestStats,
-    pub model: &'a NetworkModel,
-    pub coordinator: SiteId,
-    /// Fragments some active member lacks a cached triplet for: the
-    /// round's one wave.
-    pub need: &'a [FragmentId],
-    /// Distinct member programs going to the data plane.
-    pub active_members: usize,
-    /// `|QList|` of their merged program.
-    pub merged_len: usize,
-    /// Wire size of the merged program: the per-site request.
-    pub request_bytes: usize,
-}
-
-impl RoundDemand<'_> {
-    /// Plans the round's one wave in the units its report measures:
-    /// `need` dispatched (a visit per owning site, a request and an
-    /// envelope per remote one), then every active member solved over
-    /// the whole source tree. A round of one member is plain ParBoX.
-    pub fn plan(&self) -> PlanSummary {
-        let m = self.merged_len.max(1);
-        // Per owning site: (nodes, predicted triplet bytes).
-        let mut sites: BTreeMap<SiteId, (usize, usize)> = BTreeMap::new();
-        for &f in self.need {
-            let s = self.stats.fragment(f);
-            let site = sites.entry(s.site).or_default();
-            site.0 += s.nodes;
-            site.1 += estimated_triplet_bytes(m, s.children.len());
-        }
-        let remote = sites.keys().filter(|&&s| s != self.coordinator).count();
-        let envelopes: usize = sites
-            .iter()
-            .filter(|(&s, _)| s != self.coordinator)
-            .map(|(_, &(_, bytes))| estimated_envelope_bytes(bytes))
-            .sum();
-        let slowest_site = sites.values().map(|&(nodes, _)| nodes).max().unwrap_or(0);
-        let eval_work: u64 = sites.values().map(|&(nodes, _)| (nodes * m) as u64).sum();
-        let solve_work = (self.active_members * m * self.stats.card().max(1)) as u64;
-        let broadcast = match remote {
-            0 => 0.0,
-            _ => self.model.transfer_time(self.request_bytes),
-        };
-        let estimate = CostEstimate {
-            visits: sites.len(),
-            messages: 2 * remote,
-            traffic_bytes: self.request_bytes * remote + envelopes,
-            work_units: eval_work + solve_work,
-            modeled_s: broadcast
-                + compute_s((slowest_site * m) as u64)
-                + self.model.shared_link_time(remote, envelopes)
-                + compute_s(solve_work),
-        };
-        let strategy = match self.active_members {
-            1 => "ParBoX",
-            _ => "BatchParBoX",
-        };
-        PlanSummary {
-            strategy: strategy.to_string(),
-            estimate,
-            candidates: 1,
-        }
-    }
 }
 
 /// One candidate's row in a [`PlanExplain`].

@@ -68,15 +68,15 @@
 //!
 //! Every admission round runs the same stages, each a small function
 //! with explicit inputs and outputs: `coalesce` (members by
-//! fingerprint) → `answer_from_cache` → `merge_active` and the round's
-//! plan record (`RoundDemand::plan` in [`crate::plan`]) →
-//! `dispatch_wave` (one wave holding every fragment some member lacks)
-//! → `absorb_replies` (identical triplets of the wave share one `Arc`)
-//! → `project_into_entries` (hands each open member the merged
-//! triplets with its projection; `Arc` clones only) → `attempt` (one
-//! member solve each) → `leave_open` → `evict` → `account`. A round is
-//! the paper's ParBoX for one member and its batched form for several:
-//! every site is visited at most once, unless supervision retries it.
+//! fingerprint) → `answer_from_cache` → `merge_active` → `wave` (every
+//! fragment some member lacks, by site) and the round's `plan` →
+//! `dispatch_wave` → `absorb_replies` (identical triplets of the wave
+//! share one `Arc`) → `project_into_entries` (hands each open member
+//! the merged triplets with its projection; `Arc` clones only) →
+//! `attempt` (one member solve each) → `leave_open` → `evict` →
+//! `account`. A round is the paper's ParBoX for one member and its
+//! batched form for several: every site is visited at most once,
+//! unless supervision retries it.
 //! LazyParBoX's depth-by-depth waves pay only when shallow fragments
 //! decide the answer, which no earlier round predicts, so it stays a
 //! one-shot strategy ([`crate::algorithms::lazy_parbox`]). `attempt`
@@ -84,16 +84,25 @@
 //! the fragments that did not arrive, as far as three-valued (Kleene)
 //! evaluation decides; a member it leaves open (a site
 //! stayed down past every supervised attempt) goes out `Partial`, with
-//! no answer. `dispatch_wave` is the only path to the data plane and
-//! owns the visit, request, retry and reseed accounting;
-//! `absorb_replies` owns compute, work, site-cache hits and envelopes
-//! (each remote site sizes its own; the coordinator's is never sized);
-//! the coordinator's solves are accounted where they run, in
-//! `answer_from_cache` and `attempt`.
+//! no answer.
+//!
+//! A round is priced once, by one schedule
+//! (`crate::algorithms::batch_schedule`, ParBoX's batched): the stages
+//! only record sizes — the request per site and each retry and reseed
+//! (`dispatch_wave`, the only path to the data plane), each reply's
+//! work and envelope bytes (`absorb_replies`; each remote site sizes
+//! its own envelope, the coordinator's is never sized), each
+//! coordinator solve's work (`answer_from_cache`, `attempt`) — and
+//! `account` charges them through the schedule, adding only clock
+//! readings. The plan is the same schedule over predicted sizes, so on
+//! a healthy round its visits, messages and work units are the ones
+//! charged.
 
-use crate::algorithms::{batch_query_wire_size, certain_answer};
+use crate::algorithms::{
+    batch_query_wire_size, batch_schedule, certain_answer, ReplySize, RoundSizes,
+};
 use crate::eval::{bottom_up, IncrementalBottomUp};
-use crate::plan::{compute_s, RoundDemand};
+use crate::plan::{compute_s, estimated_envelope_bytes, predicted_size};
 use crate::views::{apply_update_tracked, FragmentDelta, Update, UpdateEffect, ViewError};
 use parbox_bool::Triplet;
 use parbox_frag::{Forest, ForestStats, FragError, Placement, SiteId};
@@ -101,7 +110,7 @@ use parbox_net::engine::{
     DeltaMemo, EvalReply, FragmentEval, PatchFn, RepairOutcome, RepairedEval, SiteCacheStats,
     SitePool,
 };
-use parbox_net::{FaultPlan, FaultSummary, MessageKind, NetworkModel, PlanSummary};
+use parbox_net::{CostEstimate, FaultPlan, FaultSummary, MessageKind, NetworkModel, PlanSummary};
 use parbox_net::{RepairEfficacy, RunReport, SupervisorConfig};
 use parbox_query::{compile, merge_programs, CompiledQuery, Query, QueryFingerprint, SubId};
 use parbox_xml::{FragmentId, NodeId, Tree};
@@ -846,24 +855,12 @@ impl Engine {
             }
             // Every active member lacks a triplet of some live fragment,
             // so the wave is never empty.
-            let need = self.still_missing(&live, &open);
-            let summary = RoundDemand {
-                stats: &self.forest_stats,
-                model: &self.config.model,
-                coordinator: self.coordinator(),
-                need: &need,
-                active_members: open.len(),
-                merged_len: merged.program.len(),
-                request_bytes: merged.request_bytes,
-            }
-            .plan();
-            let replies = self.dispatch_wave(&merged, need, &mut ledger);
-            let arrived = absorb_replies(replies, &self.config.model, &mut ledger);
+            let wave = self.wave(&live, &open);
+            planned = Some(self.plan(&wave, &merged, &open, &ledger.sizes.cache_solves));
+            let replies = self.dispatch_wave(&merged, wave, &mut ledger);
+            let arrived = absorb_replies(replies, &mut ledger);
             self.project_into_entries(&arrived, &open, merged.fp);
             self.attempt(&mut open, &mut ledger);
-            // Without a supervised retry, the batch protocol's round
-            // visits every site at most once.
-            debug_assert!(ledger.faults.retries > 0 || ledger.report.max_visits() <= 1);
             // Still open: a site stayed down past every supervised
             // attempt and what did arrive leaves the answer open. No
             // answer, and nothing memoized: the next round re-requests
@@ -874,7 +871,6 @@ impl Engine {
                 ledger.leave_open(&am.member, missing);
             }
             self.evict();
-            planned = Some(summary);
         }
         self.account(ledger, member_count, active_count, planned, wall)
     }
@@ -907,7 +903,8 @@ impl Engine {
                         .solve_member(entry)
                         .expect("cached triplets cover every live fragment");
                     let work = m.program.len() * live.len();
-                    ledger.record_solve(start.elapsed(), work as u64);
+                    ledger.sizes.cache_solves.push(work as u64);
+                    ledger.clock.push((ledger.coordinator, start.elapsed()));
                     self.solve_cache
                         .get_mut(&m.fp)
                         .expect("entry read above")
@@ -920,82 +917,117 @@ impl Engine {
         active
     }
 
-    /// The fragments among `frags` that some open member holds no
-    /// triplet for (after an update, that is just the touched ones).
-    fn still_missing(&self, frags: &[FragmentId], open: &[ActiveMember<'_>]) -> Vec<FragmentId> {
+    /// The round's one wave: the fragments among `frags` that some open
+    /// member holds no triplet for (after an update, that is just the
+    /// touched ones), by owning site.
+    fn wave(
+        &self,
+        frags: &[FragmentId],
+        open: &[ActiveMember<'_>],
+    ) -> BTreeMap<SiteId, Vec<FragmentId>> {
         let lacks = |am: &ActiveMember<'_>, f: &FragmentId| {
             !self
                 .solve_cache
                 .get(&am.member.fp)
                 .is_some_and(|e| e.triplets.contains_key(f))
         };
-        frags
-            .iter()
-            .copied()
-            .filter(|f| open.iter().any(|am| lacks(am, f)))
-            .collect()
-    }
-
-    /// Sends one wave to the sites owning `wanted` — the only path from
-    /// a serving round to the data plane. Accounts a visit and a request
-    /// per site, and what supervision did to get the replies: each retry
-    /// is an extra visit plus a re-sent request (the sanctioned
-    /// exception to the one-visit discipline), each restart re-seeds the
-    /// site's fragments from the authoritative forest as data traffic.
-    fn dispatch_wave(
-        &mut self,
-        merged: &MergedBatch,
-        wanted: Vec<FragmentId>,
-        ledger: &mut Ledger,
-    ) -> Vec<EvalReply> {
-        ledger.fragments_evaluated += wanted.len();
-        let mut per_site: BTreeMap<SiteId, Vec<FragmentId>> = BTreeMap::new();
-        for f in wanted {
-            per_site
-                .entry(self.forest_stats.site_of(f))
+        let mut wave: BTreeMap<SiteId, Vec<FragmentId>> = BTreeMap::new();
+        for &f in frags.iter().filter(|f| open.iter().any(|am| lacks(am, f))) {
+            wave.entry(self.forest_stats.site_of(f))
                 .or_default()
                 .push(f);
         }
-        let mut any_remote = false;
-        for &site in per_site.keys() {
-            any_remote |= ledger.record_request(site, merged.request_bytes);
-        }
-        let model = &self.config.model;
-        if any_remote {
-            ledger.modeled_s += model.transfer_time(merged.request_bytes);
-        }
+        wave
+    }
 
+    /// The round's plan: its schedule ([`batch_schedule`]) over
+    /// predicted sizes — each wave fragment at its [`predicted_size`]
+    /// under the merged program, a remote site's envelope at
+    /// [`estimated_envelope_bytes`], no retry or reseed, the solves
+    /// already charged at their measured work, and each open member
+    /// solved over every live fragment. A round of one member is plain
+    /// ParBoX.
+    fn plan(
+        &self,
+        wave: &BTreeMap<SiteId, Vec<FragmentId>>,
+        merged: &MergedBatch,
+        open: &[ActiveMember<'_>],
+        cache_solves: &[u64],
+    ) -> PlanSummary {
+        let st = &self.forest_stats;
+        let m = merged.program.len();
+        let replies = (wave.iter())
+            .map(|(&site, frags)| {
+                let (mut work, mut bytes) = (0, 0);
+                for &f in frags {
+                    let size = predicted_size(st.fragment(f), m);
+                    work += size.work;
+                    bytes += size.reply_bytes;
+                }
+                let envelope_bytes = estimated_envelope_bytes(bytes);
+                ReplySize {
+                    site,
+                    work,
+                    envelope_bytes,
+                }
+            })
+            .collect();
+        let predicted = RoundSizes {
+            request_bytes: merged.request_bytes,
+            sites: wave.keys().copied().collect(),
+            replies,
+            cache_solves: cache_solves.to_vec(),
+            member_solves: (open.iter())
+                .map(|am| (am.member.program.len() * st.card()) as u64)
+                .collect(),
+            ..RoundSizes::default()
+        };
+        let schedule = batch_schedule(self.coordinator(), &self.config.model, &predicted);
+        let strategy = match open.len() {
+            1 => "ParBoX",
+            _ => "BatchParBoX",
+        };
+        PlanSummary {
+            strategy: strategy.to_string(),
+            estimate: CostEstimate::of(&schedule),
+            candidates: 1,
+        }
+    }
+
+    /// Sends the wave — the only path from a serving round to the data
+    /// plane — and records its sizes: the request per site, and what
+    /// supervision did to get the replies: each retry is another request
+    /// (the sanctioned exception to the one-visit discipline), each
+    /// restart re-seeds the site's fragments from the authoritative
+    /// forest.
+    fn dispatch_wave(
+        &mut self,
+        merged: &MergedBatch,
+        wave: BTreeMap<SiteId, Vec<FragmentId>>,
+        ledger: &mut Ledger,
+    ) -> Vec<EvalReply> {
+        ledger.fragments_evaluated += wave.values().map(Vec::len).sum::<usize>();
+        ledger.sizes.request_bytes = merged.request_bytes;
+        ledger.sizes.sites = wave.keys().copied().collect();
         let (forest_stats, forest) = (&self.forest_stats, &self.forest);
-        let mut reseeded: Vec<(SiteId, usize)> = Vec::new();
+        let reseeds = &mut ledger.sizes.reseeds;
         let out = self.pool.eval_round_supervised(
             &merged.program,
             merged.fp,
-            per_site.into_iter().collect(),
+            wave.into_iter().collect(),
             Some(ledger.coordinator),
             &self.supervisor,
             &mut |site| {
                 let frags = forest_stats.fragments_at(site);
                 let bytes = frags.iter().map(|&f| forest.fragment(f).byte_size()).sum();
-                reseeded.push((site, bytes));
+                reseeds.push((site, bytes));
                 frags
                     .into_iter()
                     .map(|f| (f, forest.tree_handle(f)))
                     .collect()
             },
         );
-        for &site in &out.retry_visits {
-            if ledger.record_request(site, merged.request_bytes) {
-                ledger.modeled_s += model.transfer_time(merged.request_bytes);
-            }
-        }
-        for (site, bytes) in reseeded {
-            if site != ledger.coordinator && bytes > 0 {
-                ledger
-                    .report
-                    .record_message(ledger.coordinator, site, bytes, MessageKind::Data);
-                ledger.modeled_s += model.transfer_time(bytes);
-            }
-        }
+        ledger.sizes.retries = out.retry_visits;
         ledger.faults.absorb(&out.stats);
         out.replies
     }
@@ -1035,8 +1067,9 @@ impl Engine {
             let entry = &self.solve_cache[&am.member.fp];
             let start = Instant::now();
             let solved = self.solve_member(entry);
-            let work = (am.member.program.len() * entry.triplets.len().max(1)) as u64;
-            ledger.record_solve(start.elapsed(), work);
+            let work = am.member.program.len() * entry.triplets.len().max(1);
+            ledger.sizes.member_solves.push(work as u64);
+            ledger.clock.push((ledger.coordinator, start.elapsed()));
             self.solve_cache
                 .get_mut(&am.member.fp)
                 .expect("read above")
@@ -1072,7 +1105,8 @@ impl Engine {
         }
     }
 
-    /// Closes the round: stamps the ledger into the report and the
+    /// Closes the round: charges the sizes it recorded through its
+    /// schedule ([`batch_schedule`]), adds the clock readings, stamps the
     /// lifetime counters, and hands the certain answers out in
     /// submission order, the other tickets in `partial`.
     fn account(
@@ -1083,8 +1117,13 @@ impl Engine {
         planned: Option<PlanSummary>,
         wall: Instant,
     ) -> RoundOutcome {
-        let mut report = ledger.report;
-        report.elapsed_model_s = ledger.modeled_s;
+        let mut report = batch_schedule(ledger.coordinator, &self.config.model, &ledger.sizes);
+        for (site, took) in ledger.clock {
+            report.record_compute(site, took);
+        }
+        // Without a supervised retry, the batch protocol's round visits
+        // every site at most once.
+        debug_assert!(ledger.faults.retries > 0 || report.max_visits() <= 1);
         report.elapsed_wall_s = wall.elapsed().as_secs_f64();
         report.planned = planned;
         if ledger.faults.any() {
@@ -1424,16 +1463,15 @@ struct ActiveMember<'p> {
 /// close.
 struct Ledger {
     coordinator: SiteId,
-    report: RunReport,
     /// Per submission, in submission order; `None` while open.
     answers: Vec<(Ticket, Option<bool>)>,
     /// Submissions the round's wave left open, with the sites missing.
     partial: Vec<(Ticket, Vec<SiteId>)>,
     faults: FaultSummary,
-    /// Modeled seconds so far: the wave's request broadcast, the
-    /// slowest site and the envelope collection (plus any recovery
-    /// traffic), and every coordinator solve.
-    modeled_s: f64,
+    /// What the round did, in the units its schedule charges.
+    sizes: RoundSizes,
+    /// Measured compute per site, in the order it ran.
+    clock: Vec<(SiteId, Duration)>,
     members_from_cache: usize,
     site_cache_hits: usize,
     fragments_evaluated: usize,
@@ -1443,11 +1481,11 @@ impl Ledger {
     fn new(pending: &[(Ticket, CompiledQuery)], coordinator: SiteId) -> Ledger {
         Ledger {
             coordinator,
-            report: RunReport::new(),
             answers: pending.iter().map(|(t, _)| (*t, None)).collect(),
             partial: Vec::new(),
             faults: FaultSummary::default(),
-            modeled_s: 0.0,
+            sizes: RoundSizes::default(),
+            clock: Vec::new(),
             members_from_cache: 0,
             site_cache_hits: 0,
             fragments_evaluated: 0,
@@ -1464,25 +1502,6 @@ impl Ledger {
         for &pi in &member.submissions {
             self.partial.push((self.answers[pi].0, missing.clone()));
         }
-    }
-
-    /// One solve at the coordinator, charged by its work units.
-    fn record_solve(&mut self, took: Duration, work_units: u64) {
-        self.modeled_s += compute_s(work_units);
-        self.report.record_compute(self.coordinator, took);
-        self.report.record_work(self.coordinator, work_units);
-    }
-
-    /// One request to `site`: a visit, and for a remote site the merged
-    /// program on the wire. Returns whether the site was remote.
-    fn record_request(&mut self, site: SiteId, bytes: usize) -> bool {
-        self.report.record_visit(site);
-        let remote = site != self.coordinator;
-        if remote {
-            self.report
-                .record_message(self.coordinator, site, bytes, MessageKind::BatchQuery);
-        }
-        remote
     }
 }
 
@@ -1534,38 +1553,25 @@ fn merge_active(active: Vec<Member<'_>>) -> (MergedBatch, Vec<ActiveMember<'_>>)
     (merged, open)
 }
 
-/// Absorbs a wave of site replies: records each site's compute and
-/// work, counts site-cache hits, and accounts a remote site's envelope
-/// as a message of the bytes the site sized it at (the coordinator's
-/// own reply crosses no link and is never sized). Returns the merged
-/// triplets that arrived, in reply order, with identical ones (the
-/// common case: many leaf fragments resolving to the same constants)
-/// sharing one `Arc` — hashed once here, so every cache entry that
-/// keeps them keeps one copy.
-fn absorb_replies(
-    replies: Vec<EvalReply>,
-    model: &NetworkModel,
-    ledger: &mut Ledger,
-) -> Vec<(FragmentId, Arc<Triplet>)> {
-    let mut slowest_site = 0.0f64;
-    let mut remote_envelopes: Vec<usize> = Vec::new();
+/// Absorbs a wave of site replies: records each reply's size — its
+/// work, and the bytes a remote site sized its envelope at (the
+/// coordinator's own reply crosses no link and is never sized) — and
+/// its compute, and counts site-cache hits. Returns the merged triplets
+/// that arrived, in reply order, with identical ones (the common case:
+/// many leaf fragments resolving to the same constants) sharing one
+/// `Arc` — hashed once here, so every cache entry that keeps them keeps
+/// one copy.
+fn absorb_replies(replies: Vec<EvalReply>, ledger: &mut Ledger) -> Vec<(FragmentId, Arc<Triplet>)> {
     let mut arrived = Vec::new();
     let mut distinct: HashSet<Arc<Triplet>> = HashSet::new();
     for reply in replies {
-        ledger.report.record_compute(reply.site, reply.elapsed);
-        ledger.report.record_work(reply.site, reply.work_units);
-        slowest_site = slowest_site.max(compute_s(reply.work_units));
+        ledger.clock.push((reply.site, reply.elapsed));
+        ledger.sizes.replies.push(ReplySize {
+            site: reply.site,
+            work: reply.work_units,
+            envelope_bytes: reply.envelope_bytes,
+        });
         ledger.site_cache_hits += reply.triplets.iter().filter(|(_, _, hit)| *hit).count();
-        if reply.site != ledger.coordinator {
-            let bytes = reply.envelope_bytes;
-            ledger.report.record_message(
-                reply.site,
-                ledger.coordinator,
-                bytes,
-                MessageKind::Envelope,
-            );
-            remote_envelopes.push(bytes);
-        }
         for (f, t, _) in reply.triplets {
             let t = match distinct.get(&t) {
                 Some(same) => Arc::clone(same),
@@ -1577,8 +1583,6 @@ fn absorb_replies(
             arrived.push((f, t));
         }
     }
-    ledger.modeled_s += slowest_site
-        + model.shared_link_time(remote_envelopes.len(), remote_envelopes.iter().sum());
     arrived
 }
 

@@ -293,26 +293,6 @@ impl ForestStats {
             .unwrap_or(0)
     }
 
-    /// Largest per-site node total `max_Si |F_Si|` — the parallel-
-    /// computation bound of the paper's Fig. 4.
-    pub fn max_site_nodes(&self) -> usize {
-        self.per_site.values().map(|t| t.nodes).max().unwrap_or(0)
-    }
-
-    /// Fragment-tree edges whose endpoints live on *different* sites —
-    /// the edges that cost a message in the distributed-resolution
-    /// strategies (`NaiveDistributed`, `FullDistParBoX`).
-    pub fn cross_site_edges(&self) -> usize {
-        self.per_fragment
-            .values()
-            .filter(|e| {
-                e.parent
-                    .and_then(|p| self.per_fragment.get(&p))
-                    .is_some_and(|p| p.site != e.site)
-            })
-            .count()
-    }
-
     /// Approximate serialized size of the source tree in bytes (one
     /// compact record per fragment) — what `FullDistParBoX` ships when it
     /// replicates the source tree.
@@ -452,14 +432,13 @@ mod tests {
         let frags: usize = stats.sites().map(|s| stats.site(s).fragments).sum();
         assert_eq!(nodes, forest.total_nodes());
         assert_eq!(frags, forest.card());
-        assert!(stats.max_site_nodes() >= forest.total_nodes() / 2);
         assert_eq!(stats.site(SiteId(99)), SiteStats::default());
     }
 
     #[test]
     fn node_accounting_per_site() {
-        // `|F_Si|` summed over the sites is the whole forest, and the
-        // largest site holds at least its share.
+        // `|F_Si|` is each site's node total, and summed over the sites
+        // it is the whole forest.
         let (forest, placement) = forest();
         let st = ForestStats::compute(&forest, &placement);
         let at = |s| -> usize {
@@ -468,8 +447,7 @@ mod tests {
         };
         let total: usize = st.sites().map(at).sum();
         assert_eq!(total, forest.total_nodes());
-        assert!(st.max_site_nodes() >= total / st.site_count());
-        assert_eq!(st.max_site_nodes(), st.sites().map(at).max().unwrap());
+        assert!(st.sites().all(|s| st.site(s).nodes == at(s)));
     }
 
     #[test]
@@ -517,19 +495,5 @@ mod tests {
         stats.refresh_structure(&forest, &placement);
         assert_eq!(stats, ForestStats::compute(&forest, &placement));
         assert!(!stats.postorder().contains(&gone));
-    }
-
-    #[test]
-    fn cross_site_edges_counts_remote_parents() {
-        let (forest, _) = forest();
-        // All on one site: no cross edges.
-        let single = Placement::single_site(&forest);
-        assert_eq!(ForestStats::compute(&forest, &single).cross_site_edges(), 0);
-        // One site per fragment: every non-root fragment crosses.
-        let spread = Placement::one_per_fragment(&forest);
-        assert_eq!(
-            ForestStats::compute(&forest, &spread).cross_site_edges(),
-            forest.card() - 1
-        );
     }
 }

@@ -7,6 +7,7 @@
 //! invalidation all enabled, every answer must equal what one-shot
 //! ParBoX computes on the materialized forest at that moment.
 
+use parbox::core::plan::TRAFFIC_ESTIMATE_FACTOR;
 use parbox::core::{parbox, Completeness, Engine, EngineConfig, Ticket, Update};
 use parbox::frag::Placement;
 use parbox::net::{Cluster, FaultPlan, FaultRates, MessageKind, NetworkModel, SupervisorConfig};
@@ -207,6 +208,99 @@ proptest! {
             );
             prop_assert_eq!(out.answer, Some(expected), "post-disarm answer: {}", q);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A serving round's estimate is its own schedule over predicted
+    /// sizes. On every data-plane round of a fault-free stream (fresh
+    /// and repeated queries in rounds of 1–4, leaf inserts between
+    /// rounds) on a star or a chain, the visits, messages and work units
+    /// it predicts are the ones the round charges, its traffic is within
+    /// the documented factor, and on a free network so is its modeled
+    /// time.
+    #[test]
+    fn round_estimate_is_the_charged_schedule(
+        tree in tree_strategy(),
+        chain in proptest::bool::ANY,
+        links in 2usize..6,
+        sites in 1u32..4,
+        queries in proptest::collection::vec(query_strategy(), 1..8),
+        rounds in proptest::collection::vec(
+            (proptest::collection::vec(0usize..8, 1..5), proptest::option::of(0usize..1000)),
+            1..6,
+        ),
+    ) {
+        let mut forest = parbox::frag::Forest::from_tree(tree);
+        if chain {
+            // A tree too small for every link keeps the links it has.
+            let _ = parbox::frag::strategies::chain(&mut forest, links);
+        } else {
+            let root = forest.root_fragment();
+            parbox::frag::strategies::star(&mut forest, root).unwrap();
+        }
+        let placement = Placement::round_robin(&forest, sites);
+        for model in [NetworkModel::lan(), NetworkModel::infinite()] {
+            let config = EngineConfig {
+                model,
+                ..EngineConfig::default()
+            };
+            let mut engine = Engine::new(forest.clone(), placement.clone(), config).unwrap();
+            for (picks, insert) in &rounds {
+                if let Some(seed) = insert {
+                    engine.apply(leaf_insert(&engine, *seed)).unwrap();
+                }
+                for &i in picks {
+                    engine.submit(&queries[i % queries.len()]);
+                }
+                let out = engine.flush().expect("queries pending");
+                prop_assert!(out.partial.is_empty());
+                let Some(planned) = &out.report.planned else {
+                    continue;
+                };
+                let (est, report) = (planned.estimate, &out.report);
+                prop_assert_eq!(est.visits, report.total_visits());
+                prop_assert_eq!(est.messages, report.total_messages());
+                prop_assert_eq!(est.work_units, report.total_work());
+                let measured = report.total_bytes();
+                prop_assert!(
+                    est.traffic_bytes <= measured * TRAFFIC_ESTIMATE_FACTOR
+                        && measured <= est.traffic_bytes * TRAFFIC_ESTIMATE_FACTOR,
+                    "traffic estimate {} vs measured {}",
+                    est.traffic_bytes,
+                    measured
+                );
+                if model == NetworkModel::infinite() {
+                    let charged = report.elapsed_model_s;
+                    prop_assert!(
+                        (est.modeled_s - charged).abs() < 1e-12,
+                        "modeled {} vs charged {}",
+                        est.modeled_s,
+                        charged
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// A leaf insert under a non-virtual node of some fragment, picked by
+/// `seed`.
+fn leaf_insert(engine: &Engine, seed: usize) -> Update {
+    let frags: Vec<FragmentId> = engine.forest().fragment_ids().collect();
+    let frag = frags[seed % frags.len()];
+    let tree = &engine.forest().fragment(frag).tree;
+    let nodes: Vec<NodeId> = tree
+        .descendants(tree.root())
+        .filter(|&n| !tree.node(n).kind.is_virtual())
+        .collect();
+    Update::InsNode {
+        frag,
+        parent: nodes[seed / 7 % nodes.len()],
+        label: "b".into(),
+        text: None,
     }
 }
 
